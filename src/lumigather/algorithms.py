@@ -253,8 +253,15 @@ def lu_gather_in_async(snap):
 
 
 def _inner_view(snap):
-    """Snapshot the inner algorithm sees: phase components stripped."""
-    cfg = snap.config.recolor(inner_of)
+    """Snapshot the inner algorithm sees: phase components stripped.
+
+    The recolored configuration is kept in the outer configuration's memo, so
+    every robot evaluated on one configuration shares its hull and targets.
+    """
+    memo = snap.config.memo
+    cfg = memo.get("inner_view")
+    if cfg is None:
+        cfg = memo["inner_view"] = snap.config.recolor(inner_of)
     return Snapshot(cfg, snap.own_pos, inner_of(snap.own_light))
 
 

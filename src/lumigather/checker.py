@@ -55,11 +55,10 @@ class Report:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _point(xy):
-    return Point(parse_rat(xy[0]), parse_rat(xy[1]))
-
-
 _PHASE_RE = re.compile(r"(LC(BE)?)*(L|LC|LCB)?")
+
+_HEADER_KEYS = ("algorithm", "scheduler", "delta", "n", "robots")
+_ROBOT_EVENTS = frozenset(("Look", "Compute", "MoveBegin", "MoveProgress", "MoveEnd"))
 
 
 class _MoveRec:
@@ -75,19 +74,54 @@ class _MoveRec:
 
 
 class TraceData:
-    """Parsed trace with per-robot timelines and visible-state queries."""
+    """Parsed trace with per-robot timelines and visible-state queries.
+
+    Every raw ``(x, y)`` pair is parsed once and mapped to a single Point, so
+    equal coordinates share one object.  Malformed input raises ValueError.
+    Checks obtain their instance through ``TraceData.of``, which builds it
+    once per trace.
+    """
+
+    @classmethod
+    def of(cls, trace):
+        """The TraceData shared by every check of ``trace``.
+
+        A TraceData passed in is returned as is; one built from a Trace is
+        stored on it.  A Trace only ever appends lines, so the stored
+        TraceData is rebuilt exactly when the line list was replaced or has
+        grown.
+        """
+        if isinstance(trace, TraceData):
+            return trace
+        lines = getattr(trace, "lines", None)
+        if lines is None:
+            return cls(trace)
+        td = getattr(trace, "_trace_data", None)
+        if td is None or td._lines is not lines or td._n_lines != len(lines):
+            td = cls(trace)
+            trace._trace_data = td
+        return td
 
     def __init__(self, trace):
         lines = trace.lines if hasattr(trace, "lines") else list(trace)
+        self._lines = lines
+        self._n_lines = len(lines)
+        if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "Header":
+            raise ValueError("trace does not start with a Header line")
         self.header = lines[0]
-        assert self.header.get("kind") == "Header"
+        missing = [k for k in _HEADER_KEYS if k not in self.header]
+        if missing:
+            raise ValueError(f"trace header lacks {', '.join(missing)}")
+        self._points = {}
         self.algorithm = get_algorithm(self.header["algorithm"])
         self.scheduler = self.header["scheduler"]
         self.delta = parse_rat(self.header["delta"])
         self.move_span_cap = int(self.header.get("move_span_cap", 16))
-        self.n = int(self.header["n"])
+        self.n = n = int(self.header["n"])
+        if len(self.header["robots"]) != n:
+            raise ValueError(f"trace header lists {len(self.header['robots'])} robots, n={n}")
         self.initial = [
-            (_point((r["x"], r["y"])), r["color"]) for r in self.header["robots"]
+            (self.point((r["x"], r["y"])), r["color"]) for r in self.header["robots"]
         ]
         self.status = None
         self.end_time = None
@@ -98,19 +132,38 @@ class TraceData:
             kind = ln["kind"]
             if kind == "Config":
                 self.configs[ln["t"]] = tuple(
-                    (_point(e[:2]), e[2]) for e in ln["entries"]
+                    (self.point(e), e[2]) for e in ln["entries"]
                 )
             elif kind == "End":
                 self.status = ln["status"]
                 self.end_time = ln["t"]
             elif kind == "RoundStart":
+                for rid in ln["activated"]:
+                    self._check_robot(rid, ln)
                 self.rounds[ln["t"]] = ln["activated"]
                 self.events.append(ln)
             else:
+                if kind in _ROBOT_EVENTS:
+                    self._check_robot(ln.get("robot"), ln)
                 self.events.append(ln)
         self.config_times = sorted(self.configs)
         self._cache = {}
+        self._at = {}
         self._build_timelines()
+
+    def _check_robot(self, rid, ln):
+        if type(rid) is not int or not 0 <= rid < self.n:
+            raise ValueError(
+                f"{ln['kind']} at t={ln.get('t')}: robot id {rid!r} outside 0..{self.n - 1}"
+            )
+
+    def point(self, xy):
+        """The one Point of a raw ``(x, y)`` pair (extra items are ignored)."""
+        key = (xy[0], xy[1])
+        p = self._points.get(key)
+        if p is None:
+            p = self._points[key] = Point(parse_rat(xy[0]), parse_rat(xy[1]))
+        return p
 
     def intern(self, entries):
         cfg = self._cache.get(entries)
@@ -120,7 +173,10 @@ class TraceData:
         return cfg
 
     def config_at(self, t):
-        return self.intern(self.configs[t])
+        cfg = self._at.get(t)
+        if cfg is None:
+            cfg = self._at[t] = self.intern(self.configs[t])
+        return cfg
 
     def _build_timelines(self):
         n = self.n
@@ -130,7 +186,7 @@ class TraceData:
         pos = [p for p, _ in self.initial]
         for ev in self.events:
             kind = ev["kind"]
-            if kind == "RoundStart":
+            if kind not in _ROBOT_EVENTS:
                 continue
             rid = ev["robot"]
             t = ev["t"]
@@ -138,20 +194,20 @@ class TraceData:
                 self.looks[rid].append(t)
             elif kind == "Compute":
                 self.computes[rid].append(
-                    (t, ev["color"], _point(ev["dest"]), bool(ev.get("exec")))
+                    (t, ev["color"], self.point(ev["dest"]), bool(ev.get("exec")))
                 )
             elif kind == "MoveBegin":
-                self.moves[rid].append(_MoveRec(t, pos[rid], _point(ev["reach"])))
+                self.moves[rid].append(_MoveRec(t, pos[rid], self.point(ev["reach"])))
             elif kind == "MoveProgress":
                 if not self.moves[rid]:
                     raise ValueError(f"MoveProgress without MoveBegin (robot {rid}, t={t})")
-                self.moves[rid][-1].progress[t] = _point(ev["pos"])
+                self.moves[rid][-1].progress[t] = self.point(ev["pos"])
             elif kind == "MoveEnd":
                 if not self.moves[rid]:
                     raise ValueError(f"MoveEnd without MoveBegin (robot {rid}, t={t})")
                 m = self.moves[rid][-1]
                 m.t_e = t
-                m.end_pos = _point(ev["pos"])
+                m.end_pos = self.point(ev["pos"])
                 pos[rid] = m.end_pos
         self._comp_times = [[c[0] for c in cs] for cs in self.computes]
         self._move_tbs = [[m.t_b for m in ms] for ms in self.moves]
@@ -223,7 +279,7 @@ class TraceData:
 
 def applicable_checks(trace):
     """Check names that make sense for this trace's algorithm and scheduler."""
-    td = trace if isinstance(trace, TraceData) else TraceData(trace)
+    td = TraceData.of(trace)
     alg = td.algorithm.id
     round_based = td.scheduler in ("fsync", "ssync", "ssync-unfair")
     names = ["replay"]
@@ -250,7 +306,7 @@ def validate_trace(trace):
     seen at the destination only after the move ends) and that every Compute
     equals the algorithm's output on the replayed snapshot.
     """
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     rep = Report("replay")
     if td.scheduler == "async":
         _validate_async(td, rep)
@@ -339,12 +395,12 @@ def _validate_sync(td, rep):
             if kind == "Compute":
                 rid = ev["robot"]
                 act = td.algorithm(Snapshot(cfg, pos[rid], light[rid]))
-                if act.color != ev["color"] or act.dest != _point(ev["dest"]):
+                if act.color != ev["color"] or act.dest != td.point(ev["dest"]):
                     rep.violate(t, f"robot {rid}: Compute differs from algorithm output")
                 light[rid] = ev["color"]
             elif kind == "MoveEnd":
                 rid = ev["robot"]
-                reached = _point(ev["pos"])
+                reached = td.point(ev["pos"])
                 comp = next(
                     (
                         e
@@ -357,7 +413,7 @@ def _validate_sync(td, rep):
                     rep.violate(t, f"robot {rid}: MoveEnd without Compute in round")
                     pos[rid] = reached
                     continue
-                dest = _point(comp["dest"])
+                dest = td.point(comp["dest"])
                 origin = pos[rid]
                 if not on_segment(reached, origin, dest):
                     rep.violate(t, f"robot {rid}: reached point off move segment")
@@ -407,7 +463,7 @@ def check_monotone(trace, which=None):
     rounds must leave the configuration unchanged.  Undecided comparisons are
     reported separately (a precision matter, not a violation).
     """
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     if which is None:
         which = "g" if td.algorithm.id in ("lu-gather",) else "f"
     potential = potential_f if which == "f" else potential_g
@@ -457,7 +513,7 @@ def check_monotone(trace, which=None):
             if ev["kind"] == "Compute":
                 light[ev["robot"]] = ev["color"]
             elif ev["kind"] == "MoveEnd":
-                pos[ev["robot"]] = _point(ev["pos"])
+                pos[ev["robot"]] = td.point(ev["pos"])
     rep.extras["effective_rounds"] = rounds
     return rep
 
@@ -468,7 +524,7 @@ def annotate_potentials(trace, which=None):
     Annotation lines look like {"kind": "Potential", "t": n, "f": [...5...]}
     with entries "inf", "p/q" or ["lo", "hi"] enclosures.
     """
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     if which is None:
         which = "g" if td.algorithm.id == "lu-gather" else "f"
     potential = potential_f if which == "f" else potential_g
@@ -514,7 +570,7 @@ def check_equivariance_trace(trace, frames_per_snapshot=5, max_configs=10):
     """
     import random
 
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     rng = random.Random(int(td.header.get("adversary", {}).get("seed", 0)) ^ 0xE9)
     from .configuration import Frame
     from .rational import Rat as _R
@@ -583,7 +639,7 @@ def check_cycle_snapshot(trace):
     Also verifies the phase rotation allS -> allM -> allE -> allS (with the
     two-color transitions in between) over the wrapper-governed segment.
     """
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
     seg = _wrapped_segment(td)
     if not seg:
@@ -663,7 +719,7 @@ def check_onlds_switch(trace):
     fit one of the five admissible shapes, and collinearity must persist to
     the end of the trace.
     """
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     rep = Report("onlds-switch")
     phase = phase_of
     t_star = None
@@ -732,7 +788,7 @@ def check_shrink(trace, delta=None):
     Loop entries are the first instants of maximal runs where the visible
     configuration is exactly two all-S stations.
     """
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     if delta is None:
         delta = td.delta
     rep = Report("shrink")
@@ -768,7 +824,7 @@ def check_shrink(trace, delta=None):
 
 def check_gathered(trace):
     """First time all robots share one point, stable to the end of the trace."""
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     rep = Report("gathered")
     t_g = None
     for t in td.config_times:

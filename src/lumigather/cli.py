@@ -67,7 +67,7 @@ def cmd_run(args):
         code = 3
     if args.out:
         trace.write(args.out)
-    td = TraceData(trace)
+    td = TraceData.of(trace)
     final = td.config_at(td.config_times[-1])
     colors = sorted({ln["color"] for ln in trace.lines if ln.get("kind") == "Compute"})
     summary = {
@@ -128,11 +128,12 @@ _CHECK_FNS = {
 def cmd_check(args):
     try:
         trace = Trace.load(args.trace)
+        td = TraceData.of(trace)
     except (OSError, ValueError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     names = (
-        applicable_checks(trace)
+        applicable_checks(td)
         if args.check in (None, "all")
         else [s.strip() for s in args.check.split(",")]
     )
@@ -166,7 +167,7 @@ def _stroke(color):
 def cmd_plot(args):
     try:
         trace = Trace.load(args.trace)
-        td = TraceData(trace)
+        td = TraceData.of(trace)
     except (OSError, ValueError, KeyError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2

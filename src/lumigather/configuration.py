@@ -112,7 +112,7 @@ class Configuration:
         if self._contraction is None:
             from .geometry import min_edge_targets
 
-            self._contraction = tuple(min_edge_targets(self.occupied))
+            self._contraction = tuple(min_edge_targets(self.occupied, self.hull))
         return self._contraction
 
     def recolor(self, mapper):

@@ -162,6 +162,13 @@ class Trace:
     def header(self):
         return self.lines[0]
 
+    def __getstate__(self):
+        # a copy may be edited in place, so it re-parses rather than inherit
+        # the TraceData the checkers stored on this trace
+        state = dict(self.__dict__)
+        state.pop("_trace_data", None)
+        return state
+
     def dumps(self):
         return "".join(_dump(line) + "\n" for line in self.lines)
 
@@ -459,8 +466,10 @@ class AsyncWorld:
         self.t = 0
         self.steps = 0
         self.cache = _ConfigCache()
+        self._visible = None
+        self._visible_t = None
         self.trace = Trace(_header(scenario))
-        self.trace.config_line(0, self._visible_entries())
+        self.trace.config_line(0, self.visible_config().entries)
         self._terminal_memo = {}
 
     # -- visible state ----------------------------------------------------
@@ -471,7 +480,18 @@ class AsyncWorld:
         return tuple(ents)
 
     def visible_config(self):
-        return self.cache.get(self._visible_entries())
+        """Configuration every robot observes at the current instant.
+
+        Cached per instant: only ``_advance`` changes what is visible.  Within
+        an instant t a Compute at t is unseen (the former light shows until
+        t+1), a MoveBegin at t is seen at its origin, which is where the robot
+        stood, and a MoveEnd at t is seen at ``progress[t]``, where it was
+        already seen; Looks change nothing.
+        """
+        if self._visible_t != self.t:
+            self._visible = self.cache.get(self._visible_entries())
+            self._visible_t = self.t
+        return self._visible
 
     def observe(self, rid, frame=None):
         """Snapshot robot ``rid`` would take now (own light included)."""
@@ -615,7 +635,7 @@ class AsyncWorld:
                 )
             if self.legal_actions(i):
                 r.starve += 1
-        self.trace.config_line(t, self._visible_entries())
+        self.trace.config_line(t, self.visible_config().entries)
 
     # -- termination -------------------------------------------------------
 

@@ -216,14 +216,16 @@ def selected_min_edges(hull):
     return [i for i in range(k) if is_min[i] and not is_min[(i - 1) % k]]
 
 
-def min_edge_targets(points):
+def min_edge_targets(points, hull=None):
     """Contraction moves for an asymmetric contractible configuration.
 
     For each selected minimum edge (v_k, v_{k+1}) in CCW order, every
     occupied point on the closed edge other than v_k is paired with v_k.
-    With shared chirality v_k is the edge's right vertex.
+    With shared chirality v_k is the edge's right vertex.  ``hull``, when
+    given, must be ``convex_hull(points)``.
     """
-    hull = convex_hull(points)
+    if hull is None:
+        hull = convex_hull(points)
     if isinstance(hull, CollinearSignal):
         raise ValueError("min_edge_targets needs a non-collinear configuration")
     if hull.classification is not Classification.ASYM_CONTRACTIBLE:

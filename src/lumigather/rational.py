@@ -8,7 +8,7 @@ is picked at import time:
 * ``fractions.Fraction`` -- pure-Python fallback.
 
 Set ``LUMIGATHER_PURE_RATIONAL=1`` in the environment to force the pure
-backend (the benchmark under ``benchmarks/`` compares both).
+backend.  The benchmark under ``perfbench/`` reports the backend it loaded.
 """
 
 import math

@@ -6,6 +6,7 @@ lines and timings.
 
 import random
 import time
+import zlib
 
 import pytest
 
@@ -486,7 +487,7 @@ def test_criterion_9_equivariance():
     total = 0
     for alg in ("elect-one-lds", "lu-gather", "six-color", "lu-gather-async", "three-color"):
         spec = get_algorithm(alg)
-        rng = random.Random(0x5EED ^ hash(alg) % 65536)
+        rng = random.Random(0x5EED ^ zlib.crc32(alg.encode()) % 65536)
         done = 0
         while done < 50:
             snap = _random_snap(rng, alg)

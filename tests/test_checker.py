@@ -1,9 +1,11 @@
+import copy
 import json
 
 import pytest
 
 from lumigather.checker import (
     Report,
+    TraceData,
     check_cycle_snapshot,
     check_equivariance,
     check_gathered,
@@ -297,6 +299,95 @@ class TestNegativeControls:
         bad.status = tr.status
         bad.end_time = tr.end_time
         assert not validate_trace(bad).passed
+
+
+class TestSharedTraceData:
+    def _trace(self):
+        return run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
+
+    def test_four_checks_build_one_tracedata(self, monkeypatch):
+        tr = self._trace()
+        builds = []
+        init = TraceData.__init__
+
+        def counting(self, trace):
+            builds.append(trace)
+            init(self, trace)
+
+        monkeypatch.setattr(TraceData, "__init__", counting)
+        for check in (validate_trace, check_cycle_snapshot, check_onlds_switch, check_gathered):
+            assert check(tr).passed
+        assert builds == [tr]
+
+    def test_of_returns_shared_instance(self):
+        tr = self._trace()
+        td = TraceData.of(tr)
+        assert TraceData.of(tr) is td
+        assert TraceData.of(td) is td
+        assert TraceData.of(Trace.parse(tr.dumps())) is not td
+
+    def test_appended_line_forces_rebuild(self):
+        tr = self._trace()
+        td = TraceData.of(tr)
+        t = tr.end_time
+        tr.log(kind="Look", t=t, robot=0)
+        again = TraceData.of(tr)
+        assert again is not td
+        assert again.looks[0][-1] == t and td.looks[0][-1] != t
+
+    def test_replaced_lines_force_rebuild(self):
+        tr = self._trace()
+        td = TraceData.of(tr)
+        tr.lines = list(tr.lines)
+        assert TraceData.of(tr) is not td
+
+    def test_tampered_copy_still_fails_replay(self):
+        tr = self._trace()
+        assert validate_trace(tr).passed
+        bad = copy.deepcopy(tr)
+        for ln in bad.lines:
+            if ln["kind"] == "Config" and ln["t"] > 0:
+                ln["entries"][0][0] = "99/1"
+                break
+        assert not validate_trace(bad).passed
+        assert validate_trace(tr).passed
+
+    def test_equal_coordinates_share_one_point(self):
+        td = TraceData(Trace.parse(self._trace().dumps()))
+        last = td.configs[td.config_times[-1]]
+        assert all(p is last[0][0] for p, _ in last)  # gathered: one point
+        assert td.config_at(0) is td.config_at(0)
+
+
+class TestMalformedTraceData:
+    def _lines(self):
+        return run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8)).lines
+
+    def test_first_line_not_header(self):
+        with pytest.raises(ValueError, match="Header"):
+            TraceData(self._lines()[1:])
+
+    @pytest.mark.parametrize("kind,rid", [("MoveEnd", 9), ("Look", -1), ("Compute", "0")])
+    def test_robot_id_out_of_range(self, kind, rid):
+        lines = [dict(l) for l in self._lines()]
+        i = next(k for k, l in enumerate(lines) if l["kind"] == kind)
+        lines[i]["robot"] = rid
+        with pytest.raises(ValueError, match="robot id"):
+            TraceData(lines)
+
+    def test_round_start_id_out_of_range(self):
+        tr = run(
+            scen(
+                [((0, 0), "O"), ((4, 0), "O"), ((1, 3), "O")],
+                scheduler="ssync-unfair",
+                algorithm="elect-one-lds",
+            )
+        )
+        lines = [dict(l) for l in tr.lines]
+        i = next(k for k, l in enumerate(lines) if l["kind"] == "RoundStart")
+        lines[i]["activated"] = [0, 3]
+        with pytest.raises(ValueError, match="robot id 3"):
+            TraceData(lines)
 
 
 class TestEquivariance:

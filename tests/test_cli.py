@@ -109,6 +109,34 @@ class TestCheck:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert all(l["pass"] for l in lines)
 
+    def _square_trace_lines(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        main(["run", "--scenario", str(SCENARIOS / "square.json"), "--out", str(out)])
+        capsys.readouterr()
+        return [json.loads(l) for l in out.read_text().splitlines()]
+
+    def _write(self, path, lines):
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        return str(path)
+
+    def test_robot_id_out_of_range_exits_2(self, tmp_path, capsys):
+        lines = self._square_trace_lines(tmp_path, capsys)
+        i = next(k for k, l in enumerate(lines) if l["kind"] == "MoveEnd")
+        lines[i]["robot"] = 9  # square.json has four robots
+        bad = self._write(tmp_path / "bad.jsonl", lines)
+        assert main(["check", "--trace", bad]) == 2
+        err = capsys.readouterr().err
+        assert "robot id 9" in err and "Traceback" not in err
+        assert main(["plot", "--trace", bad, "--out", str(tmp_path / "p.svg")]) == 2
+
+    @pytest.mark.parametrize("key", ["algorithm", "scheduler", "delta", "n", "robots"])
+    def test_header_key_missing_exits_2(self, tmp_path, capsys, key):
+        lines = self._square_trace_lines(tmp_path, capsys)
+        del lines[0][key]
+        bad = self._write(tmp_path / "bad.jsonl", lines)
+        assert main(["check", "--trace", bad]) == 2
+        assert key in capsys.readouterr().err
+
     def test_annotated_copy_has_potential_lines(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         main(["run", "--scenario", str(SCENARIOS / "rectangle-unfair.json"), "--out", str(out)])
@@ -116,6 +144,8 @@ class TestCheck:
         main(["check", "--trace", str(out), "--check", "monotone", "--annotate", str(annotated)])
         pot = [json.loads(l) for l in annotated.read_text().splitlines() if '"Potential"' in l]
         assert pot and all(len(p["f"]) == 5 for p in pot)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(annotated), "--check", "replay,monotone"]) == 0
 
 
 class TestPlot:

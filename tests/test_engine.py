@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from lumigather.engine import (
     BudgetExhausted,
     EmptyActivation,
     IllegalChoice,
+    RandomAsyncPolicy,
     Scenario,
     ScenarioError,
     SyncWorld,
@@ -166,6 +168,23 @@ class TestObserveTiming:
         with pytest.raises(IllegalChoice) as exc:
             w.async_step(("compute", 0))
         assert "fairness" in str(exc.value)
+
+    def test_visible_config_cached_per_instant(self):
+        sc = scen(
+            [((0, 0), "S"), ((6, 0), "S"), ((5, 2), "S"), ((1, 3), "S")], seed=4
+        )
+        w = AsyncWorld(sc)
+        policy = RandomAsyncPolicy(random.Random(4))
+        steps = 0
+        while not w.is_terminal():
+            # after every step, advances included, the cached configuration
+            # equals a fresh recomputation and stays put within the instant
+            cfg = w.visible_config()
+            assert cfg.entries == w._visible_entries()
+            assert w.visible_config() is cfg
+            w.async_step(policy.step(w))
+            steps += 1
+        assert steps > 50 and w.t > 10
 
     def test_observe_with_frame(self):
         w = self._world()

@@ -208,6 +208,14 @@ def test_classification_equivariant(pts, pyrng):
         assert {frame.apply(v) for v in h1.vertices} == set(h2.vertices)
 
 
+@given(rat_points())
+def test_min_edge_targets_given_hull_matches_rebuilt(pts):
+    h = convex_hull(pts)
+    assume(not isinstance(h, CollinearSignal))
+    assume(h.classification is Classification.ASYM_CONTRACTIBLE)
+    assert min_edge_targets(pts, h) == min_edge_targets(pts)
+
+
 @given(rat_points(), st.randoms(use_true_random=False))
 def test_min_edge_targets_equivariant(pts, pyrng):
     h = convex_hull(pts)

@@ -1,0 +1,154 @@
+"""Byte identity of traces and default check reports on a fixed corpus.
+
+Each case pins the sha256 of ``Trace.dumps()`` and of every report line that
+``lumigather check`` prints by default for that trace (the checks named by
+``applicable_checks``, run on the parsed trace with default arguments).  The
+digests were recorded before the trace parse and the engine views were
+cached; any change to them means a trace or a report changed.
+
+Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+from lumigather.checker import (
+    applicable_checks,
+    check_cycle_snapshot,
+    check_equivariance_trace,
+    check_gathered,
+    check_monotone,
+    check_onlds_switch,
+    check_shrink,
+    validate_trace,
+)
+from lumigather.engine import Scenario, Trace, run
+from lumigather.fuzz import random_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+_DEFAULT_FNS = {
+    "replay": validate_trace,
+    "monotone": check_monotone,
+    "cycle": check_cycle_snapshot,
+    "switch": check_onlds_switch,
+    "shrink": check_shrink,
+    "gather": check_gathered,
+    "equivariance": check_equivariance_trace,
+}
+
+_FUZZ_CASES = [
+    (alg, n, seed)
+    for alg, seed in (("three-color", 41), ("six-color", 43))
+    for n in (4, 6)
+]
+
+
+def corpus():
+    """(case name, Scenario) pairs of the golden corpus."""
+    cases = [(p.stem, Scenario.load(p)) for p in sorted(SCENARIOS.glob("*.json"))]
+    for alg, n, seed in _FUZZ_CASES:
+        sc = random_scenario(random.Random(seed * 100 + n), alg, "async", n, bound=8)
+        cases.append((f"fuzz-{alg}-n{n}", sc))
+    return cases
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digests(scenario):
+    """{"trace": sha, <check>: sha, ...} for one scenario."""
+    text = run(scenario).dumps()
+    trace = Trace.parse(text)
+    out = {"trace": _sha(text)}
+    for name in applicable_checks(trace):
+        out[name] = _sha(str(_DEFAULT_FNS[name](trace)))
+    return out
+
+
+GOLDEN = {
+    "line-lu": {
+        "trace": "3f9e5e69f6325669afd56c2ff6f74f8d37dfb5693a3dc2cb240389a73ad50149",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "d70204e5e79e809b1da163a6cfd3f0c8ac20339ae5c1e68aaa06cdbdad7b09bd",
+        "gather": "c205218c4d14f7fd15d7ea0ad8ccd882cb61f115fb585c123927cc930e029d57",
+        "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
+    },
+    "rectangle-unfair": {
+        "trace": "07843d00292747105c661bdbcef3c9f4a0c88340a3c39dc3c23e2701cea937c1",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "07cd137ee1c2b76e1a4fe831d1324816cb7e2163997d563eefdb6afc50bcb6aa",
+        "equivariance": "29215c78ee236cae52d962a6208505b430502b41bcd6d23b5af1f0f99ed8ffce",
+    },
+    "segment100": {
+        "trace": "ce6f67d5a38915778ccb20773c907fe6b4a4684add697e02ec66335204903b3b",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "shrink": "c46a660a688fa0bd8ac8ee508ccab60b1f7fe3198b2f04a8bd066976c66ceeb4",
+        "gather": "b018dd1f22301b2bb4d6c7129196af64cdae5a6b4f3ff1d4a19156f0e48890ec",
+        "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
+    },
+    "square": {
+        "trace": "e2e5062e4f9e4359f019b4feda513e373440e9cb53ad5325f6696c3b9f5c0600",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "dd7f68baf0f88d04d5b0e7dc53de9669d5567019a607b4b155f898aefd6c98ec",
+        "switch": "aa5fb42318997cdebe161ce3c778a54e2adae94afa202853854776dbefb16f8f",
+        "gather": "8c4074ca063207df9f90295ee38cf74df2083522a51a9a884bfb5a87c3138fa2",
+        "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
+    },
+    "triangle-enum": {
+        "trace": "daf713b3ec87a7cdda43410d57fe582b3b3a8ea1dcdb4f7c711f916c594ac0fb",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "e927a9c6f2103305137aa2f073739712ccb36e2db1b3b5cf9b31ad44dfe76f90",
+        "equivariance": "f5c7fd7bbd1b65e23c70e16937650f85ffd69903ba31ae1e0af2a7b224bb5a63",
+    },
+    "fuzz-three-color-n4": {
+        "trace": "d3f7417bbb9ed7b91d219d21eff5139a8359e25f8d8df2c658c6bba0ee854bd0",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "ef5f0868671ecd21818ad453bed612f62baee050a84eb8635baf3f8afa8b9c32",
+        "switch": "c9b57a2695a9762a2e397c1819796a595ea1ddb416c766018a9dd559a634bb52",
+        "gather": "d916026d7601a6b611dbe032cc660207f692d0512867a6f9e6ec7b43b0cd922c",
+        "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
+    },
+    "fuzz-three-color-n6": {
+        "trace": "5de53b41134aafead635d38f986df928542bc9f7d11b6f0a86a95a83a9c6b90a",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "e01dfa5df729433b903124311f6e4fc51e3fa00bbe3d5bf938d61069ab55eb63",
+        "switch": "ae04bbf3c8182618ebf79ad83382705d91bb2b7ac4a53e963cc308435d83d812",
+        "gather": "7186277a89412de8361b9ce22e308ff1aa9d54083d177ff06e1bc8c9c2a5f6bc",
+        "equivariance": "b8202ac1a748b98ef897d2a9ab48fea382cb65d14158dac6b8beafa68d6d66ff",
+    },
+    "fuzz-six-color-n4": {
+        "trace": "fe95fd8e7c8d4d9df29f2bda38cbfff4db2dbe1ab2edc90e73f54fcda0acd589",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "cd26b0c92e1932c31a08e6417c0804d4fa81d844178d03f3a6e5f9c5b93f9d43",
+        "switch": "05be1b71ef09b6987a7dcf21894e88d325e0ff9632f7745097d8b5f04748afba",
+        "gather": "47301b3758aabcc2d0508facb0f746ad8641f81ce25d73d83c09f2ac8d15d808",
+        "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
+    },
+    "fuzz-six-color-n6": {
+        "trace": "3a7bb3a8d05e91a7b637e5ff403e9fcb95770b6e8a87784f8b05519a13295504",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "53e26dc05c531ba167ecb82e84ea780c7c3018c4c81ce1aa322215e74495ee19",
+        "switch": "56ed7481aae3b69cd991de77d2e2218135c758b73aea99910f29aec500bbfdfc",
+        "gather": "7e08c6f2d4e99cf39d01f70f4dd876b9851f8fcfde0a71e677e85e4747fd5274",
+        "equivariance": "b8202ac1a748b98ef897d2a9ab48fea382cb65d14158dac6b8beafa68d6d66ff",
+    },
+}
+
+
+CORPUS = corpus()
+
+
+@pytest.mark.parametrize("name,scenario", CORPUS, ids=[name for name, _ in CORPUS])
+def test_golden_digests(name, scenario):
+    assert digests(scenario) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({name: digests(sc) for name, sc in CORPUS}, width=100)
