@@ -11,7 +11,6 @@ from .engine import (
     Trace,
     apply_move,
     enabled,
-    observe,
     run,
     ssync_round,
 )
@@ -29,14 +28,7 @@ from .geometry import (
     nearest_vertex,
     pt,
 )
-from .patterns import (
-    ColorConfig,
-    PatternError,
-    PendingAnnotation,
-    classify_line,
-    matches,
-    parse_pattern,
-)
+from .patterns import ColorConfig, PendingAnnotation, classify_line
 from .potentials import Cmp, INF, lex_less, potential_f, potential_g
 from .rational import BACKEND, Rat, format_rat, parse_rat
 

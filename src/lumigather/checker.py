@@ -7,13 +7,15 @@ a Report; reports are merged associatively by the fuzz harness.
 """
 
 import json
+import random
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .algorithms import get_algorithm, phase_of
-from .configuration import Configuration, Snapshot
-from .geometry import Point, cross, dist_sq, on_segment
+from .configuration import ConfigInterner, Frame, Snapshot, canonical
+from .engine import Trace, apply_move
+from .geometry import Point, cross, dist_sq, hull_center, midpoint, on_segment
 from .patterns import PendingAnnotation
 from .potentials import (
     Cmp,
@@ -58,7 +60,32 @@ class Report:
 _PHASE_RE = re.compile(r"(LC(BE)?)*(L|LC|LCB)?")
 
 _HEADER_KEYS = ("algorithm", "scheduler", "delta", "n", "robots")
+_ROBOT_KEYS = ("x", "y", "color")
 _ROBOT_EVENTS = frozenset(("Look", "Compute", "MoveBegin", "MoveProgress", "MoveEnd"))
+# keys every line after the header needs, by kind; other kinds need kind and t
+_LINE_KEYS = {
+    kind: frozenset(("kind", "t") + keys)
+    for kind, keys in (
+        (None, ()),
+        ("Config", ("entries",)),
+        ("End", ("status",)),
+        ("RoundStart", ("activated",)),
+        ("Look", ("robot",)),
+        ("Compute", ("robot", "color", "dest")),
+        ("MoveBegin", ("robot", "reach")),
+        ("MoveProgress", ("robot", "pos")),
+        ("MoveEnd", ("robot", "pos")),
+    )
+}
+
+
+def _require_keys(obj, keys, what):
+    """Raise ValueError unless ``obj`` is a JSON object holding every key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
 
 
 class _MoveRec:
@@ -109,34 +136,41 @@ class TraceData:
         if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "Header":
             raise ValueError("trace does not start with a Header line")
         self.header = lines[0]
-        missing = [k for k in _HEADER_KEYS if k not in self.header]
-        if missing:
-            raise ValueError(f"trace header lacks {', '.join(missing)}")
+        _require_keys(self.header, _HEADER_KEYS, "trace header")
         self._points = {}
         self.algorithm = get_algorithm(self.header["algorithm"])
         self.scheduler = self.header["scheduler"]
         self.delta = parse_rat(self.header["delta"])
         self.move_span_cap = int(self.header.get("move_span_cap", 16))
         self.n = n = int(self.header["n"])
-        if len(self.header["robots"]) != n:
-            raise ValueError(f"trace header lists {len(self.header['robots'])} robots, n={n}")
-        self.initial = [
-            (self.point((r["x"], r["y"])), r["color"]) for r in self.header["robots"]
-        ]
+        robots = self.header["robots"]
+        if len(robots) != n:
+            raise ValueError(f"trace header lists {len(robots)} robots, n={n}")
+        for i, r in enumerate(robots):
+            _require_keys(r, _ROBOT_KEYS, f"trace header robot {i}")
+        self.initial = [(self.point((r["x"], r["y"])), r["color"]) for r in robots]
         self.status = None
         self.end_time = None
+        self.lines_after_end = None  # None: the trace has no End line
         self.configs = {}
         self.events = []
         self.rounds = {}
-        for ln in lines[1:]:
-            kind = ln["kind"]
+        for i, ln in enumerate(lines[1:], 1):
+            if not isinstance(ln, dict):
+                raise ValueError(f"trace line {i + 1} is not a JSON object")
+            kind = ln.get("kind")
+            need = _LINE_KEYS.get(kind, _LINE_KEYS[None])
+            if not ln.keys() >= need:
+                _require_keys(ln, sorted(need), f"trace line {i + 1}")
             if kind == "Config":
                 self.configs[ln["t"]] = tuple(
                     (self.point(e), e[2]) for e in ln["entries"]
                 )
             elif kind == "End":
-                self.status = ln["status"]
-                self.end_time = ln["t"]
+                if self.lines_after_end is None:
+                    self.status = ln["status"]
+                    self.end_time = ln["t"]
+                    self.lines_after_end = len(lines) - 1 - i
             elif kind == "RoundStart":
                 for rid in ln["activated"]:
                     self._check_robot(rid, ln)
@@ -147,7 +181,7 @@ class TraceData:
                     self._check_robot(ln.get("robot"), ln)
                 self.events.append(ln)
         self.config_times = sorted(self.configs)
-        self._cache = {}
+        self.cache = ConfigInterner()
         self._at = {}
         self._build_timelines()
 
@@ -165,17 +199,10 @@ class TraceData:
             p = self._points[key] = Point(parse_rat(xy[0]), parse_rat(xy[1]))
         return p
 
-    def intern(self, entries):
-        cfg = self._cache.get(entries)
-        if cfg is None:
-            cfg = Configuration(entries)
-            self._cache[entries] = cfg
-        return cfg
-
     def config_at(self, t):
         cfg = self._at.get(t)
         if cfg is None:
-            cfg = self._at[t] = self.intern(self.configs[t])
+            cfg = self._at[t] = self.cache.get(self.configs[t])
         return cfg
 
     def _build_timelines(self):
@@ -238,11 +265,9 @@ class TraceData:
         return m.progress[t]
 
     def visible_entries(self, t):
-        ents = [
+        return canonical(
             (self.visible_pos(i, t), self.visible_color(i, t)) for i in range(self.n)
-        ]
-        ents.sort(key=lambda e: (e[0].x, e[0].y, e[1]))
-        return tuple(ents)
+        )
 
     def pending_state(self, rid, t):
         """PendingAnnotation of the robot just after instant t.
@@ -277,34 +302,15 @@ class TraceData:
 # --------------------------------------------------------------------------
 
 
-def applicable_checks(trace):
-    """Check names that make sense for this trace's algorithm and scheduler."""
-    td = TraceData.of(trace)
-    alg = td.algorithm.id
-    round_based = td.scheduler in ("fsync", "ssync", "ssync-unfair")
-    names = ["replay"]
-    if alg == "elect-one-lds":
-        if round_based:
-            names.append("monotone")
-    elif alg == "lu-gather":
-        if round_based:
-            names.append("monotone")
-        names.append("gather")
-    elif alg == "lu-gather-async":
-        names += ["shrink", "gather"]
-    else:  # simulation-wrapped gatherers
-        names += ["cycle", "switch", "gather"]
-    names.append("equivariance")
-    return names
-
-
 def validate_trace(trace):
     """Replay the event log and flag any divergence from the Config lines.
 
     Also enforces per-robot phase order, the asynchronous timing rules (a
     Compute is invisible at its own instant, movers advance strictly and are
-    seen at the destination only after the move ends) and that every Compute
-    equals the algorithm's output on the replayed snapshot.
+    seen at the destination only after the move ends), that every Compute
+    equals the algorithm's output on the replayed snapshot, and that one End
+    line closes the trace at the last Config time with a status that agrees
+    with the final configuration.
     """
     td = TraceData.of(trace)
     rep = Report("replay")
@@ -312,7 +318,24 @@ def validate_trace(trace):
         _validate_async(td, rep)
     else:
         _validate_sync(td, rep)
+    _validate_end(td, rep)
     return rep
+
+
+def _validate_end(td, rep):
+    if td.lines_after_end is None:
+        rep.violate(None, "trace has no End line")
+        return
+    t = td.end_time
+    if td.lines_after_end:
+        rep.violate(t, f"{td.lines_after_end} line(s) after the End line")
+    last = td.config_times[-1] if td.config_times else None
+    if t != last:
+        rep.violate(t, f"End at t={t} but the last Config is at t={last}")
+    if last is not None and td.status in ("gathered", "fixpoint"):
+        single = len({p for p, _ in td.configs[last]}) == 1
+        if single != (td.status == "gathered"):
+            rep.violate(t, f"End status {td.status} disagrees with the final configuration")
 
 
 def _validate_async(td, rep):
@@ -367,7 +390,7 @@ def _validate_async(td, rep):
                 continue
             tl = looks[i]
             snap = Snapshot(
-                td.intern(td.visible_entries(tl)),
+                td.cache.get(td.visible_entries(tl)),
                 td.visible_pos(rid, tl),
                 td.visible_color(rid, tl),
             )
@@ -381,7 +404,7 @@ def _validate_sync(td, rep):
     light = [c for _, c in td.initial]
 
     def entries():
-        return tuple(sorted(zip(pos, light), key=lambda e: (e[0].x, e[0].y, e[1])))
+        return canonical(zip(pos, light))
 
     events_by_t = {}
     for ev in td.events:
@@ -389,7 +412,7 @@ def _validate_sync(td, rep):
     for t in td.config_times:
         if entries() != td.configs[t]:
             rep.violate(t, "replayed configuration differs from logged Config")
-        cfg = td.intern(entries())
+        cfg = td.cache.get(entries())
         for ev in events_by_t.get(t, ()):
             kind = ev["kind"]
             if kind == "Compute":
@@ -528,8 +551,6 @@ def annotate_potentials(trace, which=None):
     if which is None:
         which = "g" if td.algorithm.id == "lu-gather" else "f"
     potential = potential_f if which == "f" else potential_g
-    from .engine import Trace
-
     out = Trace.__new__(Trace)
     out.lines = []
     out.status = trace.status
@@ -552,8 +573,6 @@ def snapshot_has_convention_ties(snap):
     exactly at the endpoint midpoint, is resolved by fixed conventions that
     are deliberately not frame-equivariant (measure-zero situations).
     """
-    from .geometry import hull_center, midpoint
-
     cfg = snap.config
     if cfg.on_lds:
         cc = cfg.cc
@@ -568,13 +587,8 @@ def check_equivariance_trace(trace, frames_per_snapshot=5, max_configs=10):
 
     Snapshots whose action rests on a tie-break convention are skipped.
     """
-    import random
-
     td = TraceData.of(trace)
     rng = random.Random(int(td.header.get("adversary", {}).get("seed", 0)) ^ 0xE9)
-    from .configuration import Frame
-    from .rational import Rat as _R
-
     triples = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
     rep = Report("equivariance")
     checked = 0
@@ -591,10 +605,10 @@ def check_equivariance_trace(trace, frames_per_snapshot=5, max_configs=10):
                 if rng.random() < 0.5:
                     a, b = b, a
                 frame = Frame(
-                    _R(a, cc_),
-                    _R(b, cc_) if rng.random() < 0.5 else _R(-b, cc_),
-                    _R(rng.randint(1, 9), rng.randint(1, 3)),
-                    Point(_R(rng.randint(-20, 20)), _R(rng.randint(-20, 20))),
+                    Rat(a, cc_),
+                    Rat(b, cc_) if rng.random() < 0.5 else Rat(-b, cc_),
+                    Rat(rng.randint(1, 9), rng.randint(1, 3)),
+                    Point(Rat(rng.randint(-20, 20)), Rat(rng.randint(-20, 20))),
                 )
                 moved = frame.apply_snapshot(Snapshot(cfg, p, c))
                 act = td.algorithm(moved)
@@ -872,6 +886,55 @@ def check_equivariance(algorithm, snapshot, frames):
 
 
 # --------------------------------------------------------------------------
+# Check registry
+# --------------------------------------------------------------------------
+
+# fn(trace or TraceData, which=None, delta=None) per name: ``which`` picks the
+# potential of "monotone", ``delta`` overrides the header's delta for "shrink"
+CHECKS = {
+    "replay": lambda td, which=None, delta=None: validate_trace(td),
+    "monotone": lambda td, which=None, delta=None: check_monotone(td, which),
+    "monotone-f": lambda td, which=None, delta=None: check_monotone(td, "f"),
+    "monotone-g": lambda td, which=None, delta=None: check_monotone(td, "g"),
+    "cycle": lambda td, which=None, delta=None: check_cycle_snapshot(td),
+    "switch": lambda td, which=None, delta=None: check_onlds_switch(td),
+    "shrink": lambda td, which=None, delta=None: check_shrink(td, delta),
+    "gather": lambda td, which=None, delta=None: check_gathered(td),
+    "equivariance": lambda td, which=None, delta=None: check_equivariance_trace(td),
+}
+
+
+def default_checks(algorithm, scheduler):
+    """Names of the trace checks that apply to ``algorithm`` under ``scheduler``.
+
+    Equivariance is left out: it costs several times a run plus these checks.
+    """
+    names = ["replay"]
+    if algorithm in ("elect-one-lds", "lu-gather"):
+        if scheduler in ("fsync", "ssync", "ssync-unfair"):
+            names.append("monotone")
+        if algorithm == "lu-gather":
+            names.append("gather")
+    elif algorithm == "lu-gather-async":
+        names += ["shrink", "gather"]
+    else:  # simulation-wrapped gatherers
+        names += ["cycle", "switch", "gather"]
+    return names
+
+
+def check_names(spec):
+    """Check names from a comma-separated string or a sequence of names.
+
+    Raises ValueError on a name that is not in CHECKS.
+    """
+    names = [s.strip() for s in spec.split(",")] if isinstance(spec, str) else list(spec)
+    for name in names:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    return names
+
+
+# --------------------------------------------------------------------------
 # Exhaustive small-instance exploration
 # --------------------------------------------------------------------------
 
@@ -903,18 +966,8 @@ def enumerate_unfair(
     rep.extras.update(nodes=0, edges=0, fixpoints=0, unfinished=0, aborted=False)
     if depth <= 0:
         return rep
-    cache = {}
-
-    def intern(ents):
-        cfg = cache.get(ents)
-        if cfg is None:
-            cfg = Configuration(ents)
-            cache[ents] = cfg
-        return cfg
-
-    from .engine import apply_move
-
-    root = tuple(sorted(entries, key=lambda e: (e[0].x, e[0].y, e[1])))
+    cache = ConfigInterner()
+    root = canonical(entries)
     best_depth = {root: 0}
     stack = [(root, 0)]
     fractions = tuple(Rat(f) for f in fractions)
@@ -924,7 +977,7 @@ def enumerate_unfair(
         if rep.extras["nodes"] > node_ceiling:
             rep.extras["aborted"] = True
             break
-        cfg = intern(ents)
+        cfg = cache.get(ents)
         robots = list(ents)
         acts = [spec(Snapshot(cfg, p, c)) for p, c in robots]
         enab = [
@@ -952,9 +1005,9 @@ def enumerate_unfair(
                         apply_move(p, act.dest, frac, delta) if act.dest != p else p
                     )
                     nxt[i] = (reached, act.color)
-                child = tuple(sorted(nxt, key=lambda e: (e[0].x, e[0].y, e[1])))
+                child = canonical(nxt)
                 rep.extras["edges"] += 1
-                after = potential(intern(child))
+                after = potential(cache.get(child))
                 c = lex_less(after, before)
                 if c is Cmp.UNDECIDED:
                     rep.undecide(d, {"state": _fmt(ents)})

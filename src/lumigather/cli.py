@@ -10,17 +10,12 @@ import sys
 
 from .algorithms import ALGORITHMS, phase_of
 from .checker import (
-    annotate_potentials,
-    applicable_checks,
-    check_cycle_snapshot,
-    check_equivariance_trace,
-    check_gathered,
-    check_monotone,
-    check_onlds_switch,
-    check_shrink,
-    enumerate_unfair,
-    validate_trace,
+    CHECKS,
     TraceData,
+    annotate_potentials,
+    check_names,
+    default_checks,
+    enumerate_unfair,
 )
 from .engine import (
     SCHEDULERS,
@@ -95,8 +90,9 @@ def cmd_fuzz(args):
         return 2
     try:
         deltas = tuple(parse_rat(d) for d in args.delta.split(",")) if args.delta else (Rat(1),)
+        checks = None if args.check == "all" else check_names(args.check)
     except ValueError as exc:
-        print(f"bad delta: {exc}", file=sys.stderr)
+        print(f"fuzz: {exc}", file=sys.stderr)
         return 2
     summary = fuzz(
         args.algorithm,
@@ -108,41 +104,26 @@ def cmd_fuzz(args):
         deltas=deltas,
         policy=args.policy,
         step_budget=args.steps if args.steps is not None else 50000,
-        checks=args.check,
+        checks=checks,
     )
     print(json.dumps(summary.to_json(), sort_keys=True))
     return 0 if summary.ok else 1
 
 
-_CHECK_FNS = {
-    "replay": lambda tr, a: validate_trace(tr),
-    "monotone": lambda tr, a: check_monotone(tr, a.which),
-    "cycle": lambda tr, a: check_cycle_snapshot(tr),
-    "switch": lambda tr, a: check_onlds_switch(tr),
-    "shrink": lambda tr, a: check_shrink(tr, parse_rat(a.delta) if a.delta else None),
-    "gather": lambda tr, a: check_gathered(tr),
-    "equivariance": lambda tr, a: check_equivariance_trace(tr),
-}
-
-
 def cmd_check(args):
     try:
+        names = None if args.check == "all" else check_names(args.check)
+        delta = parse_rat(args.delta) if args.delta else None
         trace = Trace.load(args.trace)
         td = TraceData.of(trace)
     except (OSError, ValueError) as exc:
-        print(f"trace error: {exc}", file=sys.stderr)
+        print(f"check: {exc}", file=sys.stderr)
         return 2
-    names = (
-        applicable_checks(td)
-        if args.check in (None, "all")
-        else [s.strip() for s in args.check.split(",")]
-    )
+    if names is None:
+        names = default_checks(td.algorithm.id, td.scheduler) + ["equivariance"]
     ok = True
     for name in names:
-        if name not in _CHECK_FNS:
-            print(f"unknown check {name!r}", file=sys.stderr)
-            return 2
-        rep = _CHECK_FNS[name](trace, args)
+        rep = CHECKS[name](td, which=args.which, delta=delta)
         ok = ok and rep.passed
         print(rep)
     if args.annotate:

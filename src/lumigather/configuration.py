@@ -19,6 +19,20 @@ from .patterns import classify_line
 from .rational import R0, Rat
 
 
+def _entry_key(entry):
+    p, color = entry
+    return (p.x, p.y, color)
+
+
+def canonical(entries):
+    """The (Point, color) entries as a tuple in the canonical order.
+
+    The order is by x, then y, then color; two configurations are equal
+    exactly when their canonical entry tuples are.
+    """
+    return tuple(sorted(entries, key=_entry_key))
+
+
 class Configuration:
     """Canonical multiset of (Point, color) with cached analyses."""
 
@@ -35,7 +49,7 @@ class Configuration:
     )
 
     def __init__(self, entries):
-        self.entries = tuple(sorted(entries, key=lambda e: (e[0].x, e[0].y, e[1])))
+        self.entries = canonical(entries)
         self._points = None
         self._occupied = None
         self._hull = None
@@ -118,6 +132,27 @@ class Configuration:
     def recolor(self, mapper):
         """New Configuration with colors mapped through ``mapper``."""
         return Configuration(tuple((p, mapper(c)) for p, c in self.entries))
+
+
+class ConfigInterner:
+    """One Configuration per distinct canonical entry tuple.
+
+    Repeated instants then share one object and its cached analyses.  The
+    engine, each TraceData and each enumeration keep their own interner: the
+    checker re-derives every action and must never see actions the engine
+    memoized on a Configuration.
+    """
+
+    __slots__ = ("_cache",)
+
+    def __init__(self):
+        self._cache = {}
+
+    def get(self, entries):
+        cfg = self._cache.get(entries)
+        if cfg is None:
+            cfg = self._cache[entries] = Configuration(entries)
+        return cfg
 
 
 @dataclass(frozen=True, slots=True)

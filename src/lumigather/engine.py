@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .algorithms import get_algorithm
-from .configuration import Configuration, Snapshot
+from .configuration import ConfigInterner, Snapshot, canonical
 from .geometry import Point, dist_sq
 from .rational import Rat, format_rat, min_rat_ge_sqrt, parse_rat
 
@@ -179,6 +179,9 @@ class Trace:
     @staticmethod
     def parse(text):
         lines = [json.loads(ln) for ln in text.splitlines() if ln.strip()]
+        for i, ln in enumerate(lines):
+            if not isinstance(ln, dict):
+                raise ValueError(f"trace line {i + 1} is not a JSON object")
         if not lines or lines[0].get("kind") != "Header":
             raise ValueError("trace does not start with a Header line")
         tr = Trace.__new__(Trace)
@@ -187,8 +190,8 @@ class Trace:
         tr.end_time = None
         for ln in reversed(lines):
             if ln.get("kind") == "End":
-                tr.status = ln["status"]
-                tr.end_time = ln["t"]
+                tr.status = ln.get("status")
+                tr.end_time = ln.get("t")
                 break
         return tr
 
@@ -228,20 +231,6 @@ def apply_move(origin, dest, fraction, delta):
     return Point(origin.x + lam * (dest.x - origin.x), origin.y + lam * (dest.y - origin.y))
 
 
-class _ConfigCache:
-    """Interns Configuration objects so repeated instants share analyses."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def get(self, entries):
-        cfg = self._cache.get(entries)
-        if cfg is None:
-            cfg = Configuration(entries)
-            self._cache[entries] = cfg
-        return cfg
-
-
 # --------------------------------------------------------------------------
 # Synchronous rounds
 # --------------------------------------------------------------------------
@@ -253,20 +242,17 @@ class SyncWorld:
     def __init__(self, positions, lights, cache=None):
         self.positions = list(positions)
         self.lights = list(lights)
-        self.cache = cache or _ConfigCache()
+        self.cache = cache or ConfigInterner()
 
     @staticmethod
     def from_scenario(scenario):
         return SyncWorld([p for p, _ in scenario.robots], [c for _, c in scenario.robots])
 
     def entries(self):
-        return tuple(sorted(zip(self.positions, self.lights), key=lambda e: (e[0].x, e[0].y, e[1])))
+        return canonical(zip(self.positions, self.lights))
 
     def config(self):
         return self.cache.get(self.entries())
-
-    def snapshot(self, i):
-        return Snapshot(self.config(), self.positions[i], self.lights[i])
 
     def action(self, algorithm, i):
         cfg = self.config()
@@ -465,7 +451,7 @@ class AsyncWorld:
         self.robots = [_Robot(p, c) for p, c in scenario.robots]
         self.t = 0
         self.steps = 0
-        self.cache = _ConfigCache()
+        self.cache = ConfigInterner()
         self._visible = None
         self._visible_t = None
         self.trace = Trace(_header(scenario))
@@ -475,9 +461,7 @@ class AsyncWorld:
     # -- visible state ----------------------------------------------------
 
     def _visible_entries(self):
-        ents = [(r.visible_pos(self.t), r.visible_color(self.t)) for r in self.robots]
-        ents.sort(key=lambda e: (e[0].x, e[0].y, e[1]))
-        return tuple(ents)
+        return canonical((r.visible_pos(self.t), r.visible_color(self.t)) for r in self.robots)
 
     def visible_config(self):
         """Configuration every robot observes at the current instant.
@@ -640,9 +624,7 @@ class AsyncWorld:
     # -- termination -------------------------------------------------------
 
     def true_entries(self):
-        ents = [(r.pos, r.light) for r in self.robots]
-        ents.sort(key=lambda e: (e[0].x, e[0].y, e[1]))
-        return tuple(ents)
+        return canonical((r.pos, r.light) for r in self.robots)
 
     def is_terminal(self):
         """All robots idle and none enabled on the settled configuration."""
@@ -823,13 +805,3 @@ def run(scenario):
     if scenario.scheduler == "async":
         return _run_async(scenario, rng)
     return _run_sync(scenario, rng)
-
-
-def observe(world, observer_id, frame=None):
-    """Snapshot a robot would take now, for AsyncWorld or SyncWorld."""
-    if isinstance(world, AsyncWorld):
-        return world.observe(observer_id, frame)
-    snap = world.snapshot(observer_id)
-    if frame is not None:
-        snap = frame.apply_snapshot(snap)
-    return snap

@@ -10,14 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algorithms import get_algorithm
-from .checker import (
-    check_cycle_snapshot,
-    check_gathered,
-    check_monotone,
-    check_onlds_switch,
-    check_shrink,
-    validate_trace,
-)
+from .checker import CHECKS, check_names, default_checks
 from .engine import BudgetExhausted, Scenario, run
 from .geometry import Point
 from .rational import Rat
@@ -76,34 +69,6 @@ def random_scenario(
     )
 
 
-_CHECKS = {
-    "replay": lambda tr, sc: validate_trace(tr),
-    "monotone": lambda tr, sc: check_monotone(tr),
-    "monotone-f": lambda tr, sc: check_monotone(tr, "f"),
-    "monotone-g": lambda tr, sc: check_monotone(tr, "g"),
-    "cycle": lambda tr, sc: check_cycle_snapshot(tr),
-    "switch": lambda tr, sc: check_onlds_switch(tr),
-    "shrink": lambda tr, sc: check_shrink(tr, sc.delta),
-    "gather": lambda tr, sc: check_gathered(tr),
-}
-
-DEFAULT_CHECKS = {
-    "elect-one-lds": ("replay", "monotone-f"),
-    "lu-gather": ("replay", "monotone-g", "gather"),
-    "lu-gather-async": ("replay", "shrink", "gather"),
-    "three-color": ("replay", "cycle", "switch", "gather"),
-    "six-color": ("replay", "cycle", "switch", "gather"),
-}
-
-
-def checks_for(algorithm, names):
-    if names in (None, "all", ["all"]):
-        return DEFAULT_CHECKS[algorithm]
-    if isinstance(names, str):
-        names = [s.strip() for s in names.split(",") if s.strip()]
-    return tuple(names)
-
-
 @dataclass
 class RunOutcome:
     scenario: Scenario
@@ -122,6 +87,7 @@ class RunOutcome:
 
 
 def run_with_checks(scenario, checks=None):
+    """Run the scenario and apply the named checks (``default_checks`` if None)."""
     out = RunOutcome(scenario)
     try:
         out.trace = run(scenario)
@@ -132,8 +98,10 @@ def run_with_checks(scenario, checks=None):
     out.alphabet = frozenset(
         ln["color"] for ln in out.trace.lines if ln.get("kind") == "Compute"
     )
-    for name in checks_for(scenario.algorithm, checks):
-        out.reports.append(_CHECKS[name](out.trace, scenario))
+    if checks is None:
+        checks = default_checks(scenario.algorithm, scenario.scheduler)
+    for name in checks:
+        out.reports.append(CHECKS[name](out.trace))
     return out
 
 
@@ -174,9 +142,14 @@ def fuzz(
     checks=None,
     keep_traces=False,
 ):
-    """Run many random scenarios, applying the per-algorithm checker set."""
+    """Run many random scenarios through ``checks`` (None: ``default_checks``).
+
+    Raises ValueError before any run on runs < 1 or an unknown check name.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if checks is not None:
+        checks = check_names(checks)
     rng = random.Random(seed)
     summary = FuzzSummary(algorithm, scheduler)
     for k in range(runs):

@@ -1,29 +1,16 @@
-"""Color-configuration patterns over collinear configurations.
+"""Station classification of collinear configurations.
 
 A collinear configuration is classified into an ordered list of stations,
 each station being an occupied point together with the set of light colors
-present there.  Patterns are regex-like expressions over stations:
-
-    factor        a single color ``S`` or a group ``(S|M)``
-    factor^+      one or more consecutive stations, each within the factor
-    factor^*      zero or more such stations
-    factor_m      exactly one station, located at the exact midpoint of the
-                  segment endpoints
-    forall:S,M    global form: the colors present are exactly {S, M}
-
-A station matches a factor when its color set is a subset of the factor's
-colors.  Matching is canonical under reversal: a pattern matches if either
-orientation of the station list matches.
+present there, plus whether three stations sit with the middle one exactly
+at the midpoint of the endpoints.  The algorithms and checkers read the
+stations, their color sets (``factors``) and the per-color station counts
+directly.
 """
 
-import re
 from dataclasses import dataclass
 
 from .geometry import dist_sq, midpoint
-
-
-class PatternError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +41,7 @@ class ColorConfig:
     """Ordered stations of a collinear configuration.
 
     stations run from endpoint_left to endpoint_right; the left endpoint is
-    the lexicographically smaller one (an output convention only, since
-    matching is reversal-canonical).
+    the lexicographically smaller one.
     """
 
     stations: tuple  # ((Point, frozenset(colors)), ...)
@@ -71,15 +57,6 @@ class ColorConfig:
     def span_sq(self):
         """Squared distance between the endpoints (dis squared)."""
         return dist_sq(self.endpoint_left, self.endpoint_right)
-
-    def reversed(self):
-        return ColorConfig(
-            tuple(reversed(self.stations)),
-            self.endpoint_right,
-            self.endpoint_left,
-            self.has_exact_midpoint,
-            self.counts,
-        )
 
 
 def classify_line(point_colors):
@@ -103,92 +80,3 @@ def classify_line(point_colors):
         for c in f:
             counts[c] = counts.get(c, 0) + 1
     return ColorConfig(tuple(items), left, right, mid_ok, counts)
-
-
-_FACTOR_RE = re.compile(r"\(([A-Za-z][A-Za-z.]*(?:\|[A-Za-z][A-Za-z.]*)*)\)|([A-Za-z](?:\.[A-Za-z])?)")
-
-
-@dataclass(frozen=True, slots=True)
-class PatternExpr:
-    kind: str  # "seq" or "forall"
-    items: tuple  # seq: ((colors, rep), ...) with rep in {one, plus, star, mid}
-    colors: frozenset  # forall only
-
-
-def mirror(pattern):
-    """Pattern matching the reversed station order."""
-    p = parse_pattern(pattern) if isinstance(pattern, str) else pattern
-    if p.kind == "forall":
-        return p
-    return PatternExpr("seq", tuple(reversed(p.items)), frozenset())
-
-
-def parse_pattern(text):
-    """Parse an ASCII pattern, e.g. ``"SS^+S"``, ``"AB_mA"``, ``"(M|E)"``."""
-    s = text.strip()
-    if not s:
-        raise PatternError("empty pattern")
-    if s.startswith("forall:"):
-        cols = [c.strip() for c in s[len("forall:"):].split(",")]
-        if not cols or any(not c for c in cols):
-            raise PatternError(f"malformed forall pattern {text!r}")
-        return PatternExpr("forall", (), frozenset(cols))
-    items = []
-    i = 0
-    while i < len(s):
-        m = _FACTOR_RE.match(s, i)
-        if not m:
-            raise PatternError(f"bad factor at {i} in pattern {text!r}")
-        colors = frozenset((m.group(1) or m.group(2)).split("|"))
-        i = m.end()
-        rep = "one"
-        if s.startswith("^+", i):
-            rep, i = "plus", i + 2
-        elif s.startswith("^*", i):
-            rep, i = "star", i + 2
-        elif s.startswith("_m", i):
-            rep, i = "mid", i + 2
-        items.append((colors, rep))
-    if not items:
-        raise PatternError(f"empty pattern {text!r}")
-    return PatternExpr("seq", tuple(items), frozenset())
-
-
-def _match_seq(stations, mid_point, items, si, ii):
-    if ii == len(items):
-        return si == len(stations)
-    colors, rep = items[ii]
-    if rep == "one" or rep == "mid":
-        if si >= len(stations):
-            return False
-        p, f = stations[si]
-        if not f <= colors:
-            return False
-        if rep == "mid" and p != mid_point:
-            return False
-        return _match_seq(stations, mid_point, items, si + 1, ii + 1)
-    # star/plus: greedy window with backtracking
-    lo = si + 1 if rep == "plus" else si
-    j = si
-    while j < len(stations) and stations[j][1] <= colors:
-        j += 1
-    for end in range(j, lo - 1, -1):
-        if _match_seq(stations, mid_point, items, end, ii + 1):
-            return True
-    return False
-
-
-def matches(cc, pattern):
-    """Whether the color configuration is generated by the pattern.
-
-    Sequence patterns are tried in both station orders (reversal canonical).
-    """
-    p = parse_pattern(pattern) if isinstance(pattern, str) else pattern
-    if p.kind == "forall":
-        present = frozenset().union(*cc.factors)
-        return present == p.colors
-    mid = midpoint(cc.endpoint_left, cc.endpoint_right)
-    if _match_seq(cc.stations, mid, p.items, 0, 0):
-        return True
-    rev = tuple(reversed(cc.stations))
-    return _match_seq(rev, mid, p.items, 0, 0)

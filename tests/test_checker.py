@@ -301,6 +301,24 @@ class TestNegativeControls:
         assert not validate_trace(bad).passed
 
 
+    @pytest.mark.parametrize("damage", ["truncated", "event-after-end", "end-time", "end-status"])
+    def test_replay_checks_end_line(self, damage):
+        tr = run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
+        assert tr.status == "gathered" and validate_trace(tr).passed
+        bad = Trace.parse(tr.dumps())
+        end = bad.lines[-1]
+        if damage == "truncated":
+            bad.lines.pop()
+        elif damage == "event-after-end":
+            bad.lines.append({"kind": "Look", "t": end["t"], "robot": 0})
+        elif damage == "end-time":
+            end["t"] += 1
+        else:
+            end["status"] = "fixpoint"
+        rep = validate_trace(bad)
+        assert not rep.passed and len(rep.violations) == 1
+
+
 class TestSharedTraceData:
     def _trace(self):
         return run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
@@ -374,6 +392,20 @@ class TestMalformedTraceData:
         lines[i]["robot"] = rid
         with pytest.raises(ValueError, match="robot id"):
             TraceData(lines)
+
+    @pytest.mark.parametrize("damage", ["config-without-t", "robot-without-x", "non-object-line"])
+    def test_malformed_line(self, damage):
+        lines = [copy.deepcopy(l) for l in self._lines()]
+        if damage == "config-without-t":
+            del next(l for l in lines if l["kind"] == "Config")["t"]
+        elif damage == "robot-without-x":
+            del lines[0]["robots"][1]["x"]
+        else:
+            lines.insert(3, [1, 2])
+        with pytest.raises(ValueError):
+            TraceData(lines)
+        with pytest.raises(ValueError):
+            TraceData(Trace.parse("".join(json.dumps(l) + "\n" for l in lines)))
 
     def test_round_start_id_out_of_range(self):
         tr = run(

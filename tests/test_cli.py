@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from lumigather import fuzz as fuzz_module
+from lumigather.checker import CHECKS
 from lumigather.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -82,6 +84,42 @@ class TestFuzz:
     def test_zero_runs_usage_error(self):
         assert main(["fuzz", "--algorithm", "three-color", "--runs", "0"]) == 2
 
+    @pytest.mark.parametrize("algorithm", ["elect-one-lds", "lu-gather"])
+    def test_default_checks_pass_under_async(self, capsys, algorithm):
+        # round-based monotonicity is not a default check of an async run
+        code = main(
+            [
+                "fuzz", "--algorithm", algorithm, "--scheduler", "async",
+                "--runs", "3", "--seed", "1",
+            ]
+        )
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 0 and summary["pass"] is True
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_every_check_name_accepted(self, capsys, name):
+        code = main(
+            [
+                "fuzz", "--algorithm", "three-color", "--scheduler", "async",
+                "--runs", "1", "--seed", "5", "--n-min", "2", "--n-max", "2",
+                "--coord-bound", "5", "--check", name,
+            ]
+        )
+        assert code in (0, 1)
+        assert json.loads(capsys.readouterr().out)["runs"] == 1
+
+    def test_unknown_check_exits_2_before_any_run(self, monkeypatch, capsys):
+        def no_run(scenario):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(fuzz_module, "run", no_run)
+        args = ["fuzz", "--algorithm", "three-color", "--runs", "2", "--check", "replay,bogus"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err and captured.out == ""
+        with pytest.raises(ValueError, match="bogus"):
+            fuzz_module.fuzz("three-color", "async", runs=2, seed=0, checks=("bogus",))
+
 
 class TestCheck:
     def test_check_all_on_trace(self, tmp_path, capsys):
@@ -95,6 +133,22 @@ class TestCheck:
 
     def test_unreadable_trace_exits_2(self, tmp_path):
         assert main(["check", "--trace", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_unknown_check_exits_2_before_any_report(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        main(["run", "--scenario", str(SCENARIOS / "square.json"), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["check", "--trace", str(out), "--check", "replay,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err and captured.out == ""
+
+    def test_monotone_f_accepted(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        main(["run", "--scenario", str(SCENARIOS / "rectangle-unfair.json"), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["check", "--trace", str(out), "--check", "monotone-f"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["check"] == "monotone-f"
 
     @pytest.mark.parametrize(
         "scenario", ["square.json", "rectangle-unfair.json", "line-lu.json", "segment100.json"]
@@ -136,6 +190,21 @@ class TestCheck:
         bad = self._write(tmp_path / "bad.jsonl", lines)
         assert main(["check", "--trace", bad]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["config-without-t", "robot-without-x", "non-object-line"])
+    def test_malformed_line_exits_2(self, tmp_path, capsys, damage):
+        lines = self._square_trace_lines(tmp_path, capsys)
+        if damage == "config-without-t":
+            del next(l for l in lines if l["kind"] == "Config")["t"]
+        elif damage == "robot-without-x":
+            del lines[0]["robots"][1]["x"]
+        else:
+            lines.insert(3, [1, 2])
+        bad = self._write(tmp_path / "bad.jsonl", lines)
+        assert main(["check", "--trace", bad]) == 2
+        assert main(["plot", "--trace", bad, "--out", str(tmp_path / "p.svg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
     def test_annotated_copy_has_potential_lines(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"

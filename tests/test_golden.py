@@ -1,9 +1,9 @@
 """Byte identity of traces and default check reports on a fixed corpus.
 
 Each case pins the sha256 of ``Trace.dumps()`` and of every report line that
-``lumigather check`` prints by default for that trace (the checks named by
-``applicable_checks``, run on the parsed trace with default arguments).  The
-digests were recorded before the trace parse and the engine views were
+``lumigather check`` prints by default for that trace (``default_checks`` plus
+``equivariance``, run from ``CHECKS`` on the parsed trace with default
+arguments).  The digests were recorded before the trace parse and the engine views were
 cached; any change to them means a trace or a report changed.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
@@ -15,30 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from lumigather.checker import (
-    applicable_checks,
-    check_cycle_snapshot,
-    check_equivariance_trace,
-    check_gathered,
-    check_monotone,
-    check_onlds_switch,
-    check_shrink,
-    validate_trace,
-)
+from lumigather.checker import CHECKS, TraceData, default_checks
 from lumigather.engine import Scenario, Trace, run
 from lumigather.fuzz import random_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-_DEFAULT_FNS = {
-    "replay": validate_trace,
-    "monotone": check_monotone,
-    "cycle": check_cycle_snapshot,
-    "switch": check_onlds_switch,
-    "shrink": check_shrink,
-    "gather": check_gathered,
-    "equivariance": check_equivariance_trace,
-}
 
 _FUZZ_CASES = [
     (alg, n, seed)
@@ -63,10 +44,10 @@ def _sha(text):
 def digests(scenario):
     """{"trace": sha, <check>: sha, ...} for one scenario."""
     text = run(scenario).dumps()
-    trace = Trace.parse(text)
+    td = TraceData.of(Trace.parse(text))
     out = {"trace": _sha(text)}
-    for name in applicable_checks(trace):
-        out[name] = _sha(str(_DEFAULT_FNS[name](trace)))
+    for name in default_checks(td.algorithm.id, td.scheduler) + ["equivariance"]:
+        out[name] = _sha(str(CHECKS[name](td)))
     return out
 
 

@@ -1,44 +1,39 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lumigather.geometry import pt
-from lumigather.patterns import (
-    PatternError,
-    classify_line,
-    matches,
-    mirror,
-    parse_pattern,
-)
+from lumigather.patterns import classify_line
+
+A, B, S = frozenset("A"), frozenset("B"), frozenset("S")
 
 
 class TestClassifyLine:
     def test_three_s_stations(self):
         cc = classify_line({pt(0, 0): {"S"}, pt(2, 0): {"S"}, pt(5, 0): {"S"}})
-        assert matches(cc, "SS^+S")
+        assert cc.factors == (S, S, S)
         assert cc.span_sq() == 25
         assert cc.counts == {"S": 3}
 
     def test_exact_midpoint(self):
         cc = classify_line({pt(0, 0): {"A"}, pt(2, 0): {"B"}, pt(4, 0): {"A"}})
         assert cc.has_exact_midpoint
-        assert matches(cc, "AB_mA")
+        assert cc.factors == (A, B, A)
 
     def test_off_midpoint_not_m(self):
         cc = classify_line({pt(0, 0): {"A"}, pt(3, 0): {"B"}, pt(4, 0): {"A"}})
         assert not cc.has_exact_midpoint
-        assert not matches(cc, "AB_mA")
-        assert matches(cc, "AB^+A")
+        assert cc.factors == (A, B, A)
 
     def test_reversal_canonical(self):
         cc = classify_line({pt(0, 0): {"A"}, pt(3, 0): {"B"}, pt(4, 0): {"B"}})
-        assert matches(cc, "AB^+B")
-        assert matches(cc, "BB^+A")
+        assert cc.factors == (A, B, B)
+        # the station order does not depend on the order the points are given in
+        assert classify_line({pt(4, 0): {"B"}, pt(3, 0): {"B"}, pt(0, 0): {"A"}}) == cc
 
     def test_single_station(self):
         cc = classify_line({pt(1, 1): {"E"}})
         assert cc.endpoint_left == cc.endpoint_right == pt(1, 1)
-        assert matches(cc, "E")
+        assert cc.factors == (frozenset("E"),)
         assert len(cc.stations) == 1
 
     def test_left_endpoint_is_lex_smaller(self):
@@ -52,54 +47,6 @@ class TestClassifyLine:
     def test_counts_by_point_presence(self):
         cc = classify_line({pt(0, 0): {"A", "B"}, pt(2, 0): {"B"}})
         assert cc.counts == {"A": 1, "B": 2}
-
-
-class TestMatches:
-    def test_two_station_ss(self):
-        cc = classify_line({pt(0, 0): {"S"}, pt(3, 0): {"S"}})
-        assert matches(cc, "SS")
-        assert not matches(cc, "SS^+S")
-
-    def test_midpoint_group(self):
-        cc = classify_line({pt(0, 0): {"M"}, pt(2, 0): {"E"}, pt(4, 0): {"M"}})
-        assert matches(cc, "ME_mM")
-
-    def test_forall(self):
-        cc = classify_line({pt(0, 0): {"S"}, pt(1, 0): {"M"}})
-        assert not matches(cc, "forall:S")
-        assert matches(cc, "forall:S,M")
-
-    def test_factor_groups(self):
-        cc = classify_line({pt(0, 0): {"M"}, pt(1, 0): {"S"}, pt(2, 0): {"M"}})
-        assert matches(cc, "M^+(S|M)M^*")
-        assert matches(cc, "M^*(S|M)M^+")
-        cc2 = classify_line({pt(0, 0): {"M"}, pt(1, 0): {"S"}})
-        assert matches(cc2, "M^+(S|M)M^*")
-
-    def test_star_allows_empty(self):
-        cc = classify_line({pt(0, 0): {"A"}, pt(1, 0): {"B"}})
-        assert matches(cc, "AB^*B")
-
-    def test_subset_semantics(self):
-        cc = classify_line({pt(0, 0): {"A", "B"}, pt(1, 0): {"B"}})
-        assert not matches(cc, "AB^*B")  # mixed station is not a pure-A factor
-        assert matches(cc, "(A|B)B^*B")
-
-    def test_single_mixed_station(self):
-        cc = classify_line({pt(0, 0): {"M", "E"}})
-        assert matches(cc, "(M|E)")
-        assert not matches(cc, "M")
-
-
-class TestParse:
-    @pytest.mark.parametrize("bad", ["", "S^", "(S|", "_m", "S^^+", "forall:"])
-    def test_malformed_rejected(self, bad):
-        with pytest.raises(PatternError):
-            parse_pattern(bad)
-
-    def test_product_colors(self):
-        p = parse_pattern("(S.A|S.B)")
-        assert p.items[0][0] == frozenset({"S.A", "S.B"})
 
 
 # -- properties --------------------------------------------------------------
@@ -116,28 +63,6 @@ def station_lists(draw):
         cols = draw(st.sets(st.sampled_from(_COLORS), min_size=1, max_size=2))
         stations[pt(x, 0)] = cols
     return stations
-
-
-_PATTERNS = [
-    "SS",
-    "SS^+S",
-    "SS^*S",
-    "MM^*M",
-    "M^+(S|M)M^*",
-    "(S|M)M^*(S|M)",
-    "SE_mS",
-    "(S|E)E(S|E)",
-    "EE^+E",
-    "forall:S",
-    "forall:S,M",
-    "forall:S,M,E",
-]
-
-
-@given(station_lists(), st.sampled_from(_PATTERNS))
-def test_reversal_canonicalization(stations, pattern):
-    cc = classify_line(stations)
-    assert matches(cc, pattern) == matches(cc.reversed(), mirror(pattern))
 
 
 @given(station_lists())
