@@ -78,6 +78,8 @@ _LINE_KEYS = {
     )
 }
 
+_TYPE_NAMES = {int: "integer", str: "string", list: "array"}
+
 
 def _require_keys(obj, keys, what):
     """Raise ValueError unless ``obj`` is a JSON object holding every key."""
@@ -86,6 +88,13 @@ def _require_keys(obj, keys, what):
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(missing)}")
+
+
+def _require_type(value, kind, what):
+    """Raise ValueError unless ``value`` is a ``kind`` (a bool is no int)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} is not a JSON {_TYPE_NAMES[kind]}")
+    return value
 
 
 class _MoveRec:
@@ -141,13 +150,16 @@ class TraceData:
         self.algorithm = get_algorithm(self.header["algorithm"])
         self.scheduler = self.header["scheduler"]
         self.delta = parse_rat(self.header["delta"])
-        self.move_span_cap = int(self.header.get("move_span_cap", 16))
-        self.n = n = int(self.header["n"])
-        robots = self.header["robots"]
+        self.move_span_cap = _require_type(
+            self.header.get("move_span_cap", 16), int, "trace header move_span_cap"
+        )
+        self.n = n = _require_type(self.header["n"], int, "trace header n")
+        robots = _require_type(self.header["robots"], list, "trace header robots")
         if len(robots) != n:
             raise ValueError(f"trace header lists {len(robots)} robots, n={n}")
         for i, r in enumerate(robots):
             _require_keys(r, _ROBOT_KEYS, f"trace header robot {i}")
+            _require_type(r["color"], str, f"trace header robot {i} color")
         self.initial = [(self.point((r["x"], r["y"])), r["color"]) for r in robots]
         self.status = None
         self.end_time = None
@@ -162,23 +174,25 @@ class TraceData:
             need = _LINE_KEYS.get(kind, _LINE_KEYS[None])
             if not ln.keys() >= need:
                 _require_keys(ln, sorted(need), f"trace line {i + 1}")
+            if type(ln["t"]) is not int:
+                _require_type(ln["t"], int, f"trace line {i + 1} t")
             if kind == "Config":
-                self.configs[ln["t"]] = tuple(
-                    (self.point(e), e[2]) for e in ln["entries"]
-                )
+                self.configs[ln["t"]] = self._config_entries(ln["entries"], i)
             elif kind == "End":
                 if self.lines_after_end is None:
                     self.status = ln["status"]
                     self.end_time = ln["t"]
                     self.lines_after_end = len(lines) - 1 - i
             elif kind == "RoundStart":
-                for rid in ln["activated"]:
+                for rid in _require_type(ln["activated"], list, f"trace line {i + 1} activated"):
                     self._check_robot(rid, ln)
                 self.rounds[ln["t"]] = ln["activated"]
                 self.events.append(ln)
             else:
                 if kind in _ROBOT_EVENTS:
                     self._check_robot(ln.get("robot"), ln)
+                if kind == "Compute" and type(ln["color"]) is not str:
+                    _require_type(ln["color"], str, f"trace line {i + 1} color")
                 self.events.append(ln)
         self.config_times = sorted(self.configs)
         self.cache = ConfigInterner()
@@ -192,12 +206,28 @@ class TraceData:
             )
 
     def point(self, xy):
-        """The one Point of a raw ``(x, y)`` pair (extra items are ignored)."""
-        key = (xy[0], xy[1])
-        p = self._points.get(key)
+        """The one Point of a raw ``(x, y)`` pair (extra items are ignored).
+
+        Raises ValueError when ``xy`` is not a pair of rationals.
+        """
+        try:
+            key = (xy[0], xy[1])
+            p = self._points.get(key)
+        except (TypeError, IndexError, KeyError) as exc:
+            raise ValueError(f"malformed coordinate pair {xy!r}") from exc
         if p is None:
             p = self._points[key] = Point(parse_rat(xy[0]), parse_rat(xy[1]))
         return p
+
+    def _config_entries(self, raw, i):
+        """``(Point, color)`` pairs of the raw ``[x, y, color]`` entries of line i."""
+        try:
+            entries = tuple((self.point(e), e[2]) for e in raw)
+        except (TypeError, IndexError, KeyError, ValueError) as exc:
+            raise ValueError(f"trace line {i + 1}: malformed Config entries: {exc}") from exc
+        if not all(type(c) is str for _, c in entries):
+            raise ValueError(f"trace line {i + 1}: a Config entry color is not a JSON string")
+        return entries
 
     def config_at(self, t):
         cfg = self._at.get(t)
@@ -840,6 +870,11 @@ def check_gathered(trace):
     """First time all robots share one point, stable to the end of the trace."""
     td = TraceData.of(trace)
     rep = Report("gathered")
+    if not td.config_times:
+        rep.violate(None, "trace has no Config line")
+        rep.extras["gathered"] = False
+        rep.extras["time"] = None
+        return rep
     t_g = None
     for t in td.config_times:
         single = len(td.config_at(t).occupied) == 1

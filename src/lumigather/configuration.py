@@ -21,14 +21,15 @@ from .rational import R0, Rat
 
 def _entry_key(entry):
     p, color = entry
-    return (p.x, p.y, color)
+    return (p.order_key(), color)
 
 
 def canonical(entries):
     """The (Point, color) entries as a tuple in the canonical order.
 
-    The order is by x, then y, then color; two configurations are equal
-    exactly when their canonical entry tuples are.
+    The order is by x, then y, then color (``Point.order_key`` is exactly
+    the (x, y) order); two configurations are equal exactly when their
+    canonical entry tuples are.
     """
     return tuple(sorted(entries, key=_entry_key))
 
@@ -81,7 +82,7 @@ class Configuration:
     @property
     def occupied(self):
         if self._occupied is None:
-            self._occupied = tuple(sorted(self.points))
+            self._occupied = tuple(sorted(self.points, key=Point.order_key))
         return self._occupied
 
     @property

@@ -231,6 +231,21 @@ def apply_move(origin, dest, fraction, delta):
     return Point(origin.x + lam * (dest.x - origin.x), origin.y + lam * (dest.y - origin.y))
 
 
+def memo_action(algorithm, cfg, pos, light):
+    """``algorithm``'s action for the robot at ``pos`` with ``light`` on ``cfg``.
+
+    Kept in ``cfg.memo``: robots that share a configuration, a position and a
+    light compute the same action, so it is evaluated once.  Only the engine's
+    own interned configurations carry these entries; the checker builds its
+    own and re-derives every action.
+    """
+    key = ("act", algorithm.id, pos, light)
+    act = cfg.memo.get(key)
+    if act is None:
+        act = cfg.memo[key] = algorithm(Snapshot(cfg, pos, light))
+    return act
+
+
 # --------------------------------------------------------------------------
 # Synchronous rounds
 # --------------------------------------------------------------------------
@@ -255,13 +270,7 @@ class SyncWorld:
         return self.cache.get(self.entries())
 
     def action(self, algorithm, i):
-        cfg = self.config()
-        key = ("act", algorithm.id, self.positions[i], self.lights[i])
-        act = cfg.memo.get(key)
-        if act is None:
-            act = algorithm(Snapshot(cfg, self.positions[i], self.lights[i]))
-            cfg.memo[key] = act
-        return act
+        return memo_action(algorithm, self.config(), self.positions[i], self.lights[i])
 
 
 def enabled(world, algorithm, i):
@@ -373,7 +382,12 @@ _FRACTIONS = (Rat(1), Rat(3, 4), Rat(1, 2), Rat(1, 4))
 
 
 def _pick_fraction(policy, rng):
-    if policy == "stingy":
+    """Truncation the adversary grants a move under ``policy``.
+
+    Only the drawing policies (``random``, ``ssync-embedded``) consume a
+    random number; the others are constant.
+    """
+    if policy in ("stingy", "ssync-stingy"):
         return Rat(1, 1024)
     if policy in ("rigid", "round-robin"):
         return Rat(1)
@@ -456,7 +470,6 @@ class AsyncWorld:
         self._visible_t = None
         self.trace = Trace(_header(scenario))
         self.trace.config_line(0, self.visible_config().entries)
-        self._terminal_memo = {}
 
     # -- visible state ----------------------------------------------------
 
@@ -545,7 +558,8 @@ class AsyncWorld:
             r.phase = OBSERVED
             self.trace.log(kind="Look", t=self.t, robot=rid)
         elif kind == "compute":
-            act = self.algorithm(r.snapshot)
+            snap = r.snapshot
+            act = memo_action(self.algorithm, snap.config, snap.own_pos, snap.own_light)
             r.action = act
             r.comp_t = self.t
             r.prev_light = r.light
@@ -630,36 +644,32 @@ class AsyncWorld:
         """All robots idle and none enabled on the settled configuration."""
         if any(r.phase != IDLE for r in self.robots):
             return False
-        ents = self.true_entries()
-        memo = self._terminal_memo.get(ents)
-        if memo is None:
-            cfg = self.cache.get(ents)
-            memo = True
+        cfg = self.cache.get(self.true_entries())
+        key = ("terminal", self.algorithm.id)
+        done = cfg.memo.get(key)
+        if done is None:
+            done = True
             for r in self.robots:
-                act = self.algorithm(Snapshot(cfg, r.pos, r.light))
+                act = memo_action(self.algorithm, cfg, r.pos, r.light)
                 if act.color != r.light or act.dest != r.pos:
-                    memo = False
+                    done = False
                     break
-            self._terminal_memo[ents] = memo
-        return memo
+            cfg.memo[key] = done
+        return done
 
 
 class RandomAsyncPolicy:
-    """Seeded uniform adversary over legal choices with forced fairness."""
+    """Seeded uniform adversary over legal choices with forced fairness.
+
+    ``policy`` (``random``, ``stingy`` or ``rigid``) sets the truncation of
+    every move.
+    """
 
     MUS = tuple(Rat(j, 8) for j in (1, 2, 3, 5, 7))
 
-    def __init__(self, rng, stingy=False, rigid=False):
+    def __init__(self, rng, policy="random"):
         self.rng = rng
-        self.stingy = stingy
-        self.rigid = rigid
-
-    def fraction(self):
-        if self.rigid:
-            return Rat(1)
-        if self.stingy:
-            return Rat(1, 1024)
-        return _FRACTIONS[self.rng.randrange(len(_FRACTIONS))]
+        self.policy = policy
 
     def _mus(self, world):
         out = {}
@@ -696,7 +706,7 @@ class RandomAsyncPolicy:
     def _fill(self, choice):
         kind, i = choice
         if kind == "move_begin":
-            return (kind, i, self.fraction())
+            return (kind, i, _pick_fraction(self.policy, self.rng))
         return (kind, i)
 
 
@@ -721,21 +731,20 @@ class RoundRobinAsyncPolicy:
         if kind == "look":
             self.started = True
         if kind == "move_begin":
-            return (kind, self.current, Rat(1))
+            return (kind, self.current, _pick_fraction("round-robin", self.rng))
         return (kind, self.current)
 
 
 class SsyncEmbeddedPolicy:
-    """Lockstep batches: everyone looks, then computes, then moves."""
+    """Lockstep batches: everyone looks, then computes, then moves.
 
-    def __init__(self, rng, stingy=False):
+    ``policy`` (``ssync-embedded`` or ``ssync-stingy``) sets the truncation
+    of every move.
+    """
+
+    def __init__(self, rng, policy="ssync-embedded"):
         self.rng = rng
-        self.stingy = stingy
-
-    def _fraction(self):
-        if self.stingy:
-            return Rat(1, 1024)
-        return _FRACTIONS[self.rng.randrange(len(_FRACTIONS))]
+        self.policy = policy
 
     def step(self, world):
         rs = world.robots
@@ -758,7 +767,7 @@ class SsyncEmbeddedPolicy:
         if computed:
             i = computed[0]
             if "move_begin" in world.legal_actions(i):
-                return ("move_begin", i, self._fraction())
+                return ("move_begin", i, _pick_fraction(self.policy, self.rng))
             return ("advance", None)
         if moving:
             i = moving[0]
@@ -770,14 +779,10 @@ class SsyncEmbeddedPolicy:
 
 def _make_policy(scenario, rng):
     if scenario.policy in ("random", "stingy", "rigid"):
-        return RandomAsyncPolicy(
-            rng,
-            stingy=scenario.policy == "stingy",
-            rigid=scenario.policy == "rigid",
-        )
+        return RandomAsyncPolicy(rng, scenario.policy)
     if scenario.policy == "round-robin":
         return RoundRobinAsyncPolicy(rng)
-    return SsyncEmbeddedPolicy(rng, stingy=scenario.policy == "ssync-stingy")
+    return SsyncEmbeddedPolicy(rng, scenario.policy)
 
 
 def _run_async(scenario, rng):

@@ -11,10 +11,61 @@ from enum import Enum
 from .rational import Rat
 
 
-@dataclass(frozen=True, slots=True)
 class Point:
-    x: object
-    y: object
+    """Immutable exact point of the plane.
+
+    Points are hashed and sorted far more often than they are built, so each
+    one computes ``hash((x, y))`` at construction and keeps it; equality is
+    identity first, then the stored hashes, then the exact coordinates.
+
+    The order is the exact lexicographic order of ``(x, y)``.  It is decided
+    on ``order_key() == (float(x), x, float(y), y)``, computed on first use:
+    ``float`` of a rational is monotone (``fractions`` rounds correctly and
+    gmpy2 rounds monotonically too), so ``float(a) < float(b)`` implies
+    ``a < b``, and the exact value breaks every tie between equal floats.
+    Sorting with ``key=Point.order_key`` therefore gives the same sequence as
+    sorting on ``(x, y)``, with most comparisons made on floats.
+    """
+
+    __slots__ = ("x", "y", "_hash", "_key")
+
+    def __new__(cls, x, y):
+        self = object.__new__(cls)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_hash(self, hash((x, y)))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Point is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Point is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return (Point, (self.x, self.y))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self._hash == other._hash and self.x == other.x and self.y == other.y
+
+    def order_key(self):
+        """``(float(x), x, float(y), y)``: sorts exactly as ``(x, y)`` does."""
+        try:
+            return self._key
+        except AttributeError:
+            key = (float(self.x), self.x, float(self.y), self.y)
+            _set_key(self, key)
+            return key
+
+    def __lt__(self, other):
+        return self.order_key() < other.order_key()
 
     def __add__(self, other):
         return Point(self.x + other.x, self.y + other.y)
@@ -25,11 +76,15 @@ class Point:
     def scaled(self, k):
         return Point(self.x * k, self.y * k)
 
-    def __lt__(self, other):
-        return (self.x, self.y) < (other.x, other.y)
-
     def __repr__(self):
         return f"({self.x},{self.y})"
+
+
+# the slot setters bypass the __setattr__ that makes a Point immutable
+_set_x = Point.x.__set__
+_set_y = Point.y.__set__
+_set_hash = Point._hash.__set__
+_set_key = Point._key.__set__
 
 
 def pt(x, y=None):
@@ -107,7 +162,7 @@ def convex_hull(points):
     Returns a HullView, or a CollinearSignal when every distinct position is
     collinear (a single point and two points count as collinear).
     """
-    pts = sorted(set(points))
+    pts = sorted(set(points), key=Point.order_key)
     if not pts:
         raise ValueError("convex_hull of empty point set")
     if len(pts) <= 2:
@@ -134,7 +189,8 @@ def convex_hull(points):
     sym = all(e == edges[0] for e in edges)
     if sym:
         center = hull_center_of(verts)
-        ok = all(p in set(verts) or p == center for p in pts)
+        vert_set = set(verts)
+        ok = all(p in vert_set or p == center for p in pts)
         cls = Classification.SYM_CONTRACTIBLE if ok else Classification.SYM_NONCONTRACTIBLE
     else:
         ok = all(_on_hull_boundary(p, verts) for p in pts)
@@ -232,14 +288,14 @@ def min_edge_targets(points, hull=None):
         raise ValueError("min_edge_targets requires an asymmetric contractible configuration")
     verts = hull.vertices
     k = len(verts)
-    occupied = sorted(set(points))
+    occupied = sorted(set(points), key=Point.order_key)
     out = []
     for i in selected_min_edges(hull):
         right, other = verts[i], verts[(i + 1) % k]
         for p in occupied:
             if p != right and on_segment(p, right, other):
                 out.append((p, right))
-    out.sort(key=lambda pr: (pr[0].x, pr[0].y))
+    out.sort(key=lambda pr: pr[0].order_key())
     return out
 
 

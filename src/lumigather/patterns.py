@@ -66,7 +66,10 @@ def classify_line(point_colors):
     Points must be collinear; lexicographic order equals order along the
     line, so sorting by (x, y) yields the station sequence.
     """
-    items = sorted((p, frozenset(cs)) for p, cs in point_colors.items())
+    items = sorted(
+        ((p, frozenset(cs)) for p, cs in point_colors.items()),
+        key=lambda item: item[0].order_key(),
+    )
     if not items:
         raise ValueError("classify_line needs at least one occupied point")
     for _, f in items:

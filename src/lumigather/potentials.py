@@ -12,7 +12,7 @@ comparison is reported Undecided only when precision genuinely runs out.
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import Classification, dist_sq, hull_area_twice, midpoint, on_segment
+from .geometry import Classification, Point, dist_sq, hull_area_twice, midpoint, on_segment
 from .rational import R0, Rat, format_rat, isqrt, sqrt_exact, sqrt_interval
 
 INF = "inf"
@@ -220,7 +220,7 @@ def _walk_start(hull):
     verts = hull.vertices
     k = len(verts)
     forbidden = {verts[(i + 1) % k] for i in selected_min_edges(hull)}
-    return max((v for v in verts if v not in forbidden), key=lambda v: (v.x, v.y))
+    return max((v for v in verts if v not in forbidden), key=Point.order_key)
 
 
 def potential_f(config):

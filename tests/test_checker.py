@@ -4,6 +4,7 @@ import json
 import pytest
 
 from lumigather.checker import (
+    CHECKS,
     Report,
     TraceData,
     check_cycle_snapshot,
@@ -420,6 +421,64 @@ class TestMalformedTraceData:
         lines[i]["activated"] = [0, 3]
         with pytest.raises(ValueError, match="robot id 3"):
             TraceData(lines)
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            ("robots-not-array", "robots is not a JSON array"),
+            ("n-not-integer", "n is not a JSON integer"),
+            ("robot-color-not-string", "color is not a JSON string"),
+            ("config-entry-not-array", "malformed Config entries"),
+            ("config-entry-short", "malformed Config entries"),
+            ("config-color-not-string", "color is not a JSON string"),
+            ("entries-not-array", "malformed Config entries"),
+            ("t-not-integer", "t is not a JSON integer"),
+            ("compute-color-not-string", "color is not a JSON string"),
+            ("activated-not-array", "activated is not a JSON array"),
+            ("dest-not-pair", "malformed coordinate pair"),
+            ("coordinate-not-rational", "malformed rational"),
+        ],
+    )
+    def test_value_of_wrong_type(self, damage, message):
+        lines = [copy.deepcopy(l) for l in self._lines()]
+        config = next(l for l in lines if l["kind"] == "Config")
+        if damage == "robots-not-array":
+            lines[0]["robots"] = 5
+        elif damage == "n-not-integer":
+            lines[0]["n"] = [3]
+        elif damage == "robot-color-not-string":
+            lines[0]["robots"][0]["color"] = 7
+        elif damage == "config-entry-not-array":
+            config["entries"][1] = 7
+        elif damage == "config-entry-short":
+            config["entries"][1] = config["entries"][1][:2]
+        elif damage == "config-color-not-string":
+            config["entries"][1][2] = ["S"]
+        elif damage == "entries-not-array":
+            config["entries"] = 5
+        elif damage == "compute-color-not-string":
+            next(l for l in lines if l["kind"] == "Compute")["color"] = 1
+        elif damage == "activated-not-array":
+            lines.insert(2, {"kind": "RoundStart", "t": 0, "activated": 1})
+        elif damage == "t-not-integer":
+            config["t"] = "0"
+        elif damage == "dest-not-pair":
+            next(l for l in lines if l["kind"] == "Compute")["dest"] = [[1], 2]
+        else:
+            lines[0]["robots"][2]["y"] = "three"
+        with pytest.raises(ValueError, match=message):
+            TraceData(lines)
+
+
+def test_every_check_reports_on_a_trace_without_config_lines():
+    tr = run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
+    td = TraceData([l for l in tr.lines if l["kind"] != "Config"])
+    assert td.config_times == []
+    for name, check in CHECKS.items():
+        assert isinstance(check(td), Report), name
+    rep = check_gathered(td)
+    assert not rep.passed and rep.extras["gathered"] is False
+    assert rep.violations == [{"t": None, "detail": "trace has no Config line"}]
 
 
 class TestEquivariance:

@@ -206,6 +206,38 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            ("robots-not-array", "robots is not a JSON array"),
+            ("config-entry-not-array", "malformed Config entries"),
+        ],
+    )
+    def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, damage, message):
+        lines = self._square_trace_lines(tmp_path, capsys)
+        if damage == "robots-not-array":
+            lines[0]["robots"] = 5
+        else:
+            next(l for l in lines if l["kind"] == "Config")["entries"][0] = 5
+        bad = self._write(tmp_path / "bad.jsonl", lines)
+        assert main(["check", "--trace", bad]) == 2
+        assert main(["plot", "--trace", bad, "--out", str(tmp_path / "p.svg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count(message) == 2
+
+    def test_trace_without_config_lines(self, tmp_path, capsys):
+        lines = self._square_trace_lines(tmp_path, capsys)
+        bare = self._write(
+            tmp_path / "bare.jsonl", [l for l in lines if l["kind"] != "Config"]
+        )
+        assert main(["check", "--trace", bare, "--check", "gather"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["violations"][0]["detail"] == "trace has no Config line"
+        svg = tmp_path / "bare.svg"
+        assert main(["plot", "--trace", bare, "--out", str(svg)]) == 0
+        assert "<circle" in svg.read_text()
+
     def test_annotated_copy_has_potential_lines(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         main(["run", "--scenario", str(SCENARIOS / "rectangle-unfair.json"), "--out", str(out)])

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from lumigather import algorithms, engine
 from lumigather.algorithms import get_algorithm
-from lumigather.checker import validate_trace
-from lumigather.configuration import Frame
+from lumigather.checker import CHECKS, default_checks, validate_trace
+from lumigather.configuration import Frame, Snapshot
 from lumigather.engine import (
     AsyncWorld,
     BudgetExhausted,
@@ -16,11 +17,13 @@ from lumigather.engine import (
     ScenarioError,
     SyncWorld,
     Trace,
+    _pick_fraction,
     apply_move,
     enabled,
     run,
     ssync_round,
 )
+from lumigather.fuzz import random_scenario
 from lumigather.geometry import dist_sq, is_on_lds, pt
 from lumigather.rational import Rat
 
@@ -267,6 +270,68 @@ class TestRun:
         tr = run(sc)
         assert tr.status == "gathered"
         assert validate_trace(tr).passed
+
+
+class TestTruncation:
+    @pytest.mark.parametrize(
+        "policy,fraction",
+        [("stingy", Rat(1, 1024)), ("ssync-stingy", Rat(1, 1024)), ("rigid", Rat(1)),
+         ("round-robin", Rat(1)), ("random", None), ("ssync-embedded", None)],
+    )
+    def test_pick_fraction_and_its_draws(self, policy, fraction):
+        # constant policies draw nothing and the others draw once, so async
+        # traces keep their random stream
+        rng, twin = random.Random(3), random.Random(3)
+        got = _pick_fraction(policy, rng)
+        if fraction is None:
+            assert got in (Rat(1), Rat(3, 4), Rat(1, 2), Rat(1, 4))
+            twin.randrange(4)
+        else:
+            assert got == fraction
+        assert rng.getstate() == twin.getstate()
+
+    def test_round_based_ssync_stingy_truncates_to_1_1024(self):
+        sc = scen(
+            [((0, 0), "A"), ((1024, 0), "A")],
+            scheduler="ssync",
+            algorithm="lu-gather",
+            policy="ssync-stingy",
+            delta=Rat(1, 4),
+            step_budget=3,
+        )
+        with pytest.raises(BudgetExhausted) as exc:
+            run(sc)
+        reaches = [ln["reach"] for ln in exc.value.trace.lines if ln["kind"] == "MoveBegin"]
+        # both endpoints head for the midpoint 512: 1/1024 of the way is 1/2
+        assert reaches and all(r in (["1/2", "0/1"], ["2047/2", "0/1"]) for r in reaches)
+
+
+def test_action_memo_saves_engine_evaluations_only(monkeypatch):
+    calls = [0]
+    evaluate = algorithms.AlgorithmSpec.__call__
+
+    def counting(self, snap):
+        calls[0] += 1
+        return evaluate(self, snap)
+
+    monkeypatch.setattr(algorithms.AlgorithmSpec, "__call__", counting)
+    sc = random_scenario(random.Random(17), "three-color", "async", 5, bound=8)
+
+    def measure():
+        calls[0] = 0
+        trace = run(sc)
+        engine_evals, calls[0] = calls[0], 0
+        reports = [str(CHECKS[name](trace)) for name in default_checks("three-color", "async")]
+        return trace.dumps(), engine_evals, calls[0], reports
+
+    memoized = measure()
+    monkeypatch.setattr(
+        engine, "memo_action", lambda alg, cfg, pos, light: alg(Snapshot(cfg, pos, light))
+    )
+    plain = measure()
+    assert memoized[0] == plain[0]
+    assert memoized[1] < plain[1]
+    assert memoized[2:] == plain[2:]
 
 
 class TestScenarioIO:

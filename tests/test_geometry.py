@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -160,6 +163,56 @@ class TestOnLds:
         assert not is_on_lds([pt(0, 0), pt(1, 0), pt(0, 1)])
 
 
+class TestPoint:
+    def test_separately_built_equal_points(self):
+        a = Point(Rat(1, 3), Rat(-2, 7))
+        b = Point(Rat(2, 6), Rat(-4, 14))
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash((Rat(1, 3), Rat(-2, 7)))
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
+
+    def test_unequal_points(self):
+        assert pt(1, 2) != pt(2, 1)
+        assert pt(1, 2) != pt(1, (2 * 10**30 + 1, 10**30))
+        assert pt(1, 2) != (1, 2)
+
+    def test_order_is_exact_where_floats_tie(self):
+        third = Rat(1, 3)
+        above = third + Rat(1, 10**30)
+        assert float(third) == float(above)
+        lo, hi = Point(third, Rat(5)), Point(above, Rat(-5))
+        assert lo < hi and not hi < lo
+        assert sorted([hi, lo]) == [lo, hi]
+        assert sorted([hi, lo], key=Point.order_key) == [lo, hi]
+
+    def test_equal_x_ordered_by_y(self):
+        third = Rat(1, 3)
+        below = Point(Rat(2), third - Rat(1, 10**30))
+        above = Point(Rat(2), third)
+        assert float(below.y) == float(above.y)
+        assert below < above and not above < below
+        assert pt(2, 0) < pt(2, 1) and not pt(2, 1) < pt(2, 0)
+        assert not pt(2, 1) < pt(2, 1)
+
+    def test_immutable(self):
+        p = pt(1, 2)
+        with pytest.raises(AttributeError):
+            p.x = Rat(3)
+        with pytest.raises(AttributeError):
+            p.label = "a"
+        with pytest.raises(AttributeError):
+            del p.y
+        assert p == pt(1, 2) and hash(p) == hash((Rat(1), Rat(2)))
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        p = pt((1, 3), (-5, 7))
+        p.order_key()  # a cached key travels with neither copy
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert q == p and hash(q) == hash(p)
+            assert (q.x, q.y) == (p.x, p.y) and q.order_key() == p.order_key()
+
+
 # -- property tests ---------------------------------------------------------
 
 coords = st.integers(-30, 30)
@@ -251,3 +304,13 @@ def test_nearest_vertex_minimizes(pts):
     assume(p not in h.vertices)
     got = nearest_vertex(p, h)
     assert dist_sq(p, got) == min(dist_sq(p, v) for v in h.vertices)
+
+
+@given(rat_points(min_size=1))
+def test_point_order_is_exact_coordinate_order(pts):
+    # each point also gets neighbours whose coordinates round to the same float
+    eps = Rat(1, 10**30)
+    pts = pts + [Point(p.x + eps, p.y) for p in pts] + [Point(p.x, p.y - eps) for p in pts]
+    exact = sorted(pts, key=lambda p: (p.x, p.y))
+    assert sorted(pts, key=Point.order_key) == exact
+    assert sorted(pts) == exact
