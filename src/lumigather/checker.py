@@ -154,6 +154,8 @@ class TraceData:
             self.header.get("move_span_cap", 16), int, "trace header move_span_cap"
         )
         self.n = n = _require_type(self.header["n"], int, "trace header n")
+        if n < 1:
+            raise ValueError(f"trace header n={n}: a trace needs at least one robot")
         robots = _require_type(self.header["robots"], list, "trace header robots")
         if len(robots) != n:
             raise ValueError(f"trace header lists {len(robots)} robots, n={n}")
@@ -167,6 +169,7 @@ class TraceData:
         self.configs = {}
         self.events = []
         self.rounds = {}
+        last_time = 0
         for i, ln in enumerate(lines[1:], 1):
             if not isinstance(ln, dict):
                 raise ValueError(f"trace line {i + 1} is not a JSON object")
@@ -176,6 +179,8 @@ class TraceData:
                 _require_keys(ln, sorted(need), f"trace line {i + 1}")
             if type(ln["t"]) is not int:
                 _require_type(ln["t"], int, f"trace line {i + 1} t")
+            if ln["t"] > last_time:
+                last_time = ln["t"]
             if kind == "Config":
                 self.configs[ln["t"]] = self._config_entries(ln["entries"], i)
             elif kind == "End":
@@ -197,7 +202,8 @@ class TraceData:
         self.config_times = sorted(self.configs)
         self.cache = ConfigInterner()
         self._at = {}
-        self._build_timelines()
+        self._replayed = {}
+        self._build_timelines(last_time)
 
     def _check_robot(self, rid, ln):
         if type(rid) is not int or not 0 <= rid < self.n:
@@ -235,7 +241,7 @@ class TraceData:
             cfg = self._at[t] = self.cache.get(self.configs[t])
         return cfg
 
-    def _build_timelines(self):
+    def _build_timelines(self, last_time):
         n = self.n
         self.looks = [[] for _ in range(n)]
         self.computes = [[] for _ in range(n)]
@@ -268,8 +274,20 @@ class TraceData:
                 pos[rid] = m.end_pos
         self._comp_times = [[c[0] for c in cs] for cs in self.computes]
         self._move_tbs = [[m.t_b for m in ms] for ms in self.moves]
+        for rid, ms in enumerate(self.moves):
+            for j, m in enumerate(ms):
+                # visible_pos reads this move's progress up to its end, the
+                # robot's next MoveBegin or the last instant of the trace
+                stop = last_time if m.t_e is None else m.t_e
+                if j + 1 < len(ms):
+                    stop = min(stop, ms[j + 1].t_b)
+                if sum(m.t_b < t <= stop for t in m.progress) < stop - m.t_b:
+                    raise ValueError(
+                        f"robot {rid}: move begun at t={m.t_b} lacks a MoveProgress "
+                        f"line at some instant up to t={stop}"
+                    )
 
-    # -- visible state (asynchronous timing rules) -------------------------
+    # -- visible state (asynchronous timing rules; a round is one instant) ---
 
     def visible_color(self, rid, t):
         """Color observed at time t: a change at exactly t is not yet seen."""
@@ -294,10 +312,25 @@ class TraceData:
             return m.reach
         return m.progress[t]
 
-    def visible_entries(self, t):
-        return canonical(
-            (self.visible_pos(i, t), self.visible_color(i, t)) for i in range(self.n)
-        )
+    def replayed(self, t):
+        """Interned configuration every robot observes at instant t.
+
+        Derived from the header and the robot events alone, never from the
+        Config lines.  A round is one instant, so a round-based trace
+        replays through the same timing rules.
+        """
+        cfg = self._replayed.get(t)
+        if cfg is None:
+            cfg = self._replayed[t] = self.cache.get(
+                canonical((self.visible_pos(i, t), self.visible_color(i, t)) for i in range(self.n))
+            )
+        return cfg
+
+    def last_look(self, rid, t):
+        """Time of the robot's latest Look at or before t, or None."""
+        looks = self.looks[rid]
+        i = bisect_right(looks, t)
+        return looks[i - 1] if i else None
 
     def pending_state(self, rid, t):
         """PendingAnnotation of the robot just after instant t.
@@ -335,19 +368,32 @@ class TraceData:
 def validate_trace(trace):
     """Replay the event log and flag any divergence from the Config lines.
 
-    Also enforces per-robot phase order, the asynchronous timing rules (a
-    Compute is invisible at its own instant, movers advance strictly and are
-    seen at the destination only after the move ends), that every Compute
-    equals the algorithm's output on the replayed snapshot, and that one End
-    line closes the trace at the last Config time with a status that agrees
-    with the final configuration.
+    Round-based and asynchronous traces replay alike, a round being one
+    instant.  There must be one Config line per instant from 0 to the End
+    line, equal to the replayed configuration; every Compute must equal the
+    algorithm's output on the snapshot of the robot's latest Look; every move
+    must reach a point on the segment to its Compute's destination, at least
+    min(delta, full distance) away, and end there.  Asynchronous traces must
+    also keep each robot's phase order and the timing rules (a Compute is
+    invisible at its own instant, movers advance strictly and are seen at the
+    destination only after the move ends).  One End line closes the trace at
+    the last Config time with a status that agrees with the final
+    configuration.
     """
     td = TraceData.of(trace)
     rep = Report("replay")
-    if td.scheduler == "async":
-        _validate_async(td, rep)
-    else:
-        _validate_sync(td, rep)
+    expected = 0
+    for t in td.config_times:
+        if t != expected:
+            rep.violate(t, f"Config line at t={t} where t={expected} was expected")
+        expected = t + 1
+        if td.replayed(t).entries != td.configs[t]:
+            rep.violate(t, "replayed configuration differs from logged Config")
+    for rid in range(td.n):
+        if td.scheduler == "async":
+            _validate_timing(td, rid, rep)
+        _validate_computes(td, rid, rep)
+        _validate_moves(td, rid, rep)
     _validate_end(td, rep)
     return rep
 
@@ -368,114 +414,78 @@ def _validate_end(td, rep):
             rep.violate(t, f"End status {td.status} disagrees with the final configuration")
 
 
-def _validate_async(td, rep):
-    for t in td.config_times:
-        if td.visible_entries(t) != td.configs[t]:
-            rep.violate(t, "replayed configuration differs from logged Config")
-    for rid in range(td.n):
-        events = []
-        for tl in td.looks[rid]:
-            events.append((tl, 0, "L"))
-        for (tc, _, _, _) in td.computes[rid]:
-            events.append((tc, 1, "C"))
-        for m in td.moves[rid]:
-            events.append((m.t_b, 2, "B"))
-            if m.t_e is not None:
-                events.append((m.t_e, 3, "E"))
-        events.sort()
-        seq = "".join(k for _, _, k in events)
-        if not _PHASE_RE.fullmatch(seq):
-            rep.violate(None, f"robot {rid}: phase order broken: {seq}")
-        last_t = -1
-        for t, _, k in events:
-            if t <= last_t:
-                rep.violate(t, f"robot {rid}: events not strictly ordered")
-            last_t = t
-        for m in td.moves[rid]:
-            if m.t_e is not None:
-                if m.t_e < m.t_b + 1:
-                    rep.violate(m.t_e, f"robot {rid}: move ended before t_b+1")
-                if m.t_e - m.t_b > td.move_span_cap:
-                    rep.violate(m.t_e, f"robot {rid}: move span exceeds cap")
-                if m.end_pos != m.reach:
-                    rep.violate(m.t_e, f"robot {rid}: end position differs from reach")
-            d_full = dist_sq(m.origin, m.reach)
-            prev = Rat(0)
-            for t in sorted(m.progress):
-                p = m.progress[t]
-                if not on_segment(p, m.origin, m.reach) or p == m.reach:
-                    rep.violate(t, f"robot {rid}: progress point off half-open segment")
-                d = dist_sq(m.origin, p)
-                if d <= prev and d != 0:
-                    rep.violate(t, f"robot {rid}: progress distance not increasing")
-                prev = d
-            if d_full == 0:
-                rep.violate(m.t_b, f"robot {rid}: zero-distance move not omitted")
-        # every Compute must reproduce the algorithm on the replayed snapshot
-        looks = td.looks[rid]
-        for (tc, color, dest, _) in td.computes[rid]:
-            i = bisect_left(looks, tc) - 1
-            if i < 0:
-                rep.violate(tc, f"robot {rid}: Compute without Look")
-                continue
-            tl = looks[i]
-            snap = Snapshot(
-                td.cache.get(td.visible_entries(tl)),
-                td.visible_pos(rid, tl),
-                td.visible_color(rid, tl),
-            )
-            act = td.algorithm(snap)
-            if act.color != color or act.dest != dest:
-                rep.violate(tc, f"robot {rid}: Compute differs from algorithm output")
+def _validate_timing(td, rid, rep):
+    """Phase order, strict event order, move spans and progress points."""
+    events = []
+    for tl in td.looks[rid]:
+        events.append((tl, 0, "L"))
+    for (tc, _, _, _) in td.computes[rid]:
+        events.append((tc, 1, "C"))
+    for m in td.moves[rid]:
+        events.append((m.t_b, 2, "B"))
+        if m.t_e is not None:
+            events.append((m.t_e, 3, "E"))
+    events.sort()
+    seq = "".join(k for _, _, k in events)
+    if not _PHASE_RE.fullmatch(seq):
+        rep.violate(None, f"robot {rid}: phase order broken: {seq}")
+    last_t = -1
+    for t, _, k in events:
+        if t <= last_t:
+            rep.violate(t, f"robot {rid}: events not strictly ordered")
+        last_t = t
+    for m in td.moves[rid]:
+        if m.t_e is not None:
+            if m.t_e < m.t_b + 1:
+                rep.violate(m.t_e, f"robot {rid}: move ended before t_b+1")
+            if m.t_e - m.t_b > td.move_span_cap:
+                rep.violate(m.t_e, f"robot {rid}: move span exceeds cap")
+        prev = Rat(0)
+        for t in sorted(m.progress):
+            p = m.progress[t]
+            if not on_segment(p, m.origin, m.reach) or p == m.reach:
+                rep.violate(t, f"robot {rid}: progress point off half-open segment")
+            d = dist_sq(m.origin, p)
+            if d <= prev and d != 0:
+                rep.violate(t, f"robot {rid}: progress distance not increasing")
+            prev = d
 
 
-def _validate_sync(td, rep):
-    pos = [p for p, _ in td.initial]
-    light = [c for _, c in td.initial]
+def _validate_computes(td, rid, rep):
+    """Every Compute reproduces the algorithm on its Look's snapshot."""
+    for tc, color, dest, _ in td.computes[rid]:
+        tl = td.last_look(rid, tc)
+        if tl is None:
+            rep.violate(tc, f"robot {rid}: Compute without Look")
+            continue
+        act = td.algorithm(
+            Snapshot(td.replayed(tl), td.visible_pos(rid, tl), td.visible_color(rid, tl))
+        )
+        if act.color != color or act.dest != dest:
+            rep.violate(tc, f"robot {rid}: Compute differs from algorithm output")
 
-    def entries():
-        return canonical(zip(pos, light))
 
-    events_by_t = {}
-    for ev in td.events:
-        events_by_t.setdefault(ev["t"], []).append(ev)
-    for t in td.config_times:
-        if entries() != td.configs[t]:
-            rep.violate(t, "replayed configuration differs from logged Config")
-        cfg = td.cache.get(entries())
-        for ev in events_by_t.get(t, ()):
-            kind = ev["kind"]
-            if kind == "Compute":
-                rid = ev["robot"]
-                act = td.algorithm(Snapshot(cfg, pos[rid], light[rid]))
-                if act.color != ev["color"] or act.dest != td.point(ev["dest"]):
-                    rep.violate(t, f"robot {rid}: Compute differs from algorithm output")
-                light[rid] = ev["color"]
-            elif kind == "MoveEnd":
-                rid = ev["robot"]
-                reached = td.point(ev["pos"])
-                comp = next(
-                    (
-                        e
-                        for e in events_by_t[t]
-                        if e["kind"] == "Compute" and e["robot"] == rid
-                    ),
-                    None,
-                )
-                if comp is None:
-                    rep.violate(t, f"robot {rid}: MoveEnd without Compute in round")
-                    pos[rid] = reached
-                    continue
-                dest = td.point(comp["dest"])
-                origin = pos[rid]
-                if not on_segment(reached, origin, dest):
-                    rep.violate(t, f"robot {rid}: reached point off move segment")
-                granted = dist_sq(origin, reached)
-                full = dist_sq(origin, dest)
-                dd = td.delta * td.delta
-                if granted < dd and granted < full:
-                    rep.violate(t, f"robot {rid}: move shorter than delta guarantee")
-                pos[rid] = reached
+def _validate_moves(td, rid, rep):
+    """Each move follows its own Compute: on its segment, long enough, ended at reach."""
+    dd = td.delta * td.delta
+    paired = None
+    for m in td.moves[rid]:
+        # the latest Compute at or before MoveBegin, which no earlier move used
+        ci = bisect_right(td._comp_times[rid], m.t_b) - 1
+        if ci < 0 or ci == paired:
+            rep.violate(m.t_b, f"robot {rid}: move without Compute")
+            continue
+        paired = ci
+        dest = td.computes[rid][ci][2]
+        granted = dist_sq(m.origin, m.reach)
+        if granted == 0:
+            rep.violate(m.t_b, f"robot {rid}: zero-distance move not omitted")
+        elif not on_segment(m.reach, m.origin, dest):
+            rep.violate(m.t_b, f"robot {rid}: reach off the segment to the Compute's destination")
+        elif granted < dd and granted < dist_sq(m.origin, dest):
+            rep.violate(m.t_b, f"robot {rid}: move shorter than min(delta, full distance)")
+        if m.t_e is not None and m.end_pos != m.reach:
+            rep.violate(m.t_e, f"robot {rid}: end position differs from reach")
 
 
 # --------------------------------------------------------------------------
@@ -524,25 +534,13 @@ def check_monotone(trace, which=None):
     if td.scheduler not in ("ssync", "ssync-unfair", "fsync"):
         rep.violate(None, "monotone check expects a round-based trace")
         return rep
-    pos = [p for p, _ in td.initial]
-    light = [c for _, c in td.initial]
-    events_by_t = {}
-    for ev in td.events:
-        events_by_t.setdefault(ev["t"], []).append(ev)
     rounds = 0
     for t in sorted(td.rounds):
         if t + 1 not in td.configs:
             break
         cfg = td.config_at(t)
         nxt = td.config_at(t + 1)
-        activated = td.rounds[t]
-        effective = False
-        for rid in activated:
-            act = td.algorithm(Snapshot(cfg, pos[rid], light[rid]))
-            if act.color != light[rid] or act.dest != pos[rid]:
-                effective = True
-                break
-        if effective:
+        if any(_enabled(td, cfg, rid, t) for rid in td.rounds[t]):
             rounds += 1
             before = potential(cfg)
             after = potential(nxt)
@@ -562,13 +560,15 @@ def check_monotone(trace, which=None):
                 )
         elif cfg.entries != nxt.entries:
             rep.violate(t, "round with no enabled robot changed the configuration")
-        for ev in events_by_t.get(t, ()):
-            if ev["kind"] == "Compute":
-                light[ev["robot"]] = ev["color"]
-            elif ev["kind"] == "MoveEnd":
-                pos[ev["robot"]] = td.point(ev["pos"])
     rep.extras["effective_rounds"] = rounds
     return rep
+
+
+def _enabled(td, cfg, rid, t):
+    """Whether activating robot ``rid`` on ``cfg`` at instant t would change its color or position."""
+    pos, light = td.visible_pos(rid, t), td.visible_color(rid, t)
+    act = td.algorithm(Snapshot(cfg, pos, light))
+    return act.color != light or act.dest != pos
 
 
 def annotate_potentials(trace, which=None):
@@ -626,25 +626,26 @@ def check_equivariance_trace(trace, frames_per_snapshot=5, max_configs=10):
     for t in td.config_times[:max_configs]:
         cfg = td.config_at(t)
         for p, c in cfg.entries:
-            if snapshot_has_convention_ties(Snapshot(cfg, p, c)):
+            snap = Snapshot(cfg, p, c)
+            if snapshot_has_convention_ties(snap):
                 skipped += 1
                 continue
-            base = td.algorithm(Snapshot(cfg, p, c))
+            frames = []
             for _ in range(frames_per_snapshot):
                 a, b, cc_ = triples[rng.randrange(len(triples))]
                 if rng.random() < 0.5:
                     a, b = b, a
-                frame = Frame(
-                    Rat(a, cc_),
-                    Rat(b, cc_) if rng.random() < 0.5 else Rat(-b, cc_),
-                    Rat(rng.randint(1, 9), rng.randint(1, 3)),
-                    Point(Rat(rng.randint(-20, 20)), Rat(rng.randint(-20, 20))),
+                frames.append(
+                    Frame(
+                        Rat(a, cc_),
+                        Rat(b, cc_) if rng.random() < 0.5 else Rat(-b, cc_),
+                        Rat(rng.randint(1, 9), rng.randint(1, 3)),
+                        Point(Rat(rng.randint(-20, 20)), Rat(rng.randint(-20, 20))),
+                    )
                 )
-                moved = frame.apply_snapshot(Snapshot(cfg, p, c))
-                act = td.algorithm(moved)
-                checked += 1
-                if act.color != base.color or frame.inverse_apply(act.dest) != base.dest:
-                    rep.violate(t, f"output not equivariant at robot on {p}")
+            checked += len(frames)
+            for _ in check_equivariance(td.algorithm, snap, frames).violations:
+                rep.violate(t, f"output not equivariant at robot on {p}")
     rep.extras["checked"] = checked
     rep.extras["skipped_tie_conventions"] = skipped
     return rep
@@ -713,27 +714,20 @@ def check_cycle_snapshot(trace):
         end = starts[ci + 1] if ci + 1 < len(starts) else (seg[-1] + 1)
         snaps = []
         for rid in range(td.n):
-            looks = td.looks[rid]
             for (tc, _, _, ex) in td.computes[rid]:
-                if not ex:
-                    continue
-                i = bisect_left(looks, tc) - 1
-                if i < 0:
-                    continue
-                tl = looks[i]
-                if start <= tl < end and tl in seg_set:
-                    snap_entries = td.visible_entries(tl)
-                    cls = frozenset(phase_of(c) for _, c in snap_entries)
-                    if cls != frozenset("S"):
+                tl = td.last_look(rid, tc) if ex else None
+                if tl is not None and start <= tl < end and tl in seg_set:
+                    seen = td.replayed(tl)
+                    if frozenset(phase_of(c) for c in seen.colors_present) != frozenset("S"):
                         rep.violate(
                             tl, f"robot {rid} ran the inner algorithm outside all-S"
                         )
-                    snaps.append((rid, tl, snap_entries))
+                    snaps.append((rid, tl, seen))
         if snaps:
             cycles += 1
             base = snaps[0][2]
-            for rid, tl, ents in snaps[1:]:
-                if ents != base:
+            for rid, tl, seen in snaps[1:]:
+                if seen is not base:
                     rep.violate(
                         tl,
                         f"robot {rid} executed the inner algorithm on a different "

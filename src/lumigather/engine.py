@@ -135,6 +135,10 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _xy(p):
+    return [format_rat(p.x), format_rat(p.y)]
+
+
 class Trace:
     """Ordered JSONL event log plus configuration snapshots."""
 
@@ -152,6 +156,25 @@ class Trace:
             t=t,
             entries=[[format_rat(p.x), format_rat(p.y), c] for p, c in entries],
         )
+
+    def compute(self, t, robot, act):
+        self.log(
+            kind="Compute",
+            t=t,
+            robot=robot,
+            color=act.color,
+            dest=_xy(act.dest),
+            exec=bool(act.inner_exec),
+        )
+
+    def move_begin(self, t, robot, reach):
+        self.log(kind="MoveBegin", t=t, robot=robot, reach=_xy(reach))
+
+    def move_progress(self, t, robot, pos):
+        self.log(kind="MoveProgress", t=t, robot=robot, pos=_xy(pos))
+
+    def move_end(self, t, robot, pos):
+        self.log(kind="MoveEnd", t=t, robot=robot, pos=_xy(pos))
 
     def end(self, t, status):
         self.status = status
@@ -302,32 +325,15 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
         origin = world.positions[i]
         if trace is not None:
             trace.log(kind="Look", t=t, robot=i)
-            trace.log(
-                kind="Compute",
-                t=t,
-                robot=i,
-                color=act.color,
-                dest=[format_rat(act.dest.x), format_rat(act.dest.y)],
-                exec=bool(act.inner_exec),
-            )
+            trace.compute(t, i, act)
         new.lights[i] = act.color
         if act.dest != origin:
             frac = fractions.get(i, Rat(1)) if isinstance(fractions, dict) else Rat(fractions)
             reached = apply_move(origin, act.dest, frac, delta)
             new.positions[i] = reached
             if trace is not None:
-                trace.log(
-                    kind="MoveBegin",
-                    t=t,
-                    robot=i,
-                    reach=[format_rat(reached.x), format_rat(reached.y)],
-                )
-                trace.log(
-                    kind="MoveEnd",
-                    t=t,
-                    robot=i,
-                    pos=[format_rat(reached.x), format_rat(reached.y)],
-                )
+                trace.move_begin(t, i, reached)
+                trace.move_end(t, i, reached)
     return new
 
 
@@ -566,14 +572,7 @@ class AsyncWorld:
             r.light = act.color
             r.light_t = self.t
             r.snapshot = None
-            self.trace.log(
-                kind="Compute",
-                t=self.t,
-                robot=rid,
-                color=act.color,
-                dest=[format_rat(act.dest.x), format_rat(act.dest.y)],
-                exec=bool(act.inner_exec),
-            )
+            self.trace.compute(self.t, rid, act)
             if act.dest == r.pos:
                 r.phase = IDLE  # zero-distance cycle: Move omitted
                 r.action = None
@@ -584,24 +583,14 @@ class AsyncWorld:
             reached = apply_move(r.pos, r.action.dest, frac, self.delta)
             r.move = _MoveRec(self.t, r.pos, reached)
             r.phase = MOVING
-            self.trace.log(
-                kind="MoveBegin",
-                t=self.t,
-                robot=rid,
-                reach=[format_rat(reached.x), format_rat(reached.y)],
-            )
+            self.trace.move_begin(self.t, rid, reached)
         else:  # move_end
             m = r.move
             m.t_e = self.t
             r.pos = m.reach
             r.phase = IDLE
             r.action = None
-            self.trace.log(
-                kind="MoveEnd",
-                t=self.t,
-                robot=rid,
-                pos=[format_rat(m.reach.x), format_rat(m.reach.y)],
-            )
+            self.trace.move_end(self.t, rid, m.reach)
         for i, other in enumerate(self.robots):
             if i == rid:
                 other.starve = 0
@@ -625,12 +614,7 @@ class AsyncWorld:
                     m.origin.y + mu * (m.reach.y - m.origin.y),
                 )
                 m.progress[t] = p
-                self.trace.log(
-                    kind="MoveProgress",
-                    t=t,
-                    robot=i,
-                    pos=[format_rat(p.x), format_rat(p.y)],
-                )
+                self.trace.move_progress(t, i, p)
             if self.legal_actions(i):
                 r.starve += 1
         self.trace.config_line(t, self.visible_config().entries)

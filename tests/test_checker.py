@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from lumigather.checker import (
     TraceData,
     check_cycle_snapshot,
     check_equivariance,
+    check_equivariance_trace,
     check_gathered,
     check_monotone,
     check_onlds_switch,
@@ -22,6 +25,8 @@ from lumigather.geometry import Point, pt
 from lumigather.rational import Rat
 
 from conftest import make_snap
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scen(robots, **kw):
@@ -60,15 +65,70 @@ def robot(x, y, color):
     return {"x": f"{x}/1", "y": f"{y}/1", "color": color}
 
 
-def cfg_line(t, entries):
-    def fmt(v):
-        return v if isinstance(v, str) else f"{v}/1"
+def fmt(v):
+    return v if isinstance(v, str) else f"{v}/1"
 
+
+def cfg_line(t, entries):
     return {
         "kind": "Config",
         "t": t,
         "entries": [[fmt(x), fmt(y), c] for x, y, c in entries],
     }
+
+
+def one_move(scheduler, reach, progress=None, compute=True):
+    """lu-gather-async trace: robot 0 computes (2, 0) and moves to ``reach``.
+
+    Robot 1 stays at (4, 0).  Under ``async`` the robot looks at t=0,
+    computes at t=1 and moves from t=2 to t=3 through ``progress``; under a
+    round-based scheduler it does all of it in the round at t=0.  Config
+    lines follow the events, so only the move itself can be at fault.
+    """
+    light = "M" if compute else "S"
+    reach_xy = [fmt(v) for v in reach]
+
+    def config(t, xy):
+        return cfg_line(t, [(xy[0], xy[1], light), (4, 0, "S")])
+
+    def event(kind, t, **kw):
+        return {"kind": kind, "t": t, "robot": 0, **kw}
+
+    comp = [event("Compute", 1, color="M", dest=["2/1", "0/1"], exec=False)]
+    if scheduler == "async":
+        lines = [
+            cfg_line(0, [(0, 0, "S"), (4, 0, "S")]),
+            event("Look", 0),
+            cfg_line(1, [(0, 0, "S"), (4, 0, "S")]),
+            *(comp if compute else []),
+            config(2, (0, 0)),
+            event("MoveBegin", 2, reach=reach_xy),
+            event("MoveProgress", 3, pos=[fmt(v) for v in progress]),
+            config(3, progress),
+            event("MoveEnd", 3, pos=reach_xy),
+            config(4, reach),
+            {"kind": "End", "t": 4, "status": "budget"},
+        ]
+    else:
+        comp[0]["t"] = 0
+        lines = [
+            cfg_line(0, [(0, 0, "S"), (4, 0, "S")]),
+            {"kind": "RoundStart", "t": 0, "activated": [0]},
+            event("Look", 0),
+            *(comp if compute else []),
+            event("MoveBegin", 0, reach=reach_xy),
+            event("MoveEnd", 0, pos=reach_xy),
+            config(1, reach),
+            {"kind": "End", "t": 1, "status": "budget"},
+        ]
+    return synthetic(
+        {
+            "algorithm": "lu-gather-async",
+            "scheduler": scheduler,
+            "robots": [robot(0, 0, "S"), robot(4, 0, "S")],
+        },
+        lines,
+    )
 
 
 class TestHappyPaths:
@@ -302,6 +362,33 @@ class TestNegativeControls:
         assert not validate_trace(bad).passed
 
 
+    @pytest.mark.parametrize("scheduler", ["async", "ssync"])
+    @pytest.mark.parametrize(
+        "reach,progress,compute,message",
+        [
+            ((2, 1), (1, "1/2"), True, "reach off the segment"),
+            (("1/2", 0), ("1/4", 0), True, "shorter than min(delta, full distance)"),
+            ((2, 0), (1, 0), False, "move without Compute"),
+        ],
+        ids=["off-segment", "short-of-delta", "no-compute"],
+    )
+    def test_replay_flags_forged_move(self, scheduler, reach, progress, compute, message):
+        assert validate_trace(one_move(scheduler, (2, 0), (1, 0))).passed
+        rep = validate_trace(one_move(scheduler, reach, progress, compute))
+        assert not rep.passed
+        assert any(message in v["detail"] for v in rep.violations), rep.violations
+
+    def test_replay_requires_a_config_line_at_every_instant(self):
+        tr = run(Scenario.load(SCENARIOS / "square.json"))
+        assert validate_trace(tr).passed and tr.end_time > 77
+        bad = Trace.parse(tr.dumps())
+        bad.lines = [l for l in bad.lines if not (l["kind"] == "Config" and l["t"] == 77)]
+        rep = validate_trace(bad)
+        assert not rep.passed
+        assert rep.violations == [
+            {"t": 78, "detail": "Config line at t=78 where t=77 was expected"}
+        ]
+
     @pytest.mark.parametrize("damage", ["truncated", "event-after-end", "end-time", "end-status"])
     def test_replay_checks_end_line(self, damage):
         tr = run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
@@ -318,6 +405,26 @@ class TestNegativeControls:
             end["status"] = "fixpoint"
         rep = validate_trace(bad)
         assert not rep.passed and len(rep.violations) == 1
+
+
+@pytest.mark.parametrize("scheduler", ["fsync", "ssync", "ssync-unfair"])
+@pytest.mark.parametrize("policy", ["ssync-stingy", "rigid"])
+@pytest.mark.parametrize(
+    "algorithm,robots",
+    [
+        ("elect-one-lds", [((0, 0), "O"), ((9, 0), "O"), ((7, 5), "O"), ((3, 1), "O")]),
+        ("lu-gather", [((0, 0), "A"), ((2, 0), "A"), ((7, 0), "A"), ((9, 0), "A")]),
+    ],
+)
+def test_replay_and_monotone_pass_on_round_runs(scheduler, policy, algorithm, robots):
+    tr = run(
+        scen(robots, scheduler=scheduler, algorithm=algorithm, policy=policy,
+             delta=Rat(1, 2), seed=3)
+    )
+    assert tr.status in ("gathered", "fixpoint")
+    assert validate_trace(tr).passed
+    rep = CHECKS["monotone"](tr)
+    assert rep.passed and rep.extras["effective_rounds"] > 0
 
 
 class TestSharedTraceData:
@@ -386,6 +493,11 @@ class TestMalformedTraceData:
         with pytest.raises(ValueError, match="Header"):
             TraceData(self._lines()[1:])
 
+    def test_no_robots(self):
+        lines = [dict(self._lines()[0], n=0, robots=[]), {"kind": "End", "t": 0, "status": "budget"}]
+        with pytest.raises(ValueError, match="at least one robot"):
+            TraceData(lines)
+
     @pytest.mark.parametrize("kind,rid", [("MoveEnd", 9), ("Look", -1), ("Compute", "0")])
     def test_robot_id_out_of_range(self, kind, rid):
         lines = [dict(l) for l in self._lines()]
@@ -394,13 +506,17 @@ class TestMalformedTraceData:
         with pytest.raises(ValueError, match="robot id"):
             TraceData(lines)
 
-    @pytest.mark.parametrize("damage", ["config-without-t", "robot-without-x", "non-object-line"])
+    @pytest.mark.parametrize(
+        "damage", ["config-without-t", "robot-without-x", "non-object-line", "no-progress"]
+    )
     def test_malformed_line(self, damage):
         lines = [copy.deepcopy(l) for l in self._lines()]
         if damage == "config-without-t":
             del next(l for l in lines if l["kind"] == "Config")["t"]
         elif damage == "robot-without-x":
             del lines[0]["robots"][1]["x"]
+        elif damage == "no-progress":
+            lines.remove(next(l for l in lines if l["kind"] == "MoveProgress"))
         else:
             lines.insert(3, [1, 2])
         with pytest.raises(ValueError):
@@ -496,6 +612,22 @@ class TestEquivariance:
         frame = Frame.from_triple(3, 4, 5, scale=Rat(7, 3), tx=Rat(5, 2), ty=-3)
         rep = check_equivariance("elect-one-lds", snap, [frame])
         assert rep.passed
+
+    def test_trace_check_flags_a_non_equivariant_algorithm(self):
+        td = TraceData(run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8)))
+        honest = check_equivariance_trace(td)
+        assert honest.passed and honest.extras["checked"] > 0
+        spec = td.algorithm
+
+        def skewed(snap):  # a fixed global offset does not commute with rotations
+            act = spec(snap)
+            return dataclasses.replace(act, dest=Point(act.dest.x + 1, act.dest.y))
+
+        td.algorithm = skewed
+        rep = check_equivariance_trace(td)
+        assert rep.extras == honest.extras
+        assert len(rep.violations) == honest.extras["checked"]
+        assert rep.violations[0]["detail"].startswith("output not equivariant at robot on ")
 
     def test_orientation_reversing_frame_rejected(self):
         with pytest.raises(ValueError):

@@ -191,13 +191,17 @@ class TestCheck:
         assert main(["check", "--trace", bad]) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["config-without-t", "robot-without-x", "non-object-line"])
+    @pytest.mark.parametrize(
+        "damage", ["config-without-t", "robot-without-x", "non-object-line", "no-progress"]
+    )
     def test_malformed_line_exits_2(self, tmp_path, capsys, damage):
         lines = self._square_trace_lines(tmp_path, capsys)
         if damage == "config-without-t":
             del next(l for l in lines if l["kind"] == "Config")["t"]
         elif damage == "robot-without-x":
             del lines[0]["robots"][1]["x"]
+        elif damage == "no-progress":
+            lines.remove(next(l for l in lines if l["kind"] == "MoveProgress"))
         else:
             lines.insert(3, [1, 2])
         bad = self._write(tmp_path / "bad.jsonl", lines)
@@ -225,6 +229,15 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.count(message) == 2
+
+    def test_no_robots_exits_2(self, tmp_path, capsys):
+        header = dict(self._square_trace_lines(tmp_path, capsys)[0], n=0, robots=[])
+        bad = self._write(tmp_path / "bad.jsonl", [header, {"kind": "End", "t": 0, "status": "budget"}])
+        assert main(["check", "--trace", bad]) == 2
+        assert main(["plot", "--trace", bad, "--out", str(tmp_path / "p.svg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count("at least one robot") == 2
 
     def test_trace_without_config_lines(self, tmp_path, capsys):
         lines = self._square_trace_lines(tmp_path, capsys)
