@@ -182,6 +182,8 @@ class TraceData:
             if ln["t"] > last_time:
                 last_time = ln["t"]
             if kind == "Config":
+                if ln["t"] in self.configs:
+                    raise ValueError(f"trace line {i + 1}: a second Config line for t={ln['t']}")
                 self.configs[ln["t"]] = self._config_entries(ln["entries"], i)
             elif kind == "End":
                 if self.lines_after_end is None:
@@ -192,10 +194,8 @@ class TraceData:
                 for rid in _require_type(ln["activated"], list, f"trace line {i + 1} activated"):
                     self._check_robot(rid, ln)
                 self.rounds[ln["t"]] = ln["activated"]
-                self.events.append(ln)
-            else:
-                if kind in _ROBOT_EVENTS:
-                    self._check_robot(ln.get("robot"), ln)
+            elif kind in _ROBOT_EVENTS:
+                self._check_robot(ln["robot"], ln)
                 if kind == "Compute" and type(ln["color"]) is not str:
                     _require_type(ln["color"], str, f"trace line {i + 1} color")
                 self.events.append(ln)
@@ -249,8 +249,6 @@ class TraceData:
         pos = [p for p, _ in self.initial]
         for ev in self.events:
             kind = ev["kind"]
-            if kind not in _ROBOT_EVENTS:
-                continue
             rid = ev["robot"]
             t = ev["t"]
             if kind == "Look":
@@ -369,16 +367,12 @@ def validate_trace(trace):
     """Replay the event log and flag any divergence from the Config lines.
 
     Round-based and asynchronous traces replay alike, a round being one
-    instant.  There must be one Config line per instant from 0 to the End
-    line, equal to the replayed configuration; every Compute must equal the
-    algorithm's output on the snapshot of the robot's latest Look; every move
-    must reach a point on the segment to its Compute's destination, at least
-    min(delta, full distance) away, and end there.  Asynchronous traces must
-    also keep each robot's phase order and the timing rules (a Compute is
-    invisible at its own instant, movers advance strictly and are seen at the
-    destination only after the move ends).  One End line closes the trace at
-    the last Config time with a status that agrees with the final
-    configuration.
+    instant: one Config line per instant from 0 to End, each equal to the
+    replayed configuration; every Compute equal to the algorithm's output on
+    its Look's snapshot; every move true to its Compute.  The phase rules
+    differ: a round holds a robot's whole cycle, while an asynchronous robot
+    keeps its phase order and the timing rules.  One End line closes the
+    trace with a status that agrees with the final configuration.
     """
     td = TraceData.of(trace)
     rep = Report("replay")
@@ -392,6 +386,8 @@ def validate_trace(trace):
     for rid in range(td.n):
         if td.scheduler == "async":
             _validate_timing(td, rid, rep)
+        else:
+            _validate_round_phases(td, rid, rep)
         _validate_computes(td, rid, rep)
         _validate_moves(td, rid, rep)
     _validate_end(td, rep)
@@ -414,18 +410,37 @@ def _validate_end(td, rep):
             rep.violate(t, f"End status {td.status} disagrees with the final configuration")
 
 
-def _validate_timing(td, rid, rep):
-    """Phase order, strict event order, move spans and progress points."""
-    events = []
-    for tl in td.looks[rid]:
-        events.append((tl, 0, "L"))
-    for (tc, _, _, _) in td.computes[rid]:
-        events.append((tc, 1, "C"))
+def _phase_events(td, rid):
+    """The robot's Look, Compute, MoveBegin and MoveEnd as sorted (t, order, kind)."""
+    events = [(tl, 0, "L") for tl in td.looks[rid]] + [(c[0], 1, "C") for c in td.computes[rid]]
     for m in td.moves[rid]:
         events.append((m.t_b, 2, "B"))
         if m.t_e is not None:
             events.append((m.t_e, 3, "E"))
     events.sort()
+    return events
+
+
+def _validate_round_phases(td, rid, rep):
+    """A round that activates the robot holds its Look, its Compute and, if it
+    moves, MoveBegin and MoveEnd; any other round holds none of its events."""
+    acted = {t for t, ids in td.rounds.items() if rid in ids}
+    by_t = dict.fromkeys(acted, "")
+    for t, _, k in _phase_events(td, rid):
+        by_t[t] = by_t.get(t, "") + k
+    for m in td.moves[rid]:
+        for t in m.progress:
+            by_t[t] = by_t.get(t, "") + "P"
+    for t in sorted(by_t):
+        if t not in acted:
+            rep.violate(t, f"robot {rid}: events in a round that does not activate it")
+        elif by_t[t] not in ("LC", "LCBE"):
+            rep.violate(t, f"robot {rid}: round events {by_t[t] or 'none'} are not Look, Compute and move")
+
+
+def _validate_timing(td, rid, rep):
+    """Phase order, strict event order, move spans and progress points."""
+    events = _phase_events(td, rid)
     seq = "".join(k for _, _, k in events)
     if not _PHASE_RE.fullmatch(seq):
         rep.violate(None, f"robot {rid}: phase order broken: {seq}")
@@ -466,17 +481,23 @@ def _validate_computes(td, rid, rep):
 
 
 def _validate_moves(td, rid, rep):
-    """Each move follows its own Compute: on its segment, long enough, ended at reach."""
+    """Each move follows its Compute: on its segment, long enough, ended at reach.
+
+    The phase checks make the latest Compute at or before MoveBegin the
+    move's own one.  A Compute that sends the robot elsewhere must get its
+    move, unless it is an asynchronous robot's last event before the trace
+    stops.
+    """
     dd = td.delta * td.delta
-    paired = None
+    cs = td.computes[rid]
+    moved = set()
     for m in td.moves[rid]:
-        # the latest Compute at or before MoveBegin, which no earlier move used
         ci = bisect_right(td._comp_times[rid], m.t_b) - 1
-        if ci < 0 or ci == paired:
+        if ci < 0:
             rep.violate(m.t_b, f"robot {rid}: move without Compute")
             continue
-        paired = ci
-        dest = td.computes[rid][ci][2]
+        moved.add(ci)
+        dest = cs[ci][2]
         granted = dist_sq(m.origin, m.reach)
         if granted == 0:
             rep.violate(m.t_b, f"robot {rid}: zero-distance move not omitted")
@@ -486,6 +507,12 @@ def _validate_moves(td, rid, rep):
             rep.violate(m.t_b, f"robot {rid}: move shorter than min(delta, full distance)")
         if m.t_e is not None and m.end_pos != m.reach:
             rep.violate(m.t_e, f"robot {rid}: end position differs from reach")
+    looks = td.looks[rid]
+    for ci, (tc, _, dest, _) in enumerate(cs):
+        if ci in moved or dest == td.visible_pos(rid, tc):
+            continue
+        if td.scheduler != "async" or (looks and looks[-1] > tc):
+            rep.violate(tc, f"robot {rid}: Compute's move left out")
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +567,10 @@ def check_monotone(trace, which=None):
             break
         cfg = td.config_at(t)
         nxt = td.config_at(t + 1)
-        if any(_enabled(td, cfg, rid, t) for rid in td.rounds[t]):
+        if any(
+            _acts(td.algorithm, cfg, td.visible_pos(r, t), td.visible_color(r, t))
+            for r in td.rounds[t]
+        ):
             rounds += 1
             before = potential(cfg)
             after = potential(nxt)
@@ -564,10 +594,9 @@ def check_monotone(trace, which=None):
     return rep
 
 
-def _enabled(td, cfg, rid, t):
-    """Whether activating robot ``rid`` on ``cfg`` at instant t would change its color or position."""
-    pos, light = td.visible_pos(rid, t), td.visible_color(rid, t)
-    act = td.algorithm(Snapshot(cfg, pos, light))
+def _acts(algorithm, cfg, pos, light):
+    """Whether the robot at ``pos`` with ``light`` on ``cfg`` would change its color or position."""
+    act = algorithm(Snapshot(cfg, pos, light))
     return act.color != light or act.dest != pos
 
 
@@ -690,10 +719,7 @@ def check_cycle_snapshot(trace):
     if not seg:
         rep.extras["cycles"] = 0
         return rep
-    classes = {}
-    for t in seg:
-        cfg = td.config_at(t)
-        classes[t] = frozenset(phase_of(c) for c in cfg.colors_present)
+    classes = {t: frozenset(phase_of(c) for c in td.config_at(t).colors_present) for t in seg}
     prev = None
     for t in seg:
         cls = classes[t]
@@ -879,13 +905,9 @@ def check_gathered(trace):
             t_g = None
     final_t = td.config_times[-1]
     final = td.config_at(final_t)
-    stable = True
-    for p, c in final.entries:
-        act = td.algorithm(Snapshot(final, p, c))
-        if act.color != c or act.dest != p:
-            stable = False
-            rep.violate(final_t, "a robot is still enabled in the final configuration")
-            break
+    stable = not any(_acts(td.algorithm, final, p, c) for p, c in final.entries)
+    if not stable:
+        rep.violate(final_t, "a robot is still enabled in the final configuration")
     gathered = t_g is not None and stable and rep.passed
     rep.extras["gathered"] = gathered
     rep.extras["time"] = t_g if gathered else None

@@ -154,7 +154,7 @@ class Trace:
         self.log(
             kind="Config",
             t=t,
-            entries=[[format_rat(p.x), format_rat(p.y), c] for p, c in entries],
+            entries=[[*_xy(p), c] for p, c in entries],
         )
 
     def compute(self, t, robot, act):

@@ -43,9 +43,6 @@ class SqrtSum:
             hi += b
         return lo, hi
 
-    def is_zero(self):
-        return not self.radicands and self.exact == 0
-
     def __repr__(self):
         return f"SqrtSum({self.exact}+sqrt{list(self.radicands)})"
 

@@ -378,6 +378,67 @@ class TestNegativeControls:
         assert not rep.passed
         assert any(message in v["detail"] for v in rep.violations), rep.violations
 
+    @pytest.mark.parametrize(
+        "scheduler,events,message",
+        [
+            # round 0 computes (2, 0) but does not move; round 1 moves there
+            # with no Look or Compute of its own
+            ("ssync",
+             [(0, "Look", {}), (0, "Compute", {}),
+              (1, "MoveBegin", {"reach": ["2/1", "0/1"]}),
+              (1, "MoveEnd", {"pos": ["2/1", "0/1"]})],
+             "round events BE"),
+            # round 1 repeats round 0's Compute on round 0's stale Look
+            ("ssync",
+             [(0, "Look", {}), (0, "Compute", {}),
+              (0, "MoveBegin", {"reach": ["2/1", "0/1"]}),
+              (0, "MoveEnd", {"pos": ["2/1", "0/1"]}),
+              (1, "Compute", {})],
+             "round events C "),
+            ("ssync", [(0, "Look", {}), (0, "Compute", {})], "Compute's move left out"),
+            ("async", [(0, "Look", {}), (1, "Compute", {}), (2, "Look", {})],
+             "Compute's move left out"),
+        ],
+        ids=["stale-compute", "look-less-compute", "round-move-left-out", "async-move-left-out"],
+    )
+    def test_replay_flags_unpaired_phases(self, scheduler, events, message):
+        lines = [cfg_line(0, [(0, 0, "S"), (4, 0, "S")])]
+        pos = (0, 0)
+        last = events[-1][0] + 1
+        for t in range(last):
+            if scheduler != "async":
+                lines.append({"kind": "RoundStart", "t": t, "activated": [0]})
+            for te, kind, kw in events:
+                if te != t:
+                    continue
+                if kind == "Compute":
+                    kw = {"color": "M", "dest": ["2/1", "0/1"], "exec": False}
+                if kind == "MoveEnd":
+                    pos = (2, 0)
+                lines.append({"kind": kind, "t": t, "robot": 0, **kw})
+            lines.append(cfg_line(t + 1, [(*pos, "M"), (4, 0, "S")]))
+        lines.append({"kind": "End", "t": last, "status": "budget"})
+        tr = synthetic(
+            {
+                "algorithm": "lu-gather-async",
+                "scheduler": scheduler,
+                "robots": [robot(0, 0, "S"), robot(4, 0, "S")],
+            },
+            lines,
+        )
+        rep = validate_trace(tr)
+        assert not rep.passed
+        assert any(message in v["detail"] for v in rep.violations), rep.violations
+
+    def test_replay_flags_a_round_that_activates_another_robot(self):
+        tr = one_move("ssync", (2, 0), (1, 0))
+        next(l for l in tr.lines if l["kind"] == "RoundStart")["activated"] = [1]
+        details = [v["detail"] for v in validate_trace(tr).violations]
+        assert details == [
+            "robot 0: events in a round that does not activate it",
+            "robot 1: round events none are not Look, Compute and move",
+        ]
+
     def test_replay_requires_a_config_line_at_every_instant(self):
         tr = run(Scenario.load(SCENARIOS / "square.json"))
         assert validate_trace(tr).passed and tr.end_time > 77
@@ -507,7 +568,8 @@ class TestMalformedTraceData:
             TraceData(lines)
 
     @pytest.mark.parametrize(
-        "damage", ["config-without-t", "robot-without-x", "non-object-line", "no-progress"]
+        "damage",
+        ["config-without-t", "robot-without-x", "non-object-line", "no-progress", "second-config"],
     )
     def test_malformed_line(self, damage):
         lines = [copy.deepcopy(l) for l in self._lines()]
@@ -517,6 +579,10 @@ class TestMalformedTraceData:
             del lines[0]["robots"][1]["x"]
         elif damage == "no-progress":
             lines.remove(next(l for l in lines if l["kind"] == "MoveProgress"))
+        elif damage == "second-config":
+            i = next(k for k, l in enumerate(lines) if l["kind"] == "Config" and l["t"] == 5)
+            lines.insert(i, copy.deepcopy(lines[i]))
+            lines[i]["entries"][0][0] = "99/1"
         else:
             lines.insert(3, [1, 2])
         with pytest.raises(ValueError):
