@@ -15,14 +15,8 @@ from .geometry import (
     hull_center,
     midpoint,
     nearest_vertex,
-    on_segment,
+    on_hull_boundary,
 )
-
-
-def _on_boundary(p, hull):
-    verts = hull.vertices
-    k = len(verts)
-    return any(on_segment(p, verts[i], verts[(i + 1) % k]) for i in range(k))
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +74,7 @@ def elect_one_lds(snap):
         # only robots strictly inside move here; a robot already on the
         # boundary walking to its nearest vertex could travel CCW-backward
         # past the perimeter-walk start and break the descent argument
-        if not _on_boundary(me, hull):
+        if not on_hull_boundary(me, hull.vertices):
             return Action(light, nearest_vertex(me, hull))
         return stay
     if cls is Classification.SYM_CONTRACTIBLE:

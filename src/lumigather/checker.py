@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .algorithms import get_algorithm, phase_of
 from .configuration import ConfigInterner, Frame, Snapshot, canonical
 from .engine import Trace, apply_move
-from .geometry import Point, cross, dist_sq, hull_center, midpoint, on_segment
+from .geometry import Point, dist_sq, hull_center, midpoint, on_segment, orientation
 from .patterns import PendingAnnotation
 from .potentials import (
     Cmp,
@@ -804,7 +804,7 @@ def check_onlds_switch(trace):
     def on_line(q):
         if len(distinct) < 2:
             return True
-        return cross(distinct[0], distinct[1], q) == 0
+        return orientation(distinct[0], distinct[1], q) == 0
 
     states = []
     for rid in range(td.n):

@@ -1,8 +1,16 @@
 """Exact rational planar geometry.
 
 All predicates here (collinearity, hull membership, symmetry, nearest-vertex
-selection) are decided by integer arithmetic on cross products and squared
-distances.  There is no tolerance parameter anywhere in this module.
+selection) are decided exactly, on orientations and squared distances.
+There is no tolerance parameter anywhere in this module.
+
+Kernel invariant: ``orientation``, ``on_segment`` and ``dist_sq`` read each
+coordinate as its integer ``numerator`` and ``denominator``, and both
+backends keep every denominator positive.  A coordinate difference is then an
+unreduced integer pair ``(N, D)`` with ``D > 0``, and comparing two such
+quotients cross-multiplies by positive integers, so the sign of
+``N1 * D2 - N2 * D1`` is the sign of ``N1 / D1 - N2 / D2`` exactly.  No
+rational is built until ``dist_sq`` normalises its result once.
 """
 
 from dataclasses import dataclass
@@ -73,9 +81,6 @@ class Point:
     def __sub__(self, other):
         return Point(self.x - other.x, self.y - other.y)
 
-    def scaled(self, k):
-        return Point(self.x * k, self.y * k)
-
     def __repr__(self):
         return f"({self.x},{self.y})"
 
@@ -98,19 +103,41 @@ def pt(x, y=None):
     return Point(r(x), r(y))
 
 
-def cross(o, a, b):
-    """Twice the signed area of triangle o-a-b; >0 means b left of o->a."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _diff(a, b):
+    """``a - b`` as an unreduced integer pair ``(N, D)`` with ``D > 0``."""
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    if ad == bd:
+        return an - bn, ad
+    return an * bd - bn * ad, ad * bd
 
 
-def dot(o, a, b):
-    return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
+def orientation(o, a, b):
+    """1 when b lies left of the ray o -> a, -1 when right of it, 0 when collinear.
+
+    This is the sign of the cross product ``(a - o) x (b - o)``, decided on
+    integers.
+    """
+    n1, d1 = _diff(a.x, o.x)
+    n2, d2 = _diff(b.y, o.y)
+    n3, d3 = _diff(a.y, o.y)
+    n4, d4 = _diff(b.x, o.x)
+    left, dl = n1 * n2, d1 * d2
+    right, dr = n3 * n4, d3 * d4
+    if dl != dr:
+        left, right = left * dr, right * dl
+    return (left > right) - (left < right)
 
 
 def dist_sq(a, b):
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
+    """Exact squared distance, normalised once from integers."""
+    nx, dx = _diff(a.x, b.x)
+    ny, dy = _diff(a.y, b.y)
+    if dx == dy:
+        return Rat(nx * nx + ny * ny, dx * dx)
+    nx, ny = nx * dy, ny * dx
+    d = dx * dy
+    return Rat(nx * nx + ny * ny, d * d)
 
 
 def midpoint(a, b):
@@ -118,12 +145,21 @@ def midpoint(a, b):
     return Point((a.x + b.x) * half, (a.y + b.y) * half)
 
 
+def _between(v, a, b):
+    """``v`` lies in the closed interval spanned by ``a`` and ``b``.
+
+    The denominators of both differences are positive, so their numerators
+    carry their signs.
+    """
+    return _diff(v, a)[0] * _diff(v, b)[0] <= 0
+
+
 def on_segment(p, a, b):
-    """True when p lies on the closed segment ab."""
-    if cross(a, b, p) != 0:
-        return False
-    d = dot(a, p, b)
-    return 0 <= d <= dist_sq(a, b)
+    """True when p lies on the closed segment ab (only ``a`` itself when a == b).
+
+    p is collinear with a and b and inside the segment's bounding box.
+    """
+    return orientation(a, b, p) == 0 and _between(p.x, a.x, b.x) and _between(p.y, a.y, b.y)
 
 
 class Classification(Enum):
@@ -171,7 +207,7 @@ def convex_hull(points):
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and orientation(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -193,12 +229,13 @@ def convex_hull(points):
         ok = all(p in vert_set or p == center for p in pts)
         cls = Classification.SYM_CONTRACTIBLE if ok else Classification.SYM_NONCONTRACTIBLE
     else:
-        ok = all(_on_hull_boundary(p, verts) for p in pts)
+        ok = all(on_hull_boundary(p, verts) for p in pts)
         cls = Classification.ASYM_CONTRACTIBLE if ok else Classification.ASYM_NONCONTRACTIBLE
     return HullView(verts, edges, cls)
 
 
-def _on_hull_boundary(p, verts):
+def on_hull_boundary(p, verts):
+    """True when p lies on an edge of the vertex ring ``verts``."""
     k = len(verts)
     return any(on_segment(p, verts[i], verts[(i + 1) % k]) for i in range(k))
 
@@ -243,7 +280,7 @@ def is_on_lds(points):
     if len(pts) <= 2:
         return True
     a, b = pts[0], pts[1]
-    return all(cross(a, b, p) == 0 for p in pts[2:])
+    return all(orientation(a, b, p) == 0 for p in pts[2:])
 
 
 def hull_area_twice(verts):

@@ -378,6 +378,53 @@ class TestNegativeControls:
         assert not rep.passed
         assert any(message in v["detail"] for v in rep.violations), rep.violations
 
+    @pytest.mark.parametrize("scheduler", ["async", "ssync"])
+    def test_replay_flags_a_move_after_a_stay_compute(self, scheduler):
+        # two gathered robots: robot 1 computes "stay", then moves to (3, 0)
+        def event(kind, t, **kw):
+            return {"kind": kind, "t": t, "robot": 1, **kw}
+
+        here = cfg_line(0, [(0, 0, "S"), (0, 0, "S")])
+        stay = event("Compute", 0, color="S", dest=["0/1", "0/1"], exec=False)
+        reach = ["3/1", "0/1"]
+        if scheduler == "async":
+            stay["t"] = 1
+            lines = [
+                here,
+                event("Look", 0),
+                {**here, "t": 1},
+                stay,
+                {**here, "t": 2},
+                event("MoveBegin", 2, reach=reach),
+                event("MoveProgress", 3, pos=["1/1", "0/1"]),
+                cfg_line(3, [(0, 0, "S"), (1, 0, "S")]),
+                event("MoveEnd", 3, pos=reach),
+                cfg_line(4, [(0, 0, "S"), (3, 0, "S")]),
+                {"kind": "End", "t": 4, "status": "budget"},
+            ]
+        else:
+            lines = [
+                here,
+                {"kind": "RoundStart", "t": 0, "activated": [1]},
+                event("Look", 0),
+                stay,
+                event("MoveBegin", 0, reach=reach),
+                event("MoveEnd", 0, pos=reach),
+                cfg_line(1, [(0, 0, "S"), (3, 0, "S")]),
+                {"kind": "End", "t": 1, "status": "budget"},
+            ]
+        tr = synthetic(
+            {
+                "algorithm": "lu-gather-async",
+                "scheduler": scheduler,
+                "robots": [robot(0, 0, "S"), robot(0, 0, "S")],
+            },
+            lines,
+        )
+        assert [v["detail"] for v in validate_trace(tr).violations] == [
+            "robot 1: reach off the segment to the Compute's destination"
+        ]
+
     @pytest.mark.parametrize(
         "scheduler,events,message",
         [

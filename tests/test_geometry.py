@@ -10,7 +10,6 @@ from lumigather.geometry import (
     CollinearSignal,
     Point,
     convex_hull,
-    cross,
     dist_sq,
     hull_area_twice,
     hull_center,
@@ -19,6 +18,8 @@ from lumigather.geometry import (
     is_symmetric,
     min_edge_targets,
     nearest_vertex,
+    on_segment,
+    orientation,
     pt,
 )
 from lumigather.rational import Rat
@@ -163,6 +164,14 @@ class TestOnLds:
         assert not is_on_lds([pt(0, 0), pt(1, 0), pt(0, 1)])
 
 
+class TestOnSegment:
+    def test_degenerate_segment_holds_only_its_endpoint(self):
+        a = pt((1, 3), -2)
+        assert on_segment(a, a, a)
+        for p in (pt(3, 0), pt((1, 3), 0), pt((2, 3), -4), pt((1, 3), (-5, 3))):
+            assert not on_segment(p, a, a)
+
+
 class TestPoint:
     def test_separately_built_equal_points(self):
         a = Point(Rat(1, 3), Rat(-2, 7))
@@ -271,7 +280,7 @@ def test_hull_ccw_positive_area(pts):
     k = len(h.vertices)
     for i in range(k):
         a, b, c = h.vertices[i], h.vertices[(i + 1) % k], h.vertices[(i + 2) % k]
-        assert cross(a, b, c) > 0
+        assert orientation(a, b, c) == 1
 
 
 @given(rat_points(), st.randoms(use_true_random=False))
@@ -336,3 +345,135 @@ def test_point_order_is_exact_coordinate_order(pts):
     exact = sorted(pts, key=lambda p: (p.x, p.y))
     assert sorted(pts, key=Point.order_key) == exact
     assert sorted(pts) == exact
+
+
+# -- integer kernels against the Fraction formulas ---------------------------
+
+
+def ref_cross(o, a, b):
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def ref_dist_sq(a, b):
+    dx, dy = a.x - b.x, a.y - b.y
+    return dx * dx + dy * dy
+
+
+def ref_on_segment(p, a, b):
+    """Collinear, and the projection of p lands between a and b (a != b)."""
+    if ref_cross(a, b, p) != 0:
+        return False
+    d = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
+    return 0 <= d <= ref_dist_sq(a, b)
+
+
+def ref_hull(points):
+    """(vertices, edge lengths, classification) by the Fraction formulas.
+
+    None when every distinct point is collinear.
+    """
+    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ref_cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    ring = chain(pts)[:-1] + chain(reversed(pts))[:-1]
+    if len(ring) < 3:
+        return None
+    start = ring.index(pts[0])
+    ring = tuple(ring[start:] + ring[:start])
+    k = len(ring)
+    edges = tuple(ref_dist_sq(ring[i], ring[(i + 1) % k]) for i in range(k))
+    if all(e == edges[0] for e in edges):
+        center = Point(sum(v.x for v in ring) / k, sum(v.y for v in ring) / k)
+        ok = all(p in ring or p == center for p in pts)
+        cls = Classification.SYM_CONTRACTIBLE if ok else Classification.SYM_NONCONTRACTIBLE
+    else:
+        ok = all(
+            any(ref_on_segment(p, ring[i], ring[(i + 1) % k]) for i in range(k)) for p in pts
+        )
+        cls = Classification.ASYM_CONTRACTIBLE if ok else Classification.ASYM_NONCONTRACTIBLE
+    return ring, edges, cls
+
+
+# small and wide numerators (above 2**64), small, prime and wide denominators
+numerators = st.one_of(st.integers(-40, 40), st.integers(-(2**80), 2**80))
+denominators = st.one_of(st.sampled_from([1, 2, 3, 7, 2**61 - 1]), st.integers(1, 2**70))
+lambdas = st.one_of(
+    st.sampled_from([Rat(-1), Rat(0), Rat(1, 3), Rat(1, 2), Rat(1), Rat(2)]),
+    st.builds(Rat, numerators, denominators),
+)
+
+
+@st.composite
+def wide_points(draw, k):
+    """k points whose coordinates share one denominator or mix several."""
+    shared = draw(st.one_of(st.none(), denominators))
+    cs = [Rat(draw(numerators), shared or draw(denominators)) for _ in range(2 * k)]
+    return [Point(cs[2 * i], cs[2 * i + 1]) for i in range(k)]
+
+
+def along(a, b, lam):
+    return Point(a.x + lam * (b.x - a.x), a.y + lam * (b.y - a.y))
+
+
+@st.composite
+def triples(draw):
+    """(o, a, b); in about half the draws b lies on the line through o and a."""
+    o, a, b = draw(wide_points(3))
+    if draw(st.booleans()):
+        b = along(o, a, draw(lambdas))
+    return o, a, b
+
+
+@st.composite
+def hull_inputs(draw):
+    """Wide points, or a wide square with or without its center.
+
+    Up to three more points lie on lines through two earlier ones.
+    """
+    if draw(st.booleans()):
+        t, u = draw(wide_points(2))
+        s = u.x
+        pts = [t, Point(t.x + s, t.y), Point(t.x + s, t.y + s), Point(t.x, t.y + s)]
+        if draw(st.booleans()):
+            pts.append(Point(t.x + s / 2, t.y + s / 2))
+    else:
+        pts = draw(wide_points(draw(st.integers(1, 6))))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(along(a, b, draw(lambdas)))
+    return draw(st.permutations(pts))
+
+
+@given(triples())
+def test_orientation_is_the_sign_of_the_cross_product(obc):
+    c = ref_cross(*obc)
+    assert orientation(*obc) == (c > 0) - (c < 0)
+
+
+@given(wide_points(2))
+def test_dist_sq_is_exact(ab):
+    assert dist_sq(*ab) == ref_dist_sq(*ab)
+
+
+@given(triples())
+def test_on_segment_matches_the_projection_test(abp):
+    a, b, p = abp
+    assume(a != b)
+    assert on_segment(p, a, b) == ref_on_segment(p, a, b)
+
+
+@given(hull_inputs())
+def test_convex_hull_matches_the_reference_chain(pts):
+    h = convex_hull(pts)
+    ref = ref_hull(pts)
+    if ref is None:
+        assert isinstance(h, CollinearSignal)
+    else:
+        assert (h.vertices, h.edge_lengths_sq, h.classification) == ref
