@@ -27,6 +27,20 @@ _FUZZ_CASES = [
     for n in (4, 6)
 ]
 
+# (case name, algorithm, scheduler, policy, seed): the other asynchronous
+# adversaries and the fair round schedulers, at n=5
+_SCHEDULE_CASES = [
+    *(
+        (f"fuzz-three-color-{policy}-n5", "three-color", "async", policy, 47)
+        for policy in ("round-robin", "stingy", "rigid", "ssync-embedded")
+    ),
+    *(
+        (f"fuzz-{alg}-{sched}-n5", alg, sched, "random", 53)
+        for alg in ("elect-one-lds", "lu-gather")
+        for sched in ("fsync", "ssync")
+    ),
+]
+
 
 def corpus():
     """(case name, Scenario) pairs of the golden corpus."""
@@ -34,6 +48,9 @@ def corpus():
     for alg, n, seed in _FUZZ_CASES:
         sc = random_scenario(random.Random(seed * 100 + n), alg, "async", n, bound=8)
         cases.append((f"fuzz-{alg}-n{n}", sc))
+    for name, alg, sched, policy, seed in _SCHEDULE_CASES:
+        sc = random_scenario(random.Random(seed * 100 + 5), alg, sched, 5, bound=8, policy=policy)
+        cases.append((name, sc))
     return cases
 
 
@@ -117,6 +134,64 @@ GOLDEN = {
         "switch": "56ed7481aae3b69cd991de77d2e2218135c758b73aea99910f29aec500bbfdfc",
         "gather": "7e08c6f2d4e99cf39d01f70f4dd876b9851f8fcfde0a71e677e85e4747fd5274",
         "equivariance": "b8202ac1a748b98ef897d2a9ab48fea382cb65d14158dac6b8beafa68d6d66ff",
+    },
+    "fuzz-three-color-round-robin-n5": {
+        "trace": "a8ad25adb07d8aa1133e0bd1fc400c57d5e2484fb0aa79872ab887911ba07e3e",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "c84d207a4187a5e0e97b0369f24798ece8ea81e18d18f74298b5627623dc57ae",
+        "switch": "1365d1560f5f10410c482324f13943b3eb816d75d3ffa92dfa04d221b256db86",
+        "gather": "87d2c1bcd4b52a08b9e4e11b4e2abb2e51d48ebfc56fd31740db5d71962c1f6a",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-three-color-stingy-n5": {
+        "trace": "b0a880ce3d8ae79c328d8ac55a57956539fc5d8b4e8b4b0ffcbc9260c7e940d9",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "53e26dc05c531ba167ecb82e84ea780c7c3018c4c81ce1aa322215e74495ee19",
+        "switch": "931325c39fe7e0149511119bc56ce9a8cd234287c62e6b7f97dc5df9707e9bc4",
+        "gather": "a9a74ce6bb52c0cc69c2cebe65e7ce489f30e3ec8ac624ae5786e5f1f2403ec2",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-three-color-rigid-n5": {
+        "trace": "58d932b2477db52705509343da0b25cb5d7fbb2a0ad3897748e61d1acc0b6384",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "d1a8bcd13c96f17d250a5b397ac34d21338e7f8f84e1da79593d4f4f10613928",
+        "switch": "7499e8ac7d6b0e81d5c3714b64286cd25c41c7acd53bce70bf0cab0c3be52c9e",
+        "gather": "99f4514746a6cd56187ba02230e3ef2ff0f3e570e4230e24fad04ea0b8d3bd6d",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-three-color-ssync-embedded-n5": {
+        "trace": "f0d7b934cc1bee6a9534fb9e610e76610e34cd78c628e7909ed06bbd48b09878",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "1d2d5e605450c38a0f3b2ac9dd12b329a643d8149fe4231da93a4d9c082e463d",
+        "switch": "232e33ce9b61a56486935431cd6cddc52881ed2b3baf402eb0eb8c0548ad7ea2",
+        "gather": "ed67036b12d18712b2337c327ee460f8662e95f0f7e9de849dcd74060db1a9ce",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-elect-one-lds-fsync-n5": {
+        "trace": "851f9e02ceab339bd5b575b30270ba11d34d4defb24df4c81c03bebede07fab9",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "701b632162bb659cca21271b0f40f79e786933300515b9bd6e73a01a5e944c94",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-elect-one-lds-ssync-n5": {
+        "trace": "6b693ff04283d80354be75d43d45876c088ca39cb2f26543ea36824d27e8585c",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "d36701d17570dc7050b4b331bc34846c1eb802ffc5846fc5e14ed377c08aa6ac",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-lu-gather-fsync-n5": {
+        "trace": "34f61f7cfd42d2d2cb0d34c6cb073e7c77e13a986b7b4ee7b2459a7230acfc20",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "fd9d46ab41daaaf0655fdeee1aa3a94fc7b25becc68c54d31e5d803990d34f8b",
+        "gather": "a114edd9712a015ef7ed10426596faf69300547b3ea106fc6acb9bb159dced89",
+        "equivariance": "623af41ef52d5aaa1e9e28963b6c4e03d4890bdb206894be99f499813925f430",
+    },
+    "fuzz-lu-gather-ssync-n5": {
+        "trace": "1c4e7cf7d2715733548bd09a32e0dbbc1a649f78fd8a64b854db650603a9b4f0",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "d70204e5e79e809b1da163a6cfd3f0c8ac20339ae5c1e68aaa06cdbdad7b09bd",
+        "gather": "b9a9795181875148d5bdb863816abcee724d68b417d855acec2021847c71cff9",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
     },
 }
 
