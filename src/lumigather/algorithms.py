@@ -13,7 +13,6 @@ from .geometry import (
     Classification,
     dist_sq,
     hull_center,
-    midpoint,
     nearest_vertex,
     on_hull_boundary,
 )
@@ -112,7 +111,7 @@ def lu_gather(snap):
     cc = snap.cc
     k = len(cc.stations)
     stay = Action(light, me)
-    mid = midpoint(cc.endpoint_left, cc.endpoint_right)
+    mid = cc.midpoint
     present = snap.colors_present
 
     if present == {"A"}:
@@ -159,7 +158,7 @@ def lu_gather_in_async(snap):
     k = len(stations)
     stay = Action(light, me)
     left, right = cc.endpoint_left, cc.endpoint_right
-    mid = midpoint(left, right)
+    mid = cc.midpoint
     pn, _ = _endpoints_near_far(cc, me)
     present = snap.colors_present
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .algorithms import get_algorithm, phase_of
 from .configuration import ConfigInterner, Frame, Snapshot, canonical
 from .engine import Trace, apply_move
-from .geometry import Point, dist_sq, hull_center, midpoint, on_segment, orientation
+from .geometry import Point, dist_sq, hull_center, on_segment, orientation
 from .patterns import PendingAnnotation
 from .potentials import (
     Cmp,
@@ -320,7 +320,7 @@ class TraceData:
         cfg = self._replayed.get(t)
         if cfg is None:
             cfg = self._replayed[t] = self.cache.get(
-                canonical((self.visible_pos(i, t), self.visible_color(i, t)) for i in range(self.n))
+                tuple((self.visible_pos(i, t), self.visible_color(i, t)) for i in range(self.n))
             )
         return cfg
 
@@ -635,7 +635,7 @@ def snapshot_has_convention_ties(snap):
     cfg = snap.config
     if cfg.on_lds:
         cc = cfg.cc
-        mid = midpoint(cc.endpoint_left, cc.endpoint_right)
+        mid = cc.midpoint
         ends = (cc.endpoint_left, cc.endpoint_right)
         return any(p == mid for p in cfg.points if p not in ends)
     return any(p == hull_center(cfg.hull) for p in cfg.points)

@@ -35,7 +35,11 @@ def canonical(entries):
 
 
 class Configuration:
-    """Canonical multiset of (Point, color) with cached analyses."""
+    """Canonical multiset of (Point, color) with cached analyses.
+
+    ``entries`` must already be a tuple in the canonical order: the caller
+    sorts, through ``canonical`` or ``ConfigInterner.get``.
+    """
 
     __slots__ = (
         "entries",
@@ -50,7 +54,7 @@ class Configuration:
     )
 
     def __init__(self, entries):
-        self.entries = canonical(entries)
+        self.entries = entries
         self._points = None
         self._occupied = None
         self._hull = None
@@ -132,16 +136,21 @@ class Configuration:
 
     def recolor(self, mapper):
         """New Configuration with colors mapped through ``mapper``."""
-        return Configuration(tuple((p, mapper(c)) for p, c in self.entries))
+        return Configuration(canonical((p, mapper(c)) for p, c in self.entries))
 
 
 class ConfigInterner:
-    """One Configuration per distinct canonical entry tuple.
+    """One Configuration per distinct multiset of entries.
 
     Repeated instants then share one object and its cached analyses.  The
     engine, each TraceData and each enumeration keep their own interner: the
     checker re-derives every action and must never see actions the engine
     memoized on a Configuration.
+
+    ``get`` takes an entry tuple in any order; the engine and the checker
+    pass robot order and leave the sorting to it.  Only a tuple it has not
+    seen before is sorted, and the result is recorded under both the sorted
+    and the given tuple.
     """
 
     __slots__ = ("_cache",)
@@ -150,9 +159,14 @@ class ConfigInterner:
         self._cache = {}
 
     def get(self, entries):
-        cfg = self._cache.get(entries)
+        cache = self._cache
+        cfg = cache.get(entries)
         if cfg is None:
-            cfg = self._cache[entries] = Configuration(entries)
+            key = canonical(entries)
+            cfg = cache.get(key)
+            if cfg is None:
+                cfg = cache[key] = Configuration(key)
+            cache[entries] = cfg
         return cfg
 
 
@@ -224,5 +238,5 @@ class Frame:
         return Point(self.cos_r * ux + self.sin_r * uy, -self.sin_r * ux + self.cos_r * uy)
 
     def apply_snapshot(self, snap):
-        cfg = Configuration(tuple((self.apply(p), c) for p, c in snap.config.entries))
+        cfg = Configuration(canonical((self.apply(p), c) for p, c in snap.config.entries))
         return Snapshot(cfg, self.apply(snap.own_pos), snap.own_light)

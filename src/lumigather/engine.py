@@ -6,13 +6,19 @@ color).  A movement begun at t_B and ended at t_E >= t_B + 1 is observed at
 the origin up to t_B, at adversary-chosen strictly advancing interior points
 during [t_B+1, t_E], and at the reached point from t_E + 1.  Within one run
 everything is a deterministic function of (scenario, seed).
+
+A robot performs at most one phase event (Look, Compute, MoveBegin or
+MoveEnd) per instant: each event's timing guard fails at the instant of the
+robot's own previous event and holds at every later one.  So a robot that has
+not acted at the current instant has exactly one legal action, the one its
+phase allows next, and one that has acted has none.
 """
 
 import json
 from dataclasses import dataclass
 
 from .algorithms import get_algorithm
-from .configuration import ConfigInterner, Snapshot, canonical
+from .configuration import ConfigInterner, Snapshot
 from .geometry import Point, dist_sq
 from .rational import Rat, format_rat, min_rat_ge_sqrt, parse_rat
 
@@ -131,16 +137,17 @@ class Scenario:
         return Scenario.from_json(data)
 
 
-def _dump(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _xy(p):
-    return [format_rat(p.x), format_rat(p.y)]
+# one encoder for every line: json.dumps with non-default arguments builds a
+# new one per call
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Trace:
     """Ordered JSONL event log plus configuration snapshots."""
+
+    # Point -> its (x, y) strings; made on first use, so that traces built
+    # with ``Trace.__new__`` (parsed traces, checker copies) can log too
+    _formatted = None
 
     def __init__(self, header):
         self.lines = [dict(header, kind="Header")]
@@ -150,12 +157,21 @@ class Trace:
     def log(self, **kw):
         self.lines.append(kw)
 
+    def _xy(self, p):
+        """``p``'s (x, y) strings, formatted once per trace."""
+        cache = self._formatted
+        if cache is None:
+            cache = self._formatted = {}
+        xy = cache.get(p)
+        if xy is None:
+            xy = cache[p] = (format_rat(p.x), format_rat(p.y))
+        return xy
+
+    # every line gets fresh lists: a caller may edit a logged line in place
+
     def config_line(self, t, entries):
-        self.log(
-            kind="Config",
-            t=t,
-            entries=[[*_xy(p), c] for p, c in entries],
-        )
+        xy = self._xy
+        self.log(kind="Config", t=t, entries=[[*xy(p), c] for p, c in entries])
 
     def compute(self, t, robot, act):
         self.log(
@@ -163,18 +179,18 @@ class Trace:
             t=t,
             robot=robot,
             color=act.color,
-            dest=_xy(act.dest),
+            dest=[*self._xy(act.dest)],
             exec=bool(act.inner_exec),
         )
 
     def move_begin(self, t, robot, reach):
-        self.log(kind="MoveBegin", t=t, robot=robot, reach=_xy(reach))
+        self.log(kind="MoveBegin", t=t, robot=robot, reach=[*self._xy(reach)])
 
     def move_progress(self, t, robot, pos):
-        self.log(kind="MoveProgress", t=t, robot=robot, pos=_xy(pos))
+        self.log(kind="MoveProgress", t=t, robot=robot, pos=[*self._xy(pos)])
 
     def move_end(self, t, robot, pos):
-        self.log(kind="MoveEnd", t=t, robot=robot, pos=_xy(pos))
+        self.log(kind="MoveEnd", t=t, robot=robot, pos=[*self._xy(pos)])
 
     def end(self, t, status):
         self.status = status
@@ -190,6 +206,7 @@ class Trace:
         # the TraceData the checkers stored on this trace
         state = dict(self.__dict__)
         state.pop("_trace_data", None)
+        state.pop("_formatted", None)
         return state
 
     def dumps(self):
@@ -275,22 +292,30 @@ def memo_action(algorithm, cfg, pos, light):
 
 
 class SyncWorld:
-    """Round-based world: per-robot positions and lights, atomic rounds."""
+    """Round-based world: per-robot positions and lights, atomic rounds.
+
+    A round builds a new world, so a world is never changed after it is
+    built and its configuration is computed once.
+    """
 
     def __init__(self, positions, lights, cache=None):
         self.positions = list(positions)
         self.lights = list(lights)
         self.cache = cache or ConfigInterner()
+        self._config = None
 
     @staticmethod
     def from_scenario(scenario):
         return SyncWorld([p for p, _ in scenario.robots], [c for _, c in scenario.robots])
 
     def entries(self):
-        return canonical(zip(self.positions, self.lights))
+        """The (position, light) entries in robot order."""
+        return tuple(zip(self.positions, self.lights))
 
     def config(self):
-        return self.cache.get(self.entries())
+        if self._config is None:
+            self._config = self.cache.get(self.entries())
+        return self._config
 
     def action(self, algorithm, i):
         return memo_action(algorithm, self.config(), self.positions[i], self.lights[i])
@@ -317,7 +342,8 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
     if not activated:
         raise EmptyActivation("a round must activate at least one robot")
     acts = {i: world.action(algorithm, i) for i in activated}
-    new = SyncWorld(world.positions, world.lights, world.cache)
+    positions = list(world.positions)
+    lights = list(world.lights)
     if trace is not None:
         trace.log(kind="RoundStart", t=t, activated=list(activated))
     for i in activated:
@@ -326,15 +352,15 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
         if trace is not None:
             trace.log(kind="Look", t=t, robot=i)
             trace.compute(t, i, act)
-        new.lights[i] = act.color
+        lights[i] = act.color
         if act.dest != origin:
             frac = fractions.get(i, Rat(1)) if isinstance(fractions, dict) else Rat(fractions)
             reached = apply_move(origin, act.dest, frac, delta)
-            new.positions[i] = reached
+            positions[i] = reached
             if trace is not None:
                 trace.move_begin(t, i, reached)
                 trace.move_end(t, i, reached)
-    return new
+    return SyncWorld(positions, lights, world.cache)
 
 
 def _run_sync(scenario, rng):
@@ -346,7 +372,7 @@ def _run_sync(scenario, rng):
     last_act = [0] * n
     ineffective_streak = 0
     t = 0
-    trace.config_line(0, world.entries())
+    trace.config_line(0, world.config().entries)
     while True:
         enab = enabled_ids(world, algorithm)
         if not enab:
@@ -381,7 +407,7 @@ def _run_sync(scenario, rng):
         for i in activated:
             last_act[i] = t
         t += 1
-        trace.config_line(t, world.entries())
+        trace.config_line(t, world.config().entries)
 
 
 _FRACTIONS = (Rat(1), Rat(3, 4), Rat(1, 2), Rat(1, 4))
@@ -406,6 +432,9 @@ def _pick_fraction(policy, rng):
 
 IDLE, OBSERVED, COMPUTED, MOVING = "idle", "observed", "computed", "moving"
 
+# the one event each phase allows next
+NEXT = {IDLE: "look", OBSERVED: "compute", COMPUTED: "move_begin", MOVING: "move_end"}
+
 
 class _MoveRec:
     __slots__ = ("t_b", "t_e", "origin", "reach", "progress", "mu")
@@ -427,7 +456,7 @@ class _Robot:
         "light_t",
         "phase",
         "look_t",
-        "comp_t",
+        "acted_t",
         "snapshot",
         "action",
         "move",
@@ -441,7 +470,7 @@ class _Robot:
         self.light_t = -1
         self.phase = IDLE
         self.look_t = -1
-        self.comp_t = -1
+        self.acted_t = -1  # instant of the robot's latest phase event
         self.snapshot = None
         self.action = None
         self.move = None
@@ -480,7 +509,9 @@ class AsyncWorld:
     # -- visible state ----------------------------------------------------
 
     def _visible_entries(self):
-        return canonical((r.visible_pos(self.t), r.visible_color(self.t)) for r in self.robots)
+        """Visible (position, light) entries in robot order."""
+        t = self.t
+        return tuple((r.visible_pos(t), r.visible_color(t)) for r in self.robots)
 
     def visible_config(self):
         """Configuration every robot observes at the current instant.
@@ -507,28 +538,15 @@ class AsyncWorld:
     # -- legality ----------------------------------------------------------
 
     def legal_actions(self, rid):
+        """The robot's next phase event, or nothing if it acted at this instant."""
         r = self.robots[rid]
-        t = self.t
-        out = []
-        if r.phase == IDLE:
-            if (r.move is None or t >= r.move.t_e + 1) and t > r.comp_t:
-                out.append("look")
-        elif r.phase == OBSERVED:
-            if t > r.look_t:
-                out.append("compute")
-        elif r.phase == COMPUTED:
-            if t > r.comp_t:
-                out.append("move_begin")
-        elif r.phase == MOVING:
-            if t >= r.move.t_b + 1:
-                out.append("move_end")
-        return out
+        return [] if r.acted_t == self.t else [NEXT[r.phase]]
 
     def _fairness_violation(self, serving):
+        t = self.t
+        bound = self.bound
         for i, r in enumerate(self.robots):
-            if i == serving:
-                continue
-            if r.starve >= self.bound and self.legal_actions(i):
+            if r.starve >= bound and r.acted_t != t and i != serving:
                 return i
         return None
 
@@ -552,27 +570,26 @@ class AsyncWorld:
             return
         rid = choice[1]
         r = self.robots[rid]
-        legal = self.legal_actions(rid)
-        if kind not in legal:
+        t = self.t
+        if r.acted_t == t or kind != NEXT[r.phase]:
             raise IllegalChoice(f"{kind} not legal for robot {rid} (phase {r.phase})")
         starved = self._fairness_violation(rid)
         if starved is not None:
             raise IllegalChoice(f"fairness: robot {starved} starved beyond bound")
         if kind == "look":
             r.snapshot = self.observe(rid)
-            r.look_t = self.t
+            r.look_t = t
             r.phase = OBSERVED
-            self.trace.log(kind="Look", t=self.t, robot=rid)
+            self.trace.log(kind="Look", t=t, robot=rid)
         elif kind == "compute":
             snap = r.snapshot
             act = memo_action(self.algorithm, snap.config, snap.own_pos, snap.own_light)
             r.action = act
-            r.comp_t = self.t
             r.prev_light = r.light
             r.light = act.color
-            r.light_t = self.t
+            r.light_t = t
             r.snapshot = None
-            self.trace.compute(self.t, rid, act)
+            self.trace.compute(t, rid, act)
             if act.dest == r.pos:
                 r.phase = IDLE  # zero-distance cycle: Move omitted
                 r.action = None
@@ -581,21 +598,21 @@ class AsyncWorld:
         elif kind == "move_begin":
             frac = choice[2] if len(choice) > 2 else Rat(1)
             reached = apply_move(r.pos, r.action.dest, frac, self.delta)
-            r.move = _MoveRec(self.t, r.pos, reached)
+            r.move = _MoveRec(t, r.pos, reached)
             r.phase = MOVING
-            self.trace.move_begin(self.t, rid, reached)
+            self.trace.move_begin(t, rid, reached)
         else:  # move_end
             m = r.move
-            m.t_e = self.t
+            m.t_e = t
             r.pos = m.reach
             r.phase = IDLE
             r.action = None
-            self.trace.move_end(self.t, rid, m.reach)
-        for i, other in enumerate(self.robots):
-            if i == rid:
-                other.starve = 0
-            elif self.legal_actions(i):
+            self.trace.move_end(t, rid, m.reach)
+        r.acted_t = t
+        for other in self.robots:
+            if other.acted_t != t:
                 other.starve += 1
+        r.starve = 0
 
     def _advance(self, mus):
         self.t += 1
@@ -615,14 +632,14 @@ class AsyncWorld:
                 )
                 m.progress[t] = p
                 self.trace.move_progress(t, i, p)
-            if self.legal_actions(i):
-                r.starve += 1
+            r.starve += 1  # no robot has acted yet at the new instant
         self.trace.config_line(t, self.visible_config().entries)
 
     # -- termination -------------------------------------------------------
 
     def true_entries(self):
-        return canonical((r.pos, r.light) for r in self.robots)
+        """Settled (position, light) entries in robot order."""
+        return tuple((r.pos, r.light) for r in self.robots)
 
     def is_terminal(self):
         """All robots idle and none enabled on the settled configuration."""
@@ -665,10 +682,8 @@ class RandomAsyncPolicy:
         return out
 
     def step(self, world):
-        legal = []
-        for i in range(len(world.robots)):
-            for kind in world.legal_actions(i):
-                legal.append((kind, i))
+        t = world.t
+        legal = [(NEXT[r.phase], i) for i, r in enumerate(world.robots) if r.acted_t != t]
         # serve robots approaching the fairness bound first, worst starvation
         # first; the margin covers a full drain of simultaneously starved ones
         margin = 2 * len(world.robots) + 2

@@ -41,12 +41,14 @@ class ColorConfig:
     """Ordered stations of a collinear configuration.
 
     stations run from endpoint_left to endpoint_right; the left endpoint is
-    the lexicographically smaller one.
+    the lexicographically smaller one.  ``midpoint`` is the endpoints'
+    midpoint, occupied or not.
     """
 
     stations: tuple  # ((Point, frozenset(colors)), ...)
     endpoint_left: object
     endpoint_right: object
+    midpoint: object
     has_exact_midpoint: bool
     counts: dict
 
@@ -77,9 +79,10 @@ def classify_line(point_colors):
             raise ValueError("station with no colors")
     left = items[0][0]
     right = items[-1][0]
-    mid_ok = len(items) == 3 and items[1][0] == midpoint(left, right)
+    mid = midpoint(left, right)
+    mid_ok = len(items) == 3 and items[1][0] == mid
     counts = {}
     for _, f in items:
         for c in f:
             counts[c] = counts.get(c, 0) + 1
-    return ColorConfig(tuple(items), left, right, mid_ok, counts)
+    return ColorConfig(tuple(items), left, right, mid, mid_ok, counts)

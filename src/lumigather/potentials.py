@@ -12,7 +12,7 @@ comparison is reported Undecided only when precision genuinely runs out.
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import Classification, Point, dist_sq, hull_area_twice, midpoint, on_segment
+from .geometry import Classification, Point, dist_sq, hull_area_twice, on_segment
 from .rational import R0, Rat, format_rat, isqrt, sqrt_exact, sqrt_interval
 
 INF = "inf"
@@ -307,7 +307,7 @@ def potential_g(config):
         vec = (g1, R0, R0, 0, R0)
     elif n_a in (0, 2):
         span = sqrt_sum([cc.span_sq()])
-        p_m = midpoint(cc.endpoint_left, cc.endpoint_right)
+        p_m = cc.midpoint
         g3 = sqrt_sum([dist_sq(p_m, p) for p, _ in robots])
         n_b = sum(1 for _, c in robots if c == "B")
         vec = (INF, span, g3, n_b, R0)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lumigather.configuration import Configuration, Frame, Snapshot
+from lumigather.configuration import Configuration, Frame, Snapshot, canonical
 from lumigather.geometry import Point, pt
 from lumigather.rational import Rat
 
@@ -15,12 +15,12 @@ settings.load_profile("ci")
 
 def make_snap(entries, own, light):
     """Snapshot from ((x, y), color) pairs; (num, den) tuples are rationals."""
-    cfg = Configuration([(pt(*p), c) for p, c in entries])
+    cfg = Configuration(canonical((pt(*p), c) for p, c in entries))
     return Snapshot(cfg, pt(*own), light)
 
 
 def make_config(entries):
-    return Configuration([(pt(*p), c) for p, c in entries])
+    return Configuration(canonical((pt(*p), c) for p, c in entries))
 
 
 _TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29), (7, 24, 25)]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from lumigather import algorithms, engine
 from lumigather.algorithms import get_algorithm
 from lumigather.checker import CHECKS, default_checks, validate_trace
-from lumigather.configuration import Frame, Snapshot
+from lumigather.configuration import ConfigInterner, Frame, Snapshot, canonical
 from lumigather.engine import (
     AsyncWorld,
     BudgetExhausted,
@@ -183,7 +184,7 @@ class TestObserveTiming:
             # after every step, advances included, the cached configuration
             # equals a fresh recomputation and stays put within the instant
             cfg = w.visible_config()
-            assert cfg.entries == w._visible_entries()
+            assert cfg.entries == canonical(w._visible_entries())
             assert w.visible_config() is cfg
             w.async_step(policy.step(w))
             steps += 1
@@ -195,6 +196,61 @@ class TestObserveTiming:
         snap = w.observe(0, frame)
         assert snap.own_pos == frame.apply(pt(0, 0))
         assert frame.apply(pt(8, 0)) in snap.points
+
+
+def reference_legal(r, t, comp_t):
+    """The per-phase guards the engine's legality used to evaluate.
+
+    ``comp_t`` is the instant of the robot's latest Compute (-1 before any).
+    """
+    if r.phase == engine.IDLE:
+        ok = (r.move is None or t >= r.move.t_e + 1) and t > comp_t
+        return ["look"] if ok else []
+    if r.phase == engine.OBSERVED:
+        return ["compute"] if t > r.look_t else []
+    if r.phase == engine.COMPUTED:
+        return ["move_begin"] if t > comp_t else []
+    return ["move_end"] if t >= r.move.t_b + 1 else []
+
+
+@pytest.mark.parametrize("policy", engine.POLICIES)
+def test_legality_and_starvation_match_the_guard_reference(policy):
+    """One legal action per robot per instant, recounted from the guards."""
+    sc = random_scenario(random.Random(61), "three-color", "async", 5, bound=8, policy=policy)
+    w = AsyncWorld(sc)
+    adversary = engine._make_policy(sc, random.Random(sc.seed))
+    n = len(w.robots)
+    comp_t = [-1] * n
+    starve = [0] * n
+    steps = 0
+    while not w.is_terminal():
+        for i, r in enumerate(w.robots):
+            assert w.legal_actions(i) == reference_legal(r, w.t, comp_t[i])
+            assert r.starve == starve[i]
+        choice = adversary.step(w)
+        w.async_step(choice)
+        steps += 1
+        acted = None if choice[0] == "advance" else choice[1]
+        if choice[0] == "compute":
+            comp_t[acted] = w.t
+        for i, r in enumerate(w.robots):
+            if i == acted:
+                starve[i] = 0
+            elif reference_legal(r, w.t, comp_t[i]):
+                starve[i] += 1
+    assert steps > 100 and w.t > 10
+
+
+class TestConfigInterner:
+    def test_every_order_gives_the_one_canonical_configuration(self):
+        entries = [(pt(2, 0), "S"), (pt(0, 1), "M"), (pt(0, 1), "E"), (pt(2, 0), "S")]
+        interner = ConfigInterner()
+        first = interner.get(tuple(entries))
+        assert first.entries == canonical(entries)
+        for perm in itertools.permutations(entries):
+            cfg = interner.get(perm)
+            assert cfg is first
+            assert cfg.entries == canonical(entries)
 
 
 class TestRun:
@@ -360,6 +416,14 @@ class TestScenarioIO:
                 algorithm="lu-gather",
                 scheduler="ssync-unfair",
             )
+
+    def test_parsed_trace_logs_fresh_lists(self):
+        tr = Trace.parse(run(scen([((0, 0), "S"), ((4, 0), "S")], seed=1)).dumps())
+        p = pt(1, (1, 2))
+        tr.config_line(9, [(p, "S")])
+        tr.lines[-1]["entries"][0][0] = "0/1"
+        tr.move_end(9, 0, p)
+        assert tr.lines[-1]["pos"] == ["1/1", "1/2"]
 
     def test_trace_file_round_trip(self, tmp_path):
         tr = run(scen([((0, 0), "S"), ((4, 0), "S")], seed=1))
