@@ -158,7 +158,11 @@ class Trace:
         self.lines.append(kw)
 
     def _xy(self, p):
-        """``p``'s (x, y) strings, formatted once per trace."""
+        """``p``'s (x, y) strings, formatted once per trace.
+
+        Each line gets a fresh list of them: a caller may edit a logged line
+        in place.
+        """
         cache = self._formatted
         if cache is None:
             cache = self._formatted = {}
@@ -166,8 +170,6 @@ class Trace:
         if xy is None:
             xy = cache[p] = (format_rat(p.x), format_rat(p.y))
         return xy
-
-    # every line gets fresh lists: a caller may edit a logged line in place
 
     def config_line(self, t, entries):
         xy = self._xy
@@ -206,7 +208,6 @@ class Trace:
         # the TraceData the checkers stored on this trace
         state = dict(self.__dict__)
         state.pop("_trace_data", None)
-        state.pop("_formatted", None)
         return state
 
     def dumps(self):
