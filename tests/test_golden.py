@@ -4,7 +4,9 @@ Each case pins the sha256 of ``Trace.dumps()`` and of every report line that
 ``lumigather check`` prints by default for that trace (``default_checks`` plus
 ``equivariance``, run from ``CHECKS`` on the parsed trace with default
 arguments).  The digests were recorded before the trace parse and the engine views were
-cached; any change to them means a trace or a report changed.
+cached, those of ``_SCHEDULE_CASES`` before the asynchronous engine read its
+legality from one field per robot; any change to them means a trace or a
+report changed.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
 """
