@@ -546,6 +546,16 @@ def _cc_family(cc):
     return "mixed"
 
 
+def _potential(algorithm_id, which=None):
+    """``which`` and its potential function; None picks the algorithm's own.
+
+    ``lu-gather`` decreases g, every other algorithm f.
+    """
+    if which is None:
+        which = "g" if algorithm_id == "lu-gather" else "f"
+    return which, potential_f if which == "f" else potential_g
+
+
 def check_monotone(trace, which=None):
     """Strict lexicographic decrease of the potential across effective rounds.
 
@@ -554,9 +564,7 @@ def check_monotone(trace, which=None):
     reported separately (a precision matter, not a violation).
     """
     td = TraceData.of(trace)
-    if which is None:
-        which = "g" if td.algorithm.id in ("lu-gather",) else "f"
-    potential = potential_f if which == "f" else potential_g
+    which, potential = _potential(td.algorithm.id, which)
     rep = Report(f"monotone-{which}")
     if td.scheduler not in ("ssync", "ssync-unfair", "fsync"):
         rep.violate(None, "monotone check expects a round-based trace")
@@ -607,9 +615,7 @@ def annotate_potentials(trace, which=None):
     with entries "inf", "p/q" or ["lo", "hi"] enclosures.
     """
     td = TraceData.of(trace)
-    if which is None:
-        which = "g" if td.algorithm.id == "lu-gather" else "f"
-    potential = potential_f if which == "f" else potential_g
+    which, potential = _potential(td.algorithm.id, which)
     out = Trace.__new__(Trace)
     out.lines = []
     out.status = trace.status
@@ -641,10 +647,11 @@ def snapshot_has_convention_ties(snap):
     return any(p == hull_center(cfg.hull) for p in cfg.points)
 
 
-def check_equivariance_trace(trace, frames_per_snapshot=5, max_configs=10):
+def check_equivariance_trace(trace):
     """Equivariance of the trace's algorithm over snapshots drawn from it.
 
-    Snapshots whose action rests on a tie-break convention are skipped.
+    Five random frames per robot on each of the first ten configurations;
+    snapshots whose action rests on a tie-break convention are skipped.
     """
     td = TraceData.of(trace)
     rng = random.Random(int(td.header.get("adversary", {}).get("seed", 0)) ^ 0xE9)
@@ -652,7 +659,7 @@ def check_equivariance_trace(trace, frames_per_snapshot=5, max_configs=10):
     rep = Report("equivariance")
     checked = 0
     skipped = 0
-    for t in td.config_times[:max_configs]:
+    for t in td.config_times[:10]:
         cfg = td.config_at(t)
         for p, c in cfg.entries:
             snap = Snapshot(cfg, p, c)
@@ -660,7 +667,7 @@ def check_equivariance_trace(trace, frames_per_snapshot=5, max_configs=10):
                 skipped += 1
                 continue
             frames = []
-            for _ in range(frames_per_snapshot):
+            for _ in range(5):
                 a, b, cc_ = triples[rng.randrange(len(triples))]
                 if rng.random() < 0.5:
                     a, b = b, a
@@ -1007,7 +1014,7 @@ def enumerate_unfair(
     ceiling.
     """
     spec = get_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
-    potential = potential_g if spec.id == "lu-gather" else potential_f
+    _, potential = _potential(spec.id)
     goal = (
         (lambda cfg: cfg.gathered())
         if spec.id == "lu-gather"

@@ -85,27 +85,25 @@ def _final_cc(config):
 
 
 def cmd_fuzz(args):
-    if args.runs < 1:
-        print("fuzz needs --runs >= 1", file=sys.stderr)
-        return 2
+    # fuzz() rejects every bad argument before its first run
     try:
         deltas = tuple(parse_rat(d) for d in args.delta.split(",")) if args.delta else (Rat(1),)
         checks = None if args.check == "all" else check_names(args.check)
+        summary = fuzz(
+            args.algorithm,
+            args.scheduler,
+            runs=args.runs,
+            seed=args.seed if args.seed is not None else 0,
+            n_range=(args.n_min, args.n_max),
+            bound=args.coord_bound,
+            deltas=deltas,
+            policy=args.policy,
+            step_budget=args.steps if args.steps is not None else 50000,
+            checks=checks,
+        )
     except ValueError as exc:
         print(f"fuzz: {exc}", file=sys.stderr)
         return 2
-    summary = fuzz(
-        args.algorithm,
-        args.scheduler,
-        runs=args.runs,
-        seed=args.seed if args.seed is not None else 0,
-        n_range=(args.n_min, args.n_max),
-        bound=args.coord_bound,
-        deltas=deltas,
-        policy=args.policy,
-        step_budget=args.steps if args.steps is not None else 50000,
-        checks=checks,
-    )
     print(json.dumps(summary.to_json(), sort_keys=True))
     return 0 if summary.ok else 1
 

@@ -14,6 +14,7 @@ from .geometry import (
     Point,
     convex_hull,
     is_on_lds,
+    min_edge_targets,
 )
 from .patterns import classify_line
 from .rational import R0, Rat
@@ -129,8 +130,6 @@ class Configuration:
     def contraction_targets(self):
         """Memoized minimum-edge contraction moves (asym contractible only)."""
         if self._contraction is None:
-            from .geometry import min_edge_targets
-
             self._contraction = tuple(min_edge_targets(self.occupied, self.hull))
         return self._contraction
 

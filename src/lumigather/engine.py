@@ -7,6 +7,15 @@ the origin up to t_B, at adversary-chosen strictly advancing interior points
 during [t_B+1, t_E], and at the reached point from t_E + 1.  Within one run
 everything is a deterministic function of (scenario, seed).
 
+The engine keeps only the current instant.  Each robot stores what the others
+observe of it now, ``shown_pos`` and ``shown_light``, and only the clock's
+advance sets them: to the new progress point for a robot that is moving, to
+its position for any other robot, and to its light for every robot.  No event
+of an instant touches them, which is exactly the rule above: a Compute at t
+shows from t+1, a MoveBegin at t shows the origin, and a MoveEnd at t shows
+the progress point of t until t+1.  The checker re-derives the same rule from
+the logged events independently.
+
 A robot performs at most one phase event (Look, Compute, MoveBegin or
 MoveEnd) per instant: each event's timing guard fails at the instant of the
 robot's own previous event and holds at every later one.  So a robot that has
@@ -15,11 +24,12 @@ phase allows next, and one that has acted has none.
 """
 
 import json
+import random
 from dataclasses import dataclass
 
 from .algorithms import get_algorithm
 from .configuration import ConfigInterner, Snapshot
-from .geometry import Point, dist_sq
+from .geometry import Point, dist_sq, is_on_lds
 from .rational import Rat, format_rat, min_rat_ge_sqrt, parse_rat
 
 SCHEDULERS = ("fsync", "ssync", "ssync-unfair", "async")
@@ -78,11 +88,8 @@ class Scenario:
         for _, c in self.robots:
             if c not in spec.colors:
                 raise ScenarioError(f"color {c!r} outside alphabet of {self.algorithm}")
-        if spec.needs_onlds_start:
-            from .geometry import is_on_lds
-
-            if not is_on_lds([p for p, _ in self.robots]):
-                raise ScenarioError(f"{self.algorithm} requires a collinear start")
+        if spec.needs_onlds_start and not is_on_lds([p for p, _ in self.robots]):
+            raise ScenarioError(f"{self.algorithm} requires a collinear start")
 
     @property
     def bound(self):
@@ -355,8 +362,7 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
             trace.compute(t, i, act)
         lights[i] = act.color
         if act.dest != origin:
-            frac = fractions.get(i, Rat(1)) if isinstance(fractions, dict) else Rat(fractions)
-            reached = apply_move(origin, act.dest, frac, delta)
+            reached = apply_move(origin, act.dest, fractions.get(i, Rat(1)), delta)
             positions[i] = reached
             if trace is not None:
                 trace.move_begin(t, i, reached)
@@ -437,60 +443,48 @@ IDLE, OBSERVED, COMPUTED, MOVING = "idle", "observed", "computed", "moving"
 NEXT = {IDLE: "look", OBSERVED: "compute", COMPUTED: "move_begin", MOVING: "move_end"}
 
 
-class _MoveRec:
-    __slots__ = ("t_b", "t_e", "origin", "reach", "progress", "mu")
-
-    def __init__(self, t_b, origin, reach):
-        self.t_b = t_b
-        self.t_e = None
-        self.origin = origin
-        self.reach = reach
-        self.progress = {}
-        self.mu = Rat(0)
-
-
 class _Robot:
+    """One robot: its settled state and what the others observe of it now.
+
+    ``pos`` and ``light`` are settled: ``pos`` stays the origin of a move
+    until its MoveEnd, and ``light`` changes at the Compute.  ``shown_pos``
+    and ``shown_light`` are what every Look reads; only ``AsyncWorld._advance``
+    sets them (see the module docstring).  ``dest`` is where a ``COMPUTED``
+    robot means to go and, from its MoveBegin, the point the adversary lets it
+    reach; a ``MOVING`` robot was last shown at fraction ``mu`` of the way
+    there, and its move began at ``acted_t``.
+    """
+
     __slots__ = (
         "pos",
         "light",
-        "prev_light",
-        "light_t",
+        "shown_pos",
+        "shown_light",
         "phase",
-        "look_t",
         "acted_t",
         "snapshot",
-        "action",
-        "move",
+        "dest",
+        "mu",
         "starve",
     )
 
     def __init__(self, pos, light):
-        self.pos = pos
-        self.light = light
-        self.prev_light = light
-        self.light_t = -1
+        self.pos = self.shown_pos = pos
+        self.light = self.shown_light = light
         self.phase = IDLE
-        self.look_t = -1
         self.acted_t = -1  # instant of the robot's latest phase event
         self.snapshot = None
-        self.action = None
-        self.move = None
+        self.dest = None
+        self.mu = None
         self.starve = 0
-
-    def visible_color(self, t):
-        return self.prev_light if self.light_t == t else self.light
-
-    def visible_pos(self, t):
-        m = self.move
-        if m is None or t <= m.t_b:
-            return m.origin if m is not None and t <= m.t_b else self.pos
-        if m.t_e is not None and t >= m.t_e + 1:
-            return m.reach
-        return m.progress[t]
 
 
 class AsyncWorld:
-    """Event-level asynchronous world driven by explicit adversary choices."""
+    """Event-level asynchronous world driven by explicit adversary choices.
+
+    ``visible`` is the configuration every robot observes at the current
+    instant, interned from the robots' shown entries.
+    """
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -502,39 +496,18 @@ class AsyncWorld:
         self.t = 0
         self.steps = 0
         self.cache = ConfigInterner()
-        self._visible = None
-        self._visible_t = None
         self.trace = Trace(_header(scenario))
-        self.trace.config_line(0, self.visible_config().entries)
+        self._show()
 
-    # -- visible state ----------------------------------------------------
+    def _show(self):
+        """Intern what the robots show now and log it as the instant's Config line."""
+        self.visible = self.cache.get(tuple((r.shown_pos, r.shown_light) for r in self.robots))
+        self.trace.config_line(self.t, self.visible.entries)
 
-    def _visible_entries(self):
-        """Visible (position, light) entries in robot order."""
-        t = self.t
-        return tuple((r.visible_pos(t), r.visible_color(t)) for r in self.robots)
-
-    def visible_config(self):
-        """Configuration every robot observes at the current instant.
-
-        Cached per instant: only ``_advance`` changes what is visible.  Within
-        an instant t a Compute at t is unseen (the former light shows until
-        t+1), a MoveBegin at t is seen at its origin, which is where the robot
-        stood, and a MoveEnd at t is seen at ``progress[t]``, where it was
-        already seen; Looks change nothing.
-        """
-        if self._visible_t != self.t:
-            self._visible = self.cache.get(self._visible_entries())
-            self._visible_t = self.t
-        return self._visible
-
-    def observe(self, rid, frame=None):
+    def observe(self, rid):
         """Snapshot robot ``rid`` would take now (own light included)."""
         r = self.robots[rid]
-        snap = Snapshot(self.visible_config(), r.visible_pos(self.t), r.visible_color(self.t))
-        if frame is not None:
-            snap = frame.apply_snapshot(snap)
-        return snap
+        return Snapshot(self.visible, r.shown_pos, r.shown_light)
 
     # -- legality ----------------------------------------------------------
 
@@ -558,11 +531,11 @@ class AsyncWorld:
         kind = choice[0]
         if self.steps >= self.scenario.step_budget:
             self.trace.end(self.t, "budget")
-            raise BudgetExhausted(self.visible_config(), self.trace)
+            raise BudgetExhausted(self.visible, self.trace)
         self.steps += 1
         if kind == "advance":
             for r in self.robots:
-                if r.move is not None and r.move.t_e is None and self.t - r.move.t_b >= self.cap:
+                if r.phase == MOVING and self.t - r.acted_t >= self.cap:
                     raise IllegalChoice("move span cap reached; move must end before advancing")
             starved = self._fairness_violation(None)
             if starved is not None:
@@ -579,36 +552,29 @@ class AsyncWorld:
             raise IllegalChoice(f"fairness: robot {starved} starved beyond bound")
         if kind == "look":
             r.snapshot = self.observe(rid)
-            r.look_t = t
             r.phase = OBSERVED
             self.trace.log(kind="Look", t=t, robot=rid)
         elif kind == "compute":
             snap = r.snapshot
             act = memo_action(self.algorithm, snap.config, snap.own_pos, snap.own_light)
-            r.action = act
-            r.prev_light = r.light
             r.light = act.color
-            r.light_t = t
             r.snapshot = None
             self.trace.compute(t, rid, act)
             if act.dest == r.pos:
                 r.phase = IDLE  # zero-distance cycle: Move omitted
-                r.action = None
             else:
+                r.dest = act.dest
                 r.phase = COMPUTED
         elif kind == "move_begin":
             frac = choice[2] if len(choice) > 2 else Rat(1)
-            reached = apply_move(r.pos, r.action.dest, frac, self.delta)
-            r.move = _MoveRec(t, r.pos, reached)
+            r.dest = apply_move(r.pos, r.dest, frac, self.delta)
+            r.mu = Rat(0)
             r.phase = MOVING
-            self.trace.move_begin(t, rid, reached)
+            self.trace.move_begin(t, rid, r.dest)
         else:  # move_end
-            m = r.move
-            m.t_e = t
-            r.pos = m.reach
+            r.pos = r.dest
             r.phase = IDLE
-            r.action = None
-            self.trace.move_end(t, rid, m.reach)
+            self.trace.move_end(t, rid, r.pos)
         r.acted_t = t
         for other in self.robots:
             if other.acted_t != t:
@@ -617,36 +583,30 @@ class AsyncWorld:
 
     def _advance(self, mus):
         self.t += 1
-        t = self.t
         for i, r in enumerate(self.robots):
-            m = r.move
-            if m is not None and m.t_b + 1 <= t and (m.t_e is None or t <= m.t_e):
+            if r.phase == MOVING:
                 mu = None if mus is None else mus.get(i)
                 if mu is None:
-                    mu = m.mu + (1 - m.mu) / 2
-                if not (m.mu < mu < 1):
+                    mu = r.mu + (1 - r.mu) / 2
+                if not (r.mu < mu < 1):
                     raise IllegalChoice("progress fraction must strictly advance within (0,1)")
-                m.mu = mu
-                p = Point(
-                    m.origin.x + mu * (m.reach.x - m.origin.x),
-                    m.origin.y + mu * (m.reach.y - m.origin.y),
-                )
-                m.progress[t] = p
-                self.trace.move_progress(t, i, p)
+                r.mu = mu
+                o, d = r.pos, r.dest
+                r.shown_pos = Point(o.x + mu * (d.x - o.x), o.y + mu * (d.y - o.y))
+                self.trace.move_progress(self.t, i, r.shown_pos)
+            else:
+                r.shown_pos = r.pos
+            r.shown_light = r.light
             r.starve += 1  # no robot has acted yet at the new instant
-        self.trace.config_line(t, self.visible_config().entries)
+        self._show()
 
     # -- termination -------------------------------------------------------
-
-    def true_entries(self):
-        """Settled (position, light) entries in robot order."""
-        return tuple((r.pos, r.light) for r in self.robots)
 
     def is_terminal(self):
         """All robots idle and none enabled on the settled configuration."""
         if any(r.phase != IDLE for r in self.robots):
             return False
-        cfg = self.cache.get(self.true_entries())
+        cfg = self.cache.get(tuple((r.pos, r.light) for r in self.robots))
         key = ("terminal", self.algorithm.id)
         done = cfg.memo.get(key)
         if done is None:
@@ -676,10 +636,9 @@ class RandomAsyncPolicy:
     def _mus(self, world):
         out = {}
         for i, r in enumerate(world.robots):
-            m = r.move
-            if m is not None and m.t_b + 1 <= world.t + 1 and (m.t_e is None or world.t + 1 <= m.t_e):
+            if r.phase == MOVING:
                 step = self.MUS[self.rng.randrange(len(self.MUS))]
-                out[i] = m.mu + (1 - m.mu) * step
+                out[i] = r.mu + (1 - r.mu) * step
         return out
 
     def step(self, world):
@@ -697,7 +656,7 @@ class RandomAsyncPolicy:
             return self._fill(worst)
         # movers at the span cap must end before the clock advances again
         for kind, i in legal:
-            if kind == "move_end" and world.t - world.robots[i].move.t_b >= world.cap - 1:
+            if kind == "move_end" and world.t - world.robots[i].acted_t >= world.cap - 1:
                 return self._fill((kind, i))
         if not legal or self.rng.random() < 0.3:
             return ("advance", self._mus(world))
@@ -753,7 +712,7 @@ class SsyncEmbeddedPolicy:
         observed = [i for i, r in enumerate(rs) if r.phase == OBSERVED]
         computed = [i for i, r in enumerate(rs) if r.phase == COMPUTED]
         moving = [i for i, r in enumerate(rs) if r.phase == MOVING]
-        batch_open = not observed or rs[observed[0]].look_t == t
+        batch_open = not observed or rs[observed[0]].acted_t == t
         if idle and not computed and not moving and batch_open:
             if all("look" in world.legal_actions(i) for i in idle):
                 return ("look", idle[0])
@@ -788,14 +747,18 @@ def _make_policy(scenario, rng):
 def _run_async(scenario, rng):
     world = AsyncWorld(scenario)
     policy = _make_policy(scenario, rng)
-    while True:
-        if world.is_terminal():
-            world._advance(None)
-            status = "gathered" if world.visible_config().gathered() else "fixpoint"
-            world.trace.end(world.t, status)
-            return world.trace
+    # only a Compute or a MoveEnd can make the world terminal: an advance
+    # changes no phase and no settled entry, a Look leaves its robot OBSERVED
+    # and a MoveBegin leaves it MOVING
+    done = world.is_terminal()
+    while not done:
         choice = policy.step(world)
         world.async_step(choice)
+        done = choice[0] in ("compute", "move_end") and world.is_terminal()
+    world._advance(None)
+    status = "gathered" if world.visible.gathered() else "fixpoint"
+    world.trace.end(world.t, status)
+    return world.trace
 
 
 def run(scenario):
@@ -804,8 +767,6 @@ def run(scenario):
     Terminates at a fixpoint (gathered or otherwise) or raises
     BudgetExhausted carrying the final configuration and partial trace.
     """
-    import random
-
     rng = random.Random(scenario.seed)
     if scenario.scheduler == "async":
         return _run_async(scenario, rng)

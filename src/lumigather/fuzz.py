@@ -11,28 +11,25 @@ from dataclasses import dataclass, field
 
 from .algorithms import get_algorithm
 from .checker import CHECKS, check_names, default_checks
-from .engine import BudgetExhausted, Scenario, run
+from .engine import POLICIES, BudgetExhausted, Scenario, run
 from .geometry import Point
 from .rational import Rat
 
 
-def _rand_rat(rng, bound, den_bound=4):
-    den = rng.randint(1, den_bound)
+def _rand_rat(rng, bound):
+    den = rng.randint(1, 4)
     num = rng.randint(-bound * den, bound * den)
     return Rat(num, den)
 
 
-def random_points(rng, n, bound, den_bound=4):
-    return [
-        Point(_rand_rat(rng, bound, den_bound), _rand_rat(rng, bound, den_bound))
-        for _ in range(n)
-    ]
+def random_points(rng, n, bound):
+    return [Point(_rand_rat(rng, bound), _rand_rat(rng, bound)) for _ in range(n)]
 
 
-def random_collinear_points(rng, n, bound, den_bound=4):
+def random_collinear_points(rng, n, bound):
     """n points on a random rational segment, both endpoints occupied."""
     while True:
-        a, b = random_points(rng, 2, bound, den_bound)
+        a, b = random_points(rng, 2, bound)
         if a != b:
             break
     pts = [a, b]
@@ -51,13 +48,12 @@ def random_scenario(
     delta=Rat(1),
     policy="random",
     step_budget=50000,
-    den_bound=4,
 ):
     spec = get_algorithm(algorithm)
     if spec.needs_onlds_start:
-        pts = random_collinear_points(rng, n, bound, den_bound)
+        pts = random_collinear_points(rng, n, bound)
     else:
-        pts = random_points(rng, n, bound, den_bound)
+        pts = random_points(rng, n, bound)
     return Scenario(
         robots=tuple((p, spec.initial) for p in pts),
         delta=delta,
@@ -144,10 +140,22 @@ def fuzz(
 ):
     """Run many random scenarios through ``checks`` (None: ``default_checks``).
 
-    Raises ValueError before any run on runs < 1 or an unknown check name.
+    Raises ValueError before any run on an argument no run could use: runs,
+    robot counts, coordinate bound or step budget below 1, n_range out of
+    order, a delta that is not positive, an unknown policy or check name.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if not 1 <= n_range[0] <= n_range[1]:
+        raise ValueError(f"robot counts must satisfy 1 <= n-min <= n-max, got {n_range}")
+    if bound < 1:
+        raise ValueError("coordinate bound must be >= 1")
+    if step_budget < 1:
+        raise ValueError("step budget must be >= 1")
+    if any(d <= 0 for d in deltas):
+        raise ValueError("delta must be positive")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown adversary policy {policy!r}")
     if checks is not None:
         checks = check_names(checks)
     rng = random.Random(seed)

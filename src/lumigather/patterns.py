@@ -27,14 +27,6 @@ class PendingAnnotation:
     pending_color: bool = False
     next_color: object = None
 
-    @property
-    def kind(self):
-        if self.pending_move:
-            return "move"
-        if self.pending_color:
-            return "color"
-        return "none"
-
 
 @dataclass(frozen=True, slots=True)
 class ColorConfig:

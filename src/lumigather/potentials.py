@@ -12,7 +12,15 @@ comparison is reported Undecided only when precision genuinely runs out.
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import Classification, Point, dist_sq, hull_area_twice, on_segment
+from .geometry import (
+    Classification,
+    Point,
+    dist_sq,
+    hull_area_twice,
+    hull_center_of,
+    on_segment,
+    selected_min_edges,
+)
 from .rational import R0, Rat, format_rat, isqrt, sqrt_exact, sqrt_interval
 
 INF = "inf"
@@ -188,17 +196,17 @@ def lex_less(a, b):
     return Cmp.EQUAL
 
 
-def serialize_entry(v, bits=64):
+def serialize_entry(v):
     if v == INF:
         return "inf"
     if isinstance(v, SqrtSum):
-        lo, hi = v.interval(bits)
+        lo, hi = v.interval(64)
         return [format_rat(lo), format_rat(hi)]
     return format_rat(Rat(v))
 
 
-def serialize_potential(vec, bits=64):
-    return [serialize_entry(v, bits) for v in vec]
+def serialize_potential(vec):
+    return [serialize_entry(v) for v in vec]
 
 
 ZERO_VEC = (R0, R0, R0, R0, R0)
@@ -212,8 +220,6 @@ def _walk_start(hull):
     CCW-backward past the start, which would flip the walk-distance sum
     upward and break the strict decrease the termination argument needs.
     """
-    from .geometry import selected_min_edges
-
     verts = hull.vertices
     k = len(verts)
     forbidden = {verts[(i + 1) % k] for i in selected_min_edges(hull)}
@@ -243,7 +249,7 @@ def potential_f(config):
         Classification.SYM_CONTRACTIBLE,
         Classification.SYM_NONCONTRACTIBLE,
     ):
-        center = _hull_center(verts)
+        center = hull_center_of(verts)
         f2 = sqrt_sum([dist_sq(center, p) for p in robots])
         vec = (area, f2, 0, R0, R0)
     else:
@@ -264,12 +270,6 @@ def potential_f(config):
         vec = (area, R0, inside, sqrt_sum(f4_rads), sqrt_sum(f5_rads))
     memo["f"] = vec
     return vec
-
-
-def _hull_center(verts):
-    from .geometry import hull_center_of
-
-    return hull_center_of(verts)
 
 
 def _boundary_index(ring):

@@ -34,9 +34,6 @@ else:
         BACKEND = "fractions"
 
 R0 = Rat(0)
-R1 = Rat(1)
-R2 = Rat(2)
-HALF = Rat(1, 2)
 
 
 def isqrt(n):

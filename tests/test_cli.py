@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from lumigather import fuzz as fuzz_module
-from lumigather.checker import CHECKS
+from lumigather.checker import CHECKS, TraceData
 from lumigather.cli import main
+from lumigather.engine import Trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -83,6 +84,26 @@ class TestFuzz:
 
     def test_zero_runs_usage_error(self):
         assert main(["fuzz", "--algorithm", "three-color", "--runs", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--policy", "bogus"],
+            ["--n-min", "0", "--n-max", "0"],
+            ["--n-min", "5", "--n-max", "3"],
+            ["--coord-bound", "-1"],
+            ["--steps", "0"],
+            ["--delta", "0"],
+        ],
+    )
+    def test_bad_argument_exits_2_before_any_run(self, monkeypatch, capsys, bad):
+        def no_run(scenario):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(fuzz_module, "run", no_run)
+        assert main(["fuzz", "--algorithm", "three-color", "--runs", "2", *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("fuzz: ")
 
     @pytest.mark.parametrize("algorithm", ["elect-one-lds", "lu-gather"])
     def test_default_checks_pass_under_async(self, capsys, algorithm):
@@ -252,14 +273,29 @@ class TestCheck:
         assert "<circle" in svg.read_text()
 
     def test_annotated_copy_has_potential_lines(self, tmp_path, capsys):
+        # rectangle-unfair starts off the line and ends on it: f scores every
+        # configuration, g only the on-LDS ones
         out = tmp_path / "t.jsonl"
         main(["run", "--scenario", str(SCENARIOS / "rectangle-unfair.json"), "--out", str(out)])
-        annotated = tmp_path / "annot.jsonl"
-        main(["check", "--trace", str(out), "--check", "monotone", "--annotate", str(annotated)])
-        pot = [json.loads(l) for l in annotated.read_text().splitlines() if '"Potential"' in l]
-        assert pot and all(len(p["f"]) == 5 for p in pot)
-        capsys.readouterr()
-        assert main(["check", "--trace", str(annotated), "--check", "replay,monotone"]) == 0
+        trace = Trace.load(out)
+        td = TraceData.of(trace)
+        for which in ("f", "g"):
+            annotated = tmp_path / f"annot-{which}.jsonl"
+            args = ["check", "--trace", str(out), "--check", "replay", "--which", which]
+            assert main(args + ["--annotate", str(annotated)]) == 0
+            lines = [json.loads(l) for l in annotated.read_text().splitlines()]
+            assert [l for l in lines if l["kind"] != "Potential"] == trace.lines
+            scored = []
+            for prev, line in zip(lines, lines[1:]):
+                if line["kind"] == "Potential":
+                    assert prev["kind"] == "Config" and prev["t"] == line["t"]
+                    assert len(line[which]) == 5
+                    scored.append(line["t"])
+            expected = [t for t in td.config_times if which == "f" or td.config_at(t).on_lds]
+            assert scored == expected
+            capsys.readouterr()
+            assert main(["check", "--trace", str(annotated), "--check", "replay,monotone"]) == 0
+        assert 0 < len(expected) < len(td.config_times)  # g skipped some configurations
 
 
 class TestPlot:

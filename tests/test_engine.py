@@ -6,8 +6,8 @@ import pytest
 
 from lumigather import algorithms, engine
 from lumigather.algorithms import get_algorithm
-from lumigather.checker import CHECKS, default_checks, validate_trace
-from lumigather.configuration import ConfigInterner, Frame, Snapshot, canonical
+from lumigather.checker import CHECKS, TraceData, default_checks, validate_trace
+from lumigather.configuration import ConfigInterner, Snapshot, canonical
 from lumigather.engine import (
     AsyncWorld,
     BudgetExhausted,
@@ -134,15 +134,15 @@ class TestObserveTiming:
         assert w.observe(1).own_pos == pt(8, 0)
         assert pt(0, 0) in w.observe(1).points  # origin at t_B
         w.async_step(("advance",))  # t = 3
-        p3 = w.robots[0].visible_pos(3)
+        p3 = w.observe(0).own_pos
         assert 0 < dist_sq(pt(0, 0), p3) < dist_sq(pt(0, 0), pt(4, 0))
         w.async_step(("advance",))  # t = 4
-        p4 = w.robots[0].visible_pos(4)
+        p4 = w.observe(0).own_pos
         assert dist_sq(pt(0, 0), p3) < dist_sq(pt(0, 0), p4) < 16
         w.async_step(("move_end", 0))  # t_E = 4: still seen short of reach
-        assert w.robots[0].visible_pos(4) == p4
+        assert w.observe(0).own_pos == p4
         w.async_step(("advance",))  # t = 5 = t_E + 1: destination visible
-        assert w.robots[0].visible_pos(5) == pt(4, 0)
+        assert w.observe(0).own_pos == pt(4, 0)
 
     def test_move_end_before_tb_plus_one_illegal(self):
         w = self._world()
@@ -173,44 +173,46 @@ class TestObserveTiming:
             w.async_step(("compute", 0))
         assert "fairness" in str(exc.value)
 
-    def test_visible_config_cached_per_instant(self):
-        sc = scen(
-            [((0, 0), "S"), ((6, 0), "S"), ((5, 2), "S"), ((1, 3), "S")], seed=4
-        )
-        w = AsyncWorld(sc)
-        policy = RandomAsyncPolicy(random.Random(4))
-        steps = 0
-        while not w.is_terminal():
-            # after every step, advances included, the cached configuration
-            # equals a fresh recomputation and stays put within the instant
-            cfg = w.visible_config()
-            assert cfg.entries == canonical(w._visible_entries())
-            assert w.visible_config() is cfg
-            w.async_step(policy.step(w))
-            steps += 1
-        assert steps > 50 and w.t > 10
 
-    def test_observe_with_frame(self):
-        w = self._world()
-        frame = Frame.from_triple(3, 4, 5, scale=2, tx=1, ty=1)
-        snap = w.observe(0, frame)
-        assert snap.own_pos == frame.apply(pt(0, 0))
-        assert frame.apply(pt(8, 0)) in snap.points
+@pytest.mark.parametrize("policy", engine.POLICIES)
+def test_shown_state_matches_the_checker_replay(policy):
+    """What the engine shows at each step is what the checker re-derives.
+
+    The checker replays the timing rules from the logged events alone, so
+    every step of an instant, advances and events alike, must show the
+    instant's replayed configuration and each robot's replayed position and
+    light.
+    """
+    sc = random_scenario(random.Random(67), "three-color", "async", 5, bound=8, policy=policy)
+    w = AsyncWorld(sc)
+    adversary = engine._make_policy(sc, random.Random(sc.seed))
+    n = len(w.robots)
+    seen = []
+    while not w.is_terminal():
+        w.async_step(adversary.step(w))
+        own = [(w.observe(i).own_pos, w.observe(i).own_light) for i in range(n)]
+        seen.append((w.t, w.visible.entries, own))
+    td = TraceData(w.trace)
+    for t, entries, own in seen:
+        assert entries == td.replayed(t).entries
+        assert own == [(td.visible_pos(i, t), td.visible_color(i, t)) for i in range(n)]
+    assert len(seen) > 100 and w.t > 10
 
 
-def reference_legal(r, t, comp_t):
+def reference_legal(phase, t, last):
     """The per-phase guards the engine's legality used to evaluate.
 
-    ``comp_t`` is the instant of the robot's latest Compute (-1 before any).
+    ``last`` maps each event kind to the instant of the robot's latest one
+    (-1 before any).
     """
-    if r.phase == engine.IDLE:
-        ok = (r.move is None or t >= r.move.t_e + 1) and t > comp_t
+    if phase == engine.IDLE:
+        ok = (last["move_begin"] == -1 or t >= last["move_end"] + 1) and t > last["compute"]
         return ["look"] if ok else []
-    if r.phase == engine.OBSERVED:
-        return ["compute"] if t > r.look_t else []
-    if r.phase == engine.COMPUTED:
-        return ["move_begin"] if t > comp_t else []
-    return ["move_end"] if t >= r.move.t_b + 1 else []
+    if phase == engine.OBSERVED:
+        return ["compute"] if t > last["look"] else []
+    if phase == engine.COMPUTED:
+        return ["move_begin"] if t > last["compute"] else []
+    return ["move_end"] if t >= last["move_begin"] + 1 else []
 
 
 @pytest.mark.parametrize("policy", engine.POLICIES)
@@ -220,23 +222,23 @@ def test_legality_and_starvation_match_the_guard_reference(policy):
     w = AsyncWorld(sc)
     adversary = engine._make_policy(sc, random.Random(sc.seed))
     n = len(w.robots)
-    comp_t = [-1] * n
+    last = [dict.fromkeys(("look", "compute", "move_begin", "move_end"), -1) for _ in range(n)]
     starve = [0] * n
     steps = 0
     while not w.is_terminal():
         for i, r in enumerate(w.robots):
-            assert w.legal_actions(i) == reference_legal(r, w.t, comp_t[i])
+            assert w.legal_actions(i) == reference_legal(r.phase, w.t, last[i])
             assert r.starve == starve[i]
         choice = adversary.step(w)
         w.async_step(choice)
         steps += 1
         acted = None if choice[0] == "advance" else choice[1]
-        if choice[0] == "compute":
-            comp_t[acted] = w.t
+        if acted is not None:
+            last[acted][choice[0]] = w.t
         for i, r in enumerate(w.robots):
             if i == acted:
                 starve[i] = 0
-            elif reference_legal(r, w.t, comp_t[i]):
+            elif reference_legal(r.phase, w.t, last[i]):
                 starve[i] += 1
     assert steps > 100 and w.t > 10
 
