@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .configuration import Snapshot
 from .geometry import (
     Classification,
-    dist_sq,
     hull_center,
     nearest_vertex,
     on_hull_boundary,
@@ -44,11 +43,13 @@ def inner_of(c):
     return c.split(".", 1)[1] if "." in c else "O"
 
 
-def _endpoints_near_far(cc, me):
+def _endpoints_near_far(snap):
     """Nearest and furthest endpoint; exact-midpoint ties go to the left one."""
+    me = snap.own_pos
+    cc = snap.cc
     left, right = cc.endpoint_left, cc.endpoint_right
-    dl, dr = dist_sq(me, left), dist_sq(me, right)
-    if dl <= dr:
+    lat = snap.config.lattice.with_point(me)
+    if lat.norm(me, left) <= lat.norm(me, right):
         return left, right
     return right, left
 
@@ -73,7 +74,7 @@ def elect_one_lds(snap):
         # only robots strictly inside move here; a robot already on the
         # boundary walking to its nearest vertex could travel CCW-backward
         # past the perimeter-walk start and break the descent argument
-        if not on_hull_boundary(me, hull.vertices):
+        if not on_hull_boundary(me, hull):
             return Action(light, nearest_vertex(me, hull))
         return stay
     if cls is Classification.SYM_CONTRACTIBLE:
@@ -106,7 +107,8 @@ def _ab_star_b(cc):
 
 def lu_gather(snap):
     """Two-color gathering from a collinear configuration."""
-    assert snap.on_lds, "lu_gather requires a collinear snapshot"
+    if not snap.on_lds:
+        raise ValueError("lu_gather requires a collinear snapshot")
     me, light = snap.own_pos, snap.own_light
     cc = snap.cc
     k = len(cc.stations)
@@ -119,7 +121,7 @@ def lu_gather(snap):
             return stay
         if k == 2:
             return Action("B", mid)
-        pn, _ = _endpoints_near_far(cc, me)
+        pn, _ = _endpoints_near_far(snap)
         if me != pn:
             return Action("A", pn)
         return stay
@@ -151,7 +153,8 @@ def lu_gather_in_async(snap):
     Case split on the set of colors present; within each family the guards
     follow the color-class grammar top to bottom, first match wins.
     """
-    assert snap.on_lds, "lu_gather_in_async requires a collinear snapshot"
+    if not snap.on_lds:
+        raise ValueError("lu_gather_in_async requires a collinear snapshot")
     me, light = snap.own_pos, snap.own_light
     cc = snap.cc
     stations = cc.stations
@@ -159,7 +162,7 @@ def lu_gather_in_async(snap):
     stay = Action(light, me)
     left, right = cc.endpoint_left, cc.endpoint_right
     mid = cc.midpoint
-    pn, _ = _endpoints_near_far(cc, me)
+    pn, _ = _endpoints_near_far(snap)
     present = snap.colors_present
 
     if present == {"S"}:

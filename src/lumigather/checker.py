@@ -556,12 +556,17 @@ def _potential(algorithm_id, which=None):
     return which, potential_f if which == "f" else potential_g
 
 
+_OFF_LINE = "configuration off the line: potential g undefined"
+
+
 def check_monotone(trace, which=None):
     """Strict lexicographic decrease of the potential across effective rounds.
 
     A round is effective when it activates at least one enabled robot; other
     rounds must leave the configuration unchanged.  Undecided comparisons are
-    reported separately (a precision matter, not a violation).
+    reported separately (a precision matter, not a violation).  Potential g
+    is defined on collinear configurations only, so with g a round that
+    starts off the line, or an effective one that ends off it, is a violation.
     """
     td = TraceData.of(trace)
     which, potential = _potential(td.algorithm.id, which)
@@ -575,11 +580,17 @@ def check_monotone(trace, which=None):
             break
         cfg = td.config_at(t)
         nxt = td.config_at(t + 1)
+        if which == "g" and not cfg.on_lds:
+            rep.violate(t, _OFF_LINE)
+            continue
         if any(
             _acts(td.algorithm, cfg, td.visible_pos(r, t), td.visible_color(r, t))
             for r in td.rounds[t]
         ):
             rounds += 1
+            if which == "g" and not nxt.on_lds:
+                rep.violate(t, _OFF_LINE)
+                continue
             before = potential(cfg)
             after = potential(nxt)
             c = lex_less(after, before)
@@ -680,7 +691,12 @@ def check_equivariance_trace(trace):
                     )
                 )
             checked += len(frames)
-            for _ in check_equivariance(td.algorithm, snap, frames).violations:
+            try:
+                found = check_equivariance(td.algorithm, snap, frames).violations
+            except ValueError as exc:  # a snapshot outside the algorithm's domain
+                rep.violate(t, f"no action at robot on {p}: {exc}")
+                continue
+            for _ in found:
                 rep.violate(t, f"output not equivariant at robot on {p}")
     rep.extras["checked"] = checked
     rep.extras["skipped_tie_conventions"] = skipped

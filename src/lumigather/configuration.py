@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .geometry import (
     CollinearSignal,
     Classification,
+    Lattice,
     Point,
     convex_hull,
     is_on_lds,
@@ -46,6 +47,7 @@ class Configuration:
         "entries",
         "_points",
         "_occupied",
+        "_lattice",
         "_hull",
         "_on_lds",
         "_cc",
@@ -58,6 +60,7 @@ class Configuration:
         self.entries = entries
         self._points = None
         self._occupied = None
+        self._lattice = None
         self._hull = None
         self._on_lds = None
         self._cc = None
@@ -97,16 +100,23 @@ class Configuration:
         return self._colors
 
     @property
+    def lattice(self):
+        """The occupied points as integers over their common denominator."""
+        if self._lattice is None:
+            self._lattice = Lattice(self.occupied)
+        return self._lattice
+
+    @property
     def hull(self):
         """HullView or CollinearSignal over the occupied points."""
         if self._hull is None:
-            self._hull = convex_hull(self.occupied)
+            self._hull = convex_hull(self.occupied, self.lattice)
         return self._hull
 
     @property
     def on_lds(self):
         if self._on_lds is None:
-            self._on_lds = is_on_lds(self.occupied)
+            self._on_lds = is_on_lds(self.occupied, self.lattice)
         return self._on_lds
 
     @property
@@ -134,8 +144,13 @@ class Configuration:
         return self._contraction
 
     def recolor(self, mapper):
-        """New Configuration with colors mapped through ``mapper``."""
-        return Configuration(canonical((p, mapper(c)) for p, c in self.entries))
+        """New Configuration with colors mapped through ``mapper``.
+
+        The points are the same, so the new configuration shares the lattice.
+        """
+        cfg = Configuration(canonical((p, mapper(c)) for p, c in self.entries))
+        cfg._lattice = self._lattice
+        return cfg
 
 
 class ConfigInterner:

@@ -527,12 +527,16 @@ class AsyncWorld:
     # -- the single-step transition ---------------------------------------
 
     def async_step(self, choice):
-        """Apply one adversary choice; raises IllegalChoice on a bad one."""
+        """Apply one adversary choice; raises IllegalChoice on a bad one.
+
+        Every condition that can reject the choice is checked before anything
+        changes, so a rejected choice leaves the clock, the step count, the
+        robots and the trace as they were.
+        """
         kind = choice[0]
         if self.steps >= self.scenario.step_budget:
             self.trace.end(self.t, "budget")
             raise BudgetExhausted(self.visible, self.trace)
-        self.steps += 1
         if kind == "advance":
             for r in self.robots:
                 if r.phase == MOVING and self.t - r.acted_t >= self.cap:
@@ -540,7 +544,9 @@ class AsyncWorld:
             starved = self._fairness_violation(None)
             if starved is not None:
                 raise IllegalChoice(f"fairness: robot {starved} starved beyond bound")
-            self._advance(choice[1] if len(choice) > 1 else None)
+            progress = self._progress(choice[1] if len(choice) > 1 else None)
+            self.steps += 1
+            self._advance(progress)
             return
         rid = choice[1]
         r = self.robots[rid]
@@ -550,13 +556,18 @@ class AsyncWorld:
         starved = self._fairness_violation(rid)
         if starved is not None:
             raise IllegalChoice(f"fairness: robot {starved} starved beyond bound")
+        if kind == "compute":
+            snap = r.snapshot
+            act = memo_action(self.algorithm, snap.config, snap.own_pos, snap.own_light)
+        elif kind == "move_begin":
+            frac = choice[2] if len(choice) > 2 else Rat(1)
+            reach = apply_move(r.pos, r.dest, frac, self.delta)
+        self.steps += 1
         if kind == "look":
             r.snapshot = self.observe(rid)
             r.phase = OBSERVED
             self.trace.log(kind="Look", t=t, robot=rid)
         elif kind == "compute":
-            snap = r.snapshot
-            act = memo_action(self.algorithm, snap.config, snap.own_pos, snap.own_light)
             r.light = act.color
             r.snapshot = None
             self.trace.compute(t, rid, act)
@@ -566,8 +577,7 @@ class AsyncWorld:
                 r.dest = act.dest
                 r.phase = COMPUTED
         elif kind == "move_begin":
-            frac = choice[2] if len(choice) > 2 else Rat(1)
-            r.dest = apply_move(r.pos, r.dest, frac, self.delta)
+            r.dest = reach
             r.mu = Rat(0)
             r.phase = MOVING
             self.trace.move_begin(t, rid, r.dest)
@@ -581,8 +591,13 @@ class AsyncWorld:
                 other.starve += 1
         r.starve = 0
 
-    def _advance(self, mus):
-        self.t += 1
+    def _progress(self, mus):
+        """Checked progress fraction of every moving robot at the next instant.
+
+        ``mus`` maps robot ids to chosen fractions; a moving robot without
+        one goes half of its remaining way.
+        """
+        progress = {}
         for i, r in enumerate(self.robots):
             if r.phase == MOVING:
                 mu = None if mus is None else mus.get(i)
@@ -590,7 +605,15 @@ class AsyncWorld:
                     mu = r.mu + (1 - r.mu) / 2
                 if not (r.mu < mu < 1):
                     raise IllegalChoice("progress fraction must strictly advance within (0,1)")
-                r.mu = mu
+                progress[i] = mu
+        return progress
+
+    def _advance(self, progress):
+        """Start the next instant; ``progress`` is ``_progress``'s checked result."""
+        self.t += 1
+        for i, r in enumerate(self.robots):
+            if r.phase == MOVING:
+                mu = r.mu = progress[i]
                 o, d = r.pos, r.dest
                 r.shown_pos = Point(o.x + mu * (d.x - o.x), o.y + mu * (d.y - o.y))
                 self.trace.move_progress(self.t, i, r.shown_pos)
@@ -755,7 +778,7 @@ def _run_async(scenario, rng):
         choice = policy.step(world)
         world.async_step(choice)
         done = choice[0] in ("compute", "move_end") and world.is_terminal()
-    world._advance(None)
+    world._advance({})
     status = "gathered" if world.visible.gathered() else "fixpoint"
     world.trace.end(world.t, status)
     return world.trace

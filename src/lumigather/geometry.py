@@ -4,16 +4,30 @@ All predicates here (collinearity, hull membership, symmetry, nearest-vertex
 selection) are decided exactly, on orientations and squared distances.
 There is no tolerance parameter anywhere in this module.
 
-Kernel invariant: ``orientation``, ``on_segment`` and ``dist_sq`` read each
-coordinate as its integer ``numerator`` and ``denominator``, and both
-backends keep every denominator positive.  A coordinate difference is then an
-unreduced integer pair ``(N, D)`` with ``D > 0``, and comparing two such
-quotients cross-multiplies by positive integers, so the sign of
-``N1 * D2 - N2 * D1`` is the sign of ``N1 / D1 - N2 / D2`` exactly.  No
-rational is built until ``dist_sq`` normalises its result once.
+Kernel invariant: each predicate has one implementation, on one of two
+integer kernels chosen by what it reads.
+
+* Analyses of a configuration -- its convex hull and classification,
+  collinearity, contraction targets, nearest vertices, center and area --
+  run on the configuration's ``Lattice``: the least common denominator L of
+  its coordinates and every point as the integer pair ``(L*x, L*y)``.
+  Scaling by L > 0 keeps the sign of every cross product, the order of
+  squared distances and the lexicographic order of points, so each test is
+  one expression over ints.  A rational is built only for a value that
+  leaves the analysis: an edge length or squared distance as
+  ``Rat(N, L*L)``, an area, a center or a destination.
+* Isolated points -- a move's reach, a truncated move, a scenario's robots
+  -- go through ``orientation``, ``on_segment`` and ``dist_sq``.  They read
+  each coordinate as its integer ``numerator`` and ``denominator``, and both
+  backends keep every denominator positive.  A coordinate difference is then
+  an unreduced integer pair ``(N, D)`` with ``D > 0``, and comparing two such
+  quotients cross-multiplies by positive integers, so the sign of
+  ``N1 * D2 - N2 * D1`` is the sign of ``N1 / D1 - N2 / D2`` exactly.  No
+  rational is built until ``dist_sq`` normalises its result once.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .rational import Rat
@@ -162,6 +176,52 @@ def on_segment(p, a, b):
     return orientation(a, b, p) == 0 and _between(p.x, a.x, b.x) and _between(p.y, a.y, b.y)
 
 
+class Lattice:
+    """Distinct points as integers over their least common denominator.
+
+    ``points`` are the distinct points in ``Point.order_key`` order, ``den``
+    is the least common multiple L of their coordinate denominators, and
+    ``xy[p]`` is ``(L * p.x, L * p.y)`` as a pair of ints.  A Configuration
+    builds its lattice once, on first use, and all of its analyses share it.
+    """
+
+    __slots__ = ("points", "den", "xy")
+
+    def __init__(self, points):
+        """``points``: distinct points, already in ``Point.order_key`` order."""
+        self.points = points
+        dens = {p.x.denominator for p in points}
+        dens.update(p.y.denominator for p in points)
+        den = self.den = math.lcm(*dens)
+        if den == 1:
+            self.xy = {p: (p.x.numerator, p.y.numerator) for p in points}
+        else:
+            self.xy = {
+                p: (
+                    p.x.numerator * (den // p.x.denominator),
+                    p.y.numerator * (den // p.y.denominator),
+                )
+                for p in points
+            }
+
+    @classmethod
+    def of(cls, points):
+        """Lattice of any iterable of points; duplicates are dropped."""
+        return cls(tuple(sorted(set(points), key=Point.order_key)))
+
+    def with_point(self, p):
+        """This lattice, or the lattice of its points and ``p`` when p is off it."""
+        if p in self.xy:
+            return self
+        return Lattice.of(self.points + (p,))
+
+    def norm(self, a, b):
+        """Squared distance from a to b, times L**2, as an int."""
+        (ax, ay), (bx, by) = self.xy[a], self.xy[b]
+        dx, dy = ax - bx, ay - by
+        return dx * dx + dy * dy
+
+
 class Classification(Enum):
     SYM_NONCONTRACTIBLE = "sym-noncontractible"
     SYM_CONTRACTIBLE = "sym-contractible"
@@ -184,78 +244,115 @@ class HullView:
     vertices are counter-clockwise starting at the lexicographically smallest
     point; edge i runs from vertices[i] to vertices[(i+1) % k].  The
     classification is taken with respect to the full occupied point set the
-    hull was built from, not just the vertices.
+    hull was built from, not just the vertices.  ``lattice`` is the lattice
+    of that point set and ``edge_norms[i]`` is the squared length of edge i
+    times L**2, as an int.
     """
 
     vertices: tuple
-    edge_lengths_sq: tuple
     classification: Classification
+    lattice: Lattice = field(compare=False, repr=False)
+    edge_norms: tuple = field(compare=False, repr=False)
+
+    @property
+    def edge_lengths_sq(self):
+        """Squared edge lengths as rationals, edge i first."""
+        d2 = self.lattice.den * self.lattice.den
+        return tuple(Rat(n, d2) for n in self.edge_norms)
 
 
-def convex_hull(points):
+def convex_hull(points, lattice=None):
     """Strict CCW hull of the given occupied positions.
 
     Returns a HullView, or a CollinearSignal when every distinct position is
     collinear (a single point and two points count as collinear).
+    ``lattice``, when given, must be ``Lattice.of(points)``.
     """
-    pts = sorted(set(points), key=Point.order_key)
+    lat = Lattice.of(points) if lattice is None else lattice
+    pts = lat.points
     if not pts:
         raise ValueError("convex_hull of empty point set")
     if len(pts) <= 2:
-        return CollinearSignal(tuple(pts))
+        return CollinearSignal(pts)
+    xy = lat.xy
+    q = [(*xy[p], p) for p in pts]
 
     def chain(seq):
         out = []
-        for p in seq:
-            while len(out) >= 2 and orientation(out[-2], out[-1], p) <= 0:
+        for r in seq:
+            x, y, _ = r
+            while len(out) >= 2:
+                ox, oy, _ = out[-2]
+                ax, ay, _ = out[-1]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break
                 out.pop()
-            out.append(p)
+            out.append(r)
         return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    ring = lower[:-1] + upper[:-1]
-    if len(ring) < 3:
-        return CollinearSignal(tuple(pts))
-    start = ring.index(pts[0])
-    ring = ring[start:] + ring[:start]
-    verts = tuple(ring)
-    k = len(verts)
-    edges = tuple(dist_sq(verts[i], verts[(i + 1) % k]) for i in range(k))
-    sym = all(e == edges[0] for e in edges)
-    if sym:
-        center = hull_center_of(verts)
-        vert_set = set(verts)
+    # the lower chain starts at pts[0], so the ring does too
+    ring = chain(q)[:-1] + chain(reversed(q))[:-1]
+    k = len(ring)
+    if k < 3:
+        return CollinearSignal(pts)
+    verts = tuple(r[2] for r in ring)
+    sides = [
+        (ax, ay, bx - ax, by - ay) for (ax, ay, _), (bx, by, _) in zip(ring, ring[1:] + ring[:1])
+    ]
+    norms = tuple(dx * dx + dy * dy for _, _, dx, dy in sides)
+    vert_set = set(verts)
+    if len(set(norms)) == 1:
+        center = hull_center_of(verts, lat)
         ok = all(p in vert_set or p == center for p in pts)
         cls = Classification.SYM_CONTRACTIBLE if ok else Classification.SYM_NONCONTRACTIBLE
     else:
-        ok = all(on_hull_boundary(p, verts) for p in pts)
+        # every point lies in the closed hull, whose edges lie on supporting
+        # lines: a point collinear with an edge lies on that edge
+        ok = all(
+            p in vert_set or any(dx * (y - ay) == dy * (x - ax) for ax, ay, dx, dy in sides)
+            for x, y, p in q
+        )
         cls = Classification.ASYM_CONTRACTIBLE if ok else Classification.ASYM_NONCONTRACTIBLE
-    return HullView(verts, edges, cls)
+    return HullView(verts, cls, lat, norms)
 
 
-def on_hull_boundary(p, verts):
-    """True when p lies on an edge of the vertex ring ``verts``."""
-    k = len(verts)
-    return any(on_segment(p, verts[i], verts[(i + 1) % k]) for i in range(k))
+def on_hull_boundary(p, hull):
+    """True when p lies on an edge of ``hull``."""
+    lat = hull.lattice.with_point(p)
+    xy = lat.xy
+    x, y = xy[p]
+    verts = hull.vertices
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        (ax, ay), (bx, by) = xy[a], xy[b]
+        if (
+            (bx - ax) * (y - ay) == (by - ay) * (x - ax)
+            and (x - ax) * (x - bx) <= 0
+            and (y - ay) * (y - by) <= 0
+        ):
+            return True
+    return False
 
 
-def hull_center_of(vertices):
-    """Vertex centroid.  For regular polygons this is the circumcenter."""
-    k = len(vertices)
-    inv = Rat(1, k)
-    sx = sum((v.x for v in vertices), Rat(0))
-    sy = sum((v.y for v in vertices), Rat(0))
-    return Point(sx * inv, sy * inv)
+def hull_center_of(vertices, lattice=None):
+    """Vertex centroid.  For regular polygons this is the circumcenter.
+
+    ``lattice``, when given, must hold every vertex.
+    """
+    lat = Lattice.of(vertices) if lattice is None else lattice
+    xy = lat.xy
+    den = len(vertices) * lat.den
+    sx = sum(xy[v][0] for v in vertices)
+    sy = sum(xy[v][1] for v in vertices)
+    return Point(Rat(sx, den), Rat(sy, den))
 
 
 def hull_center(hull):
-    return hull_center_of(hull.vertices)
+    return hull_center_of(hull.vertices, hull.lattice)
 
 
 def is_symmetric(hull):
     """All hull edges have equal (squared) length."""
-    return all(e == hull.edge_lengths_sq[0] for e in hull.edge_lengths_sq)
+    return len(set(hull.edge_norms)) == 1
 
 
 def is_contractible(points, hull=None):
@@ -274,23 +371,29 @@ def is_contractible(points, hull=None):
     )
 
 
-def is_on_lds(points):
-    """True when all occupied positions are collinear (1 or 2 points: true)."""
-    pts = list(dict.fromkeys(points))
-    if len(pts) <= 2:
+def is_on_lds(points, lattice=None):
+    """True when all occupied positions are collinear (1 or 2 points: true).
+
+    ``lattice``, when given, must be ``Lattice.of(points)``.
+    """
+    lat = Lattice.of(points) if lattice is None else lattice
+    q = list(lat.xy.values())
+    if len(q) <= 2:
         return True
-    a, b = pts[0], pts[1]
-    return all(orientation(a, b, p) == 0 for p in pts[2:])
+    (ax, ay), (bx, by) = q[0], q[1]
+    dx, dy = bx - ax, by - ay
+    return all(dx * (y - ay) == dy * (x - ax) for x, y in q[2:])
 
 
-def hull_area_twice(verts):
-    """Twice the (positive, CCW) shoelace area of the vertex ring."""
-    k = len(verts)
-    s = Rat(0)
-    for i in range(k):
-        a, b = verts[i], verts[(i + 1) % k]
-        s += a.x * b.y - b.x * a.y
-    return s
+def hull_area_twice(verts, lattice=None):
+    """Twice the (positive, CCW) shoelace area of the vertex ring.
+
+    ``lattice``, when given, must hold every vertex.
+    """
+    lat = Lattice.of(verts) if lattice is None else lattice
+    q = [lat.xy[v] for v in verts]
+    s = sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(q, q[1:] + q[:1]))
+    return Rat(s, lat.den * lat.den)
 
 
 def selected_min_edges(hull):
@@ -300,7 +403,7 @@ def selected_min_edges(hull):
     isolated minimum edge is its own run.  Only the first edge of each run in
     CCW order is contracted.  The hull must not have all edges minimal.
     """
-    edges = hull.edge_lengths_sq
+    edges = hull.edge_norms
     k = len(edges)
     m = min(edges)
     is_min = [e == m for e in edges]
@@ -325,12 +428,18 @@ def min_edge_targets(points, hull=None):
         raise ValueError("min_edge_targets requires an asymmetric contractible configuration")
     verts = hull.vertices
     k = len(verts)
-    occupied = sorted(set(points), key=Point.order_key)
+    lat = hull.lattice
+    xy = lat.xy
     out = []
     for i in selected_min_edges(hull):
-        right, other = verts[i], verts[(i + 1) % k]
-        for p in occupied:
-            if p != right and on_segment(p, right, other):
+        right = verts[i]
+        (ax, ay), (bx, by) = xy[right], xy[verts[(i + 1) % k]]
+        dx, dy = bx - ax, by - ay
+        # every occupied point lies in the closed hull: collinear with an
+        # edge means on it
+        for p in lat.points:
+            x, y = xy[p]
+            if p != right and dx * (y - ay) == dy * (x - ax):
                 out.append((p, right))
     out.sort(key=lambda pr: pr[0].order_key())
     return out
@@ -346,20 +455,29 @@ def nearest_vertex(p, hull):
     verts = hull.vertices
     if p in verts:
         raise ValueError("nearest_vertex is undefined for a hull vertex")
-    best = min(dist_sq(p, v) for v in verts)
-    cands = [v for v in verts if dist_sq(p, v) == best]
+    lat = hull.lattice.with_point(p)
+    xy = lat.xy
+    px, py = xy[p]
+    vecs = [(x - px, y - py) for x, y in (xy[v] for v in verts)]
+    norms = [vx * vx + vy * vy for vx, vy in vecs]
+    best = min(norms)
+    cands = [i for i, n in enumerate(norms) if n == best]
     if len(cands) == 1:
-        return cands[0]
-    c = hull_center_of(verts)
-    r = c - p
-    if r.x == 0 and r.y == 0:
-        return cands[0]
+        return verts[cands[0]]
+    c = hull_center_of(verts, lat)
+    # r = c - p scaled by k * L, the denominator every center coordinate divides
+    k = len(verts)
+    kl = k * lat.den
+    rx = c.x.numerator * (kl // c.x.denominator) - k * px
+    ry = c.y.numerator * (kl // c.y.denominator) - k * py
+    if rx == 0 and ry == 0:
+        return verts[cands[0]]
 
     def bucket(v):
-        cr = r.x * v.y - r.y * v.x
-        dt = r.x * v.x + r.y * v.y
+        vx, vy = v
+        cr = rx * vy - ry * vx
         if cr == 0:
-            return 0 if dt > 0 else 2
+            return 0 if rx * vx + ry * vy > 0 else 2
         return 1 if cr < 0 else 3
 
     def before(u, w):
@@ -367,13 +485,10 @@ def nearest_vertex(p, hull):
         bu, bw = bucket(u), bucket(w)
         if bu != bw:
             return bu < bw
-        return u.x * w.y - u.y * w.x < 0
+        return u[0] * w[1] - u[1] * w[0] < 0
 
-    chosen = cands[0] - p
-    chosen_pt = cands[0]
-    for v in cands[1:]:
-        vec = v - p
-        if before(vec, chosen):
-            chosen = vec
-            chosen_pt = v
-    return chosen_pt
+    chosen = cands[0]
+    for i in cands[1:]:
+        if before(vecs[i], vecs[chosen]):
+            chosen = i
+    return verts[chosen]

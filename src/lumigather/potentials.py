@@ -15,10 +15,8 @@ from enum import Enum
 from .geometry import (
     Classification,
     Point,
-    dist_sq,
     hull_area_twice,
     hull_center_of,
-    on_segment,
     selected_min_edges,
 )
 from .rational import R0, Rat, format_rat, isqrt, sqrt_exact, sqrt_interval
@@ -233,6 +231,7 @@ def potential_f(config):
     use the center-distance sum; asymmetric hulls use the inside count, the
     counter-clockwise perimeter walk from the rightmost-topmost vertex to
     every robot on the boundary, and the nearest-vertex distance sum.
+    Every distance is taken on the hull's lattice.
     """
     memo = config.memo
     if "f" in memo:
@@ -241,82 +240,131 @@ def potential_f(config):
         memo["f"] = ZERO_VEC
         return ZERO_VEC
     hull = config.hull
+    lat = hull.lattice
+    xy = lat.xy
     verts = hull.vertices
-    k = len(verts)
-    area = hull_area_twice(verts) / 2
+    area = hull_area_twice(verts, lat) / 2
     robots = [p for p, _ in config.entries]
     if hull.classification in (
         Classification.SYM_CONTRACTIBLE,
         Classification.SYM_NONCONTRACTIBLE,
     ):
-        center = hull_center_of(verts)
-        f2 = sqrt_sum([dist_sq(center, p) for p in robots])
-        vec = (area, f2, 0, R0, R0)
+        center = hull_center_of(verts, lat)
+        # distances over the denominator k * L, which the center's
+        # coordinates (sums over k vertices of the lattice) divide
+        k = len(verts)
+        kl = k * lat.den
+        cx = center.x.numerator * (kl // center.x.denominator)
+        cy = center.y.numerator * (kl // center.y.denominator)
+        norm = {p: (k * x - cx) ** 2 + (k * y - cy) ** 2 for p, (x, y) in xy.items()}
+        vec = (area, _root_sum([norm[p] for p in robots], kl), 0, R0, R0)
     else:
-        v0 = _walk_start(hull)
-        start = verts.index(v0)
-        ring = verts[start:] + verts[:start]
-        on_boundary = _boundary_index(ring)
+        locate = _boundary_index(hull, verts.index(_walk_start(hull)))
+        vxy = [xy[v] for v in verts]
+        walk = {}
+        near = {}
+        for p, (x, y) in xy.items():
+            walk[p] = locate(p)
+            near[p] = min((vx - x) ** 2 + (vy - y) ** 2 for vx, vy in vxy)
         inside = 0
-        f4_rads = []
-        f5_rads = []
+        f4 = []
         for p in robots:
-            loc = on_boundary(p)
+            loc = walk[p]
             if loc is None:
                 inside += 1
             else:
-                f4_rads.extend(loc)
-            f5_rads.append(min(dist_sq(p, v) for v in verts))
-        vec = (area, R0, inside, sqrt_sum(f4_rads), sqrt_sum(f5_rads))
+                f4.extend(loc)
+        f5 = [near[p] for p in robots]
+        vec = (area, R0, inside, _root_sum(f4, lat.den), _root_sum(f5, lat.den))
     memo["f"] = vec
     return vec
 
 
-def _boundary_index(ring):
-    """Locator of boundary points as perimeter-walk radicand lists from ring[0]."""
-    k = len(ring)
-    edge_rads = [dist_sq(ring[i], ring[(i + 1) % k]) for i in range(k)]
+def _boundary_index(hull, start):
+    """Locator of boundary points as perimeter-walk norm lists from ``vertices[start]``.
+
+    A boundary point's list holds the lattice norms of the edges walked
+    before its own edge, then of the part of that edge up to the point.
+    """
+    verts = hull.vertices
+    k = len(verts)
+    xy = hull.lattice.xy
+    sides = []
+    for j in range(start, start + k):
+        a, b = verts[j % k], verts[(j + 1) % k]
+        sides.append((a, b, *xy[a], *xy[b], hull.edge_norms[j % k]))
 
     def locate(p):
+        x, y = xy[p]
         prefix = []
-        for i in range(k):
-            a, b = ring[i], ring[(i + 1) % k]
+        for a, b, ax, ay, bx, by, norm in sides:
             if p == a:
-                return list(prefix)
-            if on_segment(p, a, b) and p != b:
-                return list(prefix) + [dist_sq(a, p)]
-            prefix.append(edge_rads[i])
+                return prefix
+            # p lies in the closed hull: collinear with an edge means on it
+            if p != b and (bx - ax) * (y - ay) == (by - ay) * (x - ax):
+                prefix.append((x - ax) ** 2 + (y - ay) ** 2)
+                return prefix
+            prefix.append(norm)
         return None
 
     return locate
 
 
+def _root_sum(norms, den):
+    """``sqrt_sum`` of the radicands ``n / den**2`` for the ints ``n`` in ``norms``.
+
+    ``n / den**2`` has a rational root exactly when ``n`` is a perfect
+    square, so the roots are summed as ints and a rational is built only
+    for each distinct irrational radicand.
+    """
+    roots = 0
+    irr = []
+    for n in norms:
+        s = isqrt(n)
+        if s * s == n:
+            roots += s
+        else:
+            irr.append(n)
+    base = Rat(roots, den)
+    if not irr:
+        return base
+    irr.sort()
+    d2 = den * den
+    rad = {n: Rat(n, d2) for n in set(irr)}
+    return SqrtSum(base, tuple(rad[n] for n in irr))
+
+
 def potential_g(config):
-    """Two-color gathering potential, branching on the number of A points."""
+    """Two-color gathering potential, branching on the number of A points.
+
+    Every distance is taken on the configuration's lattice.
+    """
     memo = config.memo
     if "g" in memo:
         return memo["g"]
     if not config.on_lds:
         raise ValueError("potential_g requires a collinear configuration")
     cc = config.cc
-    robots = config.entries
+    lat = config.lattice
+    robots = [lat.xy[p] for p, _ in config.entries]
     n_a = cc.counts.get("A", 0)
     if n_a == 1:
-        p_a = next(p for p, f in cc.stations if "A" in f)
-        g1 = sqrt_sum([dist_sq(p_a, p) for p, _ in robots])
+        ax, ay = lat.xy[next(p for p, f in cc.stations if "A" in f)]
+        g1 = _root_sum([(x - ax) ** 2 + (y - ay) ** 2 for x, y in robots], lat.den)
         vec = (g1, R0, R0, 0, R0)
     elif n_a in (0, 2):
-        span = sqrt_sum([cc.span_sq()])
-        p_m = cc.midpoint
-        g3 = sqrt_sum([dist_sq(p_m, p) for p, _ in robots])
-        n_b = sum(1 for _, c in robots if c == "B")
+        span = _root_sum([lat.norm(cc.endpoint_left, cc.endpoint_right)], lat.den)
+        # the endpoints' midpoint times 2 * L, a denominator it divides
+        (lx, ly), (rx, ry) = lat.xy[cc.endpoint_left], lat.xy[cc.endpoint_right]
+        mx, my = lx + rx, ly + ry
+        g3 = _root_sum([(2 * x - mx) ** 2 + (2 * y - my) ** 2 for x, y in robots], 2 * lat.den)
+        n_b = sum(1 for _, c in config.entries if c == "B")
         vec = (INF, span, g3, n_b, R0)
     else:
-        g5 = sqrt_sum(
-            [
-                min(dist_sq(p, cc.endpoint_left), dist_sq(p, cc.endpoint_right))
-                for p, _ in robots
-            ]
+        (lx, ly), (rx, ry) = lat.xy[cc.endpoint_left], lat.xy[cc.endpoint_right]
+        g5 = _root_sum(
+            [min((x - lx) ** 2 + (y - ly) ** 2, (x - rx) ** 2 + (y - ry) ** 2) for x, y in robots],
+            lat.den,
         )
         vec = (INF, INF, INF, INF, g5)
     memo["g"] = vec

@@ -184,9 +184,9 @@ class TestCheck:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert all(l["pass"] for l in lines)
 
-    def _square_trace_lines(self, tmp_path, capsys):
+    def _trace_lines(self, tmp_path, capsys, scenario="square.json"):
         out = tmp_path / "t.jsonl"
-        main(["run", "--scenario", str(SCENARIOS / "square.json"), "--out", str(out)])
+        main(["run", "--scenario", str(SCENARIOS / scenario), "--out", str(out)])
         capsys.readouterr()
         return [json.loads(l) for l in out.read_text().splitlines()]
 
@@ -194,8 +194,25 @@ class TestCheck:
         path.write_text("".join(json.dumps(l) + "\n" for l in lines))
         return str(path)
 
+    @pytest.mark.parametrize("args", [["--check", "monotone-g"], ["--which", "g"]])
+    @pytest.mark.parametrize("scenario", ["rectangle-unfair.json", "line-lu.json"])
+    def test_potential_g_off_the_line_is_reported(self, tmp_path, capsys, scenario, args):
+        lines = self._trace_lines(tmp_path, capsys, scenario)
+        if scenario == "line-lu.json":
+            # an honest line-lu trace stays on the line: lift a robot off it
+            cfg = next(l for l in lines if l["kind"] == "Config" and l["t"] == 1)
+            cfg["entries"][0][1] = "1/1"
+        path = self._write(tmp_path / "off.jsonl", lines)
+        assert main(["check", "--trace", path] + args) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        reports = [json.loads(l) for l in captured.out.splitlines()]
+        (g,) = [r for r in reports if r["check"] == "monotone-g"]
+        assert not g["pass"] and g["violations"]
+        assert all("off the line" in v["detail"] for v in g["violations"])
+
     def test_robot_id_out_of_range_exits_2(self, tmp_path, capsys):
-        lines = self._square_trace_lines(tmp_path, capsys)
+        lines = self._trace_lines(tmp_path, capsys)
         i = next(k for k, l in enumerate(lines) if l["kind"] == "MoveEnd")
         lines[i]["robot"] = 9  # square.json has four robots
         bad = self._write(tmp_path / "bad.jsonl", lines)
@@ -206,7 +223,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("key", ["algorithm", "scheduler", "delta", "n", "robots"])
     def test_header_key_missing_exits_2(self, tmp_path, capsys, key):
-        lines = self._square_trace_lines(tmp_path, capsys)
+        lines = self._trace_lines(tmp_path, capsys)
         del lines[0][key]
         bad = self._write(tmp_path / "bad.jsonl", lines)
         assert main(["check", "--trace", bad]) == 2
@@ -216,7 +233,7 @@ class TestCheck:
         "damage", ["config-without-t", "robot-without-x", "non-object-line", "no-progress"]
     )
     def test_malformed_line_exits_2(self, tmp_path, capsys, damage):
-        lines = self._square_trace_lines(tmp_path, capsys)
+        lines = self._trace_lines(tmp_path, capsys)
         if damage == "config-without-t":
             del next(l for l in lines if l["kind"] == "Config")["t"]
         elif damage == "robot-without-x":
@@ -239,7 +256,7 @@ class TestCheck:
         ],
     )
     def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, damage, message):
-        lines = self._square_trace_lines(tmp_path, capsys)
+        lines = self._trace_lines(tmp_path, capsys)
         if damage == "robots-not-array":
             lines[0]["robots"] = 5
         else:
@@ -252,7 +269,7 @@ class TestCheck:
         assert captured.err.count(message) == 2
 
     def test_no_robots_exits_2(self, tmp_path, capsys):
-        header = dict(self._square_trace_lines(tmp_path, capsys)[0], n=0, robots=[])
+        header = dict(self._trace_lines(tmp_path, capsys)[0], n=0, robots=[])
         bad = self._write(tmp_path / "bad.jsonl", [header, {"kind": "End", "t": 0, "status": "budget"}])
         assert main(["check", "--trace", bad]) == 2
         assert main(["plot", "--trace", bad, "--out", str(tmp_path / "p.svg")]) == 2
@@ -261,7 +278,7 @@ class TestCheck:
         assert captured.err.count("at least one robot") == 2
 
     def test_trace_without_config_lines(self, tmp_path, capsys):
-        lines = self._square_trace_lines(tmp_path, capsys)
+        lines = self._trace_lines(tmp_path, capsys)
         bare = self._write(
             tmp_path / "bare.jsonl", [l for l in lines if l["kind"] != "Config"]
         )

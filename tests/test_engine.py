@@ -154,6 +154,33 @@ class TestObserveTiming:
         with pytest.raises(IllegalChoice):
             w.async_step(("move_end", 0))
 
+    def test_rejected_choice_leaves_the_world_unchanged(self):
+        w = self._world()
+        for choice in (
+            ("look", 0),
+            ("advance",),
+            ("compute", 0),
+            ("advance",),
+            ("move_begin", 0, Rat(1)),
+        ):
+            w.async_step(choice)
+
+        def state():
+            robots = [tuple(getattr(r, s) for s in r.__slots__) for r in w.robots]
+            return w.t, w.steps, robots, w.trace.dumps()
+
+        before = state()
+        with pytest.raises(IllegalChoice):
+            w.async_step(("advance", {0: Rat(2)}))
+        with pytest.raises(IllegalChoice):
+            w.async_step(("move_end", 0))
+        assert state() == before
+        for choice in (("advance",), ("move_end", 0), ("advance",)):
+            w.async_step(choice)
+        w.trace.end(w.t, "fixpoint")
+        assert [ln["t"] for ln in w.trace.lines if ln["kind"] == "Config"] == [0, 1, 2, 3, 4]
+        assert validate_trace(w.trace).passed
+
     def test_compute_at_look_instant_illegal(self):
         w = self._world()
         w.async_step(("look", 0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from lumigather.configuration import Configuration, canonical
 from lumigather.geometry import (
     Classification,
     CollinearSignal,
@@ -142,6 +143,13 @@ class TestNearestVertex:
         best = min(dist_sq(p, v) for v in h.vertices)
         assert dist_sq(p, got) == best
         assert got == pt(4, 2)
+
+    def test_tie_within_one_half_plane(self):
+        # four vertices at distance 5 from p, two on each side of the ray to
+        # the center (0, -12/5): the angle inside one side decides
+        verts = [pt(-5, 0), pt(0, -20), pt(5, 0), pt(3, 4), pt(-3, 4)]
+        h = convex_hull(verts + [pt(0, 0)])
+        assert nearest_vertex(pt(0, 0), h) == pt(-5, 0)
 
     def test_unique_nearest(self):
         h = convex_hull([pt(0, 0), pt(4, 0), pt(4, 2), pt(0, 2)])
@@ -477,3 +485,103 @@ def test_convex_hull_matches_the_reference_chain(pts):
         assert isinstance(h, CollinearSignal)
     else:
         assert (h.vertices, h.edge_lengths_sq, h.classification) == ref
+
+
+# -- configuration analyses on the lattice against the Fraction formulas ------
+
+
+def ref_on_lds(points):
+    pts = list(dict.fromkeys(points))
+    return all(ref_cross(pts[0], pts[1], p) == 0 for p in pts[2:])
+
+
+def ref_selected_min_edges(edges):
+    k = len(edges)
+    is_min = [e == min(edges) for e in edges]
+    return [i for i in range(k) if is_min[i] and not is_min[(i - 1) % k]]
+
+
+def ref_min_edge_targets(points):
+    ring, edges, _ = ref_hull(points)
+    k = len(ring)
+    out = []
+    for i in ref_selected_min_edges(edges):
+        right, other = ring[i], ring[(i + 1) % k]
+        for p in set(points):
+            if p != right and ref_on_segment(p, right, other):
+                out.append((p, right))
+    out.sort(key=lambda pr: (pr[0].x, pr[0].y))
+    return tuple(out)
+
+
+def ref_center(ring):
+    k = len(ring)
+    return Point(sum(v.x for v in ring) / k, sum(v.y for v in ring) / k)
+
+
+def ref_nearest_vertex(p, ring):
+    """Nearest vertex, ties by the smallest clockwise angle from p -> center."""
+    best = min(ref_dist_sq(p, v) for v in ring)
+    cands = [v for v in ring if ref_dist_sq(p, v) == best]
+    c = ref_center(ring)
+    r = Point(c.x - p.x, c.y - p.y)
+    if len(cands) == 1 or (r.x == 0 and r.y == 0):
+        return cands[0]
+
+    def bucket(v):
+        cr = r.x * v.y - r.y * v.x
+        if cr == 0:
+            return 0 if r.x * v.x + r.y * v.y > 0 else 2
+        return 1 if cr < 0 else 3
+
+    chosen = cands[0]
+    for v in cands[1:]:
+        u, w = Point(v.x - p.x, v.y - p.y), Point(chosen.x - p.x, chosen.y - p.y)
+        bu, bw = bucket(u), bucket(w)
+        if bu < bw or (bu == bw and u.x * w.y - u.y * w.x < 0):
+            chosen = v
+    return chosen
+
+
+@st.composite
+def collinear_inputs(draw):
+    """Wide points on the line through two wide points, duplicates possible."""
+    a, b = draw(wide_points(2))
+    pts = [a, b] + [along(a, b, draw(lambdas)) for _ in range(draw(st.integers(0, 5)))]
+    return draw(st.permutations(pts))
+
+
+@st.composite
+def wide_asym_contractible_points(draw):
+    """``asym_contractible_points`` under a wide scaling and translation."""
+    pts = draw(asym_contractible_points())
+    scale = abs(draw(st.builds(Rat, numerators, denominators))) or Rat(1)
+    tx, ty = (draw(st.builds(Rat, numerators, denominators)) for _ in range(2))
+    return [Point(scale * p.x + tx, scale * p.y + ty) for p in pts]
+
+
+lattice_inputs = st.one_of(
+    hull_inputs(), collinear_inputs(), wide_asym_contractible_points()
+)
+
+
+@given(lattice_inputs)
+def test_configuration_analyses_match_the_references(pts):
+    cfg = Configuration(canonical((p, "O") for p in pts))
+    ref = ref_hull(pts)
+    assert cfg.on_lds == ref_on_lds(pts) == (ref is None)
+    if ref is None:
+        assert isinstance(cfg.hull, CollinearSignal)
+        return
+    h = cfg.hull
+    ring = ref[0]
+    assert (h.vertices, h.edge_lengths_sq, h.classification) == ref
+    assert hull_center(h) == ref_center(ring)
+    assert hull_area_twice(h.vertices, h.lattice) == sum(
+        a.x * b.y - b.x * a.y for a, b in zip(ring, ring[1:] + ring[:1])
+    )
+    if h.classification is Classification.ASYM_CONTRACTIBLE:
+        assert cfg.contraction_targets() == ref_min_edge_targets(pts)
+    for p in cfg.occupied:
+        if p not in ring:
+            assert nearest_vertex(p, h) == ref_nearest_vertex(p, ring)

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lumigather.configuration import Configuration, canonical
+from lumigather.geometry import Classification, Point
 from lumigather.potentials import (
     Cmp,
     INF,
+    R0,
     SqrtSum,
     ZERO_VEC,
     compare_values,
@@ -19,6 +22,15 @@ from lumigather.potentials import (
 from lumigather.rational import Rat
 
 from conftest import make_config
+from test_geometry import (
+    collinear_inputs,
+    lattice_inputs,
+    ref_center,
+    ref_dist_sq,
+    ref_hull,
+    ref_on_segment,
+    ref_selected_min_edges,
+)
 
 
 def approx(value, bits=64):
@@ -193,3 +205,75 @@ def test_sqrt_sum_interval_contains_float_value(r1):
         assert float(lo) - 1e-9 <= target <= float(hi) + 1e-9
     else:
         assert abs(float(v) - target) < 1e-9
+
+
+# -- potentials on the lattice against the Fraction formulas -----------------
+
+
+def ref_potential_f(config):
+    pts = [p for p, _ in config.entries]
+    ref = ref_hull(pts)
+    if ref is None:
+        return ZERO_VEC
+    ring, edges, cls = ref
+    k = len(ring)
+    area = sum(a.x * b.y - b.x * a.y for a, b in zip(ring, ring[1:] + ring[:1])) / 2
+    if cls in (Classification.SYM_CONTRACTIBLE, Classification.SYM_NONCONTRACTIBLE):
+        center = ref_center(ring)
+        return (area, sqrt_sum([ref_dist_sq(center, p) for p in pts]), 0, R0, R0)
+    forbidden = {ring[(i + 1) % k] for i in ref_selected_min_edges(edges)}
+    v0 = max((v for v in ring if v not in forbidden), key=lambda v: (v.x, v.y))
+    s = ring.index(v0)
+    walk, walk_edges = ring[s:] + ring[:s], edges[s:] + edges[:s]
+    inside = 0
+    f4, f5 = [], []
+    for p in pts:
+        loc, prefix = None, []
+        for i in range(k):
+            a, b = walk[i], walk[(i + 1) % k]
+            if p == a:
+                loc = prefix
+                break
+            if p != b and ref_on_segment(p, a, b):
+                loc = prefix + [ref_dist_sq(a, p)]
+                break
+            prefix.append(walk_edges[i])
+        if loc is None:
+            inside += 1
+        else:
+            f4.extend(loc)
+        f5.append(min(ref_dist_sq(p, v) for v in ring))
+    return (area, R0, inside, sqrt_sum(f4), sqrt_sum(f5))
+
+
+def ref_potential_g(config):
+    robots = config.entries
+    pts = sorted({p for p, _ in robots}, key=lambda p: (p.x, p.y))
+    left, right = pts[0], pts[-1]
+    a_points = [p for p in pts if (p, "A") in robots]
+    if len(a_points) == 1:
+        return (sqrt_sum([ref_dist_sq(a_points[0], p) for p, _ in robots]), R0, R0, 0, R0)
+    if len(a_points) in (0, 2):
+        mid = Point((left.x + right.x) / 2, (left.y + right.y) / 2)
+        return (
+            INF,
+            sqrt_sum([ref_dist_sq(left, right)]),
+            sqrt_sum([ref_dist_sq(mid, p) for p, _ in robots]),
+            sum(1 for _, c in robots if c == "B"),
+            R0,
+        )
+    ends = [min(ref_dist_sq(p, left), ref_dist_sq(p, right)) for p, _ in robots]
+    return (INF, INF, INF, INF, sqrt_sum(ends))
+
+
+@given(lattice_inputs)
+def test_potential_f_matches_the_reference(pts):
+    cfg = Configuration(canonical((p, "O") for p in pts))
+    assert potential_f(cfg) == ref_potential_f(cfg)
+
+
+@given(collinear_inputs(), st.data())
+def test_potential_g_matches_the_reference(pts, data):
+    colors = [data.draw(st.sampled_from("AB")) for _ in pts]
+    cfg = Configuration(canonical(zip(pts, colors)))
+    assert potential_g(cfg) == ref_potential_g(cfg)
