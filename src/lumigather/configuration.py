@@ -1,9 +1,10 @@
 """Configurations, snapshots and observation frames.
 
 A Configuration is the multiset of (position, color) pairs at an instant.
-Derived analyses (occupied points, convex hull, collinearity, line pattern)
-are computed lazily and cached, so the many per-robot algorithm evaluations
-that share one instant pay for geometry once.
+Derived analyses (occupied points, their integer lattice, convex hull,
+collinearity, line pattern) are computed lazily and cached, so the many
+per-robot algorithm evaluations that share one instant pay for geometry
+once.
 """
 
 from dataclasses import dataclass

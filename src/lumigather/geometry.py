@@ -177,19 +177,19 @@ def on_segment(p, a, b):
 
 
 class Lattice:
-    """Distinct points as integers over their least common denominator.
+    """Points as integers over their least common denominator.
 
-    ``points`` are the distinct points in ``Point.order_key`` order, ``den``
-    is the least common multiple L of their coordinate denominators, and
-    ``xy[p]`` is ``(L * p.x, L * p.y)`` as a pair of ints.  A Configuration
-    builds its lattice once, on first use, and all of its analyses share it.
+    ``den`` is the least common multiple L of the points' coordinate
+    denominators and ``xy`` maps each distinct point p to
+    ``(L * p.x, L * p.y)``, a pair of ints, in the order the points came.
+    A Configuration builds its lattice once, on first use, and all of its
+    analyses share it.
     """
 
-    __slots__ = ("points", "den", "xy")
+    __slots__ = ("den", "xy")
 
     def __init__(self, points):
-        """``points``: distinct points, already in ``Point.order_key`` order."""
-        self.points = points
+        """``points``: a collection of points; duplicates are dropped."""
         dens = {p.x.denominator for p in points}
         dens.update(p.y.denominator for p in points)
         den = self.den = math.lcm(*dens)
@@ -204,16 +204,11 @@ class Lattice:
                 for p in points
             }
 
-    @classmethod
-    def of(cls, points):
-        """Lattice of any iterable of points; duplicates are dropped."""
-        return cls(tuple(sorted(set(points), key=Point.order_key)))
-
     def with_point(self, p):
         """This lattice, or the lattice of its points and ``p`` when p is off it."""
         if p in self.xy:
             return self
-        return Lattice.of(self.points + (p,))
+        return Lattice((*self.xy, p))
 
     def norm(self, a, b):
         """Squared distance from a to b, times L**2, as an int."""
@@ -266,15 +261,16 @@ def convex_hull(points, lattice=None):
 
     Returns a HullView, or a CollinearSignal when every distinct position is
     collinear (a single point and two points count as collinear).
-    ``lattice``, when given, must be ``Lattice.of(points)``.
+    ``lattice``, when given, must be ``Lattice(points)``.
     """
-    lat = Lattice.of(points) if lattice is None else lattice
-    pts = lat.points
-    if not pts:
+    lat = Lattice(points) if lattice is None else lattice
+    xy = lat.xy
+    if not xy:
         raise ValueError("convex_hull of empty point set")
+    # scaling by L > 0 keeps the lexicographic order of points
+    pts = tuple(sorted(xy, key=xy.__getitem__))
     if len(pts) <= 2:
         return CollinearSignal(pts)
-    xy = lat.xy
     q = [(*xy[p], p) for p in pts]
 
     def chain(seq):
@@ -333,14 +329,13 @@ def on_hull_boundary(p, hull):
     return False
 
 
-def hull_center_of(vertices, lattice=None):
+def hull_center_of(vertices, lattice):
     """Vertex centroid.  For regular polygons this is the circumcenter.
 
-    ``lattice``, when given, must hold every vertex.
+    ``lattice`` must hold every vertex.
     """
-    lat = Lattice.of(vertices) if lattice is None else lattice
-    xy = lat.xy
-    den = len(vertices) * lat.den
+    xy = lattice.xy
+    den = len(vertices) * lattice.den
     sx = sum(xy[v][0] for v in vertices)
     sy = sum(xy[v][1] for v in vertices)
     return Point(Rat(sx, den), Rat(sy, den))
@@ -374,9 +369,9 @@ def is_contractible(points, hull=None):
 def is_on_lds(points, lattice=None):
     """True when all occupied positions are collinear (1 or 2 points: true).
 
-    ``lattice``, when given, must be ``Lattice.of(points)``.
+    ``lattice``, when given, must be ``Lattice(points)``.
     """
-    lat = Lattice.of(points) if lattice is None else lattice
+    lat = Lattice(points) if lattice is None else lattice
     q = list(lat.xy.values())
     if len(q) <= 2:
         return True
@@ -390,7 +385,7 @@ def hull_area_twice(verts, lattice=None):
 
     ``lattice``, when given, must hold every vertex.
     """
-    lat = Lattice.of(verts) if lattice is None else lattice
+    lat = Lattice(verts) if lattice is None else lattice
     q = [lat.xy[v] for v in verts]
     s = sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(q, q[1:] + q[:1]))
     return Rat(s, lat.den * lat.den)
@@ -428,8 +423,7 @@ def min_edge_targets(points, hull=None):
         raise ValueError("min_edge_targets requires an asymmetric contractible configuration")
     verts = hull.vertices
     k = len(verts)
-    lat = hull.lattice
-    xy = lat.xy
+    xy = hull.lattice.xy
     out = []
     for i in selected_min_edges(hull):
         right = verts[i]
@@ -437,8 +431,7 @@ def min_edge_targets(points, hull=None):
         dx, dy = bx - ax, by - ay
         # every occupied point lies in the closed hull: collinear with an
         # edge means on it
-        for p in lat.points:
-            x, y = xy[p]
+        for p, (x, y) in xy.items():
             if p != right and dx * (y - ay) == dy * (x - ax):
                 out.append((p, right))
     out.sort(key=lambda pr: pr[0].order_key())
