@@ -16,14 +16,15 @@ integer kernels chosen by what it reads.
   one expression over ints.  A rational is built only for a value that
   leaves the analysis: an edge length or squared distance as
   ``Rat(N, L*L)``, an area, a center or a destination.
-* Isolated points -- a move's reach, a truncated move, a scenario's robots
-  -- go through ``orientation``, ``on_segment`` and ``dist_sq``.  They read
-  each coordinate as its integer ``numerator`` and ``denominator``, and both
-  backends keep every denominator positive.  A coordinate difference is then
-  an unreduced integer pair ``(N, D)`` with ``D > 0``, and comparing two such
-  quotients cross-multiplies by positive integers, so the sign of
-  ``N1 * D2 - N2 * D1`` is the sign of ``N1 / D1 - N2 / D2`` exactly.  No
-  rational is built until ``dist_sq`` normalises its result once.
+* Isolated points -- a truncated move, a move's reach in a replayed trace,
+  the span of a line -- go through ``orientation``, ``on_segment`` and
+  ``dist_sq``.  They read each coordinate as its integer ``numerator`` and
+  ``denominator``, and both backends keep every denominator positive.  A
+  coordinate difference is then an unreduced integer pair ``(N, D)`` with
+  ``D > 0``, and comparing two such quotients cross-multiplies by positive
+  integers, so the sign of ``N1 * D2 - N2 * D1`` is the sign of
+  ``N1 / D1 - N2 / D2`` exactly.  No rational is built until ``dist_sq``
+  normalises its result once.
 """
 
 import math
@@ -88,12 +89,6 @@ class Point:
 
     def __lt__(self, other):
         return self.order_key() < other.order_key()
-
-    def __add__(self, other):
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return Point(self.x - other.x, self.y - other.y)
 
     def __repr__(self):
         return f"({self.x},{self.y})"
@@ -189,7 +184,8 @@ class Lattice:
     __slots__ = ("den", "xy")
 
     def __init__(self, points):
-        """``points``: a collection of points; duplicates are dropped."""
+        """``points``: any iterable of points; duplicates are dropped."""
+        points = tuple(points)
         dens = {p.x.denominator for p in points}
         dens.update(p.y.denominator for p in points)
         den = self.den = math.lcm(*dens)

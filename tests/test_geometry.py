@@ -171,6 +171,10 @@ class TestOnLds:
     def test_triangle(self):
         assert not is_on_lds([pt(0, 0), pt(1, 0), pt(0, 1)])
 
+    def test_points_from_an_iterator(self):
+        assert not is_on_lds(iter([pt(0, 0), pt(1, 0), pt(0, 1)]))
+        assert len(convex_hull(iter([pt(0, 0), pt(1, 0), pt(0, 1)])).vertices) == 3
+
 
 class TestOnSegment:
     def test_degenerate_segment_holds_only_its_endpoint(self):
