@@ -347,21 +347,20 @@ def potential_g(config):
     cc = config.cc
     lat = config.lattice
     robots = [lat.xy[p] for p, _ in config.entries]
+    (lx, ly), (rx, ry) = lat.xy[cc.endpoint_left], lat.xy[cc.endpoint_right]
     n_a = cc.counts.get("A", 0)
     if n_a == 1:
         ax, ay = lat.xy[next(p for p, f in cc.stations if "A" in f)]
         g1 = _root_sum([(x - ax) ** 2 + (y - ay) ** 2 for x, y in robots], lat.den)
         vec = (g1, R0, R0, 0, R0)
     elif n_a in (0, 2):
-        span = _root_sum([lat.norm(cc.endpoint_left, cc.endpoint_right)], lat.den)
-        # the endpoints' midpoint times 2 * L, a denominator it divides
-        (lx, ly), (rx, ry) = lat.xy[cc.endpoint_left], lat.xy[cc.endpoint_right]
+        span = _root_sum([(rx - lx) ** 2 + (ry - ly) ** 2], lat.den)
+        # distances to the endpoints' midpoint over the denominator 2 * L
         mx, my = lx + rx, ly + ry
         g3 = _root_sum([(2 * x - mx) ** 2 + (2 * y - my) ** 2 for x, y in robots], 2 * lat.den)
         n_b = sum(1 for _, c in config.entries if c == "B")
         vec = (INF, span, g3, n_b, R0)
     else:
-        (lx, ly), (rx, ry) = lat.xy[cc.endpoint_left], lat.xy[cc.endpoint_right]
         g5 = _root_sum(
             [min((x - lx) ** 2 + (y - ly) ** 2, (x - rx) ** 2 + (y - ry) ** 2) for x, y in robots],
             lat.den,

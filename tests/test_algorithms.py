@@ -116,9 +116,7 @@ class TestLuGather:
             assert act.dest == pt(1, 1) and act.color == color
 
 
-@pytest.mark.parametrize(
-    "algorithm, color", [(lu_gather, "A"), (lu_gather_in_async, "S")]
-)
+@pytest.mark.parametrize("algorithm, color", [(lu_gather, "A"), (lu_gather_in_async, "S")])
 def test_collinear_gatherers_reject_a_non_collinear_snapshot(algorithm, color):
     pts = [((0, 0), color), ((4, 0), color), ((0, 3), color)]
     with pytest.raises(ValueError, match="collinear"):
