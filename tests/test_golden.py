@@ -8,6 +8,15 @@ cached, those of ``_SCHEDULE_CASES`` before the asynchronous engine read its
 legality from one field per robot; any change to them means a trace or a
 report changed.
 
+Two more pin sets cover what the default checks do not print:
+
+* ``ANNOTATED`` pins the potential-annotated copy of each ``elect-one-lds``
+  (potential f) and ``lu-gather`` (potential g) trace.  Its interval entries
+  are the only serialized bytes that ``sqrt_interval`` reaches.
+* ``ENUMERATED`` pins the ``enumerate_unfair`` report of three bundled
+  scenarios at depth 6 with the move fractions 1 and 1/2, so that truncated
+  moves are covered.
+
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
 """
 
@@ -17,9 +26,16 @@ from pathlib import Path
 
 import pytest
 
-from lumigather.checker import CHECKS, TraceData, default_checks
+from lumigather.checker import (
+    CHECKS,
+    TraceData,
+    annotate_potentials,
+    default_checks,
+    enumerate_unfair,
+)
 from lumigather.engine import Scenario, Trace, run
 from lumigather.fuzz import random_scenario
+from lumigather.rational import Rat
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -68,6 +84,27 @@ def digests(scenario):
     for name in default_checks(td.algorithm.id, td.scheduler) + ["equivariance"]:
         out[name] = _sha(str(CHECKS[name](td)))
     return out
+
+
+def annotated_digest(scenario):
+    """sha of the trace annotated with its algorithm's potential, as ``check --annotate`` writes it."""
+    return _sha(annotate_potentials(Trace.parse(run(scenario).dumps())).dumps())
+
+
+ENUM_DEPTH = 6
+ENUM_FRACTIONS = (Rat(1), Rat(1, 2))
+
+
+def enumerated_digest(scenario):
+    """sha of the ``enumerate_unfair`` report from the scenario's robots and delta."""
+    rep = enumerate_unfair(
+        scenario.robots,
+        scenario.algorithm,
+        ENUM_DEPTH,
+        fractions=ENUM_FRACTIONS,
+        delta=scenario.delta,
+    )
+    return _sha(str(rep))
 
 
 GOLDEN = {
@@ -198,7 +235,26 @@ GOLDEN = {
 }
 
 
+ANNOTATED = {
+    "line-lu": "2c4860021f33d16d7a6b088faf088a998e0e5968108e060dc8b0acd963d2f658",
+    "rectangle-unfair": "b7be8ba5a7d4e216ec8c20b9937657e8be03a784ee9ab2671dd90df12b6c9823",
+    "triangle-enum": "d10ad2e7a6980bbdbb488d2668c80c26fdbe814c9deded87cea32e06d6e7b4a8",
+    "fuzz-elect-one-lds-fsync-n5": "e2f2afa0664f1da6692e52b2284a41411351cf2472552cd17e0cbd75dec0838a",
+    "fuzz-elect-one-lds-ssync-n5": "5a27f40cef3b6fded2d589b30104d62acfcce97ccecc8fd1fc6780f36c69a75f",
+    "fuzz-lu-gather-fsync-n5": "e656a0d6989816e908168d4012e8afd33e588bdce6664ba034d40bcd8731c97a",
+    "fuzz-lu-gather-ssync-n5": "c3e75126d271ec85bbc492ce07259797e87c298a169bb42037b661a16092dfee",
+}
+
+ENUMERATED = {
+    "line-lu": "cfd6be36b1386d5ba907bc896410dd34d9072396dbe78472147898b83cdec9e8",
+    "rectangle-unfair": "a79084aad4b95927ee73c850b8935ecdcda69ba4bf922c7b28a73bfdbb9adb3e",
+    "triangle-enum": "328c483a48f4210dc8028f87a9292646e62c3304d0d2f57f8936758f95beb742",
+}
+
+
 CORPUS = corpus()
+POTENTIAL_CASES = [(n, sc) for n, sc in CORPUS if sc.algorithm in ("elect-one-lds", "lu-gather")]
+ENUM_CASES = [(n, sc) for n, sc in CORPUS if n in ("line-lu", "rectangle-unfair", "triangle-enum")]
 
 
 @pytest.mark.parametrize("name,scenario", CORPUS, ids=[name for name, _ in CORPUS])
@@ -206,7 +262,19 @@ def test_golden_digests(name, scenario):
     assert digests(scenario) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name,scenario", POTENTIAL_CASES, ids=[n for n, _ in POTENTIAL_CASES])
+def test_annotated_potentials(name, scenario):
+    assert annotated_digest(scenario) == ANNOTATED[name]
+
+
+@pytest.mark.parametrize("name,scenario", ENUM_CASES, ids=[n for n, _ in ENUM_CASES])
+def test_enumerate_reports(name, scenario):
+    assert enumerated_digest(scenario) == ENUMERATED[name]
+
+
 if __name__ == "__main__":
     import pprint
 
     pprint.pprint({name: digests(sc) for name, sc in CORPUS}, width=100)
+    pprint.pprint({name: annotated_digest(sc) for name, sc in POTENTIAL_CASES}, width=100)
+    pprint.pprint({name: enumerated_digest(sc) for name, sc in ENUM_CASES}, width=100)
