@@ -655,7 +655,8 @@ def snapshot_has_convention_ties(snap):
         mid = cc.midpoint
         ends = (cc.endpoint_left, cc.endpoint_right)
         return any(p == mid for p in cfg.points if p not in ends)
-    return any(p == hull_center(cfg.hull) for p in cfg.points)
+    center = hull_center(cfg.hull)
+    return any(p == center for p in cfg.points)
 
 
 def check_equivariance_trace(trace):
@@ -683,11 +684,13 @@ def check_equivariance_trace(trace):
                 if rng.random() < 0.5:
                     a, b = b, a
                 frames.append(
-                    Frame(
-                        Rat(a, cc_),
-                        Rat(b, cc_) if rng.random() < 0.5 else Rat(-b, cc_),
-                        Rat(rng.randint(1, 9), rng.randint(1, 3)),
-                        Point(Rat(rng.randint(-20, 20)), Rat(rng.randint(-20, 20))),
+                    Frame.from_triple(
+                        a,
+                        b if rng.random() < 0.5 else -b,
+                        cc_,
+                        scale=Rat(rng.randint(1, 9), rng.randint(1, 3)),
+                        tx=rng.randint(-20, 20),
+                        ty=rng.randint(-20, 20),
                     )
                 )
             checked += len(frames)
@@ -1028,8 +1031,14 @@ def enumerate_unfair(
     collinear respectively gathered.  One fraction from the set applies to
     all movers of a round.  Aborts with a partial report above the node
     ceiling.
+
+    Raises ValueError for any other algorithm: none of them has a potential
+    that every effective round decreases (f is zero on every collinear
+    configuration, and a round that only changes colors leaves it equal).
     """
     spec = get_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
+    if spec.id not in ("elect-one-lds", "lu-gather"):
+        raise ValueError(f"enumeration judges elect-one-lds and lu-gather only, not {spec.id!r}")
     _, potential = _potential(spec.id)
     goal = (
         (lambda cfg: cfg.gathered())

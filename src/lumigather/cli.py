@@ -214,13 +214,17 @@ def cmd_enumerate(args):
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    rep = enumerate_unfair(
-        scenario.robots,
-        scenario.algorithm,
-        args.depth,
-        delta=scenario.delta,
-        node_ceiling=args.node_ceiling,
-    )
+    try:
+        rep = enumerate_unfair(
+            scenario.robots,
+            scenario.algorithm,
+            args.depth,
+            delta=scenario.delta,
+            node_ceiling=args.node_ceiling,
+        )
+    except ValueError as exc:
+        print(f"enumerate: {exc}", file=sys.stderr)
+        return 2
     print(rep)
     return 0 if rep.passed else 1
 

@@ -103,6 +103,8 @@ class Scenario:
                 for r in data["robots"]
             )
             adversary = data.get("adversary", {})
+            if not isinstance(adversary, dict):
+                raise ScenarioError(f"adversary must be an object, not {adversary!r}")
             return Scenario(
                 robots=robots,
                 delta=parse_rat(data["delta"]),

@@ -19,7 +19,7 @@ integer kernels chosen by what it reads.
 * Isolated points -- a truncated move, a move's reach in a replayed trace,
   the span of a line -- go through ``orientation``, ``on_segment`` and
   ``dist_sq``.  They read each coordinate as its integer ``numerator`` and
-  ``denominator``, and both backends keep every denominator positive.  A
+  ``denominator``, and a ``Fraction`` keeps its denominator positive.  A
   coordinate difference is then an unreduced integer pair ``(N, D)`` with
   ``D > 0``, and comparing two such quotients cross-multiplies by positive
   integers, so the sign of ``N1 * D2 - N2 * D1`` is the sign of
@@ -43,11 +43,11 @@ class Point:
 
     The order is the exact lexicographic order of ``(x, y)``.  It is decided
     on ``order_key() == (float(x), x, float(y), y)``, computed on first use:
-    ``float`` of a rational is monotone (``fractions`` rounds correctly and
-    gmpy2 rounds monotonically too), so ``float(a) < float(b)`` implies
-    ``a < b``, and the exact value breaks every tie between equal floats.
-    Sorting with ``key=Point.order_key`` therefore gives the same sequence as
-    sorting on ``(x, y)``, with most comparisons made on floats.
+    ``float`` of a ``Fraction`` is correctly rounded, hence monotone, so
+    ``float(a) < float(b)`` implies ``a < b``, and the exact value breaks
+    every tie between equal floats.  Sorting with ``key=Point.order_key``
+    therefore gives the same sequence as sorting on ``(x, y)``, with most
+    comparisons made on floats.
     """
 
     __slots__ = ("x", "y", "_hash", "_key")

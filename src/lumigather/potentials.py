@@ -11,6 +11,7 @@ comparison is reported Undecided only when precision genuinely runs out.
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 
 from .geometry import (
     Classification,
@@ -19,7 +20,7 @@ from .geometry import (
     hull_center_of,
     selected_min_edges,
 )
-from .rational import R0, Rat, format_rat, isqrt, sqrt_exact, sqrt_interval
+from .rational import R0, Rat, format_rat, sqrt_exact, sqrt_interval
 
 INF = "inf"
 
@@ -106,8 +107,8 @@ def _canonical_sqrt(rad):
     a perfect square and not provably prime leaves the result unusable.
     """
     p, q = rad.numerator, rad.denominator
-    n = int(p * q)
-    coeff = Rat(1, int(q))
+    n = p * q
+    coeff = Rat(1, q)
     m = 1
     for f in _small_primes():
         if f * f > n:
@@ -117,13 +118,13 @@ def _canonical_sqrt(rad):
             n //= f
             e += 1
         if e:
-            coeff *= Rat(f) ** (e // 2)
+            coeff *= f ** (e // 2)
             if e % 2:
                 m *= f
     if n > 1:
         s = isqrt(n)
         if s * s == n:
-            coeff *= Rat(int(s))
+            coeff *= s
         elif n < 10**8:
             m *= n  # survived trial division and below 1e8: prime
         else:

@@ -1,44 +1,17 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Every coordinate, distance-square and adversary fraction in this package is
-an exact rational.  Two interchangeable number backends are supported and one
-is picked at import time:
-
-* ``gmpy2.mpq`` -- GMP-backed compiled rationals (the fast path),
-* ``fractions.Fraction`` -- pure-Python fallback.
-
-Set ``LUMIGATHER_PURE_RATIONAL=1`` in the environment to force the pure
-backend.  The benchmark under ``perfbench/`` reports the backend it loaded.
+an exact rational: ``Rat`` is ``fractions.Fraction``.  ``BACKEND`` names it
+for the benchmark under ``perfbench/``, which records the number type that
+ran.
 """
 
 import math
-import os
-from fractions import Fraction
+from fractions import Fraction as Rat
 
-_FORCE_PURE = os.environ.get("LUMIGATHER_PURE_RATIONAL", "") not in ("", "0")
-
-if _FORCE_PURE:
-    Rat = Fraction
-    _isqrt = math.isqrt
-    BACKEND = "fractions"
-else:
-    try:
-        import gmpy2
-
-        Rat = gmpy2.mpq
-        _isqrt = gmpy2.isqrt
-        BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - gmpy2 present in normal installs
-        Rat = Fraction
-        _isqrt = math.isqrt
-        BACKEND = "fractions"
+BACKEND = "fractions"
 
 R0 = Rat(0)
-
-
-def isqrt(n):
-    """Floor square root of a non-negative integer."""
-    return _isqrt(n)
 
 
 def parse_rat(text):
@@ -69,18 +42,18 @@ def format_rat(x):
 def sqrt_exact(x):
     """Exact rational square root of ``x`` or None when irrational.
 
-    ``x`` must be non-negative and in lowest terms (both backends normalize).
+    ``x`` must be non-negative; a ``Fraction`` is always in lowest terms.
     """
     p, q = x.numerator, x.denominator
     if p < 0:
         raise ValueError("sqrt of negative rational")
-    sp = _isqrt(p)
+    sp = math.isqrt(p)
     if sp * sp != p:
         return None
-    sq = _isqrt(q)
+    sq = math.isqrt(q)
     if sq * sq != q:
         return None
-    return Rat(int(sp), int(sq))
+    return Rat(sp, sq)
 
 
 def sqrt_interval(x, bits):
@@ -95,9 +68,9 @@ def sqrt_interval(x, bits):
     if p == 0:
         return R0, R0
     n = p * q
-    s = _isqrt(n << (2 * bits))
+    s = math.isqrt(n << (2 * bits))
     den = q << bits
-    return Rat(int(s), int(den)), Rat(int(s) + 1, int(den))
+    return Rat(s, den), Rat(s + 1, den)
 
 
 def min_rat_ge_sqrt(x):
@@ -113,7 +86,7 @@ def min_rat_ge_sqrt(x):
     if exact is not None:
         return exact
     p, q = x.numerator, x.denominator
-    # sqrt(p/q)*64 = sqrt(64^2*p*q)/q; floor+1 then ceil-divide by q.
-    s = _isqrt(4096 * p * q)
-    n = (int(s) + 1 + q - 1) // q
-    return Rat(int(n), 64)
+    # sqrt(p/q)*64 = sqrt(64^2*p*q)/q; floor+1 then ceil-divide by q:
+    # ceil((s + 1) / q) == (s + q) // q.
+    s = math.isqrt(4096 * p * q)
+    return Rat((s + q) // q, 64)

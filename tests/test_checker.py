@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from lumigather import checker
 from lumigather.checker import (
     CHECKS,
     Report,
@@ -17,11 +18,12 @@ from lumigather.checker import (
     check_onlds_switch,
     check_shrink,
     enumerate_unfair,
+    snapshot_has_convention_ties,
     validate_trace,
 )
 from lumigather.configuration import Frame
 from lumigather.engine import Scenario, Trace, run
-from lumigather.geometry import Point, pt
+from lumigather.geometry import Point, hull_center, pt
 from lumigather.rational import Rat
 
 from conftest import make_snap
@@ -742,6 +744,22 @@ class TestEquivariance:
         assert len(rep.violations) == honest.extras["checked"]
         assert rep.violations[0]["detail"].startswith("output not equivariant at robot on ")
 
+    def test_convention_ties_take_the_hull_center_once(self, monkeypatch):
+        calls = []
+
+        def counted(hull):
+            calls.append(hull)
+            return hull_center(hull)
+
+        monkeypatch.setattr(checker, "hull_center", counted)
+        snap = make_snap(
+            [((0, 0), "O"), ((6, 0), "O"), ((6, 2), "O"), ((0, 2), "O"), ((1, 1), "O")],
+            (1, 1),
+            "O",
+        )
+        assert not snapshot_has_convention_ties(snap)
+        assert len(calls) == 1
+
     def test_orientation_reversing_frame_rejected(self):
         with pytest.raises(ValueError):
             Frame(Rat(3, 5), Rat(4, 5), Rat(-1), Point(Rat(0), Rat(0)))
@@ -769,6 +787,11 @@ class TestEnumerate:
         )
         assert rep.passed
         assert rep.extras["unfinished"] == 0
+
+    @pytest.mark.parametrize("alg", ["lu-gather-async", "three-color", "six-color"])
+    def test_algorithm_without_a_decreasing_potential_rejected(self, alg):
+        with pytest.raises(ValueError, match="elect-one-lds and lu-gather only"):
+            enumerate_unfair([(pt(0, 0), "S"), (pt(4, 0), "S")], alg, 4)
 
     def test_node_ceiling_aborts(self):
         rep = enumerate_unfair(

@@ -68,6 +68,18 @@ class TestRun:
         header = json.loads(out.read_text().splitlines()[0])
         assert header["adversary"]["seed"] == 123
 
+    @pytest.mark.parametrize("cmd", ["run", "enumerate"])
+    @pytest.mark.parametrize("adversary", ["random", None, ["random", 3]])
+    def test_non_object_adversary_exits_2(self, tmp_path, capsys, cmd, adversary):
+        bad = tmp_path / "bad.json"
+        data = json.loads((SCENARIOS / "triangle-enum.json").read_text())
+        data["adversary"] = adversary
+        bad.write_text(json.dumps(data))
+        assert main([cmd, "--scenario", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scenario error: adversary must be an object")
+
 
 class TestFuzz:
     def test_small_fuzz_clean(self, capsys):
@@ -353,3 +365,11 @@ class TestEnumerate:
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["pass"] is True
+
+    @pytest.mark.parametrize("scenario", ["segment100.json", "square.json"])
+    def test_algorithm_without_a_decreasing_potential_exits_2(self, capsys, scenario):
+        code = main(["enumerate", "--scenario", str(SCENARIOS / scenario), "--depth", "4"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("enumerate: enumeration judges elect-one-lds and lu-gather")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from lumigather.rational import (
@@ -8,6 +10,10 @@ from lumigather.rational import (
     sqrt_exact,
     sqrt_interval,
 )
+
+
+def test_rat_is_fraction():
+    assert Rat is Fraction
 
 
 def test_parse_and_format_roundtrip():
