@@ -6,6 +6,7 @@ surfaces as a replay mismatch rather than a silent pass.  Each check returns
 a Report; reports are merged associatively by the fuzz harness.
 """
 
+import functools
 import json
 import random
 import re
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .algorithms import get_algorithm, phase_of
 from .configuration import ConfigInterner, Frame, Snapshot, canonical
-from .engine import Trace, apply_move
+from .engine import Trace, apply_move, memo_action
 from .geometry import Point, dist_sq, hull_center, on_segment, orientation
 from .patterns import PendingAnnotation
 from .potentials import (
@@ -113,9 +114,12 @@ class TraceData:
     """Parsed trace with per-robot timelines and visible-state queries.
 
     Every raw ``(x, y)`` pair is parsed once and mapped to a single Point, so
-    equal coordinates share one object.  Malformed input raises ValueError.
-    Checks obtain their instance through ``TraceData.of``, which builds it
-    once per trace.
+    equal coordinates share one object.  A Config line whose raw entries
+    equal the previous Config line's shares that line's decoded entries.
+    ``replayed(t)`` derives instant t from t-1 where it can, recomputing
+    only the robots whose visible state an event may have changed.
+    Malformed input raises ValueError.  Checks obtain their instance
+    through ``TraceData.of``, which builds it once per trace.
     """
 
     @classmethod
@@ -146,6 +150,10 @@ class TraceData:
             raise ValueError("trace does not start with a Header line")
         self.header = lines[0]
         _require_keys(self.header, _HEADER_KEYS, "trace header")
+        adversary = self.header.get("adversary", {})
+        if not isinstance(adversary, dict):
+            raise ValueError("trace header adversary is not a JSON object")
+        self.seed = _require_type(adversary.get("seed", 0), int, "trace header adversary seed")
         self._points = {}
         self.algorithm = get_algorithm(self.header["algorithm"])
         self.scheduler = self.header["scheduler"]
@@ -170,6 +178,7 @@ class TraceData:
         self.events = []
         self.rounds = {}
         last_time = 0
+        raw = entries = None  # the latest Config line's raw and decoded entries
         for i, ln in enumerate(lines[1:], 1):
             if not isinstance(ln, dict):
                 raise ValueError(f"trace line {i + 1} is not a JSON object")
@@ -184,7 +193,11 @@ class TraceData:
             if kind == "Config":
                 if ln["t"] in self.configs:
                     raise ValueError(f"trace line {i + 1}: a second Config line for t={ln['t']}")
-                self.configs[ln["t"]] = self._config_entries(ln["entries"], i)
+                # an equal list decodes and validates the same way
+                if entries is None or ln["entries"] != raw:
+                    raw = ln["entries"]
+                    entries = self._config_entries(raw, i)
+                self.configs[ln["t"]] = entries
             elif kind == "End":
                 if self.lines_after_end is None:
                     self.status = ln["status"]
@@ -203,6 +216,8 @@ class TraceData:
         self.cache = ConfigInterner()
         self._at = {}
         self._replayed = {}
+        self._row = [None] * n  # robot-order entries of instant _row_t
+        self._row_t = None
         self._build_timelines(last_time)
 
     def _check_robot(self, rid, ln):
@@ -285,6 +300,26 @@ class TraceData:
                         f"line at some instant up to t={stop}"
                     )
 
+    @functools.cached_property
+    def _changes(self):
+        """Instant t -> the robots whose visible state may differ from t-1's.
+
+        ``visible_color`` changes only the instant after a Compute, and
+        ``visible_pos`` only the instant after a MoveBegin or a MoveEnd and
+        at a progress point; every other robot shows at t what it showed at
+        t-1.
+        """
+        changes = {}
+        for rid in range(self.n):
+            ts = [tc + 1 for tc in self._comp_times[rid]]
+            for m in self.moves[rid]:
+                ts += (m.t_b + 1, *m.progress)
+                if m.t_e is not None:
+                    ts.append(m.t_e + 1)
+            for t in ts:
+                changes.setdefault(t, set()).add(rid)
+        return changes
+
     # -- visible state (asynchronous timing rules; a round is one instant) ---
 
     def visible_color(self, rid, t):
@@ -315,13 +350,25 @@ class TraceData:
 
         Derived from the header and the robot events alone, never from the
         Config lines.  A round is one instant, so a round-based trace
-        replays through the same timing rules.
+        replays through the same timing rules.  Right after instant t-1,
+        only the robots that ``_changes`` lists for t are recomputed.
         """
         cfg = self._replayed.get(t)
+        if cfg is not None:
+            return cfg
+        row = self._row
+        if self._row_t == t - 1:
+            changed = self._changes.get(t, ())
+            for i in changed:
+                row[i] = (self.visible_pos(i, t), self.visible_color(i, t))
+            if not changed:
+                cfg = self._replayed[t - 1]
+        else:
+            row[:] = [(self.visible_pos(i, t), self.visible_color(i, t)) for i in range(self.n)]
         if cfg is None:
-            cfg = self._replayed[t] = self.cache.get(
-                tuple((self.visible_pos(i, t), self.visible_color(i, t)) for i in range(self.n))
-            )
+            cfg = self.cache.get(tuple(row))
+        self._replayed[t] = cfg
+        self._row_t = t
         return cfg
 
     def last_look(self, rid, t):
@@ -467,14 +514,18 @@ def _validate_timing(td, rid, rep):
 
 
 def _validate_computes(td, rid, rep):
-    """Every Compute reproduces the algorithm on its Look's snapshot."""
+    """Every Compute reproduces the algorithm on its Look's snapshot.
+
+    The checker's own actions are kept in the ``memo`` of the TraceData's
+    configurations, never the engine's.
+    """
     for tc, color, dest, _ in td.computes[rid]:
         tl = td.last_look(rid, tc)
         if tl is None:
             rep.violate(tc, f"robot {rid}: Compute without Look")
             continue
-        act = td.algorithm(
-            Snapshot(td.replayed(tl), td.visible_pos(rid, tl), td.visible_color(rid, tl))
+        act = memo_action(
+            td.algorithm, td.replayed(tl), td.visible_pos(rid, tl), td.visible_color(rid, tl)
         )
         if act.color != color or act.dest != dest:
             rep.violate(tc, f"robot {rid}: Compute differs from algorithm output")
@@ -614,8 +665,11 @@ def check_monotone(trace, which=None):
 
 
 def _acts(algorithm, cfg, pos, light):
-    """Whether the robot at ``pos`` with ``light`` on ``cfg`` would change its color or position."""
-    act = algorithm(Snapshot(cfg, pos, light))
+    """Whether the robot at ``pos`` with ``light`` on ``cfg`` would change its color or position.
+
+    ``cfg`` is one of the TraceData's configurations, which keeps the action.
+    """
+    act = memo_action(algorithm, cfg, pos, light)
     return act.color != light or act.dest != pos
 
 
@@ -666,7 +720,7 @@ def check_equivariance_trace(trace):
     snapshots whose action rests on a tie-break convention are skipped.
     """
     td = TraceData.of(trace)
-    rng = random.Random(int(td.header.get("adversary", {}).get("seed", 0)) ^ 0xE9)
+    rng = random.Random(td.seed ^ 0xE9)
     triples = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
     rep = Report("equivariance")
     checked = 0
@@ -720,6 +774,14 @@ _PHASE_DFA = {
 }
 
 
+def _phase_class(cfg):
+    """The phases (S, M, E) that ``cfg``'s colors show, kept in ``cfg.memo``."""
+    cls = cfg.memo.get("phase_class")
+    if cls is None:
+        cls = cfg.memo["phase_class"] = frozenset(phase_of(c) for c in cfg.colors_present)
+    return cls
+
+
 def _wrapped_segment(td):
     """Config times governed by the simulation wrapper."""
     ts = td.config_times
@@ -745,7 +807,7 @@ def check_cycle_snapshot(trace):
     if not seg:
         rep.extras["cycles"] = 0
         return rep
-    classes = {t: frozenset(phase_of(c) for c in td.config_at(t).colors_present) for t in seg}
+    classes = {t: _phase_class(td.config_at(t)) for t in seg}
     prev = None
     for t in seg:
         cls = classes[t]
@@ -770,7 +832,7 @@ def check_cycle_snapshot(trace):
                 tl = td.last_look(rid, tc) if ex else None
                 if tl is not None and start <= tl < end and tl in seg_set:
                     seen = td.replayed(tl)
-                    if frozenset(phase_of(c) for c in seen.colors_present) != frozenset("S"):
+                    if _phase_class(seen) != frozenset("S"):
                         rep.violate(
                             tl, f"robot {rid} ran the inner algorithm outside all-S"
                         )

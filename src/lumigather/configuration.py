@@ -158,9 +158,10 @@ class ConfigInterner:
     """One Configuration per distinct multiset of entries.
 
     Repeated instants then share one object and its cached analyses.  The
-    engine, each TraceData and each enumeration keep their own interner: the
-    checker re-derives every action and must never see actions the engine
-    memoized on a Configuration.
+    engine, each TraceData and each enumeration keep their own interner, and
+    with it their own ``memo`` entries: the checker re-derives every action
+    independently of the engine, once per distinct (configuration, position,
+    light), and never sees an action the engine memoized.
 
     ``get`` takes an entry tuple in any order; the engine and the checker
     pass robot order and leave the sorting to it.  Only a tuple it has not

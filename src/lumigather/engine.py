@@ -26,6 +26,8 @@ phase allows next, and one that has acted has none.
 import json
 import random
 from dataclasses import dataclass
+from json.decoder import WHITESPACE
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .algorithms import get_algorithm
 from .configuration import ConfigInterner, Snapshot
@@ -146,13 +148,41 @@ class Scenario:
         return Scenario.from_json(data)
 
 
-# one encoder for every line: json.dumps with non-default arguments builds a
-# new one per call
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# a trace line is compact JSON with sorted keys
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+
+def _line_encoder():
+    """``_ENCODER.encode`` for many lines, as a function of a line.
+
+    ``JSONEncoder.encode`` builds a new C encoder for every call; this builds
+    the one ``encode`` would build and reuses it, with fresh circular
+    reference markers per trace.  Without the C accelerator it is
+    ``_ENCODER.encode`` itself, as in ``json``.
+    """
+    if c_make_encoder is None:
+        return _ENCODER.encode
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan: what ``_ENCODER.iterencode`` passes
+    encode = c_make_encoder(
+        {}, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+    return lambda line: "".join(encode(line, 0))
+
+
+def _line_no(text, i):
+    return text.count("\n", 0, i) + 1
 
 
 class Trace:
-    """Ordered JSONL event log plus configuration snapshots."""
+    """Ordered JSONL event log plus configuration snapshots.
+
+    One line is one JSON object.  ``dumps`` encodes every line of a trace
+    with one encoder and ``parse`` decodes the whole text in one pass; the
+    bytes are those of ``json.dumps(line, sort_keys=True,
+    separators=(",", ":"))`` per line.
+    """
 
     # Point -> its (x, y) strings; made on first use, so that traces built
     # with ``Trace.__new__`` (parsed traces, checker copies) can log too
@@ -180,9 +210,17 @@ class Trace:
             xy = cache[p] = (format_rat(p.x), format_rat(p.y))
         return xy
 
-    def config_line(self, t, entries):
-        xy = self._xy
-        self.log(kind="Config", t=t, entries=[[*xy(p), c] for p, c in entries])
+    def config_line(self, t, cfg):
+        """Log the Config line of the Configuration ``cfg`` at instant t.
+
+        Its rows are formatted once per distinct configuration and kept in
+        ``cfg.memo``; each line gets fresh lists of them.
+        """
+        rows = cfg.memo.get("rows")
+        if rows is None:
+            xy = self._xy
+            rows = cfg.memo["rows"] = tuple((*xy(p), c) for p, c in cfg.entries)
+        self.log(kind="Config", t=t, entries=[[*r] for r in rows])
 
     def compute(self, t, robot, act):
         self.log(
@@ -220,7 +258,8 @@ class Trace:
         return state
 
     def dumps(self):
-        return "".join(_dump(line) + "\n" for line in self.lines)
+        encode = _line_encoder()
+        return "".join([encode(line) + "\n" for line in self.lines])
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -228,10 +267,37 @@ class Trace:
 
     @staticmethod
     def parse(text):
-        lines = [json.loads(ln) for ln in text.splitlines() if ln.strip()]
-        for i, ln in enumerate(lines):
-            if not isinstance(ln, dict):
-                raise ValueError(f"trace line {i + 1} is not a JSON object")
+        """The Trace of JSONL ``text``, decoded in one pass.
+
+        Each line holds one JSON object; blank lines, whitespace around a
+        value and CRLF line ends are accepted.  Raises ValueError on anything
+        else: a line that is not an object, two values on one line, one
+        value spread over two lines, or a truncated value.
+        """
+        scan = _DECODER.scan_once
+        lines = []
+        i, n = 0, len(text)
+        while i < n:
+            try:
+                line, end = scan(text, i)
+            except StopIteration:
+                # a blank line or leading whitespace: skip to the next value
+                j = WHITESPACE.match(text, i).end()
+                if j == i:
+                    raise json.JSONDecodeError("Expecting value", text, i) from None
+                i = j
+                continue
+            nl = text.find("\n", i)
+            if nl < 0:
+                nl = n
+            if end > nl:
+                raise ValueError(f"trace line {_line_no(text, i)}: a value spans two lines")
+            if end < nl and text[end:nl].strip(" \t\r"):
+                raise ValueError(f"trace line {_line_no(text, i)}: more than one value")
+            if type(line) is not dict:
+                raise ValueError(f"trace line {_line_no(text, i)} is not a JSON object")
+            lines.append(line)
+            i = nl + 1
         if not lines or lines[0].get("kind") != "Header":
             raise ValueError("trace does not start with a Header line")
         tr = Trace.__new__(Trace)
@@ -285,9 +351,10 @@ def memo_action(algorithm, cfg, pos, light):
     """``algorithm``'s action for the robot at ``pos`` with ``light`` on ``cfg``.
 
     Kept in ``cfg.memo``: robots that share a configuration, a position and a
-    light compute the same action, so it is evaluated once.  Only the engine's
-    own interned configurations carry these entries; the checker builds its
-    own and re-derives every action.
+    light compute the same action, so it is evaluated once.  The engine and
+    each TraceData intern their own configurations, so the checker re-derives
+    every action independently of the engine, once per distinct
+    (configuration, position, light).
     """
     key = ("act", algorithm.id, pos, light)
     act = cfg.memo.get(key)
@@ -381,7 +448,7 @@ def _run_sync(scenario, rng):
     last_act = [0] * n
     ineffective_streak = 0
     t = 0
-    trace.config_line(0, world.config().entries)
+    trace.config_line(0, world.config())
     while True:
         enab = enabled_ids(world, algorithm)
         if not enab:
@@ -416,7 +483,7 @@ def _run_sync(scenario, rng):
         for i in activated:
             last_act[i] = t
         t += 1
-        trace.config_line(t, world.config().entries)
+        trace.config_line(t, world.config())
 
 
 _FRACTIONS = (Rat(1), Rat(3, 4), Rat(1, 2), Rat(1, 4))
@@ -504,7 +571,7 @@ class AsyncWorld:
     def _show(self):
         """Intern what the robots show now and log it as the instant's Config line."""
         self.visible = self.cache.get(tuple((r.shown_pos, r.shown_light) for r in self.robots))
-        self.trace.config_line(self.t, self.visible.entries)
+        self.trace.config_line(self.t, self.visible)
 
     def observe(self, rid):
         """Snapshot robot ``rid`` would take now (own light included)."""

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lumigather import checker
+from lumigather import algorithms, checker
 from lumigather.checker import (
     CHECKS,
     Report,
@@ -21,7 +21,7 @@ from lumigather.checker import (
     snapshot_has_convention_ties,
     validate_trace,
 )
-from lumigather.configuration import Frame
+from lumigather.configuration import Frame, Snapshot
 from lumigather.engine import Scenario, Trace, run
 from lumigather.geometry import Point, hull_center, pt
 from lumigather.rational import Rat
@@ -588,11 +588,56 @@ class TestSharedTraceData:
         assert not validate_trace(bad).passed
         assert validate_trace(tr).passed
 
+    def test_repeated_config_line_shares_its_decoded_entries(self):
+        td = TraceData(Trace.parse(self._trace().dumps()))
+        ts = td.config_times
+        repeats = [t for t in ts[1:] if td.configs[t] == td.configs[t - 1]]
+        assert repeats
+        assert all(td.configs[t] is td.configs[t - 1] for t in repeats)
+
+    def test_forged_repeat_of_the_previous_line_fails_replay(self):
+        tr = Trace.parse(self._trace().dumps())
+        configs = [l for l in tr.lines if l["kind"] == "Config"]
+        k = next(k for k in range(1, len(configs)) if configs[k]["entries"] == configs[k - 1]["entries"])
+        forged = copy.deepcopy(configs[k - 1]["entries"])
+        forged[0][0] = "99/1"
+        configs[k]["entries"] = forged
+        rep = validate_trace(tr)
+        assert not rep.passed
+        assert {"t": configs[k]["t"], "detail": "replayed configuration differs from logged Config"} in rep.violations
+
     def test_equal_coordinates_share_one_point(self):
         td = TraceData(Trace.parse(self._trace().dumps()))
         last = td.configs[td.config_times[-1]]
         assert all(p is last[0][0] for p, _ in last)  # gathered: one point
         assert td.config_at(0) is td.config_at(0)
+
+
+def test_checks_evaluate_each_action_once_on_their_own_configurations(monkeypatch):
+    tr = run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S"), ((4, 4), "S")], seed=8))
+    names = checker.default_checks("three-color", "async")
+    seen = []
+    evaluate = algorithms.AlgorithmSpec.__call__
+
+    def counting(self, snap):
+        seen.append((snap.config, snap.own_pos, snap.own_light))
+        return evaluate(self, snap)
+
+    monkeypatch.setattr(algorithms.AlgorithmSpec, "__call__", counting)
+    td = TraceData(Trace.parse(tr.dumps()))
+    reports = [str(CHECKS[name](td)) for name in names]
+    memoized = list(seen)
+    assert len({(id(c), p, light) for c, p, light in memoized}) == len(memoized)
+    # every action the checks used was evaluated on a configuration of the
+    # TraceData's own interner, never taken from the engine
+    assert all(td.cache.get(c.entries) is c for c, _, _ in memoized)
+    seen.clear()
+    monkeypatch.setattr(
+        checker, "memo_action", lambda alg, cfg, pos, light: alg(Snapshot(cfg, pos, light))
+    )
+    td = TraceData(Trace.parse(tr.dumps()))
+    assert [str(CHECKS[name](td)) for name in names] == reports
+    assert len(seen) > len(memoized)
 
 
 class TestMalformedTraceData:
@@ -668,6 +713,8 @@ class TestMalformedTraceData:
             ("activated-not-array", "activated is not a JSON array"),
             ("dest-not-pair", "malformed coordinate pair"),
             ("coordinate-not-rational", "malformed rational"),
+            ("adversary-not-object", "adversary is not a JSON object"),
+            ("adversary-seed-not-integer", "adversary seed is not a JSON integer"),
         ],
     )
     def test_value_of_wrong_type(self, damage, message):
@@ -695,6 +742,10 @@ class TestMalformedTraceData:
             config["t"] = "0"
         elif damage == "dest-not-pair":
             next(l for l in lines if l["kind"] == "Compute")["dest"] = [[1], 2]
+        elif damage == "adversary-not-object":
+            lines[0]["adversary"] = "random"
+        elif damage == "adversary-seed-not-integer":
+            lines[0]["adversary"]["seed"] = "x"
         else:
             lines[0]["robots"][2]["y"] = "three"
         with pytest.raises(ValueError, match=message):

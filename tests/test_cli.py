@@ -265,12 +265,18 @@ class TestCheck:
         [
             ("robots-not-array", "robots is not a JSON array"),
             ("config-entry-not-array", "malformed Config entries"),
+            ("adversary-not-object", "adversary is not a JSON object"),
+            ("adversary-seed-not-integer", "adversary seed is not a JSON integer"),
         ],
     )
     def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, damage, message):
         lines = self._trace_lines(tmp_path, capsys)
         if damage == "robots-not-array":
             lines[0]["robots"] = 5
+        elif damage == "adversary-not-object":
+            lines[0]["adversary"] = "random"
+        elif damage == "adversary-seed-not-integer":
+            lines[0]["adversary"]["seed"] = "x"
         else:
             next(l for l in lines if l["kind"] == "Config")["entries"][0] = 5
         bad = self._write(tmp_path / "bad.jsonl", lines)

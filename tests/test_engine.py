@@ -1,8 +1,12 @@
+import copy
 import itertools
 import json
+import json.scanner
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lumigather import algorithms, engine
 from lumigather.algorithms import get_algorithm
@@ -449,7 +453,7 @@ class TestScenarioIO:
     def test_parsed_trace_logs_fresh_lists(self):
         tr = Trace.parse(run(scen([((0, 0), "S"), ((4, 0), "S")], seed=1)).dumps())
         p = pt(1, (1, 2))
-        tr.config_line(9, [(p, "S")])
+        tr.config_line(9, ConfigInterner().get(((p, "S"),)))
         tr.lines[-1]["entries"][0][0] = "0/1"
         tr.move_end(9, 0, p)
         assert tr.lines[-1]["pos"] == ["1/1", "1/2"]
@@ -461,6 +465,89 @@ class TestScenarioIO:
         back = Trace.load(p)
         assert back.lines == [json.loads(json.dumps(l)) for l in tr.lines]
         assert back.status == tr.status
+
+
+# JSON values as ``json.loads`` returns them: unicode and escapes in strings
+# and keys, nested arrays and objects, ints, bools and null
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _compact(line):
+    return json.dumps(line, sort_keys=True, separators=(",", ":"))
+
+
+class TestTraceText:
+    """``Trace.dumps`` and ``Trace.parse``: one JSON object per line."""
+
+    def _trace(self):
+        return run(scen([((0, 0), "S"), ((5, 1), "S"), ((2, 7), "S")], seed=3))
+
+    @given(st.lists(st.dictionaries(st.text(), _JSON, max_size=5), max_size=6))
+    def test_any_lines_round_trip(self, lines):
+        tr = Trace({"algorithm": "three-color"})
+        tr.lines.extend(lines)
+        text = tr.dumps()
+        assert text == "".join(_compact(l) + "\n" for l in tr.lines)
+        assert Trace.parse(text).lines == json.loads(json.dumps(tr.lines))
+
+    def test_pure_python_json_gives_the_same_text_and_lines(self, monkeypatch):
+        tr = self._trace()
+        text = tr.dumps()
+        decoder = json.JSONDecoder()
+        decoder.scan_once = json.scanner.py_make_scanner(decoder)
+        monkeypatch.setattr(engine, "c_make_encoder", None)
+        monkeypatch.setattr(engine, "_DECODER", decoder)
+        assert tr.dumps() == text
+        assert Trace.parse(text).lines == tr.lines
+
+    def test_blank_lines_crlf_and_spaced_separators_accepted(self):
+        tr = self._trace()
+        text = "\n" + "".join("\t" + json.dumps(l) + " \r\n\r\n" for l in tr.lines)
+        back = Trace.parse(text)
+        assert back.lines == tr.lines
+        assert (back.status, back.end_time) == (tr.status, tr.end_time)
+        assert back.dumps() == tr.dumps()
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            ("two-values-on-a-line", "more than one value"),
+            ("value-over-two-lines", "spans two lines"),
+            ("non-object-line", "not a JSON object"),
+            ("truncated", "Expecting"),
+        ],
+    )
+    def test_malformed_text_rejected(self, damage, message):
+        rows = [_compact(l) for l in self._trace().lines]
+        if damage == "two-values-on-a-line":
+            rows[2:4] = [rows[2] + " " + rows[3]]
+        elif damage == "value-over-two-lines":
+            rows[2] = rows[2].replace(",", ",\n", 1)
+        elif damage == "non-object-line":
+            rows.insert(2, "[1, 2]")
+        text = "".join(r + "\n" for r in rows)
+        if damage == "truncated":
+            text = text[:-4]
+        with pytest.raises(ValueError, match=message):
+            Trace.parse(text)
+
+    @pytest.mark.parametrize("parsed", [False, True], ids=["logged", "parsed"])
+    def test_editing_a_config_line_changes_no_other_line(self, parsed):
+        tr = self._trace()
+        if parsed:
+            tr = Trace.parse(tr.dumps())
+        configs = [l for l in tr.lines if l["kind"] == "Config"]
+        # the engine logs a repeated instant from one set of formatted rows
+        i = next(k for k in range(len(configs) - 1) if configs[k]["entries"] == configs[k + 1]["entries"])
+        before = copy.deepcopy(tr.lines)
+        configs[i]["entries"][0][0] = "99/1"
+        configs[i]["entries"].append(["0/1", "0/1", "S"])
+        changed = [k for k, (a, b) in enumerate(zip(before, tr.lines)) if a != b]
+        assert changed == [tr.lines.index(configs[i])]
 
 
 def test_replay_validation_over_random_runs():

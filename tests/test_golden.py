@@ -17,9 +17,14 @@ Two more pin sets cover what the default checks do not print:
   scenarios at depth 6 with the move fractions 1 and 1/2, so that truncated
   moves are covered.
 
+On the same corpus, each trace must survive ``Trace.parse`` and ``dumps``
+byte for byte, and the incremental ``TraceData.replayed`` must agree with a
+full per-robot recomputation at every instant.
+
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
 """
 
+import functools
 import hashlib
 import random
 from pathlib import Path
@@ -33,6 +38,7 @@ from lumigather.checker import (
     default_checks,
     enumerate_unfair,
 )
+from lumigather.configuration import canonical
 from lumigather.engine import Scenario, Trace, run
 from lumigather.fuzz import random_scenario
 from lumigather.rational import Rat
@@ -270,6 +276,32 @@ def test_annotated_potentials(name, scenario):
 @pytest.mark.parametrize("name,scenario", ENUM_CASES, ids=[n for n, _ in ENUM_CASES])
 def test_enumerate_reports(name, scenario):
     assert enumerated_digest(scenario) == ENUMERATED[name]
+
+
+@functools.lru_cache(maxsize=None)
+def _text(name):
+    return run(dict(CORPUS)[name]).dumps()
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CORPUS])
+def test_parse_then_dumps_is_byte_identical(name):
+    text = _text(name)
+    assert Trace.parse(text).dumps() == text
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CORPUS])
+def test_incremental_replay_equals_full_recomputation(name):
+    td = TraceData(Trace.parse(_text(name)))
+
+    def full(t):
+        return canonical([(td.visible_pos(i, t), td.visible_color(i, t)) for i in range(td.n)])
+
+    times = range(td.end_time + 1)
+    expected = [full(t) for t in times]
+    assert [td.replayed(t).entries for t in times] == expected
+    # out of order, every instant is recomputed in full
+    td = TraceData(Trace.parse(_text(name)))
+    assert [td.replayed(t).entries for t in reversed(times)] == expected[::-1]
 
 
 if __name__ == "__main__":
