@@ -10,7 +10,7 @@ from .engine import (
     ScenarioError,
     Trace,
     apply_move,
-    enabled,
+    enabled_ids,
     run,
     ssync_round,
 )

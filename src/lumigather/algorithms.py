@@ -19,9 +19,22 @@ from .geometry import (
 
 @dataclass(frozen=True, slots=True)
 class Action:
+    """A new light color and a destination in the snapshot's frame.
+
+    ``inner_exec`` marks a wrapper action that ran its inner algorithm.
+    """
+
     color: str
     dest: object
     inner_exec: bool = False
+
+    def changes(self, pos, light):
+        """Whether this action changes ``light`` or leaves ``pos``.
+
+        This is what it means for a robot to act: an action that keeps both
+        is a null cycle, and a robot whose action is one is not enabled.
+        """
+        return self.color != light or self.dest != pos
 
 
 def split_color(c):
@@ -276,7 +289,7 @@ def sim_for_unfair(inner_fn):
         if phases == {"S"}:
             iv = _inner_view(snap)
             act = inner_fn(iv)
-            if act.color != iv.own_light or act.dest != me:
+            if act.changes(me, iv.own_light):
                 new_inner = None if icolor is None else act.color
                 return Action(join_color("M", new_inner), act.dest, inner_exec=True)
             return stay

@@ -14,8 +14,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .algorithms import get_algorithm, phase_of
-from .configuration import ConfigInterner, Frame, Snapshot, canonical
-from .engine import Trace, apply_move, memo_action
+from .configuration import ConfigInterner, Frame, Snapshot
+from .engine import SyncWorld, Trace, enabled_ids, memo_action, ssync_round
 from .geometry import Point, dist_sq, hull_center, on_segment, orientation
 from .patterns import PendingAnnotation
 from .potentials import (
@@ -80,6 +80,8 @@ _LINE_KEYS = {
 }
 
 _TYPE_NAMES = {int: "integer", str: "string", list: "array"}
+# the JSON types a rational may take: "p/q" or an integer, never a bool
+_RAT_TYPES = (str, int)
 
 
 def _require_keys(obj, keys, what):
@@ -229,15 +231,19 @@ class TraceData:
     def point(self, xy):
         """The one Point of a raw ``(x, y)`` pair (extra items are ignored).
 
-        Raises ValueError when ``xy`` is not a pair of rationals.
+        Raises ValueError when ``xy`` is not a pair of rationals.  The raw
+        types are checked before the cache lookup: JSON ``0``, ``0.0`` and
+        ``false`` are equal keys, and only the first is a rational.
         """
         try:
-            key = (xy[0], xy[1])
-            p = self._points.get(key)
+            x, y = key = (xy[0], xy[1])
         except (TypeError, IndexError, KeyError) as exc:
             raise ValueError(f"malformed coordinate pair {xy!r}") from exc
+        if type(x) not in _RAT_TYPES or type(y) not in _RAT_TYPES:
+            raise ValueError(f"malformed coordinate pair {xy!r}")
+        p = self._points.get(key)
         if p is None:
-            p = self._points[key] = Point(parse_rat(xy[0]), parse_rat(xy[1]))
+            p = self._points[key] = Point(parse_rat(x), parse_rat(y))
         return p
 
     def _config_entries(self, raw, i):
@@ -325,13 +331,6 @@ class TraceData:
     def visible_color(self, rid, t):
         """Color observed at time t: a change at exactly t is not yet seen."""
         i = bisect_left(self._comp_times[rid], t)
-        if i == 0:
-            return self.initial[rid][1]
-        return self.computes[rid][i - 1][1]
-
-    def color_after(self, rid, t):
-        """Color with every Compute at or before t applied."""
-        i = bisect_right(self._comp_times[rid], t)
         if i == 0:
             return self.initial[rid][1]
         return self.computes[rid][i - 1][1]
@@ -634,10 +633,8 @@ def check_monotone(trace, which=None):
         if which == "g" and not cfg.on_lds:
             rep.violate(t, _OFF_LINE)
             continue
-        if any(
-            _acts(td.algorithm, cfg, td.visible_pos(r, t), td.visible_color(r, t))
-            for r in td.rounds[t]
-        ):
+        seen = ((td.visible_pos(r, t), td.visible_color(r, t)) for r in td.rounds[t])
+        if any(memo_action(td.algorithm, cfg, p, c).changes(p, c) for p, c in seen):
             rounds += 1
             if which == "g" and not nxt.on_lds:
                 rep.violate(t, _OFF_LINE)
@@ -662,15 +659,6 @@ def check_monotone(trace, which=None):
             rep.violate(t, "round with no enabled robot changed the configuration")
     rep.extras["effective_rounds"] = rounds
     return rep
-
-
-def _acts(algorithm, cfg, pos, light):
-    """Whether the robot at ``pos`` with ``light`` on ``cfg`` would change its color or position.
-
-    ``cfg`` is one of the TraceData's configurations, which keeps the action.
-    """
-    act = memo_action(algorithm, cfg, pos, light)
-    return act.color != light or act.dest != pos
 
 
 def annotate_potentials(trace, which=None):
@@ -896,7 +884,7 @@ def check_onlds_switch(trace):
 
     states = []
     for rid in range(td.n):
-        color = phase(td.color_after(rid, t_star))
+        color = phase(td.visible_color(rid, t_star + 1))
         pending = td.pending_state(rid, t_star)
         if pending.pending_move:
             if not on_line(pending.destination):
@@ -993,7 +981,7 @@ def check_gathered(trace):
             t_g = None
     final_t = td.config_times[-1]
     final = td.config_at(final_t)
-    stable = not any(_acts(td.algorithm, final, p, c) for p, c in final.entries)
+    stable = not any(memo_action(td.algorithm, final, p, c).changes(p, c) for p, c in final.entries)
     if not stable:
         rep.violate(final_t, "a robot is still enabled in the final configuration")
     gathered = t_g is not None and stable and rep.passed
@@ -1094,6 +1082,11 @@ def enumerate_unfair(
     all movers of a round.  Aborts with a partial report above the node
     ceiling.
 
+    A node is a SyncWorld over its canonical entries and an edge is the
+    engine's ``ssync_round``, so the enumeration runs the engine's round
+    semantics.  Its configurations come from its own interner, and each
+    distinct (configuration, position, light) is evaluated once.
+
     Raises ValueError for any other algorithm: none of them has a potential
     that every effective round decreases (f is zero on every collinear
     configuration, and a round that only changes colors leaves it equal).
@@ -1112,24 +1105,19 @@ def enumerate_unfair(
     if depth <= 0:
         return rep
     cache = ConfigInterner()
-    root = canonical(entries)
+    root = cache.get(tuple(entries))
     best_depth = {root: 0}
     stack = [(root, 0)]
     fractions = tuple(Rat(f) for f in fractions)
     while stack:
-        ents, d = stack.pop()
+        cfg, d = stack.pop()
         rep.extras["nodes"] += 1
         if rep.extras["nodes"] > node_ceiling:
             rep.extras["aborted"] = True
             break
-        cfg = cache.get(ents)
-        robots = list(ents)
-        acts = [spec(Snapshot(cfg, p, c)) for p, c in robots]
-        enab = [
-            i
-            for i, (p, c) in enumerate(robots)
-            if acts[i].color != c or acts[i].dest != p
-        ]
+        ents = cfg.entries
+        world = SyncWorld([p for p, _ in ents], [c for _, c in ents], cache)
+        enab = enabled_ids(world, spec)
         if not enab:
             rep.extras["fixpoints"] += 1
             if not goal(cfg):
@@ -1142,18 +1130,10 @@ def enumerate_unfair(
         for mask in range(1, 1 << len(enab)):
             subset = [enab[i] for i in range(len(enab)) if mask >> i & 1]
             for frac in fractions:
-                nxt = list(robots)
-                for i in subset:
-                    act = acts[i]
-                    p, _ = robots[i]
-                    reached = (
-                        apply_move(p, act.dest, frac, delta) if act.dest != p else p
-                    )
-                    nxt[i] = (reached, act.color)
-                child = canonical(nxt)
+                nxt = ssync_round(world, spec, subset, dict.fromkeys(subset, frac), delta)
+                child = nxt.config()
                 rep.extras["edges"] += 1
-                after = potential(cache.get(child))
-                c = lex_less(after, before)
+                c = lex_less(potential(child), before)
                 if c is Cmp.UNDECIDED:
                     rep.undecide(d, {"state": _fmt(ents)})
                 elif c is not Cmp.LESS:

@@ -351,10 +351,10 @@ def memo_action(algorithm, cfg, pos, light):
     """``algorithm``'s action for the robot at ``pos`` with ``light`` on ``cfg``.
 
     Kept in ``cfg.memo``: robots that share a configuration, a position and a
-    light compute the same action, so it is evaluated once.  The engine and
-    each TraceData intern their own configurations, so the checker re-derives
-    every action independently of the engine, once per distinct
-    (configuration, position, light).
+    light compute the same action, so it is evaluated once.  The engine, each
+    TraceData and each enumeration intern their own configurations, so the
+    checker re-derives every action independently of the engine, and each of
+    them evaluates once per distinct (configuration, position, light).
     """
     key = ("act", algorithm.id, pos, light)
     act = cfg.memo.get(key)
@@ -394,18 +394,20 @@ class SyncWorld:
             self._config = self.cache.get(self.entries())
         return self._config
 
-    def action(self, algorithm, i):
-        return memo_action(algorithm, self.config(), self.positions[i], self.lights[i])
-
-
-def enabled(world, algorithm, i):
-    """Whether activating robot i now would change its color or position."""
-    act = world.action(algorithm, i)
-    return act.color != world.lights[i] or act.dest != world.positions[i]
-
 
 def enabled_ids(world, algorithm):
-    return [i for i in range(len(world.positions)) if enabled(world, algorithm, i)]
+    """The robots of ``world`` that would act if activated now, in index order.
+
+    A robot is enabled when its action on the world's configuration changes
+    its light or its position (``Action.changes``); activating only robots
+    that are not enabled leaves the world as it is.
+    """
+    cfg = world.config()
+    return [
+        i
+        for i, (p, c) in enumerate(zip(world.positions, world.lights))
+        if memo_action(algorithm, cfg, p, c).changes(p, c)
+    ]
 
 
 def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
@@ -418,7 +420,8 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
     activated = sorted(set(activated))
     if not activated:
         raise EmptyActivation("a round must activate at least one robot")
-    acts = {i: world.action(algorithm, i) for i in activated}
+    cfg = world.config()
+    acts = {i: memo_action(algorithm, cfg, world.positions[i], world.lights[i]) for i in activated}
     positions = list(world.positions)
     lights = list(world.lights)
     if trace is not None:
@@ -699,17 +702,10 @@ class AsyncWorld:
         if any(r.phase != IDLE for r in self.robots):
             return False
         cfg = self.cache.get(tuple((r.pos, r.light) for r in self.robots))
-        key = ("terminal", self.algorithm.id)
-        done = cfg.memo.get(key)
-        if done is None:
-            done = True
-            for r in self.robots:
-                act = memo_action(self.algorithm, cfg, r.pos, r.light)
-                if act.color != r.light or act.dest != r.pos:
-                    done = False
-                    break
-            cfg.memo[key] = done
-        return done
+        alg = self.algorithm
+        return not any(
+            memo_action(alg, cfg, r.pos, r.light).changes(r.pos, r.light) for r in self.robots
+        )
 
 
 class RandomAsyncPolicy:

@@ -15,13 +15,16 @@ R0 = Rat(0)
 
 
 def parse_rat(text):
-    """Parse ``"p/q"`` or ``"p"`` into a rational.
+    """Parse ``"p/q"`` or ``"p"``, or take an integer, as a rational.
 
-    Raises ValueError on malformed input or a zero denominator.
+    Raises ValueError on malformed text, a zero denominator, or a value that
+    is neither a string nor an integer: a bool or a float is no rational.
     """
-    if isinstance(text, int):
+    if type(text) is int:
         return Rat(text)
-    s = str(text).strip()
+    if type(text) is not str:
+        raise ValueError(f"malformed rational {text!r}")
+    s = text.strip()
     try:
         if "/" in s:
             num, den = s.split("/", 1)

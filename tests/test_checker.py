@@ -844,6 +844,22 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="elect-one-lds and lu-gather only"):
             enumerate_unfair([(pt(0, 0), "S"), (pt(4, 0), "S")], alg, 4)
 
+    def test_each_distinct_action_evaluated_once(self, monkeypatch):
+        seen = []
+        evaluate = algorithms.AlgorithmSpec.__call__
+
+        def counting(self, snap):
+            seen.append((snap.config.entries, snap.own_pos, snap.own_light))
+            return evaluate(self, snap)
+
+        monkeypatch.setattr(algorithms.AlgorithmSpec, "__call__", counting)
+        sc = Scenario.load(SCENARIOS / "line-lu.json")
+        rep = enumerate_unfair(
+            sc.robots, sc.algorithm, 6, fractions=(Rat(1), Rat(1, 2)), delta=sc.delta
+        )
+        assert rep.passed and rep.extras["nodes"] > 100
+        assert len(seen) == len(set(seen))
+
     def test_node_ceiling_aborts(self):
         rep = enumerate_unfair(
             [(pt(0, 0), "A"), (pt(4, 0), "A"), (pt(6, 0), "A")],

@@ -38,6 +38,18 @@ class TestRun:
         bad.write_text(json.dumps(data))
         assert main(["run", "--scenario", str(bad)]) == 2
 
+    @pytest.mark.parametrize("key", ["x", "delta"])
+    def test_bool_rational_exits_2(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.json"
+        data = json.loads((SCENARIOS / "square.json").read_text())
+        if key == "x":
+            data["robots"][0]["x"] = True
+        else:
+            data["delta"] = True
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(bad)]) == 2
+        assert "malformed rational True" in capsys.readouterr().err
+
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         short = tmp_path / "short.json"
         data = json.loads((SCENARIOS / "square.json").read_text())
@@ -285,6 +297,40 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.count(message) == 2
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["after-equal-int-pair", "alone"])
+    def test_coordinate_that_is_no_rational_exits_2(self, tmp_path, capsys, cached):
+        scenario = tmp_path / "pair.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "robots": [
+                        {"x": "0/1", "y": "0/1", "color": "S"},
+                        {"x": "4/1", "y": "0/1", "color": "S"},
+                    ],
+                    "delta": "1/1",
+                    "scheduler": "async",
+                    "algorithm": "three-color",
+                }
+            )
+        )
+        out = tmp_path / "t.jsonl"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        entry = next(l for l in lines if l["kind"] == "Config")["entries"][0]
+        assert entry == ["0/1", "0/1", "S"]
+        if cached:
+            # JSON 0, 0.0 and false are equal: the integer pair comes first
+            lines[0]["robots"][0].update(x=0, y=0)
+            entry[:2] = [0.0, False]
+        else:
+            entry[1] = False
+        bad = self._write(tmp_path / "bad.jsonl", lines)
+        assert main(["check", "--trace", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "malformed" in captured.err
 
     def test_no_robots_exits_2(self, tmp_path, capsys):
         header = dict(self._trace_lines(tmp_path, capsys)[0], n=0, robots=[])

@@ -24,7 +24,7 @@ from lumigather.engine import (
     Trace,
     _pick_fraction,
     apply_move,
-    enabled,
+    enabled_ids,
     run,
     ssync_round,
 )
@@ -73,14 +73,14 @@ class TestSsyncRound:
     def test_rectangle_reaches_line_in_one_round(self):
         alg = get_algorithm("elect-one-lds")
         w = SyncWorld([pt(0, 0), pt(4, 0), pt(4, 1), pt(0, 1)], ["O"] * 4)
-        movers = [i for i in range(4) if enabled(w, alg, i)]
+        movers = enabled_ids(w, alg)
         w2 = ssync_round(w, alg, movers, {i: Rat(1) for i in movers}, Rat(1))
         assert is_on_lds(w2.positions)
 
     def test_no_enabled_fixpoint(self):
         alg = get_algorithm("elect-one-lds")
         w = SyncWorld([pt(0, 0), pt(4, 0)], ["O", "O"])
-        assert not any(enabled(w, alg, i) for i in range(2))
+        assert enabled_ids(w, alg) == []
         w2 = ssync_round(w, alg, [0, 1], {}, Rat(1))
         assert w2.positions == w.positions and w2.lights == w.lights
 
@@ -94,16 +94,16 @@ class TestSsyncRound:
 class TestEnabled:
     def test_lu_gather_aa_endpoint(self):
         w = SyncWorld([pt(0, 0), pt(2, 0)], ["A", "A"])
-        assert enabled(w, get_algorithm("lu-gather"), 0)
+        assert 0 in enabled_ids(w, get_algorithm("lu-gather"))
 
     def test_lu_gather_abstarb_a_robot(self):
         w = SyncWorld([pt(0, 0), pt(1, 0), pt(3, 0)], ["A", "B", "B"])
-        assert not enabled(w, get_algorithm("lu-gather"), 0)
-        assert enabled(w, get_algorithm("lu-gather"), 2)
+        assert 0 not in enabled_ids(w, get_algorithm("lu-gather"))
+        assert 2 in enabled_ids(w, get_algorithm("lu-gather"))
 
     def test_gathered_point(self):
         w = SyncWorld([pt(1, 1), pt(1, 1)], ["A", "A"])
-        assert not any(enabled(w, get_algorithm("lu-gather"), i) for i in range(2))
+        assert enabled_ids(w, get_algorithm("lu-gather")) == []
 
 
 class TestObserveTiming:

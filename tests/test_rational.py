@@ -24,7 +24,11 @@ def test_parse_and_format_roundtrip():
     assert format_rat(Rat(-3, 6)) == "-1/2"
 
 
-@pytest.mark.parametrize("bad", ["1/0", "x", "", "1/2/3", "1.5"])
+def test_parse_takes_an_integer():
+    assert parse_rat(3) == Rat(3)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", "", "1/2/3", "1.5", True, False, 0.0, None])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)
