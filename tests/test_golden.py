@@ -56,7 +56,7 @@ _FUZZ_CASES = [
 _SCHEDULE_CASES = [
     *(
         (f"fuzz-three-color-{policy}-n5", "three-color", "async", policy, 47)
-        for policy in ("round-robin", "stingy", "rigid", "ssync-embedded")
+        for policy in ("round-robin", "stingy", "rigid", "ssync-embedded", "ssync-stingy")
     ),
     *(
         (f"fuzz-{alg}-{sched}-n5", alg, sched, "random", 53)
@@ -210,6 +210,14 @@ GOLDEN = {
         "cycle": "1d2d5e605450c38a0f3b2ac9dd12b329a643d8149fe4231da93a4d9c082e463d",
         "switch": "232e33ce9b61a56486935431cd6cddc52881ed2b3baf402eb0eb8c0548ad7ea2",
         "gather": "ed67036b12d18712b2337c327ee460f8662e95f0f7e9de849dcd74060db1a9ce",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-three-color-ssync-stingy-n5": {
+        "trace": "89d713b358b1aa6942a54f82333f277fe6d1bd9c6b4ee794396a84c4281b0886",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "cd26b0c92e1932c31a08e6417c0804d4fa81d844178d03f3a6e5f9c5b93f9d43",
+        "switch": "27754f908be89c93db93a8c7c832b29dacd2dd41aed1d9d42c79e54f54d353e3",
+        "gather": "324eb65dead3545cff474e875cac8dad5a73b97c2bd5cb73566cf154acd6cb40",
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
     },
     "fuzz-elect-one-lds-fsync-n5": {
