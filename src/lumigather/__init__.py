@@ -28,7 +28,7 @@ from .geometry import (
     nearest_vertex,
     pt,
 )
-from .patterns import ColorConfig, PendingAnnotation, classify_line
+from .patterns import ColorConfig, classify_line
 from .potentials import Cmp, INF, lex_less, potential_f, potential_g
 from .rational import BACKEND, Rat, format_rat, parse_rat
 

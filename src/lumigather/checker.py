@@ -17,7 +17,6 @@ from .algorithms import get_algorithm, phase_of
 from .configuration import ConfigInterner, Frame, Snapshot
 from .engine import SyncWorld, Trace, enabled_ids, memo_action, ssync_round
 from .geometry import Point, dist_sq, hull_center, on_segment, orientation
-from .patterns import PendingAnnotation
 from .potentials import (
     Cmp,
     compare_values,
@@ -377,12 +376,14 @@ class TraceData:
         return looks[i - 1] if i else None
 
     def pending_state(self, rid, t):
-        """PendingAnnotation of the robot just after instant t.
+        """Leftover asynchronous state of the robot just after instant t.
 
-        Pending move: a Compute at or before t whose movement has not ended
-        by t.  Pending color: a Look strictly before t with the matching
-        Compute still to come (a Look exactly at t reads the instant's own
-        configuration and is not a leftover).
+        ``("move", dest)``: a Compute at or before t whose movement to
+        ``dest`` has not ended by t.  ``("color", next_color)``: a Look
+        strictly before t with the matching Compute still to come, whose
+        color is ``next_color`` (None when the log ends first); a Look
+        exactly at t reads the instant's own configuration and is not a
+        leftover.  None: neither.
         """
         cs = self.computes[rid]
         i = bisect_right(self._comp_times[rid], t)
@@ -392,16 +393,13 @@ class TraceData:
             ended = ms and ms[0].t_e is not None and ms[0].t_e <= t
             origin = ms[0].origin if ms else self.visible_pos(rid, t_c)
             if dest != origin and not ended:
-                return PendingAnnotation(pending_move=True, destination=dest)
+                return ("move", dest)
         j = bisect_left(self.looks[rid], t)
         if j:
             t_l = self.looks[rid][j - 1]
             if i == 0 or cs[i - 1][0] < t_l:
-                nxt = cs[i] if i < len(cs) else None
-                return PendingAnnotation(
-                    pending_color=True, next_color=nxt[1] if nxt else None
-                )
-        return PendingAnnotation()
+                return ("color", cs[i][1] if i < len(cs) else None)
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -885,15 +883,13 @@ def check_onlds_switch(trace):
     states = []
     for rid in range(td.n):
         color = phase(td.visible_color(rid, t_star + 1))
-        pending = td.pending_state(rid, t_star)
-        if pending.pending_move:
-            if not on_line(pending.destination):
-                rep.violate(
-                    t_star, f"robot {rid} pending destination off the line"
-                )
+        pending, value = td.pending_state(rid, t_star) or (None, None)
+        if pending == "move":
+            if not on_line(value):
+                rep.violate(t_star, f"robot {rid} pending destination off the line")
             states.append((color, "move"))
-        elif pending.pending_color:
-            nxt = phase(pending.next_color) if pending.next_color else "?"
+        elif pending == "color":
+            nxt = phase(value) if value else "?"
             # an upcoming Compute keeping the color is no annotation at all
             states.append((color, "none") if nxt == color else (color, f"pc:{nxt}"))
         else:

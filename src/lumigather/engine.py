@@ -19,8 +19,12 @@ the logged events independently.
 A robot performs at most one phase event (Look, Compute, MoveBegin or
 MoveEnd) per instant: each event's timing guard fails at the instant of the
 robot's own previous event and holds at every later one.  So a robot that has
-not acted at the current instant has exactly one legal action, the one its
-phase allows next, and one that has acted has none.
+not acted at the current instant has exactly one legal event, the one its
+phase allows next, and one that has acted has none: ``AsyncWorld.next_event``
+returns it, and ``async_step`` checks every choice against it.  The adversary
+policies share one base, ``_Policy``: each only picks a robot or advances the
+clock, and ``_Policy.event`` builds the robot's choice, with the truncation of
+a MoveBegin.
 """
 
 import json
@@ -57,6 +61,13 @@ class BudgetExhausted(RuntimeError):
         super().__init__("step budget exhausted")
         self.final_config = final_config
         self.trace = trace
+
+
+def _json_int(value, what):
+    """``value`` if it is a JSON integer, where a bool is none."""
+    if type(value) is not int:
+        raise ScenarioError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,11 @@ class Scenario:
 
     @staticmethod
     def from_json(data):
+        """The Scenario of a decoded JSON object; ScenarioError if malformed.
+
+        ``seed``, ``step_budget``, ``fairness_bound`` and ``move_span_cap``
+        must be JSON integers, and a bool is none.
+        """
         try:
             robots = tuple(
                 (Point(parse_rat(r["x"]), parse_rat(r["y"])), str(r["color"]))
@@ -113,10 +129,10 @@ class Scenario:
                 scheduler=str(data["scheduler"]),
                 algorithm=str(data["algorithm"]),
                 policy=str(adversary.get("policy", "random")),
-                seed=int(adversary.get("seed", 0)),
-                step_budget=int(data.get("step_budget", 100000)),
-                fairness_bound=int(data.get("fairness_bound", 0)),
-                move_span_cap=int(data.get("move_span_cap", 16)),
+                seed=_json_int(adversary.get("seed", 0), "adversary seed"),
+                step_budget=_json_int(data.get("step_budget", 100000), "step_budget"),
+                fairness_bound=_json_int(data.get("fairness_bound", 0), "fairness_bound"),
+                move_span_cap=_json_int(data.get("move_span_cap", 16), "move_span_cap"),
             )
         except ScenarioError:
             raise
@@ -272,7 +288,9 @@ class Trace:
         Each line holds one JSON object; blank lines, whitespace around a
         value and CRLF line ends are accepted.  Raises ValueError on anything
         else: a line that is not an object, two values on one line, one
-        value spread over two lines, or a truncated value.
+        value spread over two lines, or a truncated value.  ``status`` and
+        ``end_time`` are read from the first End line, as ``TraceData`` and
+        ``replay`` read them.
         """
         scan = _DECODER.scan_once
         lines = []
@@ -304,7 +322,7 @@ class Trace:
         tr.lines = lines
         tr.status = None
         tr.end_time = None
-        for ln in reversed(lines):
+        for ln in lines:
             if ln.get("kind") == "End":
                 tr.status = ln.get("status")
                 tr.end_time = ln.get("t")
@@ -583,10 +601,10 @@ class AsyncWorld:
 
     # -- legality ----------------------------------------------------------
 
-    def legal_actions(self, rid):
-        """The robot's next phase event, or nothing if it acted at this instant."""
+    def next_event(self, rid):
+        """The robot's one legal event, or None if it acted at this instant."""
         r = self.robots[rid]
-        return [] if r.acted_t == self.t else [NEXT[r.phase]]
+        return None if r.acted_t == self.t else NEXT[r.phase]
 
     def _fairness_violation(self, serving):
         t = self.t
@@ -623,7 +641,8 @@ class AsyncWorld:
         rid = choice[1]
         r = self.robots[rid]
         t = self.t
-        if r.acted_t == t or kind != NEXT[r.phase]:
+        event = self.next_event(rid)
+        if event is None or kind != event:
             raise IllegalChoice(f"{kind} not legal for robot {rid} (phase {r.phase})")
         starved = self._fairness_violation(rid)
         if starved is not None:
@@ -708,128 +727,108 @@ class AsyncWorld:
         )
 
 
-class RandomAsyncPolicy:
-    """Seeded uniform adversary over legal choices with forced fairness.
+class _Policy:
+    """An adversary: ``step(world)`` returns its next choice for ``world``.
 
-    ``policy`` (``random``, ``stingy`` or ``rigid``) sets the truncation of
-    every move.
+    A policy only picks a robot or advances the clock; ``event`` builds the
+    robot's choice.  ``policy`` is the scenario's policy name, which sets the
+    truncation of every move (``_pick_fraction``).
     """
 
-    MUS = tuple(Rat(j, 8) for j in (1, 2, 3, 5, 7))
-
-    def __init__(self, rng, policy="random"):
+    def __init__(self, rng, policy):
         self.rng = rng
         self.policy = policy
 
-    def _mus(self, world):
-        out = {}
-        for i, r in enumerate(world.robots):
-            if r.phase == MOVING:
-                step = self.MUS[self.rng.randrange(len(self.MUS))]
-                out[i] = r.mu + (1 - r.mu) * step
-        return out
-
-    def step(self, world):
-        t = world.t
-        legal = [(NEXT[r.phase], i) for i, r in enumerate(world.robots) if r.acted_t != t]
-        # serve robots approaching the fairness bound first, worst starvation
-        # first; the margin covers a full drain of simultaneously starved ones
-        margin = 2 * len(world.robots) + 2
-        worst = None
-        for kind, i in legal:
-            if world.robots[i].starve >= world.bound - margin:
-                if worst is None or world.robots[i].starve > world.robots[worst[1]].starve:
-                    worst = (kind, i)
-        if worst is not None:
-            return self._fill(worst)
-        # movers at the span cap must end before the clock advances again
-        for kind, i in legal:
-            if kind == "move_end" and world.t - world.robots[i].acted_t >= world.cap - 1:
-                return self._fill((kind, i))
-        if not legal or self.rng.random() < 0.3:
-            return ("advance", self._mus(world))
-        return self._fill(legal[self.rng.randrange(len(legal))])
-
-    def _fill(self, choice):
-        kind, i = choice
+    def event(self, world, i):
+        """Robot ``i``'s choice for its one legal event, or None if it has none."""
+        kind = world.next_event(i)
         if kind == "move_begin":
             return (kind, i, _pick_fraction(self.policy, self.rng))
-        return (kind, i)
+        return None if kind is None else (kind, i)
 
 
-class RoundRobinAsyncPolicy:
-    """One robot completes a full rigid cycle at a time, in index order."""
+class RandomAsyncPolicy(_Policy):
+    """Seeded uniform adversary over legal choices with forced fairness."""
 
-    def __init__(self, rng):
-        self.rng = rng
-        self.current = 0
-        self.started = False
-
-    def step(self, world):
-        n = len(world.robots)
-        r = world.robots[self.current]
-        if self.started and r.phase == IDLE:
-            self.current = (self.current + 1) % n
-            self.started = False
-        legal = world.legal_actions(self.current)
-        if not legal:
-            return ("advance", None)
-        kind = legal[0]
-        if kind == "look":
-            self.started = True
-        if kind == "move_begin":
-            return (kind, self.current, _pick_fraction("round-robin", self.rng))
-        return (kind, self.current)
-
-
-class SsyncEmbeddedPolicy:
-    """Lockstep batches: everyone looks, then computes, then moves.
-
-    ``policy`` (``ssync-embedded`` or ``ssync-stingy``) sets the truncation
-    of every move.
-    """
-
-    def __init__(self, rng, policy="ssync-embedded"):
-        self.rng = rng
-        self.policy = policy
+    MUS = tuple(Rat(j, 8) for j in (1, 2, 3, 5, 7))
 
     def step(self, world):
         rs = world.robots
         t = world.t
-        idle = [i for i, r in enumerate(rs) if r.phase == IDLE]
-        observed = [i for i, r in enumerate(rs) if r.phase == OBSERVED]
-        computed = [i for i, r in enumerate(rs) if r.phase == COMPUTED]
-        moving = [i for i, r in enumerate(rs) if r.phase == MOVING]
-        batch_open = not observed or rs[observed[0]].acted_t == t
-        if idle and not computed and not moving and batch_open:
-            if all("look" in world.legal_actions(i) for i in idle):
-                return ("look", idle[0])
+        ready = [i for i, r in enumerate(rs) if r.acted_t != t]
+        # serve robots approaching the fairness bound first, worst starvation
+        # first; the margin covers a full drain of simultaneously starved ones
+        floor = world.bound - 2 * len(rs) - 2
+        starving = [i for i in ready if rs[i].starve >= floor]
+        if starving:
+            return self.event(world, max(starving, key=lambda i: rs[i].starve))
+        # movers at the span cap must end before the clock advances again
+        for i in ready:
+            if rs[i].phase == MOVING and t - rs[i].acted_t >= world.cap - 1:
+                return self.event(world, i)
+        rng = self.rng
+        if not ready or rng.random() < 0.3:
+            # every mover goes a random share of the rest of its way
+            mus = {
+                i: r.mu + (1 - r.mu) * rng.choice(self.MUS)
+                for i, r in enumerate(rs)
+                if r.phase == MOVING
+            }
+            return ("advance", mus)
+        return self.event(world, rng.choice(ready))
+
+
+class RoundRobinAsyncPolicy(_Policy):
+    """One robot completes a full rigid cycle at a time, in index order."""
+
+    current = 0  # the robot whose cycle runs; every other robot is idle
+    started = False  # whether it has made the Look of that cycle
+
+    def step(self, world):
+        if self.started and world.robots[self.current].phase == IDLE:
+            self.current = (self.current + 1) % len(world.robots)
+            self.started = False
+        choice = self.event(world, self.current)
+        if choice is None:
+            return ("advance", None)
+        self.started = True
+        return choice
+
+
+class SsyncEmbeddedPolicy(_Policy):
+    """Lockstep batches: everyone looks, then computes, then moves."""
+
+    def step(self, world):
+        rs = world.robots
+        by_phase = {IDLE: [], OBSERVED: [], COMPUTED: [], MOVING: []}
+        for i, r in enumerate(rs):
+            by_phase[r.phase].append(i)
+        idle, observed = by_phase[IDLE], by_phase[OBSERVED]
+        # robots join the Look batch only at the instant it began
+        batch_open = not observed or rs[observed[0]].acted_t == world.t
+        if idle and not by_phase[COMPUTED] and not by_phase[MOVING] and batch_open:
+            if all(world.next_event(i) for i in idle):
+                return self.event(world, idle[0])
             if not observed:
                 return ("advance", None)
-        if observed:
-            i = observed[0]
-            if "compute" in world.legal_actions(i):
-                return ("compute", i)
-            return ("advance", None)
-        if computed:
-            i = computed[0]
-            if "move_begin" in world.legal_actions(i):
-                return ("move_begin", i, _pick_fraction(self.policy, self.rng))
-            return ("advance", None)
-        if moving:
-            i = moving[0]
-            if "move_end" in world.legal_actions(i):
-                return ("move_end", i)
-            return ("advance", None)
+        for phase in (OBSERVED, COMPUTED, MOVING):
+            if by_phase[phase]:
+                return self.event(world, by_phase[phase][0]) or ("advance", None)
         return ("advance", None)
 
 
+_POLICY_CLASSES = {
+    "random": RandomAsyncPolicy,
+    "stingy": RandomAsyncPolicy,
+    "rigid": RandomAsyncPolicy,
+    "round-robin": RoundRobinAsyncPolicy,
+    "ssync-embedded": SsyncEmbeddedPolicy,
+    "ssync-stingy": SsyncEmbeddedPolicy,
+}
+
+
 def _make_policy(scenario, rng):
-    if scenario.policy in ("random", "stingy", "rigid"):
-        return RandomAsyncPolicy(rng, scenario.policy)
-    if scenario.policy == "round-robin":
-        return RoundRobinAsyncPolicy(rng)
-    return SsyncEmbeddedPolicy(rng, scenario.policy)
+    return _POLICY_CLASSES[scenario.policy](rng, scenario.policy)
 
 
 def _run_async(scenario, rng):

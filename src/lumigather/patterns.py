@@ -14,21 +14,6 @@ from .geometry import dist_sq, midpoint
 
 
 @dataclass(frozen=True, slots=True)
-class PendingAnnotation:
-    """Leftover asynchronous state of one robot at an instant.
-
-    pending_move: computed but not done moving (destination attached);
-    pending_color: looked but not computed (the upcoming color attached,
-    None when unknown because the log ends first).
-    """
-
-    pending_move: bool = False
-    destination: object = None
-    pending_color: bool = False
-    next_color: object = None
-
-
-@dataclass(frozen=True, slots=True)
 class ColorConfig:
     """Ordered stations of a collinear configuration.
 

@@ -50,6 +50,18 @@ class TestRun:
         assert main(["run", "--scenario", str(bad)]) == 2
         assert "malformed rational True" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [True, 2.5, "16"])
+    @pytest.mark.parametrize("field", ["seed", "step_budget", "fairness_bound", "move_span_cap"])
+    def test_integer_field_of_another_type_exits_2(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        data = json.loads((SCENARIOS / "square.json").read_text())
+        (data["adversary"] if field == "seed" else data)[field] = value
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be an integer, not {value!r}" in captured.err
+
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         short = tmp_path / "short.json"
         data = json.loads((SCENARIOS / "square.json").read_text())

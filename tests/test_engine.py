@@ -248,7 +248,7 @@ def reference_legal(phase, t, last):
 
 @pytest.mark.parametrize("policy", engine.POLICIES)
 def test_legality_and_starvation_match_the_guard_reference(policy):
-    """One legal action per robot per instant, recounted from the guards."""
+    """One legal event per robot per instant, recounted from the guards."""
     sc = random_scenario(random.Random(61), "three-color", "async", 5, bound=8, policy=policy)
     w = AsyncWorld(sc)
     adversary = engine._make_policy(sc, random.Random(sc.seed))
@@ -258,7 +258,8 @@ def test_legality_and_starvation_match_the_guard_reference(policy):
     steps = 0
     while not w.is_terminal():
         for i, r in enumerate(w.robots):
-            assert w.legal_actions(i) == reference_legal(r.phase, w.t, last[i])
+            event = w.next_event(i)
+            assert ([] if event is None else [event]) == reference_legal(r.phase, w.t, last[i])
             assert r.starve == starve[i]
         choice = adversary.step(w)
         w.async_step(choice)
@@ -511,6 +512,16 @@ class TestTraceText:
         assert back.lines == tr.lines
         assert (back.status, back.end_time) == (tr.status, tr.end_time)
         assert back.dumps() == tr.dumps()
+
+    def test_first_end_line_decides_status_as_in_trace_data(self):
+        tr = self._trace()
+        assert tr.status == "gathered"
+        rows = [_compact(l) for l in tr.lines]
+        rows.insert(-1, _compact({"kind": "End", "t": tr.end_time - 1, "status": "fixpoint"}))
+        back = Trace.parse("".join(r + "\n" for r in rows))
+        td = TraceData(back)
+        assert (back.status, back.end_time) == (td.status, td.end_time)
+        assert (back.status, back.end_time) == ("fixpoint", tr.end_time - 1)
 
     @pytest.mark.parametrize(
         "damage,message",
