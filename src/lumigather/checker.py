@@ -2,8 +2,9 @@
 
 Every checker consumes only a trace: configurations are re-derived from the
 event log and compared against the logged Config lines, so an engine bug
-surfaces as a replay mismatch rather than a silent pass.  Each check returns
-a Report; reports are merged associatively by the fuzz harness.
+surfaces as a replay mismatch rather than a silent pass.  Every parameter of
+a check comes from the trace header, which ``Scenario.from_json`` reads.
+Each check returns a Report.
 """
 
 import functools
@@ -15,7 +16,16 @@ from dataclasses import dataclass, field
 
 from .algorithms import get_algorithm, phase_of
 from .configuration import ConfigInterner, Frame, Snapshot
-from .engine import SyncWorld, Trace, enabled_ids, memo_action, ssync_round
+from .engine import (
+    Scenario,
+    SyncWorld,
+    Trace,
+    enabled_ids,
+    json_object,
+    json_typed,
+    memo_action,
+    ssync_round,
+)
 from .geometry import Point, dist_sq, hull_center, on_segment, orientation
 from .potentials import (
     Cmp,
@@ -59,8 +69,6 @@ class Report:
 
 _PHASE_RE = re.compile(r"(LC(BE)?)*(L|LC|LCB)?")
 
-_HEADER_KEYS = ("algorithm", "scheduler", "delta", "n", "robots")
-_ROBOT_KEYS = ("x", "y", "color")
 _ROBOT_EVENTS = frozenset(("Look", "Compute", "MoveBegin", "MoveProgress", "MoveEnd"))
 # keys every line after the header needs, by kind; other kinds need kind and t
 _LINE_KEYS = {
@@ -78,25 +86,8 @@ _LINE_KEYS = {
     )
 }
 
-_TYPE_NAMES = {int: "integer", str: "string", list: "array"}
 # the JSON types a rational may take: "p/q" or an integer, never a bool
 _RAT_TYPES = (str, int)
-
-
-def _require_keys(obj, keys, what):
-    """Raise ValueError unless ``obj`` is a JSON object holding every key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} is not a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValueError(f"{what} lacks {', '.join(missing)}")
-
-
-def _require_type(value, kind, what):
-    """Raise ValueError unless ``value`` is a ``kind`` (a bool is no int)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{what} is not a JSON {_TYPE_NAMES[kind]}")
-    return value
 
 
 class _MoveRec:
@@ -119,8 +110,10 @@ class TraceData:
     equal the previous Config line's shares that line's decoded entries.
     ``replayed(t)`` derives instant t from t-1 where it can, recomputing
     only the robots whose visible state an event may have changed.
-    Malformed input raises ValueError.  Checks obtain their instance
-    through ``TraceData.of``, which builds it once per trace.
+    ``scenario`` is the header as ``Scenario.from_json`` reads it.  Malformed
+    input raises ValueError, as do lines out of time order and colors
+    outside the algorithm's alphabet.  Checks obtain their instance through
+    ``TraceData.of``, which builds it once per trace.
     """
 
     @classmethod
@@ -149,29 +142,17 @@ class TraceData:
         self._n_lines = len(lines)
         if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "Header":
             raise ValueError("trace does not start with a Header line")
-        self.header = lines[0]
-        _require_keys(self.header, _HEADER_KEYS, "trace header")
-        adversary = self.header.get("adversary", {})
-        if not isinstance(adversary, dict):
-            raise ValueError("trace header adversary is not a JSON object")
-        self.seed = _require_type(adversary.get("seed", 0), int, "trace header adversary seed")
-        self._points = {}
-        self.algorithm = get_algorithm(self.header["algorithm"])
-        self.scheduler = self.header["scheduler"]
-        self.delta = parse_rat(self.header["delta"])
-        self.move_span_cap = _require_type(
-            self.header.get("move_span_cap", 16), int, "trace header move_span_cap"
-        )
-        self.n = n = _require_type(self.header["n"], int, "trace header n")
-        if n < 1:
-            raise ValueError(f"trace header n={n}: a trace needs at least one robot")
-        robots = _require_type(self.header["robots"], list, "trace header robots")
-        if len(robots) != n:
-            raise ValueError(f"trace header lists {len(robots)} robots, n={n}")
-        for i, r in enumerate(robots):
-            _require_keys(r, _ROBOT_KEYS, f"trace header robot {i}")
-            _require_type(r["color"], str, f"trace header robot {i} color")
-        self.initial = [(self.point((r["x"], r["y"])), r["color"]) for r in robots]
+        try:
+            self.scenario = Scenario.from_json(lines[0])
+        except ValueError as exc:
+            raise ValueError(f"trace header: {exc}") from exc
+        self.n = n = len(self.scenario.robots)
+        if json_typed(lines[0].get("n"), int, "trace header: n") != n:
+            raise ValueError(f"trace header lists {n} robots, n={lines[0]['n']}")
+        self.algorithm = get_algorithm(self.scenario.algorithm)
+        # the header's raw pairs map to the Scenario's own Points
+        robots = zip(lines[0]["robots"], self.scenario.robots)
+        self._points = {(r["x"], r["y"]): p for r, (p, _) in robots}
         self.status = None
         self.end_time = None
         self.lines_after_end = None  # None: the trace has no End line
@@ -181,39 +162,41 @@ class TraceData:
         last_time = 0
         raw = entries = None  # the latest Config line's raw and decoded entries
         for i, ln in enumerate(lines[1:], 1):
-            if not isinstance(ln, dict):
-                raise ValueError(f"trace line {i + 1} is not a JSON object")
+            if type(ln) is not dict:
+                json_typed(ln, dict, f"trace line {i + 1}")
             kind = ln.get("kind")
             need = _LINE_KEYS.get(kind, _LINE_KEYS[None])
             if not ln.keys() >= need:
-                _require_keys(ln, sorted(need), f"trace line {i + 1}")
-            if type(ln["t"]) is not int:
-                _require_type(ln["t"], int, f"trace line {i + 1} t")
-            if ln["t"] > last_time:
-                last_time = ln["t"]
+                json_object(ln, sorted(need), f"trace line {i + 1}")
+            t = ln["t"]
+            if type(t) is not int:
+                json_typed(t, int, f"trace line {i + 1}: t")
+            if t < last_time:
+                raise ValueError(f"trace line {i + 1}: t={t} comes after a line at t={last_time}")
+            last_time = t
             if kind == "Config":
-                if ln["t"] in self.configs:
-                    raise ValueError(f"trace line {i + 1}: a second Config line for t={ln['t']}")
+                if t in self.configs:
+                    raise ValueError(f"trace line {i + 1}: a second Config line for t={t}")
                 # an equal list decodes and validates the same way
                 if entries is None or ln["entries"] != raw:
                     raw = ln["entries"]
                     entries = self._config_entries(raw, i)
-                self.configs[ln["t"]] = entries
+                self.configs[t] = entries
             elif kind == "End":
                 if self.lines_after_end is None:
                     self.status = ln["status"]
-                    self.end_time = ln["t"]
+                    self.end_time = t
                     self.lines_after_end = len(lines) - 1 - i
             elif kind == "RoundStart":
-                for rid in _require_type(ln["activated"], list, f"trace line {i + 1} activated"):
+                for rid in json_typed(ln["activated"], list, f"trace line {i + 1}: activated"):
                     self._check_robot(rid, ln)
-                self.rounds[ln["t"]] = ln["activated"]
+                self.rounds[t] = ln["activated"]
             elif kind in _ROBOT_EVENTS:
                 self._check_robot(ln["robot"], ln)
-                if kind == "Compute" and type(ln["color"]) is not str:
-                    _require_type(ln["color"], str, f"trace line {i + 1} color")
+                if kind == "Compute" and ln["color"] not in self.algorithm.colors:
+                    self._bad_color(ln["color"], f"trace line {i + 1}: color")
                 self.events.append(ln)
-        self.config_times = sorted(self.configs)
+        self.config_times = list(self.configs)  # sorted, as the lines are in time order
         self.cache = ConfigInterner()
         self._at = {}
         self._replayed = {}
@@ -251,9 +234,15 @@ class TraceData:
             entries = tuple((self.point(e), e[2]) for e in raw)
         except (TypeError, IndexError, KeyError, ValueError) as exc:
             raise ValueError(f"trace line {i + 1}: malformed Config entries: {exc}") from exc
-        if not all(type(c) is str for _, c in entries):
-            raise ValueError(f"trace line {i + 1}: a Config entry color is not a JSON string")
+        for _, c in entries:
+            if c not in self.algorithm.colors:
+                self._bad_color(c, f"trace line {i + 1}: Config entry color")
         return entries
+
+    def _bad_color(self, c, what):
+        """Raise ValueError: ``c`` is no color of the algorithm's alphabet."""
+        json_typed(c, str, what)
+        raise ValueError(f"{what} {c!r} outside alphabet of {self.algorithm.id}")
 
     def config_at(self, t):
         cfg = self._at.get(t)
@@ -266,7 +255,7 @@ class TraceData:
         self.looks = [[] for _ in range(n)]
         self.computes = [[] for _ in range(n)]
         self.moves = [[] for _ in range(n)]
-        pos = [p for p, _ in self.initial]
+        pos = [p for p, _ in self.scenario.robots]
         for ev in self.events:
             kind = ev["kind"]
             rid = ev["robot"]
@@ -331,13 +320,13 @@ class TraceData:
         """Color observed at time t: a change at exactly t is not yet seen."""
         i = bisect_left(self._comp_times[rid], t)
         if i == 0:
-            return self.initial[rid][1]
+            return self.scenario.robots[rid][1]
         return self.computes[rid][i - 1][1]
 
     def visible_pos(self, rid, t):
         i = bisect_left(self._move_tbs[rid], t)  # moves with t_b < t
         if i == 0:
-            return self.initial[rid][0]
+            return self.scenario.robots[rid][0]
         m = self.moves[rid][i - 1]
         if m.t_e is not None and t >= m.t_e + 1:
             return m.reach
@@ -407,6 +396,28 @@ class TraceData:
 # --------------------------------------------------------------------------
 
 
+def _action(td, rep, t, cfg, pos, light):
+    """``memo_action`` of ``td``'s algorithm, or None and a violation at t.
+
+    The violation is a snapshot outside the algorithm's domain, where the
+    algorithm raises ValueError.
+    """
+    try:
+        return memo_action(td.algorithm, cfg, pos, light)
+    except ValueError as exc:
+        rep.violate(t, f"no action at robot on {pos}: {exc}")
+        return None
+
+
+def _any_acts(td, rep, t, cfg, seen):
+    """Whether any ``(pos, light)`` of ``seen`` acts on ``cfg`` (``Action.changes``)."""
+    for p, c in seen:
+        act = _action(td, rep, t, cfg, p, c)
+        if act is not None and act.changes(p, c):
+            return True
+    return False
+
+
 def validate_trace(trace):
     """Replay the event log and flag any divergence from the Config lines.
 
@@ -428,7 +439,7 @@ def validate_trace(trace):
         if td.replayed(t).entries != td.configs[t]:
             rep.violate(t, "replayed configuration differs from logged Config")
     for rid in range(td.n):
-        if td.scheduler == "async":
+        if td.scenario.scheduler == "async":
             _validate_timing(td, rid, rep)
         else:
             _validate_round_phases(td, rid, rep)
@@ -497,10 +508,10 @@ def _validate_timing(td, rid, rep):
         if m.t_e is not None:
             if m.t_e < m.t_b + 1:
                 rep.violate(m.t_e, f"robot {rid}: move ended before t_b+1")
-            if m.t_e - m.t_b > td.move_span_cap:
+            if m.t_e - m.t_b > td.scenario.move_span_cap:
                 rep.violate(m.t_e, f"robot {rid}: move span exceeds cap")
         prev = Rat(0)
-        for t in sorted(m.progress):
+        for t in m.progress:  # in time order, as the lines are
             p = m.progress[t]
             if not on_segment(p, m.origin, m.reach) or p == m.reach:
                 rep.violate(t, f"robot {rid}: progress point off half-open segment")
@@ -521,10 +532,10 @@ def _validate_computes(td, rid, rep):
         if tl is None:
             rep.violate(tc, f"robot {rid}: Compute without Look")
             continue
-        act = memo_action(
-            td.algorithm, td.replayed(tl), td.visible_pos(rid, tl), td.visible_color(rid, tl)
+        act = _action(
+            td, rep, tl, td.replayed(tl), td.visible_pos(rid, tl), td.visible_color(rid, tl)
         )
-        if act.color != color or act.dest != dest:
+        if act is not None and (act.color != color or act.dest != dest):
             rep.violate(tc, f"robot {rid}: Compute differs from algorithm output")
 
 
@@ -536,7 +547,7 @@ def _validate_moves(td, rid, rep):
     move, unless it is an asynchronous robot's last event before the trace
     stops.
     """
-    dd = td.delta * td.delta
+    dd = td.scenario.delta * td.scenario.delta
     cs = td.computes[rid]
     moved = set()
     for m in td.moves[rid]:
@@ -559,17 +570,13 @@ def _validate_moves(td, rid, rep):
     for ci, (tc, _, dest, _) in enumerate(cs):
         if ci in moved or dest == td.visible_pos(rid, tc):
             continue
-        if td.scheduler != "async" or (looks and looks[-1] > tc):
+        if td.scenario.scheduler != "async" or (looks and looks[-1] > tc):
             rep.violate(tc, f"robot {rid}: Compute's move left out")
 
 
 # --------------------------------------------------------------------------
 # Potential monotonicity
 # --------------------------------------------------------------------------
-
-
-def _classify_f(config):
-    return config.classification.value
 
 
 def _cc_family(cc):
@@ -619,11 +626,11 @@ def check_monotone(trace, which=None):
     td = TraceData.of(trace)
     which, potential = _potential(td.algorithm.id, which)
     rep = Report(f"monotone-{which}")
-    if td.scheduler not in ("ssync", "ssync-unfair", "fsync"):
+    if td.scenario.scheduler not in ("ssync", "ssync-unfair", "fsync"):
         rep.violate(None, "monotone check expects a round-based trace")
         return rep
     rounds = 0
-    for t in sorted(td.rounds):
+    for t in td.rounds:  # in time order, as the lines are
         if t + 1 not in td.configs:
             break
         cfg = td.config_at(t)
@@ -632,7 +639,7 @@ def check_monotone(trace, which=None):
             rep.violate(t, _OFF_LINE)
             continue
         seen = ((td.visible_pos(r, t), td.visible_color(r, t)) for r in td.rounds[t])
-        if any(memo_action(td.algorithm, cfg, p, c).changes(p, c) for p, c in seen):
+        if _any_acts(td, rep, t, cfg, seen):
             rounds += 1
             if which == "g" and not nxt.on_lds:
                 rep.violate(t, _OFF_LINE)
@@ -643,7 +650,7 @@ def check_monotone(trace, which=None):
             if c is Cmp.UNDECIDED:
                 rep.undecide(t, {"before": serialize_potential(before)})
             elif c is not Cmp.LESS:
-                row = _classify_f(cfg) if which == "f" else _cc_family(cfg.cc)
+                row = cfg.classification.value if which == "f" else _cc_family(cfg.cc)
                 rep.violate(
                     t,
                     {
@@ -659,14 +666,15 @@ def check_monotone(trace, which=None):
     return rep
 
 
-def annotate_potentials(trace, which=None):
-    """Copy of the trace with a potential annotation after every Config line.
+def annotate_potentials(trace):
+    """Copy of the trace with its algorithm's potential after every Config line.
 
     Annotation lines look like {"kind": "Potential", "t": n, "f": [...5...]}
-    with entries "inf", "p/q" or ["lo", "hi"] enclosures.
+    with entries "inf", "p/q" or ["lo", "hi"] enclosures.  Potential g, which
+    is undefined off the line, skips those configurations.
     """
     td = TraceData.of(trace)
-    which, potential = _potential(td.algorithm.id, which)
+    which, potential = _potential(td.algorithm.id)
     out = Trace.__new__(Trace)
     out.lines = []
     out.status = trace.status
@@ -706,7 +714,7 @@ def check_equivariance_trace(trace):
     snapshots whose action rests on a tie-break convention are skipped.
     """
     td = TraceData.of(trace)
-    rng = random.Random(td.seed ^ 0xE9)
+    rng = random.Random(td.scenario.seed ^ 0xE9)
     triples = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
     rep = Report("equivariance")
     checked = 0
@@ -859,7 +867,6 @@ def check_onlds_switch(trace):
     """
     td = TraceData.of(trace)
     rep = Report("onlds-switch")
-    phase = phase_of
     t_star = None
     for t in td.config_times:
         if td.config_at(t).on_lds:
@@ -882,14 +889,14 @@ def check_onlds_switch(trace):
 
     states = []
     for rid in range(td.n):
-        color = phase(td.visible_color(rid, t_star + 1))
+        color = phase_of(td.visible_color(rid, t_star + 1))
         pending, value = td.pending_state(rid, t_star) or (None, None)
         if pending == "move":
             if not on_line(value):
                 rep.violate(t_star, f"robot {rid} pending destination off the line")
             states.append((color, "move"))
         elif pending == "color":
-            nxt = phase(value) if value else "?"
+            nxt = phase_of(value) if value else "?"
             # an upcoming Compute keeping the color is no annotation at all
             states.append((color, "none") if nxt == color else (color, f"pc:{nxt}"))
         else:
@@ -918,15 +925,13 @@ def check_onlds_switch(trace):
 # --------------------------------------------------------------------------
 
 
-def check_shrink(trace, delta=None):
+def check_shrink(trace):
     """Endpoint distance drops by at least 2*delta between loop entries.
 
     Loop entries are the first instants of maximal runs where the visible
     configuration is exactly two all-S stations.
     """
     td = TraceData.of(trace)
-    if delta is None:
-        delta = td.delta
     rep = Report("shrink")
     entries = []
     prev_ss = False
@@ -941,7 +946,7 @@ def check_shrink(trace, delta=None):
             entries.append((t, cfg.cc.span_sq()))
         prev_ss = is_ss
     rep.extras["loops"] = len(entries)
-    two_delta = 2 * delta
+    two_delta = 2 * td.scenario.delta
     for (t0, d0), (t1, d1) in zip(entries, entries[1:]):
         lhs = sqrt_sum([d0])
         rhs = sqrt_sum([d1], exact=two_delta)
@@ -977,7 +982,7 @@ def check_gathered(trace):
             t_g = None
     final_t = td.config_times[-1]
     final = td.config_at(final_t)
-    stable = not any(memo_action(td.algorithm, final, p, c).changes(p, c) for p, c in final.entries)
+    stable = not _any_acts(td, rep, final_t, final, final.entries)
     if not stable:
         rep.violate(final_t, "a robot is still enabled in the final configuration")
     gathered = t_g is not None and stable and rep.passed
@@ -1012,18 +1017,17 @@ def check_equivariance(algorithm, snapshot, frames):
 # Check registry
 # --------------------------------------------------------------------------
 
-# fn(trace or TraceData, which=None, delta=None) per name: ``which`` picks the
-# potential of "monotone", ``delta`` overrides the header's delta for "shrink"
+# fn(trace or TraceData) per name; "monotone" takes the algorithm's own potential
 CHECKS = {
-    "replay": lambda td, which=None, delta=None: validate_trace(td),
-    "monotone": lambda td, which=None, delta=None: check_monotone(td, which),
-    "monotone-f": lambda td, which=None, delta=None: check_monotone(td, "f"),
-    "monotone-g": lambda td, which=None, delta=None: check_monotone(td, "g"),
-    "cycle": lambda td, which=None, delta=None: check_cycle_snapshot(td),
-    "switch": lambda td, which=None, delta=None: check_onlds_switch(td),
-    "shrink": lambda td, which=None, delta=None: check_shrink(td, delta),
-    "gather": lambda td, which=None, delta=None: check_gathered(td),
-    "equivariance": lambda td, which=None, delta=None: check_equivariance_trace(td),
+    "replay": validate_trace,
+    "monotone": check_monotone,
+    "monotone-f": functools.partial(check_monotone, which="f"),
+    "monotone-g": functools.partial(check_monotone, which="g"),
+    "cycle": check_cycle_snapshot,
+    "switch": check_onlds_switch,
+    "shrink": check_shrink,
+    "gather": check_gathered,
+    "equivariance": check_equivariance_trace,
 }
 
 

@@ -111,21 +111,20 @@ def cmd_fuzz(args):
 def cmd_check(args):
     try:
         names = None if args.check == "all" else check_names(args.check)
-        delta = parse_rat(args.delta) if args.delta else None
         trace = Trace.load(args.trace)
         td = TraceData.of(trace)
     except (OSError, ValueError) as exc:
         print(f"check: {exc}", file=sys.stderr)
         return 2
     if names is None:
-        names = default_checks(td.algorithm.id, td.scheduler) + ["equivariance"]
+        names = default_checks(td.algorithm.id, td.scenario.scheduler) + ["equivariance"]
     ok = True
     for name in names:
-        rep = CHECKS[name](td, which=args.which, delta=delta)
+        rep = CHECKS[name](td)
         ok = ok and rep.passed
         print(rep)
     if args.annotate:
-        annotate_potentials(trace, args.which).write(args.annotate)
+        annotate_potentials(trace).write(args.annotate)
     return 0 if ok else 1
 
 
@@ -233,19 +232,16 @@ def build_parser():
     p = argparse.ArgumentParser(prog="lumigather")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--delta", default=None)
-        sp.add_argument("--scheduler", choices=SCHEDULERS, default=None)
-        sp.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=None)
-        sp.add_argument("--fairness-bound", type=int, default=None)
-        sp.add_argument("--move-span-cap", type=int, default=None)
-
     sp = sub.add_parser("run", help="execute a scenario file to a trace")
     sp.add_argument("--scenario", required=True)
     sp.add_argument("--out", default=None)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--delta", default=None)
+    sp.add_argument("--scheduler", choices=SCHEDULERS, default=None)
+    sp.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=None)
+    sp.add_argument("--fairness-bound", type=int, default=None)
+    sp.add_argument("--move-span-cap", type=int, default=None)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("fuzz", help="randomized runs with checkers")
@@ -265,8 +261,6 @@ def build_parser():
     sp = sub.add_parser("check", help="run checkers over a trace file")
     sp.add_argument("--trace", required=True)
     sp.add_argument("--check", default="all")
-    sp.add_argument("--which", choices=("f", "g"), default=None)
-    sp.add_argument("--delta", default=None)
     sp.add_argument("--annotate", default=None, help="write a potential-annotated copy")
     sp.set_defaults(fn=cmd_check)
 

@@ -199,10 +199,6 @@ class Snapshot:
     own_light: str
 
     @property
-    def points(self):
-        return self.config.points
-
-    @property
     def on_lds(self):
         return self.config.on_lds
 

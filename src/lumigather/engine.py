@@ -63,10 +63,21 @@ class BudgetExhausted(RuntimeError):
         self.trace = trace
 
 
-def _json_int(value, what):
-    """``value`` if it is a JSON integer, where a bool is none."""
-    if type(value) is not int:
-        raise ScenarioError(f"{what} must be an integer, not {value!r}")
+_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
+
+
+def json_typed(value, kind, what):
+    """``value`` if its JSON type is ``kind`` (a bool is no integer); else ValueError."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} is not a JSON {_JSON_TYPES[kind]}: {value!r}")
+    return value
+
+
+def json_object(value, keys, what):
+    """``value`` if it is a JSON object holding every key in ``keys``."""
+    missing = [k for k in keys if k not in json_typed(value, dict, what)]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
     return value
 
 
@@ -112,32 +123,33 @@ class Scenario:
     def from_json(data):
         """The Scenario of a decoded JSON object; ScenarioError if malformed.
 
-        ``seed``, ``step_budget``, ``fairness_bound`` and ``move_span_cap``
-        must be JSON integers, and a bool is none.
+        The one reader of scenario files and trace headers (scenarios with
+        more keys).  Every field must have its JSON type (``json_typed``):
+        a rational is ``"p/q"`` or an integer, and nothing is coerced.
         """
         try:
-            robots = tuple(
-                (Point(parse_rat(r["x"]), parse_rat(r["y"])), str(r["color"]))
-                for r in data["robots"]
-            )
-            adversary = data.get("adversary", {})
-            if not isinstance(adversary, dict):
-                raise ScenarioError(f"adversary must be an object, not {adversary!r}")
+            json_object(data, ("robots", "delta", "scheduler", "algorithm"), "scenario")
+            robots = []
+            for i, r in enumerate(json_typed(data["robots"], list, "robots")):
+                json_object(r, ("x", "y", "color"), f"robot {i}")
+                color = json_typed(r["color"], str, f"robot {i} color")
+                robots.append((Point(parse_rat(r["x"]), parse_rat(r["y"])), color))
+            adversary = json_typed(data.get("adversary", {}), dict, "adversary")
             return Scenario(
-                robots=robots,
+                robots=tuple(robots),
                 delta=parse_rat(data["delta"]),
-                scheduler=str(data["scheduler"]),
-                algorithm=str(data["algorithm"]),
-                policy=str(adversary.get("policy", "random")),
-                seed=_json_int(adversary.get("seed", 0), "adversary seed"),
-                step_budget=_json_int(data.get("step_budget", 100000), "step_budget"),
-                fairness_bound=_json_int(data.get("fairness_bound", 0), "fairness_bound"),
-                move_span_cap=_json_int(data.get("move_span_cap", 16), "move_span_cap"),
+                scheduler=json_typed(data["scheduler"], str, "scheduler"),
+                algorithm=json_typed(data["algorithm"], str, "algorithm"),
+                policy=json_typed(adversary.get("policy", "random"), str, "adversary policy"),
+                seed=json_typed(adversary.get("seed", 0), int, "adversary seed"),
+                step_budget=json_typed(data.get("step_budget", 100000), int, "step_budget"),
+                fairness_bound=json_typed(data.get("fairness_bound", 0), int, "fairness_bound"),
+                move_span_cap=json_typed(data.get("move_span_cap", 16), int, "move_span_cap"),
             )
         except ScenarioError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed scenario: {exc}") from exc
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     def to_json(self):
         return {
@@ -262,10 +274,6 @@ class Trace:
         self.end_time = t
         self.log(kind="End", t=t, status=status)
 
-    @property
-    def header(self):
-        return self.lines[0]
-
     def __getstate__(self):
         # a copy may be edited in place, so it re-parses rather than inherit
         # the TraceData the checkers stored on this trace
@@ -313,7 +321,7 @@ class Trace:
             if end < nl and text[end:nl].strip(" \t\r"):
                 raise ValueError(f"trace line {_line_no(text, i)}: more than one value")
             if type(line) is not dict:
-                raise ValueError(f"trace line {_line_no(text, i)} is not a JSON object")
+                json_typed(line, dict, f"trace line {_line_no(text, i)}")
             lines.append(line)
             i = nl + 1
         if not lines or lines[0].get("kind") != "Header":
@@ -399,17 +407,9 @@ class SyncWorld:
         self.cache = cache or ConfigInterner()
         self._config = None
 
-    @staticmethod
-    def from_scenario(scenario):
-        return SyncWorld([p for p, _ in scenario.robots], [c for _, c in scenario.robots])
-
-    def entries(self):
-        """The (position, light) entries in robot order."""
-        return tuple(zip(self.positions, self.lights))
-
     def config(self):
         if self._config is None:
-            self._config = self.cache.get(self.entries())
+            self._config = self.cache.get(tuple(zip(self.positions, self.lights)))
         return self._config
 
 
@@ -462,7 +462,7 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
 
 def _run_sync(scenario, rng):
     algorithm = get_algorithm(scenario.algorithm)
-    world = SyncWorld.from_scenario(scenario)
+    world = SyncWorld([p for p, _ in scenario.robots], [c for _, c in scenario.robots])
     trace = Trace(_header(scenario))
     n = len(scenario.robots)
     bound = scenario.bound
@@ -639,6 +639,8 @@ class AsyncWorld:
             self._advance(progress)
             return
         rid = choice[1]
+        if type(rid) is not int or not 0 <= rid < len(self.robots):
+            raise IllegalChoice(f"{kind}: robot id {rid!r} outside 0..{len(self.robots) - 1}")
         r = self.robots[rid]
         t = self.t
         event = self.next_event(rid)

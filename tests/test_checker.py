@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from lumigather.checker import (
 )
 from lumigather.configuration import Frame, Snapshot
 from lumigather.engine import Scenario, Trace, run
+from lumigather.fuzz import random_scenario
 from lumigather.geometry import Point, hull_center, pt
 from lumigather.rational import Rat
 
@@ -696,6 +698,43 @@ class TestMalformedTraceData:
         i = next(k for k, l in enumerate(lines) if l["kind"] == "RoundStart")
         lines[i]["activated"] = [0, 3]
         with pytest.raises(ValueError, match="robot id 3"):
+            TraceData(lines)
+
+    @pytest.mark.parametrize("damage", ["last-config-first", "looks-swapped"])
+    def test_line_back_in_time(self, damage):
+        # forgeries that passed replay, or were misreported by it, while the
+        # per-robot timelines took the lines' order for time order
+        lines = run(random_scenario(random.Random(4105), "three-color", "async", 5, bound=8)).lines
+        if damage == "last-config-first":
+            last = max(i for i, l in enumerate(lines) if l["kind"] == "Config")
+            lines.insert(1, lines.pop(last))
+        else:
+            i, j = (
+                k for k, l in enumerate(lines)
+                if l["kind"] == "Look" and l["robot"] == 0 and l["t"] in (2, 14)
+            )
+            lines[i], lines[j] = lines[j], lines[i]
+        with pytest.raises(ValueError, match="comes after a line at t="):
+            TraceData(lines)
+
+    def test_header_outside_the_scenario_rules(self):
+        header = dict(
+            self._lines()[0],
+            algorithm="lu-gather",
+            robots=[robot(0, 0, "A"), robot(5, 0, "A"), robot(2, 3, "A")],
+        )
+        with pytest.raises(ValueError, match="trace header: lu-gather requires a collinear start"):
+            TraceData([header])
+
+    @pytest.mark.parametrize("kind", ["Config", "Compute"])
+    def test_color_outside_the_alphabet(self, kind):
+        lines = [copy.deepcopy(l) for l in self._lines()]
+        line = next(l for l in lines if l["kind"] == kind)
+        if kind == "Config":
+            line["entries"][1][2] = "Z"
+        else:
+            line["color"] = "Z"
+        with pytest.raises(ValueError, match="color 'Z' outside alphabet of three-color"):
             TraceData(lines)
 
     @pytest.mark.parametrize(

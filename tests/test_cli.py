@@ -4,9 +4,8 @@ from pathlib import Path
 import pytest
 
 from lumigather import fuzz as fuzz_module
-from lumigather.checker import CHECKS, TraceData
+from lumigather.checker import CHECKS
 from lumigather.cli import main
-from lumigather.engine import Trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -60,7 +59,7 @@ class TestRun:
         assert main(["run", "--scenario", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"must be an integer, not {value!r}" in captured.err
+        assert f"{field} is not a JSON integer: {value!r}" in captured.err
 
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         short = tmp_path / "short.json"
@@ -102,7 +101,7 @@ class TestRun:
         assert main([cmd, "--scenario", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("scenario error: adversary must be an object")
+        assert captured.err.startswith("scenario error: adversary is not a JSON object")
 
 
 class TestFuzz:
@@ -230,7 +229,7 @@ class TestCheck:
         path.write_text("".join(json.dumps(l) + "\n" for l in lines))
         return str(path)
 
-    @pytest.mark.parametrize("args", [["--check", "monotone-g"], ["--which", "g"]])
+    @pytest.mark.parametrize("args", [["--check", "monotone-g"]])
     @pytest.mark.parametrize("scenario", ["rectangle-unfair.json", "line-lu.json"])
     def test_potential_g_off_the_line_is_reported(self, tmp_path, capsys, scenario, args):
         lines = self._trace_lines(tmp_path, capsys, scenario)
@@ -310,6 +309,49 @@ class TestCheck:
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.count(message) == 2
 
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            ("off-line-start", "lu-gather requires a collinear start"),
+            ("config-color", "Config entry color 'Z' outside alphabet of lu-gather"),
+            ("compute-color", "color 'Z' outside alphabet of lu-gather"),
+            ("back-in-time", "comes after a line at t="),
+        ],
+    )
+    def test_input_outside_the_header_scenario_exits_2(self, tmp_path, capsys, damage, message):
+        lines = self._trace_lines(tmp_path, capsys, "line-lu.json")
+        if damage == "off-line-start":
+            lines[0]["robots"][1]["y"] = "1/1"
+        elif damage == "config-color":
+            next(l for l in lines if l["kind"] == "Config")["entries"][0][2] = "Z"
+        elif damage == "compute-color":
+            next(l for l in lines if l["kind"] == "Compute")["color"] = "Z"
+        else:
+            lines.insert(1, lines.pop(max(i for i, l in enumerate(lines) if l["kind"] == "Config")))
+        bad = self._write(tmp_path / "bad.jsonl", lines)
+        assert main(["check", "--trace", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert message in captured.err
+
+    def test_snapshot_outside_the_algorithm_domain_is_a_violation(self, tmp_path, capsys):
+        lines = self._trace_lines(tmp_path, capsys, "line-lu.json")
+        # lift the first move of the line-lu trace off the line
+        begin = next(l for l in lines if l["kind"] == "MoveBegin")
+        end = next(
+            l for l in lines[lines.index(begin):]
+            if l["kind"] == "MoveEnd" and l["robot"] == begin["robot"]
+        )
+        begin["reach"][1] = end["pos"][1] = "1/1"
+        path = self._write(tmp_path / "lifted.jsonl", lines)
+        assert main(["check", "--trace", path, "--check", "replay"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        (rep,) = [json.loads(l) for l in captured.out.splitlines()]
+        details = [v["detail"] for v in rep["violations"]]
+        assert any(d.startswith("no action at robot on ") for d in details)
+        assert any(d.endswith("lu_gather requires a collinear snapshot") for d in details)
+
     @pytest.mark.parametrize("cached", [True, False], ids=["after-equal-int-pair", "alone"])
     def test_coordinate_that_is_no_rational_exits_2(self, tmp_path, capsys, cached):
         scenario = tmp_path / "pair.json"
@@ -366,29 +408,31 @@ class TestCheck:
         assert "<circle" in svg.read_text()
 
     def test_annotated_copy_has_potential_lines(self, tmp_path, capsys):
-        # rectangle-unfair starts off the line and ends on it: f scores every
-        # configuration, g only the on-LDS ones
-        out = tmp_path / "t.jsonl"
-        main(["run", "--scenario", str(SCENARIOS / "rectangle-unfair.json"), "--out", str(out)])
-        trace = Trace.load(out)
-        td = TraceData.of(trace)
-        for which in ("f", "g"):
+        # the annotation is the algorithm's own potential: f for elect-one-lds
+        # scores every configuration, g for lu-gather only those on the line
+        for scenario, which in (("rectangle-unfair.json", "f"), ("line-lu.json", "g")):
+            lines = self._trace_lines(tmp_path, capsys, scenario)
+            if which == "g":
+                # an honest line-lu trace stays on the line: lift a robot off it
+                cfg = next(l for l in lines if l["kind"] == "Config" and l["t"] == 1)
+                cfg["entries"][0][1] = "1/1"
+            path = self._write(tmp_path / f"{which}.jsonl", lines)
             annotated = tmp_path / f"annot-{which}.jsonl"
-            args = ["check", "--trace", str(out), "--check", "replay", "--which", which]
-            assert main(args + ["--annotate", str(annotated)]) == 0
-            lines = [json.loads(l) for l in annotated.read_text().splitlines()]
-            assert [l for l in lines if l["kind"] != "Potential"] == trace.lines
+            args = ["check", "--trace", path, "--check", "replay", "--annotate", str(annotated)]
+            assert main(args) == (0 if which == "f" else 1)
+            out = [json.loads(l) for l in annotated.read_text().splitlines()]
+            assert [l for l in out if l["kind"] != "Potential"] == lines
             scored = []
-            for prev, line in zip(lines, lines[1:]):
+            for prev, line in zip(out, out[1:]):
                 if line["kind"] == "Potential":
                     assert prev["kind"] == "Config" and prev["t"] == line["t"]
                     assert len(line[which]) == 5
                     scored.append(line["t"])
-            expected = [t for t in td.config_times if which == "f" or td.config_at(t).on_lds]
-            assert scored == expected
+            config_times = [l["t"] for l in lines if l["kind"] == "Config"]
+            assert scored == [t for t in config_times if which == "f" or t != 1]
             capsys.readouterr()
-            assert main(["check", "--trace", str(annotated), "--check", "replay,monotone"]) == 0
-        assert 0 < len(expected) < len(td.config_times)  # g skipped some configurations
+        annotated = str(tmp_path / "annot-f.jsonl")
+        assert main(["check", "--trace", annotated, "--check", "replay,monotone"]) == 0
 
 
 class TestPlot:

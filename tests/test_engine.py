@@ -3,6 +3,7 @@ import itertools
 import json
 import json.scanner
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -31,6 +32,8 @@ from lumigather.engine import (
 from lumigather.fuzz import random_scenario
 from lumigather.geometry import dist_sq, is_on_lds, pt
 from lumigather.rational import Rat
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scen(robots, **kw):
@@ -124,9 +127,9 @@ class TestObserveTiming:
         w.async_step(("look", 1))
         w.async_step(("advance",))
         w.async_step(("compute", 0))  # t_C = 1: S -> M
-        assert w.observe(1).points[pt(0, 0)] == frozenset({"S"})
+        assert w.observe(1).config.points[pt(0, 0)] == frozenset({"S"})
         w.async_step(("advance",))
-        assert w.observe(1).points[pt(0, 0)] == frozenset({"M"})
+        assert w.observe(1).config.points[pt(0, 0)] == frozenset({"M"})
 
     def test_mover_positions(self):
         w = self._world()
@@ -136,7 +139,7 @@ class TestObserveTiming:
         w.async_step(("advance",))
         w.async_step(("move_begin", 0, Rat(1)))  # t_B = 2, reach (4, 0)
         assert w.observe(1).own_pos == pt(8, 0)
-        assert pt(0, 0) in w.observe(1).points  # origin at t_B
+        assert pt(0, 0) in w.observe(1).config.points  # origin at t_B
         w.async_step(("advance",))  # t = 3
         p3 = w.observe(0).own_pos
         assert 0 < dist_sq(pt(0, 0), p3) < dist_sq(pt(0, 0), pt(4, 0))
@@ -184,6 +187,19 @@ class TestObserveTiming:
         w.trace.end(w.t, "fixpoint")
         assert [ln["t"] for ln in w.trace.lines if ln["kind"] == "Config"] == [0, 1, 2, 3, 4]
         assert validate_trace(w.trace).passed
+
+    @pytest.mark.parametrize("rid", [-1, True, 4, "0"])
+    def test_robot_id_outside_the_world_is_illegal(self, rid):
+        w = AsyncWorld(Scenario.load(SCENARIOS / "square.json"))  # robots 0..3
+
+        def state():
+            robots = [tuple(getattr(r, s) for s in r.__slots__) for r in w.robots]
+            return w.t, w.steps, robots, w.trace.dumps()
+
+        before = state()
+        with pytest.raises(IllegalChoice, match="robot id"):
+            w.async_step(("look", rid))
+        assert state() == before
 
     def test_compute_at_look_instant_illegal(self):
         w = self._world()
@@ -517,7 +533,8 @@ class TestTraceText:
         tr = self._trace()
         assert tr.status == "gathered"
         rows = [_compact(l) for l in tr.lines]
-        rows.insert(-1, _compact({"kind": "End", "t": tr.end_time - 1, "status": "fixpoint"}))
+        # before the last Config line, so that the lines stay in time order
+        rows.insert(-2, _compact({"kind": "End", "t": tr.end_time - 1, "status": "fixpoint"}))
         back = Trace.parse("".join(r + "\n" for r in rows))
         td = TraceData(back)
         assert (back.status, back.end_time) == (td.status, td.end_time)

@@ -87,7 +87,7 @@ def digests(scenario):
     text = run(scenario).dumps()
     td = TraceData.of(Trace.parse(text))
     out = {"trace": _sha(text)}
-    for name in default_checks(td.algorithm.id, td.scheduler) + ["equivariance"]:
+    for name in default_checks(td.algorithm.id, td.scenario.scheduler) + ["equivariance"]:
         out[name] = _sha(str(CHECKS[name](td)))
     return out
 
