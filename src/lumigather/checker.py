@@ -143,7 +143,9 @@ class TraceData:
         if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "Header":
             raise ValueError("trace does not start with a Header line")
         try:
-            self.scenario = Scenario.from_json(lines[0])
+            self.scenario = Scenario.from_json(
+                {k: v for k, v in lines[0].items() if k not in ("kind", "n")}
+            )
         except ValueError as exc:
             raise ValueError(f"trace header: {exc}") from exc
         self.n = n = len(self.scenario.robots)

@@ -61,7 +61,11 @@ def cmd_run(args):
         trace = exc.trace
         code = 3
     if args.out:
-        trace.write(args.out)
+        try:
+            trace.write(args.out)
+        except OSError as exc:
+            print(f"run: cannot write the trace: {exc}", file=sys.stderr)
+            return 2
     td = TraceData.of(trace)
     final = td.config_at(td.config_times[-1])
     colors = sorted({ln["color"] for ln in trace.lines if ln.get("kind") == "Compute"})
@@ -124,7 +128,12 @@ def cmd_check(args):
         ok = ok and rep.passed
         print(rep)
     if args.annotate:
-        annotate_potentials(trace).write(args.annotate)
+        annotated = annotate_potentials(trace)
+        try:
+            annotated.write(args.annotate)
+        except OSError as exc:
+            print(f"check: cannot write the annotated trace: {exc}", file=sys.stderr)
+            return 2
     return 0 if ok else 1
 
 
@@ -150,8 +159,12 @@ def cmd_plot(args):
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     svg = render_svg(td)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        print(f"plot: cannot write the SVG: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}")
     return 0
 

@@ -35,7 +35,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .algorithms import get_algorithm
 from .configuration import ConfigInterner, Snapshot
-from .geometry import Point, dist_sq, is_on_lds
+from .geometry import Point, dist_sq_ints, is_on_lds, toward
 from .rational import Rat, format_rat, min_rat_ge_sqrt, parse_rat
 
 SCHEDULERS = ("fsync", "ssync", "ssync-unfair", "async")
@@ -73,12 +73,33 @@ def json_typed(value, kind, what):
     return value
 
 
+def _known_keys(value, keys, what):
+    """``value``'s keys all lie in ``keys``; else ScenarioError naming the others."""
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ScenarioError(f"unknown {what} key {', '.join(unknown)}")
+
+
 def json_object(value, keys, what):
     """``value`` if it is a JSON object holding every key in ``keys``."""
     missing = [k for k in keys if k not in json_typed(value, dict, what)]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(missing)}")
     return value
+
+
+# the keys Scenario.to_json writes; a scenario file may omit the optional ones
+_SCENARIO_KEYS = (
+    "robots",
+    "delta",
+    "scheduler",
+    "algorithm",
+    "adversary",
+    "step_budget",
+    "fairness_bound",
+    "move_span_cap",
+)
+_ROBOT_KEYS = ("x", "y", "color")
 
 
 @dataclass(frozen=True)
@@ -123,18 +144,23 @@ class Scenario:
     def from_json(data):
         """The Scenario of a decoded JSON object; ScenarioError if malformed.
 
-        The one reader of scenario files and trace headers (scenarios with
-        more keys).  Every field must have its JSON type (``json_typed``):
-        a rational is ``"p/q"`` or an integer, and nothing is coerced.
+        The one reader of scenario files and trace headers (whose own keys
+        ``kind`` and ``n`` the trace reader takes off first).  Every field
+        must have its JSON type (``json_typed``): a rational is ``"p/q"`` or
+        an integer, and nothing is coerced.  A key outside the schema, which
+        is a misspelled field, is an error, never a silent default.
         """
         try:
             json_object(data, ("robots", "delta", "scheduler", "algorithm"), "scenario")
+            _known_keys(data, _SCENARIO_KEYS, "scenario")
             robots = []
             for i, r in enumerate(json_typed(data["robots"], list, "robots")):
-                json_object(r, ("x", "y", "color"), f"robot {i}")
+                json_object(r, _ROBOT_KEYS, f"robot {i}")
+                _known_keys(r, _ROBOT_KEYS, f"robot {i}")
                 color = json_typed(r["color"], str, f"robot {i} color")
                 robots.append((Point(parse_rat(r["x"]), parse_rat(r["y"])), color))
             adversary = json_typed(data.get("adversary", {}), dict, "adversary")
+            _known_keys(adversary, ("policy", "seed"), "adversary")
             return Scenario(
                 robots=tuple(robots),
                 delta=parse_rat(data["delta"]),
@@ -357,20 +383,25 @@ def apply_move(origin, dest, fraction, delta):
     falling short is clamped up, exactly to distance delta when that point is
     rational and to the next 1/64 fraction above otherwise.
     """
-    if not (0 < fraction <= 1):
+    f, g = fraction.numerator, fraction.denominator
+    if not 0 < f <= g:
         raise ValueError("fraction must be in (0, 1]")
     if dest == origin:
         return origin
-    d2 = dist_sq(origin, dest)
-    dd = delta * delta
-    if d2 <= dd or fraction == 1:
+    # with |dest - origin|**2 = n / d, delta**2 over it is rn / rd: the move
+    # is within delta when rn / rd >= 1 and falls short when lam**2 < rn / rd,
+    # each decided by cross-multiplying positive ints
+    n, d = dist_sq_ints(origin, dest)
+    a, b = delta.numerator, delta.denominator
+    rn, rd = a * a * d, b * b * n
+    if rd <= rn or f == g:
         return dest
     lam = fraction
-    if lam * lam * d2 < dd:
-        lam = min_rat_ge_sqrt(dd / d2)
+    if f * f * rd < g * g * rn:
+        lam = min_rat_ge_sqrt(Rat(rn, rd))
         if lam >= 1:
             return dest
-    return Point(origin.x + lam * (dest.x - origin.x), origin.y + lam * (dest.y - origin.y))
+    return toward(origin, dest, lam)
 
 
 def memo_action(algorithm, cfg, pos, light):
@@ -706,9 +737,8 @@ class AsyncWorld:
         self.t += 1
         for i, r in enumerate(self.robots):
             if r.phase == MOVING:
-                mu = r.mu = progress[i]
-                o, d = r.pos, r.dest
-                r.shown_pos = Point(o.x + mu * (d.x - o.x), o.y + mu * (d.y - o.y))
+                r.mu = progress[i]
+                r.shown_pos = toward(r.pos, r.dest, r.mu)
                 self.trace.move_progress(self.t, i, r.shown_pos)
             else:
                 r.shown_pos = r.pos

@@ -17,14 +17,19 @@ integer kernels chosen by what it reads.
   leaves the analysis: an edge length or squared distance as
   ``Rat(N, L*L)``, an area, a center or a destination.
 * Isolated points -- a truncated move, a move's reach in a replayed trace,
-  the span of a line -- go through ``orientation``, ``on_segment`` and
-  ``dist_sq``.  They read each coordinate as its integer ``numerator`` and
-  ``denominator``, and a ``Fraction`` keeps its denominator positive.  A
-  coordinate difference is then an unreduced integer pair ``(N, D)`` with
-  ``D > 0``, and comparing two such quotients cross-multiplies by positive
-  integers, so the sign of ``N1 * D2 - N2 * D1`` is the sign of
-  ``N1 / D1 - N2 / D2`` exactly.  No rational is built until ``dist_sq``
-  normalises its result once.
+  the span of a line -- go through ``orientation``, ``on_segment``,
+  ``dist_sq``, ``midpoint`` and ``toward``.  They read each coordinate as
+  its integer ``numerator`` and ``denominator``, and a ``Fraction`` keeps
+  its denominator positive.  A coordinate difference is then an unreduced
+  integer pair ``(N, D)`` with ``D > 0``, and comparing two such quotients
+  cross-multiplies by positive integers, so the sign of ``N1 * D2 - N2 * D1``
+  is the sign of ``N1 / D1 - N2 / D2`` exactly.
+
+Either way the invariant is the same: integers inside, one normalisation
+out, identical rationals.  A kernel builds a rational only for its result,
+one ``Rat(N, D)`` per value (per coordinate of a point), and that rational
+equals the one the ``Fraction`` formula gives; the tests keep those
+formulas as the reference.
 """
 
 import math
@@ -138,20 +143,42 @@ def orientation(o, a, b):
     return (left > right) - (left < right)
 
 
-def dist_sq(a, b):
-    """Exact squared distance, normalised once from integers."""
+def dist_sq_ints(a, b):
+    """Squared distance as an unreduced integer pair ``(N, D)`` with ``D > 0``."""
     nx, dx = _diff(a.x, b.x)
     ny, dy = _diff(a.y, b.y)
     if dx == dy:
-        return Rat(nx * nx + ny * ny, dx * dx)
+        return nx * nx + ny * ny, dx * dx
     nx, ny = nx * dy, ny * dx
     d = dx * dy
-    return Rat(nx * nx + ny * ny, d * d)
+    return nx * nx + ny * ny, d * d
+
+
+def dist_sq(a, b):
+    """Exact squared distance, normalised once from integers."""
+    return Rat(*dist_sq_ints(a, b))
+
+
+def _toward(a, b, f, g):
+    """``a + (f/g) * (b - a)`` for rationals a, b and ints f and g > 0, normalised once."""
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    if ad == bd:
+        return Rat(an * g + f * (bn - an), ad * g)
+    return Rat(an * bd * g + f * (bn * ad - an * bd), ad * bd * g)
+
+
+def toward(o, d, lam):
+    """The point ``o + lam * (d - o)`` for a rational ``lam``: one rational per coordinate."""
+    f, g = lam.numerator, lam.denominator
+    return Point(_toward(o.x, d.x, f, g), _toward(o.y, d.y, f, g))
+
+
+_HALF = Rat(1, 2)
 
 
 def midpoint(a, b):
-    half = Rat(1, 2)
-    return Point((a.x + b.x) * half, (a.y + b.y) * half)
+    return toward(a, b, _HALF)
 
 
 def _between(v, a, b):

@@ -7,11 +7,16 @@ escalating precision.  Two sums over identical radicand multisets compare
 exactly; beyond that, square-free canonicalization decides equality (distinct
 square-free parts are linearly independent over the rationals), so a
 comparison is reported Undecided only when precision genuinely runs out.
+
+Integers inside, one normalisation out, identical rationals: the distances
+are lattice ints, and ``SqrtSum.interval`` sums integer roots over one common
+denominator and builds one rational per bound, equal to the sum of the
+per-radicand enclosures ``sqrt(p*q)/q`` that the tests keep as the reference.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from math import isqrt
+from math import isqrt, lcm
 
 from .geometry import (
     Classification,
@@ -20,7 +25,7 @@ from .geometry import (
     hull_center_of,
     selected_min_edges,
 )
-from .rational import R0, Rat, format_rat, sqrt_exact, sqrt_interval
+from .rational import R0, Rat, format_rat, sqrt_exact
 
 INF = "inf"
 
@@ -37,18 +42,46 @@ class Cmp(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SqrtSum:
-    """exact + sum of sqrt(radicand) over a sorted multiset of rationals."""
+    """exact + sum of sqrt(radicand) over a sorted multiset of rationals.
+
+    The enclosure runs on integers.  With ``M`` the least common multiple of
+    the radicands' denominators ``q_i``, sqrt(p_i/q_i) = sqrt(p_i*q_i)/q_i =
+    sqrt(p_i*q_i) * (M // q_i) / M, so one ``isqrt`` per radicand at 2*bits
+    extra precision bounds each root to within ``(M // q_i) / (M << bits)``,
+    and both bounds of the sum are built as one rational each.
+    """
 
     exact: object
     radicands: tuple
+    # (M, ((p_i*q_i, M // q_i), ...), sum of M // q_i), set on first use
+    _terms: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def _prepare(self):
+        dens = [r.denominator for r in self.radicands]
+        m = lcm(*dens)
+        terms = []
+        width = 0
+        for r, q in zip(self.radicands, dens):
+            p = r.numerator
+            if p:  # sqrt(0) is exact: it widens neither bound
+                w = m // q
+                terms.append((p * q, w))
+                width += w
+        prepared = (m, tuple(terms), width)
+        object.__setattr__(self, "_terms", prepared)
+        return prepared
 
     def interval(self, bits):
-        lo = hi = self.exact
-        for r in self.radicands:
-            a, b = sqrt_interval(r, bits)
-            lo += a
-            hi += b
-        return lo, hi
+        """Certified ``(lo, hi)`` with ``lo <= value <= hi``; ValueError on a negative radicand."""
+        m, terms, width = self._terms or self._prepare()
+        shift = 2 * bits
+        low = 0
+        for n, w in terms:
+            low += isqrt(n << shift) * w
+        den = m << bits
+        a, b = self.exact.numerator, self.exact.denominator
+        base = a * den
+        return Rat(base + b * low, b * den), Rat(base + b * (low + width), b * den)
 
     def __repr__(self):
         return f"SqrtSum({self.exact}+sqrt{list(self.radicands)})"
@@ -77,10 +110,11 @@ def sqrt_sum(radicands, exact=R0):
     return SqrtSum(base, tuple(irr))
 
 
-def _as_pair(v):
+def _as_sum(v):
+    """``v`` as a SqrtSum: a rational becomes one with no radicands."""
     if isinstance(v, SqrtSum):
-        return v.exact, v.radicands
-    return Rat(v), ()
+        return v
+    return SqrtSum(Rat(v), ())
 
 
 _PRIMES = None
@@ -132,10 +166,10 @@ def _canonical_sqrt(rad):
     return coeff, m
 
 
-def _canonical_form(pair):
-    exact, rads = pair
+def _canonical_form(value):
+    exact = value.exact
     form = {}
-    for r in rads:
+    for r in value.radicands:
         c = _canonical_sqrt(r)
         if c is None:
             return None
@@ -148,32 +182,38 @@ def _canonical_form(pair):
     return exact, form
 
 
+def _compare_exact(a, b):
+    if a == b:
+        return Cmp.EQUAL
+    return Cmp.LESS if a < b else Cmp.GREATER
+
+
 def compare_values(a, b):
     """Exact-aware comparison of two non-negative distance-sum values."""
     if a == INF or b == INF:
         if a == INF and b == INF:
             return Cmp.EQUAL
         return Cmp.GREATER if a == INF else Cmp.LESS
-    ea, ra = _as_pair(a)
-    eb, rb = _as_pair(b)
+    if not isinstance(a, SqrtSum) and not isinstance(b, SqrtSum):
+        return _compare_exact(a, b)
+    sa, sb = _as_sum(a), _as_sum(b)
+    ra, rb = sa.radicands, sb.radicands
     if ra == rb:
-        if ea == eb:
-            return Cmp.EQUAL
-        return Cmp.LESS if ea < eb else Cmp.GREATER
+        return _compare_exact(sa.exact, sb.exact)
     for bits in _ESCALATION:
-        alo, ahi = SqrtSum(ea, ra).interval(bits)
-        blo, bhi = SqrtSum(eb, rb).interval(bits)
+        alo, ahi = sa.interval(bits)
+        blo, bhi = sb.interval(bits)
         if ahi < blo:
             return Cmp.LESS
         if alo > bhi:
             return Cmp.GREATER
-    ca = _canonical_form((ea, ra))
-    cb = _canonical_form((eb, rb))
+    ca = _canonical_form(sa)
+    cb = _canonical_form(sb)
     if ca is not None and cb is not None and ca[0] == cb[0] and ca[1] == cb[1]:
         return Cmp.EQUAL
     for bits in _LAST_RESORT:
-        alo, ahi = SqrtSum(ea, ra).interval(bits)
-        blo, bhi = SqrtSum(eb, rb).interval(bits)
+        alo, ahi = sa.interval(bits)
+        blo, bhi = sb.interval(bits)
         if ahi < blo:
             return Cmp.LESS
         if alo > bhi:

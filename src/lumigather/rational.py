@@ -59,23 +59,6 @@ def sqrt_exact(x):
     return Rat(sp, sq)
 
 
-def sqrt_interval(x, bits):
-    """Certified enclosure ``(lo, hi)`` with ``lo <= sqrt(x) <= hi``.
-
-    sqrt(p/q) = sqrt(p*q)/q, so one integer isqrt at 2*bits extra precision
-    gives dyadic rational bounds of width 2**-bits relative to q.
-    """
-    p, q = x.numerator, x.denominator
-    if p < 0:
-        raise ValueError("sqrt of negative rational")
-    if p == 0:
-        return R0, R0
-    n = p * q
-    s = math.isqrt(n << (2 * bits))
-    den = q << bits
-    return Rat(s, den), Rat(s + 1, den)
-
-
 def min_rat_ge_sqrt(x):
     """A small rational >= sqrt(x), exact when sqrt(x) is rational, x in [0,1].
 

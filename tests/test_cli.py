@@ -481,3 +481,47 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("enumerate: enumeration judges elect-one-lds and lu-gather")
+
+
+@pytest.mark.parametrize("cmd", ["run", "check", "plot"])
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, cmd):
+    scenario = str(SCENARIOS / "square.json")
+    trace = tmp_path / "t.jsonl"
+    main(["run", "--scenario", scenario, "--out", str(trace)])
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "out")
+    args = {
+        "run": ["run", "--scenario", scenario, "--out", missing],
+        "check": ["check", "--trace", str(trace), "--check", "replay", "--annotate", missing],
+        "plot": ["plot", "--trace", str(trace), "--out", missing],
+    }[cmd]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cmd}: cannot write") and missing in err
+
+
+@pytest.mark.parametrize("cmd", ["run", "enumerate", "check"])
+@pytest.mark.parametrize(
+    "where,key,message",
+    [
+        ("scenario", "move_span_caps", "unknown scenario key move_span_caps"),
+        ("adversary", "sed", "unknown adversary key sed"),
+        ("robot", "colour", "unknown robot 1 key colour"),
+    ],
+)
+def test_misspelled_key_exits_2(tmp_path, capsys, cmd, where, key, message):
+    scenario = SCENARIOS / "triangle-enum.json"
+    if cmd == "check":  # the misspelled key sits in a trace header
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", "--scenario", str(scenario), "--out", str(trace)]) == 0
+        capsys.readouterr()
+        lines = [json.loads(l) for l in trace.read_text().splitlines()]
+    else:
+        lines = [json.loads(scenario.read_text())]
+    head = lines[0]
+    {"scenario": head, "adversary": head["adversary"], "robot": head["robots"][1]}[where][key] = 4
+    bad = tmp_path / "bad.json"
+    bad.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    assert main([cmd, "--trace" if cmd == "check" else "--scenario", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

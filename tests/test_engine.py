@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lumigather import algorithms, engine
@@ -30,8 +30,10 @@ from lumigather.engine import (
     ssync_round,
 )
 from lumigather.fuzz import random_scenario
-from lumigather.geometry import dist_sq, is_on_lds, pt
-from lumigather.rational import Rat
+from lumigather.geometry import Point, dist_sq, is_on_lds, pt
+from lumigather.rational import Rat, min_rat_ge_sqrt
+
+from test_geometry import along, wide_points
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -70,6 +72,50 @@ class TestApplyMove:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             apply_move(pt(0, 0), pt(1, 0), Rat(0), Rat(1))
+
+
+def ref_apply_move(origin, dest, fraction, delta):
+    """``apply_move`` by Fraction arithmetic."""
+    if dest == origin:
+        return origin
+    d2 = (dest.x - origin.x) ** 2 + (dest.y - origin.y) ** 2
+    dd = delta * delta
+    if d2 <= dd or fraction == 1:
+        return dest
+    lam = fraction
+    if lam * lam * d2 < dd:
+        lam = min_rat_ge_sqrt(dd / d2)
+        if lam >= 1:
+            return dest
+    return along(origin, dest, lam)
+
+
+@st.composite
+def move_ends(draw):
+    """(origin, dest): two wide points, one point twice, or a short step off a wide point."""
+    origin, far = draw(wide_points(2))
+    kind = draw(st.sampled_from(["far", "zero", "near"]))
+    if kind == "far":
+        return origin, far
+    if kind == "zero":
+        return origin, origin
+    step = [Rat(draw(st.integers(-3, 3)), draw(st.integers(1, 8))) for _ in range(2)]
+    return origin, Point(origin.x + step[0], origin.y + step[1])
+
+
+@given(
+    move_ends(),
+    st.one_of(st.just(Rat(1)), st.fractions(Rat(1, 4), 1)),
+    st.sampled_from([Rat(1, 4), Rat(1), Rat(2)]),
+)
+@example((pt(0, 0), pt((1, 2), 0)), Rat(1, 2), Rat(1))  # within delta
+@example((pt(0, 0), pt(10, 0)), Rat(1), Rat(1))  # fraction 1
+@example((pt(3, 3), pt(3, 3)), Rat(1, 2), Rat(1))  # zero length
+@example((pt(0, 0), pt(3, 4)), Rat(1, 4), Rat(2))  # clamped to the rational 2/5
+@example((pt(0, 0), pt(1, 2)), Rat(1, 4), Rat(2))  # clamped to 29/32 above sqrt(4/5)
+@example((pt(0, 0), pt(1, (1, 8))), Rat(1, 4), Rat(1))  # clamped up to 1: reaches dest
+def test_apply_move_is_the_fraction_formula(ends, fraction, delta):
+    assert apply_move(*ends, fraction, delta) == ref_apply_move(*ends, fraction, delta)
 
 
 class TestSsyncRound:

@@ -17,11 +17,13 @@ from lumigather.geometry import (
     is_contractible,
     is_on_lds,
     is_symmetric,
+    midpoint,
     min_edge_targets,
     nearest_vertex,
     on_segment,
     orientation,
     pt,
+    toward,
 )
 from lumigather.rational import Rat
 
@@ -472,6 +474,18 @@ def test_orientation_is_the_sign_of_the_cross_product(obc):
 @given(wide_points(2))
 def test_dist_sq_is_exact(ab):
     assert dist_sq(*ab) == ref_dist_sq(*ab)
+
+
+@given(wide_points(2), lambdas)
+def test_toward_is_the_fraction_formula(ab, lam):
+    # the progress point of a move and a truncated move's reach
+    assert toward(*ab, lam) == along(*ab, lam)
+
+
+@given(wide_points(2))
+def test_midpoint_is_the_fraction_formula(ab):
+    a, b = ab
+    assert midpoint(a, b) == Point((a.x + b.x) / 2, (a.y + b.y) / 2)
 
 
 @given(triples())

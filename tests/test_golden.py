@@ -12,7 +12,7 @@ Two more pin sets cover what the default checks do not print:
 
 * ``ANNOTATED`` pins the potential-annotated copy of each ``elect-one-lds``
   (potential f) and ``lu-gather`` (potential g) trace.  Its interval entries
-  are the only serialized bytes that ``sqrt_interval`` reaches.
+  are the only serialized bytes that ``SqrtSum.interval`` reaches.
 * ``ENUMERATED`` pins the ``enumerate_unfair`` report of three bundled
   scenarios at depth 6 with the move fractions 1 and 1/2, so that truncated
   moves are covered.

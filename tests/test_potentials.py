@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lumigather.configuration import Configuration, canonical
@@ -12,6 +12,8 @@ from lumigather.potentials import (
     R0,
     SqrtSum,
     ZERO_VEC,
+    _canonical_form,
+    _root_sum,
     compare_values,
     lex_less,
     potential_f,
@@ -24,6 +26,7 @@ from lumigather.rational import Rat
 from conftest import make_config
 from test_geometry import (
     collinear_inputs,
+    denominators,
     lattice_inputs,
     ref_center,
     ref_dist_sq,
@@ -205,6 +208,106 @@ def test_sqrt_sum_interval_contains_float_value(r1):
         assert float(lo) - 1e-9 <= target <= float(hi) + 1e-9
     else:
         assert abs(float(v) - target) < 1e-9
+
+
+# -- enclosures on integers against the per-radicand Fraction formula --------
+
+
+def ref_sqrt_interval(x, bits):
+    """``(lo, hi)`` around sqrt(x): sqrt(p/q) = sqrt(p*q)/q, one isqrt at 2*bits."""
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        return R0, R0
+    s = math.isqrt((p * q) << (2 * bits))
+    return Rat(s, q << bits), Rat(s + 1, q << bits)
+
+
+def ref_interval(value, bits):
+    lo = hi = value.exact
+    for r in value.radicands:
+        a, b = ref_sqrt_interval(r, bits)
+        lo += a
+        hi += b
+    return lo, hi
+
+
+def ref_compare_values(a, b):
+    """``compare_values`` with every enclosure built per radicand."""
+    if a == INF or b == INF:
+        if a == INF and b == INF:
+            return Cmp.EQUAL
+        return Cmp.GREATER if a == INF else Cmp.LESS
+    sa, sb = (v if isinstance(v, SqrtSum) else SqrtSum(Rat(v), ()) for v in (a, b))
+    if sa.radicands == sb.radicands:
+        if sa.exact == sb.exact:
+            return Cmp.EQUAL
+        return Cmp.LESS if sa.exact < sb.exact else Cmp.GREATER
+    for i, bits in enumerate((64, 256, 1024, 4096, 16384)):
+        if i == 3:
+            ca, cb = _canonical_form(sa), _canonical_form(sb)
+            if ca is not None and ca == cb:
+                return Cmp.EQUAL
+        alo, ahi = ref_interval(sa, bits)
+        blo, bhi = ref_interval(sb, bits)
+        if ahi < blo:
+            return Cmp.LESS
+        if alo > bhi:
+            return Cmp.GREATER
+    return Cmp.UNDECIDED
+
+
+# radicands of small and wide numerators over mixed, small, prime and wide
+# denominators, as sqrt_sum takes them
+radicand_numerators = st.one_of(st.integers(0, 9), st.integers(0, 2**80))
+mixed_rads = st.lists(st.builds(Rat, radicand_numerators, denominators), min_size=1, max_size=6)
+
+
+@st.composite
+def root_sums(draw):
+    """A ``sqrt_sum`` of mixed radicands, a ``_root_sum`` over a shared den**2,
+    or a SqrtSum built as it stands, zero and square radicands included."""
+    how = draw(st.sampled_from(["sqrt_sum", "root_sum", "as built"]))
+    exact = draw(st.builds(Rat, st.integers(0, 2**40), denominators))
+    if how == "sqrt_sum":
+        return sqrt_sum(draw(mixed_rads), exact)
+    if how == "as built":
+        return SqrtSum(exact, tuple(draw(mixed_rads)))
+    norms = st.one_of(st.integers(0, 200), st.integers(0, 2**90))
+    return _root_sum(draw(st.lists(norms, min_size=1, max_size=6)), draw(denominators))
+
+
+@given(root_sums(), st.sampled_from([64, 256, 4096]))
+def test_interval_is_the_per_radicand_sum(value, bits):
+    if isinstance(value, SqrtSum):
+        assert value.interval(bits) == ref_interval(value, bits)
+
+
+@st.composite
+def compared_pairs(draw):
+    """Two distance-sum values; b is often a near or equal rewrite of a."""
+    rational = st.builds(Rat, st.integers(0, 50), st.integers(1, 9))
+    a = draw(st.one_of(st.just(INF), rational, root_sums()))
+    how = draw(st.sampled_from(["free", "shift", "split", "nudge"]))
+    if how == "free" or not isinstance(a, SqrtSum):
+        return a, draw(st.one_of(st.just(INF), rational, root_sums()))
+    if how == "shift":  # the same roots, exact parts 2**-k apart
+        step = Rat(draw(st.integers(-1, 1)), 2 ** draw(st.integers(0, 80)))
+        return a, SqrtSum(a.exact + step, a.radicands)
+    rads = list(a.radicands)
+    r = rads.pop(draw(st.integers(0, len(rads) - 1)))
+    if how == "split":  # sqrt(r/4) + sqrt(r/4) = sqrt(r): the same value
+        return a, sqrt_sum(rads + [r / 4, r / 4], a.exact)
+    # one radicand 2**-k larger: a value just above a
+    return a, sqrt_sum(rads + [r + Rat(1, 2 ** draw(st.integers(0, 80)))], a.exact)
+
+
+@given(compared_pairs())
+@example((sqrt_sum([Rat(8)]), sqrt_sum([Rat(2), Rat(2)])))  # equal by canonical form
+@example((sqrt_sum([Rat(2**61 - 1)]), sqrt_sum([Rat(2**61 - 1, 4)] * 2)))  # undecided
+def test_compare_values_decides_as_the_reference(ab):
+    a, b = ab
+    assert compare_values(a, b) is ref_compare_values(a, b)
+    assert compare_values(b, a) is ref_compare_values(b, a)
 
 
 # -- potentials on the lattice against the Fraction formulas -----------------

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from lumigather.potentials import SqrtSum
 from lumigather.rational import (
     Rat,
     format_rat,
     min_rat_ge_sqrt,
     parse_rat,
     sqrt_exact,
-    sqrt_interval,
 )
 
 
@@ -43,8 +43,9 @@ def test_sqrt_exact():
 
 def test_sqrt_interval_encloses_and_tightens():
     for x in (Rat(2), Rat(5, 7), Rat(10007, 3)):
-        lo64, hi64 = sqrt_interval(x, 64)
-        lo256, hi256 = sqrt_interval(x, 256)
+        root = SqrtSum(Rat(0), (x,))
+        lo64, hi64 = root.interval(64)
+        lo256, hi256 = root.interval(256)
         assert lo64 * lo64 <= x <= hi64 * hi64
         assert lo64 <= lo256 <= hi256 <= hi64
         assert hi256 - lo256 < hi64 - lo64
