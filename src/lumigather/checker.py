@@ -44,15 +44,14 @@ class Report:
     check: str
     passed: bool = True
     violations: list = field(default_factory=list)
+    # always empty: every potential comparison is decided; the key stays in
+    # ``to_json`` so that report lines keep their format
     undecided: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
     def violate(self, t, detail):
         self.passed = False
         self.violations.append({"t": t, "detail": detail})
-
-    def undecide(self, t, detail):
-        self.undecided.append({"t": t, "detail": detail})
 
     def to_json(self):
         return {
@@ -620,10 +619,11 @@ def check_monotone(trace, which=None):
     """Strict lexicographic decrease of the potential across effective rounds.
 
     A round is effective when it activates at least one enabled robot; other
-    rounds must leave the configuration unchanged.  Undecided comparisons are
-    reported separately (a precision matter, not a violation).  Potential g
-    is defined on collinear configurations only, so with g a round that
-    starts off the line, or an effective one that ends off it, is a violation.
+    rounds must leave the configuration unchanged.  ``lex_less`` decides
+    every comparison exactly, so an effective round either decreases the
+    potential or is a violation.  Potential g is defined on collinear
+    configurations only, so with g a round that starts off the line, or an
+    effective one that ends off it, is a violation.
     """
     td = TraceData.of(trace)
     which, potential = _potential(td.algorithm.id, which)
@@ -649,9 +649,7 @@ def check_monotone(trace, which=None):
             before = potential(cfg)
             after = potential(nxt)
             c = lex_less(after, before)
-            if c is Cmp.UNDECIDED:
-                rep.undecide(t, {"before": serialize_potential(before)})
-            elif c is not Cmp.LESS:
+            if c is not Cmp.LESS:
                 row = cfg.classification.value if which == "f" else _cc_family(cfg.cc)
                 rep.violate(
                     t,
@@ -952,10 +950,7 @@ def check_shrink(trace):
     for (t0, d0), (t1, d1) in zip(entries, entries[1:]):
         lhs = sqrt_sum([d0])
         rhs = sqrt_sum([d1], exact=two_delta)
-        c = compare_values(lhs, rhs)
-        if c is Cmp.UNDECIDED:
-            rep.undecide(t1, "shrink comparison undecided")
-        elif c is Cmp.LESS:
+        if compare_values(lhs, rhs) is Cmp.LESS:
             rep.violate(t1, f"loop entered at {t1} shrank less than 2*delta")
     return rep
 
@@ -1136,9 +1131,7 @@ def enumerate_unfair(
                 child = nxt.config()
                 rep.extras["edges"] += 1
                 c = lex_less(potential(child), before)
-                if c is Cmp.UNDECIDED:
-                    rep.undecide(d, {"state": _fmt(ents)})
-                elif c is not Cmp.LESS:
+                if c is not Cmp.LESS:
                     rep.violate(
                         d,
                         {

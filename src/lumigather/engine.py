@@ -685,6 +685,8 @@ class AsyncWorld:
             act = memo_action(self.algorithm, snap.config, snap.own_pos, snap.own_light)
         elif kind == "move_begin":
             frac = choice[2] if len(choice) > 2 else Rat(1)
+            if not isinstance(frac, Rat) or not 0 < frac <= 1:
+                raise IllegalChoice(f"move_begin: truncation {frac!r} is not a rational in (0,1]")
             reach = apply_move(r.pos, r.dest, frac, self.delta)
         self.steps += 1
         if kind == "look":
@@ -727,8 +729,8 @@ class AsyncWorld:
                 mu = None if mus is None else mus.get(i)
                 if mu is None:
                     mu = r.mu + (1 - r.mu) / 2
-                if not (r.mu < mu < 1):
-                    raise IllegalChoice("progress fraction must strictly advance within (0,1)")
+                if not isinstance(mu, Rat) or not r.mu < mu < 1:
+                    raise IllegalChoice(f"progress {mu!r} is not a rational in ({r.mu},1)")
                 progress[i] = mu
         return progress
 

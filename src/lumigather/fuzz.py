@@ -77,10 +77,6 @@ class RunOutcome:
     def ok(self):
         return not self.budget_exhausted and all(r.passed for r in self.reports)
 
-    @property
-    def undecided(self):
-        return sum(len(r.undecided) for r in self.reports)
-
 
 def run_with_checks(scenario, checks=None):
     """Run the scenario and apply the named checks (``default_checks`` if None)."""
@@ -107,12 +103,11 @@ class FuzzSummary:
     scheduler: str
     runs: int = 0
     failures: list = field(default_factory=list)
-    undecided: int = 0
     outcomes: list = field(default_factory=list)
 
     @property
     def ok(self):
-        return not self.failures and self.undecided == 0
+        return not self.failures
 
     def to_json(self):
         return {
@@ -120,7 +115,6 @@ class FuzzSummary:
             "scheduler": self.scheduler,
             "runs": self.runs,
             "failures": self.failures,
-            "undecided": self.undecided,
             "pass": self.ok,
         }
 
@@ -175,7 +169,6 @@ def fuzz(
         )
         out = run_with_checks(sc, checks)
         summary.runs += 1
-        summary.undecided += out.undecided
         if not out.ok:
             summary.failures.append(
                 {

@@ -3,10 +3,13 @@
 Entries are exact where possible (areas, counts) and certified otherwise:
 a sum of Euclidean distances is kept as the multiset of its squared-distance
 radicands plus an exact part, and is compared through interval enclosures at
-escalating precision.  Two sums over identical radicand multisets compare
-exactly; beyond that, square-free canonicalization decides equality (distinct
-square-free parts are linearly independent over the rationals), so a
-comparison is reported Undecided only when precision genuinely runs out.
+escalating precision.  Every comparison is decided: two sums over identical
+radicand multisets compare by their exact parts, and two sums that 1024-bit
+enclosures cannot separate are tested for equality by square classes.
+Square roots of rationals whose pairwise ratios are not squares are linearly
+independent over the rationals (Besicovitch, 1940), so the difference of two
+sums is zero exactly when its exact part and the coefficient of every class
+are; a nonzero difference is separated by enclosures of doubling precision.
 
 Integers inside, one normalisation out, identical rationals: the distances
 are lattice ints, and ``SqrtSum.interval`` sums integer roots over one common
@@ -29,15 +32,14 @@ from .rational import R0, Rat, format_rat, sqrt_exact
 
 INF = "inf"
 
+# enclosure precisions tried before the square-class test
 _ESCALATION = (64, 256, 1024)
-_LAST_RESORT = (4096, 16384)
 
 
 class Cmp(Enum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
-    UNDECIDED = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,69 +119,29 @@ def _as_sum(v):
     return SqrtSum(Rat(v), ())
 
 
-_PRIMES = None
+def _is_zero(exact, signed):
+    """Whether ``exact`` + the sum of ``sign * sqrt(r)`` over ``signed`` is 0.
 
-
-def _small_primes():
-    global _PRIMES
-    if _PRIMES is None:
-        n = 10000
-        sieve = bytearray([1]) * (n + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, int(n**0.5) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _PRIMES = [i for i in range(2, n + 1) if sieve[i]]
-    return _PRIMES
-
-
-def _canonical_sqrt(rad):
-    """sqrt(rad) as (coeff, squarefree m), or None when factoring gives out.
-
-    rad = p/q gives sqrt(p*q)/q; square parts of p*q move into the rational
-    coefficient.  Any cofactor surviving trial division below 1e4 that is not
-    a perfect square and not provably prime leaves the result unusable.
+    Radicands a and b share a square class when a*b is a rational square;
+    then sqrt(a) = (sqrt(a*b)/b) * sqrt(b) adds an exact coefficient to the
+    class of b, and a square radicand adds its root to ``exact``.  Roots of
+    distinct classes are linearly independent over the rationals, so the sum
+    is zero exactly when ``exact`` and every class coefficient are.
     """
-    p, q = rad.numerator, rad.denominator
-    n = p * q
-    coeff = Rat(1, q)
-    m = 1
-    for f in _small_primes():
-        if f * f > n:
-            break
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e:
-            coeff *= f ** (e // 2)
-            if e % 2:
-                m *= f
-    if n > 1:
-        s = isqrt(n)
-        if s * s == n:
-            coeff *= s
-        elif n < 10**8:
-            m *= n  # survived trial division and below 1e8: prime
+    classes = {}  # class representative -> coefficient of its root
+    for sign, r in signed:
+        root = sqrt_exact(r)
+        if root is not None:
+            exact += sign * root
+            continue
+        for rep in classes:
+            k = sqrt_exact(r * rep)
+            if k is not None:
+                classes[rep] += sign * k / rep
+                break
         else:
-            return None
-    return coeff, m
-
-
-def _canonical_form(value):
-    exact = value.exact
-    form = {}
-    for r in value.radicands:
-        c = _canonical_sqrt(r)
-        if c is None:
-            return None
-        coeff, m = c
-        if m == 1:
-            exact += coeff
-        else:
-            form[m] = form.get(m, R0) + coeff
-    form = {m: c for m, c in form.items() if c != 0}
-    return exact, form
+            classes[r] = Rat(sign)
+    return exact == 0 and not any(classes.values())
 
 
 def _compare_exact(a, b):
@@ -188,44 +150,49 @@ def _compare_exact(a, b):
     return Cmp.LESS if a < b else Cmp.GREATER
 
 
+def _separate(sa, sb, bits):
+    """LESS or GREATER when the ``bits`` enclosures are disjoint, else None."""
+    alo, ahi = sa.interval(bits)
+    blo, bhi = sb.interval(bits)
+    if ahi < blo:
+        return Cmp.LESS
+    if alo > bhi:
+        return Cmp.GREATER
+    return None
+
+
 def compare_values(a, b):
-    """Exact-aware comparison of two non-negative distance-sum values."""
-    if a == INF or b == INF:
-        if a == INF and b == INF:
+    """LESS, EQUAL or GREATER for two non-negative distance-sum values or INF."""
+    if isinstance(a, str) or isinstance(b, str):  # INF is the only str value
+        if isinstance(a, str) and isinstance(b, str):
             return Cmp.EQUAL
-        return Cmp.GREATER if a == INF else Cmp.LESS
+        return Cmp.GREATER if isinstance(a, str) else Cmp.LESS
     if not isinstance(a, SqrtSum) and not isinstance(b, SqrtSum):
         return _compare_exact(a, b)
     sa, sb = _as_sum(a), _as_sum(b)
-    ra, rb = sa.radicands, sb.radicands
-    if ra == rb:
+    if sa.radicands == sb.radicands:
         return _compare_exact(sa.exact, sb.exact)
     for bits in _ESCALATION:
-        alo, ahi = sa.interval(bits)
-        blo, bhi = sb.interval(bits)
-        if ahi < blo:
-            return Cmp.LESS
-        if alo > bhi:
-            return Cmp.GREATER
-    ca = _canonical_form(sa)
-    cb = _canonical_form(sb)
-    if ca is not None and cb is not None and ca[0] == cb[0] and ca[1] == cb[1]:
+        c = _separate(sa, sb, bits)
+        if c is not None:
+            return c
+    signed = [(1, r) for r in sa.radicands] + [(-1, r) for r in sb.radicands]
+    if _is_zero(sa.exact - sb.exact, signed):
         return Cmp.EQUAL
-    for bits in _LAST_RESORT:
-        alo, ahi = sa.interval(bits)
-        blo, bhi = sb.interval(bits)
-        if ahi < blo:
-            return Cmp.LESS
-        if alo > bhi:
-            return Cmp.GREATER
-    return Cmp.UNDECIDED
+    # the values differ, so fine enough enclosures are disjoint
+    bits = _ESCALATION[-1]
+    while True:
+        bits *= 2
+        c = _separate(sa, sb, bits)
+        if c is not None:
+            return c
 
 
 def lex_less(a, b):
     """Lexicographic comparison of two 5-entry potential vectors.
 
-    Returns LESS/GREATER/EQUAL, or UNDECIDED when an entry comparison cannot
-    be resolved at the precision ceiling (reported, never guessed).
+    Returns LESS, EQUAL or GREATER, never anything else: each entry
+    comparison is exact (``compare_values``), so no verdict is a guess.
     """
     for x, y in zip(a, b):
         c = compare_values(x, y)

@@ -47,6 +47,12 @@ def scen(robots, **kw):
     return Scenario(robots=tuple((pt(*p), c) for p, c in robots), **base)
 
 
+def world_state(w):
+    """Clock, step count, every robot slot and the trace text of an AsyncWorld."""
+    robots = [tuple(getattr(r, s) for s in r.__slots__) for r in w.robots]
+    return w.t, w.steps, robots, w.trace.dumps()
+
+
 class TestApplyMove:
     def test_halfway(self):
         assert apply_move(pt(0, 0), pt(10, 0), Rat(1, 2), Rat(1)) == pt(5, 0)
@@ -217,17 +223,12 @@ class TestObserveTiming:
             ("move_begin", 0, Rat(1)),
         ):
             w.async_step(choice)
-
-        def state():
-            robots = [tuple(getattr(r, s) for s in r.__slots__) for r in w.robots]
-            return w.t, w.steps, robots, w.trace.dumps()
-
-        before = state()
+        before = world_state(w)
         with pytest.raises(IllegalChoice):
             w.async_step(("advance", {0: Rat(2)}))
         with pytest.raises(IllegalChoice):
             w.async_step(("move_end", 0))
-        assert state() == before
+        assert world_state(w) == before
         for choice in (("advance",), ("move_end", 0), ("advance",)):
             w.async_step(choice)
         w.trace.end(w.t, "fixpoint")
@@ -237,15 +238,37 @@ class TestObserveTiming:
     @pytest.mark.parametrize("rid", [-1, True, 4, "0"])
     def test_robot_id_outside_the_world_is_illegal(self, rid):
         w = AsyncWorld(Scenario.load(SCENARIOS / "square.json"))  # robots 0..3
-
-        def state():
-            robots = [tuple(getattr(r, s) for s in r.__slots__) for r in w.robots]
-            return w.t, w.steps, robots, w.trace.dumps()
-
-        before = state()
+        before = world_state(w)
         with pytest.raises(IllegalChoice, match="robot id"):
             w.async_step(("look", rid))
-        assert state() == before
+        assert world_state(w) == before
+
+    @staticmethod
+    def _square_computed():
+        """square.json with robot 0 computed, its move not yet begun."""
+        w = AsyncWorld(Scenario.load(SCENARIOS / "square.json"))
+        for choice in (("look", 0), ("advance",), ("compute", 0), ("advance",)):
+            w.async_step(choice)
+        return w
+
+    @pytest.mark.parametrize("frac", [Rat(2), Rat(0), Rat(-1, 2), 0.5, 1])
+    def test_move_truncation_outside_the_rationals_in_0_1_is_illegal(self, frac):
+        w = self._square_computed()
+        before = world_state(w)
+        with pytest.raises(IllegalChoice, match="truncation"):
+            w.async_step(("move_begin", 0, frac))
+        assert world_state(w) == before
+        w.async_step(("move_begin", 0, Rat(1, 2)))
+
+    @pytest.mark.parametrize("mu", [0.5, Rat(1), Rat(0), 1])
+    def test_progress_outside_the_rationals_in_mu_1_is_illegal(self, mu):
+        w = self._square_computed()
+        w.async_step(("move_begin", 0, Rat(1, 2)))
+        before = world_state(w)
+        with pytest.raises(IllegalChoice, match="progress"):
+            w.async_step(("advance", {0: mu}))
+        assert world_state(w) == before
+        w.async_step(("advance", {0: Rat(1, 2)}))
 
     def test_compute_at_look_instant_illegal(self):
         w = self._world()

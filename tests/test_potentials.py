@@ -12,7 +12,7 @@ from lumigather.potentials import (
     R0,
     SqrtSum,
     ZERO_VEC,
-    _canonical_form,
+    _is_zero,
     _root_sum,
     compare_values,
     lex_less,
@@ -21,7 +21,7 @@ from lumigather.potentials import (
     serialize_potential,
     sqrt_sum,
 )
-from lumigather.rational import Rat
+from lumigather.rational import Rat, sqrt_exact
 
 from conftest import make_config
 from test_geometry import (
@@ -151,6 +151,9 @@ class TestLexLess:
     def test_squarefree_canonicalization_detects_equality(self):
         assert compare_values(sqrt_sum([Rat(8)]), sqrt_sum([Rat(2), Rat(2)])) is Cmp.EQUAL
         assert compare_values(sqrt_sum([Rat(18)]), sqrt_sum([Rat(2), Rat(8)])) is Cmp.EQUAL
+        # a prime class far beyond trial division
+        p = Rat(2**61 - 1)
+        assert compare_values(sqrt_sum([p]), sqrt_sum([p / 4] * 2)) is Cmp.EQUAL
 
     def test_sqrt_vs_rational(self):
         assert compare_values(sqrt_sum([Rat(2)]), Rat(3, 2)) is Cmp.LESS
@@ -162,6 +165,11 @@ class TestLexLess:
         a = sqrt_sum([Rat(2), Rat(3)])
         assert compare_values(a, sqrt_sum([Rat(9898979, 1000000)])) is Cmp.GREATER
         assert compare_values(a, sqrt_sum([Rat(9898980, 1000000)])) is Cmp.LESS
+
+    def test_values_closer_than_1024_bits_separate(self):
+        # sqrt(4**1100 + 1) - 2**1100 is about 2**-1101
+        assert compare_values(sqrt_sum([Rat(4**1100 + 1)]), Rat(2**1100)) is Cmp.GREATER
+        assert compare_values(Rat(2**1100), sqrt_sum([Rat(4**1100 + 1)])) is Cmp.LESS
 
     def test_exact_part_folding(self):
         v = sqrt_sum([Rat(4), Rat(9, 4)])
@@ -188,7 +196,6 @@ def test_enclosure_soundness_widening_never_flips(r1, r2):
     a = sqrt_sum([Rat(f.numerator, f.denominator) for f in r1])
     b = sqrt_sum([Rat(f.numerator, f.denominator) for f in r2])
     coarse = compare_values(a, b)
-    assert coarse is not Cmp.UNDECIDED
     # recompute at higher precision via direct intervals when both irrational
     if isinstance(a, SqrtSum) and isinstance(b, SqrtSum):
         alo, ahi = a.interval(2048)
@@ -231,29 +238,48 @@ def ref_interval(value, bits):
     return lo, hi
 
 
+def ref_as_sum(v):
+    return v if isinstance(v, SqrtSum) else SqrtSum(Rat(v), ())
+
+
+def ref_class_zero(sa, sb):
+    """Whether sa - sb is 0, each root written as sqrt(r / c) * sqrt(c) for
+    the first radicand c of its square class, a rational root as itself."""
+    exact = sa.exact - sb.exact
+    coeffs = {}
+    for sign, rads in ((1, sa.radicands), (-1, sb.radicands)):
+        for r in rads:
+            root = sqrt_exact(r)
+            if root is not None:
+                exact += sign * root
+                continue
+            c = next((c for c in coeffs if sqrt_exact(r / c) is not None), r)
+            coeffs[c] = coeffs.get(c, R0) + sign * sqrt_exact(r / c)
+    return exact == 0 and all(v == 0 for v in coeffs.values())
+
+
 def ref_compare_values(a, b):
     """``compare_values`` with every enclosure built per radicand."""
-    if a == INF or b == INF:
-        if a == INF and b == INF:
+    if isinstance(a, str) or isinstance(b, str):
+        if isinstance(a, str) and isinstance(b, str):
             return Cmp.EQUAL
-        return Cmp.GREATER if a == INF else Cmp.LESS
-    sa, sb = (v if isinstance(v, SqrtSum) else SqrtSum(Rat(v), ()) for v in (a, b))
+        return Cmp.GREATER if isinstance(a, str) else Cmp.LESS
+    sa, sb = ref_as_sum(a), ref_as_sum(b)
     if sa.radicands == sb.radicands:
         if sa.exact == sb.exact:
             return Cmp.EQUAL
         return Cmp.LESS if sa.exact < sb.exact else Cmp.GREATER
-    for i, bits in enumerate((64, 256, 1024, 4096, 16384)):
-        if i == 3:
-            ca, cb = _canonical_form(sa), _canonical_form(sb)
-            if ca is not None and ca == cb:
-                return Cmp.EQUAL
+    bits = 64
+    while True:
         alo, ahi = ref_interval(sa, bits)
         blo, bhi = ref_interval(sb, bits)
         if ahi < blo:
             return Cmp.LESS
         if alo > bhi:
             return Cmp.GREATER
-    return Cmp.UNDECIDED
+        if bits == 1024 and ref_class_zero(sa, sb):
+            return Cmp.EQUAL
+        bits *= 4 if bits < 1024 else 2
 
 
 # radicands of small and wide numerators over mixed, small, prime and wide
@@ -302,12 +328,112 @@ def compared_pairs(draw):
 
 
 @given(compared_pairs())
-@example((sqrt_sum([Rat(8)]), sqrt_sum([Rat(2), Rat(2)])))  # equal by canonical form
-@example((sqrt_sum([Rat(2**61 - 1)]), sqrt_sum([Rat(2**61 - 1, 4)] * 2)))  # undecided
+@example((sqrt_sum([Rat(8)]), sqrt_sum([Rat(2), Rat(2)])))  # equal by square class
+@example((sqrt_sum([Rat(2**61 - 1)]), sqrt_sum([Rat(2**61 - 1, 4)] * 2)))  # equal, prime class
 def test_compare_values_decides_as_the_reference(ab):
     a, b = ab
     assert compare_values(a, b) is ref_compare_values(a, b)
     assert compare_values(b, a) is ref_compare_values(b, a)
+
+
+# -- square classes against trial-division factoring -------------------------
+
+
+def ref_small_primes(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(2, n + 1) if sieve[i]]
+
+
+SMALL_PRIMES = ref_small_primes(10**4)
+
+
+def ref_canonical_sqrt(rad):
+    """sqrt(rad) as (coeff, squarefree m): rad = p/q gives sqrt(p*q)/q, and
+    the square part of p*q, found by trial division, moves into coeff.
+
+    Only radicands whose prime factors are all below 1e4 are given to it.
+    """
+    p, q = rad.numerator, rad.denominator
+    if p == 0:
+        return R0, 1
+    n = p * q
+    coeff = Rat(1, q)
+    m = 1
+    for f in SMALL_PRIMES:
+        if n == 1:
+            break
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        coeff *= f ** (e // 2)
+        if e % 2:
+            m *= f
+    assert n == 1, "a prime factor at or above 1e4"
+    return coeff, m
+
+
+def ref_canonical_form(value):
+    """(exact part, {squarefree m: coefficient of sqrt(m)}) of a value."""
+    value = ref_as_sum(value)
+    exact, form = value.exact, {}
+    for r in value.radicands:
+        coeff, m = ref_canonical_sqrt(r)
+        if m == 1:
+            exact += coeff
+        else:
+            form[m] = form.get(m, R0) + coeff
+    return exact, {m: c for m, c in form.items() if c}
+
+
+smooth_ints = st.lists(
+    st.tuples(st.sampled_from(SMALL_PRIMES[:20] + SMALL_PRIMES[-20:]), st.integers(1, 3)),
+    max_size=3,
+).map(lambda fs: math.prod(f**e for f, e in fs))
+smooth_rads = st.builds(Rat, smooth_ints, smooth_ints)
+
+
+@st.composite
+def smooth_pairs(draw):
+    """Two sums of roots of radicands whose prime factors are all below 1e4.
+
+    b writes some of a's roots sqrt(r) as k roots sqrt(r / k**2), an equal
+    value over other radicands of the same classes, and then may gain or
+    lose a root; or b is drawn free.  Half the time b is a SqrtSum as built,
+    its exact part written as the root of its square.
+    """
+    exact = Rat(draw(st.integers(0, 9)), draw(st.integers(1, 9)))
+    rads = draw(st.lists(smooth_rads, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        return sqrt_sum(rads, exact), sqrt_sum(draw(st.lists(smooth_rads, max_size=4)), exact)
+    out = []
+    for r in rads:
+        k = draw(st.integers(1, 3))
+        out += [r / k**2] * k
+    change = draw(st.sampled_from(["none", "gain", "lose"]))
+    if change == "gain":
+        out.append(draw(st.sampled_from(rads)) / draw(st.sampled_from([1, 4, 9])))
+    elif change == "lose":
+        out.pop(draw(st.integers(0, len(out) - 1)))
+    if draw(st.booleans()):
+        return sqrt_sum(rads, exact), SqrtSum(R0, tuple(out) + (exact * exact,))
+    return sqrt_sum(rads, exact), sqrt_sum(out, exact)
+
+
+@given(smooth_pairs())
+@example((sqrt_sum([Rat(8)]), sqrt_sum([Rat(2), Rat(2)])))
+@example((sqrt_sum([Rat(12, 5)]), sqrt_sum([Rat(3, 5), Rat(15, 25)])))
+def test_square_classes_decide_equality_as_factoring_does(ab):
+    a, b = ab
+    sa, sb = ref_as_sum(a), ref_as_sum(b)
+    signed = [(1, r) for r in sa.radicands] + [(-1, r) for r in sb.radicands]
+    equal = ref_canonical_form(a) == ref_canonical_form(b)
+    assert _is_zero(sa.exact - sb.exact, signed) is equal
+    assert (compare_values(a, b) is Cmp.EQUAL) is equal
 
 
 # -- potentials on the lattice against the Fraction formulas -----------------
