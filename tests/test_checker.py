@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import functools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -917,3 +919,242 @@ def test_report_json_shape():
     assert data["pass"] is False
     assert data["violations"] == [{"t": 3, "detail": "boom"}]
     assert data["undecided"] == []
+
+
+# --------------------------------------------------------------------------
+# Negative controls: one forged defect per rule that honest runs never fire
+# --------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _square_text():
+    return run(Scenario.load(SCENARIOS / "square.json")).dumps()
+
+
+def _square():
+    """A fresh copy of the bundled square.json async trace."""
+    return Trace.parse(_square_text())
+
+
+def _one_move():
+    """The honest async ``one_move`` trace: Look 0, Compute 1, move from 2 to 3."""
+    return one_move("async", (2, 0), (1, 0))
+
+
+def _line(tr, kind, **match):
+    """Index of the first line of ``kind`` whose keys equal ``match``."""
+    return next(
+        i for i, l in enumerate(tr.lines)
+        if l["kind"] == kind and all(l.get(k) == v for k, v in match.items())
+    )
+
+
+def _move_progress(tr):
+    """Per move of ``tr``: robot, MoveBegin line and its MoveProgress lines."""
+    open_moves, out = {}, []
+    for ln in tr.lines:
+        if ln["kind"] == "MoveBegin":
+            open_moves[ln["robot"]] = (ln["robot"], ln, [])
+            out.append(open_moves[ln["robot"]])
+        elif ln["kind"] == "MoveProgress":
+            open_moves[ln["robot"]][2].append(ln)
+    return out
+
+
+def _compute_at_look_instant(tr):
+    # robot 0 computes at t=0, the instant of its Look; the Config at t=1
+    # shows the new color, so only the timing is at fault
+    comp = tr.lines.pop(_line(tr, "Compute"))
+    comp["t"] = 0
+    tr.lines.insert(_line(tr, "Config", t=1), comp)
+    tr.lines[_line(tr, "Config", t=1)]["entries"][0][2] = "M"
+
+
+def _end_at_begin(tr):
+    # the move ends at its MoveBegin instant, so no progress is due
+    del tr.lines[_line(tr, "MoveProgress")]
+    end = tr.lines.pop(_line(tr, "MoveEnd"))
+    end["t"] = 2
+    tr.lines.insert(_line(tr, "Config", t=3), end)
+    tr.lines[_line(tr, "Config", t=3)]["entries"] = tr.lines[_line(tr, "Config", t=4)]["entries"]
+    del tr.lines[_line(tr, "Config", t=4)]
+    tr.lines[-1]["t"] = 3
+
+
+def _cap_below_longest_move(tr):
+    td = TraceData(tr)
+    longest = max(m.t_e - m.t_b for ms in td.moves for m in ms if m.t_e is not None)
+    assert longest >= 2
+    tr.lines[0]["move_span_cap"] = longest - 1
+
+
+def _progress_repeated(tr):
+    _, _, points = next(m for m in _move_progress(tr) if len(m[2]) >= 2)
+    points[1]["pos"] = list(points[0]["pos"])
+
+
+def _forge(kind, **kw):
+    def forge(tr):
+        tr.lines[_line(tr, kind)].update(kw)
+    return forge
+
+
+def _drop(*kinds):
+    def forge(tr):
+        tr.lines[:] = [l for l in tr.lines if l["kind"] not in kinds]
+    return forge
+
+
+def _header_n_off(tr):
+    tr.lines[0]["n"] += 1
+
+
+def _one_move_with(reach, progress):
+    def forge(tr):
+        tr.lines[:] = one_move("async", reach, progress).lines
+    return forge
+
+
+@pytest.mark.parametrize(
+    "base,forge,error,message",
+    [
+        (_one_move, _compute_at_look_instant, None, "events not strictly ordered"),
+        (_one_move, _end_at_begin, None, "move ended before t_b+1"),
+        (_square, _cap_below_longest_move, None, "move span exceeds cap"),
+        (_one_move, _one_move_with((2, 0), (1, 1)), None, "progress point off half-open segment"),
+        (_square, _progress_repeated, None, "progress distance not increasing"),
+        (_one_move, _drop("Look"), None, "Compute without Look"),
+        (_one_move, _one_move_with((0, 0), (0, 0)), None, "zero-distance move not omitted"),
+        (_one_move, _forge("MoveEnd", pos=["1/1", "0/1"]), None, "end position differs from reach"),
+        (_square, _header_n_off, ValueError, "trace header lists 4 robots, n=5"),
+        (_one_move, _drop("MoveBegin"), ValueError, "MoveProgress without MoveBegin"),
+        (_one_move, _drop("MoveBegin", "MoveProgress"), ValueError, "MoveEnd without MoveBegin"),
+    ],
+    ids=[
+        "not-strictly-ordered",
+        "ended-before-tb-plus-1",
+        "span-over-cap",
+        "progress-off-segment",
+        "progress-not-increasing",
+        "compute-without-look",
+        "zero-distance-move",
+        "end-off-reach",
+        "header-n",
+        "progress-without-begin",
+        "end-without-begin",
+    ],
+)
+def test_replay_negative_control(base, forge, error, message):
+    assert validate_trace(base()).passed
+    tr = base()
+    forge(tr)
+    if error is not None:
+        with pytest.raises(error, match=re.escape(message)):
+            validate_trace(tr)
+        return
+    rep = validate_trace(tr)
+    assert not rep.passed
+    assert any(message in str(v["detail"]) for v in rep.violations), rep.violations
+
+
+def _wrapped_three_color(lines, robots=((0, 0, "S"), (4, 0, "S"), (2, 5, "S"))):
+    return synthetic({"robots": [robot(*r) for r in robots]}, lines)
+
+
+class TestCheckNegativeControls:
+    def test_cycle_flags_an_illegal_phase_class(self):
+        assert check_cycle_snapshot(_square()).passed
+        tr = _square()
+        tr.lines[_line(tr, "Config", t=1)]["entries"] = [
+            [x, y, c] for (x, y, _), c in zip(tr.lines[1]["entries"], "SMES")
+        ]
+        rep = check_cycle_snapshot(tr)
+        assert {"t": 1, "detail": "illegal phase class ['E', 'M', 'S']"} in rep.violations
+
+    def test_cycle_flags_an_illegal_transition(self):
+        tr = _square()
+        entries = tr.lines[_line(tr, "Config", t=1)]["entries"]
+        assert {c for _, _, c in entries} == {"S"}
+        for e in tr.lines[_line(tr, "Config", t=2)]["entries"]:
+            e[2] = "E"
+        rep = check_cycle_snapshot(tr)
+        assert {"t": 2, "detail": "illegal phase transition ['S'] -> ['E']"} in rep.violations
+
+    def test_cycle_flags_an_inner_execution_outside_all_s(self):
+        # robot 0 turns M, then robot 1 runs the inner algorithm on the
+        # {S, M} configuration of the cycle that opened at t=0
+        tr = _wrapped_three_color(
+            [
+                cfg_line(0, [(0, 0, "S"), (4, 0, "S"), (2, 5, "S")]),
+                {"kind": "Look", "t": 0, "robot": 0},
+                cfg_line(1, [(0, 0, "S"), (4, 0, "S"), (2, 5, "S")]),
+                {"kind": "Compute", "t": 1, "robot": 0, "color": "M",
+                 "dest": ["0/1", "0/1"], "exec": False},
+                cfg_line(2, [(0, 0, "M"), (4, 0, "S"), (2, 5, "S")]),
+                {"kind": "Look", "t": 2, "robot": 1},
+                cfg_line(3, [(0, 0, "M"), (4, 0, "S"), (2, 5, "S")]),
+                {"kind": "Compute", "t": 3, "robot": 1, "color": "S",
+                 "dest": ["4/1", "0/1"], "exec": True},
+                {"kind": "End", "t": 3, "status": "budget"},
+            ]
+        )
+        rep = check_cycle_snapshot(tr)
+        assert rep.violations == [
+            {"t": 2, "detail": "robot 1 ran the inner algorithm outside all-S"}
+        ]
+        assert rep.extras["cycles"] == 1
+
+    def test_switch_flags_an_unmatched_shape(self):
+        tr = run(scen([((0, 0), "S"), ((3, 0), "S"), ((9, 0), "S")], seed=2))
+        assert check_onlds_switch(Trace.parse(tr.dumps())).extras["shape"] == 1
+        tr.lines[0]["robots"][1]["color"] = "E"  # robot 1 starts E, no robot M
+        rep = check_onlds_switch(tr)
+        assert rep.violations == [
+            {"t": 0, "detail": {"shape": "unmatched", "states": [("E", "none"), ("S", "none")]}}
+        ]
+        assert rep.extras["shape"] is None
+
+    def test_monotone_g_flags_a_round_that_keeps_g(self):
+        tr = run(Scenario.load(SCENARIOS / "line-lu.json"))
+        assert check_monotone(tr, "g").passed
+        tr = Trace.parse(tr.dumps())
+        configs = {l["t"]: l for l in tr.lines if l["kind"] == "Config"}
+        t = next(t for t in sorted(configs) if t + 1 in configs
+                 and configs[t]["entries"] != configs[t + 1]["entries"])
+        configs[t + 1]["entries"] = copy.deepcopy(configs[t]["entries"])
+        rep = check_monotone(tr, "g")
+        first = rep.violations[0]
+        assert first["t"] == t
+        detail = first["detail"]
+        assert detail["cmp"] == "EQUAL" and detail["before"] == detail["after"]
+        assert detail["row"] == checker._cc_family(TraceData(tr).config_at(t).cc)
+        assert detail["row"] in ("A", "AA", "AA+A", "B", "BB*B", "AB*B", "AB_mA", "AB+A", "mixed")
+
+
+TRIANGLE = [(pt(0, 0), "O"), (pt(10, 0), "O"), (pt(9, 3), "O")]
+
+
+def _elect_mutant(fn):
+    return dataclasses.replace(algorithms.ALGORITHMS["elect-one-lds"], fn=fn)
+
+
+class TestEnumerateNegativeControls:
+    def test_fixpoint_that_misses_the_goal(self):
+        never = _elect_mutant(lambda snap: algorithms.Action(snap.own_light, snap.own_pos))
+        rep = enumerate_unfair(TRIANGLE, never, 4)
+        state = [["0", "0", "O"], ["9", "3", "O"], ["10", "0", "O"]]
+        assert rep.violations == [
+            {"t": 0, "detail": {"detail": "fixpoint misses the goal", "state": state}}
+        ]
+
+    def test_potential_that_does_not_decrease(self):
+        def outward(snap):  # every vertex away from the origin: the area grows
+            me = snap.own_pos
+            if snap.on_lds:
+                return algorithms.Action(snap.own_light, me)
+            return algorithms.Action(snap.own_light, Point(2 * me.x, 2 * me.y))
+
+        rep = enumerate_unfair(TRIANGLE, _elect_mutant(outward), 1)
+        assert not rep.passed
+        details = {v["detail"]["detail"] for v in rep.violations}
+        assert details == {"potential not decreasing (GREATER)"}
