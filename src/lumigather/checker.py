@@ -68,7 +68,12 @@ class Report:
 
 _PHASE_RE = re.compile(r"(LC(BE)?)*(L|LC|LCB)?")
 
-_ROBOT_EVENTS = frozenset(("Look", "Compute", "MoveBegin", "MoveProgress", "MoveEnd"))
+# the letter of each phase event; a MoveProgress is none
+_PHASES = {"Look": "L", "Compute": "C", "MoveBegin": "B", "MoveEnd": "E"}
+_ROBOT_EVENTS = frozenset((*_PHASES, "MoveProgress"))
+# instants after an event at which its robot shows it: a new color, the leaving
+# of the origin or the reach from the next instant, a progress point at once
+_SHOWN_AFTER = {"Compute": 1, "MoveBegin": 1, "MoveProgress": 0, "MoveEnd": 1}
 # keys every line after the header needs, by kind; other kinds need kind and t
 _LINE_KEYS = {
     kind: frozenset(("kind", "t") + keys)
@@ -90,19 +95,30 @@ _RAT_TYPES = (str, int)
 
 
 class _MoveRec:
-    __slots__ = ("t_b", "t_e", "origin", "reach", "progress", "end_pos")
+    """A move; ``compute`` indexes the robot's latest Compute before it (-1: none)."""
 
-    def __init__(self, t_b, origin, reach):
+    __slots__ = ("t_b", "t_e", "origin", "reach", "compute", "progress", "end_pos")
+
+    def __init__(self, t_b, origin, reach, compute):
         self.t_b = t_b
         self.t_e = None
         self.origin = origin
         self.reach = reach
+        self.compute = compute
         self.progress = {}
         self.end_pos = None
 
 
 class TraceData:
     """Parsed trace with per-robot timelines and visible-state queries.
+
+    One pass over the lines builds every record, per robot in line order:
+    ``looks``, the time of each Look; ``computes``, one ``(t, color, dest,
+    exec, t_look)`` per Compute, with the time of the robot's latest Look line
+    before it (None: none); ``moves``, one ``_MoveRec`` per MoveBegin;
+    ``phases``, one ``(t, letter)`` per Look, Compute, MoveBegin and MoveEnd
+    (L, C, B, E), whose number is ``robot_events``.  Lines never go back in
+    time, so within one instant line order is the order of the events.
 
     Every raw ``(x, y)`` pair is parsed once and mapped to a single Point, so
     equal coordinates share one object.  A Config line whose raw entries
@@ -158,8 +174,16 @@ class TraceData:
         self.end_time = None
         self.lines_after_end = None  # None: the trace has no End line
         self.configs = {}
-        self.events = []
         self.rounds = {}
+        self.looks = looks = [[] for _ in range(n)]
+        self.computes = computes = [[] for _ in range(n)]
+        self.moves = moves = [[] for _ in range(n)]
+        self.phases = phases = [[] for _ in range(n)]
+        self._comp_times = comp_times = [[] for _ in range(n)]
+        self._move_tbs = move_tbs = [[] for _ in range(n)]
+        # instant t -> the robots whose visible state may differ from t-1's
+        self._changes = changes = {}
+        pos = [p for p, _ in self.scenario.robots]  # where each robot's next move starts
         last_time = 0
         raw = entries = None  # the latest Config line's raw and decoded entries
         for i, ln in enumerate(lines[1:], 1):
@@ -193,17 +217,53 @@ class TraceData:
                     self._check_robot(rid, ln)
                 self.rounds[t] = ln["activated"]
             elif kind in _ROBOT_EVENTS:
-                self._check_robot(ln["robot"], ln)
-                if kind == "Compute" and ln["color"] not in self.algorithm.colors:
-                    self._bad_color(ln["color"], f"trace line {i + 1}: color")
-                self.events.append(ln)
+                rid = ln["robot"]
+                self._check_robot(rid, ln)
+                if kind == "Look":
+                    looks[rid].append(t)
+                elif kind == "Compute":
+                    color = ln["color"]
+                    if color not in self.algorithm.colors:
+                        self._bad_color(color, f"trace line {i + 1}: color")
+                    t_look = looks[rid][-1] if looks[rid] else None
+                    dest = self.point(ln["dest"])
+                    computes[rid].append((t, color, dest, bool(ln.get("exec")), t_look))
+                    comp_times[rid].append(t)
+                elif kind == "MoveBegin":
+                    reach = self.point(ln["reach"])
+                    moves[rid].append(_MoveRec(t, pos[rid], reach, len(computes[rid]) - 1))
+                    move_tbs[rid].append(t)
+                elif not moves[rid]:
+                    raise ValueError(f"{kind} without MoveBegin (robot {rid}, t={t})")
+                elif kind == "MoveProgress":
+                    moves[rid][-1].progress[t] = self.point(ln["pos"])
+                else:
+                    m = moves[rid][-1]
+                    m.t_e = t
+                    m.end_pos = pos[rid] = self.point(ln["pos"])
+                if kind in _PHASES:
+                    phases[rid].append((t, _PHASES[kind]))
+                if kind in _SHOWN_AFTER:
+                    changes.setdefault(t + _SHOWN_AFTER[kind], set()).add(rid)
+        self.robot_events = sum(map(len, phases))
         self.config_times = list(self.configs)  # sorted, as the lines are in time order
         self.cache = ConfigInterner()
         self._at = {}
         self._replayed = {}
         self._row = [None] * n  # robot-order entries of instant _row_t
         self._row_t = None
-        self._build_timelines(last_time)
+        for rid, ms in enumerate(moves):
+            for j, m in enumerate(ms):
+                # visible_pos reads this move's progress up to its end, the
+                # robot's next MoveBegin or the last instant of the trace
+                stop = last_time if m.t_e is None else m.t_e
+                if j + 1 < len(ms):
+                    stop = min(stop, ms[j + 1].t_b)
+                if sum(m.t_b < t <= stop for t in m.progress) < stop - m.t_b:
+                    raise ValueError(
+                        f"robot {rid}: move begun at t={m.t_b} lacks a MoveProgress "
+                        f"line at some instant up to t={stop}"
+                    )
 
     def _check_robot(self, rid, ln):
         if type(rid) is not int or not 0 <= rid < self.n:
@@ -251,70 +311,6 @@ class TraceData:
             cfg = self._at[t] = self.cache.get(self.configs[t])
         return cfg
 
-    def _build_timelines(self, last_time):
-        n = self.n
-        self.looks = [[] for _ in range(n)]
-        self.computes = [[] for _ in range(n)]
-        self.moves = [[] for _ in range(n)]
-        pos = [p for p, _ in self.scenario.robots]
-        for ev in self.events:
-            kind = ev["kind"]
-            rid = ev["robot"]
-            t = ev["t"]
-            if kind == "Look":
-                self.looks[rid].append(t)
-            elif kind == "Compute":
-                self.computes[rid].append(
-                    (t, ev["color"], self.point(ev["dest"]), bool(ev.get("exec")))
-                )
-            elif kind == "MoveBegin":
-                self.moves[rid].append(_MoveRec(t, pos[rid], self.point(ev["reach"])))
-            elif kind == "MoveProgress":
-                if not self.moves[rid]:
-                    raise ValueError(f"MoveProgress without MoveBegin (robot {rid}, t={t})")
-                self.moves[rid][-1].progress[t] = self.point(ev["pos"])
-            elif kind == "MoveEnd":
-                if not self.moves[rid]:
-                    raise ValueError(f"MoveEnd without MoveBegin (robot {rid}, t={t})")
-                m = self.moves[rid][-1]
-                m.t_e = t
-                m.end_pos = self.point(ev["pos"])
-                pos[rid] = m.end_pos
-        self._comp_times = [[c[0] for c in cs] for cs in self.computes]
-        self._move_tbs = [[m.t_b for m in ms] for ms in self.moves]
-        for rid, ms in enumerate(self.moves):
-            for j, m in enumerate(ms):
-                # visible_pos reads this move's progress up to its end, the
-                # robot's next MoveBegin or the last instant of the trace
-                stop = last_time if m.t_e is None else m.t_e
-                if j + 1 < len(ms):
-                    stop = min(stop, ms[j + 1].t_b)
-                if sum(m.t_b < t <= stop for t in m.progress) < stop - m.t_b:
-                    raise ValueError(
-                        f"robot {rid}: move begun at t={m.t_b} lacks a MoveProgress "
-                        f"line at some instant up to t={stop}"
-                    )
-
-    @functools.cached_property
-    def _changes(self):
-        """Instant t -> the robots whose visible state may differ from t-1's.
-
-        ``visible_color`` changes only the instant after a Compute, and
-        ``visible_pos`` only the instant after a MoveBegin or a MoveEnd and
-        at a progress point; every other robot shows at t what it showed at
-        t-1.
-        """
-        changes = {}
-        for rid in range(self.n):
-            ts = [tc + 1 for tc in self._comp_times[rid]]
-            for m in self.moves[rid]:
-                ts += (m.t_b + 1, *m.progress)
-                if m.t_e is not None:
-                    ts.append(m.t_e + 1)
-            for t in ts:
-                changes.setdefault(t, set()).add(rid)
-        return changes
-
     # -- visible state (asynchronous timing rules; a round is one instant) ---
 
     def visible_color(self, rid, t):
@@ -359,12 +355,6 @@ class TraceData:
         self._row_t = t
         return cfg
 
-    def last_look(self, rid, t):
-        """Time of the robot's latest Look at or before t, or None."""
-        looks = self.looks[rid]
-        i = bisect_right(looks, t)
-        return looks[i - 1] if i else None
-
     def pending_state(self, rid, t):
         """Leftover asynchronous state of the robot just after instant t.
 
@@ -378,7 +368,7 @@ class TraceData:
         cs = self.computes[rid]
         i = bisect_right(self._comp_times[rid], t)
         if i:
-            t_c, color, dest, _ = cs[i - 1]
+            t_c, color, dest, _, _ = cs[i - 1]
             ms = [m for m in self.moves[rid] if m.t_b >= t_c]
             ended = ms and ms[0].t_e is not None and ms[0].t_e <= t
             origin = ms[0].origin if ms else self.visible_pos(rid, t_c)
@@ -464,17 +454,14 @@ def _validate_end(td, rep):
         single = len({p for p, _ in td.configs[last]}) == 1
         if single != (td.status == "gathered"):
             rep.violate(t, f"End status {td.status} disagrees with the final configuration")
-
-
-def _phase_events(td, rid):
-    """The robot's Look, Compute, MoveBegin and MoveEnd as sorted (t, order, kind)."""
-    events = [(tl, 0, "L") for tl in td.looks[rid]] + [(c[0], 1, "C") for c in td.computes[rid]]
-    for m in td.moves[rid]:
-        events.append((m.t_b, 2, "B"))
-        if m.t_e is not None:
-            events.append((m.t_e, 3, "E"))
-    events.sort()
-    return events
+    # a step is a round, or an asynchronous robot event or clock advance; the
+    # advance that closes a run that did not run out is no step
+    steps = t
+    if td.scenario.scheduler == "async":
+        steps += td.robot_events - (td.status != "budget")
+    budget = td.scenario.step_budget
+    if steps > budget or (td.status == "budget" and steps != budget):
+        rep.violate(t, f"End status {td.status} after {steps} steps of a budget of {budget}")
 
 
 def _validate_round_phases(td, rid, rep):
@@ -482,7 +469,7 @@ def _validate_round_phases(td, rid, rep):
     moves, MoveBegin and MoveEnd; any other round holds none of its events."""
     acted = {t for t, ids in td.rounds.items() if rid in ids}
     by_t = dict.fromkeys(acted, "")
-    for t, _, k in _phase_events(td, rid):
+    for t, k in td.phases[rid]:
         by_t[t] = by_t.get(t, "") + k
     for m in td.moves[rid]:
         for t in m.progress:
@@ -496,12 +483,12 @@ def _validate_round_phases(td, rid, rep):
 
 def _validate_timing(td, rid, rep):
     """Phase order, strict event order, move spans and progress points."""
-    events = _phase_events(td, rid)
-    seq = "".join(k for _, _, k in events)
+    events = td.phases[rid]
+    seq = "".join(k for _, k in events)
     if not _PHASE_RE.fullmatch(seq):
         rep.violate(None, f"robot {rid}: phase order broken: {seq}")
     last_t = -1
-    for t, _, k in events:
+    for t, _ in events:
         if t <= last_t:
             rep.violate(t, f"robot {rid}: events not strictly ordered")
         last_t = t
@@ -528,8 +515,7 @@ def _validate_computes(td, rid, rep):
     The checker's own actions are kept in the ``memo`` of the TraceData's
     configurations, never the engine's.
     """
-    for tc, color, dest, _ in td.computes[rid]:
-        tl = td.last_look(rid, tc)
+    for tc, color, dest, _, tl in td.computes[rid]:
         if tl is None:
             rep.violate(tc, f"robot {rid}: Compute without Look")
             continue
@@ -543,21 +529,18 @@ def _validate_computes(td, rid, rep):
 def _validate_moves(td, rid, rep):
     """Each move follows its Compute: on its segment, long enough, ended at reach.
 
-    The phase checks make the latest Compute at or before MoveBegin the
-    move's own one.  A Compute that sends the robot elsewhere must get its
+    The phase checks make the robot's latest Compute before its MoveBegin
+    the move's own one.  A Compute that sends the robot elsewhere must get its
     move, unless it is an asynchronous robot's last event before the trace
     stops.
     """
     dd = td.scenario.delta * td.scenario.delta
     cs = td.computes[rid]
-    moved = set()
     for m in td.moves[rid]:
-        ci = bisect_right(td._comp_times[rid], m.t_b) - 1
-        if ci < 0:
+        if m.compute < 0:
             rep.violate(m.t_b, f"robot {rid}: move without Compute")
             continue
-        moved.add(ci)
-        dest = cs[ci][2]
+        dest = cs[m.compute][2]
         granted = dist_sq(m.origin, m.reach)
         if granted == 0:
             rep.violate(m.t_b, f"robot {rid}: zero-distance move not omitted")
@@ -568,7 +551,8 @@ def _validate_moves(td, rid, rep):
         if m.t_e is not None and m.end_pos != m.reach:
             rep.violate(m.t_e, f"robot {rid}: end position differs from reach")
     looks = td.looks[rid]
-    for ci, (tc, _, dest, _) in enumerate(cs):
+    moved = {m.compute for m in td.moves[rid]}
+    for ci, (tc, _, dest, _, _) in enumerate(cs):
         if ci in moved or dest == td.visible_pos(rid, tc):
             continue
         if td.scenario.scheduler != "async" or (looks and looks[-1] > tc):
@@ -822,9 +806,8 @@ def check_cycle_snapshot(trace):
         end = starts[ci + 1] if ci + 1 < len(starts) else (seg[-1] + 1)
         snaps = []
         for rid in range(td.n):
-            for (tc, _, _, ex) in td.computes[rid]:
-                tl = td.last_look(rid, tc) if ex else None
-                if tl is not None and start <= tl < end and tl in seg_set:
+            for _, _, _, ex, tl in td.computes[rid]:
+                if ex and tl is not None and start <= tl < end and tl in seg_set:
                     seen = td.replayed(tl)
                     if _phase_class(seen) != frozenset("S"):
                         rep.violate(

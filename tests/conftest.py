@@ -23,6 +23,16 @@ def make_config(entries):
     return Configuration(canonical((pt(*p), c) for p, c in entries))
 
 
+def edge_lengths_sq(hull):
+    """Squared edge lengths of a HullView as rationals, edge i first."""
+    d2 = hull.lattice.den * hull.lattice.den
+    return tuple(Rat(n, d2) for n in hull.edge_norms)
+
+
+def identity_frame():
+    return Frame(Rat(1), Rat(0), Rat(1), Point(Rat(0), Rat(0)))
+
+
 _TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29), (7, 24, 25)]
 
 

@@ -25,12 +25,12 @@ from lumigather.checker import (
     validate_trace,
 )
 from lumigather.configuration import Frame, Snapshot
-from lumigather.engine import Scenario, Trace, run
+from lumigather.engine import BudgetExhausted, Scenario, Trace, run
 from lumigather.fuzz import random_scenario
 from lumigather.geometry import Point, hull_center, pt
 from lumigather.rational import Rat
 
-from conftest import make_snap
+from conftest import identity_frame, make_snap
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -45,7 +45,11 @@ def scen(robots, **kw):
 
 
 def synthetic(header_over, lines):
-    """Hand-built trace for negative controls."""
+    """Hand-built trace for negative controls.
+
+    Unless ``header_over`` sets it, the step budget is the one a ``budget``
+    End line used up: its rounds, or its robot events and clock advances.
+    """
     header = {
         "kind": "Header",
         "algorithm": "three-color",
@@ -60,6 +64,12 @@ def synthetic(header_over, lines):
     }
     header.update(header_over)
     header["n"] = len(header["robots"])
+    end = next((l for l in lines if l["kind"] == "End"), None)
+    if "step_budget" not in header_over and end is not None and end["status"] == "budget":
+        steps = end["t"]
+        if header["scheduler"] == "async":
+            steps += sum(l["kind"] in ("Look", "Compute", "MoveBegin", "MoveEnd") for l in lines)
+        header["step_budget"] = max(steps, 1)
     tr = Trace.__new__(Trace)
     tr.lines = [header] + lines
     tr.status = None
@@ -807,7 +817,7 @@ def test_every_check_reports_on_a_trace_without_config_lines():
 class TestEquivariance:
     def test_identity_frame_trivial(self):
         snap = make_snap([((0, 0), "S"), ((4, 0), "S")], (0, 0), "S")
-        rep = check_equivariance("lu-gather-async", snap, [Frame.identity()])
+        rep = check_equivariance("lu-gather-async", snap, [identity_frame()])
         assert rep.passed
 
     def test_pythagorean_frame_exact(self):
@@ -1005,6 +1015,17 @@ def _drop(*kinds):
     return forge
 
 
+def _one_round():
+    """The honest ssync ``one_move`` trace: one round with the whole cycle."""
+    return one_move("ssync", (2, 0), (1, 0))
+
+
+def _compute_before_look(tr):
+    # the round's events are read in line order, not sorted by kind
+    i, j = _line(tr, "Look"), _line(tr, "Compute")
+    tr.lines[i], tr.lines[j] = tr.lines[j], tr.lines[i]
+
+
 def _header_n_off(tr):
     tr.lines[0]["n"] += 1
 
@@ -1029,6 +1050,7 @@ def _one_move_with(reach, progress):
         (_square, _header_n_off, ValueError, "trace header lists 4 robots, n=5"),
         (_one_move, _drop("MoveBegin"), ValueError, "MoveProgress without MoveBegin"),
         (_one_move, _drop("MoveBegin", "MoveProgress"), ValueError, "MoveEnd without MoveBegin"),
+        (_one_round, _compute_before_look, None, "round events CLBE are not Look, Compute and move"),
     ],
     ids=[
         "not-strictly-ordered",
@@ -1042,6 +1064,7 @@ def _one_move_with(reach, progress):
         "header-n",
         "progress-without-begin",
         "end-without-begin",
+        "round-compute-before-look",
     ],
 )
 def test_replay_negative_control(base, forge, error, message):
@@ -1158,3 +1181,55 @@ class TestEnumerateNegativeControls:
         assert not rep.passed
         details = {v["detail"]["detail"] for v in rep.violations}
         assert details == {"potential not decreasing (GREATER)"}
+
+
+def _budget_run(name, budget):
+    sc = dataclasses.replace(Scenario.load(SCENARIOS / name), step_budget=budget)
+    with pytest.raises(BudgetExhausted) as exc:
+        run(sc)
+    return exc.value.trace
+
+
+@pytest.mark.parametrize("budget,end,events", [(60, 23, 37), (100, 41, 59), (200, 72, 128)])
+def test_an_async_budget_is_spent_on_events_and_advances(budget, end, events):
+    tr = _budget_run("square.json", budget)
+    td = TraceData(tr)
+    assert (td.end_time, td.robot_events) == (end, events)
+    assert validate_trace(td).passed
+
+
+@pytest.mark.parametrize(
+    "name,budget,forged",
+    [
+        ("square.json", 60, 5),
+        ("square.json", 60, 10**6),
+        ("line-lu.json", 3, 2),
+        ("line-lu.json", 3, 4),
+    ],
+)
+def test_replay_flags_a_forged_step_budget_at_a_budget_end(name, budget, forged):
+    tr = Trace.parse(_budget_run(name, budget).dumps())
+    steps = budget
+    tr.lines[0]["step_budget"] = forged
+    rep = validate_trace(tr)
+    assert rep.violations == [
+        {"t": tr.end_time, "detail": f"End status budget after {steps} steps of a budget of {forged}"}
+    ]
+
+
+@pytest.mark.parametrize("name", ["square.json", "line-lu.json"])
+def test_replay_flags_a_run_that_ends_over_its_step_budget(name):
+    tr = run(Scenario.load(SCENARIOS / name))
+    td = TraceData(tr)
+    steps = td.end_time
+    if td.scenario.scheduler == "async":
+        steps += td.robot_events - 1  # the closing advance is no step
+    forged = Trace.parse(tr.dumps())
+    forged.lines[0]["step_budget"] = steps
+    assert validate_trace(forged).passed
+    forged = Trace.parse(tr.dumps())
+    forged.lines[0]["step_budget"] = steps - 1
+    assert validate_trace(forged).violations == [
+        {"t": tr.end_time,
+         "detail": f"End status {tr.status} after {steps} steps of a budget of {steps - 1}"}
+    ]
