@@ -19,7 +19,7 @@ from .geometry import (
     min_edge_targets,
 )
 from .patterns import classify_line
-from .rational import R0, Rat
+from .rational import Rat
 
 
 def _entry_key(entry):
@@ -74,9 +74,6 @@ class Configuration:
 
     def __hash__(self):
         return hash(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
     @property
     def points(self):
@@ -229,10 +226,6 @@ class Frame:
             raise ValueError("rotation is not a Pythagorean pair")
         if self.scale <= 0:
             raise ValueError("frame must be orientation-preserving (scale > 0)")
-
-    @staticmethod
-    def identity():
-        return Frame(Rat(1), R0, Rat(1), Point(R0, R0))
 
     @staticmethod
     def from_triple(a, b, c, scale=1, tx=0, ty=0):

@@ -272,12 +272,6 @@ class HullView:
     lattice: Lattice = field(compare=False, repr=False)
     edge_norms: tuple = field(compare=False, repr=False)
 
-    @property
-    def edge_lengths_sq(self):
-        """Squared edge lengths as rationals, edge i first."""
-        d2 = self.lattice.den * self.lattice.den
-        return tuple(Rat(n, d2) for n in self.edge_norms)
-
 
 def convex_hull(points, lattice=None):
     """Strict CCW hull of the given occupied positions.

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from lumigather import fuzz as fuzz_module
-from lumigather.checker import CHECKS
+from lumigather.checker import CHECKS, validate_trace
 from lumigather.cli import main
+from lumigather.engine import Trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -90,6 +91,27 @@ class TestRun:
         assert code == 0
         header = json.loads(out.read_text().splitlines()[0])
         assert header["adversary"]["seed"] == 123
+
+    @pytest.mark.parametrize(
+        "scenario,flag,value,key,written,code",
+        [
+            ("square.json", "--steps", "60", "step_budget", 60, 3),
+            ("square.json", "--delta", "1/2", "delta", "1/2", 0),
+            ("rectangle-unfair.json", "--scheduler", "fsync", "scheduler", "fsync", 0),
+            ("segment100.json", "--algorithm", "three-color", "algorithm", "three-color", 0),
+            ("square.json", "--fairness-bound", "5", "fairness_bound", 5, 0),
+            ("square.json", "--move-span-cap", "2", "move_span_cap", 2, 0),
+        ],
+    )
+    def test_each_override_reaches_the_header(
+        self, tmp_path, capsys, scenario, flag, value, key, written, code
+    ):
+        out = tmp_path / "t.jsonl"
+        args = ["run", "--scenario", str(SCENARIOS / scenario), flag, value, "--out", str(out)]
+        assert main(args) == code
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header[key] == written
+        assert validate_trace(Trace.load(out)).passed
 
     @pytest.mark.parametrize("cmd", ["run", "enumerate"])
     @pytest.mark.parametrize("adversary", ["random", None, ["random", 3]])

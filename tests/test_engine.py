@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import json.scanner
@@ -29,7 +30,7 @@ from lumigather.engine import (
     run,
     ssync_round,
 )
-from lumigather.fuzz import random_scenario
+from lumigather.fuzz import random_scenario, run_with_checks
 from lumigather.geometry import Point, dist_sq, is_on_lds, pt
 from lumigather.rational import Rat, min_rat_ge_sqrt
 
@@ -270,6 +271,38 @@ class TestObserveTiming:
         assert world_state(w) == before
         w.async_step(("advance", {0: Rat(1, 2)}))
 
+    def test_advance_past_the_move_span_cap_is_illegal(self):
+        w = AsyncWorld(
+            scen([((0, 0), "S"), ((8, 0), "S")], algorithm="lu-gather-async", move_span_cap=1)
+        )
+        for choice in (
+            ("look", 0),
+            ("advance", None),
+            ("compute", 0),
+            ("advance", None),
+            ("move_begin", 0, Rat(1)),
+            ("advance", None),
+        ):
+            w.async_step(choice)
+        before = world_state(w)
+        with pytest.raises(IllegalChoice, match="move span cap reached"):
+            w.async_step(("advance", None))
+        assert world_state(w) == before
+        w.async_step(("move_end", 0))
+        w.async_step(("advance", None))
+
+    def test_advance_that_starves_a_robot_is_illegal(self):
+        w = AsyncWorld(
+            scen([((0, 0), "S"), ((8, 0), "S")], algorithm="lu-gather-async", fairness_bound=2)
+        )
+        w.async_step(("look", 0))
+        w.async_step(("advance", None))  # robot 1 has not acted for two steps
+        before = world_state(w)
+        with pytest.raises(IllegalChoice, match="fairness: robot 1 starved beyond bound"):
+            w.async_step(("advance", None))
+        assert world_state(w) == before
+        w.async_step(("look", 1))
+
     def test_compute_at_look_instant_illegal(self):
         w = self._world()
         w.async_step(("look", 0))
@@ -396,6 +429,12 @@ class TestRun:
             run(sc)
         assert exc.value.final_config is not None
         assert exc.value.trace.status == "budget"
+
+    def test_checks_skip_a_run_that_exhausts_its_budget(self):
+        sc = dataclasses.replace(Scenario.load(SCENARIOS / "square.json"), step_budget=5)
+        out = run_with_checks(sc)
+        assert out.budget_exhausted and out.trace.status == "budget"
+        assert out.reports == [] and not out.ok
 
     def test_zero_movement_cycles_omit_move_events(self):
         # all-M collinear start: the first activations only flip colors
