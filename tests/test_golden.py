@@ -4,9 +4,10 @@ Each case pins the sha256 of ``Trace.dumps()`` and of every report line that
 ``lumigather check`` prints by default for that trace (``default_checks`` plus
 ``equivariance``, run from ``CHECKS`` on the parsed trace with default
 arguments).  The digests were recorded before the trace parse and the engine views were
-cached, those of ``_SCHEDULE_CASES`` before the asynchronous engine read its
-legality from one field per robot; any change to them means a trace or a
-report changed.
+cached, those of the n=5 ``_SCHEDULE_CASES`` before the asynchronous engine
+read its legality from one field per robot, and those of the n=10 cases
+before it kept its ready, mover and starvation state incrementally; any
+change to them means a trace or a report changed.
 
 Two more pin sets cover what the default checks do not print:
 
@@ -51,17 +52,22 @@ _FUZZ_CASES = [
     for n in (4, 6)
 ]
 
-# (case name, algorithm, scheduler, policy, seed): the other asynchronous
-# adversaries and the fair round schedulers, at n=5
+# (case name, algorithm, scheduler, policy, seed, n): the other asynchronous
+# adversaries and the fair round schedulers at n=5, and the random and the
+# lockstep asynchronous adversaries at n=10
 _SCHEDULE_CASES = [
     *(
-        (f"fuzz-three-color-{policy}-n5", "three-color", "async", policy, 47)
+        (f"fuzz-three-color-{policy}-n5", "three-color", "async", policy, 47, 5)
         for policy in ("round-robin", "stingy", "rigid", "ssync-embedded", "ssync-stingy")
     ),
     *(
-        (f"fuzz-{alg}-{sched}-n5", alg, sched, "random", 53)
+        (f"fuzz-{alg}-{sched}-n5", alg, sched, "random", 53, 5)
         for alg in ("elect-one-lds", "lu-gather")
         for sched in ("fsync", "ssync")
+    ),
+    *(
+        (f"fuzz-three-color-{policy}-n10", "three-color", "async", policy, 47, 10)
+        for policy in ("random", "ssync-embedded")
     ),
 ]
 
@@ -72,8 +78,8 @@ def corpus():
     for alg, n, seed in _FUZZ_CASES:
         sc = random_scenario(random.Random(seed * 100 + n), alg, "async", n, bound=8)
         cases.append((f"fuzz-{alg}-n{n}", sc))
-    for name, alg, sched, policy, seed in _SCHEDULE_CASES:
-        sc = random_scenario(random.Random(seed * 100 + 5), alg, sched, 5, bound=8, policy=policy)
+    for name, alg, sched, policy, seed, n in _SCHEDULE_CASES:
+        sc = random_scenario(random.Random(seed * 100 + n), alg, sched, n, bound=8, policy=policy)
         cases.append((name, sc))
     return cases
 
@@ -245,6 +251,22 @@ GOLDEN = {
         "monotone": "d70204e5e79e809b1da163a6cfd3f0c8ac20339ae5c1e68aaa06cdbdad7b09bd",
         "gather": "b9a9795181875148d5bdb863816abcee724d68b417d855acec2021847c71cff9",
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-three-color-random-n10": {
+        "trace": "84475173491c6166c9e50c93f963b23a920709496d5998418fe62b2a848441ff",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "ef69e13448e373012685ad879e30fc8349fb913ee1941a0abbdfbc8671b4008b",
+        "switch": "49a1230e1270eb334ab60dc8b8b4dcd8e402c617b40e22a7d0392dd517073906",
+        "gather": "579ade70bfb201fbaabd77be9ae5e41b226677573ab59dc8f049e0da9563b77e",
+        "equivariance": "234c0db617f60c4eb287d88b0fe0ea5d31afdca25b16be0fe2eeb23014a9cdd6",
+    },
+    "fuzz-three-color-ssync-embedded-n10": {
+        "trace": "81ec38a1592a99abf6767665faf494143ef016fe0bfb95c9ea8f5dbf02398c28",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "cycle": "0d69f0bc6baa5fd4a5ef7ddb719d2992bf13f9d628a95b56a9e5d58e628b9f7a",
+        "switch": "fd8a1cf9cd1d2d0cf5e3cdbcdbdd1a2f1d215ecbba4d1a426f533b8720a045b4",
+        "gather": "7f2074db26f0e1ffbe70f4e0dbd9959f600f24335ec0667a0793dd3e42589003",
+        "equivariance": "234c0db617f60c4eb287d88b0fe0ea5d31afdca25b16be0fe2eeb23014a9cdd6",
     },
 }
 
