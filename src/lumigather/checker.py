@@ -90,6 +90,9 @@ _LINE_KEYS = {
     )
 }
 
+# how a run may end: at a fixpoint, gathered or not, or out of step budget
+_END_STATUSES = ("gathered", "fixpoint", "budget")
+
 # the JSON types a rational may take: "p/q" or an integer, never a bool
 _RAT_TYPES = (str, int)
 
@@ -450,6 +453,8 @@ def _validate_end(td, rep):
     last = td.config_times[-1] if td.config_times else None
     if t != last:
         rep.violate(t, f"End at t={t} but the last Config is at t={last}")
+    if td.status not in _END_STATUSES:
+        rep.violate(t, f"End status {td.status!r} is none of {', '.join(_END_STATUSES)}")
     if last is not None and td.status in ("gathered", "fixpoint"):
         single = len({p for p, _ in td.configs[last]}) == 1
         if single != (td.status == "gathered"):

@@ -1051,6 +1051,7 @@ def _one_move_with(reach, progress):
         (_one_move, _drop("MoveBegin"), ValueError, "MoveProgress without MoveBegin"),
         (_one_move, _drop("MoveBegin", "MoveProgress"), ValueError, "MoveEnd without MoveBegin"),
         (_one_round, _compute_before_look, None, "round events CLBE are not Look, Compute and move"),
+        (_square, _forge("End", status="done"), None, "End status 'done' is none of gathered"),
     ],
     ids=[
         "not-strictly-ordered",
@@ -1065,6 +1066,7 @@ def _one_move_with(reach, progress):
         "progress-without-begin",
         "end-without-begin",
         "round-compute-before-look",
+        "end-status-unknown",
     ],
 )
 def test_replay_negative_control(base, forge, error, message):
