@@ -7,14 +7,14 @@ the origin up to t_B, at adversary-chosen strictly advancing interior points
 during [t_B+1, t_E], and at the reached point from t_E + 1.  Within one run
 everything is a deterministic function of (scenario, seed).
 
-The engine keeps only the current instant.  Each robot stores what the others
-observe of it now, ``shown_pos`` and ``shown_light``, and only the clock's
-advance sets them: to the new progress point for a robot that is moving, to
-its position for any other robot, and to its light for every robot.  No event
-of an instant touches them, which is exactly the rule above: a Compute at t
-shows from t+1, a MoveBegin at t shows the origin, and a MoveEnd at t shows
-the progress point of t until t+1.  The checker re-derives the same rule from
-the logged events independently.
+The engine keeps only the current instant.  ``AsyncWorld.shown`` holds what
+the others observe of each robot now, and only the clock's advance sets it:
+to the new progress point for a robot that is moving, to its position for
+any other robot, and to its light for every robot.  No event of an instant
+touches it, which is exactly the rule above: a Compute at t shows from t+1, a
+MoveBegin at t shows the origin, and a MoveEnd at t shows the progress point
+of t until t+1.  The checker re-derives the same rule from the logged events
+independently.
 
 A robot performs at most one phase event (Look, Compute, MoveBegin or
 MoveEnd) per instant: each event's timing guard fails at the instant of the
@@ -25,10 +25,31 @@ returns it, and ``async_step`` checks every choice against it.  The adversary
 policies share one base, ``_Policy``: each only picks a robot or advances the
 clock, and ``_Policy.event`` builds the robot's choice, with the truncation of
 a MoveBegin.
+
+No adversary step scans every robot.  ``AsyncWorld`` updates its bookkeeping
+at the event that changes it, and after every step these hold:
+
+* ``ready`` lists the robots that have not acted at the current instant, in
+  index order;
+* ``movers`` lists the ``MOVING`` robots, in index order;
+* ``busy`` counts the robots that are not ``IDLE``;
+* ``stamps`` maps each ready robot to its stamp against ``tick``, a counter
+  that every robot event and every advance bumps, and lists them oldest stamp
+  first, ties in index order.  A ready robot's starvation, the steps since it
+  was last served, is ``tick`` minus its stamp; a robot that acted at this
+  instant has none, and the advance that closes the instant gives it a new
+  stamp, behind every other robot.  So the first entry is the most starved
+  robot, the first in index order among equals.
+
+An advance visits only the robots that acted in the closing instant, which
+``acted`` lists, and the movers, since no other robot can show anything new.  When none of them
+changes what it shows, the new instant's Config line is that of the current
+``visible`` configuration, which is not interned again.
 """
 
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass
 from json.decoder import WHITESPACE
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -565,46 +586,36 @@ NEXT = {IDLE: "look", OBSERVED: "compute", COMPUTED: "move_begin", MOVING: "move
 
 
 class _Robot:
-    """One robot: its settled state and what the others observe of it now.
+    """One robot's settled state.
 
     ``pos`` and ``light`` are settled: ``pos`` stays the origin of a move
-    until its MoveEnd, and ``light`` changes at the Compute.  ``shown_pos``
-    and ``shown_light`` are what every Look reads; only ``AsyncWorld._advance``
-    sets them (see the module docstring).  ``dest`` is where a ``COMPUTED``
-    robot means to go and, from its MoveBegin, the point the adversary lets it
-    reach; a ``MOVING`` robot was last shown at fraction ``mu`` of the way
-    there, and its move began at ``acted_t``.
+    until its MoveEnd, and ``light`` changes at the Compute; what the others
+    observe of the robot is its entry in ``AsyncWorld.shown``.  ``dest`` is
+    where a ``COMPUTED`` robot means to go and, from its MoveBegin, the point
+    the adversary lets it reach; a ``MOVING`` robot was last shown at fraction
+    ``mu`` of the way there, and its move began at ``acted_t``.
     """
 
-    __slots__ = (
-        "pos",
-        "light",
-        "shown_pos",
-        "shown_light",
-        "phase",
-        "acted_t",
-        "snapshot",
-        "dest",
-        "mu",
-        "starve",
-    )
+    __slots__ = ("pos", "light", "phase", "acted_t", "snapshot", "dest", "mu")
 
     def __init__(self, pos, light):
-        self.pos = self.shown_pos = pos
-        self.light = self.shown_light = light
+        self.pos = pos
+        self.light = light
         self.phase = IDLE
         self.acted_t = -1  # instant of the robot's latest phase event
         self.snapshot = None
         self.dest = None
         self.mu = None
-        self.starve = 0
 
 
 class AsyncWorld:
     """Event-level asynchronous world driven by explicit adversary choices.
 
-    ``visible`` is the configuration every robot observes at the current
-    instant, interned from the robots' shown entries.
+    ``shown`` holds each robot's shown ``(position, light)`` entry and
+    ``visible`` is the configuration interned from them, which every robot
+    observes at the current instant.  The bookkeeping the adversary and the
+    legality checks read is kept up to date at the event that changes it; see
+    the module docstring for its invariants.
     """
 
     def __init__(self, scenario):
@@ -614,21 +625,29 @@ class AsyncWorld:
         self.bound = scenario.bound
         self.cap = scenario.move_span_cap
         self.robots = [_Robot(p, c) for p, c in scenario.robots]
+        n = len(self.robots)
         self.t = 0
         self.steps = 0
+        self.ready = list(range(n))
+        self.acted = []  # the robots that acted at this instant, in event order
+        self.movers = []
+        self.busy = 0
+        self.tick = 0
+        self.stamps = dict.fromkeys(range(n), 0)
+        self.shown = list(scenario.robots)
         self.cache = ConfigInterner()
         self.trace = Trace(_header(scenario))
-        self._show()
-
-    def _show(self):
-        """Intern what the robots show now and log it as the instant's Config line."""
-        self.visible = self.cache.get(tuple((r.shown_pos, r.shown_light) for r in self.robots))
-        self.trace.config_line(self.t, self.visible)
+        self.visible = self.cache.get(tuple(self.shown))
+        self.trace.config_line(0, self.visible)
 
     def observe(self, rid):
         """Snapshot robot ``rid`` would take now (own light included)."""
-        r = self.robots[rid]
-        return Snapshot(self.visible, r.shown_pos, r.shown_light)
+        return Snapshot(self.visible, *self.shown[rid])
+
+    def starve(self, rid):
+        """Robot events and advances since ``rid`` was last served; 0 once it acted now."""
+        stamp = self.stamps.get(rid)
+        return 0 if stamp is None else self.tick - stamp
 
     # -- legality ----------------------------------------------------------
 
@@ -638,11 +657,14 @@ class AsyncWorld:
         return None if r.acted_t == self.t else NEXT[r.phase]
 
     def _fairness_violation(self, serving):
-        t = self.t
-        bound = self.bound
-        for i, r in enumerate(self.robots):
-            if r.starve >= bound and r.acted_t != t and i != serving:
-                return i
+        """The most starved ready robot other than ``serving``, if at the bound.
+
+        ``stamps`` lists the ready robots most starved first, so only its
+        first two entries can be that robot.
+        """
+        for i, stamp in self.stamps.items():
+            if i != serving:
+                return i if self.tick - stamp >= self.bound else None
         return None
 
     # -- the single-step transition ---------------------------------------
@@ -652,15 +674,18 @@ class AsyncWorld:
 
         Every condition that can reject the choice is checked before anything
         changes, so a rejected choice leaves the clock, the step count, the
-        robots and the trace as they were.
+        robots, the bookkeeping and the trace as they were.
         """
+        if type(choice) is not tuple or not choice:
+            raise IllegalChoice(f"choice {choice!r} is not a non-empty tuple")
         kind = choice[0]
         if self.steps >= self.scenario.step_budget:
             self.trace.end(self.t, "budget")
             raise BudgetExhausted(self.visible, self.trace)
         if kind == "advance":
-            for r in self.robots:
-                if r.phase == MOVING and self.t - r.acted_t >= self.cap:
+            t = self.t
+            for i in self.movers:
+                if t - self.robots[i].acted_t >= self.cap:
                     raise IllegalChoice("move span cap reached; move must end before advancing")
             starved = self._fairness_violation(None)
             if starved is not None:
@@ -669,6 +694,8 @@ class AsyncWorld:
             self.steps += 1
             self._advance(progress)
             return
+        if len(choice) < 2:
+            raise IllegalChoice(f"{kind}: the choice names no robot")
         rid = choice[1]
         if type(rid) is not int or not 0 <= rid < len(self.robots):
             raise IllegalChoice(f"{kind}: robot id {rid!r} outside 0..{len(self.robots) - 1}")
@@ -692,6 +719,7 @@ class AsyncWorld:
         if kind == "look":
             r.snapshot = self.observe(rid)
             r.phase = OBSERVED
+            self.busy += 1
             self.trace.log(kind="Look", t=t, robot=rid)
         elif kind == "compute":
             r.light = act.color
@@ -699,6 +727,7 @@ class AsyncWorld:
             self.trace.compute(t, rid, act)
             if act.dest == r.pos:
                 r.phase = IDLE  # zero-distance cycle: Move omitted
+                self.busy -= 1
             else:
                 r.dest = act.dest
                 r.phase = COMPUTED
@@ -706,53 +735,84 @@ class AsyncWorld:
             r.dest = reach
             r.mu = Rat(0)
             r.phase = MOVING
+            insort(self.movers, rid)
             self.trace.move_begin(t, rid, r.dest)
         else:  # move_end
             r.pos = r.dest
             r.phase = IDLE
+            self.busy -= 1
+            self.movers.remove(rid)
             self.trace.move_end(t, rid, r.pos)
         r.acted_t = t
-        for other in self.robots:
-            if other.acted_t != t:
-                other.starve += 1
-        r.starve = 0
+        self.ready.remove(rid)
+        del self.stamps[rid]
+        self.acted.append(rid)
+        self.tick += 1
 
     def _progress(self, mus):
         """Checked progress fraction of every moving robot at the next instant.
 
-        ``mus`` maps robot ids to chosen fractions; a moving robot without
-        one goes half of its remaining way.
+        ``mus`` is None or maps ids of moving robots to chosen fractions; a
+        moving robot without one goes half of its remaining way.
         """
+        if mus is None:
+            mus = {}
+        elif type(mus) is not dict:
+            raise IllegalChoice(f"progress {mus!r} is not a map of moving robots to fractions")
         progress = {}
-        for i, r in enumerate(self.robots):
-            if r.phase == MOVING:
-                mu = None if mus is None else mus.get(i)
-                if mu is None:
-                    mu = r.mu + (1 - r.mu) / 2
-                if not isinstance(mu, Rat) or not r.mu < mu < 1:
-                    raise IllegalChoice(f"progress {mu!r} is not a rational in ({r.mu},1)")
-                progress[i] = mu
+        for i in self.movers:
+            r = self.robots[i]
+            mu = mus.get(i)
+            if mu is None:
+                mu = r.mu + (1 - r.mu) / 2
+            if not isinstance(mu, Rat) or not r.mu < mu < 1:
+                raise IllegalChoice(f"progress {mu!r} is not a rational in ({r.mu},1)")
+            progress[i] = mu
+        if mus and not mus.keys() <= progress.keys():
+            idle = [i for i in mus if i not in progress]
+            raise IllegalChoice(f"progress for robots {idle!r}, which are not moving")
         return progress
 
     def _advance(self, progress):
-        """Start the next instant; ``progress`` is ``_progress``'s checked result."""
+        """Start the next instant; ``progress`` is ``_progress``'s checked result.
+
+        Only a robot that acted in the closing instant or is moving can show
+        something new, so only those are visited.  Each robot that acted gets
+        the new stamp, behind every robot that did not.
+        """
         self.t += 1
-        for i, r in enumerate(self.robots):
-            if r.phase == MOVING:
-                r.mu = progress[i]
-                r.shown_pos = toward(r.pos, r.dest, r.mu)
-                self.trace.move_progress(self.t, i, r.shown_pos)
-            else:
-                r.shown_pos = r.pos
-            r.shown_light = r.light
-            r.starve += 1  # no robot has acted yet at the new instant
-        self._show()
+        stamp = self.tick
+        self.tick += 1
+        robots, shown, stamps = self.robots, self.shown, self.stamps
+        changed = False
+        self.acted.sort()
+        for i in self.acted:
+            stamps[i] = stamp
+            r = robots[i]
+            if r.phase != MOVING:  # a mover's light was shown before its MoveBegin
+                entry = (r.pos, r.light)
+                if entry != shown[i]:
+                    shown[i] = entry
+                    changed = True
+        # a mover's progress point advances strictly, so it always shows anew
+        for i in self.movers:
+            r = robots[i]
+            r.mu = progress[i]
+            pos = toward(r.pos, r.dest, r.mu)
+            shown[i] = (pos, r.light)
+            changed = True
+            self.trace.move_progress(self.t, i, pos)
+        self.acted = []
+        self.ready = list(range(len(robots)))
+        if changed:
+            self.visible = self.cache.get(tuple(shown))
+        self.trace.config_line(self.t, self.visible)
 
     # -- termination -------------------------------------------------------
 
     def is_terminal(self):
         """All robots idle and none enabled on the settled configuration."""
-        if any(r.phase != IDLE for r in self.robots):
+        if self.busy:
             return False
         cfg = self.cache.get(tuple((r.pos, r.light) for r in self.robots))
         alg = self.algorithm
@@ -788,28 +848,24 @@ class RandomAsyncPolicy(_Policy):
 
     def step(self, world):
         rs = world.robots
-        t = world.t
-        ready = [i for i, r in enumerate(rs) if r.acted_t != t]
-        # serve robots approaching the fairness bound first, worst starvation
-        # first; the margin covers a full drain of simultaneously starved ones
-        floor = world.bound - 2 * len(rs) - 2
-        starving = [i for i in ready if rs[i].starve >= floor]
-        if starving:
-            return self.event(world, max(starving, key=lambda i: rs[i].starve))
+        # serve the most starved ready robot, the first in ``stamps``, once it
+        # nears the fairness bound; the margin covers a full drain of
+        # simultaneously starved ones
+        oldest = next(iter(world.stamps), None)
+        if oldest is not None and world.starve(oldest) >= world.bound - 2 * len(rs) - 2:
+            return self.event(world, oldest)
         # movers at the span cap must end before the clock advances again
-        for i in ready:
-            if rs[i].phase == MOVING and t - rs[i].acted_t >= world.cap - 1:
+        t = world.t
+        for i in world.movers:
+            r = rs[i]
+            if r.acted_t != t and t - r.acted_t >= world.cap - 1:
                 return self.event(world, i)
         rng = self.rng
-        if not ready or rng.random() < 0.3:
+        if not world.ready or rng.random() < 0.3:
             # every mover goes a random share of the rest of its way
-            mus = {
-                i: r.mu + (1 - r.mu) * rng.choice(self.MUS)
-                for i, r in enumerate(rs)
-                if r.phase == MOVING
-            }
+            mus = {i: rs[i].mu + (1 - rs[i].mu) * rng.choice(self.MUS) for i in world.movers}
             return ("advance", mus)
-        return self.event(world, rng.choice(ready))
+        return self.event(world, rng.choice(world.ready))
 
 
 class RoundRobinAsyncPolicy(_Policy):

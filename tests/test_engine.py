@@ -49,9 +49,13 @@ def scen(robots, **kw):
 
 
 def world_state(w):
-    """Clock, step count, every robot slot and the trace text of an AsyncWorld."""
+    """Clock, step count, every robot slot, the bookkeeping and the trace text of an AsyncWorld."""
     robots = [tuple(getattr(r, s) for s in r.__slots__) for r in w.robots]
-    return w.t, w.steps, robots, w.trace.dumps()
+    books = (
+        list(w.ready), list(w.acted), list(w.movers), w.busy, w.tick,
+        list(w.stamps.items()), list(w.shown), w.visible,
+    )
+    return w.t, w.steps, robots, books, w.trace.dumps()
 
 
 class TestApplyMove:
@@ -236,6 +240,42 @@ class TestObserveTiming:
         assert [ln["t"] for ln in w.trace.lines if ln["kind"] == "Config"] == [0, 1, 2, 3, 4]
         assert validate_trace(w.trace).passed
 
+    @pytest.mark.parametrize(
+        "choice,message",
+        [
+            ((), "not a non-empty tuple"),
+            (["look", 0], "not a non-empty tuple"),
+            (("look",), "names no robot"),
+            (("advance", "x"), "is not a map"),
+        ],
+        ids=["empty", "list", "no-robot", "string-progress"],
+    )
+    def test_malformed_choice_is_illegal(self, choice, message):
+        w = AsyncWorld(Scenario.load(SCENARIOS / "square.json"))
+        before = world_state(w)
+        with pytest.raises(IllegalChoice, match=message):
+            w.async_step(choice)
+        assert world_state(w) == before
+        w.async_step(("look", 0))
+
+    @pytest.mark.parametrize(
+        "mus,message",
+        [
+            ([Rat(1, 2)], "is not a map"),
+            ({7: Rat(1, 2)}, r"robots \[7\], which are not moving"),
+            ({0: Rat(1, 2), 1: Rat(1, 2)}, r"robots \[1\], which are not moving"),
+        ],
+        ids=["list", "unknown-robot", "idle-robot"],
+    )
+    def test_progress_that_is_no_map_of_movers_is_illegal(self, mus, message):
+        w = self._square_computed()
+        w.async_step(("move_begin", 0, Rat(1, 2)))
+        before = world_state(w)
+        with pytest.raises(IllegalChoice, match=message):
+            w.async_step(("advance", mus))
+        assert world_state(w) == before
+        w.async_step(("advance", {0: Rat(1, 2)}))
+
     @pytest.mark.parametrize("rid", [-1, True, 4, "0"])
     def test_robot_id_outside_the_world_is_illegal(self, rid):
         w = AsyncWorld(Scenario.load(SCENARIOS / "square.json"))  # robots 0..3
@@ -366,7 +406,12 @@ def reference_legal(phase, t, last):
 
 @pytest.mark.parametrize("policy", engine.POLICIES)
 def test_legality_and_starvation_match_the_guard_reference(policy):
-    """One legal event per robot per instant, recounted from the guards."""
+    """One legal event per robot per instant, recounted from the guards.
+
+    The world's incremental bookkeeping (the ready robots, the movers, the
+    busy count and every robot's starvation) is recounted from scratch after
+    every step, and a rejected choice leaves all of it as it was.
+    """
     sc = random_scenario(random.Random(61), "three-color", "async", 5, bound=8, policy=policy)
     w = AsyncWorld(sc)
     adversary = engine._make_policy(sc, random.Random(sc.seed))
@@ -378,8 +423,22 @@ def test_legality_and_starvation_match_the_guard_reference(policy):
         for i, r in enumerate(w.robots):
             event = w.next_event(i)
             assert ([] if event is None else [event]) == reference_legal(r.phase, w.t, last[i])
-            assert r.starve == starve[i]
+            assert w.starve(i) == starve[i]
+        rs = w.robots
+        assert w.ready == [i for i in range(n) if reference_legal(rs[i].phase, w.t, last[i])]
+        assert w.movers == [i for i in range(n) if rs[i].phase == engine.MOVING]
+        assert w.busy == sum(r.phase != engine.IDLE for r in rs)
         choice = adversary.step(w)
+        # a Look by a robot that has acted at this instant and a progress
+        # fraction for a robot that is not moving change nothing
+        before = world_state(w)
+        for bad in (
+            *(("look", i) for i in range(n) if i not in w.ready),
+            *(("advance", {i: Rat(1, 2)}) for i in range(n) if i not in w.movers),
+        ):
+            with pytest.raises(IllegalChoice):
+                w.async_step(bad)
+        assert world_state(w) == before
         w.async_step(choice)
         steps += 1
         acted = None if choice[0] == "advance" else choice[1]
