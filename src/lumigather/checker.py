@@ -141,7 +141,9 @@ class TraceData:
         A TraceData passed in is returned as is; one built from a Trace is
         stored on it.  A Trace only ever appends lines, so the stored
         TraceData is rebuilt exactly when the line list was replaced or has
-        grown.
+        grown.  An in-place edit of an existing line is not seen: a forged
+        copy of a checked trace must be checked on
+        ``Trace.parse(tr.dumps())``, never on the edited ``tr`` itself.
         """
         if isinstance(trace, TraceData):
             return trace

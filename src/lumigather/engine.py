@@ -42,9 +42,9 @@ at the event that changes it, and after every step these hold:
   robot, the first in index order among equals.
 
 An advance visits only the robots that acted in the closing instant, which
-``acted`` lists, and the movers, since no other robot can show anything new.  When none of them
-changes what it shows, the new instant's Config line is that of the current
-``visible`` configuration, which is not interned again.
+``acted`` lists, and the movers, since no other robot can show anything new.
+When none of them changes what it shows, the new instant's Config line is
+that of the current ``visible`` configuration, which is not interned again.
 """
 
 import json

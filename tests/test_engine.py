@@ -48,14 +48,18 @@ def scen(robots, **kw):
     return Scenario(robots=tuple((pt(*p), c) for p, c in robots), **base)
 
 
-def world_state(w):
-    """Clock, step count, every robot slot, the bookkeeping and the trace text of an AsyncWorld."""
-    robots = [tuple(getattr(r, s) for s in r.__slots__) for r in w.robots]
-    books = (
-        list(w.ready), list(w.acted), list(w.movers), w.busy, w.tick,
+def bookkeeping(w):
+    """What an AsyncWorld keeps besides its robots: clock, steps, the incremental state."""
+    return (
+        w.t, w.steps, list(w.ready), list(w.acted), list(w.movers), w.busy, w.tick,
         list(w.stamps.items()), list(w.shown), w.visible,
     )
-    return w.t, w.steps, robots, books, w.trace.dumps()
+
+
+def world_state(w):
+    """The bookkeeping, every robot slot and the trace text of an AsyncWorld."""
+    robots = [tuple(getattr(r, s) for s in r.__slots__) for r in w.robots]
+    return bookkeeping(w), robots, w.trace.dumps()
 
 
 class TestApplyMove:
@@ -428,17 +432,19 @@ def test_legality_and_starvation_match_the_guard_reference(policy):
         assert w.ready == [i for i in range(n) if reference_legal(rs[i].phase, w.t, last[i])]
         assert w.movers == [i for i in range(n) if rs[i].phase == engine.MOVING]
         assert w.busy == sum(r.phase != engine.IDLE for r in rs)
+        # most starved first, ties in index order
+        assert list(w.stamps) == sorted(w.ready, key=lambda i: (-starve[i], i))
         choice = adversary.step(w)
         # a Look by a robot that has acted at this instant and a progress
         # fraction for a robot that is not moving change nothing
-        before = world_state(w)
+        before = bookkeeping(w), len(w.trace.lines)
         for bad in (
             *(("look", i) for i in range(n) if i not in w.ready),
             *(("advance", {i: Rat(1, 2)}) for i in range(n) if i not in w.movers),
         ):
             with pytest.raises(IllegalChoice):
                 w.async_step(bad)
-        assert world_state(w) == before
+        assert (bookkeeping(w), len(w.trace.lines)) == before
         w.async_step(choice)
         steps += 1
         acted = None if choice[0] == "advance" else choice[1]
