@@ -4,6 +4,10 @@ Each algorithm maps a Snapshot to an Action (new light color plus a
 destination in the snapshot's frame; destination equal to the current
 position means stay).  All are stateless and equivariant under
 orientation-preserving rational similarities.
+
+``phase_class`` is the one reading of a configuration's simulation phase
+class, the phases (S, M, E) its colors show; the wrapper ``sim_for_unfair``
+acts on it and the checker's cycle check verifies its rotation.
 """
 
 from dataclasses import dataclass
@@ -54,6 +58,14 @@ def phase_of(c):
 
 def inner_of(c):
     return c.split(".", 1)[1] if "." in c else "O"
+
+
+def phase_class(cfg):
+    """The phases (S, M, E) that ``cfg``'s colors show, kept in ``cfg.memo``."""
+    cls = cfg.memo.get("phase_class")
+    if cls is None:
+        cls = cfg.memo["phase_class"] = frozenset(phase_of(c) for c in cfg.colors_present)
+    return cls
 
 
 def _endpoints_near_far(snap):
@@ -274,6 +286,18 @@ def _inner_view(snap):
     return Snapshot(cfg, snap.own_pos, inner_of(snap.own_light))
 
 
+_ALL_S = frozenset("S")
+
+# phase class -> (the phase that advances in it, the phase it advances to)
+_ROTATION = {
+    frozenset("SM"): ("S", "M"),
+    frozenset("M"): ("M", "E"),
+    frozenset("ME"): ("M", "E"),
+    frozenset("E"): ("E", "S"),
+    frozenset("ES"): ("E", "S"),
+}
+
+
 def sim_for_unfair(inner_fn):
     """Wrap an unfair-scheduler algorithm for asynchronous execution.
 
@@ -283,29 +307,21 @@ def sim_for_unfair(inner_fn):
 
     def wrapped(snap):
         me, light = snap.own_pos, snap.own_light
-        phase, icolor = split_color(light)
-        phases = frozenset(phase_of(c) for c in snap.colors_present)
-        stay = Action(light, me)
-        if phases == {"S"}:
+        phases = phase_class(snap.config)
+        if phases == _ALL_S:
             iv = _inner_view(snap)
             act = inner_fn(iv)
             if act.changes(me, iv.own_light):
+                icolor = split_color(light)[1]
                 new_inner = None if icolor is None else act.color
                 return Action(join_color("M", new_inner), act.dest, inner_exec=True)
-            return stay
-        if phases == {"S", "M"}:
-            if phase == "S":
-                return Action(join_color("M", icolor), me)
-            return stay
-        if phases == {"M"} or phases == {"M", "E"}:
-            if phase == "M":
-                return Action(join_color("E", icolor), me)
-            return stay
-        if phases == {"E"} or phases == {"E", "S"}:
-            if phase == "E":
-                return Action(join_color("S", icolor), me)
-            return stay
-        return stay
+        else:
+            rotation = _ROTATION.get(phases)
+            if rotation is not None:
+                phase, icolor = split_color(light)
+                if phase == rotation[0]:
+                    return Action(join_color(rotation[1], icolor), me)
+        return Action(light, me)
 
     return wrapped
 

@@ -12,9 +12,10 @@ import json
 import random
 import re
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .algorithms import get_algorithm, phase_of
+from .algorithms import get_algorithm, phase_class, phase_of
 from .configuration import ConfigInterner, Frame, Snapshot
 from .engine import (
     Scenario,
@@ -66,14 +67,10 @@ class Report:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+# the phase events' letters: Look L, Compute C, MoveBegin B, MoveEnd E
 _PHASE_RE = re.compile(r"(LC(BE)?)*(L|LC|LCB)?")
 
-# the letter of each phase event; a MoveProgress is none
-_PHASES = {"Look": "L", "Compute": "C", "MoveBegin": "B", "MoveEnd": "E"}
-_ROBOT_EVENTS = frozenset((*_PHASES, "MoveProgress"))
-# instants after an event at which its robot shows it: a new color, the leaving
-# of the origin or the reach from the next instant, a progress point at once
-_SHOWN_AFTER = {"Compute": 1, "MoveBegin": 1, "MoveProgress": 0, "MoveEnd": 1}
+_ROBOT_EVENTS = frozenset(("Look", "Compute", "MoveBegin", "MoveProgress", "MoveEnd"))
 # keys every line after the header needs, by kind; other kinds need kind and t
 _LINE_KEYS = {
     kind: frozenset(("kind", "t") + keys)
@@ -187,15 +184,24 @@ class TraceData:
         self._comp_times = comp_times = [[] for _ in range(n)]
         self._move_tbs = move_tbs = [[] for _ in range(n)]
         # instant t -> the robots whose visible state may differ from t-1's
-        self._changes = changes = {}
+        self._changes = changes = defaultdict(set)
         pos = [p for p, _ in self.scenario.robots]  # where each robot's next move starts
+        colors = self.algorithm.colors
+        point = self.point
+        configs = self.configs
+        no_keys = _LINE_KEYS[None]
         last_time = 0
         raw = entries = None  # the latest Config line's raw and decoded entries
-        for i, ln in enumerate(lines[1:], 1):
+        # each event's branch records its phase letter (a MoveProgress has
+        # none) and the instant from which its robot shows it: a new color, the
+        # leaving of the origin or the reach from the next instant, a progress
+        # point at once
+        for i in range(1, len(lines)):
+            ln = lines[i]
             if type(ln) is not dict:
                 json_typed(ln, dict, f"trace line {i + 1}")
             kind = ln.get("kind")
-            need = _LINE_KEYS.get(kind, _LINE_KEYS[None])
+            need = _LINE_KEYS.get(kind, no_keys)
             if not ln.keys() >= need:
                 json_object(ln, sorted(need), f"trace line {i + 1}")
             t = ln["t"]
@@ -205,13 +211,50 @@ class TraceData:
                 raise ValueError(f"trace line {i + 1}: t={t} comes after a line at t={last_time}")
             last_time = t
             if kind == "Config":
-                if t in self.configs:
+                if t in configs:
                     raise ValueError(f"trace line {i + 1}: a second Config line for t={t}")
                 # an equal list decodes and validates the same way
                 if entries is None or ln["entries"] != raw:
                     raw = ln["entries"]
                     entries = self._config_entries(raw, i)
-                self.configs[t] = entries
+                configs[t] = entries
+            elif kind in _ROBOT_EVENTS:
+                rid = ln["robot"]
+                if type(rid) is not int or not 0 <= rid < n:
+                    self._bad_robot(rid, ln)
+                if kind == "Look":
+                    looks[rid].append(t)
+                    phases[rid].append((t, "L"))
+                elif kind == "Compute":
+                    color = ln["color"]
+                    if color not in colors:
+                        self._bad_color(color, f"trace line {i + 1}: color")
+                    dest = point(ln["dest"])
+                    ex = ln.get("exec", False)
+                    if type(ex) is not bool:
+                        json_typed(ex, bool, f"trace line {i + 1}: exec")
+                    t_look = looks[rid][-1] if looks[rid] else None
+                    computes[rid].append((t, color, dest, ex, t_look))
+                    comp_times[rid].append(t)
+                    phases[rid].append((t, "C"))
+                    changes[t + 1].add(rid)
+                elif kind == "MoveBegin":
+                    reach = point(ln["reach"])
+                    moves[rid].append(_MoveRec(t, pos[rid], reach, len(computes[rid]) - 1))
+                    move_tbs[rid].append(t)
+                    phases[rid].append((t, "B"))
+                    changes[t + 1].add(rid)
+                elif not moves[rid]:
+                    raise ValueError(f"{kind} without MoveBegin (robot {rid}, t={t})")
+                elif kind == "MoveProgress":
+                    moves[rid][-1].progress[t] = point(ln["pos"])
+                    changes[t].add(rid)
+                else:
+                    m = moves[rid][-1]
+                    m.t_e = t
+                    m.end_pos = pos[rid] = point(ln["pos"])
+                    phases[rid].append((t, "E"))
+                    changes[t + 1].add(rid)
             elif kind == "End":
                 if self.lines_after_end is None:
                     self.status = ln["status"]
@@ -219,37 +262,9 @@ class TraceData:
                     self.lines_after_end = len(lines) - 1 - i
             elif kind == "RoundStart":
                 for rid in json_typed(ln["activated"], list, f"trace line {i + 1}: activated"):
-                    self._check_robot(rid, ln)
+                    if type(rid) is not int or not 0 <= rid < n:
+                        self._bad_robot(rid, ln)
                 self.rounds[t] = ln["activated"]
-            elif kind in _ROBOT_EVENTS:
-                rid = ln["robot"]
-                self._check_robot(rid, ln)
-                if kind == "Look":
-                    looks[rid].append(t)
-                elif kind == "Compute":
-                    color = ln["color"]
-                    if color not in self.algorithm.colors:
-                        self._bad_color(color, f"trace line {i + 1}: color")
-                    t_look = looks[rid][-1] if looks[rid] else None
-                    dest = self.point(ln["dest"])
-                    computes[rid].append((t, color, dest, bool(ln.get("exec")), t_look))
-                    comp_times[rid].append(t)
-                elif kind == "MoveBegin":
-                    reach = self.point(ln["reach"])
-                    moves[rid].append(_MoveRec(t, pos[rid], reach, len(computes[rid]) - 1))
-                    move_tbs[rid].append(t)
-                elif not moves[rid]:
-                    raise ValueError(f"{kind} without MoveBegin (robot {rid}, t={t})")
-                elif kind == "MoveProgress":
-                    moves[rid][-1].progress[t] = self.point(ln["pos"])
-                else:
-                    m = moves[rid][-1]
-                    m.t_e = t
-                    m.end_pos = pos[rid] = self.point(ln["pos"])
-                if kind in _PHASES:
-                    phases[rid].append((t, _PHASES[kind]))
-                if kind in _SHOWN_AFTER:
-                    changes.setdefault(t + _SHOWN_AFTER[kind], set()).add(rid)
         self.robot_events = sum(map(len, phases))
         self.config_times = list(self.configs)  # sorted, as the lines are in time order
         self.cache = ConfigInterner()
@@ -270,11 +285,11 @@ class TraceData:
                         f"line at some instant up to t={stop}"
                     )
 
-    def _check_robot(self, rid, ln):
-        if type(rid) is not int or not 0 <= rid < self.n:
-            raise ValueError(
-                f"{ln['kind']} at t={ln.get('t')}: robot id {rid!r} outside 0..{self.n - 1}"
-            )
+    def _bad_robot(self, rid, ln):
+        """Raise ValueError: ``rid`` is no robot id of line ``ln``'s trace."""
+        raise ValueError(
+            f"{ln['kind']} at t={ln.get('t')}: robot id {rid!r} outside 0..{self.n - 1}"
+        )
 
     def point(self, xy):
         """The one Point of a raw ``(x, y)`` pair (extra items are ignored).
@@ -519,17 +534,21 @@ def _validate_timing(td, rid, rep):
 def _validate_computes(td, rid, rep):
     """Every Compute reproduces the algorithm on its Look's snapshot.
 
-    The checker's own actions are kept in the ``memo`` of the TraceData's
+    Its color, its destination and its ``exec`` flag, which marks a run of
+    the wrapper's inner algorithm, must all be the algorithm's.  The
+    checker's own actions are kept in the ``memo`` of the TraceData's
     configurations, never the engine's.
     """
-    for tc, color, dest, _, tl in td.computes[rid]:
+    for tc, color, dest, ex, tl in td.computes[rid]:
         if tl is None:
             rep.violate(tc, f"robot {rid}: Compute without Look")
             continue
         act = _action(
             td, rep, tl, td.replayed(tl), td.visible_pos(rid, tl), td.visible_color(rid, tl)
         )
-        if act is not None and (act.color != color or act.dest != dest):
+        if act is not None and (
+            act.color != color or act.dest != dest or bool(act.inner_exec) != ex
+        ):
             rep.violate(tc, f"robot {rid}: Compute differs from algorithm output")
 
 
@@ -759,14 +778,6 @@ _PHASE_DFA = {
 }
 
 
-def _phase_class(cfg):
-    """The phases (S, M, E) that ``cfg``'s colors show, kept in ``cfg.memo``."""
-    cls = cfg.memo.get("phase_class")
-    if cls is None:
-        cls = cfg.memo["phase_class"] = frozenset(phase_of(c) for c in cfg.colors_present)
-    return cls
-
-
 def _wrapped_segment(td):
     """Config times governed by the simulation wrapper."""
     ts = td.config_times
@@ -784,7 +795,9 @@ def check_cycle_snapshot(trace):
     """Within each color cycle, all inner executions saw one configuration.
 
     Also verifies the phase rotation allS -> allM -> allE -> allS (with the
-    two-color transitions in between) over the wrapper-governed segment.
+    two-color transitions in between) over the wrapper-governed segment.  A
+    cycle runs from one entry into the all-S class to the next; each inner
+    execution falls into the cycle of its Look, found by bisection.
     """
     td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
@@ -792,7 +805,7 @@ def check_cycle_snapshot(trace):
     if not seg:
         rep.extras["cycles"] = 0
         return rep
-    classes = {t: _phase_class(td.config_at(t)) for t in seg}
+    classes = {t: phase_class(td.config_at(t)) for t in seg}
     prev = None
     for t in seg:
         cls = classes[t]
@@ -807,20 +820,23 @@ def check_cycle_snapshot(trace):
         for i, t in enumerate(seg)
         if classes[t] == frozenset("S") and (i == 0 or classes[seg[i - 1]] != frozenset("S"))
     ]
-    cycles = 0
+    # per cycle, its inner executions by robot, each robot's in line order
+    execs = [[] for _ in starts]
     seg_set = set(seg)
-    for ci, start in enumerate(starts):
-        end = starts[ci + 1] if ci + 1 < len(starts) else (seg[-1] + 1)
+    for rid in range(td.n):
+        for _, _, _, ex, tl in td.computes[rid]:
+            if ex and tl is not None and tl in seg_set:
+                ci = bisect_right(starts, tl) - 1
+                if ci >= 0:
+                    execs[ci].append((rid, tl))
+    cycles = 0
+    for cycle in execs:
         snaps = []
-        for rid in range(td.n):
-            for _, _, _, ex, tl in td.computes[rid]:
-                if ex and tl is not None and start <= tl < end and tl in seg_set:
-                    seen = td.replayed(tl)
-                    if _phase_class(seen) != frozenset("S"):
-                        rep.violate(
-                            tl, f"robot {rid} ran the inner algorithm outside all-S"
-                        )
-                    snaps.append((rid, tl, seen))
+        for rid, tl in cycle:
+            seen = td.replayed(tl)
+            if phase_class(seen) != frozenset("S"):
+                rep.violate(tl, f"robot {rid} ran the inner algorithm outside all-S")
+            snaps.append((rid, tl, seen))
         if snaps:
             cycles += 1
             base = snaps[0][2]

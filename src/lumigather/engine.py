@@ -26,6 +26,10 @@ policies share one base, ``_Policy``: each only picks a robot or advances the
 clock, and ``_Policy.event`` builds the robot's choice, with the truncation of
 a MoveBegin.
 
+A Look keeps the ``(configuration, position, light)`` triple it observed,
+and its Compute evaluates that triple through ``memo_action``, which builds
+the robot's ``Snapshot`` only when the action is not memoized yet.
+
 No adversary step scans every robot.  ``AsyncWorld`` updates its bookkeeping
 at the event that changes it, and after every step these hold:
 
@@ -84,7 +88,7 @@ class BudgetExhausted(RuntimeError):
         self.trace = trace
 
 
-_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string", list: "array", dict: "object"}
 
 
 def json_typed(value, kind, what):
@@ -295,26 +299,35 @@ class Trace:
         if rows is None:
             xy = self._xy
             rows = cfg.memo["rows"] = tuple((*xy(p), c) for p, c in cfg.entries)
-        self.log(kind="Config", t=t, entries=[[*r] for r in rows])
+        self.lines.append({"kind": "Config", "t": t, "entries": [[*r] for r in rows]})
+
+    def look(self, t, robot):
+        self.lines.append({"kind": "Look", "t": t, "robot": robot})
 
     def compute(self, t, robot, act):
-        self.log(
-            kind="Compute",
-            t=t,
-            robot=robot,
-            color=act.color,
-            dest=[*self._xy(act.dest)],
-            exec=bool(act.inner_exec),
+        self.lines.append(
+            {
+                "kind": "Compute",
+                "t": t,
+                "robot": robot,
+                "color": act.color,
+                "dest": [*self._xy(act.dest)],
+                "exec": bool(act.inner_exec),
+            }
         )
 
     def move_begin(self, t, robot, reach):
-        self.log(kind="MoveBegin", t=t, robot=robot, reach=[*self._xy(reach)])
+        self.lines.append(
+            {"kind": "MoveBegin", "t": t, "robot": robot, "reach": [*self._xy(reach)]}
+        )
 
     def move_progress(self, t, robot, pos):
-        self.log(kind="MoveProgress", t=t, robot=robot, pos=[*self._xy(pos)])
+        self.lines.append(
+            {"kind": "MoveProgress", "t": t, "robot": robot, "pos": [*self._xy(pos)]}
+        )
 
     def move_end(self, t, robot, pos):
-        self.log(kind="MoveEnd", t=t, robot=robot, pos=[*self._xy(pos)])
+        self.lines.append({"kind": "MoveEnd", "t": t, "robot": robot, "pos": [*self._xy(pos)]})
 
     def end(self, t, status):
         self.status = status
@@ -500,7 +513,7 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
         act = acts[i]
         origin = world.positions[i]
         if trace is not None:
-            trace.log(kind="Look", t=t, robot=i)
+            trace.look(t, i)
             trace.compute(t, i, act)
         lights[i] = act.color
         if act.dest != origin:
@@ -593,17 +606,19 @@ class _Robot:
     observe of the robot is its entry in ``AsyncWorld.shown``.  ``dest`` is
     where a ``COMPUTED`` robot means to go and, from its MoveBegin, the point
     the adversary lets it reach; a ``MOVING`` robot was last shown at fraction
-    ``mu`` of the way there, and its move began at ``acted_t``.
+    ``mu`` of the way there, and its move began at ``acted_t``.  An
+    ``OBSERVED`` robot keeps in ``seen`` what its Look observed, the
+    ``memo_action`` arguments of its Compute.
     """
 
-    __slots__ = ("pos", "light", "phase", "acted_t", "snapshot", "dest", "mu")
+    __slots__ = ("pos", "light", "phase", "acted_t", "seen", "dest", "mu")
 
     def __init__(self, pos, light):
         self.pos = pos
         self.light = light
         self.phase = IDLE
         self.acted_t = -1  # instant of the robot's latest phase event
-        self.snapshot = None
+        self.seen = None
         self.dest = None
         self.mu = None
 
@@ -679,6 +694,10 @@ class AsyncWorld:
         if type(choice) is not tuple or not choice:
             raise IllegalChoice(f"choice {choice!r} is not a non-empty tuple")
         kind = choice[0]
+        # an advance may carry progress and a MoveBegin a truncation; no
+        # other choice has more than a kind and a robot
+        if len(choice) > (3 if kind == "move_begin" else 2):
+            raise IllegalChoice(f"{kind}: choice {choice!r} has trailing elements")
         if self.steps >= self.scenario.step_budget:
             self.trace.end(self.t, "budget")
             raise BudgetExhausted(self.visible, self.trace)
@@ -708,8 +727,7 @@ class AsyncWorld:
         if starved is not None:
             raise IllegalChoice(f"fairness: robot {starved} starved beyond bound")
         if kind == "compute":
-            snap = r.snapshot
-            act = memo_action(self.algorithm, snap.config, snap.own_pos, snap.own_light)
+            act = memo_action(self.algorithm, *r.seen)
         elif kind == "move_begin":
             frac = choice[2] if len(choice) > 2 else Rat(1)
             if not isinstance(frac, Rat) or not 0 < frac <= 1:
@@ -717,13 +735,13 @@ class AsyncWorld:
             reach = apply_move(r.pos, r.dest, frac, self.delta)
         self.steps += 1
         if kind == "look":
-            r.snapshot = self.observe(rid)
+            r.seen = (self.visible, *self.shown[rid])
             r.phase = OBSERVED
             self.busy += 1
-            self.trace.log(kind="Look", t=t, robot=rid)
+            self.trace.look(t, rid)
         elif kind == "compute":
             r.light = act.color
-            r.snapshot = None
+            r.seen = None
             self.trace.compute(t, rid, act)
             if act.dest == r.pos:
                 r.phase = IDLE  # zero-distance cycle: Move omitted
@@ -923,15 +941,16 @@ def _make_policy(scenario, rng):
 
 def _run_async(scenario, rng):
     world = AsyncWorld(scenario)
-    policy = _make_policy(scenario, rng)
+    step = _make_policy(scenario, rng).step
+    apply = world.async_step
     # only a Compute or a MoveEnd can make the world terminal: an advance
     # changes no phase and no settled entry, a Look leaves its robot OBSERVED
-    # and a MoveBegin leaves it MOVING
+    # and a MoveBegin leaves it MOVING; and no world with a busy robot is
     done = world.is_terminal()
     while not done:
-        choice = policy.step(world)
-        world.async_step(choice)
-        done = choice[0] in ("compute", "move_end") and world.is_terminal()
+        choice = step(world)
+        apply(choice)
+        done = not world.busy and choice[0] in ("compute", "move_end") and world.is_terminal()
     world._advance({})
     status = "gathered" if world.visible.gathered() else "fixpoint"
     world.trace.end(world.t, status)

@@ -30,6 +30,7 @@ from lumigather.fuzz import random_scenario
 from lumigather.geometry import Point, hull_center, pt
 from lumigather.rational import Rat
 
+import test_golden
 from conftest import identity_frame, make_snap
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -271,7 +272,7 @@ class TestNegativeControls:
                 {"kind": "End", "t": 5, "status": "budget"},
             ],
         )
-        rep = check_cycle_snapshot(tr)
+        rep = _cycle_checked(tr)
         assert not rep.passed
         assert any("different" in str(v["detail"]) for v in rep.violations)
 
@@ -291,7 +292,7 @@ class TestNegativeControls:
         # class at t=0 is S,M: never all-S, so the exec is out of place;
         # there is no all-S cycle at all, which itself is fine, but the
         # forged exec inside a mixed class must be flagged when a cycle opens
-        rep = check_cycle_snapshot(tr)
+        rep = _cycle_checked(tr)
         # no all-S entry: no cycles recorded; the phase DFA accepts S,M -> ...
         assert rep.extras["cycles"] == 0
 
@@ -766,6 +767,7 @@ class TestMalformedTraceData:
             ("coordinate-not-rational", "malformed rational"),
             ("adversary-not-object", "adversary is not a JSON object"),
             ("adversary-seed-not-integer", "adversary seed is not a JSON integer"),
+            ("exec-not-boolean", "exec is not a JSON boolean"),
         ],
     )
     def test_value_of_wrong_type(self, damage, message):
@@ -797,6 +799,8 @@ class TestMalformedTraceData:
             lines[0]["adversary"] = "random"
         elif damage == "adversary-seed-not-integer":
             lines[0]["adversary"]["seed"] = "x"
+        elif damage == "exec-not-boolean":
+            next(l for l in lines if l["kind"] == "Compute")["exec"] = 1
         else:
             lines[0]["robots"][2]["y"] = "three"
         with pytest.raises(ValueError, match=message):
@@ -1036,6 +1040,28 @@ def _one_move_with(reach, progress):
     return forge
 
 
+@functools.lru_cache(maxsize=None)
+def _six_color_text():
+    return run(random_scenario(random.Random(4105), "six-color", "async", 5, bound=8)).dumps()
+
+
+def _six_color():
+    """A fresh copy of an async six-color trace with 33 inner executions in 17 cycles."""
+    return Trace.parse(_six_color_text())
+
+
+def _exec_cleared(tr):
+    # no Compute claims an inner execution, so the cycle check finds none
+    computes = [l for l in tr.lines if l["kind"] == "Compute"]
+    assert sum(l["exec"] for l in computes) == 33
+    for l in computes:
+        l["exec"] = False
+
+
+def _exec_on_a_non_inner_compute(tr):
+    next(l for l in tr.lines if l["kind"] == "Compute" and not l["exec"])["exec"] = True
+
+
 @pytest.mark.parametrize(
     "base,forge,error,message",
     [
@@ -1052,6 +1078,8 @@ def _one_move_with(reach, progress):
         (_one_move, _drop("MoveBegin", "MoveProgress"), ValueError, "MoveEnd without MoveBegin"),
         (_one_round, _compute_before_look, None, "round events CLBE are not Look, Compute and move"),
         (_square, _forge("End", status="done"), None, "End status 'done' is none of gathered"),
+        (_six_color, _exec_cleared, None, "Compute differs from algorithm output"),
+        (_six_color, _exec_on_a_non_inner_compute, None, "Compute differs from algorithm output"),
     ],
     ids=[
         "not-strictly-ordered",
@@ -1067,6 +1095,8 @@ def _one_move_with(reach, progress):
         "end-without-begin",
         "round-compute-before-look",
         "end-status-unknown",
+        "exec-cleared",
+        "exec-on-a-non-inner-compute",
     ],
 )
 def test_replay_negative_control(base, forge, error, message):
@@ -1086,6 +1116,86 @@ def _wrapped_three_color(lines, robots=((0, 0, "S"), (4, 0, "S"), (2, 5, "S"))):
     return synthetic({"robots": [robot(*r) for r in robots]}, lines)
 
 
+def _nested_cycle_snapshot(trace):
+    """Reference for ``check_cycle_snapshot``: for each cycle, a walk over every Compute.
+
+    It costs O(cycles x Computes), where the check places each inner
+    execution in its cycle by bisection; both must report the same.
+    """
+    td = TraceData.of(trace)
+    rep = Report("cycle-snapshot")
+    seg = checker._wrapped_segment(td)
+    if not seg:
+        rep.extras["cycles"] = 0
+        return rep
+    classes = {t: algorithms.phase_class(td.config_at(t)) for t in seg}
+    prev = None
+    for t in seg:
+        cls = classes[t]
+        if cls not in checker._PHASE_DFA:
+            rep.violate(t, f"illegal phase class {sorted(cls)}")
+        elif prev is not None and cls != prev and cls not in checker._PHASE_DFA.get(prev, ()):
+            rep.violate(t, f"illegal phase transition {sorted(prev)} -> {sorted(cls)}")
+        prev = cls
+    starts = [
+        t
+        for i, t in enumerate(seg)
+        if classes[t] == frozenset("S") and (i == 0 or classes[seg[i - 1]] != frozenset("S"))
+    ]
+    cycles = 0
+    seg_set = set(seg)
+    for ci, start in enumerate(starts):
+        end = starts[ci + 1] if ci + 1 < len(starts) else (seg[-1] + 1)
+        snaps = []
+        for rid in range(td.n):
+            for _, _, _, ex, tl in td.computes[rid]:
+                if ex and tl is not None and start <= tl < end and tl in seg_set:
+                    seen = td.replayed(tl)
+                    if algorithms.phase_class(seen) != frozenset("S"):
+                        rep.violate(tl, f"robot {rid} ran the inner algorithm outside all-S")
+                    snaps.append((rid, tl, seen))
+        if snaps:
+            cycles += 1
+            base = snaps[0][2]
+            for rid, tl, seen in snaps[1:]:
+                if seen is not base:
+                    rep.violate(
+                        tl,
+                        f"robot {rid} executed the inner algorithm on a different "
+                        f"configuration than robot {snaps[0][0]}",
+                    )
+    rep.extras["cycles"] = cycles
+    return rep
+
+
+def _cycle_checked(tr):
+    """``check_cycle_snapshot(tr)``, asserted equal to the nested reference."""
+    rep = check_cycle_snapshot(tr)
+    assert rep == _nested_cycle_snapshot(tr)
+    return rep
+
+
+_CYCLE_CASES = [
+    name for name, sc in test_golden.CORPUS
+    if "cycle" in checker.default_checks(sc.algorithm, sc.scheduler)
+]
+
+
+@pytest.mark.parametrize("name", _CYCLE_CASES)
+def test_cycle_check_equals_the_nested_reference_on_golden_traces(name):
+    rep = _cycle_checked(Trace.parse(test_golden._text(name)))
+    assert rep.passed and rep.extras["cycles"] > 0
+
+
+@pytest.mark.parametrize("forge", [None, _exec_cleared, _exec_on_a_non_inner_compute])
+def test_cycle_check_equals_the_nested_reference_on_forged_exec_flags(forge):
+    tr = _six_color()
+    if forge is not None:
+        forge(tr)
+    rep = _cycle_checked(Trace.parse(tr.dumps()))
+    assert rep.extras["cycles"] == (0 if forge is _exec_cleared else 17)
+
+
 class TestCheckNegativeControls:
     def test_cycle_flags_an_illegal_phase_class(self):
         assert check_cycle_snapshot(_square()).passed
@@ -1093,7 +1203,7 @@ class TestCheckNegativeControls:
         tr.lines[_line(tr, "Config", t=1)]["entries"] = [
             [x, y, c] for (x, y, _), c in zip(tr.lines[1]["entries"], "SMES")
         ]
-        rep = check_cycle_snapshot(tr)
+        rep = _cycle_checked(tr)
         assert {"t": 1, "detail": "illegal phase class ['E', 'M', 'S']"} in rep.violations
 
     def test_cycle_flags_an_illegal_transition(self):
@@ -1102,7 +1212,7 @@ class TestCheckNegativeControls:
         assert {c for _, _, c in entries} == {"S"}
         for e in tr.lines[_line(tr, "Config", t=2)]["entries"]:
             e[2] = "E"
-        rep = check_cycle_snapshot(tr)
+        rep = _cycle_checked(tr)
         assert {"t": 2, "detail": "illegal phase transition ['S'] -> ['E']"} in rep.violations
 
     def test_cycle_flags_an_inner_execution_outside_all_s(self):
@@ -1123,7 +1233,7 @@ class TestCheckNegativeControls:
                 {"kind": "End", "t": 3, "status": "budget"},
             ]
         )
-        rep = check_cycle_snapshot(tr)
+        rep = _cycle_checked(tr)
         assert rep.violations == [
             {"t": 2, "detail": "robot 1 ran the inner algorithm outside all-S"}
         ]

@@ -278,6 +278,23 @@ class TestCheck:
         assert "robot id 9" in err and "Traceback" not in err
         assert main(["plot", "--trace", bad, "--out", str(tmp_path / "p.svg")]) == 2
 
+    @pytest.mark.parametrize("exec_flag,code", [(False, 1), ("true", 2), (1, 2)])
+    def test_forged_exec_flags(self, tmp_path, capsys, exec_flag, code):
+        # square.json's seven inner executions, each Compute's flag replaced
+        lines = self._trace_lines(tmp_path, capsys)
+        computes = [l for l in lines if l["kind"] == "Compute"]
+        assert sum(l["exec"] for l in computes) == 7
+        for l in computes:
+            l["exec"] = exec_flag
+        bad = self._write(tmp_path / "bad.jsonl", lines)
+        assert main(["check", "--trace", bad]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 1:
+            assert "Compute differs from algorithm output" in captured.out
+        else:
+            assert "exec is not a JSON boolean" in captured.err
+
     @pytest.mark.parametrize("key", ["algorithm", "scheduler", "delta", "n", "robots"])
     def test_header_key_missing_exits_2(self, tmp_path, capsys, key):
         lines = self._trace_lines(tmp_path, capsys)

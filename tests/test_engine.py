@@ -251,8 +251,23 @@ class TestObserveTiming:
             (["look", 0], "not a non-empty tuple"),
             (("look",), "names no robot"),
             (("advance", "x"), "is not a map"),
+            (("look", 0, "junk", 5), "trailing elements"),
+            (("compute", 0, None), "trailing elements"),
+            (("move_begin", 0, Rat(1), "junk"), "trailing elements"),
+            (("move_end", 0, 0), "trailing elements"),
+            (("advance", None, "more"), "trailing elements"),
         ],
-        ids=["empty", "list", "no-robot", "string-progress"],
+        ids=[
+            "empty",
+            "list",
+            "no-robot",
+            "string-progress",
+            "look-trailing",
+            "compute-trailing",
+            "move-begin-trailing",
+            "move-end-trailing",
+            "advance-trailing",
+        ],
     )
     def test_malformed_choice_is_illegal(self, choice, message):
         w = AsyncWorld(Scenario.load(SCENARIOS / "square.json"))
