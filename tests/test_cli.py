@@ -1,14 +1,24 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from lumigather import fuzz as fuzz_module
-from lumigather.checker import CHECKS, validate_trace
-from lumigather.cli import main
-from lumigather.engine import Trace
+from lumigather.checker import CHECKS, TraceData, validate_trace
+from lumigather.cli import main, render_svg
+from lumigather.engine import Scenario, Trace, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# sha256 of ``render_svg`` on the trace of each bundled scenario
+SVG_DIGESTS = {
+    "line-lu": "a150f9ebbacff842df2766f18c6ae2af0f77fc7d75cf0062ba79dbcc3b283dd0",
+    "rectangle-unfair": "84ff2136ff6afe3412e8b209683a2a2c90069b8c4e1c60b7cf1412c60bb52533",
+    "segment100": "474f34a489d852c191b11992c4407707d4dbcb2954f2dbbba7550cd68a914a8a",
+    "square": "ee9815ef3c44d7c411b365223eb261bd222e08e8750130562a7d68a55fa587e2",
+    "triangle-enum": "31bc9a0f2270be592fd60ca77a8f85451e00a9ea135384a0db41025c6a4682f2",
+}
 
 
 class TestRun:
@@ -502,6 +512,11 @@ class TestPlot:
 
     def test_unreadable_exits_2(self, tmp_path):
         assert main(["plot", "--trace", str(tmp_path / "x"), "--out", str(tmp_path / "y")]) == 2
+
+    @pytest.mark.parametrize("name", sorted(SVG_DIGESTS))
+    def test_svg_of_each_bundled_scenario_is_pinned(self, name):
+        svg = render_svg(TraceData.of(run(Scenario.load(SCENARIOS / f"{name}.json"))))
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == SVG_DIGESTS[name]
 
 
 class TestEnumerate:

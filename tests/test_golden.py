@@ -18,6 +18,11 @@ Two more pin sets cover what the default checks do not print:
   scenarios at depth 6 with the move fractions 1 and 1/2, so that truncated
   moves are covered.
 
+``FORMAT1_TRACES`` and ``FORMAT1_ANNOTATED`` pin the same traces and
+annotated copies in format 1, with a Config line at every instant: ``format1``
+rebuilds those bytes from a trace that has Config lines only where the
+configuration changes.
+
 On the same corpus, each trace must survive ``Trace.parse`` and ``dumps``
 byte for byte, and the incremental ``TraceData.replayed`` must agree with a
 full per-robot recomputation at every instant.
@@ -86,6 +91,43 @@ def corpus():
 
 def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def format1(text):
+    """Trace text in format 1: a Config line at every instant from 0 to End.
+
+    Format 2 writes a Config line only at instant 0 and where the observed
+    configuration changes.  For each instant without one, a copy of the
+    latest Config line is inserted with that instant as its t, after the
+    instant's MoveProgress lines and before all its other lines; in an
+    annotated trace the Potential line that follows a Config line is copied
+    with it.
+    """
+    lines = Trace.parse(text).lines
+    out = [lines[0]]
+    copies = []  # the latest Config line and its Potential line
+    todo = 0  # the first instant that has no Config line yet
+
+    def fill(stop):
+        nonlocal todo
+        for t in range(todo, stop):
+            out.extend({**ln, "t": t} for ln in copies)
+        todo = max(todo, stop)
+
+    for ln in lines[1:]:
+        kind, t = ln["kind"], ln["t"]
+        if kind == "Config":
+            fill(t)
+            copies = [ln]
+            todo = t + 1
+        elif kind == "Potential":
+            copies.append(ln)
+        else:
+            fill(t if kind == "MoveProgress" else t + 1)
+        out.append(ln)
+    tr = Trace.__new__(Trace)
+    tr.lines = out
+    return tr.dumps()
 
 
 def digests(scenario):
@@ -288,6 +330,42 @@ ENUMERATED = {
 }
 
 
+# the digests of the same traces and annotated copies in format 1, which
+# wrote a Config line at every instant; ``format1`` rebuilds those bytes
+FORMAT1_TRACES = {
+    "line-lu": "3f9e5e69f6325669afd56c2ff6f74f8d37dfb5693a3dc2cb240389a73ad50149",
+    "rectangle-unfair": "07843d00292747105c661bdbcef3c9f4a0c88340a3c39dc3c23e2701cea937c1",
+    "segment100": "ce6f67d5a38915778ccb20773c907fe6b4a4684add697e02ec66335204903b3b",
+    "square": "e2e5062e4f9e4359f019b4feda513e373440e9cb53ad5325f6696c3b9f5c0600",
+    "triangle-enum": "daf713b3ec87a7cdda43410d57fe582b3b3a8ea1dcdb4f7c711f916c594ac0fb",
+    "fuzz-three-color-n4": "d3f7417bbb9ed7b91d219d21eff5139a8359e25f8d8df2c658c6bba0ee854bd0",
+    "fuzz-three-color-n6": "5de53b41134aafead635d38f986df928542bc9f7d11b6f0a86a95a83a9c6b90a",
+    "fuzz-six-color-n4": "fe95fd8e7c8d4d9df29f2bda38cbfff4db2dbe1ab2edc90e73f54fcda0acd589",
+    "fuzz-six-color-n6": "3a7bb3a8d05e91a7b637e5ff403e9fcb95770b6e8a87784f8b05519a13295504",
+    "fuzz-three-color-round-robin-n5": "a8ad25adb07d8aa1133e0bd1fc400c57d5e2484fb0aa79872ab887911ba07e3e",
+    "fuzz-three-color-stingy-n5": "b0a880ce3d8ae79c328d8ac55a57956539fc5d8b4e8b4b0ffcbc9260c7e940d9",
+    "fuzz-three-color-rigid-n5": "58d932b2477db52705509343da0b25cb5d7fbb2a0ad3897748e61d1acc0b6384",
+    "fuzz-three-color-ssync-embedded-n5": "f0d7b934cc1bee6a9534fb9e610e76610e34cd78c628e7909ed06bbd48b09878",
+    "fuzz-three-color-ssync-stingy-n5": "89d713b358b1aa6942a54f82333f277fe6d1bd9c6b4ee794396a84c4281b0886",
+    "fuzz-elect-one-lds-fsync-n5": "851f9e02ceab339bd5b575b30270ba11d34d4defb24df4c81c03bebede07fab9",
+    "fuzz-elect-one-lds-ssync-n5": "6b693ff04283d80354be75d43d45876c088ca39cb2f26543ea36824d27e8585c",
+    "fuzz-lu-gather-fsync-n5": "34f61f7cfd42d2d2cb0d34c6cb073e7c77e13a986b7b4ee7b2459a7230acfc20",
+    "fuzz-lu-gather-ssync-n5": "1c4e7cf7d2715733548bd09a32e0dbbc1a649f78fd8a64b854db650603a9b4f0",
+    "fuzz-three-color-random-n10": "84475173491c6166c9e50c93f963b23a920709496d5998418fe62b2a848441ff",
+    "fuzz-three-color-ssync-embedded-n10": "81ec38a1592a99abf6767665faf494143ef016fe0bfb95c9ea8f5dbf02398c28",
+}
+
+FORMAT1_ANNOTATED = {
+    "line-lu": "2c4860021f33d16d7a6b088faf088a998e0e5968108e060dc8b0acd963d2f658",
+    "rectangle-unfair": "b7be8ba5a7d4e216ec8c20b9937657e8be03a784ee9ab2671dd90df12b6c9823",
+    "triangle-enum": "d10ad2e7a6980bbdbb488d2668c80c26fdbe814c9deded87cea32e06d6e7b4a8",
+    "fuzz-elect-one-lds-fsync-n5": "e2f2afa0664f1da6692e52b2284a41411351cf2472552cd17e0cbd75dec0838a",
+    "fuzz-elect-one-lds-ssync-n5": "5a27f40cef3b6fded2d589b30104d62acfcce97ccecc8fd1fc6780f36c69a75f",
+    "fuzz-lu-gather-fsync-n5": "e656a0d6989816e908168d4012e8afd33e588bdce6664ba034d40bcd8731c97a",
+    "fuzz-lu-gather-ssync-n5": "c3e75126d271ec85bbc492ce07259797e87c298a169bb42037b661a16092dfee",
+}
+
+
 CORPUS = corpus()
 POTENTIAL_CASES = [(n, sc) for n, sc in CORPUS if sc.algorithm in ("elect-one-lds", "lu-gather")]
 ENUM_CASES = [(n, sc) for n, sc in CORPUS if n in ("line-lu", "rectangle-unfair", "triangle-enum")]
@@ -306,6 +384,17 @@ def test_annotated_potentials(name, scenario):
 @pytest.mark.parametrize("name,scenario", ENUM_CASES, ids=[n for n, _ in ENUM_CASES])
 def test_enumerate_reports(name, scenario):
     assert enumerated_digest(scenario) == ENUMERATED[name]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CORPUS])
+def test_format1_rebuild_gives_the_format1_digest(name):
+    assert _sha(format1(_text(name))) == FORMAT1_TRACES[name]
+
+
+@pytest.mark.parametrize("name,scenario", POTENTIAL_CASES, ids=[n for n, _ in POTENTIAL_CASES])
+def test_annotated_format1_rebuild_gives_the_format1_digest(name, scenario):
+    text = annotate_potentials(Trace.parse(_text(name))).dumps()
+    assert _sha(format1(text)) == FORMAT1_ANNOTATED[name]
 
 
 @functools.lru_cache(maxsize=None)
