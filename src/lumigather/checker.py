@@ -121,10 +121,15 @@ class TraceData:
     time, so within one instant line order is the order of the events.
 
     Every raw ``(x, y)`` pair is parsed once and mapped to a single Point, so
-    equal coordinates share one object.  A Config line whose raw entries
-    equal the previous Config line's shares that line's decoded entries.
-    ``replayed(t)`` derives instant t from t-1 where it can, recomputing
-    only the robots whose visible state an event may have changed.
+    equal coordinates share one object.  ``configs`` maps each instant that
+    has a Config line to its entries and ``config_times`` lists those
+    instants; a trace has a line at instant 0 and wherever the configuration
+    changes, so ``config_at(t)`` reads the latest line at or before t.
+    ``last_t`` is the instant of the last line, End's in a valid trace.
+    ``replayed(t)`` derives the configuration at t from the events alone: it
+    changes only at the instants that ``_change_times`` lists, and at each
+    of them only the robots whose visible state an event may have changed
+    are recomputed.
     ``scenario`` is the header as ``Scenario.from_json`` reads it.  Malformed
     input raises ValueError, as do lines out of time order and colors
     outside the algorithm's alphabet.  Checks obtain their instance through
@@ -191,7 +196,6 @@ class TraceData:
         configs = self.configs
         no_keys = _LINE_KEYS[None]
         last_time = 0
-        raw = entries = None  # the latest Config line's raw and decoded entries
         # each event's branch records its phase letter (a MoveProgress has
         # none) and the instant from which its robot shows it: a new color, the
         # leaving of the origin or the reach from the next instant, a progress
@@ -213,11 +217,7 @@ class TraceData:
             if kind == "Config":
                 if t in configs:
                     raise ValueError(f"trace line {i + 1}: a second Config line for t={t}")
-                # an equal list decodes and validates the same way
-                if entries is None or ln["entries"] != raw:
-                    raw = ln["entries"]
-                    entries = self._config_entries(raw, i)
-                configs[t] = entries
+                configs[t] = self._config_entries(ln["entries"], i)
             elif kind in _ROBOT_EVENTS:
                 rid = ln["robot"]
                 if type(rid) is not int or not 0 <= rid < n:
@@ -267,6 +267,8 @@ class TraceData:
                 self.rounds[t] = ln["activated"]
         self.robot_events = sum(map(len, phases))
         self.config_times = list(self.configs)  # sorted, as the lines are in time order
+        self.last_t = last_time
+        self._change_times = sorted(changes)
         self.cache = ConfigInterner()
         self._at = {}
         self._replayed = {}
@@ -326,9 +328,21 @@ class TraceData:
         raise ValueError(f"{what} {c!r} outside alphabet of {self.algorithm.id}")
 
     def config_at(self, t):
+        """Interned configuration the Config lines give for instant t.
+
+        That of the latest line at or before t, found by bisection; None if
+        no line comes at or before t.
+        """
         cfg = self._at.get(t)
         if cfg is None:
-            cfg = self._at[t] = self.cache.get(self.configs[t])
+            times = self.config_times
+            k = bisect_right(times, t)
+            if not k:
+                return None
+            s = times[k - 1]
+            cfg = self._at.get(s)
+            if cfg is None:
+                cfg = self._at[s] = self.cache.get(self.configs[s])
         return cfg
 
     # -- visible state (asynchronous timing rules; a round is one instant) ---
@@ -354,25 +368,31 @@ class TraceData:
 
         Derived from the header and the robot events alone, never from the
         Config lines.  A round is one instant, so a round-based trace
-        replays through the same timing rules.  Right after instant t-1,
-        only the robots that ``_changes`` lists for t are recomputed.
+        replays through the same timing rules.  What a robot shows changes
+        only at the instants that ``_change_times`` lists, so instant t
+        shows the configuration of the latest of them at or before t (0 if
+        none).  When the robot-order row was last computed at or after the
+        change instant before that one, only the robots that ``_changes``
+        lists for it are recomputed.
         """
         cfg = self._replayed.get(t)
         if cfg is not None:
             return cfg
-        row = self._row
-        if self._row_t == t - 1:
-            changed = self._changes.get(t, ())
-            for i in changed:
-                row[i] = (self.visible_pos(i, t), self.visible_color(i, t))
-            if not changed:
-                cfg = self._replayed[t - 1]
-        else:
-            row[:] = [(self.visible_pos(i, t), self.visible_color(i, t)) for i in range(self.n)]
+        times = self._change_times
+        k = bisect_right(times, t)
+        s = times[k - 1] if k else 0
+        cfg = self._replayed.get(s)
         if cfg is None:
-            cfg = self.cache.get(tuple(row))
+            row = self._row
+            row_t = self._row_t
+            if row_t is not None and (times[k - 2] if k > 1 else 0) <= row_t < s:
+                for i in self._changes[s]:
+                    row[i] = (self.visible_pos(i, s), self.visible_color(i, s))
+            else:
+                row[:] = [(self.visible_pos(i, s), self.visible_color(i, s)) for i in range(self.n)]
+            cfg = self._replayed[s] = self.cache.get(tuple(row))
+            self._row_t = s
         self._replayed[t] = cfg
-        self._row_t = t
         return cfg
 
     def pending_state(self, rid, t):
@@ -433,22 +453,39 @@ def validate_trace(trace):
     """Replay the event log and flag any divergence from the Config lines.
 
     Round-based and asynchronous traces replay alike, a round being one
-    instant: one Config line per instant from 0 to End, each equal to the
-    replayed configuration; every Compute equal to the algorithm's output on
-    its Look's snapshot; every move true to its Compute.  The phase rules
-    differ: a round holds a robot's whole cycle, while an asynchronous robot
-    keeps its phase order and the timing rules.  One End line closes the
-    trace with a status that agrees with the final configuration.
+    instant.  Every instant from 0 to End has a Config line exactly when
+    its replayed configuration differs from the previous instant's (instant
+    0 always has one), and each line equals the replayed configuration; no
+    Config line comes after End's instant.  Every Compute equals the
+    algorithm's output on its Look's snapshot and every move is true to its
+    Compute.  The phase rules differ: a round holds a robot's whole cycle,
+    while an asynchronous robot keeps its phase order and the timing rules.
+    One End line closes the trace with a status that agrees with the final
+    configuration.
+
+    Only instants with a line or an event that may change the configuration
+    are visited: at any other instant the replayed configuration is the
+    previous instant's and no line is there.
     """
     td = TraceData.of(trace)
     rep = Report("replay")
-    expected = 0
-    for t in td.config_times:
-        if t != expected:
-            rep.violate(t, f"Config line at t={t} where t={expected} was expected")
-        expected = t + 1
-        if td.replayed(t).entries != td.configs[t]:
-            rep.violate(t, "replayed configuration differs from logged Config")
+    configs = td.configs
+    end = td.last_t if td.end_time is None else td.end_time
+    prev = None  # the replayed configuration of the previous instant
+    for t in sorted({0, *td._change_times, *td.config_times}):
+        if t > end:
+            break
+        cfg = td.replayed(t)
+        logged = configs.get(t)
+        if logged is None:
+            if cfg is not prev:
+                rep.violate(t, f"no Config line at t={t}, where the configuration changes")
+        else:
+            if cfg is prev:
+                rep.violate(t, f"Config line at t={t}, where the configuration does not change")
+            if cfg.entries != logged:
+                rep.violate(t, "replayed configuration differs from logged Config")
+        prev = cfg
     for rid in range(td.n):
         if td.scenario.scheduler == "async":
             _validate_timing(td, rid, rep)
@@ -467,13 +504,14 @@ def _validate_end(td, rep):
     t = td.end_time
     if td.lines_after_end:
         rep.violate(t, f"{td.lines_after_end} line(s) after the End line")
-    last = td.config_times[-1] if td.config_times else None
-    if t != last:
-        rep.violate(t, f"End at t={t} but the last Config is at t={last}")
+    times = td.config_times
+    if times and times[-1] > t:
+        rep.violate(t, f"End at t={t} but the last Config is at t={times[-1]}")
     if td.status not in _END_STATUSES:
         rep.violate(t, f"End status {td.status!r} is none of {', '.join(_END_STATUSES)}")
-    if last is not None and td.status in ("gathered", "fixpoint"):
-        single = len({p for p, _ in td.configs[last]}) == 1
+    k = bisect_right(times, t)  # the final configuration is that of line k-1
+    if k and td.status in ("gathered", "fixpoint"):
+        single = len({p for p, _ in td.configs[times[k - 1]]}) == 1
         if single != (td.status == "gathered"):
             rep.violate(t, f"End status {td.status} disagrees with the final configuration")
     # a step is a round, or an asynchronous robot event or clock advance; the
@@ -643,9 +681,11 @@ def check_monotone(trace, which=None):
         return rep
     rounds = 0
     for t in td.rounds:  # in time order, as the lines are
-        if t + 1 not in td.configs:
+        if t >= td.last_t:
             break
         cfg = td.config_at(t)
+        if cfg is None:  # no Config line yet, which replay reports
+            continue
         nxt = td.config_at(t + 1)
         if which == "g" and not cfg.on_lds:
             rep.violate(t, _OFF_LINE)
@@ -720,8 +760,10 @@ def snapshot_has_convention_ties(snap):
 def check_equivariance_trace(trace):
     """Equivariance of the trace's algorithm over snapshots drawn from it.
 
-    Five random frames per robot on each of the first ten configurations;
-    snapshots whose action rests on a tie-break convention are skipped.
+    Five random frames per robot on the configuration of each instant from
+    0 to 9 that the trace reaches (an instant without a Config line has the
+    latest line's); snapshots whose action rests on a tie-break convention
+    are skipped.
     """
     td = TraceData.of(trace)
     rng = random.Random(td.scenario.seed ^ 0xE9)
@@ -729,8 +771,10 @@ def check_equivariance_trace(trace):
     rep = Report("equivariance")
     checked = 0
     skipped = 0
-    for t in td.config_times[:10]:
+    for t in range(min(10, td.last_t + 1)):
         cfg = td.config_at(t)
+        if cfg is None:
+            continue
         for p, c in cfg.entries:
             snap = Snapshot(cfg, p, c)
             if snapshot_has_convention_ties(snap):
@@ -779,16 +823,17 @@ _PHASE_DFA = {
 
 
 def _wrapped_segment(td):
-    """Config times governed by the simulation wrapper."""
+    """Config times governed by the simulation wrapper, and the instant it ends.
+
+    The segment ends at the first collinear Config line, and never under
+    ``six-color`` or when there is none (None).
+    """
     ts = td.config_times
-    if td.algorithm.id == "six-color":
-        return ts
-    out = []
-    for t in ts:
-        if td.config_at(t).on_lds:
-            break
-        out.append(t)
-    return out
+    if td.algorithm.id != "six-color":
+        for k, t in enumerate(ts):
+            if td.config_at(t).on_lds:
+                return ts[:k], t
+    return ts, None
 
 
 def check_cycle_snapshot(trace):
@@ -797,11 +842,12 @@ def check_cycle_snapshot(trace):
     Also verifies the phase rotation allS -> allM -> allE -> allS (with the
     two-color transitions in between) over the wrapper-governed segment.  A
     cycle runs from one entry into the all-S class to the next; each inner
-    execution falls into the cycle of its Look, found by bisection.
+    execution whose Look lies in the segment falls into the cycle of its
+    Look, found by bisection.
     """
     td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
-    seg = _wrapped_segment(td)
+    seg, stop = _wrapped_segment(td)
     if not seg:
         rep.extras["cycles"] = 0
         return rep
@@ -822,10 +868,9 @@ def check_cycle_snapshot(trace):
     ]
     # per cycle, its inner executions by robot, each robot's in line order
     execs = [[] for _ in starts]
-    seg_set = set(seg)
     for rid in range(td.n):
         for _, _, _, ex, tl in td.computes[rid]:
-            if ex and tl is not None and tl in seg_set:
+            if ex and tl is not None and (stop is None or tl < stop):
                 ci = bisect_right(starts, tl) - 1
                 if ci >= 0:
                     execs[ci].append((rid, tl))
@@ -869,7 +914,8 @@ def check_onlds_switch(trace):
     At the first collinear instant every pending destination must lie on the
     configuration's line, the per-robot (color, pending) combinations must
     fit one of the five admissible shapes, and collinearity must persist to
-    the end of the trace.
+    the end of the trace: each later instant that is not collinear is a
+    violation.
     """
     td = TraceData.of(trace)
     rep = Report("onlds-switch")
@@ -881,9 +927,13 @@ def check_onlds_switch(trace):
     if t_star is None:
         rep.violate(None, "trace never reaches a collinear configuration")
         return rep
-    for t in td.config_times:
+    times = td.config_times
+    for k, t in enumerate(times):
         if t > t_star and not td.config_at(t).on_lds:
-            rep.violate(t, "collinearity lost after the switch")
+            # every instant the line covers, up to the next line or the last
+            stop = times[k + 1] if k + 1 < len(times) else td.last_t + 1
+            for s in range(t, stop):
+                rep.violate(s, "collinearity lost after the switch")
     cfg = td.config_at(t_star)
     occupied = cfg.occupied
     distinct = list(occupied)
@@ -983,7 +1033,7 @@ def check_gathered(trace):
         elif not single and t_g is not None:
             rep.violate(t, f"gathered at {t_g} but spread again at {t}")
             t_g = None
-    final_t = td.config_times[-1]
+    final_t = td.last_t
     final = td.config_at(final_t)
     stable = not _any_acts(td, rep, final_t, final, final.entries)
     if not stable:

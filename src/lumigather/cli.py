@@ -170,8 +170,8 @@ def cmd_plot(args):
 
 
 def render_svg(td, size=640):
-    """Deterministic SVG of robot trajectories colored by light."""
-    times = td.config_times or [0]
+    """Deterministic SVG of robot trajectories colored by light, one point per instant."""
+    times = range(td.last_t + 1)
     paths = []
     xs, ys = [], []
     for rid in range(td.n):

@@ -45,10 +45,16 @@ at the event that changes it, and after every step these hold:
   stamp, behind every other robot.  So the first entry is the most starved
   robot, the first in index order among equals.
 
-An advance visits only the robots that acted in the closing instant, which
-``acted`` lists, and the movers, since no other robot can show anything new.
-When none of them changes what it shows, the new instant's Config line is
-that of the current ``visible`` configuration, which is not interned again.
+A trace has a Config line at instant 0 and at each instant whose observed
+configuration differs from the previous instant's, and at no other instant.
+Configurations are interned, so two are equal exactly when they are one
+object, and both writers compare objects: a round run logs the round's
+result when it is not the configuration the round started from, and an
+advance logs ``visible`` when it is a new object.  An advance visits only
+the robots that acted in the closing instant, which ``acted`` lists, and the
+movers, since no other robot can show anything new.  When none of them
+changes what it shows, the configuration is not interned again and the
+instant has no Config line.
 """
 
 import json
@@ -561,6 +567,7 @@ def _run_sync(scenario, rng):
                 activated.append(enab[rng.randrange(len(enab))])
         activated = sorted(set(activated))
         fractions = {i: _pick_fraction(scenario.policy, rng) for i in activated}
+        before = world.config()
         world = ssync_round(world, algorithm, activated, fractions, scenario.delta, trace, t)
         if set(activated) & set(enab):
             ineffective_streak = 0
@@ -569,7 +576,8 @@ def _run_sync(scenario, rng):
         for i in activated:
             last_act[i] = t
         t += 1
-        trace.config_line(t, world.config())
+        if world.config() is not before:
+            trace.config_line(t, world.config())
 
 
 _FRACTIONS = (Rat(1), Rat(3, 4), Rat(1, 2), Rat(1, 4))
@@ -654,10 +662,6 @@ class AsyncWorld:
         self.trace = Trace(_header(scenario))
         self.visible = self.cache.get(tuple(self.shown))
         self.trace.config_line(0, self.visible)
-
-    def observe(self, rid):
-        """Snapshot robot ``rid`` would take now (own light included)."""
-        return Snapshot(self.visible, *self.shown[rid])
 
     def starve(self, rid):
         """Robot events and advances since ``rid`` was last served; 0 once it acted now."""
@@ -823,8 +827,10 @@ class AsyncWorld:
         self.acted = []
         self.ready = list(range(len(robots)))
         if changed:
-            self.visible = self.cache.get(tuple(shown))
-        self.trace.config_line(self.t, self.visible)
+            visible = self.cache.get(tuple(shown))
+            if visible is not self.visible:
+                self.visible = visible
+                self.trace.config_line(self.t, visible)
 
     # -- termination -------------------------------------------------------
 

@@ -19,6 +19,11 @@ def make_snap(entries, own, light):
     return Snapshot(cfg, pt(*own), light)
 
 
+def observe(world, rid):
+    """Snapshot robot ``rid`` of the AsyncWorld ``world`` would take now."""
+    return Snapshot(world.visible, *world.shown[rid])
+
+
 def make_config(entries):
     return Configuration(canonical((pt(*p), c) for p, c in entries))
 

@@ -50,6 +50,8 @@ def synthetic(header_over, lines):
 
     Unless ``header_over`` sets it, the step budget is the one a ``budget``
     End line used up: its rounds, or its robot events and clock advances.
+    A Config line whose entries equal those of the Config line before it is
+    left out, as the engine leaves out a configuration that did not change.
     """
     header = {
         "kind": "Header",
@@ -71,8 +73,15 @@ def synthetic(header_over, lines):
         if header["scheduler"] == "async":
             steps += sum(l["kind"] in ("Look", "Compute", "MoveBegin", "MoveEnd") for l in lines)
         header["step_budget"] = max(steps, 1)
+    kept, entries = [], None
+    for ln in lines:
+        if ln["kind"] == "Config":
+            if ln["entries"] == entries:
+                continue
+            entries = ln["entries"]
+        kept.append(ln)
     tr = Trace.__new__(Trace)
-    tr.lines = [header] + lines
+    tr.lines = [header] + kept
     tr.status = None
     tr.end_time = None
     return tr
@@ -503,15 +512,16 @@ class TestNegativeControls:
             "robot 1: round events none are not Look, Compute and move",
         ]
 
-    def test_replay_requires_a_config_line_at_every_instant(self):
+    def test_replay_requires_a_config_line_where_the_configuration_changes(self):
         tr = run(Scenario.load(SCENARIOS / "square.json"))
         assert validate_trace(tr).passed and tr.end_time > 77
         bad = Trace.parse(tr.dumps())
-        bad.lines = [l for l in bad.lines if not (l["kind"] == "Config" and l["t"] == 77)]
+        t = next(l["t"] for l in bad.lines if l["kind"] == "Config" and l["t"] >= 77)
+        bad.lines = [l for l in bad.lines if not (l["kind"] == "Config" and l["t"] == t)]
         rep = validate_trace(bad)
         assert not rep.passed
         assert rep.violations == [
-            {"t": 78, "detail": "Config line at t=78 where t=77 was expected"}
+            {"t": t, "detail": f"no Config line at t={t}, where the configuration changes"}
         ]
 
     @pytest.mark.parametrize("damage", ["truncated", "event-after-end", "end-time", "end-status"])
@@ -525,6 +535,10 @@ class TestNegativeControls:
         elif damage == "event-after-end":
             bad.lines.append({"kind": "Look", "t": end["t"], "robot": 0})
         elif damage == "end-time":
+            # an End after the last Config line is legal; one instant later
+            # than the step budget allows is not
+            td = TraceData(tr)
+            bad.lines[0]["step_budget"] = td.end_time + td.robot_events - 1
             end["t"] += 1
         else:
             end["status"] = "fixpoint"
@@ -603,23 +617,25 @@ class TestSharedTraceData:
         assert not validate_trace(bad).passed
         assert validate_trace(tr).passed
 
-    def test_repeated_config_line_shares_its_decoded_entries(self):
-        td = TraceData(Trace.parse(self._trace().dumps()))
-        ts = td.config_times
-        repeats = [t for t in ts[1:] if td.configs[t] == td.configs[t - 1]]
-        assert repeats
-        assert all(td.configs[t] is td.configs[t - 1] for t in repeats)
+    def test_repeated_config_line_fails_replay(self):
+        tr = Trace.parse(self._trace().dumps())
+        configs = [l["entries"] for l in tr.lines if l["kind"] == "Config"]
+        assert all(a != b for a, b in zip(configs, configs[1:]))
+        t = next(t for t in range(1, tr.end_time) if t not in TraceData(tr).configs)
+        _config_line(tr, t)
+        rep = validate_trace(tr)
+        assert rep.violations == [
+            {"t": t, "detail": f"Config line at t={t}, where the configuration does not change"}
+        ]
 
     def test_forged_repeat_of_the_previous_line_fails_replay(self):
         tr = Trace.parse(self._trace().dumps())
-        configs = [l for l in tr.lines if l["kind"] == "Config"]
-        k = next(k for k in range(1, len(configs)) if configs[k]["entries"] == configs[k - 1]["entries"])
-        forged = copy.deepcopy(configs[k - 1]["entries"])
+        t = next(t for t in range(1, tr.end_time) if t not in TraceData(tr).configs)
+        forged = tr.lines[_config_line(tr, t)]["entries"]
         forged[0][0] = "99/1"
-        configs[k]["entries"] = forged
         rep = validate_trace(tr)
         assert not rep.passed
-        assert {"t": configs[k]["t"], "detail": "replayed configuration differs from logged Config"} in rep.violations
+        assert {"t": t, "detail": "replayed configuration differs from logged Config"} in rep.violations
 
     def test_equal_coordinates_share_one_point(self):
         td = TraceData(Trace.parse(self._trace().dumps()))
@@ -689,7 +705,7 @@ class TestMalformedTraceData:
         elif damage == "no-progress":
             lines.remove(next(l for l in lines if l["kind"] == "MoveProgress"))
         elif damage == "second-config":
-            i = next(k for k, l in enumerate(lines) if l["kind"] == "Config" and l["t"] == 5)
+            i = next(k for k, l in enumerate(lines) if l["kind"] == "Config" and l["t"] >= 5)
             lines.insert(i, copy.deepcopy(lines[i]))
             lines[i]["entries"][0][0] = "99/1"
         else:
@@ -963,6 +979,28 @@ def _line(tr, kind, **match):
     )
 
 
+def _config_line(tr, t):
+    """Index of the Config line at instant t, inserted if the trace has none.
+
+    An inserted line repeats the latest Config line before t, with fresh
+    entries, and goes after the MoveProgress lines at t and before every
+    other line at t or later.
+    """
+    latest = None
+    for i in range(1, len(tr.lines)):
+        ln = tr.lines[i]
+        if ln["t"] > t or (ln["t"] == t and ln["kind"] != "MoveProgress"):
+            break
+        if ln["kind"] == "Config":
+            latest = ln
+    else:
+        i = len(tr.lines)
+    if tr.lines[i].get("kind") == "Config" and tr.lines[i]["t"] == t:
+        return i
+    tr.lines.insert(i, {**copy.deepcopy(latest), "t": t})
+    return i
+
+
 def _move_progress(tr):
     """Per move of ``tr``: robot, MoveBegin line and its MoveProgress lines."""
     open_moves, out = {}, []
@@ -980,8 +1018,8 @@ def _compute_at_look_instant(tr):
     # shows the new color, so only the timing is at fault
     comp = tr.lines.pop(_line(tr, "Compute"))
     comp["t"] = 0
-    tr.lines.insert(_line(tr, "Config", t=1), comp)
-    tr.lines[_line(tr, "Config", t=1)]["entries"][0][2] = "M"
+    tr.lines.insert(_config_line(tr, 1), comp)
+    tr.lines[_config_line(tr, 1)]["entries"][0][2] = "M"
 
 
 def _end_at_begin(tr):
@@ -989,9 +1027,9 @@ def _end_at_begin(tr):
     del tr.lines[_line(tr, "MoveProgress")]
     end = tr.lines.pop(_line(tr, "MoveEnd"))
     end["t"] = 2
-    tr.lines.insert(_line(tr, "Config", t=3), end)
-    tr.lines[_line(tr, "Config", t=3)]["entries"] = tr.lines[_line(tr, "Config", t=4)]["entries"]
-    del tr.lines[_line(tr, "Config", t=4)]
+    tr.lines.insert(_config_line(tr, 3), end)
+    tr.lines[_config_line(tr, 3)]["entries"] = tr.lines[_config_line(tr, 4)]["entries"]
+    del tr.lines[_config_line(tr, 4)]
     tr.lines[-1]["t"] = 3
 
 
@@ -1124,7 +1162,7 @@ def _nested_cycle_snapshot(trace):
     """
     td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
-    seg = checker._wrapped_segment(td)
+    seg, stop = checker._wrapped_segment(td)
     if not seg:
         rep.extras["cycles"] = 0
         return rep
@@ -1143,13 +1181,12 @@ def _nested_cycle_snapshot(trace):
         if classes[t] == frozenset("S") and (i == 0 or classes[seg[i - 1]] != frozenset("S"))
     ]
     cycles = 0
-    seg_set = set(seg)
     for ci, start in enumerate(starts):
-        end = starts[ci + 1] if ci + 1 < len(starts) else (seg[-1] + 1)
+        end = starts[ci + 1] if ci + 1 < len(starts) else stop
         snaps = []
         for rid in range(td.n):
             for _, _, _, ex, tl in td.computes[rid]:
-                if ex and tl is not None and start <= tl < end and tl in seg_set:
+                if ex and tl is not None and start <= tl and (end is None or tl < end):
                     seen = td.replayed(tl)
                     if algorithms.phase_class(seen) != frozenset("S"):
                         rep.violate(tl, f"robot {rid} ran the inner algorithm outside all-S")
@@ -1200,7 +1237,7 @@ class TestCheckNegativeControls:
     def test_cycle_flags_an_illegal_phase_class(self):
         assert check_cycle_snapshot(_square()).passed
         tr = _square()
-        tr.lines[_line(tr, "Config", t=1)]["entries"] = [
+        tr.lines[_config_line(tr, 1)]["entries"] = [
             [x, y, c] for (x, y, _), c in zip(tr.lines[1]["entries"], "SMES")
         ]
         rep = _cycle_checked(tr)
@@ -1208,9 +1245,9 @@ class TestCheckNegativeControls:
 
     def test_cycle_flags_an_illegal_transition(self):
         tr = _square()
-        entries = tr.lines[_line(tr, "Config", t=1)]["entries"]
+        entries = tr.lines[_config_line(tr, 1)]["entries"]
         assert {c for _, _, c in entries} == {"S"}
-        for e in tr.lines[_line(tr, "Config", t=2)]["entries"]:
+        for e in tr.lines[_config_line(tr, 2)]["entries"]:
             e[2] = "E"
         rep = _cycle_checked(tr)
         assert {"t": 2, "detail": "illegal phase transition ['S'] -> ['E']"} in rep.violations

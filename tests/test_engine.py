@@ -34,6 +34,7 @@ from lumigather.fuzz import random_scenario, run_with_checks
 from lumigather.geometry import Point, dist_sq, is_on_lds, pt
 from lumigather.rational import Rat, min_rat_ge_sqrt
 
+from conftest import observe
 from test_geometry import along, wide_points
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -188,9 +189,9 @@ class TestObserveTiming:
         w.async_step(("look", 1))
         w.async_step(("advance",))
         w.async_step(("compute", 0))  # t_C = 1: S -> M
-        assert w.observe(1).config.points[pt(0, 0)] == frozenset({"S"})
+        assert observe(w, 1).config.points[pt(0, 0)] == frozenset({"S"})
         w.async_step(("advance",))
-        assert w.observe(1).config.points[pt(0, 0)] == frozenset({"M"})
+        assert observe(w, 1).config.points[pt(0, 0)] == frozenset({"M"})
 
     def test_mover_positions(self):
         w = self._world()
@@ -199,18 +200,18 @@ class TestObserveTiming:
         w.async_step(("compute", 0))  # dest (4, 0)
         w.async_step(("advance",))
         w.async_step(("move_begin", 0, Rat(1)))  # t_B = 2, reach (4, 0)
-        assert w.observe(1).own_pos == pt(8, 0)
-        assert pt(0, 0) in w.observe(1).config.points  # origin at t_B
+        assert observe(w, 1).own_pos == pt(8, 0)
+        assert pt(0, 0) in observe(w, 1).config.points  # origin at t_B
         w.async_step(("advance",))  # t = 3
-        p3 = w.observe(0).own_pos
+        p3 = observe(w, 0).own_pos
         assert 0 < dist_sq(pt(0, 0), p3) < dist_sq(pt(0, 0), pt(4, 0))
         w.async_step(("advance",))  # t = 4
-        p4 = w.observe(0).own_pos
+        p4 = observe(w, 0).own_pos
         assert dist_sq(pt(0, 0), p3) < dist_sq(pt(0, 0), p4) < 16
         w.async_step(("move_end", 0))  # t_E = 4: still seen short of reach
-        assert w.observe(0).own_pos == p4
+        assert observe(w, 0).own_pos == p4
         w.async_step(("advance",))  # t = 5 = t_E + 1: destination visible
-        assert w.observe(0).own_pos == pt(4, 0)
+        assert observe(w, 0).own_pos == pt(4, 0)
 
     def test_move_end_before_tb_plus_one_illegal(self):
         w = self._world()
@@ -241,7 +242,8 @@ class TestObserveTiming:
         for choice in (("advance",), ("move_end", 0), ("advance",)):
             w.async_step(choice)
         w.trace.end(w.t, "fixpoint")
-        assert [ln["t"] for ln in w.trace.lines if ln["kind"] == "Config"] == [0, 1, 2, 3, 4]
+        # instant 1 shows nothing new: robot 0's color shows from 2
+        assert [ln["t"] for ln in w.trace.lines if ln["kind"] == "Config"] == [0, 2, 3, 4]
         assert validate_trace(w.trace).passed
 
     @pytest.mark.parametrize(
@@ -398,7 +400,7 @@ def test_shown_state_matches_the_checker_replay(policy):
     seen = []
     while not w.is_terminal():
         w.async_step(adversary.step(w))
-        own = [(w.observe(i).own_pos, w.observe(i).own_light) for i in range(n)]
+        own = [(observe(w, i).own_pos, observe(w, i).own_light) for i in range(n)]
         seen.append((w.t, w.visible.entries, own))
     td = TraceData(w.trace)
     for t, entries, own in seen:
@@ -757,8 +759,9 @@ class TestTraceText:
         if parsed:
             tr = Trace.parse(tr.dumps())
         configs = [l for l in tr.lines if l["kind"] == "Config"]
-        # the engine logs a repeated instant from one set of formatted rows
-        i = next(k for k in range(len(configs) - 1) if configs[k]["entries"] == configs[k + 1]["entries"])
+        # the engine logs a configuration that recurs from one set of formatted rows
+        entries = [c["entries"] for c in configs]
+        i = next(k for k in range(len(entries)) if entries[k] in entries[k + 1:])
         before = copy.deepcopy(tr.lines)
         configs[i]["entries"][0][0] = "99/1"
         configs[i]["entries"].append(["0/1", "0/1", "S"])

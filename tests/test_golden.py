@@ -3,11 +3,13 @@
 Each case pins the sha256 of ``Trace.dumps()`` and of every report line that
 ``lumigather check`` prints by default for that trace (``default_checks`` plus
 ``equivariance``, run from ``CHECKS`` on the parsed trace with default
-arguments).  The digests were recorded before the trace parse and the engine views were
-cached, those of the n=5 ``_SCHEDULE_CASES`` before the asynchronous engine
-read its legality from one field per robot, and those of the n=10 cases
-before it kept its ready, mover and starvation state incrementally; any
-change to them means a trace or a report changed.
+arguments).  The report digests were recorded before the trace parse and
+the engine views were cached, those of the n=5 ``_SCHEDULE_CASES`` before
+the asynchronous engine read its legality from one field per robot, and
+those of the n=10 cases before it kept its ready, mover and starvation state
+incrementally; any change to them means a report changed.  The trace
+digests were re-pinned once when traces stopped repeating an unchanged
+configuration (format 2); ``FORMAT1_TRACES`` keeps the earlier ones.
 
 Two more pin sets cover what the default checks do not print:
 
@@ -24,8 +26,9 @@ rebuilds those bytes from a trace that has Config lines only where the
 configuration changes.
 
 On the same corpus, each trace must survive ``Trace.parse`` and ``dumps``
-byte for byte, and the incremental ``TraceData.replayed`` must agree with a
-full per-robot recomputation at every instant.
+byte for byte, the incremental ``TraceData.replayed`` must agree with a
+full per-robot recomputation at every instant, and ``replay`` must reject a
+deleted changing Config line, an inserted repeated one and one after End.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
 """
@@ -43,6 +46,7 @@ from lumigather.checker import (
     annotate_potentials,
     default_checks,
     enumerate_unfair,
+    validate_trace,
 )
 from lumigather.configuration import canonical
 from lumigather.engine import Scenario, Trace, run
@@ -163,27 +167,27 @@ def enumerated_digest(scenario):
 
 GOLDEN = {
     "line-lu": {
-        "trace": "3f9e5e69f6325669afd56c2ff6f74f8d37dfb5693a3dc2cb240389a73ad50149",
+        "trace": "6ebf6318514003663a0c9d8ac960c67990ff5e4630042ab81920e4b3c64ee34a",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "monotone": "d70204e5e79e809b1da163a6cfd3f0c8ac20339ae5c1e68aaa06cdbdad7b09bd",
         "gather": "c205218c4d14f7fd15d7ea0ad8ccd882cb61f115fb585c123927cc930e029d57",
         "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
     },
     "rectangle-unfair": {
-        "trace": "07843d00292747105c661bdbcef3c9f4a0c88340a3c39dc3c23e2701cea937c1",
+        "trace": "1599c97f1afc9400217ba37e3ef8d9facd648bde3f5e870ce42c5e2d69c1403d",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "monotone": "07cd137ee1c2b76e1a4fe831d1324816cb7e2163997d563eefdb6afc50bcb6aa",
         "equivariance": "29215c78ee236cae52d962a6208505b430502b41bcd6d23b5af1f0f99ed8ffce",
     },
     "segment100": {
-        "trace": "ce6f67d5a38915778ccb20773c907fe6b4a4684add697e02ec66335204903b3b",
+        "trace": "41efc731540019a5eed3e76c39c687dee228d2b4e3bec44465533ff89a7d63d8",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "shrink": "c46a660a688fa0bd8ac8ee508ccab60b1f7fe3198b2f04a8bd066976c66ceeb4",
         "gather": "b018dd1f22301b2bb4d6c7129196af64cdae5a6b4f3ff1d4a19156f0e48890ec",
         "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
     },
     "square": {
-        "trace": "e2e5062e4f9e4359f019b4feda513e373440e9cb53ad5325f6696c3b9f5c0600",
+        "trace": "8e081f9cd78a6cbd00c15b174b9c45661ae529a2452fd003fc5e897e12229878",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "dd7f68baf0f88d04d5b0e7dc53de9669d5567019a607b4b155f898aefd6c98ec",
         "switch": "aa5fb42318997cdebe161ce3c778a54e2adae94afa202853854776dbefb16f8f",
@@ -191,13 +195,13 @@ GOLDEN = {
         "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
     },
     "triangle-enum": {
-        "trace": "daf713b3ec87a7cdda43410d57fe582b3b3a8ea1dcdb4f7c711f916c594ac0fb",
+        "trace": "48035496fbe9fb3e1f9424545faed897e32889d5d78c17768521853c352aa8e7",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "monotone": "e927a9c6f2103305137aa2f073739712ccb36e2db1b3b5cf9b31ad44dfe76f90",
         "equivariance": "f5c7fd7bbd1b65e23c70e16937650f85ffd69903ba31ae1e0af2a7b224bb5a63",
     },
     "fuzz-three-color-n4": {
-        "trace": "d3f7417bbb9ed7b91d219d21eff5139a8359e25f8d8df2c658c6bba0ee854bd0",
+        "trace": "5cd8eaf9548d6f0be82f469ceda3133114bd2151b7fd564c662859e0adbc4ee3",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "ef5f0868671ecd21818ad453bed612f62baee050a84eb8635baf3f8afa8b9c32",
         "switch": "c9b57a2695a9762a2e397c1819796a595ea1ddb416c766018a9dd559a634bb52",
@@ -205,7 +209,7 @@ GOLDEN = {
         "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
     },
     "fuzz-three-color-n6": {
-        "trace": "5de53b41134aafead635d38f986df928542bc9f7d11b6f0a86a95a83a9c6b90a",
+        "trace": "49f54b6ffab67f070a5138fe8109d96efa18a7eabec372e163da8e726ed633d2",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "e01dfa5df729433b903124311f6e4fc51e3fa00bbe3d5bf938d61069ab55eb63",
         "switch": "ae04bbf3c8182618ebf79ad83382705d91bb2b7ac4a53e963cc308435d83d812",
@@ -213,7 +217,7 @@ GOLDEN = {
         "equivariance": "b8202ac1a748b98ef897d2a9ab48fea382cb65d14158dac6b8beafa68d6d66ff",
     },
     "fuzz-six-color-n4": {
-        "trace": "fe95fd8e7c8d4d9df29f2bda38cbfff4db2dbe1ab2edc90e73f54fcda0acd589",
+        "trace": "0316125eb306041171f2208eb134533f8840d3ffe045a350d493adad3b446da4",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "cd26b0c92e1932c31a08e6417c0804d4fa81d844178d03f3a6e5f9c5b93f9d43",
         "switch": "05be1b71ef09b6987a7dcf21894e88d325e0ff9632f7745097d8b5f04748afba",
@@ -221,7 +225,7 @@ GOLDEN = {
         "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
     },
     "fuzz-six-color-n6": {
-        "trace": "3a7bb3a8d05e91a7b637e5ff403e9fcb95770b6e8a87784f8b05519a13295504",
+        "trace": "f33331a0704a572dac77bafb35212f3d6f089764dc4ef26bfb8d126f7d9dcf34",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "53e26dc05c531ba167ecb82e84ea780c7c3018c4c81ce1aa322215e74495ee19",
         "switch": "56ed7481aae3b69cd991de77d2e2218135c758b73aea99910f29aec500bbfdfc",
@@ -229,7 +233,7 @@ GOLDEN = {
         "equivariance": "b8202ac1a748b98ef897d2a9ab48fea382cb65d14158dac6b8beafa68d6d66ff",
     },
     "fuzz-three-color-round-robin-n5": {
-        "trace": "a8ad25adb07d8aa1133e0bd1fc400c57d5e2484fb0aa79872ab887911ba07e3e",
+        "trace": "4c07f025b1af3fc7250f06976d8c15d2d413ef475d9535d56e26a4fb86905933",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "c84d207a4187a5e0e97b0369f24798ece8ea81e18d18f74298b5627623dc57ae",
         "switch": "1365d1560f5f10410c482324f13943b3eb816d75d3ffa92dfa04d221b256db86",
@@ -237,7 +241,7 @@ GOLDEN = {
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
     },
     "fuzz-three-color-stingy-n5": {
-        "trace": "b0a880ce3d8ae79c328d8ac55a57956539fc5d8b4e8b4b0ffcbc9260c7e940d9",
+        "trace": "f4827bf887b04790799a5c5e17a85252cadd59d53b0563e9d463e2811bb47bc8",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "53e26dc05c531ba167ecb82e84ea780c7c3018c4c81ce1aa322215e74495ee19",
         "switch": "931325c39fe7e0149511119bc56ce9a8cd234287c62e6b7f97dc5df9707e9bc4",
@@ -245,7 +249,7 @@ GOLDEN = {
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
     },
     "fuzz-three-color-rigid-n5": {
-        "trace": "58d932b2477db52705509343da0b25cb5d7fbb2a0ad3897748e61d1acc0b6384",
+        "trace": "3cf9f77c2fe70b2439a3a4944944fae3f320bed5e8041dd7e173e4bd472007ce",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "d1a8bcd13c96f17d250a5b397ac34d21338e7f8f84e1da79593d4f4f10613928",
         "switch": "7499e8ac7d6b0e81d5c3714b64286cd25c41c7acd53bce70bf0cab0c3be52c9e",
@@ -253,7 +257,7 @@ GOLDEN = {
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
     },
     "fuzz-three-color-ssync-embedded-n5": {
-        "trace": "f0d7b934cc1bee6a9534fb9e610e76610e34cd78c628e7909ed06bbd48b09878",
+        "trace": "2c8edc3ef61ce29ce8b5e31d0da91d97d4def7a9c4760c1abc4876f022e9562b",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "1d2d5e605450c38a0f3b2ac9dd12b329a643d8149fe4231da93a4d9c082e463d",
         "switch": "232e33ce9b61a56486935431cd6cddc52881ed2b3baf402eb0eb8c0548ad7ea2",
@@ -261,7 +265,7 @@ GOLDEN = {
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
     },
     "fuzz-three-color-ssync-stingy-n5": {
-        "trace": "89d713b358b1aa6942a54f82333f277fe6d1bd9c6b4ee794396a84c4281b0886",
+        "trace": "241c56cd13ad8c3af36094250be56771a37b767d0898d8e15d2c5619bba21555",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "cd26b0c92e1932c31a08e6417c0804d4fa81d844178d03f3a6e5f9c5b93f9d43",
         "switch": "27754f908be89c93db93a8c7c832b29dacd2dd41aed1d9d42c79e54f54d353e3",
@@ -275,7 +279,7 @@ GOLDEN = {
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
     },
     "fuzz-elect-one-lds-ssync-n5": {
-        "trace": "6b693ff04283d80354be75d43d45876c088ca39cb2f26543ea36824d27e8585c",
+        "trace": "2ce2317bb6a0001e8f21767de8170733504b9da383f4ba61be33387d6c173fb7",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "monotone": "d36701d17570dc7050b4b331bc34846c1eb802ffc5846fc5e14ed377c08aa6ac",
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
@@ -288,14 +292,14 @@ GOLDEN = {
         "equivariance": "623af41ef52d5aaa1e9e28963b6c4e03d4890bdb206894be99f499813925f430",
     },
     "fuzz-lu-gather-ssync-n5": {
-        "trace": "1c4e7cf7d2715733548bd09a32e0dbbc1a649f78fd8a64b854db650603a9b4f0",
+        "trace": "8e812d89487a0c10e00677f623964a3513f35932cf37b5d295b3371a4211e5ce",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "monotone": "d70204e5e79e809b1da163a6cfd3f0c8ac20339ae5c1e68aaa06cdbdad7b09bd",
         "gather": "b9a9795181875148d5bdb863816abcee724d68b417d855acec2021847c71cff9",
         "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
     },
     "fuzz-three-color-random-n10": {
-        "trace": "84475173491c6166c9e50c93f963b23a920709496d5998418fe62b2a848441ff",
+        "trace": "2e96d408c0cce544ee9759b2bc4d9f5d9847bf59ac4801021a1284119ea97e57",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "ef69e13448e373012685ad879e30fc8349fb913ee1941a0abbdfbc8671b4008b",
         "switch": "49a1230e1270eb334ab60dc8b8b4dcd8e402c617b40e22a7d0392dd517073906",
@@ -303,7 +307,7 @@ GOLDEN = {
         "equivariance": "234c0db617f60c4eb287d88b0fe0ea5d31afdca25b16be0fe2eeb23014a9cdd6",
     },
     "fuzz-three-color-ssync-embedded-n10": {
-        "trace": "81ec38a1592a99abf6767665faf494143ef016fe0bfb95c9ea8f5dbf02398c28",
+        "trace": "797cd7d46542975b0a0118364b6ccc3919b96005ff1874456c952a9661f6603b",
         "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
         "cycle": "0d69f0bc6baa5fd4a5ef7ddb719d2992bf13f9d628a95b56a9e5d58e628b9f7a",
         "switch": "fd8a1cf9cd1d2d0cf5e3cdbcdbdd1a2f1d215ecbba4d1a426f533b8720a045b4",
@@ -314,13 +318,13 @@ GOLDEN = {
 
 
 ANNOTATED = {
-    "line-lu": "2c4860021f33d16d7a6b088faf088a998e0e5968108e060dc8b0acd963d2f658",
-    "rectangle-unfair": "b7be8ba5a7d4e216ec8c20b9937657e8be03a784ee9ab2671dd90df12b6c9823",
-    "triangle-enum": "d10ad2e7a6980bbdbb488d2668c80c26fdbe814c9deded87cea32e06d6e7b4a8",
+    "line-lu": "bd00663495c73dccdbf2b2a9a77562a369b12b7c619286298bea26022fbb8022",
+    "rectangle-unfair": "9985f3e8eafbf9734559048d309c01feed3f2bc17f7bc1a0c97cbf8f18b78a7a",
+    "triangle-enum": "63ec896c320b008560f5254cb428f59f7d677c9fd6de1ebceb1cdfd40a877f45",
     "fuzz-elect-one-lds-fsync-n5": "e2f2afa0664f1da6692e52b2284a41411351cf2472552cd17e0cbd75dec0838a",
-    "fuzz-elect-one-lds-ssync-n5": "5a27f40cef3b6fded2d589b30104d62acfcce97ccecc8fd1fc6780f36c69a75f",
+    "fuzz-elect-one-lds-ssync-n5": "0d0bdb1ad90a6af6413f7d25d76fe1f19e45c8bb8512adfc9652fb7909735aaf",
     "fuzz-lu-gather-fsync-n5": "e656a0d6989816e908168d4012e8afd33e588bdce6664ba034d40bcd8731c97a",
-    "fuzz-lu-gather-ssync-n5": "c3e75126d271ec85bbc492ce07259797e87c298a169bb42037b661a16092dfee",
+    "fuzz-lu-gather-ssync-n5": "ba4837be3cbdf80111fcd3c151e1a1c2aa9766cc4442543a611adb2e341b801a",
 }
 
 ENUMERATED = {
@@ -402,6 +406,54 @@ def _text(name):
     return run(dict(CORPUS)[name]).dumps()
 
 
+def _config_times(tr):
+    return [ln["t"] for ln in tr.lines if ln["kind"] == "Config"]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CORPUS])
+def test_replay_rejects_a_deleted_changing_line(name):
+    tr = Trace.parse(_text(name))
+    times = _config_times(tr)
+    t = times[len(times) // 2]
+    tr.lines = [ln for ln in tr.lines if not (ln["kind"] == "Config" and ln["t"] == t)]
+    assert validate_trace(tr).violations == [
+        {"t": t, "detail": f"no Config line at t={t}, where the configuration changes"}
+    ]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CORPUS])
+def test_replay_rejects_an_inserted_repeated_line(name):
+    tr = Trace.parse(_text(name))
+    gaps = sorted(set(range(tr.end_time + 1)) - set(_config_times(tr)))
+    if not gaps:
+        # every fsync round of these runs moves a robot
+        assert dict(CORPUS)[name].scheduler == "fsync"
+        return
+    t = gaps[len(gaps) // 2]
+    # format 1's place for it: after the MoveProgress lines at t, before the rest
+    i = next(
+        i for i, ln in enumerate(tr.lines)
+        if i and (ln["t"] > t or (ln["t"] == t and ln["kind"] != "MoveProgress"))
+    )
+    latest = [ln for ln in tr.lines[:i] if ln["kind"] == "Config"][-1]
+    tr.lines.insert(i, {**latest, "t": t})
+    assert validate_trace(tr).violations == [
+        {"t": t, "detail": f"Config line at t={t}, where the configuration does not change"}
+    ]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CORPUS])
+def test_replay_rejects_a_config_line_after_end(name):
+    tr = Trace.parse(_text(name))
+    t = tr.end_time
+    latest = [ln for ln in tr.lines if ln["kind"] == "Config"][-1]
+    tr.lines.append({**latest, "t": t + 1})
+    assert validate_trace(tr).violations == [
+        {"t": t, "detail": "1 line(s) after the End line"},
+        {"t": t, "detail": f"End at t={t} but the last Config is at t={t + 1}"},
+    ]
+
+
 @pytest.mark.parametrize("name", [n for n, _ in CORPUS])
 def test_parse_then_dumps_is_byte_identical(name):
     text = _text(name)
@@ -418,7 +470,7 @@ def test_incremental_replay_equals_full_recomputation(name):
     times = range(td.end_time + 1)
     expected = [full(t) for t in times]
     assert [td.replayed(t).entries for t in times] == expected
-    # out of order, every instant is recomputed in full
+    # out of order, each change instant is recomputed in full
     td = TraceData(Trace.parse(_text(name)))
     assert [td.replayed(t).entries for t in reversed(times)] == expected[::-1]
 
