@@ -619,10 +619,11 @@ class TestSharedTraceData:
 
     def test_repeated_config_line_fails_replay(self):
         tr = Trace.parse(self._trace().dumps())
-        configs = [l["entries"] for l in tr.lines if l["kind"] == "Config"]
-        assert all(a != b for a, b in zip(configs, configs[1:]))
-        t = next(t for t in range(1, tr.end_time) if t not in TraceData(tr).configs)
-        _config_line(tr, t)
+        entries = [l["entries"] for l in tr.lines if l["kind"] == "Config"]
+        assert all(a != b for a, b in zip(entries, entries[1:]))
+        configs = TraceData(tr).configs
+        t = next(t for t in range(1, tr.end_time) if t not in configs)
+        test_golden.config_line(tr, t)
         rep = validate_trace(tr)
         assert rep.violations == [
             {"t": t, "detail": f"Config line at t={t}, where the configuration does not change"}
@@ -630,8 +631,9 @@ class TestSharedTraceData:
 
     def test_forged_repeat_of_the_previous_line_fails_replay(self):
         tr = Trace.parse(self._trace().dumps())
-        t = next(t for t in range(1, tr.end_time) if t not in TraceData(tr).configs)
-        forged = tr.lines[_config_line(tr, t)]["entries"]
+        configs = TraceData(tr).configs
+        t = next(t for t in range(1, tr.end_time) if t not in configs)
+        forged = tr.lines[test_golden.config_line(tr, t)]["entries"]
         forged[0][0] = "99/1"
         rep = validate_trace(tr)
         assert not rep.passed
@@ -979,28 +981,6 @@ def _line(tr, kind, **match):
     )
 
 
-def _config_line(tr, t):
-    """Index of the Config line at instant t, inserted if the trace has none.
-
-    An inserted line repeats the latest Config line before t, with fresh
-    entries, and goes after the MoveProgress lines at t and before every
-    other line at t or later.
-    """
-    latest = None
-    for i in range(1, len(tr.lines)):
-        ln = tr.lines[i]
-        if ln["t"] > t or (ln["t"] == t and ln["kind"] != "MoveProgress"):
-            break
-        if ln["kind"] == "Config":
-            latest = ln
-    else:
-        i = len(tr.lines)
-    if tr.lines[i].get("kind") == "Config" and tr.lines[i]["t"] == t:
-        return i
-    tr.lines.insert(i, {**copy.deepcopy(latest), "t": t})
-    return i
-
-
 def _move_progress(tr):
     """Per move of ``tr``: robot, MoveBegin line and its MoveProgress lines."""
     open_moves, out = {}, []
@@ -1018,8 +998,8 @@ def _compute_at_look_instant(tr):
     # shows the new color, so only the timing is at fault
     comp = tr.lines.pop(_line(tr, "Compute"))
     comp["t"] = 0
-    tr.lines.insert(_config_line(tr, 1), comp)
-    tr.lines[_config_line(tr, 1)]["entries"][0][2] = "M"
+    tr.lines.insert(test_golden.config_line(tr, 1), comp)
+    tr.lines[test_golden.config_line(tr, 1)]["entries"][0][2] = "M"
 
 
 def _end_at_begin(tr):
@@ -1027,9 +1007,9 @@ def _end_at_begin(tr):
     del tr.lines[_line(tr, "MoveProgress")]
     end = tr.lines.pop(_line(tr, "MoveEnd"))
     end["t"] = 2
-    tr.lines.insert(_config_line(tr, 3), end)
-    tr.lines[_config_line(tr, 3)]["entries"] = tr.lines[_config_line(tr, 4)]["entries"]
-    del tr.lines[_config_line(tr, 4)]
+    tr.lines.insert(_line(tr, "Config", t=3), end)
+    tr.lines[_line(tr, "Config", t=3)]["entries"] = tr.lines[_line(tr, "Config", t=4)]["entries"]
+    del tr.lines[_line(tr, "Config", t=4)]
     tr.lines[-1]["t"] = 3
 
 
@@ -1237,7 +1217,7 @@ class TestCheckNegativeControls:
     def test_cycle_flags_an_illegal_phase_class(self):
         assert check_cycle_snapshot(_square()).passed
         tr = _square()
-        tr.lines[_config_line(tr, 1)]["entries"] = [
+        tr.lines[test_golden.config_line(tr, 1)]["entries"] = [
             [x, y, c] for (x, y, _), c in zip(tr.lines[1]["entries"], "SMES")
         ]
         rep = _cycle_checked(tr)
@@ -1245,9 +1225,9 @@ class TestCheckNegativeControls:
 
     def test_cycle_flags_an_illegal_transition(self):
         tr = _square()
-        entries = tr.lines[_config_line(tr, 1)]["entries"]
+        entries = tr.lines[test_golden.config_line(tr, 1)]["entries"]
         assert {c for _, _, c in entries} == {"S"}
-        for e in tr.lines[_config_line(tr, 2)]["entries"]:
+        for e in tr.lines[test_golden.config_line(tr, 2)]["entries"]:
             e[2] = "E"
         rep = _cycle_checked(tr)
         assert {"t": 2, "detail": "illegal phase transition ['S'] -> ['E']"} in rep.violations

@@ -33,6 +33,7 @@ deleted changing Config line, an inserted repeated one and one after End.
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
 """
 
+import copy
 import functools
 import hashlib
 import random
@@ -132,6 +133,27 @@ def format1(text):
     tr = Trace.__new__(Trace)
     tr.lines = out
     return tr.dumps()
+
+
+def config_line(tr, t):
+    """Index of the Config line at instant t, inserted if the trace has none.
+
+    An inserted line repeats the latest Config line before t, with fresh
+    entries, and goes after the MoveProgress lines at t and before every
+    other line at t or later.
+    """
+    latest, i = None, 1
+    while i < len(tr.lines):
+        ln = tr.lines[i]
+        if ln["t"] > t or (ln["t"] == t and ln["kind"] != "MoveProgress"):
+            if ln["kind"] == "Config" and ln["t"] == t:
+                return i
+            break
+        if ln["kind"] == "Config":
+            latest = ln
+        i += 1
+    tr.lines.insert(i, {**copy.deepcopy(latest), "t": t})
+    return i
 
 
 def digests(scenario):
@@ -430,13 +452,7 @@ def test_replay_rejects_an_inserted_repeated_line(name):
         assert dict(CORPUS)[name].scheduler == "fsync"
         return
     t = gaps[len(gaps) // 2]
-    # format 1's place for it: after the MoveProgress lines at t, before the rest
-    i = next(
-        i for i, ln in enumerate(tr.lines)
-        if i and (ln["t"] > t or (ln["t"] == t and ln["kind"] != "MoveProgress"))
-    )
-    latest = [ln for ln in tr.lines[:i] if ln["kind"] == "Config"][-1]
-    tr.lines.insert(i, {**latest, "t": t})
+    config_line(tr, t)
     assert validate_trace(tr).violations == [
         {"t": t, "detail": f"Config line at t={t}, where the configuration does not change"}
     ]
