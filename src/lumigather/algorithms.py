@@ -5,9 +5,16 @@ destination in the snapshot's frame; destination equal to the current
 position means stay).  All are stateless and equivariant under
 orientation-preserving rational similarities.
 
+Two combinators compose specs: ``sim_for_unfair(X)`` ("sim") runs an
+unfair-SSYNC algorithm X under ASYNC with 3k colors for X's k, and
+``then(X, Y)`` runs X off a line and Y on one.  ``six-color`` is
+sim(then(elect-one-lds, lu-gather)) and ``three-color`` is
+then(sim(elect-one-lds), lu-gather-async).  A composed function calls its
+parts' functions, so only the outermost spec checks the alphabet.
+
 ``phase_class`` is the one reading of a configuration's simulation phase
-class, the phases (S, M, E) its colors show; the wrapper ``sim_for_unfair``
-acts on it and the checker's cycle check verifies its rotation.
+class, the phases (S, M, E) its colors show; sim acts on it and the
+checker's cycle check verifies its rotation.
 """
 
 from dataclasses import dataclass
@@ -39,17 +46,6 @@ class Action:
         is a null cycle, and a robot whose action is one is not enabled.
         """
         return self.color != light or self.dest != pos
-
-
-def split_color(c):
-    if "." in c:
-        phase, inner = c.split(".", 1)
-        return phase, inner
-    return c, None
-
-
-def join_color(phase, inner):
-    return phase if inner is None else f"{phase}.{inner}"
 
 
 def phase_of(c):
@@ -297,65 +293,27 @@ _ROTATION = {
     frozenset("ES"): ("E", "S"),
 }
 
-
-def sim_for_unfair(inner_fn):
-    """Wrap an unfair-scheduler algorithm for asynchronous execution.
-
-    Adds a phase component (S, M, E) rotated through color cycles; the inner
-    algorithm runs only in all-S configurations, on the inner-color view.
-    """
-
-    def wrapped(snap):
-        me, light = snap.own_pos, snap.own_light
-        phases = phase_class(snap.config)
-        if phases == _ALL_S:
-            iv = _inner_view(snap)
-            act = inner_fn(iv)
-            if act.changes(me, iv.own_light):
-                icolor = split_color(light)[1]
-                new_inner = None if icolor is None else act.color
-                return Action(join_color("M", new_inner), act.dest, inner_exec=True)
-        else:
-            rotation = _ROTATION.get(phases)
-            if rotation is not None:
-                phase, icolor = split_color(light)
-                if phase == rotation[0]:
-                    return Action(join_color(rotation[1], icolor), me)
-        return Action(light, me)
-
-    return wrapped
-
-
-def _line_then_gather(snap):
-    """Inner algorithm of the six-color composition (alphabet A, B)."""
-    if not snap.on_lds:
-        return elect_one_lds(snap)
-    return lu_gather(snap)
-
-
-_SIM_ELECT = sim_for_unfair(elect_one_lds)
-_SIM_COMPOSITE = sim_for_unfair(_line_then_gather)
-
-
-def six_color_gather(snap):
-    """Simulation wrapper around line-election plus two-color gathering."""
-    return _SIM_COMPOSITE(snap)
-
-
-def three_color_gather(snap):
-    """Line-election under simulation, then direct three-color gathering."""
-    if snap.on_lds:
-        return lu_gather_in_async(snap)
-    return _SIM_ELECT(snap)
+_PHASES = ("S", "M", "E")
 
 
 @dataclass(frozen=True, slots=True)
 class AlgorithmSpec:
+    """An algorithm's function and alphabet, and what its traces owe the checker.
+
+    ``inner``: the spec a simulation runs, else None.  ``potential``: ``"f"``
+    or ``"g"``, the potential every effective round decreases, else None.
+    ``goal``: ``"gather"`` or ``"line"``.  ``checks``: its protocol-shape checks.
+    """
+
     id: str
     colors: tuple
     initial: str
     fn: object
     needs_onlds_start: bool = False
+    inner: object = None
+    potential: object = None
+    goal: str = "gather"
+    checks: tuple = ()
 
     def __call__(self, snap):
         act = self.fn(snap)
@@ -364,17 +322,78 @@ class AlgorithmSpec:
         return act
 
 
-_PRODUCT = tuple(f"{p}.{i}" for p in ("S", "M", "E") for i in ("A", "B"))
+def sim_for_unfair(inner, name=None):
+    """The simulation of the unfair-SSYNC spec ``inner`` under ASYNC.
 
-ALGORITHMS = {
-    "elect-one-lds": AlgorithmSpec("elect-one-lds", ("O",), "O", elect_one_lds),
-    "lu-gather": AlgorithmSpec("lu-gather", ("A", "B"), "A", lu_gather, True),
-    "six-color": AlgorithmSpec("six-color", _PRODUCT, "S.A", six_color_gather),
-    "lu-gather-async": AlgorithmSpec(
-        "lu-gather-async", ("S", "M", "E"), "S", lu_gather_in_async, True
-    ),
-    "three-color": AlgorithmSpec("three-color", ("S", "M", "E"), "S", three_color_gather),
-}
+    Adds a phase component (S, M, E) rotated through color cycles; ``inner``
+    runs only in all-S configurations, on the inner-color view.  A one-color
+    ``inner`` never changes a light, so the alphabet is {S, M, E}, else {S, M,
+    E} x its colors: 3k for k.  Its traces owe ``cycle`` and ``switch``.
+    """
+    inner_fn = inner.fn
+
+    def wrapped(snap):
+        me, light = snap.own_pos, snap.own_light
+        phases = phase_class(snap.config)
+        if phases == _ALL_S:
+            iv = _inner_view(snap)
+            act = inner_fn(iv)
+            if act.changes(me, iv.own_light):
+                color = f"M.{act.color}" if "." in light else "M"
+                return Action(color, act.dest, inner_exec=True)
+        else:
+            rotation = _ROTATION.get(phases)
+            if rotation is not None:
+                phase, dot, icolor = light.partition(".")
+                if phase == rotation[0]:
+                    return Action(rotation[1] + dot + icolor, me)
+        return Action(light, me)
+
+    colored = len(inner.colors) > 1
+    return AlgorithmSpec(
+        name or f"sim({inner.id})",
+        tuple(f"{p}.{c}" for p in _PHASES for c in inner.colors) if colored else _PHASES,
+        f"S.{inner.initial}" if colored else "S",
+        wrapped,
+        inner.needs_onlds_start,
+        inner=inner,
+        goal=inner.goal,
+        checks=("cycle", "switch") + inner.checks,
+    )
+
+
+def then(first, second, name=None):
+    """``first`` until the configuration is on a line, ``second`` from then on.
+
+    A one-color part adds no color: the alphabet is the other parts' colors
+    in order, and the initial color is the first such part's.  It reaches
+    ``second``'s goal and owes ``first``'s checks.
+    """
+    first_fn, second_fn = first.fn, second.fn
+
+    def composed(snap):
+        return second_fn(snap) if snap.on_lds else first_fn(snap)
+
+    colored = [spec for spec in (first, second) if len(spec.colors) > 1] or [first]
+    return AlgorithmSpec(
+        name or f"then({first.id}, {second.id})",
+        tuple(dict.fromkeys(c for spec in colored for c in spec.colors)),
+        colored[0].initial,
+        composed,
+        first.needs_onlds_start,
+        goal=second.goal,
+        checks=first.checks,
+    )
+
+
+_ELECT = AlgorithmSpec("elect-one-lds", ("O",), "O", elect_one_lds, potential="f", goal="line")
+_LU = AlgorithmSpec("lu-gather", ("A", "B"), "A", lu_gather, True, potential="g")
+_LU_ASYNC = AlgorithmSpec(
+    "lu-gather-async", _PHASES, "S", lu_gather_in_async, True, checks=("shrink",)
+)
+_SIX = sim_for_unfair(then(_ELECT, _LU), "six-color")
+_THREE = then(sim_for_unfair(_ELECT), _LU_ASYNC, "three-color")
+ALGORITHMS = {spec.id: spec for spec in (_ELECT, _LU, _SIX, _LU_ASYNC, _THREE)}
 
 
 def get_algorithm(name):

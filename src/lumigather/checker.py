@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .algorithms import get_algorithm, phase_class, phase_of
+from .algorithms import ALGORITHMS, get_algorithm, phase_class, phase_of
 from .configuration import ConfigInterner, Frame, Snapshot
 from .engine import (
     Scenario,
@@ -67,8 +67,9 @@ class Report:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-# the phase events' letters: Look L, Compute C, MoveBegin B, MoveEnd E
-_PHASE_RE = re.compile(r"(LC(BE)?)*(L|LC|LCB)?")
+# the phase events' letters: Look L, Compute C, MoveBegin B, MoveEnd E; a
+# robot's events end in an open cycle only when the step budget runs out
+_PHASE_RE = re.compile(r"(LC(BE)?)*(?P<open>L|LC|LCB)?")
 
 _ROBOT_EVENTS = frozenset(("Look", "Compute", "MoveBegin", "MoveProgress", "MoveEnd"))
 # keys every line after the header needs, by kind; other kinds need kind and t
@@ -498,6 +499,11 @@ def validate_trace(trace):
 
 
 def _validate_end(td, rep):
+    """One End line closes the trace, and a gathered or fixpoint one claims
+    the first terminal instant: no robot mid-cycle or enabled, right after
+    the last robot event (asynchronous, 1 if none) or the last round, each
+    round having started with a robot enabled.
+    """
     if td.lines_after_end is None:
         rep.violate(None, "trace has no End line")
         return
@@ -509,11 +515,26 @@ def _validate_end(td, rep):
         rep.violate(t, f"End at t={t} but the last Config is at t={times[-1]}")
     if td.status not in _END_STATUSES:
         rep.violate(t, f"End status {td.status!r} is none of {', '.join(_END_STATUSES)}")
-    k = bisect_right(times, t)  # the final configuration is that of line k-1
-    if k and td.status in ("gathered", "fixpoint"):
-        single = len({p for p, _ in td.configs[times[k - 1]]}) == 1
-        if single != (td.status == "gathered"):
+    final = td.config_at(t)
+    if final is not None and td.status in ("gathered", "fixpoint"):
+        if (len(final.occupied) == 1) != (td.status == "gathered"):
             rep.violate(t, f"End status {td.status} disagrees with the final configuration")
+        for rid, events in enumerate(td.phases):
+            m = _PHASE_RE.fullmatch("".join(k for _, k in events))
+            if m and m["open"]:
+                rep.violate(t, f"robot {rid} is mid-cycle at End: its last cycle is {m['open']}")
+        if _any_acts(td, rep, t, final, final.entries):
+            rep.violate(t, f"End status {td.status} while a robot is enabled")
+        if td.scenario.scheduler == "async":
+            first = 1 + max((events[-1][0] for events in td.phases if events), default=0)
+        else:
+            first = 1 + max(td.rounds, default=-1)
+            for s in td.rounds:
+                cfg = td.config_at(s)
+                if cfg is not None and not _any_acts(td, rep, s, cfg, cfg.entries):
+                    rep.violate(s, f"round at t={s} starts with no robot enabled")
+        if t != first:
+            rep.violate(t, f"End at t={t}, but the first terminal instant is t={first}")
     # a step is a round, or an asynchronous robot event or clock advance; the
     # advance that closes a run that did not run out is no step
     steps = t
@@ -650,13 +671,10 @@ def _cc_family(cc):
     return "mixed"
 
 
-def _potential(algorithm_id, which=None):
-    """``which`` and its potential function; None picks the algorithm's own.
-
-    ``lu-gather`` decreases g, every other algorithm f.
-    """
+def _potential(spec, which=None):
+    """``which`` and its potential function; None picks ``spec``'s own, else f."""
     if which is None:
-        which = "g" if algorithm_id == "lu-gather" else "f"
+        which = spec.potential or "f"
     return which, potential_f if which == "f" else potential_g
 
 
@@ -674,7 +692,7 @@ def check_monotone(trace, which=None):
     effective one that ends off it, is a violation.
     """
     td = TraceData.of(trace)
-    which, potential = _potential(td.algorithm.id, which)
+    which, potential = _potential(td.algorithm, which)
     rep = Report(f"monotone-{which}")
     if td.scenario.scheduler not in ("ssync", "ssync-unfair", "fsync"):
         rep.violate(None, "monotone check expects a round-based trace")
@@ -724,7 +742,7 @@ def annotate_potentials(trace):
     is undefined off the line, skips those configurations.
     """
     td = TraceData.of(trace)
-    which, potential = _potential(td.algorithm.id)
+    which, potential = _potential(td.algorithm)
     out = Trace.__new__(Trace)
     out.lines = []
     out.status = trace.status
@@ -825,11 +843,11 @@ _PHASE_DFA = {
 def _wrapped_segment(td):
     """Config times governed by the simulation wrapper, and the instant it ends.
 
-    The segment ends at the first collinear Config line, and never under
-    ``six-color`` or when there is none (None).
+    The segment ends at the first collinear Config line, and never under a
+    simulation (a spec with an ``inner`` one) or when there is none (None).
     """
     ts = td.config_times
-    if td.algorithm.id != "six-color":
+    if td.algorithm.inner is None:
         for k, t in enumerate(ts):
             if td.config_at(t).on_lds:
                 return ts[:k], t
@@ -1087,18 +1105,17 @@ CHECKS = {
 def default_checks(algorithm, scheduler):
     """Names of the trace checks that apply to ``algorithm`` under ``scheduler``.
 
+    ``replay``, ``monotone`` for a spec with a potential under a round-based
+    scheduler, the spec's ``checks``, and ``gather`` if its goal is to gather.
     Equivariance is left out: it costs several times a run plus these checks.
     """
+    spec = get_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     names = ["replay"]
-    if algorithm in ("elect-one-lds", "lu-gather"):
-        if scheduler in ("fsync", "ssync", "ssync-unfair"):
-            names.append("monotone")
-        if algorithm == "lu-gather":
-            names.append("gather")
-    elif algorithm == "lu-gather-async":
-        names += ["shrink", "gather"]
-    else:  # simulation-wrapped gatherers
-        names += ["cycle", "switch", "gather"]
+    if spec.potential is not None and scheduler in ("fsync", "ssync", "ssync-unfair"):
+        names.append("monotone")
+    names += spec.checks
+    if spec.goal == "gather":
+        names.append("gather")
     return names
 
 
@@ -1129,30 +1146,27 @@ def enumerate_unfair(
 ):
     """Explore every activation subset per round to a depth bound.
 
-    Asserts strict potential decrease on every edge (f for line election, g
-    for two-color gathering) and records whether each fixpoint reached is
-    collinear respectively gathered.  One fraction from the set applies to
-    all movers of a round.  Aborts with a partial report above the node
-    ceiling.
+    Asserts strict decrease of the spec's potential on every edge (f for
+    line election, g for two-color gathering) and records whether each
+    fixpoint reached meets the spec's goal, a line or a gathering.  One
+    fraction from the set applies to all movers of a round.  Aborts with a
+    partial report above the node ceiling.
 
     A node is a SyncWorld over its canonical entries and an edge is the
     engine's ``ssync_round``, so the enumeration runs the engine's round
     semantics.  Its configurations come from its own interner, and each
     distinct (configuration, position, light) is evaluated once.
 
-    Raises ValueError for any other algorithm: none of them has a potential
+    Raises ValueError for a spec with no potential: none of them has one
     that every effective round decreases (f is zero on every collinear
     configuration, and a round that only changes colors leaves it equal).
     """
     spec = get_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
-    if spec.id not in ("elect-one-lds", "lu-gather"):
-        raise ValueError(f"enumeration judges elect-one-lds and lu-gather only, not {spec.id!r}")
-    _, potential = _potential(spec.id)
-    goal = (
-        (lambda cfg: cfg.gathered())
-        if spec.id == "lu-gather"
-        else (lambda cfg: cfg.on_lds)
-    )
+    if spec.potential is None:
+        judged = " and ".join(s.id for s in ALGORITHMS.values() if s.potential is not None)
+        raise ValueError(f"enumeration judges {judged} only, not {spec.id!r}")
+    _, potential = _potential(spec)
+    goal = (lambda cfg: cfg.gathered()) if spec.goal == "gather" else (lambda cfg: cfg.on_lds)
     rep = Report(f"enumerate-{spec.id}")
     rep.extras.update(nodes=0, edges=0, fixpoints=0, unfinished=0, aborted=False)
     if depth <= 0:

@@ -4,16 +4,21 @@ import zlib
 import pytest
 
 from lumigather.algorithms import (
+    ALGORITHMS,
+    Action,
+    AlgorithmSpec,
     _inner_view,
     elect_one_lds,
     get_algorithm,
     lu_gather,
     lu_gather_in_async,
     sim_for_unfair,
-    six_color_gather,
-    three_color_gather,
+    then,
 )
+from lumigather.checker import TraceData, default_checks
 from lumigather.configuration import Configuration, Snapshot
+from lumigather.engine import POLICIES
+from lumigather.fuzz import fuzz
 from lumigather.geometry import pt
 
 from conftest import make_config, make_snap, random_frame
@@ -215,55 +220,59 @@ class TestLuGatherInAsync:
         assert (act.color, act.dest) == ("E", pt(3, 0))
 
 
+THREE_COLOR = get_algorithm("three-color")
+SIX_COLOR = get_algorithm("six-color")
+
+
 class TestSimWrapper:
     def test_all_s_enabled_runs_inner(self):
         pts = [((0, 0), "S"), ((2, 0), "S"), ((2, 2), "S"), ((0, 2), "S")]
-        act = three_color_gather(make_snap(pts, (0, 0), "S"))
+        act = THREE_COLOR(make_snap(pts, (0, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(1, 1))
         assert act.inner_exec
 
     def test_all_s_not_enabled_does_nothing(self):
         pts = [((0, 0), "S"), ((2, 0), "S"), ((2, 2), "S"), ((0, 2), "S"), ((1, 1), "S")]
-        act = three_color_gather(make_snap(pts, (1, 1), "S"))
+        act = THREE_COLOR(make_snap(pts, (1, 1), "S"))
         assert (act.color, act.dest) == ("S", pt(1, 1))
         assert not act.inner_exec
 
     def test_s_m_mix_flips_m_in_place(self):
         pts = [((0, 0), "S"), ((2, 0), "M"), ((2, 2), "S"), ((0, 2), "S")]
-        act = three_color_gather(make_snap(pts, (0, 0), "S"))
+        act = THREE_COLOR(make_snap(pts, (0, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(0, 0))
 
     def test_m_e_mix_flips_e_in_place(self):
         pts = [((0, 0), "M"), ((2, 0), "E"), ((2, 2), "M"), ((0, 2), "M")]
-        act = three_color_gather(make_snap(pts, (0, 0), "M"))
+        act = THREE_COLOR(make_snap(pts, (0, 0), "M"))
         assert (act.color, act.dest) == ("E", pt(0, 0))
-        stay = three_color_gather(make_snap(pts, (2, 0), "E"))
+        stay = THREE_COLOR(make_snap(pts, (2, 0), "E"))
         assert (stay.color, stay.dest) == ("E", pt(2, 0))
 
     def test_e_s_mix_flips_s(self):
         pts = [((0, 0), "E"), ((2, 0), "S"), ((2, 2), "E"), ((0, 2), "E")]
-        act = three_color_gather(make_snap(pts, (0, 0), "E"))
+        act = THREE_COLOR(make_snap(pts, (0, 0), "E"))
         assert (act.color, act.dest) == ("S", pt(0, 0))
 
     def test_wrapper_preserves_inner_color_through_phases(self):
         pts = [((0, 0), "S.B"), ((2, 0), "M.A"), ((2, 2), "S.A"), ((0, 2), "S.A")]
-        act = six_color_gather(make_snap(pts, (0, 0), "S.B"))
+        act = SIX_COLOR(make_snap(pts, (0, 0), "S.B"))
         assert act.color == "M.B"
 
     def test_six_color_runs_inner_gatherer_once_collinear(self):
         pts = [((0, 0), "S.A"), ((2, 0), "S.A")]
-        act = six_color_gather(make_snap(pts, (0, 0), "S.A"))
+        act = SIX_COLOR(make_snap(pts, (0, 0), "S.A"))
         assert (act.color, act.dest) == ("M.B", pt(1, 0))
         assert act.inner_exec
 
     def test_six_color_wraps_line_election(self):
         pts = [((0, 0), "S.A"), ((2, 0), "S.A"), ((2, 2), "S.A"), ((0, 2), "S.A")]
-        act = six_color_gather(make_snap(pts, (0, 0), "S.A"))
+        act = SIX_COLOR(make_snap(pts, (0, 0), "S.A"))
         assert (act.color, act.dest) == ("M.A", pt(1, 1))
 
     def test_gathered_fixpoint(self):
         pts = [((1, 1), "S"), ((1, 1), "S")]
-        act = three_color_gather(make_snap(pts, (1, 1), "S"))
+        act = THREE_COLOR(make_snap(pts, (1, 1), "S"))
         assert (act.color, act.dest) == ("S", pt(1, 1))
 
     @pytest.mark.parametrize("alg", ["three-color", "six-color"])
@@ -340,11 +349,9 @@ def test_sim_wrapper_inner_enabled_test_matches_inner():
 
     def fake_inner(snap):
         inner_calls.append(snap)
-        from lumigather.algorithms import Action
-
         return Action(snap.own_light, snap.own_pos)  # never enabled
 
-    wrapped = sim_for_unfair(fake_inner)
+    wrapped = sim_for_unfair(AlgorithmSpec("fake", ("O",), "O", fake_inner))
     pts = [((0, 0), "S"), ((2, 0), "S"), ((1, 5), "S")]
     act = wrapped(make_snap(pts, (0, 0), "S"))
     assert (act.color, act.dest) == ("S", pt(0, 0))
@@ -374,3 +381,51 @@ def test_equivariance_random_frames(alg):
             act = spec(moved)
             assert act.color == base.color
             assert frame.inverse_apply(act.dest) == base.dest
+
+
+# -- compositions ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("inner,k", [("lu-gather", 2), ("elect-one-lds", 1)])
+def test_sim_takes_three_colors_per_inner_color(inner, k):
+    """The paper's 3k: a one-color inner algorithm never changes a light."""
+    spec = sim_for_unfair(get_algorithm(inner))
+    assert len(spec.colors) == 3 * k
+    assert spec.id == f"sim({inner})" and spec.inner is get_algorithm(inner)
+
+
+def test_registered_composites_are_built_by_the_combinators():
+    elect, lu = get_algorithm("elect-one-lds"), get_algorithm("lu-gather")
+    six, three = get_algorithm("six-color"), get_algorithm("three-color")
+    built_six = sim_for_unfair(then(elect, lu))
+    built_three = then(sim_for_unfair(elect), get_algorithm("lu-gather-async"))
+    assert six.inner.id == "then(elect-one-lds, lu-gather)" and three.inner is None
+    for spec, built in ((six, built_six), (three, built_three)):
+        fields = ("colors", "initial", "needs_onlds_start", "potential", "goal", "checks")
+        assert [getattr(spec, f) for f in fields] == [getattr(built, f) for f in fields]
+    assert six.colors == tuple(f"{p}.{i}" for p in "SME" for i in "AB")
+    assert (six.initial, three.colors, three.initial) == ("S.A", ("S", "M", "E"), "S")
+
+
+@pytest.mark.parametrize("inner", ["lu-gather", "elect-one-lds"])
+def test_a_composition_with_no_registry_name_runs_and_checks(inner, monkeypatch):
+    """sim(X) under ASYNC, registered by the test alone, passes its checks.
+
+    ``cycle`` reads ``spec.inner``, not an algorithm name: it checks the
+    color cycles of the whole run, although sim(lu-gather) starts on a line,
+    and a run whose configuration changes has at least one.
+    """
+    spec = sim_for_unfair(get_algorithm(inner))
+    monkeypatch.setitem(ALGORITHMS, spec.id, spec)
+    goal = ["gather"] if inner == "lu-gather" else []
+    assert default_checks(spec.id, "async") == ["replay", "cycle", "switch"] + goal
+    for policy in POLICIES:
+        summary = fuzz(
+            spec.id, "async", 8, seed=5, n_range=(2, 5), bound=8, policy=policy, keep_traces=True
+        )
+        assert summary.ok, summary.failures
+        for out in summary.outcomes:
+            cycle = next(r for r in out.reports if r.check == "cycle-snapshot")
+            changed = len(TraceData.of(out.trace).config_times) > 1
+            assert (cycle.extras["cycles"] > 0) == changed
+            assert out.trace.status == ("gathered" if goal else "fixpoint")

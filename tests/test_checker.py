@@ -25,10 +25,10 @@ from lumigather.checker import (
     validate_trace,
 )
 from lumigather.configuration import Frame, Snapshot
-from lumigather.engine import BudgetExhausted, Scenario, Trace, run
+from lumigather.engine import SCHEDULERS, BudgetExhausted, Scenario, Trace, run
 from lumigather.fuzz import random_scenario
 from lumigather.geometry import Point, hull_center, pt
-from lumigather.rational import Rat
+from lumigather.rational import Rat, format_rat
 
 import test_golden
 from conftest import identity_frame, make_snap
@@ -530,20 +530,33 @@ class TestNegativeControls:
         assert tr.status == "gathered" and validate_trace(tr).passed
         bad = Trace.parse(tr.dumps())
         end = bad.lines[-1]
+        t = end["t"]
         if damage == "truncated":
             bad.lines.pop()
+            want = [(None, "trace has no End line")]
         elif damage == "event-after-end":
-            bad.lines.append({"kind": "Look", "t": end["t"], "robot": 0})
+            # the Look also leaves robot 0 mid-cycle at the last event
+            bad.lines.append({"kind": "Look", "t": t, "robot": 0})
+            want = [
+                (t, "1 line(s) after the End line"),
+                (t, "robot 0 is mid-cycle at End: its last cycle is L"),
+                (t, f"End at t={t}, but the first terminal instant is t={t + 1}"),
+            ]
         elif damage == "end-time":
-            # an End after the last Config line is legal; one instant later
-            # than the step budget allows is not
+            # one instant after the first terminal instant, and one more step
+            # than the step budget allows
             td = TraceData(tr)
-            bad.lines[0]["step_budget"] = td.end_time + td.robot_events - 1
+            bad.lines[0]["step_budget"] = steps = td.end_time + td.robot_events - 1
             end["t"] += 1
+            want = [
+                (t + 1, f"End at t={t + 1}, but the first terminal instant is t={t}"),
+                (t + 1, f"End status gathered after {steps + 1} steps of a budget of {steps}"),
+            ]
         else:
             end["status"] = "fixpoint"
+            want = [(t, "End status fixpoint disagrees with the final configuration")]
         rep = validate_trace(bad)
-        assert not rep.passed and len(rep.violations) == 1
+        assert [(v["t"], v["detail"]) for v in rep.violations] == want
 
 
 @pytest.mark.parametrize("scheduler", ["fsync", "ssync", "ssync-unfair"])
@@ -671,6 +684,51 @@ def test_checks_evaluate_each_action_once_on_their_own_configurations(monkeypatc
     td = TraceData(Trace.parse(tr.dumps()))
     assert [str(CHECKS[name](td)) for name in names] == reports
     assert len(seen) > len(memoized)
+
+
+# every registered algorithm under every scheduler, as the checks were read
+# from algorithm names before specs carried them
+DEFAULT_CHECKS = {
+    "elect-one-lds": {
+        "fsync": ["replay", "monotone"],
+        "ssync": ["replay", "monotone"],
+        "ssync-unfair": ["replay", "monotone"],
+        "async": ["replay"],
+    },
+    "lu-gather": {
+        "fsync": ["replay", "monotone", "gather"],
+        "ssync": ["replay", "monotone", "gather"],
+        "ssync-unfair": ["replay", "monotone", "gather"],
+        "async": ["replay", "gather"],
+    },
+    "six-color": {
+        "fsync": ["replay", "cycle", "switch", "gather"],
+        "ssync": ["replay", "cycle", "switch", "gather"],
+        "ssync-unfair": ["replay", "cycle", "switch", "gather"],
+        "async": ["replay", "cycle", "switch", "gather"],
+    },
+    "lu-gather-async": {
+        "fsync": ["replay", "shrink", "gather"],
+        "ssync": ["replay", "shrink", "gather"],
+        "ssync-unfair": ["replay", "shrink", "gather"],
+        "async": ["replay", "shrink", "gather"],
+    },
+    "three-color": {
+        "fsync": ["replay", "cycle", "switch", "gather"],
+        "ssync": ["replay", "cycle", "switch", "gather"],
+        "ssync-unfair": ["replay", "cycle", "switch", "gather"],
+        "async": ["replay", "cycle", "switch", "gather"],
+    },
+}
+
+
+def test_default_checks_table():
+    got = {
+        alg: {sched: checker.default_checks(alg, sched) for sched in SCHEDULERS}
+        for alg in algorithms.ALGORITHMS
+    }
+    assert got == DEFAULT_CHECKS
+    assert list(got) == list(DEFAULT_CHECKS)
 
 
 class TestMalformedTraceData:
@@ -1362,3 +1420,83 @@ def test_replay_flags_a_run_that_ends_over_its_step_budget(name):
         {"t": tr.end_time,
          "detail": f"End status {tr.status} after {steps} steps of a budget of {steps - 1}"}
     ]
+
+
+# --------------------------------------------------------------------------
+# A gathered or fixpoint End claims the first terminal instant
+# --------------------------------------------------------------------------
+
+
+def _scenario_trace(name):
+    return Trace.parse(run(Scenario.load(SCENARIOS / name)).dumps())
+
+
+def _reparse(lines):
+    return Trace.parse("".join(json.dumps(l) + "\n" for l in lines))
+
+
+def _violations(tr):
+    return [(v["t"], v["detail"]) for v in validate_trace(tr).violations]
+
+
+@pytest.mark.parametrize("cut", [0, 2, 4])
+def test_a_round_trace_cut_with_a_fixpoint_end_fails_replay_alone(cut):
+    """An elect-one-lds run cut before its line forms, passed off as a fixpoint.
+
+    Its default checks are replay and monotone, and monotone passes: only
+    replay's terminal rule tells that a robot is still enabled.
+    """
+    tr = _scenario_trace("rectangle-unfair.json")
+    kept = [l for l in tr.lines[1:-1] if l["t"] < cut or (l["t"] == cut and l["kind"] == "Config")]
+    forged = _reparse(tr.lines[:1] + kept + [{"kind": "End", "t": cut, "status": "fixpoint"}])
+    assert not TraceData(forged).config_at(cut).on_lds
+    assert _violations(forged) == [(cut, "End status fixpoint while a robot is enabled")]
+    assert CHECKS["monotone"](forged).passed
+
+
+def test_an_async_trace_cut_with_a_fixpoint_end_fails_replay():
+    tr = _scenario_trace("square.json")
+    kept = [l for l in tr.lines[1:-1] if l["t"] <= 12]
+    forged = _reparse(tr.lines[:1] + kept + [{"kind": "End", "t": 13, "status": "fixpoint"}])
+    assert _violations(forged) == [
+        (13, "robot 1 is mid-cycle at End: its last cycle is L"),
+        (13, "robot 2 is mid-cycle at End: its last cycle is L"),
+        (13, "End status fixpoint while a robot is enabled"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,shift", [("square.json", 1), ("square.json", -1), ("line-lu.json", 1)]
+)
+def test_an_end_moved_off_the_first_terminal_instant_fails_replay(name, shift):
+    tr = _scenario_trace(name)
+    t = tr.end_time
+    assert validate_trace(tr).passed
+    tr.lines[-1]["t"] += shift
+    assert _violations(_reparse(tr.lines)) == [
+        (t + shift, f"End at t={t + shift}, but the first terminal instant is t={t}")
+    ]
+
+
+def test_a_deleted_final_compute_leaves_its_robot_mid_cycle():
+    tr = _scenario_trace("square.json")
+    i = max(i for i, l in enumerate(tr.lines) if l["kind"] == "Compute")
+    rid = tr.lines.pop(i)["robot"]
+    assert _violations(_reparse(tr.lines)) == [
+        (tr.end_time, f"robot {rid} is mid-cycle at End: its last cycle is L")
+    ]
+
+
+def test_a_null_round_after_the_fixpoint_fails_replay():
+    tr = _scenario_trace("line-lu.json")
+    t = tr.end_time
+    td = TraceData(tr)
+    pos, color = td.visible_pos(0, t), td.visible_color(0, t)
+    dest = [format_rat(pos.x), format_rat(pos.y)]
+    null_round = [
+        {"kind": "RoundStart", "t": t, "activated": [0]},
+        {"kind": "Look", "t": t, "robot": 0},
+        {"kind": "Compute", "t": t, "robot": 0, "color": color, "dest": dest, "exec": False},
+    ]
+    forged = _reparse(tr.lines[:-1] + null_round + [dict(tr.lines[-1], t=t + 1)])
+    assert _violations(forged) == [(t, f"round at t={t} starts with no robot enabled")]

@@ -174,12 +174,13 @@ class TestEnabled:
 class TestObserveTiming:
     """Asynchronous visibility rules driven through explicit adversary choices."""
 
-    def _world(self):
+    def _world(self, **kw):
         sc = scen(
             [((0, 0), "S"), ((8, 0), "S")],
             scheduler="async",
             algorithm="lu-gather-async",
             fairness_bound=100,
+            **kw,
         )
         return AsyncWorld(sc)
 
@@ -224,7 +225,9 @@ class TestObserveTiming:
             w.async_step(("move_end", 0))
 
     def test_rejected_choice_leaves_the_world_unchanged(self):
-        w = self._world()
+        # eight legal steps; the world is not terminal, so the run ends on
+        # its step budget
+        w = self._world(step_budget=8)
         for choice in (
             ("look", 0),
             ("advance",),
@@ -241,7 +244,7 @@ class TestObserveTiming:
         assert world_state(w) == before
         for choice in (("advance",), ("move_end", 0), ("advance",)):
             w.async_step(choice)
-        w.trace.end(w.t, "fixpoint")
+        w.trace.end(w.t, "budget")
         # instant 1 shows nothing new: robot 0's color shows from 2
         assert [ln["t"] for ln in w.trace.lines if ln["kind"] == "Config"] == [0, 2, 3, 4]
         assert validate_trace(w.trace).passed
