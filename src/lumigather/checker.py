@@ -111,7 +111,7 @@ class _MoveRec:
 
 
 class TraceData:
-    """Parsed trace with per-robot timelines and visible-state queries.
+    """Parsed trace with per-robot timelines and shown-state queries.
 
     One pass over the lines builds every record, per robot in line order:
     ``looks``, the time of each Look; ``computes``, one ``(t, color, dest,
@@ -121,19 +121,28 @@ class TraceData:
     (L, C, B, E), whose number is ``robot_events``.  Lines never go back in
     time, so within one instant line order is the order of the events.
 
+    The same pass states the asynchronous timing rule once: each event
+    records the entry change it causes at the instant that shows it.  A
+    Compute's color and a MoveEnd's reach show from the next instant, a
+    MoveProgress point at its own; a MoveBegin shows nothing.  A move has
+    exactly one MoveProgress line at each instant after its begin up to its
+    end (or the last instant), and a round one RoundStart line.  One forward
+    sweep then applies the changes in time order, line order within an
+    instant, and keeps the robot-order row of each instant in
+    ``shown_times``: ``shown(t)`` is the row of the latest one at or before
+    t and ``replayed(t)`` its interned configuration, derived from the
+    events alone.
+
     Every raw ``(x, y)`` pair is parsed once and mapped to a single Point, so
     equal coordinates share one object.  ``configs`` maps each instant that
     has a Config line to its entries and ``config_times`` lists those
     instants; a trace has a line at instant 0 and wherever the configuration
     changes, so ``config_at(t)`` reads the latest line at or before t.
     ``last_t`` is the instant of the last line, End's in a valid trace.
-    ``replayed(t)`` derives the configuration at t from the events alone: it
-    changes only at the instants that ``_change_times`` lists, and at each
-    of them only the robots whose visible state an event may have changed
-    are recomputed.
     ``scenario`` is the header as ``Scenario.from_json`` reads it.  Malformed
-    input raises ValueError, as do lines out of time order and colors
-    outside the algorithm's alphabet.  Checks obtain their instance through
+    input raises ValueError, as do lines out of time order, colors outside
+    the algorithm's alphabet and a second Config, RoundStart or MoveProgress
+    line where one is allowed.  Checks obtain their instance through
     ``TraceData.of``, which builds it once per trace.
     """
 
@@ -187,10 +196,9 @@ class TraceData:
         self.computes = computes = [[] for _ in range(n)]
         self.moves = moves = [[] for _ in range(n)]
         self.phases = phases = [[] for _ in range(n)]
-        self._comp_times = comp_times = [[] for _ in range(n)]
-        self._move_tbs = move_tbs = [[] for _ in range(n)]
-        # instant t -> the robots whose visible state may differ from t-1's
-        self._changes = changes = defaultdict(set)
+        # instant -> the (robot, pos, color) entry changes it shows, in line
+        # order; None leaves that half of the entry as it was
+        shows = defaultdict(list)
         pos = [p for p, _ in self.scenario.robots]  # where each robot's next move starts
         colors = self.algorithm.colors
         point = self.point
@@ -198,9 +206,8 @@ class TraceData:
         no_keys = _LINE_KEYS[None]
         last_time = 0
         # each event's branch records its phase letter (a MoveProgress has
-        # none) and the instant from which its robot shows it: a new color, the
-        # leaving of the origin or the reach from the next instant, a progress
-        # point at once
+        # none) and its entry change in ``shows``: a new color or the reach
+        # from the next instant, a progress point at once
         for i in range(1, len(lines)):
             ln = lines[i]
             if type(ln) is not dict:
@@ -236,32 +243,42 @@ class TraceData:
                         json_typed(ex, bool, f"trace line {i + 1}: exec")
                     t_look = looks[rid][-1] if looks[rid] else None
                     computes[rid].append((t, color, dest, ex, t_look))
-                    comp_times[rid].append(t)
                     phases[rid].append((t, "C"))
-                    changes[t + 1].add(rid)
+                    shows[t + 1].append((rid, None, color))
                 elif kind == "MoveBegin":
                     reach = point(ln["reach"])
                     moves[rid].append(_MoveRec(t, pos[rid], reach, len(computes[rid]) - 1))
-                    move_tbs[rid].append(t)
                     phases[rid].append((t, "B"))
-                    changes[t + 1].add(rid)
                 elif not moves[rid]:
                     raise ValueError(f"{kind} without MoveBegin (robot {rid}, t={t})")
                 elif kind == "MoveProgress":
-                    moves[rid][-1].progress[t] = point(ln["pos"])
-                    changes[t].add(rid)
+                    m = moves[rid][-1]
+                    if t in m.progress:
+                        raise ValueError(
+                            f"trace line {i + 1}: a second MoveProgress line of robot {rid} for t={t}"
+                        )
+                    if t <= m.t_b or (m.t_e is not None and t > m.t_e):
+                        end = "" if m.t_e is None else f" and ended at t={m.t_e}"
+                        raise ValueError(
+                            f"trace line {i + 1}: MoveProgress at t={t} outside robot {rid}'s "
+                            f"move begun at t={m.t_b}{end}"
+                        )
+                    m.progress[t] = p = point(ln["pos"])
+                    shows[t].append((rid, p, None))
                 else:
                     m = moves[rid][-1]
                     m.t_e = t
                     m.end_pos = pos[rid] = point(ln["pos"])
                     phases[rid].append((t, "E"))
-                    changes[t + 1].add(rid)
+                    shows[t + 1].append((rid, m.reach, None))
             elif kind == "End":
                 if self.lines_after_end is None:
                     self.status = ln["status"]
                     self.end_time = t
                     self.lines_after_end = len(lines) - 1 - i
             elif kind == "RoundStart":
+                if t in self.rounds:
+                    raise ValueError(f"trace line {i + 1}: a second RoundStart line for t={t}")
                 for rid in json_typed(ln["activated"], list, f"trace line {i + 1}: activated"):
                     if type(rid) is not int or not 0 <= rid < n:
                         self._bad_robot(rid, ln)
@@ -269,24 +286,32 @@ class TraceData:
         self.robot_events = sum(map(len, phases))
         self.config_times = list(self.configs)  # sorted, as the lines are in time order
         self.last_t = last_time
-        self._change_times = sorted(changes)
-        self.cache = ConfigInterner()
-        self._at = {}
-        self._replayed = {}
-        self._row = [None] * n  # robot-order entries of instant _row_t
-        self._row_t = None
         for rid, ms in enumerate(moves):
             for j, m in enumerate(ms):
-                # visible_pos reads this move's progress up to its end, the
-                # robot's next MoveBegin or the last instant of the trace
+                # a move shows a progress point at every instant after its
+                # begin up to its end, the robot's next MoveBegin or the last
+                # instant of the trace
                 stop = last_time if m.t_e is None else m.t_e
                 if j + 1 < len(ms):
                     stop = min(stop, ms[j + 1].t_b)
-                if sum(m.t_b < t <= stop for t in m.progress) < stop - m.t_b:
+                if len(m.progress) < stop - m.t_b:
                     raise ValueError(
                         f"robot {rid}: move begun at t={m.t_b} lacks a MoveProgress "
                         f"line at some instant up to t={stop}"
                     )
+        # the forward pass: the row of every instant at which an entry changes
+        row = list(self.scenario.robots)
+        self.shown_times = [0]
+        self._rows = [tuple(row)]
+        for s in sorted(shows):
+            for rid, p, c in shows[s]:
+                old_p, old_c = row[rid]
+                row[rid] = (old_p if p is None else p, old_c if c is None else c)
+            self.shown_times.append(s)
+            self._rows.append(tuple(row))
+        self.cache = ConfigInterner()
+        self._replayed = [None] * len(self._rows)
+        self._logged = [None] * len(self.config_times)
 
     def _bad_robot(self, rid, ln):
         """Raise ValueError: ``rid`` is no robot id of line ``ln``'s trace."""
@@ -331,69 +356,40 @@ class TraceData:
     def config_at(self, t):
         """Interned configuration the Config lines give for instant t.
 
-        That of the latest line at or before t, found by bisection; None if
-        no line comes at or before t.
+        That of the latest line at or before t, found by bisection and
+        interned on first use; None if no line comes at or before t.
         """
-        cfg = self._at.get(t)
+        k = bisect_right(self.config_times, t) - 1
+        if k < 0:
+            return None
+        cfg = self._logged[k]
         if cfg is None:
-            times = self.config_times
-            k = bisect_right(times, t)
-            if not k:
-                return None
-            s = times[k - 1]
-            cfg = self._at.get(s)
-            if cfg is None:
-                cfg = self._at[s] = self.cache.get(self.configs[s])
+            cfg = self._logged[k] = self.cache.get(self.configs[self.config_times[k]])
         return cfg
 
-    # -- visible state (asynchronous timing rules; a round is one instant) ---
+    # -- shown state (asynchronous timing rules; a round is one instant) -----
 
-    def visible_color(self, rid, t):
-        """Color observed at time t: a change at exactly t is not yet seen."""
-        i = bisect_left(self._comp_times[rid], t)
-        if i == 0:
-            return self.scenario.robots[rid][1]
-        return self.computes[rid][i - 1][1]
+    def shown(self, t):
+        """Robot-order ``(pos, color)`` entries the robots show at instant t >= 0.
 
-    def visible_pos(self, rid, t):
-        i = bisect_left(self._move_tbs[rid], t)  # moves with t_b < t
-        if i == 0:
-            return self.scenario.robots[rid][0]
-        m = self.moves[rid][i - 1]
-        if m.t_e is not None and t >= m.t_e + 1:
-            return m.reach
-        return m.progress[t]
+        The row of the latest change instant at or before t, found by
+        bisection.  A change at exactly t is a progress point; a color or
+        reach written at t is not seen before t+1.
+        """
+        return self._rows[bisect_right(self.shown_times, t) - 1]
 
     def replayed(self, t):
-        """Interned configuration every robot observes at instant t.
+        """Interned configuration every robot observes at instant t >= 0.
 
         Derived from the header and the robot events alone, never from the
-        Config lines.  A round is one instant, so a round-based trace
-        replays through the same timing rules.  What a robot shows changes
-        only at the instants that ``_change_times`` lists, so instant t
-        shows the configuration of the latest of them at or before t (0 if
-        none).  When the robot-order row was last computed at or after the
-        change instant before that one, only the robots that ``_changes``
-        lists for it are recomputed.
+        Config lines: ``shown(t)``, interned on first use.  A round is one
+        instant, so a round-based trace replays through the same timing
+        rules.
         """
-        cfg = self._replayed.get(t)
-        if cfg is not None:
-            return cfg
-        times = self._change_times
-        k = bisect_right(times, t)
-        s = times[k - 1] if k else 0
-        cfg = self._replayed.get(s)
+        k = bisect_right(self.shown_times, t) - 1
+        cfg = self._replayed[k]
         if cfg is None:
-            row = self._row
-            row_t = self._row_t
-            if row_t is not None and (times[k - 2] if k > 1 else 0) <= row_t < s:
-                for i in self._changes[s]:
-                    row[i] = (self.visible_pos(i, s), self.visible_color(i, s))
-            else:
-                row[:] = [(self.visible_pos(i, s), self.visible_color(i, s)) for i in range(self.n)]
-            cfg = self._replayed[s] = self.cache.get(tuple(row))
-            self._row_t = s
-        self._replayed[t] = cfg
+            cfg = self._replayed[k] = self.cache.get(self._rows[k])
         return cfg
 
     def pending_state(self, rid, t):
@@ -407,12 +403,12 @@ class TraceData:
         leftover.  None: neither.
         """
         cs = self.computes[rid]
-        i = bisect_right(self._comp_times[rid], t)
+        i = bisect_right(cs, t, key=lambda c: c[0])
         if i:
             t_c, color, dest, _, _ = cs[i - 1]
             ms = [m for m in self.moves[rid] if m.t_b >= t_c]
             ended = ms and ms[0].t_e is not None and ms[0].t_e <= t
-            origin = ms[0].origin if ms else self.visible_pos(rid, t_c)
+            origin = ms[0].origin if ms else self.shown(t_c)[rid][0]
             if dest != origin and not ended:
                 return ("move", dest)
         j = bisect_left(self.looks[rid], t)
@@ -473,7 +469,7 @@ def validate_trace(trace):
     configs = td.configs
     end = td.last_t if td.end_time is None else td.end_time
     prev = None  # the replayed configuration of the previous instant
-    for t in sorted({0, *td._change_times, *td.config_times}):
+    for t in sorted({*td.shown_times, *td.config_times}):
         if t > end:
             break
         cfg = td.replayed(t)
@@ -602,9 +598,7 @@ def _validate_computes(td, rid, rep):
         if tl is None:
             rep.violate(tc, f"robot {rid}: Compute without Look")
             continue
-        act = _action(
-            td, rep, tl, td.replayed(tl), td.visible_pos(rid, tl), td.visible_color(rid, tl)
-        )
+        act = _action(td, rep, tl, td.replayed(tl), *td.shown(tl)[rid])
         if act is not None and (
             act.color != color or act.dest != dest or bool(act.inner_exec) != ex
         ):
@@ -638,7 +632,7 @@ def _validate_moves(td, rid, rep):
     looks = td.looks[rid]
     moved = {m.compute for m in td.moves[rid]}
     for ci, (tc, _, dest, _, _) in enumerate(cs):
-        if ci in moved or dest == td.visible_pos(rid, tc):
+        if ci in moved or dest == td.shown(tc)[rid][0]:
             continue
         if td.scenario.scheduler != "async" or (looks and looks[-1] > tc):
             rep.violate(tc, f"robot {rid}: Compute's move left out")
@@ -708,7 +702,8 @@ def check_monotone(trace, which=None):
         if which == "g" and not cfg.on_lds:
             rep.violate(t, _OFF_LINE)
             continue
-        seen = ((td.visible_pos(r, t), td.visible_color(r, t)) for r in td.rounds[t])
+        row = td.shown(t)
+        seen = (row[r] for r in td.rounds[t])
         if _any_acts(td, rep, t, cfg, seen):
             rounds += 1
             if which == "g" and not nxt.on_lds:
@@ -963,7 +958,7 @@ def check_onlds_switch(trace):
 
     states = []
     for rid in range(td.n):
-        color = phase_of(td.visible_color(rid, t_star + 1))
+        color = phase_of(td.shown(t_star + 1)[rid][1])
         pending, value = td.pending_state(rid, t_star) or (None, None)
         if pending == "move":
             if not on_line(value):

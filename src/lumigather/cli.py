@@ -170,15 +170,20 @@ def cmd_plot(args):
 
 
 def render_svg(td, size=640):
-    """Deterministic SVG of robot trajectories colored by light, one point per instant."""
-    times = range(td.last_t + 1)
+    """Deterministic SVG of robot trajectories colored by light, one point per instant.
+
+    The instants run from 0 to the last one at which a robot shows a change,
+    or to End if that comes first: a later End adds no point.
+    """
+    last = td.shown_times[-1]
+    times = range(1 + (last if td.end_time is None else min(last, td.end_time)))
+    rows = [td.shown(t) for t in times]
     paths = []
     xs, ys = [], []
     for rid in range(td.n):
         pts = []
-        for t in times:
-            p = td.visible_pos(rid, t)
-            c = td.visible_color(rid, t)
+        for t, row in enumerate(rows):
+            p, c = row[rid]
             pts.append((float(p.x), float(p.y), c, t))
             xs.append(float(p.x))
             ys.append(float(p.y))

@@ -1491,7 +1491,7 @@ def test_a_null_round_after_the_fixpoint_fails_replay():
     tr = _scenario_trace("line-lu.json")
     t = tr.end_time
     td = TraceData(tr)
-    pos, color = td.visible_pos(0, t), td.visible_color(0, t)
+    pos, color = td.shown(t)[0]
     dest = [format_rat(pos.x), format_rat(pos.y)]
     null_round = [
         {"kind": "RoundStart", "t": t, "activated": [0]},

@@ -335,6 +335,46 @@ class TestCheck:
     @pytest.mark.parametrize(
         "damage,message",
         [
+            ("progress-repeated", "a second MoveProgress line of robot"),
+            ("progress-at-begin", "outside robot"),
+            ("progress-after-end", "outside robot"),
+            ("roundstart-repeated", "a second RoundStart line for t=0"),
+        ],
+    )
+    def test_a_line_the_shown_state_cannot_take_exits_2(self, tmp_path, capsys, damage, message):
+        # the engine writes one MoveProgress line per instant of a move after
+        # its begin up to its end, and one RoundStart line per round
+        if damage == "roundstart-repeated":
+            lines = self._trace_lines(tmp_path, capsys, "line-lu.json")
+            i = next(k for k, l in enumerate(lines) if l["kind"] == "RoundStart")
+            lines.insert(i, dict(lines[i]))
+        else:
+            lines = self._trace_lines(tmp_path, capsys)
+            i = next(k for k, l in enumerate(lines) if l["kind"] == "MoveBegin")
+            rid, t_b = lines[i]["robot"], lines[i]["t"]
+            mine = [(k, l["kind"]) for k, l in enumerate(lines) if k > i and l.get("robot") == rid]
+            j = next(k for k, kind in mine if kind == "MoveProgress")
+            k = next(k for k, kind in mine if kind == "MoveEnd")
+            if damage == "progress-repeated":
+                lines.insert(j, dict(lines[j]))
+            elif damage == "progress-at-begin":
+                # the robot's first move: at t_b it still shows its header point
+                start = lines[0]["robots"][rid]
+                lines.insert(i + 1, dict(lines[j], t=t_b, pos=[start["x"], start["y"]]))
+            else:
+                t = lines[k]["t"] + 1
+                at = next(m for m in range(k, len(lines)) if lines[m]["t"] >= t)
+                lines.insert(at, dict(lines[j], t=t))
+        bad = self._write(tmp_path / "bad.jsonl", lines)
+        assert main(["check", "--trace", bad]) == 2
+        assert main(["plot", "--trace", bad, "--out", str(tmp_path / "p.svg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count(message) == 2
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
             ("robots-not-array", "robots is not a JSON array"),
             ("config-entry-not-array", "malformed Config entries"),
             ("adversary-not-object", "adversary is not a JSON object"),
@@ -512,6 +552,14 @@ class TestPlot:
 
     def test_unreadable_exits_2(self, tmp_path):
         assert main(["plot", "--trace", str(tmp_path / "x"), "--out", str(tmp_path / "y")]) == 2
+
+    def test_a_later_end_adds_no_point(self):
+        # End moved from t=154 to t=40000: replay fails the trace, and its plot
+        # stops at the last instant at which a robot shows a change
+        tr = run(Scenario.load(SCENARIOS / "square.json"))
+        assert tr.end_time == 154
+        forged = tr.lines[:-1] + [dict(tr.lines[-1], t=40000)]
+        assert render_svg(TraceData(forged)) == render_svg(TraceData(tr))
 
     @pytest.mark.parametrize("name", sorted(SVG_DIGESTS))
     def test_svg_of_each_bundled_scenario_is_pinned(self, name):

@@ -408,7 +408,7 @@ def test_shown_state_matches_the_checker_replay(policy):
     td = TraceData(w.trace)
     for t, entries, own in seen:
         assert entries == td.replayed(t).entries
-        assert own == [(td.visible_pos(i, t), td.visible_color(i, t)) for i in range(n)]
+        assert own == [td.shown(t)[i] for i in range(n)]
     assert len(seen) > 100 and w.t > 10
 
 

@@ -26,8 +26,9 @@ rebuilds those bytes from a trace that has Config lines only where the
 configuration changes.
 
 On the same corpus, each trace must survive ``Trace.parse`` and ``dumps``
-byte for byte, the incremental ``TraceData.replayed`` must agree with a
-full per-robot recomputation at every instant, and ``replay`` must reject a
+byte for byte, ``TraceData.shown`` and ``replayed``, read from one forward
+pass over the trace, must agree at every instant with each robot's own
+latest Compute and move (``shown_by_robot``), and ``replay`` must reject a
 deleted changing Config line, an inserted repeated one and one after End.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
@@ -37,6 +38,8 @@ import copy
 import functools
 import hashlib
 import random
+from bisect import bisect_left
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import pytest
@@ -476,19 +479,49 @@ def test_parse_then_dumps_is_byte_identical(name):
     assert Trace.parse(text).dumps() == text
 
 
+def shown_by_robot(td, rid, t):
+    """Reference for ``TraceData.shown``: robot rid's entry at t from its own records.
+
+    The color of its latest Compute before t, found by bisection, and the
+    position of its latest move begun before t: the move's reach once it has
+    ended before t, else its progress point at t; before any of them, the
+    header's.
+    """
+    i = bisect_left(td.computes[rid], t, key=itemgetter(0))
+    color = td.computes[rid][i - 1][1] if i else td.scenario.robots[rid][1]
+    j = bisect_left(td.moves[rid], t, key=attrgetter("t_b"))
+    if j == 0:
+        return td.scenario.robots[rid][0], color
+    m = td.moves[rid][j - 1]
+    return (m.reach if m.t_e is not None and t > m.t_e else m.progress[t]), color
+
+
 @pytest.mark.parametrize("name", [n for n, _ in CORPUS])
 def test_incremental_replay_equals_full_recomputation(name):
     td = TraceData(Trace.parse(_text(name)))
-
-    def full(t):
-        return canonical([(td.visible_pos(i, t), td.visible_color(i, t)) for i in range(td.n)])
-
     times = range(td.end_time + 1)
-    expected = [full(t) for t in times]
+    rows = [tuple(shown_by_robot(td, i, t) for i in range(td.n)) for t in times]
+    expected = [canonical(row) for row in rows]
+    assert [td.shown(t) for t in times] == rows
     assert [td.replayed(t).entries for t in times] == expected
-    # out of order, each change instant is recomputed in full
+    # read backwards on a fresh instance: what is interned on first use
+    # does not depend on the order of the queries
     td = TraceData(Trace.parse(_text(name)))
     assert [td.replayed(t).entries for t in reversed(times)] == expected[::-1]
+    assert [td.shown(t) for t in reversed(times)] == rows[::-1]
+
+
+@pytest.mark.parametrize("name", [n for n, sc in CORPUS if sc.scheduler == "async"])
+def test_progress_lines_moved_last_in_their_instant_show_the_same(name):
+    # a progress point shows at its own instant and a color or reach at the
+    # next, whatever the order of the lines within an instant
+    tr = Trace.parse(_text(name))
+    moved = tr.lines[:1] + sorted(tr.lines[1:], key=lambda l: (l["t"], l["kind"] == "MoveProgress"))
+    assert moved != tr.lines
+    td, forged = TraceData(tr), TraceData(moved)
+    assert [forged.shown(t) for t in range(td.end_time + 1)] == [
+        td.shown(t) for t in range(td.end_time + 1)
+    ]
 
 
 if __name__ == "__main__":
