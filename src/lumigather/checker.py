@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .algorithms import ALGORITHMS, get_algorithm, phase_class, phase_of
-from .configuration import ConfigInterner, Frame, Snapshot
+from .configuration import ConfigInterner, Configuration, Frame, Snapshot
 from .engine import (
     Scenario,
     SyncWorld,
@@ -43,15 +43,17 @@ from .rational import Rat, parse_rat
 @dataclass
 class Report:
     check: str
-    passed: bool = True
     violations: list = field(default_factory=list)
     # always empty: every potential comparison is decided; the key stays in
     # ``to_json`` so that report lines keep their format
     undecided: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
+    @property
+    def passed(self):
+        return not self.violations
+
     def violate(self, t, detail):
-        self.passed = False
         self.violations.append({"t": t, "detail": detail})
 
     def to_json(self):
@@ -120,6 +122,9 @@ class TraceData:
     ``phases``, one ``(t, letter)`` per Look, Compute, MoveBegin and MoveEnd
     (L, C, B, E), whose number is ``robot_events``.  Lines never go back in
     time, so within one instant line order is the order of the events.
+    ``rests`` lists the instant of each robot event after which no robot is
+    mid-cycle, a MoveEnd or a Compute whose move is omitted, after a 0 that
+    stands for the start.
 
     The same pass states the asynchronous timing rule once: each event
     records the entry change it causes at the instant that shows it.  A
@@ -134,10 +139,11 @@ class TraceData:
     events alone.
 
     Every raw ``(x, y)`` pair is parsed once and mapped to a single Point, so
-    equal coordinates share one object.  ``configs`` maps each instant that
-    has a Config line to its entries and ``config_times`` lists those
-    instants; a trace has a line at instant 0 and wherever the configuration
-    changes, so ``config_at(t)`` reads the latest line at or before t.
+    equal coordinates share one object.  ``config_times`` lists the instants
+    that have a Config line and ``configs``, in the same order, the interned
+    configuration of each line; a trace has a line at instant 0 and wherever
+    the configuration changes, so ``config_at(t)`` reads the latest line at
+    or before t.
     ``last_t`` is the instant of the last line, End's in a valid trace.
     ``scenario`` is the header as ``Scenario.from_json`` reads it.  Malformed
     input raises ValueError, as do lines out of time order, colors outside
@@ -190,7 +196,9 @@ class TraceData:
         self.status = None
         self.end_time = None
         self.lines_after_end = None  # None: the trace has no End line
-        self.configs = {}
+        self.cache = ConfigInterner()
+        self.config_times = config_times = []
+        self.configs = configs = []
         self.rounds = {}
         self.looks = looks = [[] for _ in range(n)]
         self.computes = computes = [[] for _ in range(n)]
@@ -200,9 +208,10 @@ class TraceData:
         # order; None leaves that half of the entry as it was
         shows = defaultdict(list)
         pos = [p for p, _ in self.scenario.robots]  # where each robot's next move starts
+        mid = set()  # the robots between a Look and the end of its cycle
+        self.rests = rests = [0]
         colors = self.algorithm.colors
         point = self.point
-        configs = self.configs
         no_keys = _LINE_KEYS[None]
         last_time = 0
         # each event's branch records its phase letter (a MoveProgress has
@@ -213,6 +222,9 @@ class TraceData:
             if type(ln) is not dict:
                 json_typed(ln, dict, f"trace line {i + 1}")
             kind = ln.get("kind")
+            if type(kind) is not str:
+                json_object(ln, sorted(no_keys), f"trace line {i + 1}")
+                json_typed(kind, str, f"trace line {i + 1}: kind")
             need = _LINE_KEYS.get(kind, no_keys)
             if not ln.keys() >= need:
                 json_object(ln, sorted(need), f"trace line {i + 1}")
@@ -223,9 +235,10 @@ class TraceData:
                 raise ValueError(f"trace line {i + 1}: t={t} comes after a line at t={last_time}")
             last_time = t
             if kind == "Config":
-                if t in configs:
+                if config_times and config_times[-1] == t:
                     raise ValueError(f"trace line {i + 1}: a second Config line for t={t}")
-                configs[t] = self._config_entries(ln["entries"], i)
+                config_times.append(t)
+                configs.append(self._line_config(ln["entries"], i))
             elif kind in _ROBOT_EVENTS:
                 rid = ln["robot"]
                 if type(rid) is not int or not 0 <= rid < n:
@@ -233,6 +246,7 @@ class TraceData:
                 if kind == "Look":
                     looks[rid].append(t)
                     phases[rid].append((t, "L"))
+                    mid.add(rid)
                 elif kind == "Compute":
                     color = ln["color"]
                     if color not in colors:
@@ -245,6 +259,10 @@ class TraceData:
                     computes[rid].append((t, color, dest, ex, t_look))
                     phases[rid].append((t, "C"))
                     shows[t + 1].append((rid, None, color))
+                    if dest == pos[rid]:  # the move is omitted and the cycle ends
+                        mid.discard(rid)
+                        if not mid:
+                            rests.append(t)
                 elif kind == "MoveBegin":
                     reach = point(ln["reach"])
                     moves[rid].append(_MoveRec(t, pos[rid], reach, len(computes[rid]) - 1))
@@ -271,6 +289,9 @@ class TraceData:
                     m.end_pos = pos[rid] = point(ln["pos"])
                     phases[rid].append((t, "E"))
                     shows[t + 1].append((rid, m.reach, None))
+                    mid.discard(rid)
+                    if not mid:
+                        rests.append(t)
             elif kind == "End":
                 if self.lines_after_end is None:
                     self.status = ln["status"]
@@ -284,7 +305,6 @@ class TraceData:
                         self._bad_robot(rid, ln)
                 self.rounds[t] = ln["activated"]
         self.robot_events = sum(map(len, phases))
-        self.config_times = list(self.configs)  # sorted, as the lines are in time order
         self.last_t = last_time
         for rid, ms in enumerate(moves):
             for j, m in enumerate(ms):
@@ -309,9 +329,7 @@ class TraceData:
                 row[rid] = (old_p if p is None else p, old_c if c is None else c)
             self.shown_times.append(s)
             self._rows.append(tuple(row))
-        self.cache = ConfigInterner()
         self._replayed = [None] * len(self._rows)
-        self._logged = [None] * len(self.config_times)
 
     def _bad_robot(self, rid, ln):
         """Raise ValueError: ``rid`` is no robot id of line ``ln``'s trace."""
@@ -337,8 +355,13 @@ class TraceData:
             p = self._points[key] = Point(parse_rat(x), parse_rat(y))
         return p
 
-    def _config_entries(self, raw, i):
-        """``(Point, color)`` pairs of the raw ``[x, y, color]`` entries of line i."""
+    def _line_config(self, raw, i):
+        """The interned configuration of the raw ``[x, y, color]`` entries of line i.
+
+        A line whose entries are not in the canonical order gets a
+        Configuration of its own, which no replayed configuration is, so
+        replay flags the line.
+        """
         try:
             entries = tuple((self.point(e), e[2]) for e in raw)
         except (TypeError, IndexError, KeyError, ValueError) as exc:
@@ -346,7 +369,8 @@ class TraceData:
         for _, c in entries:
             if c not in self.algorithm.colors:
                 self._bad_color(c, f"trace line {i + 1}: Config entry color")
-        return entries
+        cfg = self.cache.get(entries)
+        return cfg if cfg.entries == entries else Configuration(entries)
 
     def _bad_color(self, c, what):
         """Raise ValueError: ``c`` is no color of the algorithm's alphabet."""
@@ -356,16 +380,11 @@ class TraceData:
     def config_at(self, t):
         """Interned configuration the Config lines give for instant t.
 
-        That of the latest line at or before t, found by bisection and
-        interned on first use; None if no line comes at or before t.
+        That of the latest line at or before t, found by bisection; None if
+        no line comes at or before t.
         """
         k = bisect_right(self.config_times, t) - 1
-        if k < 0:
-            return None
-        cfg = self._logged[k]
-        if cfg is None:
-            cfg = self._logged[k] = self.cache.get(self.configs[self.config_times[k]])
-        return cfg
+        return self.configs[k] if k >= 0 else None
 
     # -- shown state (asynchronous timing rules; a round is one instant) -----
 
@@ -437,9 +456,12 @@ def _action(td, rep, t, cfg, pos, light):
         return None
 
 
-def _any_acts(td, rep, t, cfg, seen):
-    """Whether any ``(pos, light)`` of ``seen`` acts on ``cfg`` (``Action.changes``)."""
-    for p, c in seen:
+def _any_acts(td, rep, t, cfg, seen=None):
+    """Whether any ``(pos, light)`` of ``seen`` acts on ``cfg`` (``Action.changes``).
+
+    ``seen`` defaults to every entry of ``cfg``.
+    """
+    for p, c in cfg.entries if seen is None else seen:
         act = _action(td, rep, t, cfg, p, c)
         if act is not None and act.changes(p, c):
             return True
@@ -466,21 +488,21 @@ def validate_trace(trace):
     """
     td = TraceData.of(trace)
     rep = Report("replay")
-    configs = td.configs
+    logged = dict(zip(td.config_times, td.configs))
     end = td.last_t if td.end_time is None else td.end_time
     prev = None  # the replayed configuration of the previous instant
-    for t in sorted({*td.shown_times, *td.config_times}):
+    for t in sorted({*td.shown_times, *logged}):
         if t > end:
             break
         cfg = td.replayed(t)
-        logged = configs.get(t)
-        if logged is None:
+        line = logged.get(t)
+        if line is None:
             if cfg is not prev:
                 rep.violate(t, f"no Config line at t={t}, where the configuration changes")
         else:
             if cfg is prev:
                 rep.violate(t, f"Config line at t={t}, where the configuration does not change")
-            if cfg.entries != logged:
+            if cfg is not line:
                 rep.violate(t, "replayed configuration differs from logged Config")
         prev = cfg
     for rid in range(td.n):
@@ -496,9 +518,14 @@ def validate_trace(trace):
 
 def _validate_end(td, rep):
     """One End line closes the trace, and a gathered or fixpoint one claims
-    the first terminal instant: no robot mid-cycle or enabled, right after
-    the last robot event (asynchronous, 1 if none) or the last round, each
-    round having started with a robot enabled.
+    the first terminal instant: no robot mid-cycle or enabled.
+
+    In an asynchronous trace that instant comes right after the first robot
+    event after which no robot is mid-cycle and none is enabled on the
+    configuration shown next (the start counts as such an event at 0), or,
+    failing one, right after the last robot event.  In a round trace it
+    comes right after the last round, each round having started with a
+    robot enabled.
     """
     if td.lines_after_end is None:
         rep.violate(None, "trace has no End line")
@@ -519,15 +546,18 @@ def _validate_end(td, rep):
             m = _PHASE_RE.fullmatch("".join(k for _, k in events))
             if m and m["open"]:
                 rep.violate(t, f"robot {rid} is mid-cycle at End: its last cycle is {m['open']}")
-        if _any_acts(td, rep, t, final, final.entries):
+        if _any_acts(td, rep, t, final):
             rep.violate(t, f"End status {td.status} while a robot is enabled")
         if td.scenario.scheduler == "async":
-            first = 1 + max((events[-1][0] for events in td.phases if events), default=0)
+            first = next(
+                (s + 1 for s in td.rests if not _any_acts(td, rep, s + 1, td.replayed(s + 1))),
+                1 + max((events[-1][0] for events in td.phases if events), default=0),
+            )
         else:
             first = 1 + max(td.rounds, default=-1)
             for s in td.rounds:
                 cfg = td.config_at(s)
-                if cfg is not None and not _any_acts(td, rep, s, cfg, cfg.entries):
+                if cfg is not None and not _any_acts(td, rep, s, cfg):
                     rep.violate(s, f"round at t={s} starts with no robot enabled")
         if t != first:
             rep.violate(t, f"End at t={t}, but the first terminal instant is t={first}")
@@ -742,10 +772,11 @@ def annotate_potentials(trace):
     out.lines = []
     out.status = trace.status
     out.end_time = trace.end_time
+    configs = iter(td.configs)
     for ln in trace.lines:
         out.lines.append(ln)
         if ln.get("kind") == "Config":
-            cfg = td.config_at(ln["t"])
+            cfg = next(configs)
             if which == "g" and not cfg.on_lds:
                 continue
             vec = serialize_potential(potential(cfg))
@@ -835,18 +866,9 @@ _PHASE_DFA = {
 }
 
 
-def _wrapped_segment(td):
-    """Config times governed by the simulation wrapper, and the instant it ends.
-
-    The segment ends at the first collinear Config line, and never under a
-    simulation (a spec with an ``inner`` one) or when there is none (None).
-    """
-    ts = td.config_times
-    if td.algorithm.inner is None:
-        for k, t in enumerate(ts):
-            if td.config_at(t).on_lds:
-                return ts[:k], t
-    return ts, None
+def _first_collinear(td):
+    """Index of the first collinear Config line, or None if there is none."""
+    return next((k for k, cfg in enumerate(td.configs) if cfg.on_lds), None)
 
 
 def check_cycle_snapshot(trace):
@@ -860,14 +882,17 @@ def check_cycle_snapshot(trace):
     """
     td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
-    seg, stop = _wrapped_segment(td)
+    # the wrapper governs the Config lines up to the first collinear one, and
+    # all of them under a simulation (a spec with an ``inner`` one)
+    k = None if td.algorithm.inner is not None else _first_collinear(td)
+    seg = td.config_times[:k]
+    stop = None if k is None else td.config_times[k]
     if not seg:
         rep.extras["cycles"] = 0
         return rep
-    classes = {t: phase_class(td.config_at(t)) for t in seg}
+    classes = [phase_class(cfg) for cfg in td.configs[:k]]
     prev = None
-    for t in seg:
-        cls = classes[t]
+    for t, cls in zip(seg, classes):
         if cls not in _PHASE_DFA:
             rep.violate(t, f"illegal phase class {sorted(cls)}")
         elif prev is not None and cls != prev and cls not in _PHASE_DFA.get(prev, ()):
@@ -877,7 +902,7 @@ def check_cycle_snapshot(trace):
     starts = [
         t
         for i, t in enumerate(seg)
-        if classes[t] == frozenset("S") and (i == 0 or classes[seg[i - 1]] != frozenset("S"))
+        if classes[i] == frozenset("S") and (i == 0 or classes[i - 1] != frozenset("S"))
     ]
     # per cycle, its inner executions by robot, each robot's in line order
     execs = [[] for _ in starts]
@@ -932,22 +957,18 @@ def check_onlds_switch(trace):
     """
     td = TraceData.of(trace)
     rep = Report("onlds-switch")
-    t_star = None
-    for t in td.config_times:
-        if td.config_at(t).on_lds:
-            t_star = t
-            break
-    if t_star is None:
+    k = _first_collinear(td)
+    if k is None:
         rep.violate(None, "trace never reaches a collinear configuration")
         return rep
-    times = td.config_times
-    for k, t in enumerate(times):
-        if t > t_star and not td.config_at(t).on_lds:
+    times, configs = td.config_times, td.configs
+    t_star, cfg = times[k], configs[k]
+    for j in range(k + 1, len(times)):
+        if not configs[j].on_lds:
             # every instant the line covers, up to the next line or the last
-            stop = times[k + 1] if k + 1 < len(times) else td.last_t + 1
-            for s in range(t, stop):
+            stop = times[j + 1] if j + 1 < len(times) else td.last_t + 1
+            for s in range(times[j], stop):
                 rep.violate(s, "collinearity lost after the switch")
-    cfg = td.config_at(t_star)
     occupied = cfg.occupied
     distinct = list(occupied)
 
@@ -1004,8 +1025,7 @@ def check_shrink(trace):
     rep = Report("shrink")
     entries = []
     prev_ss = False
-    for t in td.config_times:
-        cfg = td.config_at(t)
+    for t, cfg in zip(td.config_times, td.configs):
         is_ss = (
             cfg.on_lds
             and len(cfg.occupied) == 2
@@ -1039,24 +1059,23 @@ def check_gathered(trace):
         rep.extras["time"] = None
         return rep
     t_g = None
-    for t in td.config_times:
-        single = len(td.config_at(t).occupied) == 1
+    for t, cfg in zip(td.config_times, td.configs):
+        single = len(cfg.occupied) == 1
         if single and t_g is None:
             t_g = t
         elif not single and t_g is not None:
             rep.violate(t, f"gathered at {t_g} but spread again at {t}")
             t_g = None
     final_t = td.last_t
-    final = td.config_at(final_t)
-    stable = not _any_acts(td, rep, final_t, final, final.entries)
+    final = td.configs[-1]
+    stable = not _any_acts(td, rep, final_t, final)
     if not stable:
         rep.violate(final_t, "a robot is still enabled in the final configuration")
     gathered = t_g is not None and stable and rep.passed
     rep.extras["gathered"] = gathered
     rep.extras["time"] = t_g if gathered else None
     if not gathered and rep.passed:
-        rep.passed = False
-        rep.violations.append({"t": None, "detail": "no stable gathering in trace"})
+        rep.violate(None, "no stable gathering in trace")
     return rep
 
 

@@ -60,6 +60,9 @@ def cmd_run(args):
     except BudgetExhausted as exc:
         trace = exc.trace
         code = 3
+    except ScenarioError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         try:
             trace.write(args.out)
@@ -67,7 +70,7 @@ def cmd_run(args):
             print(f"run: cannot write the trace: {exc}", file=sys.stderr)
             return 2
     td = TraceData.of(trace)
-    final = td.config_at(td.config_times[-1])
+    final = td.configs[-1]
     colors = sorted({ln["color"] for ln in trace.lines if ln.get("kind") == "Compute"})
     summary = {
         "status": trace.status,

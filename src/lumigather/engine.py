@@ -30,8 +30,8 @@ A Look keeps the ``(configuration, position, light)`` triple it observed,
 and its Compute evaluates that triple through ``memo_action``, which builds
 the robot's ``Snapshot`` only when the action is not memoized yet.
 
-No adversary step scans every robot.  ``AsyncWorld`` updates its bookkeeping
-at the event that changes it, and after every step these hold:
+``AsyncWorld`` updates its bookkeeping at the event that changes it, and
+after every step these hold:
 
 * ``ready`` lists the robots that have not acted at the current instant, in
   index order;
@@ -45,14 +45,18 @@ at the event that changes it, and after every step these hold:
   stamp, behind every other robot.  So the first entry is the most starved
   robot, the first in index order among equals.
 
+The random policies draw among the ready robots and the round-robin policy
+serves one robot at a time; ``SsyncEmbeddedPolicy.step`` scans every robot
+at every step to group them by phase.
+
 A trace has a Config line at instant 0 and at each instant whose observed
 configuration differs from the previous instant's, and at no other instant.
 Configurations are interned, so two are equal exactly when they are one
 object, and both writers compare objects: a round run logs the round's
 result when it is not the configuration the round started from, and an
-advance logs ``visible`` when it is a new object.  An advance visits only
-the robots that acted in the closing instant, which ``acted`` lists, and the
-movers, since no other robot can show anything new.  When none of them
+advance logs ``visible`` when it is a new object.  An advance re-reads only
+the robots that acted in the closing instant, the ones without a stamp, and
+the movers, since no other robot can show anything new.  When none of them
 changes what it shows, the configuration is not interned again and the
 instant has no Config line.
 """
@@ -85,6 +89,10 @@ class IllegalChoice(ValueError):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
+
+
+class Starved(IllegalChoice):
+    """A choice that leaves a robot starved beyond the fairness bound."""
 
 
 class BudgetExhausted(RuntimeError):
@@ -160,6 +168,10 @@ class Scenario:
             raise ScenarioError("move_span_cap must be >= 1")
         if self.fairness_bound < 0:
             raise ScenarioError("fairness_bound must be >= 1 (0 selects the default)")
+        n = len(self.robots)
+        if self.scheduler == "async" and 0 < self.fairness_bound < n:
+            # an asynchronous step serves at most one robot
+            raise ScenarioError(f"async fairness_bound {self.fairness_bound} is below n={n}")
         spec = get_algorithm(self.algorithm)
         for _, c in self.robots:
             if c not in spec.colors:
@@ -614,18 +626,18 @@ class _Robot:
     observe of the robot is its entry in ``AsyncWorld.shown``.  ``dest`` is
     where a ``COMPUTED`` robot means to go and, from its MoveBegin, the point
     the adversary lets it reach; a ``MOVING`` robot was last shown at fraction
-    ``mu`` of the way there, and its move began at ``acted_t``.  An
+    ``mu`` of the way there, and its move began at ``event_t``.  An
     ``OBSERVED`` robot keeps in ``seen`` what its Look observed, the
     ``memo_action`` arguments of its Compute.
     """
 
-    __slots__ = ("pos", "light", "phase", "acted_t", "seen", "dest", "mu")
+    __slots__ = ("pos", "light", "phase", "event_t", "seen", "dest", "mu")
 
     def __init__(self, pos, light):
         self.pos = pos
         self.light = light
         self.phase = IDLE
-        self.acted_t = -1  # instant of the robot's latest phase event
+        self.event_t = -1  # instant of the robot's latest phase event
         self.seen = None
         self.dest = None
         self.mu = None
@@ -652,7 +664,6 @@ class AsyncWorld:
         self.t = 0
         self.steps = 0
         self.ready = list(range(n))
-        self.acted = []  # the robots that acted at this instant, in event order
         self.movers = []
         self.busy = 0
         self.tick = 0
@@ -673,18 +684,19 @@ class AsyncWorld:
     def next_event(self, rid):
         """The robot's one legal event, or None if it acted at this instant."""
         r = self.robots[rid]
-        return None if r.acted_t == self.t else NEXT[r.phase]
+        return None if r.event_t == self.t else NEXT[r.phase]
 
-    def _fairness_violation(self, serving):
-        """The most starved ready robot other than ``serving``, if at the bound.
+    def _check_fairness(self, serving):
+        """Raise Starved if a ready robot other than ``serving`` is at the bound.
 
-        ``stamps`` lists the ready robots most starved first, so only its
-        first two entries can be that robot.
+        Only the most starved such robot can be: ``stamps`` lists the ready
+        robots most starved first, so it is one of the first two entries.
         """
         for i, stamp in self.stamps.items():
             if i != serving:
-                return i if self.tick - stamp >= self.bound else None
-        return None
+                if self.tick - stamp >= self.bound:
+                    raise Starved(f"fairness: robot {i} starved beyond bound")
+                return
 
     # -- the single-step transition ---------------------------------------
 
@@ -708,11 +720,9 @@ class AsyncWorld:
         if kind == "advance":
             t = self.t
             for i in self.movers:
-                if t - self.robots[i].acted_t >= self.cap:
+                if t - self.robots[i].event_t >= self.cap:
                     raise IllegalChoice("move span cap reached; move must end before advancing")
-            starved = self._fairness_violation(None)
-            if starved is not None:
-                raise IllegalChoice(f"fairness: robot {starved} starved beyond bound")
+            self._check_fairness(None)
             progress = self._progress(choice[1] if len(choice) > 1 else None)
             self.steps += 1
             self._advance(progress)
@@ -727,9 +737,7 @@ class AsyncWorld:
         event = self.next_event(rid)
         if event is None or kind != event:
             raise IllegalChoice(f"{kind} not legal for robot {rid} (phase {r.phase})")
-        starved = self._fairness_violation(rid)
-        if starved is not None:
-            raise IllegalChoice(f"fairness: robot {starved} starved beyond bound")
+        self._check_fairness(rid)
         if kind == "compute":
             act = memo_action(self.algorithm, *r.seen)
         elif kind == "move_begin":
@@ -765,10 +773,9 @@ class AsyncWorld:
             self.busy -= 1
             self.movers.remove(rid)
             self.trace.move_end(t, rid, r.pos)
-        r.acted_t = t
+        r.event_t = t
         self.ready.remove(rid)
         del self.stamps[rid]
-        self.acted.append(rid)
         self.tick += 1
 
     def _progress(self, mus):
@@ -807,8 +814,7 @@ class AsyncWorld:
         self.tick += 1
         robots, shown, stamps = self.robots, self.shown, self.stamps
         changed = False
-        self.acted.sort()
-        for i in self.acted:
+        for i in [i for i in range(len(robots)) if i not in stamps]:
             stamps[i] = stamp
             r = robots[i]
             if r.phase != MOVING:  # a mover's light was shown before its MoveBegin
@@ -824,7 +830,6 @@ class AsyncWorld:
             shown[i] = (pos, r.light)
             changed = True
             self.trace.move_progress(self.t, i, pos)
-        self.acted = []
         self.ready = list(range(len(robots)))
         if changed:
             visible = self.cache.get(tuple(shown))
@@ -882,7 +887,7 @@ class RandomAsyncPolicy(_Policy):
         t = world.t
         for i in world.movers:
             r = rs[i]
-            if r.acted_t != t and t - r.acted_t >= world.cap - 1:
+            if r.event_t != t and t - r.event_t >= world.cap - 1:
                 return self.event(world, i)
         rng = self.rng
         if not world.ready or rng.random() < 0.3:
@@ -919,7 +924,7 @@ class SsyncEmbeddedPolicy(_Policy):
             by_phase[r.phase].append(i)
         idle, observed = by_phase[IDLE], by_phase[OBSERVED]
         # robots join the Look batch only at the instant it began
-        batch_open = not observed or rs[observed[0]].acted_t == world.t
+        batch_open = not observed or rs[observed[0]].event_t == world.t
         if idle and not by_phase[COMPUTED] and not by_phase[MOVING] and batch_open:
             if all(world.next_event(i) for i in idle):
                 return self.event(world, idle[0])
@@ -953,10 +958,15 @@ def _run_async(scenario, rng):
     # changes no phase and no settled entry, a Look leaves its robot OBSERVED
     # and a MoveBegin leaves it MOVING; and no world with a busy robot is
     done = world.is_terminal()
-    while not done:
-        choice = step(world)
-        apply(choice)
-        done = not world.busy and choice[0] in ("compute", "move_end") and world.is_terminal()
+    try:
+        while not done:
+            choice = step(world)
+            apply(choice)
+            done = not world.busy and choice[0] in ("compute", "move_end") and world.is_terminal()
+    except Starved as exc:
+        raise ScenarioError(
+            f"adversary policy {scenario.policy} cannot keep fairness bound {world.bound}: {exc}"
+        ) from exc
     world._advance({})
     status = "gathered" if world.visible.gathered() else "fixpoint"
     world.trace.end(world.t, status)
@@ -967,7 +977,9 @@ def run(scenario):
     """Execute a scenario to a deterministic trace.
 
     Terminates at a fixpoint (gathered or otherwise) or raises
-    BudgetExhausted carrying the final configuration and partial trace.
+    BudgetExhausted carrying the final configuration and partial trace, or
+    ScenarioError when the scenario's adversary policy cannot keep its
+    asynchronous fairness bound.
     """
     rng = random.Random(scenario.seed)
     if scenario.scheduler == "async":

@@ -535,12 +535,12 @@ class TestNegativeControls:
             bad.lines.pop()
             want = [(None, "trace has no End line")]
         elif damage == "event-after-end":
-            # the Look also leaves robot 0 mid-cycle at the last event
+            # the Look leaves robot 0 mid-cycle; the world was terminal from
+            # t on, so End still claims the first terminal instant
             bad.lines.append({"kind": "Look", "t": t, "robot": 0})
             want = [
                 (t, "1 line(s) after the End line"),
                 (t, "robot 0 is mid-cycle at End: its last cycle is L"),
-                (t, f"End at t={t}, but the first terminal instant is t={t + 1}"),
             ]
         elif damage == "end-time":
             # one instant after the first terminal instant, and one more step
@@ -634,8 +634,8 @@ class TestSharedTraceData:
         tr = Trace.parse(self._trace().dumps())
         entries = [l["entries"] for l in tr.lines if l["kind"] == "Config"]
         assert all(a != b for a, b in zip(entries, entries[1:]))
-        configs = TraceData(tr).configs
-        t = next(t for t in range(1, tr.end_time) if t not in configs)
+        times = TraceData(tr).config_times
+        t = next(t for t in range(1, tr.end_time) if t not in times)
         test_golden.config_line(tr, t)
         rep = validate_trace(tr)
         assert rep.violations == [
@@ -644,8 +644,8 @@ class TestSharedTraceData:
 
     def test_forged_repeat_of_the_previous_line_fails_replay(self):
         tr = Trace.parse(self._trace().dumps())
-        configs = TraceData(tr).configs
-        t = next(t for t in range(1, tr.end_time) if t not in configs)
+        times = TraceData(tr).config_times
+        t = next(t for t in range(1, tr.end_time) if t not in times)
         forged = tr.lines[test_golden.config_line(tr, t)]["entries"]
         forged[0][0] = "99/1"
         rep = validate_trace(tr)
@@ -654,7 +654,7 @@ class TestSharedTraceData:
 
     def test_equal_coordinates_share_one_point(self):
         td = TraceData(Trace.parse(self._trace().dumps()))
-        last = td.configs[td.config_times[-1]]
+        last = td.configs[-1].entries
         assert all(p is last[0][0] for p, _ in last)  # gathered: one point
         assert td.config_at(0) is td.config_at(0)
 
@@ -892,6 +892,25 @@ def test_every_check_reports_on_a_trace_without_config_lines():
     rep = check_gathered(td)
     assert not rep.passed and rep.extras["gathered"] is False
     assert rep.violations == [{"t": None, "detail": "trace has no Config line"}]
+
+
+def test_gathered_flags_an_honest_trace_that_never_gathers():
+    tr = _scenario_trace("rectangle-unfair.json")
+    assert tr.status == "fixpoint" and validate_trace(tr).passed
+    rep = check_gathered(tr)
+    assert not rep.passed
+    assert rep.violations == [{"t": None, "detail": "no stable gathering in trace"}]
+    assert rep.extras == {"gathered": False, "time": None}
+
+
+def test_replay_flags_a_config_line_out_of_canonical_order():
+    tr = _scenario_trace("square.json")
+    entries = tr.lines[_line(tr, "Config", t=4)]["entries"]
+    assert entries != entries[::-1]
+    entries.reverse()
+    assert _violations(_reparse(tr.lines)) == [
+        (4, "replayed configuration differs from logged Config")
+    ]
 
 
 class TestEquivariance:
@@ -1200,7 +1219,14 @@ def _nested_cycle_snapshot(trace):
     """
     td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
-    seg, stop = checker._wrapped_segment(td)
+    # the wrapper's segment ends at the first collinear Config line, and
+    # never under a simulation (a spec with an ``inner`` one)
+    seg, stop = td.config_times, None
+    if td.algorithm.inner is None:
+        for k, t in enumerate(td.config_times):
+            if td.config_at(t).on_lds:
+                seg, stop = td.config_times[:k], t
+                break
     if not seg:
         rep.extras["cycles"] = 0
         return rep
@@ -1500,3 +1526,34 @@ def test_a_null_round_after_the_fixpoint_fails_replay():
     ]
     forged = _reparse(tr.lines[:-1] + null_round + [dict(tr.lines[-1], t=t + 1)])
     assert _violations(forged) == [(t, f"round at t={t} starts with no robot enabled")]
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        lambda: _scenario_trace("square.json"),
+        # a lone robot is terminal from the start: End at t=1 with no event
+        lambda: run(scen([((1, 2), "S")])),
+    ],
+    ids=["square", "lone-robot"],
+)
+def test_a_null_cycle_after_the_terminal_instant_fails_replay(trace):
+    """A trace goes on with one null Look-Compute cycle of robot 0 after its
+    world became terminal at t, and its End moves two instants later."""
+    tr = trace()
+    t = tr.end_time
+    td = TraceData(tr)
+    pos, color = td.shown(t)[0]
+    act = td.algorithm(Snapshot(td.replayed(t), pos, color))
+    assert (act.dest, act.color) == (pos, color)
+    null_cycle = [
+        {"kind": "Look", "t": t, "robot": 0},
+        {"kind": "Compute", "t": t + 1, "robot": 0, "color": color,
+         "dest": [format_rat(pos.x), format_rat(pos.y)], "exec": bool(act.inner_exec)},
+    ]
+    forged = _reparse(tr.lines[:-1] + null_cycle + [dict(tr.lines[-1], t=t + 2)])
+    assert _violations(forged) == [
+        (t + 2, f"End at t={t + 2}, but the first terminal instant is t={t}")
+    ]
+    for name in ("cycle", "switch", "gather", "equivariance"):
+        assert CHECKS[name](forged).passed, name

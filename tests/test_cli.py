@@ -7,7 +7,7 @@ import pytest
 from lumigather import fuzz as fuzz_module
 from lumigather.checker import CHECKS, TraceData, validate_trace
 from lumigather.cli import main, render_svg
-from lumigather.engine import Scenario, Trace, run
+from lumigather.engine import POLICIES, Scenario, Trace, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -71,6 +71,38 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{field} is not a JSON integer: {value!r}" in captured.err
+
+    @pytest.mark.parametrize(
+        "policy,bound,code",
+        [(policy, 3, 2) for policy in POLICIES]
+        + [
+            ("round-robin", 4, 2),
+            ("round-robin", 19, 2),
+            ("round-robin", 20, 0),
+            ("ssync-embedded", 4, 2),
+            ("ssync-embedded", 11, 2),
+            ("ssync-embedded", 12, 0),
+        ],
+    )
+    def test_async_fairness_bound_the_adversary_cannot_keep_exits_2(
+        self, tmp_path, capsys, policy, bound, code
+    ):
+        # square.json has four robots; an asynchronous step serves one, so no
+        # adversary keeps a bound below 4, and some shipped policies need more
+        data = json.loads((SCENARIOS / "square.json").read_text())
+        data["adversary"]["policy"] = policy
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(path), "--fairness-bound", str(bound)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["gathered"] is True
+        elif bound < 4:
+            assert captured.out == ""
+            assert f"async fairness_bound {bound} is below n=4" in captured.err
+        else:
+            assert captured.out == ""
+            assert f"adversary policy {policy} cannot keep fairness bound {bound}:" in captured.err
 
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         short = tmp_path / "short.json"
@@ -379,11 +411,19 @@ class TestCheck:
             ("config-entry-not-array", "malformed Config entries"),
             ("adversary-not-object", "adversary is not a JSON object"),
             ("adversary-seed-not-integer", "adversary seed is not a JSON integer"),
+            ("kind-array", "kind is not a JSON string: ['Look']"),
+            ("kind-object", "kind is not a JSON string: {'Look': 1}"),
+            ("kind-null", "kind is not a JSON string: None"),
         ],
     )
     def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, damage, message):
         lines = self._trace_lines(tmp_path, capsys)
-        if damage == "robots-not-array":
+        if damage.startswith("kind-"):
+            kind = {"kind-array": ["Look"], "kind-object": {"Look": 1}, "kind-null": None}
+            i = next(i for i, l in enumerate(lines) if l["kind"] == "Look")
+            lines[i]["kind"] = kind[damage]
+            message = f"trace line {i + 1}: {message}"
+        elif damage == "robots-not-array":
             lines[0]["robots"] = 5
         elif damage == "adversary-not-object":
             lines[0]["adversary"] = "random"

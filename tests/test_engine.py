@@ -52,7 +52,7 @@ def scen(robots, **kw):
 def bookkeeping(w):
     """What an AsyncWorld keeps besides its robots: clock, steps, the incremental state."""
     return (
-        w.t, w.steps, list(w.ready), list(w.acted), list(w.movers), w.busy, w.tick,
+        w.t, w.steps, list(w.ready), list(w.movers), w.busy, w.tick,
         list(w.stamps.items()), list(w.shown), w.visible,
     )
 
@@ -561,6 +561,25 @@ class TestRun:
         points = [pt((Rat(e[0]), Rat(e[1]))) for e in final["entries"]]
         assert is_on_lds(points)
 
+    def test_fair_ssync_activates_every_robot_within_its_bound(self):
+        sc = dataclasses.replace(
+            Scenario.load(SCENARIOS / "line-lu.json"), scheduler="ssync", fairness_bound=2
+        )
+        tr = run(sc)
+        rounds = [(l["t"], l["activated"]) for l in tr.lines if l["kind"] == "RoundStart"]
+        assert len(rounds) > 10
+        for rid in range(len(sc.robots)):
+            acted = [0] + [t for t, ids in rounds if rid in ids]
+            assert max(b - a for a, b in zip(acted, acted[1:])) <= 2, rid
+        assert validate_trace(tr).passed
+
+    def test_unfair_ssync_at_bound_1_activates_an_enabled_robot_every_round(self):
+        sc = dataclasses.replace(Scenario.load(SCENARIOS / "line-lu.json"), fairness_bound=1)
+        tr = run(sc)
+        rep = CHECKS["monotone"](tr)
+        rounds = sum(l["kind"] == "RoundStart" for l in tr.lines)
+        assert rep.passed and rep.extras["effective_rounds"] == rounds > 5
+
     @pytest.mark.parametrize("policy", ["random", "round-robin", "ssync-embedded"])
     def test_policies_all_gather_and_replay(self, policy):
         sc = scen(
@@ -569,6 +588,16 @@ class TestRun:
         tr = run(sc)
         assert tr.status == "gathered"
         assert validate_trace(tr).passed
+
+
+@pytest.mark.parametrize("policy", ["random", "rigid", "stingy"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_async_fairness_bound_n_is_the_least_one_the_random_policies_keep(policy, n):
+    sc = random_scenario(random.Random(n), "three-color", "async", n, bound=8, policy=policy)
+    with pytest.raises(ScenarioError, match=f"async fairness_bound {n - 1} is below n={n}"):
+        dataclasses.replace(sc, fairness_bound=n - 1)
+    tr = run(dataclasses.replace(sc, fairness_bound=n))
+    assert tr.status == "gathered" and validate_trace(tr).passed
 
 
 class TestTruncation:
