@@ -1,10 +1,11 @@
 """Trace-level verification of the protocol guarantees.
 
 Every checker consumes only a trace: configurations are re-derived from the
-event log and compared against the logged Config lines, so an engine bug
-surfaces as a replay mismatch rather than a silent pass.  Every parameter of
-a check comes from the trace header, which ``Scenario.from_json`` reads.
-Each check returns a Report.
+event log, and every check reads those replayed configurations.  Only the
+replay check reads the logged Config lines, comparing each with the replayed
+configuration of its instant, so an engine bug surfaces as a replay mismatch
+rather than a silent pass.  Every parameter of a check comes from the trace
+header, which ``Scenario.from_json`` reads.  Each check returns a Report.
 """
 
 import functools
@@ -16,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .algorithms import ALGORITHMS, get_algorithm, phase_class, phase_of
-from .configuration import ConfigInterner, Configuration, Frame, Snapshot
+from .configuration import ConfigInterner, Frame, Snapshot
 from .engine import (
     Scenario,
     SyncWorld,
@@ -135,15 +136,17 @@ class TraceData:
     sweep then applies the changes in time order, line order within an
     instant, and keeps the robot-order row of each instant in
     ``shown_times``: ``shown(t)`` is the row of the latest one at or before
-    t and ``replayed(t)`` its interned configuration, derived from the
-    events alone.
+    t and ``replayed(t)`` its configuration, derived from the events alone
+    and interned as the sweep builds the row.  ``changes`` lists ``(t,
+    cfg)`` for instant 0 and for each instant up to ``last_t`` whose
+    configuration is not the previous instant's; it is the one sequence of
+    configurations that every check reads.
 
     Every raw ``(x, y)`` pair is parsed once and mapped to a single Point, so
     equal coordinates share one object.  ``config_times`` lists the instants
-    that have a Config line and ``configs``, in the same order, the interned
-    configuration of each line; a trace has a line at instant 0 and wherever
-    the configuration changes, so ``config_at(t)`` reads the latest line at
-    or before t.
+    that have a Config line and ``line_entries``, in the same order, the
+    ``(Point, color)`` entry tuple of each line as logged; only the replay
+    check reads them.
     ``last_t`` is the instant of the last line, End's in a valid trace.
     ``scenario`` is the header as ``Scenario.from_json`` reads it.  Malformed
     input raises ValueError, as do lines out of time order, colors outside
@@ -198,7 +201,7 @@ class TraceData:
         self.lines_after_end = None  # None: the trace has no End line
         self.cache = ConfigInterner()
         self.config_times = config_times = []
-        self.configs = configs = []
+        self.line_entries = line_entries = []
         self.rounds = {}
         self.looks = looks = [[] for _ in range(n)]
         self.computes = computes = [[] for _ in range(n)]
@@ -238,7 +241,7 @@ class TraceData:
                 if config_times and config_times[-1] == t:
                     raise ValueError(f"trace line {i + 1}: a second Config line for t={t}")
                 config_times.append(t)
-                configs.append(self._line_config(ln["entries"], i))
+                line_entries.append(self._line_entries(ln["entries"], i))
             elif kind in _ROBOT_EVENTS:
                 rid = ln["robot"]
                 if type(rid) is not int or not 0 <= rid < n:
@@ -319,17 +322,23 @@ class TraceData:
                         f"robot {rid}: move begun at t={m.t_b} lacks a MoveProgress "
                         f"line at some instant up to t={stop}"
                     )
-        # the forward pass: the row of every instant at which an entry changes
+        # the forward pass: the row of every instant at which an entry
+        # changes, interned as it is built
         row = list(self.scenario.robots)
         self.shown_times = [0]
         self._rows = [tuple(row)]
+        self._replayed = [self.cache.get(self._rows[0])]
+        self.changes = [(0, self._replayed[0])]
         for s in sorted(shows):
             for rid, p, c in shows[s]:
                 old_p, old_c = row[rid]
                 row[rid] = (old_p if p is None else p, old_c if c is None else c)
             self.shown_times.append(s)
             self._rows.append(tuple(row))
-        self._replayed = [None] * len(self._rows)
+            cfg = self.cache.get(self._rows[-1])
+            self._replayed.append(cfg)
+            if s <= last_time and cfg is not self.changes[-1][1]:
+                self.changes.append((s, cfg))
 
     def _bad_robot(self, rid, ln):
         """Raise ValueError: ``rid`` is no robot id of line ``ln``'s trace."""
@@ -355,13 +364,8 @@ class TraceData:
             p = self._points[key] = Point(parse_rat(x), parse_rat(y))
         return p
 
-    def _line_config(self, raw, i):
-        """The interned configuration of the raw ``[x, y, color]`` entries of line i.
-
-        A line whose entries are not in the canonical order gets a
-        Configuration of its own, which no replayed configuration is, so
-        replay flags the line.
-        """
+    def _line_entries(self, raw, i):
+        """The ``(Point, color)`` entry tuple of the raw ``[x, y, color]`` entries of line i."""
         try:
             entries = tuple((self.point(e), e[2]) for e in raw)
         except (TypeError, IndexError, KeyError, ValueError) as exc:
@@ -369,22 +373,12 @@ class TraceData:
         for _, c in entries:
             if c not in self.algorithm.colors:
                 self._bad_color(c, f"trace line {i + 1}: Config entry color")
-        cfg = self.cache.get(entries)
-        return cfg if cfg.entries == entries else Configuration(entries)
+        return entries
 
     def _bad_color(self, c, what):
         """Raise ValueError: ``c`` is no color of the algorithm's alphabet."""
         json_typed(c, str, what)
         raise ValueError(f"{what} {c!r} outside alphabet of {self.algorithm.id}")
-
-    def config_at(self, t):
-        """Interned configuration the Config lines give for instant t.
-
-        That of the latest line at or before t, found by bisection; None if
-        no line comes at or before t.
-        """
-        k = bisect_right(self.config_times, t) - 1
-        return self.configs[k] if k >= 0 else None
 
     # -- shown state (asynchronous timing rules; a round is one instant) -----
 
@@ -401,15 +395,11 @@ class TraceData:
         """Interned configuration every robot observes at instant t >= 0.
 
         Derived from the header and the robot events alone, never from the
-        Config lines: ``shown(t)``, interned on first use.  A round is one
-        instant, so a round-based trace replays through the same timing
+        Config lines: ``shown(t)`` as an interned configuration.  A round is
+        one instant, so a round-based trace replays through the same timing
         rules.
         """
-        k = bisect_right(self.shown_times, t) - 1
-        cfg = self._replayed[k]
-        if cfg is None:
-            cfg = self._replayed[k] = self.cache.get(self._rows[k])
-        return cfg
+        return self._replayed[bisect_right(self.shown_times, t) - 1]
 
     def pending_state(self, rid, t):
         """Leftover asynchronous state of the robot just after instant t.
@@ -474,37 +464,34 @@ def validate_trace(trace):
     Round-based and asynchronous traces replay alike, a round being one
     instant.  Every instant from 0 to End has a Config line exactly when
     its replayed configuration differs from the previous instant's (instant
-    0 always has one), and each line equals the replayed configuration; no
-    Config line comes after End's instant.  Every Compute equals the
+    0 always has one), and each line's entries equal the replayed
+    configuration's, in its canonical order.  Every Compute equals the
     algorithm's output on its Look's snapshot and every move is true to its
     Compute.  The phase rules differ: a round holds a robot's whole cycle,
     while an asynchronous robot keeps its phase order and the timing rules.
     One End line closes the trace with a status that agrees with the final
     configuration.
 
-    Only instants with a line or an event that may change the configuration
-    are visited: at any other instant the replayed configuration is the
-    previous instant's and no line is there.
+    Only the instants of a change or a line are visited: at any other
+    instant the replayed configuration is the previous instant's and no line
+    is there.  This is the one place that reads the Config lines.
     """
     td = TraceData.of(trace)
     rep = Report("replay")
-    logged = dict(zip(td.config_times, td.configs))
+    logged = dict(zip(td.config_times, td.line_entries))
+    changed = dict(td.changes)
     end = td.last_t if td.end_time is None else td.end_time
-    prev = None  # the replayed configuration of the previous instant
-    for t in sorted({*td.shown_times, *logged}):
+    for t in sorted(changed.keys() | logged.keys()):
         if t > end:
             break
-        cfg = td.replayed(t)
         line = logged.get(t)
         if line is None:
-            if cfg is not prev:
-                rep.violate(t, f"no Config line at t={t}, where the configuration changes")
-        else:
-            if cfg is prev:
-                rep.violate(t, f"Config line at t={t}, where the configuration does not change")
-            if cfg is not line:
-                rep.violate(t, "replayed configuration differs from logged Config")
-        prev = cfg
+            rep.violate(t, f"no Config line at t={t}, where the configuration changes")
+            continue
+        if t not in changed:
+            rep.violate(t, f"Config line at t={t}, where the configuration does not change")
+        if line != td.replayed(t).entries:
+            rep.violate(t, "replayed configuration differs from logged Config")
     for rid in range(td.n):
         if td.scenario.scheduler == "async":
             _validate_timing(td, rid, rep)
@@ -533,13 +520,10 @@ def _validate_end(td, rep):
     t = td.end_time
     if td.lines_after_end:
         rep.violate(t, f"{td.lines_after_end} line(s) after the End line")
-    times = td.config_times
-    if times and times[-1] > t:
-        rep.violate(t, f"End at t={t} but the last Config is at t={times[-1]}")
     if td.status not in _END_STATUSES:
         rep.violate(t, f"End status {td.status!r} is none of {', '.join(_END_STATUSES)}")
-    final = td.config_at(t)
-    if final is not None and td.status in ("gathered", "fixpoint"):
+    final = td.replayed(t)
+    if td.status in ("gathered", "fixpoint"):
         if (len(final.occupied) == 1) != (td.status == "gathered"):
             rep.violate(t, f"End status {td.status} disagrees with the final configuration")
         for rid, events in enumerate(td.phases):
@@ -556,8 +540,7 @@ def _validate_end(td, rep):
         else:
             first = 1 + max(td.rounds, default=-1)
             for s in td.rounds:
-                cfg = td.config_at(s)
-                if cfg is not None and not _any_acts(td, rep, s, cfg):
+                if not _any_acts(td, rep, s, td.replayed(s)):
                     rep.violate(s, f"round at t={s} starts with no robot enabled")
         if t != first:
             rep.violate(t, f"End at t={t}, but the first terminal instant is t={first}")
@@ -725,10 +708,8 @@ def check_monotone(trace, which=None):
     for t in td.rounds:  # in time order, as the lines are
         if t >= td.last_t:
             break
-        cfg = td.config_at(t)
-        if cfg is None:  # no Config line yet, which replay reports
-            continue
-        nxt = td.config_at(t + 1)
+        cfg = td.replayed(t)
+        nxt = td.replayed(t + 1)
         if which == "g" and not cfg.on_lds:
             rep.violate(t, _OFF_LINE)
             continue
@@ -762,9 +743,10 @@ def check_monotone(trace, which=None):
 def annotate_potentials(trace):
     """Copy of the trace with its algorithm's potential after every Config line.
 
-    Annotation lines look like {"kind": "Potential", "t": n, "f": [...5...]}
-    with entries "inf", "p/q" or ["lo", "hi"] enclosures.  Potential g, which
-    is undefined off the line, skips those configurations.
+    The potential is that of the replayed configuration of the line's
+    instant.  Annotation lines look like {"kind": "Potential", "t": n, "f":
+    [...5...]} with entries "inf", "p/q" or ["lo", "hi"] enclosures.
+    Potential g, which is undefined off the line, skips those configurations.
     """
     td = TraceData.of(trace)
     which, potential = _potential(td.algorithm)
@@ -772,11 +754,10 @@ def annotate_potentials(trace):
     out.lines = []
     out.status = trace.status
     out.end_time = trace.end_time
-    configs = iter(td.configs)
     for ln in trace.lines:
         out.lines.append(ln)
         if ln.get("kind") == "Config":
-            cfg = next(configs)
+            cfg = td.replayed(ln["t"])
             if which == "g" and not cfg.on_lds:
                 continue
             vec = serialize_potential(potential(cfg))
@@ -805,9 +786,8 @@ def check_equivariance_trace(trace):
     """Equivariance of the trace's algorithm over snapshots drawn from it.
 
     Five random frames per robot on the configuration of each instant from
-    0 to 9 that the trace reaches (an instant without a Config line has the
-    latest line's); snapshots whose action rests on a tie-break convention
-    are skipped.
+    0 to 9 that the trace reaches; snapshots whose action rests on a
+    tie-break convention are skipped.
     """
     td = TraceData.of(trace)
     rng = random.Random(td.scenario.seed ^ 0xE9)
@@ -816,9 +796,7 @@ def check_equivariance_trace(trace):
     checked = 0
     skipped = 0
     for t in range(min(10, td.last_t + 1)):
-        cfg = td.config_at(t)
-        if cfg is None:
-            continue
+        cfg = td.replayed(t)
         for p, c in cfg.entries:
             snap = Snapshot(cfg, p, c)
             if snapshot_has_convention_ties(snap):
@@ -867,8 +845,8 @@ _PHASE_DFA = {
 
 
 def _first_collinear(td):
-    """Index of the first collinear Config line, or None if there is none."""
-    return next((k for k, cfg in enumerate(td.configs) if cfg.on_lds), None)
+    """Index in ``td.changes`` of the first collinear configuration, or None."""
+    return next((k for k, (_, cfg) in enumerate(td.changes) if cfg.on_lds), None)
 
 
 def check_cycle_snapshot(trace):
@@ -882,15 +860,15 @@ def check_cycle_snapshot(trace):
     """
     td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
-    # the wrapper governs the Config lines up to the first collinear one, and
-    # all of them under a simulation (a spec with an ``inner`` one)
+    # the wrapper governs the configurations up to the first collinear one,
+    # and all of them under a simulation (a spec with an ``inner`` one)
     k = None if td.algorithm.inner is not None else _first_collinear(td)
-    seg = td.config_times[:k]
-    stop = None if k is None else td.config_times[k]
+    seg = [t for t, _ in td.changes[:k]]
+    stop = None if k is None else td.changes[k][0]
     if not seg:
         rep.extras["cycles"] = 0
         return rep
-    classes = [phase_class(cfg) for cfg in td.configs[:k]]
+    classes = [phase_class(cfg) for _, cfg in td.changes[:k]]
     prev = None
     for t, cls in zip(seg, classes):
         if cls not in _PHASE_DFA:
@@ -961,13 +939,13 @@ def check_onlds_switch(trace):
     if k is None:
         rep.violate(None, "trace never reaches a collinear configuration")
         return rep
-    times, configs = td.config_times, td.configs
-    t_star, cfg = times[k], configs[k]
-    for j in range(k + 1, len(times)):
-        if not configs[j].on_lds:
-            # every instant the line covers, up to the next line or the last
-            stop = times[j + 1] if j + 1 < len(times) else td.last_t + 1
-            for s in range(times[j], stop):
+    changes = td.changes
+    t_star, cfg = changes[k]
+    for j in range(k + 1, len(changes)):
+        if not changes[j][1].on_lds:
+            # every instant it lasts, up to the next change or the last
+            stop = changes[j + 1][0] if j + 1 < len(changes) else td.last_t + 1
+            for s in range(changes[j][0], stop):
                 rep.violate(s, "collinearity lost after the switch")
     occupied = cfg.occupied
     distinct = list(occupied)
@@ -1025,7 +1003,7 @@ def check_shrink(trace):
     rep = Report("shrink")
     entries = []
     prev_ss = False
-    for t, cfg in zip(td.config_times, td.configs):
+    for t, cfg in td.changes:
         is_ss = (
             cfg.on_lds
             and len(cfg.occupied) == 2
@@ -1053,21 +1031,15 @@ def check_gathered(trace):
     """First time all robots share one point, stable to the end of the trace."""
     td = TraceData.of(trace)
     rep = Report("gathered")
-    if not td.config_times:
-        rep.violate(None, "trace has no Config line")
-        rep.extras["gathered"] = False
-        rep.extras["time"] = None
-        return rep
     t_g = None
-    for t, cfg in zip(td.config_times, td.configs):
+    for t, cfg in td.changes:
         single = len(cfg.occupied) == 1
         if single and t_g is None:
             t_g = t
         elif not single and t_g is not None:
             rep.violate(t, f"gathered at {t_g} but spread again at {t}")
             t_g = None
-    final_t = td.last_t
-    final = td.configs[-1]
+    final_t, final = td.last_t, td.changes[-1][1]
     stable = not _any_acts(td, rep, final_t, final)
     if not stable:
         rep.violate(final_t, "a robot is still enabled in the final configuration")

@@ -70,7 +70,7 @@ def cmd_run(args):
             print(f"run: cannot write the trace: {exc}", file=sys.stderr)
             return 2
     td = TraceData.of(trace)
-    final = td.configs[-1]
+    final = td.replayed(td.last_t)
     colors = sorted({ln["color"] for ln in trace.lines if ln.get("kind") == "Compute"})
     summary = {
         "status": trace.status,

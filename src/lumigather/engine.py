@@ -37,10 +37,10 @@ after every step these hold:
   index order;
 * ``movers`` lists the ``MOVING`` robots, in index order;
 * ``busy`` counts the robots that are not ``IDLE``;
-* ``stamps`` maps each ready robot to its stamp against ``tick``, a counter
-  that every robot event and every advance bumps, and lists them oldest stamp
-  first, ties in index order.  A ready robot's starvation, the steps since it
-  was last served, is ``tick`` minus its stamp; a robot that acted at this
+* ``stamps`` maps each ready robot to its stamp, a count of ``steps`` (every
+  robot event and every advance is one), and lists them oldest stamp first,
+  ties in index order.  A ready robot's starvation, the steps since it was
+  last served, is ``steps`` minus its stamp; a robot that acted at this
   instant has none, and the advance that closes the instant gives it a new
   stamp, behind every other robot.  So the first entry is the most starved
   robot, the first in index order among equals.
@@ -74,7 +74,6 @@ from .geometry import Point, dist_sq_ints, is_on_lds, toward
 from .rational import Rat, format_rat, min_rat_ge_sqrt, parse_rat
 
 SCHEDULERS = ("fsync", "ssync", "ssync-unfair", "async")
-POLICIES = ("random", "rigid", "stingy", "round-robin", "ssync-embedded", "ssync-stingy")
 
 
 class ScenarioError(ValueError):
@@ -598,13 +597,13 @@ _FRACTIONS = (Rat(1), Rat(3, 4), Rat(1, 2), Rat(1, 4))
 def _pick_fraction(policy, rng):
     """Truncation the adversary grants a move under ``policy``.
 
-    Only the drawing policies (``random``, ``ssync-embedded``) consume a
-    random number; the others are constant.
+    The policy's constant truncation in ``POLICIES``, or one drawn from
+    ``_FRACTIONS`` for a policy that has none: only those draw a random
+    number.
     """
-    if policy in ("stingy", "ssync-stingy"):
-        return Rat(1, 1024)
-    if policy in ("rigid", "round-robin"):
-        return Rat(1)
+    truncation = POLICIES[policy][1]
+    if truncation is not None:
+        return truncation
     return _FRACTIONS[rng.randrange(len(_FRACTIONS))]
 
 
@@ -666,7 +665,6 @@ class AsyncWorld:
         self.ready = list(range(n))
         self.movers = []
         self.busy = 0
-        self.tick = 0
         self.stamps = dict.fromkeys(range(n), 0)
         self.shown = list(scenario.robots)
         self.cache = ConfigInterner()
@@ -677,7 +675,7 @@ class AsyncWorld:
     def starve(self, rid):
         """Robot events and advances since ``rid`` was last served; 0 once it acted now."""
         stamp = self.stamps.get(rid)
-        return 0 if stamp is None else self.tick - stamp
+        return 0 if stamp is None else self.steps - stamp
 
     # -- legality ----------------------------------------------------------
 
@@ -694,7 +692,7 @@ class AsyncWorld:
         """
         for i, stamp in self.stamps.items():
             if i != serving:
-                if self.tick - stamp >= self.bound:
+                if self.steps - stamp >= self.bound:
                     raise Starved(f"fairness: robot {i} starved beyond bound")
                 return
 
@@ -776,7 +774,6 @@ class AsyncWorld:
         r.event_t = t
         self.ready.remove(rid)
         del self.stamps[rid]
-        self.tick += 1
 
     def _progress(self, mus):
         """Checked progress fraction of every moving robot at the next instant.
@@ -807,11 +804,11 @@ class AsyncWorld:
 
         Only a robot that acted in the closing instant or is moving can show
         something new, so only those are visited.  Each robot that acted gets
-        the new stamp, behind every robot that did not.
+        the stamp of the advance, the step counted last, which puts it behind
+        every robot that did not.
         """
         self.t += 1
-        stamp = self.tick
-        self.tick += 1
+        stamp = self.steps - 1
         robots, shown, stamps = self.robots, self.shown, self.stamps
         changed = False
         for i in [i for i in range(len(robots)) if i not in stamps]:
@@ -936,18 +933,20 @@ class SsyncEmbeddedPolicy(_Policy):
         return ("advance", None)
 
 
-_POLICY_CLASSES = {
-    "random": RandomAsyncPolicy,
-    "stingy": RandomAsyncPolicy,
-    "rigid": RandomAsyncPolicy,
-    "round-robin": RoundRobinAsyncPolicy,
-    "ssync-embedded": SsyncEmbeddedPolicy,
-    "ssync-stingy": SsyncEmbeddedPolicy,
+# adversary policy name -> (asynchronous adversary class, the truncation it
+# grants every move, or None for a policy that draws one per move)
+POLICIES = {
+    "random": (RandomAsyncPolicy, None),
+    "rigid": (RandomAsyncPolicy, Rat(1)),
+    "stingy": (RandomAsyncPolicy, Rat(1, 1024)),
+    "round-robin": (RoundRobinAsyncPolicy, Rat(1)),
+    "ssync-embedded": (SsyncEmbeddedPolicy, None),
+    "ssync-stingy": (SsyncEmbeddedPolicy, Rat(1, 1024)),
 }
 
 
 def _make_policy(scenario, rng):
-    return _POLICY_CLASSES[scenario.policy](rng, scenario.policy)
+    return POLICIES[scenario.policy][0](rng, scenario.policy)
 
 
 def _run_async(scenario, rng):

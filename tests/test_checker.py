@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lumigather import algorithms, checker
+from lumigather import algorithms, checker, configuration
 from lumigather.checker import (
     CHECKS,
     Report,
@@ -24,11 +24,11 @@ from lumigather.checker import (
     snapshot_has_convention_ties,
     validate_trace,
 )
-from lumigather.configuration import Frame, Snapshot
+from lumigather.configuration import ConfigInterner, Frame, Snapshot
 from lumigather.engine import SCHEDULERS, BudgetExhausted, Scenario, Trace, run
 from lumigather.fuzz import random_scenario
 from lumigather.geometry import Point, hull_center, pt
-from lumigather.rational import Rat, format_rat
+from lumigather.rational import Rat, format_rat, parse_rat
 
 import test_golden
 from conftest import identity_frame, make_snap
@@ -93,6 +93,10 @@ def robot(x, y, color):
 
 def fmt(v):
     return v if isinstance(v, str) else f"{v}/1"
+
+
+def robot_event(kind, t, rid, **kw):
+    return {"kind": kind, "t": t, "robot": rid, **kw}
 
 
 def cfg_line(t, entries):
@@ -331,33 +335,70 @@ class TestNegativeControls:
         assert "collinearity lost" in details
 
     def test_shrink_flags_insufficient_loop(self):
+        # both robots turn M and robot 1 moves 1 toward robot 0, then both
+        # turn S again: the two-S loop entered at t=6 is only 1 shorter
         tr = synthetic(
             {"algorithm": "lu-gather-async",
              "robots": [robot(0, 0, "S"), robot(10, 0, "S")]},
             [
                 cfg_line(0, [(0, 0, "S"), (10, 0, "S")]),
-                cfg_line(1, [(0, 0, "M"), (10, 0, "M")]),
-                cfg_line(2, [(0, 0, "S"), (9, 0, "S")]),
-                {"kind": "End", "t": 2, "status": "budget"},
+                robot_event("Look", 0, 0),
+                robot_event("Look", 0, 1),
+                robot_event("Compute", 1, 0, color="M", dest=["0/1", "0/1"], exec=False),
+                robot_event("Compute", 1, 1, color="M", dest=["9/1", "0/1"], exec=False),
+                cfg_line(2, [(0, 0, "M"), (10, 0, "M")]),
+                robot_event("Look", 2, 0),
+                robot_event("MoveBegin", 2, 1, reach=["9/1", "0/1"]),
+                robot_event("MoveProgress", 3, 1, pos=["19/2", "0/1"]),
+                cfg_line(3, [(0, 0, "M"), ("19/2", 0, "M")]),
+                robot_event("Compute", 3, 0, color="S", dest=["0/1", "0/1"], exec=False),
+                robot_event("MoveEnd", 3, 1, pos=["9/1", "0/1"]),
+                cfg_line(4, [(0, 0, "S"), (9, 0, "M")]),
+                robot_event("Look", 4, 1),
+                robot_event("Compute", 5, 1, color="S", dest=["9/1", "0/1"], exec=False),
+                cfg_line(6, [(0, 0, "S"), (9, 0, "S")]),
+                {"kind": "End", "t": 6, "status": "budget"},
             ],
         )
         rep = check_shrink(tr)
-        assert not rep.passed
+        assert rep.violations == [{"t": 6, "detail": "loop entered at 6 shrank less than 2*delta"}]
         assert rep.extras["loops"] == 2
 
     def test_gathered_flags_regather_and_enabled_final(self):
+        # both robots move to (2, 0), then robot 0 moves back to (0, 0)
+        two = ["2/1", "0/1"]
         tr = synthetic(
             {"algorithm": "lu-gather-async",
              "robots": [robot(0, 0, "S"), robot(5, 0, "S")]},
             [
                 cfg_line(0, [(0, 0, "S"), (5, 0, "S")]),
-                cfg_line(1, [(2, 0, "S"), (2, 0, "S")]),
-                cfg_line(2, [(0, 0, "S"), (5, 0, "S")]),
-                {"kind": "End", "t": 2, "status": "budget"},
+                robot_event("Look", 0, 0),
+                robot_event("Look", 0, 1),
+                robot_event("Compute", 1, 0, color="S", dest=two, exec=False),
+                robot_event("Compute", 1, 1, color="S", dest=two, exec=False),
+                robot_event("MoveBegin", 2, 0, reach=two),
+                robot_event("MoveBegin", 2, 1, reach=two),
+                robot_event("MoveProgress", 3, 0, pos=["1/1", "0/1"]),
+                robot_event("MoveProgress", 3, 1, pos=["4/1", "0/1"]),
+                cfg_line(3, [(1, 0, "S"), (4, 0, "S")]),
+                robot_event("MoveEnd", 3, 0, pos=two),
+                robot_event("MoveEnd", 3, 1, pos=two),
+                cfg_line(4, [(2, 0, "S"), (2, 0, "S")]),
+                robot_event("Look", 4, 0),
+                robot_event("Compute", 5, 0, color="S", dest=["0/1", "0/1"], exec=False),
+                robot_event("MoveBegin", 6, 0, reach=["0/1", "0/1"]),
+                robot_event("MoveProgress", 7, 0, pos=["1/1", "0/1"]),
+                cfg_line(7, [(1, 0, "S"), (2, 0, "S")]),
+                robot_event("MoveEnd", 7, 0, pos=["0/1", "0/1"]),
+                cfg_line(8, [(0, 0, "S"), (2, 0, "S")]),
+                {"kind": "End", "t": 8, "status": "budget"},
             ],
         )
         rep = check_gathered(tr)
-        assert not rep.passed
+        assert rep.violations == [
+            {"t": 7, "detail": "gathered at 4 but spread again at 7"},
+            {"t": 8, "detail": "a robot is still enabled in the final configuration"},
+        ]
         assert rep.extras["gathered"] is False
 
     def test_replay_flags_corrupted_config(self):
@@ -654,9 +695,10 @@ class TestSharedTraceData:
 
     def test_equal_coordinates_share_one_point(self):
         td = TraceData(Trace.parse(self._trace().dumps()))
-        last = td.configs[-1].entries
+        last = td.line_entries[-1]
         assert all(p is last[0][0] for p, _ in last)  # gathered: one point
-        assert td.config_at(0) is td.config_at(0)
+        assert all(p is last[0][0] for p, _ in td.replayed(td.last_t).entries)
+        assert td.replayed(0) is td.replayed(0)
 
 
 def test_checks_evaluate_each_action_once_on_their_own_configurations(monkeypatch):
@@ -885,13 +927,18 @@ class TestMalformedTraceData:
 
 def test_every_check_reports_on_a_trace_without_config_lines():
     tr = run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
+    times = [l["t"] for l in tr.lines if l["kind"] == "Config"]
     td = TraceData([l for l in tr.lines if l["kind"] != "Config"])
     assert td.config_times == []
     for name, check in CHECKS.items():
         assert isinstance(check(td), Report), name
-    rep = check_gathered(td)
-    assert not rep.passed and rep.extras["gathered"] is False
-    assert rep.violations == [{"t": None, "detail": "trace has no Config line"}]
+    # replay alone reads the Config lines; every other check reads the events
+    assert validate_trace(td).violations == [
+        {"t": t, "detail": f"no Config line at t={t}, where the configuration changes"}
+        for t in times
+    ]
+    assert check_gathered(td).to_json() == check_gathered(tr).to_json()
+    assert check_gathered(td).passed
 
 
 def test_gathered_flags_an_honest_trace_that_never_gathers():
@@ -911,6 +958,46 @@ def test_replay_flags_a_config_line_out_of_canonical_order():
     assert _violations(_reparse(tr.lines)) == [
         (4, "replayed configuration differs from logged Config")
     ]
+
+
+def test_a_forged_config_line_fails_replay_alone():
+    """square.json with one color of its t=4 Config line forged.
+
+    The line claims the phase class {S, M, E}; only replay reads it, and
+    every other check reports what it reports on the honest trace.
+    """
+    honest = _scenario_trace("square.json")
+    tr = _scenario_trace("square.json")
+    entry = tr.lines[_line(tr, "Config", t=4)]["entries"][1]
+    assert entry == ["0/1", "4/1", "S"]
+    entry[2] = "E"
+    forged = _reparse(tr.lines)
+    assert _violations(forged) == [(4, "replayed configuration differs from logged Config")]
+    for name in ("cycle", "switch", "gather", "equivariance"):
+        assert str(CHECKS[name](forged)) == str(CHECKS[name](honest)), name
+
+
+def test_default_checks_sort_each_distinct_configuration_once(monkeypatch):
+    """``canonical`` runs once per distinct configuration of a golden async
+    trace, and once per inner view that the wrapper builds, never again for
+    a Config line."""
+    tr = Trace.parse(test_golden._text("square"))
+    sorts = []
+    sort = configuration.canonical
+
+    def counting(entries):
+        sorts.append(1)
+        return sort(entries)
+
+    monkeypatch.setattr(configuration, "canonical", counting)
+    td = TraceData(tr)
+    for name in checker.default_checks(td.algorithm, td.scenario.scheduler):
+        assert CHECKS[name](td).passed, name
+    distinct = {td.replayed(t) for t in td.shown_times}
+    assert len({cfg.entries for cfg in distinct}) == len(distinct)
+    inner_views = sum("inner_view" in cfg.memo for cfg in distinct)
+    assert inner_views > 0
+    assert len(sorts) == len(distinct) + inner_views
 
 
 class TestEquivariance:
@@ -1219,18 +1306,26 @@ def _nested_cycle_snapshot(trace):
     """
     td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
+    # its own configurations, one per Config line, which replay holds equal
+    # to the ones the check replays from the events
+    cache = ConfigInterner()
+    lines = []
+    for ln in trace.lines:
+        if ln["kind"] == "Config":
+            entries = tuple((pt(parse_rat(x), parse_rat(y)), c) for x, y, c in ln["entries"])
+            lines.append((ln["t"], cache.get(entries)))
     # the wrapper's segment ends at the first collinear Config line, and
     # never under a simulation (a spec with an ``inner`` one)
-    seg, stop = td.config_times, None
+    seg, stop = [t for t, _ in lines], None
     if td.algorithm.inner is None:
-        for k, t in enumerate(td.config_times):
-            if td.config_at(t).on_lds:
-                seg, stop = td.config_times[:k], t
+        for k, (t, cfg) in enumerate(lines):
+            if cfg.on_lds:
+                seg, stop = seg[:k], t
                 break
     if not seg:
         rep.extras["cycles"] = 0
         return rep
-    classes = {t: algorithms.phase_class(td.config_at(t)) for t in seg}
+    classes = {t: algorithms.phase_class(cfg) for t, cfg in lines}
     prev = None
     for t in seg:
         cls = classes[t]
@@ -1298,22 +1393,32 @@ def test_cycle_check_equals_the_nested_reference_on_forged_exec_flags(forge):
 
 
 class TestCheckNegativeControls:
-    def test_cycle_flags_an_illegal_phase_class(self):
-        assert check_cycle_snapshot(_square()).passed
-        tr = _square()
-        tr.lines[test_golden.config_line(tr, 1)]["entries"] = [
-            [x, y, c] for (x, y, _), c in zip(tr.lines[1]["entries"], "SMES")
+    @staticmethod
+    def _recolored(colors):
+        """Three robots look at t=0 and keep their place at t=1, taking
+        ``colors``, which every robot shows from t=2."""
+        start = [(0, 0, "S"), (4, 0, "S"), (2, 5, "S")]
+        looks = [robot_event("Look", 0, rid) for rid in range(3)]
+        computes = [
+            robot_event("Compute", 1, rid, color=c, dest=[fmt(x), fmt(y)], exec=False)
+            for rid, ((x, y, _), c) in enumerate(zip(start, colors))
         ]
-        rep = _cycle_checked(tr)
-        assert {"t": 1, "detail": "illegal phase class ['E', 'M', 'S']"} in rep.violations
+        return _wrapped_three_color(
+            [
+                cfg_line(0, start),
+                *looks,
+                *computes,
+                cfg_line(2, [(x, y, c) for (x, y, _), c in zip(start, colors)]),
+                {"kind": "End", "t": 2, "status": "budget"},
+            ]
+        )
+
+    def test_cycle_flags_an_illegal_phase_class(self):
+        rep = _cycle_checked(self._recolored("SME"))
+        assert {"t": 2, "detail": "illegal phase class ['E', 'M', 'S']"} in rep.violations
 
     def test_cycle_flags_an_illegal_transition(self):
-        tr = _square()
-        entries = tr.lines[test_golden.config_line(tr, 1)]["entries"]
-        assert {c for _, _, c in entries} == {"S"}
-        for e in tr.lines[test_golden.config_line(tr, 2)]["entries"]:
-            e[2] = "E"
-        rep = _cycle_checked(tr)
+        rep = _cycle_checked(self._recolored("EEE"))
         assert {"t": 2, "detail": "illegal phase transition ['S'] -> ['E']"} in rep.violations
 
     def test_cycle_flags_an_inner_execution_outside_all_s(self):
@@ -1353,17 +1458,19 @@ class TestCheckNegativeControls:
     def test_monotone_g_flags_a_round_that_keeps_g(self):
         tr = run(Scenario.load(SCENARIOS / "line-lu.json"))
         assert check_monotone(tr, "g").passed
+        # the round at t=1 moves robot 1 and keeps every color: without its
+        # move the round is still effective, and it keeps the configuration
+        t = 1
         tr = Trace.parse(tr.dumps())
-        configs = {l["t"]: l for l in tr.lines if l["kind"] == "Config"}
-        t = next(t for t in sorted(configs) if t + 1 in configs
-                 and configs[t]["entries"] != configs[t + 1]["entries"])
-        configs[t + 1]["entries"] = copy.deepcopy(configs[t]["entries"])
+        moves = [l for l in tr.lines[1:] if l["t"] == t and l["kind"] in ("MoveBegin", "MoveEnd")]
+        assert [l["robot"] for l in moves] == [1, 1]
+        tr = _reparse([l for l in tr.lines if not any(l is m for m in moves)])
         rep = check_monotone(tr, "g")
         first = rep.violations[0]
         assert first["t"] == t
         detail = first["detail"]
         assert detail["cmp"] == "EQUAL" and detail["before"] == detail["after"]
-        assert detail["row"] == checker._cc_family(TraceData(tr).config_at(t).cc)
+        assert detail["row"] == checker._cc_family(TraceData(tr).replayed(t).cc)
         assert detail["row"] in ("A", "AA", "AA+A", "B", "BB*B", "AB*B", "AB_mA", "AB+A", "mixed")
 
 
@@ -1475,7 +1582,7 @@ def test_a_round_trace_cut_with_a_fixpoint_end_fails_replay_alone(cut):
     tr = _scenario_trace("rectangle-unfair.json")
     kept = [l for l in tr.lines[1:-1] if l["t"] < cut or (l["t"] == cut and l["kind"] == "Config")]
     forged = _reparse(tr.lines[:1] + kept + [{"kind": "End", "t": cut, "status": "fixpoint"}])
-    assert not TraceData(forged).config_at(cut).on_lds
+    assert not TraceData(forged).replayed(cut).on_lds
     assert _violations(forged) == [(cut, "End status fixpoint while a robot is enabled")]
     assert CHECKS["monotone"](forged).passed
 

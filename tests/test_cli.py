@@ -293,14 +293,25 @@ class TestCheck:
         path.write_text("".join(json.dumps(l) + "\n" for l in lines))
         return str(path)
 
+    @staticmethod
+    def _lift(lines):
+        """Lift robot 1's move in the round at t=1 of line-lu.json off the line.
+
+        The robot shows (9/4, 1) at t=2 and leaves it at t=3, so only the
+        configuration of t=2 is off the line; the Config lines are kept.
+        """
+        begin = next(l for l in lines if l["kind"] == "MoveBegin" and l["t"] == 1)
+        end = next(l for l in lines if l["kind"] == "MoveEnd" and l["t"] == 1)
+        assert begin["robot"] == end["robot"] == 1 and begin["reach"] == ["9/4", "0/1"]
+        begin["reach"][1] = end["pos"][1] = "1/1"
+
     @pytest.mark.parametrize("args", [["--check", "monotone-g"]])
     @pytest.mark.parametrize("scenario", ["rectangle-unfair.json", "line-lu.json"])
     def test_potential_g_off_the_line_is_reported(self, tmp_path, capsys, scenario, args):
         lines = self._trace_lines(tmp_path, capsys, scenario)
         if scenario == "line-lu.json":
             # an honest line-lu trace stays on the line: lift a robot off it
-            cfg = next(l for l in lines if l["kind"] == "Config" and l["t"] == 1)
-            cfg["entries"][0][1] = "1/1"
+            self._lift(lines)
         path = self._write(tmp_path / "off.jsonl", lines)
         assert main(["check", "--trace", path] + args) == 1
         captured = capsys.readouterr()
@@ -525,13 +536,20 @@ class TestCheck:
         assert captured.err.count("at least one robot") == 2
 
     def test_trace_without_config_lines(self, tmp_path, capsys):
+        # replay alone reads the Config lines: it reports each missing one,
+        # and every other check passes on the events
         lines = self._trace_lines(tmp_path, capsys)
         bare = self._write(
             tmp_path / "bare.jsonl", [l for l in lines if l["kind"] != "Config"]
         )
-        assert main(["check", "--trace", bare, "--check", "gather"]) == 1
-        (line,) = capsys.readouterr().out.splitlines()
-        assert json.loads(line)["violations"][0]["detail"] == "trace has no Config line"
+        assert main(["check", "--trace", bare]) == 1
+        reports = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [r["check"] for r in reports if not r["pass"]] == ["replay"]
+        times = [l["t"] for l in lines if l["kind"] == "Config"]
+        assert reports[0]["violations"] == [
+            {"t": t, "detail": f"no Config line at t={t}, where the configuration changes"}
+            for t in times
+        ]
         svg = tmp_path / "bare.svg"
         assert main(["plot", "--trace", bare, "--out", str(svg)]) == 0
         assert "<circle" in svg.read_text()
@@ -543,8 +561,7 @@ class TestCheck:
             lines = self._trace_lines(tmp_path, capsys, scenario)
             if which == "g":
                 # an honest line-lu trace stays on the line: lift a robot off it
-                cfg = next(l for l in lines if l["kind"] == "Config" and l["t"] == 1)
-                cfg["entries"][0][1] = "1/1"
+                self._lift(lines)
             path = self._write(tmp_path / f"{which}.jsonl", lines)
             annotated = tmp_path / f"annot-{which}.jsonl"
             args = ["check", "--trace", path, "--check", "replay", "--annotate", str(annotated)]
@@ -558,7 +575,7 @@ class TestCheck:
                     assert len(line[which]) == 5
                     scored.append(line["t"])
             config_times = [l["t"] for l in lines if l["kind"] == "Config"]
-            assert scored == [t for t in config_times if which == "f" or t != 1]
+            assert scored == [t for t in config_times if which == "f" or t != 2]
             capsys.readouterr()
         annotated = str(tmp_path / "annot-f.jsonl")
         assert main(["check", "--trace", annotated, "--check", "replay,monotone"]) == 0

@@ -52,7 +52,7 @@ def scen(robots, **kw):
 def bookkeeping(w):
     """What an AsyncWorld keeps besides its robots: clock, steps, the incremental state."""
     return (
-        w.t, w.steps, list(w.ready), list(w.movers), w.busy, w.tick,
+        w.t, w.steps, list(w.ready), list(w.movers), w.busy,
         list(w.stamps.items()), list(w.shown), w.visible,
     )
 

@@ -469,7 +469,6 @@ def test_replay_rejects_a_config_line_after_end(name):
     tr.lines.append({**latest, "t": t + 1})
     assert validate_trace(tr).violations == [
         {"t": t, "detail": "1 line(s) after the End line"},
-        {"t": t, "detail": f"End at t={t} but the last Config is at t={t + 1}"},
     ]
 
 
