@@ -273,7 +273,8 @@ def _inner_view(snap):
     """Snapshot the inner algorithm sees: phase components stripped.
 
     The recolored configuration is kept in the outer configuration's memo, so
-    every robot evaluated on one configuration shares its hull and targets.
+    every robot evaluated on one configuration shares it; it has the outer
+    configuration's Shape, so the hull and targets are those of its points.
     """
     memo = snap.config.memo
     cfg = memo.get("inner_view")

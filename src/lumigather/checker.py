@@ -856,7 +856,9 @@ def check_cycle_snapshot(trace):
     two-color transitions in between) over the wrapper-governed segment.  A
     cycle runs from one entry into the all-S class to the next; each inner
     execution whose Look lies in the segment falls into the cycle of its
-    Look, found by bisection.
+    Look, found by bisection.  Every inner execution must have looked at an
+    all-S configuration, so one whose Look comes before the first entry into
+    all-S is a violation.
     """
     td = TraceData.of(trace)
     rep = Report("cycle-snapshot")
@@ -888,7 +890,10 @@ def check_cycle_snapshot(trace):
         for _, _, _, ex, tl in td.computes[rid]:
             if ex and tl is not None and (stop is None or tl < stop):
                 ci = bisect_right(starts, tl) - 1
-                if ci >= 0:
+                if ci < 0:
+                    # before the first entry into all-S: no cycle is open
+                    rep.violate(tl, f"robot {rid} ran the inner algorithm outside all-S")
+                else:
                     execs[ci].append((rid, tl))
     cycles = 0
     for cycle in execs:

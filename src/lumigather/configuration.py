@@ -1,10 +1,14 @@
 """Configurations, snapshots and observation frames.
 
 A Configuration is the multiset of (position, color) pairs at an instant.
-Derived analyses (occupied points, their integer lattice, convex hull,
-collinearity, line pattern) are computed lazily and cached, so the many
-per-robot algorithm evaluations that share one instant pay for geometry
-once.
+Derived analyses are computed lazily and cached, so the many per-robot
+algorithm evaluations that share one instant pay for them once.  Those that
+depend on the positions alone (occupied points, their integer lattice,
+collinearity, convex hull, contraction targets) belong to a Shape, which a
+ConfigInterner keeps one of per point set: the colorings of one point set,
+which a color cycle of the simulation walks through without moving, and
+their inner views (``recolor``) pay for geometry once.  The line pattern
+depends on the colors and stays with the Configuration.
 """
 
 from dataclasses import dataclass
@@ -37,65 +41,23 @@ def canonical(entries):
     return tuple(sorted(entries, key=_entry_key))
 
 
-class Configuration:
-    """Canonical multiset of (Point, color) with cached analyses.
+class Shape:
+    """Position-only analyses of one tuple of occupied points.
 
-    ``entries`` must already be a tuple in the canonical order: the caller
-    sorts, through ``canonical`` or ``ConfigInterner.get``.
+    ``occupied`` is the tuple of distinct points in the canonical (x, y)
+    order.  Its lattice, collinearity, hull and contraction targets depend on
+    the points alone, so every coloring of the same points shares one Shape
+    and computes each of them at most once, on first use.
     """
 
-    __slots__ = (
-        "entries",
-        "_points",
-        "_occupied",
-        "_lattice",
-        "_hull",
-        "_on_lds",
-        "_cc",
-        "_colors",
-        "_contraction",
-        "memo",
-    )
+    __slots__ = ("occupied", "_lattice", "_hull", "_on_lds", "_contraction")
 
-    def __init__(self, entries):
-        self.entries = entries
-        self._points = None
-        self._occupied = None
+    def __init__(self, occupied):
+        self.occupied = occupied
         self._lattice = None
         self._hull = None
         self._on_lds = None
-        self._cc = None
-        self._colors = None
         self._contraction = None
-        self.memo = {}
-
-    def __eq__(self, other):
-        return isinstance(other, Configuration) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    @property
-    def points(self):
-        """Mapping Point -> frozenset of colors present there."""
-        if self._points is None:
-            acc = {}
-            for p, c in self.entries:
-                acc.setdefault(p, set()).add(c)
-            self._points = {p: frozenset(cs) for p, cs in acc.items()}
-        return self._points
-
-    @property
-    def occupied(self):
-        if self._occupied is None:
-            self._occupied = tuple(sorted(self.points, key=Point.order_key))
-        return self._occupied
-
-    @property
-    def colors_present(self):
-        if self._colors is None:
-            self._colors = frozenset(c for _, c in self.entries)
-        return self._colors
 
     @property
     def lattice(self):
@@ -123,6 +85,95 @@ class Configuration:
             return Classification.ON_LDS
         return self.hull.classification
 
+    def contraction_targets(self):
+        """Memoized minimum-edge contraction moves (asym contractible only)."""
+        if self._contraction is None:
+            self._contraction = tuple(min_edge_targets(self.occupied, self.hull))
+        return self._contraction
+
+
+class Configuration:
+    """Canonical multiset of (Point, color) with cached analyses.
+
+    ``entries`` must already be a tuple in the canonical order: the caller
+    sorts, through ``canonical`` or ``ConfigInterner.get``.  What depends on
+    the colors (``points``, ``colors_present``, ``cc``, ``memo``) is kept
+    here; what depends on the positions alone is the ``shape``'s, looked up
+    on the first such query in ``shapes``, the interner's table of Shapes by
+    occupied-point tuple.  A configuration built without a table gets a
+    Shape of its own.
+    """
+
+    __slots__ = ("entries", "_points", "_shapes", "_shape", "_cc", "_colors", "memo")
+
+    def __init__(self, entries, shapes=None):
+        self.entries = entries
+        self._points = None
+        self._shapes = shapes
+        self._shape = None
+        self._cc = None
+        self._colors = None
+        self.memo = {}
+
+    def __eq__(self, other):
+        return isinstance(other, Configuration) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    @property
+    def points(self):
+        """Mapping Point -> frozenset of colors present there."""
+        if self._points is None:
+            acc = {}
+            for p, c in self.entries:
+                acc.setdefault(p, set()).add(c)
+            self._points = {p: frozenset(cs) for p, cs in acc.items()}
+        return self._points
+
+    @property
+    def shape(self):
+        """The Shape of the occupied points, shared through ``shapes``."""
+        shape = self._shape
+        if shape is None:
+            # the entries are in canonical order, so their points are too
+            occupied = tuple(dict.fromkeys(p for p, _ in self.entries))
+            shapes = self._shapes
+            if shapes is None:
+                shape = Shape(occupied)
+            else:
+                shape = shapes.get(occupied)
+                if shape is None:
+                    shape = shapes[occupied] = Shape(occupied)
+            self._shape = shape
+        return shape
+
+    @property
+    def occupied(self):
+        return self.shape.occupied
+
+    @property
+    def colors_present(self):
+        if self._colors is None:
+            self._colors = frozenset(c for _, c in self.entries)
+        return self._colors
+
+    @property
+    def lattice(self):
+        return self.shape.lattice
+
+    @property
+    def hull(self):
+        return self.shape.hull
+
+    @property
+    def on_lds(self):
+        return self.shape.on_lds
+
+    @property
+    def classification(self):
+        return self.shape.classification
+
     @property
     def cc(self):
         """ColorConfig of a collinear configuration."""
@@ -136,29 +187,29 @@ class Configuration:
         return len(self.occupied) == 1
 
     def contraction_targets(self):
-        """Memoized minimum-edge contraction moves (asym contractible only)."""
-        if self._contraction is None:
-            self._contraction = tuple(min_edge_targets(self.occupied, self.hull))
-        return self._contraction
+        return self.shape.contraction_targets()
 
     def recolor(self, mapper):
         """New Configuration with colors mapped through ``mapper``.
 
-        The points are the same, so the new configuration shares the lattice.
+        The points are the same, so the new configuration gets this one's
+        Shape, and with it the lattice, hull and targets computed on either.
         """
         cfg = Configuration(canonical((p, mapper(c)) for p, c in self.entries))
-        cfg._lattice = self._lattice
+        cfg._shape = self.shape
         return cfg
 
 
 class ConfigInterner:
-    """One Configuration per distinct multiset of entries.
+    """One Configuration per distinct multiset of entries, one Shape per point set.
 
-    Repeated instants then share one object and its cached analyses.  The
-    engine, each TraceData and each enumeration keep their own interner, and
-    with it their own ``memo`` entries: the checker re-derives every action
-    independently of the engine, once per distinct (configuration, position,
-    light), and never sees an action the engine memoized.
+    Repeated instants then share one object and its cached analyses, and
+    configurations that differ only in colors share one Shape.  The engine,
+    each TraceData and each enumeration keep their own interner, and with it
+    their own ``memo`` entries and their own Shapes: the checker re-derives
+    every action and every hull independently of the engine, once per
+    distinct (configuration, position, light) and once per point set, and
+    never sees an action or a hull the engine computed.
 
     ``get`` takes an entry tuple in any order; the engine and the checker
     pass robot order and leave the sorting to it.  Only a tuple it has not
@@ -166,10 +217,11 @@ class ConfigInterner:
     and the given tuple.
     """
 
-    __slots__ = ("_cache",)
+    __slots__ = ("_cache", "_shapes")
 
     def __init__(self):
         self._cache = {}
+        self._shapes = {}
 
     def get(self, entries):
         cache = self._cache
@@ -178,7 +230,7 @@ class ConfigInterner:
             key = canonical(entries)
             cfg = cache.get(key)
             if cfg is None:
-                cfg = cache[key] = Configuration(key)
+                cfg = cache[key] = Configuration(key, self._shapes)
             cache[entries] = cfg
         return cfg
 

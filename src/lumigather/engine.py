@@ -460,9 +460,11 @@ def memo_action(algorithm, cfg, pos, light):
 
     Kept in ``cfg.memo``: robots that share a configuration, a position and a
     light compute the same action, so it is evaluated once.  The engine, each
-    TraceData and each enumeration intern their own configurations, so the
-    checker re-derives every action independently of the engine, and each of
-    them evaluates once per distinct (configuration, position, light).
+    TraceData and each enumeration intern their own configurations and
+    Shapes, so the checker re-derives every action and every hull
+    independently of the engine, and each of them evaluates once per
+    distinct (configuration, position, light) and computes the geometry
+    once per distinct point set.
     """
     key = ("act", algorithm.id, pos, light)
     act = cfg.memo.get(key)

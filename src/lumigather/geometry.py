@@ -204,8 +204,8 @@ class Lattice:
     ``den`` is the least common multiple L of the points' coordinate
     denominators and ``xy`` maps each distinct point p to
     ``(L * p.x, L * p.y)``, a pair of ints, in the order the points came.
-    A Configuration builds its lattice once, on first use, and all of its
-    analyses share it.
+    A Shape builds its lattice once, on first use, and all of its analyses
+    share it.
     """
 
     __slots__ = ("den", "xy")

@@ -302,12 +302,13 @@ class TestNegativeControls:
                 {"kind": "End", "t": 1, "status": "budget"},
             ],
         )
-        # class at t=0 is S,M: never all-S, so the exec is out of place;
-        # there is no all-S cycle at all, which itself is fine, but the
-        # forged exec inside a mixed class must be flagged when a cycle opens
+        # the class at t=0 is S,M and never turns all-S: no cycle opens, and
+        # the exec whose Look comes before any all-S instant is out of place
         rep = _cycle_checked(tr)
-        # no all-S entry: no cycles recorded; the phase DFA accepts S,M -> ...
         assert rep.extras["cycles"] == 0
+        assert rep.violations == [
+            {"t": 0, "detail": "robot 0 ran the inner algorithm outside all-S"}
+        ]
 
     def test_switch_flags_offline_destination_and_lost_collinearity(self):
         start = [(0, 0, "S"), (4, 0, "S"), (2, 5, "S")]
@@ -1339,6 +1340,12 @@ def _nested_cycle_snapshot(trace):
         for i, t in enumerate(seg)
         if classes[t] == frozenset("S") and (i == 0 or classes[seg[i - 1]] != frozenset("S"))
     ]
+    # an execution that looked before the first all-S instant is in no cycle
+    first = starts[0] if starts else stop
+    for rid in range(td.n):
+        for _, _, _, ex, tl in td.computes[rid]:
+            if ex and tl is not None and (first is None or tl < first):
+                rep.violate(tl, f"robot {rid} ran the inner algorithm outside all-S")
     cycles = 0
     for ci, start in enumerate(starts):
         end = starts[ci + 1] if ci + 1 < len(starts) else stop

@@ -4,16 +4,17 @@ import itertools
 import json
 import json.scanner
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lumigather import algorithms, engine
+from lumigather import algorithms, configuration, engine
 from lumigather.algorithms import get_algorithm
 from lumigather.checker import CHECKS, TraceData, default_checks, validate_trace
-from lumigather.configuration import ConfigInterner, Snapshot, canonical
+from lumigather.configuration import ConfigInterner, Configuration, Frame, Snapshot, canonical
 from lumigather.engine import (
     AsyncWorld,
     BudgetExhausted,
@@ -488,6 +489,86 @@ class TestConfigInterner:
             cfg = interner.get(perm)
             assert cfg is first
             assert cfg.entries == canonical(entries)
+
+
+class TestShapes:
+    """Position-only geometry: one Shape per point set and per interner."""
+
+    @staticmethod
+    def _run_capturing(monkeypatch, sc):
+        """``run(sc)`` and the AsyncWorld that produced it."""
+        worlds = []
+
+        class Captured(AsyncWorld):
+            def __init__(self, scenario):
+                super().__init__(scenario)
+                worlds.append(self)
+
+        monkeypatch.setattr(engine, "AsyncWorld", Captured)
+        trace = run(sc)
+        return trace, worlds[0]
+
+    @pytest.mark.parametrize("algorithm", ["six-color", "three-color"])
+    def test_an_engine_run_computes_geometry_once_per_point_set(self, monkeypatch, algorithm):
+        calls = {}
+        for name in ("is_on_lds", "convex_hull"):
+            counter = calls[name] = Counter()
+
+            def counting(points, *rest, original=getattr(configuration, name), counter=counter):
+                counter[tuple(points)] += 1
+                return original(points, *rest)
+
+            monkeypatch.setattr(configuration, name, counting)
+        sc = random_scenario(random.Random(17), algorithm, "async", 5, bound=8)
+        _, world = self._run_capturing(monkeypatch, sc)
+        shapes = world.cache._shapes
+        for counter in calls.values():
+            assert counter and set(counter) <= set(shapes)
+            assert max(counter.values()) == 1
+        # the configurations far outnumber the point sets they color
+        assert len(shapes) < len(set(world.cache._cache.values()))
+
+    def test_six_color_builds_no_shape_outside_all_s(self, monkeypatch):
+        sc = random_scenario(random.Random(17), "six-color", "async", 5, bound=8)
+        _, world = self._run_capturing(monkeypatch, sc)
+        configs = set(world.cache._cache.values())
+        mixed = [cfg for cfg in configs if algorithms.phase_class(cfg) != frozenset("S")]
+        assert mixed and all(cfg._shape is None for cfg in mixed)
+
+    def test_the_checker_never_reads_a_shape_of_the_engine(self, monkeypatch):
+        sc = random_scenario(random.Random(17), "three-color", "async", 5, bound=8)
+        trace, world = self._run_capturing(monkeypatch, sc)
+        parsed = Trace.parse(trace.dumps())
+        for name in default_checks("three-color", "async"):
+            assert CHECKS[name](parsed).passed
+        td = TraceData.of(parsed)
+        tables = [world.cache, td.cache]
+        for interner in tables:
+            for cfg in interner._cache.values():
+                assert cfg._shape is None or cfg._shape is interner._shapes[cfg.occupied]
+        engine_shapes, checker_shapes = ({id(s) for s in c._shapes.values()} for c in tables)
+        assert engine_shapes and checker_shapes
+        assert not engine_shapes & checker_shapes
+
+    def test_recolor_shares_the_shape_and_equality_reads_entries_alone(self):
+        entries = ((pt(0, 0), "S.M"), (pt(4, 0), "S.O"), (pt(2, 5), "S.M"))
+        outer = ConfigInterner().get(entries)
+        view = algorithms._inner_view(Snapshot(outer, pt(0, 0), "S.M")).config
+        assert view.shape is outer.shape
+        assert view.entries == canonical((p, algorithms.inner_of(c)) for p, c in entries)
+        assert view.hull is outer.hull and view.on_lds is outer.on_lds
+        # built without an interner: a Shape of its own, equal analyses, and
+        # equal and hashed as the interned one since the entries are
+        direct = Configuration(canonical(entries))
+        assert direct.shape is not outer.shape
+        assert direct.occupied == outer.occupied
+        assert direct.classification is outer.classification
+        assert direct == outer and hash(direct) == hash(outer)
+        assert view != outer
+        frame = Frame.from_triple(3, 4, 5, scale=2, tx=1, ty=-1)
+        moved = frame.apply_snapshot(Snapshot(outer, pt(0, 0), "S.M")).config
+        assert moved.classification is outer.classification
+        assert moved.occupied == tuple(sorted(map(frame.apply, outer.occupied), key=Point.order_key))
 
 
 class TestRun:
