@@ -6,6 +6,11 @@ replay check reads the logged Config lines, comparing each with the replayed
 configuration of its instant, so an engine bug surfaces as a replay mismatch
 rather than a silent pass.  Every parameter of a check comes from the trace
 header, which ``Scenario.from_json`` reads.  Each check returns a Report.
+
+The checks build no reference cycles, so every function behind ``CHECKS``
+and ``enumerate_unfair`` runs with the cyclic collector paused
+(``configuration.collector_paused``); a check called from another keeps it
+off until the outermost returns.
 """
 
 import functools
@@ -17,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .algorithms import ALGORITHMS, get_algorithm, phase_class, phase_of
-from .configuration import ConfigInterner, Frame, Snapshot
+from .configuration import ConfigInterner, Frame, Snapshot, collector_paused
 from .engine import (
     Scenario,
     SyncWorld,
@@ -458,6 +463,7 @@ def _any_acts(td, rep, t, cfg, seen=None):
     return False
 
 
+@collector_paused
 def validate_trace(trace):
     """Replay the event log and flag any divergence from the Config lines.
 
@@ -688,6 +694,7 @@ def _potential(spec, which=None):
 _OFF_LINE = "configuration off the line: potential g undefined"
 
 
+@collector_paused
 def check_monotone(trace, which=None):
     """Strict lexicographic decrease of the potential across effective rounds.
 
@@ -782,6 +789,7 @@ def snapshot_has_convention_ties(snap):
     return any(p == center for p in cfg.points)
 
 
+@collector_paused
 def check_equivariance_trace(trace):
     """Equivariance of the trace's algorithm over snapshots drawn from it.
 
@@ -849,6 +857,7 @@ def _first_collinear(td):
     return next((k for k, (_, cfg) in enumerate(td.changes) if cfg.on_lds), None)
 
 
+@collector_paused
 def check_cycle_snapshot(trace):
     """Within each color cycle, all inner executions saw one configuration.
 
@@ -929,6 +938,7 @@ _SHAPE_COMBOS = {
 }
 
 
+@collector_paused
 def check_onlds_switch(trace):
     """Shape of the first collinear configuration and its pending moves.
 
@@ -998,6 +1008,7 @@ def check_onlds_switch(trace):
 # --------------------------------------------------------------------------
 
 
+@collector_paused
 def check_shrink(trace):
     """Endpoint distance drops by at least 2*delta between loop entries.
 
@@ -1032,6 +1043,7 @@ def check_shrink(trace):
 # --------------------------------------------------------------------------
 
 
+@collector_paused
 def check_gathered(trace):
     """First time all robots share one point, stable to the end of the trace."""
     td = TraceData.of(trace)
@@ -1127,6 +1139,7 @@ def check_names(spec):
 # --------------------------------------------------------------------------
 
 
+@collector_paused
 def enumerate_unfair(
     entries,
     algorithm,

@@ -59,6 +59,10 @@ the robots that acted in the closing instant, the ones without a stamp, and
 the movers, since no other robot can show anything new.  When none of them
 changes what it shows, the configuration is not interned again and the
 instant has no Config line.
+
+The engine and the trace format build no reference cycles, so ``run``,
+``Trace.dumps`` and ``Trace.parse`` run with the cyclic collector paused
+(``configuration.collector_paused``).
 """
 
 import json
@@ -69,7 +73,7 @@ from json.decoder import WHITESPACE
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .algorithms import get_algorithm
-from .configuration import ConfigInterner, Snapshot
+from .configuration import ConfigInterner, Snapshot, collector_paused
 from .geometry import Point, dist_sq_ints, is_on_lds, toward
 from .rational import Rat, format_rat, min_rat_ge_sqrt, parse_rat
 
@@ -358,6 +362,7 @@ class Trace:
         state.pop("_trace_data", None)
         return state
 
+    @collector_paused
     def dumps(self):
         encode = _line_encoder()
         return "".join([encode(line) + "\n" for line in self.lines])
@@ -367,6 +372,7 @@ class Trace:
             fh.write(self.dumps())
 
     @staticmethod
+    @collector_paused
     def parse(text):
         """The Trace of JSONL ``text``, decoded in one pass.
 
@@ -481,8 +487,9 @@ def memo_action(algorithm, cfg, pos, light):
 class SyncWorld:
     """Round-based world: per-robot positions and lights, atomic rounds.
 
-    A round builds a new world, so a world is never changed after it is
-    built and its configuration is computed once.
+    A round that changes some robot's light or position builds a new world
+    and one that changes none returns the world it was given, so a world is
+    never changed after it is built and its configuration is computed once.
     """
 
     def __init__(self, positions, lights, cache=None):
@@ -497,27 +504,33 @@ class SyncWorld:
         return self._config
 
 
-def enabled_ids(world, algorithm):
-    """The robots of ``world`` that would act if activated now, in index order.
+def is_enabled(world, algorithm, i):
+    """Whether robot ``i`` of ``world`` would act if activated now.
 
     A robot is enabled when its action on the world's configuration changes
     its light or its position (``Action.changes``); activating only robots
     that are not enabled leaves the world as it is.
     """
-    cfg = world.config()
-    return [
-        i
-        for i, (p, c) in enumerate(zip(world.positions, world.lights))
-        if memo_action(algorithm, cfg, p, c).changes(p, c)
-    ]
+    p, c = world.positions[i], world.lights[i]
+    return memo_action(algorithm, world.config(), p, c).changes(p, c)
+
+
+def enabled_ids(world, algorithm):
+    """The robots of ``world`` that would act if activated now, in index order."""
+    return [i for i in range(len(world.positions)) if is_enabled(world, algorithm, i)]
+
+
+# the truncation of a move the adversary does not cut short
+_WHOLE = Rat(1)
 
 
 def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
     """One atomic synchronous round over the activated set.
 
     All activated robots look at the same configuration, compute, and move
-    together; ``fractions`` maps robot index to the adversary truncation.
-    Returns the new SyncWorld.
+    together; ``fractions`` maps robot index to the adversary truncation,
+    a whole move for a robot it leaves out.  Returns the new SyncWorld, or
+    ``world`` itself when no activated robot changes its light or position.
     """
     activated = sorted(set(activated))
     if not activated:
@@ -526,6 +539,7 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
     acts = {i: memo_action(algorithm, cfg, world.positions[i], world.lights[i]) for i in activated}
     positions = list(world.positions)
     lights = list(world.lights)
+    changed = False
     if trace is not None:
         trace.log(kind="RoundStart", t=t, activated=list(activated))
     for i in activated:
@@ -534,35 +548,39 @@ def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
         if trace is not None:
             trace.look(t, i)
             trace.compute(t, i, act)
-        lights[i] = act.color
+        if act.color != lights[i]:
+            lights[i] = act.color
+            changed = True
         if act.dest != origin:
-            reached = apply_move(origin, act.dest, fractions.get(i, Rat(1)), delta)
+            reached = apply_move(origin, act.dest, fractions.get(i, _WHOLE), delta)
             positions[i] = reached
+            changed = True
             if trace is not None:
                 trace.move_begin(t, i, reached)
                 trace.move_end(t, i, reached)
-    return SyncWorld(positions, lights, world.cache)
+    return SyncWorld(positions, lights, world.cache) if changed else world
 
 
 def _run_sync(scenario, rng):
+    """Round loop: a run ends at the first world where no robot is enabled.
+
+    Each round draws its activated set first and evaluates only those
+    robots; the others are scanned, up to the first enabled one, only when
+    none of the activated robots is enabled, and all of them only for the
+    forced activation of ``ssync-unfair``.  The draws made before an End
+    change no trace, since nothing follows the End.
+    """
     algorithm = get_algorithm(scenario.algorithm)
     world = SyncWorld([p for p, _ in scenario.robots], [c for _, c in scenario.robots])
     trace = Trace(_header(scenario))
     n = len(scenario.robots)
     bound = scenario.bound
+    unfair = scenario.scheduler == "ssync-unfair"
     last_act = [0] * n
     ineffective_streak = 0
     t = 0
     trace.config_line(0, world.config())
     while True:
-        enab = enabled_ids(world, algorithm)
-        if not enab:
-            status = "gathered" if world.config().gathered() else "fixpoint"
-            trace.end(t, status)
-            return trace
-        if t >= scenario.step_budget:
-            trace.end(t, "budget")
-            raise BudgetExhausted(world.config(), trace)
         if scenario.scheduler == "fsync":
             activated = list(range(n))
         elif scenario.scheduler == "ssync":
@@ -576,16 +594,25 @@ def _run_sync(scenario, rng):
             activated = [i for i in range(n) if rng.random() < 0.5]
             if not activated:
                 activated = [rng.randrange(n)]
-            if ineffective_streak >= bound - 1 and not (set(activated) & set(enab)):
-                activated.append(enab[rng.randrange(len(enab))])
         activated = sorted(set(activated))
+        effective = any(is_enabled(world, algorithm, i) for i in activated)
+        if not effective and not any(
+            is_enabled(world, algorithm, i) for i in range(n) if i not in activated
+        ):
+            status = "gathered" if world.config().gathered() else "fixpoint"
+            trace.end(t, status)
+            return trace
+        if t >= scenario.step_budget:
+            trace.end(t, "budget")
+            raise BudgetExhausted(world.config(), trace)
+        if unfair and not effective and ineffective_streak >= bound - 1:
+            enab = enabled_ids(world, algorithm)
+            activated = sorted({*activated, enab[rng.randrange(len(enab))]})
+            effective = True
         fractions = {i: _pick_fraction(scenario.policy, rng) for i in activated}
         before = world.config()
         world = ssync_round(world, algorithm, activated, fractions, scenario.delta, trace, t)
-        if set(activated) & set(enab):
-            ineffective_streak = 0
-        else:
-            ineffective_streak += 1
+        ineffective_streak = 0 if effective else ineffective_streak + 1
         for i in activated:
             last_act[i] = t
         t += 1
@@ -593,7 +620,7 @@ def _run_sync(scenario, rng):
             trace.config_line(t, world.config())
 
 
-_FRACTIONS = (Rat(1), Rat(3, 4), Rat(1, 2), Rat(1, 4))
+_FRACTIONS = (_WHOLE, Rat(3, 4), Rat(1, 2), Rat(1, 4))
 
 
 def _pick_fraction(policy, rng):
@@ -741,7 +768,7 @@ class AsyncWorld:
         if kind == "compute":
             act = memo_action(self.algorithm, *r.seen)
         elif kind == "move_begin":
-            frac = choice[2] if len(choice) > 2 else Rat(1)
+            frac = choice[2] if len(choice) > 2 else _WHOLE
             if not isinstance(frac, Rat) or not 0 < frac <= 1:
                 raise IllegalChoice(f"move_begin: truncation {frac!r} is not a rational in (0,1]")
             reach = apply_move(r.pos, r.dest, frac, self.delta)
@@ -974,13 +1001,14 @@ def _run_async(scenario, rng):
     return world.trace
 
 
+@collector_paused
 def run(scenario):
     """Execute a scenario to a deterministic trace.
 
     Terminates at a fixpoint (gathered or otherwise) or raises
     BudgetExhausted carrying the final configuration and partial trace, or
     ScenarioError when the scenario's adversary policy cannot keep its
-    asynchronous fairness bound.
+    asynchronous fairness bound.  Runs with the cyclic collector paused.
     """
     rng = random.Random(scenario.seed)
     if scenario.scheduler == "async":
