@@ -132,6 +132,15 @@ class TraceData:
     mid-cycle, a MoveEnd or a Compute whose move is omitted, after a 0 that
     stands for the start.
 
+    The pass also re-derives the asynchronous fairness rule of the header's
+    ``fairness_bound``, as the engine counts it: every robot event and every
+    clock advance is a step, and a robot waits from the advance that closes
+    the instant it acted in (from the start, before it first acts).  Its
+    wait is counted at its next event and, for the robots that did not act
+    in the last instant, at the End; ``starved`` lists ``(t, robot, trace
+    line, steps)`` for each wait that reached the bound.  O(1) per event:
+    each robot keeps the step of its latest closing advance.
+
     The same pass states the asynchronous timing rule once: each event
     records the entry change it causes at the instant that shows it.  A
     Compute's color and a MoveEnd's reach show from the next instant, a
@@ -155,9 +164,10 @@ class TraceData:
     ``last_t`` is the instant of the last line, End's in a valid trace.
     ``scenario`` is the header as ``Scenario.from_json`` reads it.  Malformed
     input raises ValueError, as do lines out of time order, colors outside
-    the algorithm's alphabet and a second Config, RoundStart or MoveProgress
-    line where one is allowed.  Checks obtain their instance through
-    ``TraceData.of``, which builds it once per trace.
+    the algorithm's alphabet, a second Config, RoundStart or MoveProgress
+    line where one is allowed and a RoundStart line after a robot event of
+    its round.  Checks obtain their instance through ``TraceData.of``, which
+    builds it once per trace.
     """
 
     @classmethod
@@ -222,6 +232,14 @@ class TraceData:
         point = self.point
         no_keys = _LINE_KEYS[None]
         last_time = 0
+        # the asynchronous fairness rule: a robot's stamp is the step index of
+        # the advance that closes the instant it acted in (0 at the start); it
+        # waits the steps from there to its next event, or to the End
+        bound = self.scenario.bound if self.scenario.scheduler == "async" else None
+        stamps = [0] * n  # None: the robot acted at instant last_time
+        acted = []  # the robots that acted at instant last_time
+        self.starved = starved = []
+        step = 0  # the steps before the next robot event: the events so far plus last_time
         # each event's branch records its phase letter (a MoveProgress has
         # none) and its entry change in ``shows``: a new color or the reach
         # from the next instant, a progress point at once
@@ -241,7 +259,12 @@ class TraceData:
                 json_typed(t, int, f"trace line {i + 1}: t")
             if t < last_time:
                 raise ValueError(f"trace line {i + 1}: t={t} comes after a line at t={last_time}")
-            last_time = t
+            if t != last_time:
+                for rid in acted:
+                    stamps[rid] = step  # the advance that closes last_time
+                acted.clear()
+                step += t - last_time
+                last_time = t
             if kind == "Config":
                 if config_times and config_times[-1] == t:
                     raise ValueError(f"trace line {i + 1}: a second Config line for t={t}")
@@ -251,6 +274,15 @@ class TraceData:
                 rid = ln["robot"]
                 if type(rid) is not int or not 0 <= rid < n:
                     self._bad_robot(rid, ln)
+                if kind != "MoveProgress":
+                    stamp = stamps[rid]
+                    if stamp is not None:
+                        waited = step - 1 - stamp
+                        if bound is not None and waited >= bound:
+                            starved.append((t, rid, i + 1, waited))
+                        stamps[rid] = None
+                        acted.append(rid)
+                    step += 1
                 if kind == "Look":
                     looks[rid].append(t)
                     phases[rid].append((t, "L"))
@@ -305,14 +337,25 @@ class TraceData:
                     self.status = ln["status"]
                     self.end_time = t
                     self.lines_after_end = len(lines) - 1 - i
+                    if bound is not None:
+                        # the last step a robot that did not act waits through
+                        last_step = step - 1 - (self.status != "budget")
+                        for rid, stamp in enumerate(stamps):
+                            if stamp is not None and last_step - stamp >= bound:
+                                starved.append((t, rid, i + 1, last_step - stamp))
             elif kind == "RoundStart":
                 if t in self.rounds:
                     raise ValueError(f"trace line {i + 1}: a second RoundStart line for t={t}")
+                if acted:
+                    raise ValueError(
+                        f"trace line {i + 1}: RoundStart line for t={t} "
+                        "after a robot event of its round"
+                    )
                 for rid in json_typed(ln["activated"], list, f"trace line {i + 1}: activated"):
                     if type(rid) is not int or not 0 <= rid < n:
                         self._bad_robot(rid, ln)
                 self.rounds[t] = ln["activated"]
-        self.robot_events = sum(map(len, phases))
+        self.robot_events = step - last_time
         self.last_t = last_time
         for rid, ms in enumerate(moves):
             for j, m in enumerate(ms):
@@ -476,7 +519,8 @@ def validate_trace(trace):
     Compute.  The phase rules differ: a round holds a robot's whole cycle,
     while an asynchronous robot keeps its phase order and the timing rules.
     One End line closes the trace with a status that agrees with the final
-    configuration.
+    configuration.  No asynchronous robot waits as many steps as the header's
+    fairness bound (``TraceData.starved``).
 
     Only the instants of a change or a line are visited: at any other
     instant the replayed configuration is the previous instant's and no line
@@ -505,6 +549,10 @@ def validate_trace(trace):
             _validate_round_phases(td, rid, rep)
         _validate_computes(td, rid, rep)
         _validate_moves(td, rid, rep)
+    bound = td.scenario.bound
+    for t, rid, line, waited in td.starved:
+        detail = f"trace line {line}: robot {rid} waited {waited} steps, fairness bound {bound}"
+        rep.violate(t, detail)
     _validate_end(td, rep)
     return rep
 

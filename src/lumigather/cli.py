@@ -1,7 +1,7 @@
 """Command-line harness: run scenarios, fuzz, check traces, plot, enumerate.
 
 Exit codes: 0 success, 1 check violations, 2 bad input/usage, 3 step budget
-exhausted.
+or enumeration node ceiling exhausted.
 """
 
 import argparse
@@ -229,6 +229,9 @@ def render_svg(td, size=640):
 
 
 def cmd_enumerate(args):
+    if args.depth < 1 or args.node_ceiling < 1:
+        print("enumerate: --depth and --node-ceiling must be at least 1", file=sys.stderr)
+        return 2
     try:
         scenario = Scenario.load(args.scenario)
     except (ScenarioError, OSError) as exc:
@@ -246,7 +249,9 @@ def cmd_enumerate(args):
         print(f"enumerate: {exc}", file=sys.stderr)
         return 2
     print(rep)
-    return 0 if rep.passed else 1
+    if not rep.passed:
+        return 1
+    return 3 if rep.extras["aborted"] else 0
 
 
 def build_parser():

@@ -1,9 +1,6 @@
 import copy
 import dataclasses
-import functools
 import json
-import random
-import re
 from pathlib import Path
 
 import pytest
@@ -26,12 +23,24 @@ from lumigather.checker import (
 )
 from lumigather.configuration import ConfigInterner, Frame, Snapshot
 from lumigather.engine import SCHEDULERS, BudgetExhausted, Scenario, Trace, run
-from lumigather.fuzz import random_scenario
 from lumigather.geometry import Point, hull_center, pt
-from lumigather.rational import Rat, format_rat, parse_rat
+from lumigather.rational import Rat, parse_rat
 
 import test_golden
 from conftest import identity_frame, make_snap
+from forgeries import (
+    SIX_COLOR,
+    cfg_line,
+    config_line,
+    config_only,
+    exec_flags,
+    exec_on_a_non_inner_compute,
+    fmt,
+    index,
+    one_move,
+    robot,
+    synthetic,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -45,120 +54,8 @@ def scen(robots, **kw):
     return Scenario(robots=tuple((pt(*p), c) for p, c in robots), **base)
 
 
-def synthetic(header_over, lines):
-    """Hand-built trace for negative controls.
-
-    Unless ``header_over`` sets it, the step budget is the one a ``budget``
-    End line used up: its rounds, or its robot events and clock advances.
-    A Config line whose entries equal those of the Config line before it is
-    left out, as the engine leaves out a configuration that did not change.
-    """
-    header = {
-        "kind": "Header",
-        "algorithm": "three-color",
-        "scheduler": "async",
-        "delta": "1/1",
-        "n": 0,
-        "robots": [],
-        "adversary": {"policy": "random", "seed": 0},
-        "step_budget": 1000,
-        "fairness_bound": 64,
-        "move_span_cap": 16,
-    }
-    header.update(header_over)
-    header["n"] = len(header["robots"])
-    end = next((l for l in lines if l["kind"] == "End"), None)
-    if "step_budget" not in header_over and end is not None and end["status"] == "budget":
-        steps = end["t"]
-        if header["scheduler"] == "async":
-            steps += sum(l["kind"] in ("Look", "Compute", "MoveBegin", "MoveEnd") for l in lines)
-        header["step_budget"] = max(steps, 1)
-    kept, entries = [], None
-    for ln in lines:
-        if ln["kind"] == "Config":
-            if ln["entries"] == entries:
-                continue
-            entries = ln["entries"]
-        kept.append(ln)
-    tr = Trace.__new__(Trace)
-    tr.lines = [header] + kept
-    tr.status = None
-    tr.end_time = None
-    return tr
-
-
-def robot(x, y, color):
-    return {"x": f"{x}/1", "y": f"{y}/1", "color": color}
-
-
-def fmt(v):
-    return v if isinstance(v, str) else f"{v}/1"
-
-
 def robot_event(kind, t, rid, **kw):
     return {"kind": kind, "t": t, "robot": rid, **kw}
-
-
-def cfg_line(t, entries):
-    return {
-        "kind": "Config",
-        "t": t,
-        "entries": [[fmt(x), fmt(y), c] for x, y, c in entries],
-    }
-
-
-def one_move(scheduler, reach, progress=None, compute=True):
-    """lu-gather-async trace: robot 0 computes (2, 0) and moves to ``reach``.
-
-    Robot 1 stays at (4, 0).  Under ``async`` the robot looks at t=0,
-    computes at t=1 and moves from t=2 to t=3 through ``progress``; under a
-    round-based scheduler it does all of it in the round at t=0.  Config
-    lines follow the events, so only the move itself can be at fault.
-    """
-    light = "M" if compute else "S"
-    reach_xy = [fmt(v) for v in reach]
-
-    def config(t, xy):
-        return cfg_line(t, [(xy[0], xy[1], light), (4, 0, "S")])
-
-    def event(kind, t, **kw):
-        return {"kind": kind, "t": t, "robot": 0, **kw}
-
-    comp = [event("Compute", 1, color="M", dest=["2/1", "0/1"], exec=False)]
-    if scheduler == "async":
-        lines = [
-            cfg_line(0, [(0, 0, "S"), (4, 0, "S")]),
-            event("Look", 0),
-            cfg_line(1, [(0, 0, "S"), (4, 0, "S")]),
-            *(comp if compute else []),
-            config(2, (0, 0)),
-            event("MoveBegin", 2, reach=reach_xy),
-            event("MoveProgress", 3, pos=[fmt(v) for v in progress]),
-            config(3, progress),
-            event("MoveEnd", 3, pos=reach_xy),
-            config(4, reach),
-            {"kind": "End", "t": 4, "status": "budget"},
-        ]
-    else:
-        comp[0]["t"] = 0
-        lines = [
-            cfg_line(0, [(0, 0, "S"), (4, 0, "S")]),
-            {"kind": "RoundStart", "t": 0, "activated": [0]},
-            event("Look", 0),
-            *(comp if compute else []),
-            event("MoveBegin", 0, reach=reach_xy),
-            event("MoveEnd", 0, pos=reach_xy),
-            config(1, reach),
-            {"kind": "End", "t": 1, "status": "budget"},
-        ]
-    return synthetic(
-        {
-            "algorithm": "lu-gather-async",
-            "scheduler": scheduler,
-            "robots": [robot(0, 0, "S"), robot(4, 0, "S")],
-        },
-        lines,
-    )
 
 
 class TestHappyPaths:
@@ -554,52 +451,6 @@ class TestNegativeControls:
             "robot 1: round events none are not Look, Compute and move",
         ]
 
-    def test_replay_requires_a_config_line_where_the_configuration_changes(self):
-        tr = run(Scenario.load(SCENARIOS / "square.json"))
-        assert validate_trace(tr).passed and tr.end_time > 77
-        bad = Trace.parse(tr.dumps())
-        t = next(l["t"] for l in bad.lines if l["kind"] == "Config" and l["t"] >= 77)
-        bad.lines = [l for l in bad.lines if not (l["kind"] == "Config" and l["t"] == t)]
-        rep = validate_trace(bad)
-        assert not rep.passed
-        assert rep.violations == [
-            {"t": t, "detail": f"no Config line at t={t}, where the configuration changes"}
-        ]
-
-    @pytest.mark.parametrize("damage", ["truncated", "event-after-end", "end-time", "end-status"])
-    def test_replay_checks_end_line(self, damage):
-        tr = run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
-        assert tr.status == "gathered" and validate_trace(tr).passed
-        bad = Trace.parse(tr.dumps())
-        end = bad.lines[-1]
-        t = end["t"]
-        if damage == "truncated":
-            bad.lines.pop()
-            want = [(None, "trace has no End line")]
-        elif damage == "event-after-end":
-            # the Look leaves robot 0 mid-cycle; the world was terminal from
-            # t on, so End still claims the first terminal instant
-            bad.lines.append({"kind": "Look", "t": t, "robot": 0})
-            want = [
-                (t, "1 line(s) after the End line"),
-                (t, "robot 0 is mid-cycle at End: its last cycle is L"),
-            ]
-        elif damage == "end-time":
-            # one instant after the first terminal instant, and one more step
-            # than the step budget allows
-            td = TraceData(tr)
-            bad.lines[0]["step_budget"] = steps = td.end_time + td.robot_events - 1
-            end["t"] += 1
-            want = [
-                (t + 1, f"End at t={t + 1}, but the first terminal instant is t={t}"),
-                (t + 1, f"End status gathered after {steps + 1} steps of a budget of {steps}"),
-            ]
-        else:
-            end["status"] = "fixpoint"
-            want = [(t, "End status fixpoint disagrees with the final configuration")]
-        rep = validate_trace(bad)
-        assert [(v["t"], v["detail"]) for v in rep.violations] == want
-
 
 @pytest.mark.parametrize("scheduler", ["fsync", "ssync", "ssync-unfair"])
 @pytest.mark.parametrize("policy", ["ssync-stingy", "rigid"])
@@ -678,7 +529,7 @@ class TestSharedTraceData:
         assert all(a != b for a, b in zip(entries, entries[1:]))
         times = TraceData(tr).config_times
         t = next(t for t in range(1, tr.end_time) if t not in times)
-        test_golden.config_line(tr, t)
+        config_line(tr.lines, t)
         rep = validate_trace(tr)
         assert rep.violations == [
             {"t": t, "detail": f"Config line at t={t}, where the configuration does not change"}
@@ -688,7 +539,7 @@ class TestSharedTraceData:
         tr = Trace.parse(self._trace().dumps())
         times = TraceData(tr).config_times
         t = next(t for t in range(1, tr.end_time) if t not in times)
-        forged = tr.lines[test_golden.config_line(tr, t)]["entries"]
+        forged = tr.lines[config_line(tr.lines, t)]["entries"]
         forged[0][0] = "99/1"
         rep = validate_trace(tr)
         assert not rep.passed
@@ -778,23 +629,6 @@ class TestMalformedTraceData:
     def _lines(self):
         return run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8)).lines
 
-    def test_first_line_not_header(self):
-        with pytest.raises(ValueError, match="Header"):
-            TraceData(self._lines()[1:])
-
-    def test_no_robots(self):
-        lines = [dict(self._lines()[0], n=0, robots=[]), {"kind": "End", "t": 0, "status": "budget"}]
-        with pytest.raises(ValueError, match="at least one robot"):
-            TraceData(lines)
-
-    @pytest.mark.parametrize("kind,rid", [("MoveEnd", 9), ("Look", -1), ("Compute", "0")])
-    def test_robot_id_out_of_range(self, kind, rid):
-        lines = [dict(l) for l in self._lines()]
-        i = next(k for k, l in enumerate(lines) if l["kind"] == kind)
-        lines[i]["robot"] = rid
-        with pytest.raises(ValueError, match="robot id"):
-            TraceData(lines)
-
     @pytest.mark.parametrize(
         "damage",
         ["config-without-t", "robot-without-x", "non-object-line", "no-progress", "second-config"],
@@ -832,99 +666,6 @@ class TestMalformedTraceData:
         with pytest.raises(ValueError, match="robot id 3"):
             TraceData(lines)
 
-    @pytest.mark.parametrize("damage", ["last-config-first", "looks-swapped"])
-    def test_line_back_in_time(self, damage):
-        # forgeries that passed replay, or were misreported by it, while the
-        # per-robot timelines took the lines' order for time order
-        lines = run(random_scenario(random.Random(4105), "three-color", "async", 5, bound=8)).lines
-        if damage == "last-config-first":
-            last = max(i for i, l in enumerate(lines) if l["kind"] == "Config")
-            lines.insert(1, lines.pop(last))
-        else:
-            i, j = (
-                k for k, l in enumerate(lines)
-                if l["kind"] == "Look" and l["robot"] == 0 and l["t"] in (2, 14)
-            )
-            lines[i], lines[j] = lines[j], lines[i]
-        with pytest.raises(ValueError, match="comes after a line at t="):
-            TraceData(lines)
-
-    def test_header_outside_the_scenario_rules(self):
-        header = dict(
-            self._lines()[0],
-            algorithm="lu-gather",
-            robots=[robot(0, 0, "A"), robot(5, 0, "A"), robot(2, 3, "A")],
-        )
-        with pytest.raises(ValueError, match="trace header: lu-gather requires a collinear start"):
-            TraceData([header])
-
-    @pytest.mark.parametrize("kind", ["Config", "Compute"])
-    def test_color_outside_the_alphabet(self, kind):
-        lines = [copy.deepcopy(l) for l in self._lines()]
-        line = next(l for l in lines if l["kind"] == kind)
-        if kind == "Config":
-            line["entries"][1][2] = "Z"
-        else:
-            line["color"] = "Z"
-        with pytest.raises(ValueError, match="color 'Z' outside alphabet of three-color"):
-            TraceData(lines)
-
-    @pytest.mark.parametrize(
-        "damage,message",
-        [
-            ("robots-not-array", "robots is not a JSON array"),
-            ("n-not-integer", "n is not a JSON integer"),
-            ("robot-color-not-string", "color is not a JSON string"),
-            ("config-entry-not-array", "malformed Config entries"),
-            ("config-entry-short", "malformed Config entries"),
-            ("config-color-not-string", "color is not a JSON string"),
-            ("entries-not-array", "malformed Config entries"),
-            ("t-not-integer", "t is not a JSON integer"),
-            ("compute-color-not-string", "color is not a JSON string"),
-            ("activated-not-array", "activated is not a JSON array"),
-            ("dest-not-pair", "malformed coordinate pair"),
-            ("coordinate-not-rational", "malformed rational"),
-            ("adversary-not-object", "adversary is not a JSON object"),
-            ("adversary-seed-not-integer", "adversary seed is not a JSON integer"),
-            ("exec-not-boolean", "exec is not a JSON boolean"),
-        ],
-    )
-    def test_value_of_wrong_type(self, damage, message):
-        lines = [copy.deepcopy(l) for l in self._lines()]
-        config = next(l for l in lines if l["kind"] == "Config")
-        if damage == "robots-not-array":
-            lines[0]["robots"] = 5
-        elif damage == "n-not-integer":
-            lines[0]["n"] = [3]
-        elif damage == "robot-color-not-string":
-            lines[0]["robots"][0]["color"] = 7
-        elif damage == "config-entry-not-array":
-            config["entries"][1] = 7
-        elif damage == "config-entry-short":
-            config["entries"][1] = config["entries"][1][:2]
-        elif damage == "config-color-not-string":
-            config["entries"][1][2] = ["S"]
-        elif damage == "entries-not-array":
-            config["entries"] = 5
-        elif damage == "compute-color-not-string":
-            next(l for l in lines if l["kind"] == "Compute")["color"] = 1
-        elif damage == "activated-not-array":
-            lines.insert(2, {"kind": "RoundStart", "t": 0, "activated": 1})
-        elif damage == "t-not-integer":
-            config["t"] = "0"
-        elif damage == "dest-not-pair":
-            next(l for l in lines if l["kind"] == "Compute")["dest"] = [[1], 2]
-        elif damage == "adversary-not-object":
-            lines[0]["adversary"] = "random"
-        elif damage == "adversary-seed-not-integer":
-            lines[0]["adversary"]["seed"] = "x"
-        elif damage == "exec-not-boolean":
-            next(l for l in lines if l["kind"] == "Compute")["exec"] = 1
-        else:
-            lines[0]["robots"][2]["y"] = "three"
-        with pytest.raises(ValueError, match=message):
-            TraceData(lines)
-
 
 def test_every_check_reports_on_a_trace_without_config_lines():
     tr = run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
@@ -951,27 +692,16 @@ def test_gathered_flags_an_honest_trace_that_never_gathers():
     assert rep.extras == {"gathered": False, "time": None}
 
 
-def test_replay_flags_a_config_line_out_of_canonical_order():
-    tr = _scenario_trace("square.json")
-    entries = tr.lines[_line(tr, "Config", t=4)]["entries"]
-    assert entries != entries[::-1]
-    entries.reverse()
-    assert _violations(_reparse(tr.lines)) == [
-        (4, "replayed configuration differs from logged Config")
-    ]
-
-
 def test_a_forged_config_line_fails_replay_alone():
-    """square.json with one color of its t=4 Config line forged.
+    """square.json with one color of its t=4 Config line forged (``config_only``).
 
     The line claims the phase class {S, M, E}; only replay reads it, and
     every other check reports what it reports on the honest trace.
     """
     honest = _scenario_trace("square.json")
     tr = _scenario_trace("square.json")
-    entry = tr.lines[_line(tr, "Config", t=4)]["entries"][1]
-    assert entry == ["0/1", "4/1", "S"]
-    entry[2] = "E"
+    assert tr.lines[index(tr.lines, "Config", t=4)]["entries"][1] == ["0/1", "4/1", "S"]
+    config_only(tr.lines)
     forged = _reparse(tr.lines)
     assert _violations(forged) == [(4, "replayed configuration differs from logged Config")]
     for name in ("cycle", "switch", "gather", "equivariance"):
@@ -1118,183 +848,6 @@ def test_report_json_shape():
     assert data["undecided"] == []
 
 
-# --------------------------------------------------------------------------
-# Negative controls: one forged defect per rule that honest runs never fire
-# --------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _square_text():
-    return run(Scenario.load(SCENARIOS / "square.json")).dumps()
-
-
-def _square():
-    """A fresh copy of the bundled square.json async trace."""
-    return Trace.parse(_square_text())
-
-
-def _one_move():
-    """The honest async ``one_move`` trace: Look 0, Compute 1, move from 2 to 3."""
-    return one_move("async", (2, 0), (1, 0))
-
-
-def _line(tr, kind, **match):
-    """Index of the first line of ``kind`` whose keys equal ``match``."""
-    return next(
-        i for i, l in enumerate(tr.lines)
-        if l["kind"] == kind and all(l.get(k) == v for k, v in match.items())
-    )
-
-
-def _move_progress(tr):
-    """Per move of ``tr``: robot, MoveBegin line and its MoveProgress lines."""
-    open_moves, out = {}, []
-    for ln in tr.lines:
-        if ln["kind"] == "MoveBegin":
-            open_moves[ln["robot"]] = (ln["robot"], ln, [])
-            out.append(open_moves[ln["robot"]])
-        elif ln["kind"] == "MoveProgress":
-            open_moves[ln["robot"]][2].append(ln)
-    return out
-
-
-def _compute_at_look_instant(tr):
-    # robot 0 computes at t=0, the instant of its Look; the Config at t=1
-    # shows the new color, so only the timing is at fault
-    comp = tr.lines.pop(_line(tr, "Compute"))
-    comp["t"] = 0
-    tr.lines.insert(test_golden.config_line(tr, 1), comp)
-    tr.lines[test_golden.config_line(tr, 1)]["entries"][0][2] = "M"
-
-
-def _end_at_begin(tr):
-    # the move ends at its MoveBegin instant, so no progress is due
-    del tr.lines[_line(tr, "MoveProgress")]
-    end = tr.lines.pop(_line(tr, "MoveEnd"))
-    end["t"] = 2
-    tr.lines.insert(_line(tr, "Config", t=3), end)
-    tr.lines[_line(tr, "Config", t=3)]["entries"] = tr.lines[_line(tr, "Config", t=4)]["entries"]
-    del tr.lines[_line(tr, "Config", t=4)]
-    tr.lines[-1]["t"] = 3
-
-
-def _cap_below_longest_move(tr):
-    td = TraceData(tr)
-    longest = max(m.t_e - m.t_b for ms in td.moves for m in ms if m.t_e is not None)
-    assert longest >= 2
-    tr.lines[0]["move_span_cap"] = longest - 1
-
-
-def _progress_repeated(tr):
-    _, _, points = next(m for m in _move_progress(tr) if len(m[2]) >= 2)
-    points[1]["pos"] = list(points[0]["pos"])
-
-
-def _forge(kind, **kw):
-    def forge(tr):
-        tr.lines[_line(tr, kind)].update(kw)
-    return forge
-
-
-def _drop(*kinds):
-    def forge(tr):
-        tr.lines[:] = [l for l in tr.lines if l["kind"] not in kinds]
-    return forge
-
-
-def _one_round():
-    """The honest ssync ``one_move`` trace: one round with the whole cycle."""
-    return one_move("ssync", (2, 0), (1, 0))
-
-
-def _compute_before_look(tr):
-    # the round's events are read in line order, not sorted by kind
-    i, j = _line(tr, "Look"), _line(tr, "Compute")
-    tr.lines[i], tr.lines[j] = tr.lines[j], tr.lines[i]
-
-
-def _header_n_off(tr):
-    tr.lines[0]["n"] += 1
-
-
-def _one_move_with(reach, progress):
-    def forge(tr):
-        tr.lines[:] = one_move("async", reach, progress).lines
-    return forge
-
-
-@functools.lru_cache(maxsize=None)
-def _six_color_text():
-    return run(random_scenario(random.Random(4105), "six-color", "async", 5, bound=8)).dumps()
-
-
-def _six_color():
-    """A fresh copy of an async six-color trace with 33 inner executions in 17 cycles."""
-    return Trace.parse(_six_color_text())
-
-
-def _exec_cleared(tr):
-    # no Compute claims an inner execution, so the cycle check finds none
-    computes = [l for l in tr.lines if l["kind"] == "Compute"]
-    assert sum(l["exec"] for l in computes) == 33
-    for l in computes:
-        l["exec"] = False
-
-
-def _exec_on_a_non_inner_compute(tr):
-    next(l for l in tr.lines if l["kind"] == "Compute" and not l["exec"])["exec"] = True
-
-
-@pytest.mark.parametrize(
-    "base,forge,error,message",
-    [
-        (_one_move, _compute_at_look_instant, None, "events not strictly ordered"),
-        (_one_move, _end_at_begin, None, "move ended before t_b+1"),
-        (_square, _cap_below_longest_move, None, "move span exceeds cap"),
-        (_one_move, _one_move_with((2, 0), (1, 1)), None, "progress point off half-open segment"),
-        (_square, _progress_repeated, None, "progress distance not increasing"),
-        (_one_move, _drop("Look"), None, "Compute without Look"),
-        (_one_move, _one_move_with((0, 0), (0, 0)), None, "zero-distance move not omitted"),
-        (_one_move, _forge("MoveEnd", pos=["1/1", "0/1"]), None, "end position differs from reach"),
-        (_square, _header_n_off, ValueError, "trace header lists 4 robots, n=5"),
-        (_one_move, _drop("MoveBegin"), ValueError, "MoveProgress without MoveBegin"),
-        (_one_move, _drop("MoveBegin", "MoveProgress"), ValueError, "MoveEnd without MoveBegin"),
-        (_one_round, _compute_before_look, None, "round events CLBE are not Look, Compute and move"),
-        (_square, _forge("End", status="done"), None, "End status 'done' is none of gathered"),
-        (_six_color, _exec_cleared, None, "Compute differs from algorithm output"),
-        (_six_color, _exec_on_a_non_inner_compute, None, "Compute differs from algorithm output"),
-    ],
-    ids=[
-        "not-strictly-ordered",
-        "ended-before-tb-plus-1",
-        "span-over-cap",
-        "progress-off-segment",
-        "progress-not-increasing",
-        "compute-without-look",
-        "zero-distance-move",
-        "end-off-reach",
-        "header-n",
-        "progress-without-begin",
-        "end-without-begin",
-        "round-compute-before-look",
-        "end-status-unknown",
-        "exec-cleared",
-        "exec-on-a-non-inner-compute",
-    ],
-)
-def test_replay_negative_control(base, forge, error, message):
-    assert validate_trace(base()).passed
-    tr = base()
-    forge(tr)
-    if error is not None:
-        with pytest.raises(error, match=re.escape(message)):
-            validate_trace(tr)
-        return
-    rep = validate_trace(tr)
-    assert not rep.passed
-    assert any(message in str(v["detail"]) for v in rep.violations), rep.violations
-
-
 def _wrapped_three_color(lines, robots=((0, 0, "S"), (4, 0, "S"), (2, 5, "S"))):
     return synthetic({"robots": [robot(*r) for r in robots]}, lines)
 
@@ -1390,13 +943,14 @@ def test_cycle_check_equals_the_nested_reference_on_golden_traces(name):
     assert rep.passed and rep.extras["cycles"] > 0
 
 
-@pytest.mark.parametrize("forge", [None, _exec_cleared, _exec_on_a_non_inner_compute])
+@pytest.mark.parametrize("forge", [None, "cleared", "on-a-non-inner-compute"])
 def test_cycle_check_equals_the_nested_reference_on_forged_exec_flags(forge):
-    tr = _six_color()
+    tr = Trace.parse(SIX_COLOR())
+    edits = {"cleared": exec_flags(False, 33), "on-a-non-inner-compute": exec_on_a_non_inner_compute}
     if forge is not None:
-        forge(tr)
-    rep = _cycle_checked(Trace.parse(tr.dumps()))
-    assert rep.extras["cycles"] == (0 if forge is _exec_cleared else 17)
+        edits[forge](tr.lines)
+    rep = _cycle_checked(_reparse(tr.lines))
+    assert rep.extras["cycles"] == (0 if forge == "cleared" else 17)
 
 
 class TestCheckNegativeControls:
@@ -1525,48 +1079,6 @@ def test_an_async_budget_is_spent_on_events_and_advances(budget, end, events):
     assert validate_trace(td).passed
 
 
-@pytest.mark.parametrize(
-    "name,budget,forged",
-    [
-        ("square.json", 60, 5),
-        ("square.json", 60, 10**6),
-        ("line-lu.json", 3, 2),
-        ("line-lu.json", 3, 4),
-    ],
-)
-def test_replay_flags_a_forged_step_budget_at_a_budget_end(name, budget, forged):
-    tr = Trace.parse(_budget_run(name, budget).dumps())
-    steps = budget
-    tr.lines[0]["step_budget"] = forged
-    rep = validate_trace(tr)
-    assert rep.violations == [
-        {"t": tr.end_time, "detail": f"End status budget after {steps} steps of a budget of {forged}"}
-    ]
-
-
-@pytest.mark.parametrize("name", ["square.json", "line-lu.json"])
-def test_replay_flags_a_run_that_ends_over_its_step_budget(name):
-    tr = run(Scenario.load(SCENARIOS / name))
-    td = TraceData(tr)
-    steps = td.end_time
-    if td.scenario.scheduler == "async":
-        steps += td.robot_events - 1  # the closing advance is no step
-    forged = Trace.parse(tr.dumps())
-    forged.lines[0]["step_budget"] = steps
-    assert validate_trace(forged).passed
-    forged = Trace.parse(tr.dumps())
-    forged.lines[0]["step_budget"] = steps - 1
-    assert validate_trace(forged).violations == [
-        {"t": tr.end_time,
-         "detail": f"End status {tr.status} after {steps} steps of a budget of {steps - 1}"}
-    ]
-
-
-# --------------------------------------------------------------------------
-# A gathered or fixpoint End claims the first terminal instant
-# --------------------------------------------------------------------------
-
-
 def _scenario_trace(name):
     return Trace.parse(run(Scenario.load(SCENARIOS / name)).dumps())
 
@@ -1577,97 +1089,3 @@ def _reparse(lines):
 
 def _violations(tr):
     return [(v["t"], v["detail"]) for v in validate_trace(tr).violations]
-
-
-@pytest.mark.parametrize("cut", [0, 2, 4])
-def test_a_round_trace_cut_with_a_fixpoint_end_fails_replay_alone(cut):
-    """An elect-one-lds run cut before its line forms, passed off as a fixpoint.
-
-    Its default checks are replay and monotone, and monotone passes: only
-    replay's terminal rule tells that a robot is still enabled.
-    """
-    tr = _scenario_trace("rectangle-unfair.json")
-    kept = [l for l in tr.lines[1:-1] if l["t"] < cut or (l["t"] == cut and l["kind"] == "Config")]
-    forged = _reparse(tr.lines[:1] + kept + [{"kind": "End", "t": cut, "status": "fixpoint"}])
-    assert not TraceData(forged).replayed(cut).on_lds
-    assert _violations(forged) == [(cut, "End status fixpoint while a robot is enabled")]
-    assert CHECKS["monotone"](forged).passed
-
-
-def test_an_async_trace_cut_with_a_fixpoint_end_fails_replay():
-    tr = _scenario_trace("square.json")
-    kept = [l for l in tr.lines[1:-1] if l["t"] <= 12]
-    forged = _reparse(tr.lines[:1] + kept + [{"kind": "End", "t": 13, "status": "fixpoint"}])
-    assert _violations(forged) == [
-        (13, "robot 1 is mid-cycle at End: its last cycle is L"),
-        (13, "robot 2 is mid-cycle at End: its last cycle is L"),
-        (13, "End status fixpoint while a robot is enabled"),
-    ]
-
-
-@pytest.mark.parametrize(
-    "name,shift", [("square.json", 1), ("square.json", -1), ("line-lu.json", 1)]
-)
-def test_an_end_moved_off_the_first_terminal_instant_fails_replay(name, shift):
-    tr = _scenario_trace(name)
-    t = tr.end_time
-    assert validate_trace(tr).passed
-    tr.lines[-1]["t"] += shift
-    assert _violations(_reparse(tr.lines)) == [
-        (t + shift, f"End at t={t + shift}, but the first terminal instant is t={t}")
-    ]
-
-
-def test_a_deleted_final_compute_leaves_its_robot_mid_cycle():
-    tr = _scenario_trace("square.json")
-    i = max(i for i, l in enumerate(tr.lines) if l["kind"] == "Compute")
-    rid = tr.lines.pop(i)["robot"]
-    assert _violations(_reparse(tr.lines)) == [
-        (tr.end_time, f"robot {rid} is mid-cycle at End: its last cycle is L")
-    ]
-
-
-def test_a_null_round_after_the_fixpoint_fails_replay():
-    tr = _scenario_trace("line-lu.json")
-    t = tr.end_time
-    td = TraceData(tr)
-    pos, color = td.shown(t)[0]
-    dest = [format_rat(pos.x), format_rat(pos.y)]
-    null_round = [
-        {"kind": "RoundStart", "t": t, "activated": [0]},
-        {"kind": "Look", "t": t, "robot": 0},
-        {"kind": "Compute", "t": t, "robot": 0, "color": color, "dest": dest, "exec": False},
-    ]
-    forged = _reparse(tr.lines[:-1] + null_round + [dict(tr.lines[-1], t=t + 1)])
-    assert _violations(forged) == [(t, f"round at t={t} starts with no robot enabled")]
-
-
-@pytest.mark.parametrize(
-    "trace",
-    [
-        lambda: _scenario_trace("square.json"),
-        # a lone robot is terminal from the start: End at t=1 with no event
-        lambda: run(scen([((1, 2), "S")])),
-    ],
-    ids=["square", "lone-robot"],
-)
-def test_a_null_cycle_after_the_terminal_instant_fails_replay(trace):
-    """A trace goes on with one null Look-Compute cycle of robot 0 after its
-    world became terminal at t, and its End moves two instants later."""
-    tr = trace()
-    t = tr.end_time
-    td = TraceData(tr)
-    pos, color = td.shown(t)[0]
-    act = td.algorithm(Snapshot(td.replayed(t), pos, color))
-    assert (act.dest, act.color) == (pos, color)
-    null_cycle = [
-        {"kind": "Look", "t": t, "robot": 0},
-        {"kind": "Compute", "t": t + 1, "robot": 0, "color": color,
-         "dest": [format_rat(pos.x), format_rat(pos.y)], "exec": bool(act.inner_exec)},
-    ]
-    forged = _reparse(tr.lines[:-1] + null_cycle + [dict(tr.lines[-1], t=t + 2)])
-    assert _violations(forged) == [
-        (t + 2, f"End at t={t + 2}, but the first terminal instant is t={t}")
-    ]
-    for name in ("cycle", "switch", "gather", "equivariance"):
-        assert CHECKS[name](forged).passed, name

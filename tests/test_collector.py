@@ -36,6 +36,8 @@ from lumigather.fuzz import random_scenario
 from lumigather.geometry import pt
 from lumigather.rational import Rat
 
+from forgeries import config_only
+
 ENTRY_POINTS = {
     "engine.run": engine.run,
     "Trace.dumps": Trace.dumps,
@@ -75,14 +77,6 @@ def _raised(fn, *args):
     return None
 
 
-def _forged_config(trace):
-    """A copy of ``trace`` whose first Config line puts robot 0 elsewhere."""
-    forged = Trace.parse(trace.dumps())
-    config = next(ln for ln in forged.lines if ln["kind"] == "Config")
-    config["entries"][0][0] = "1/3"
-    return forged
-
-
 def _repeated_move_progress(trace):
     """Text of ``trace`` with its first MoveProgress line written twice."""
     lines = trace.dumps().splitlines(keepends=True)
@@ -112,7 +106,9 @@ def _workloads():
     trace = run(_scenario(seed=5))
     assert _raised(Trace.parse, "[]") is ValueError
     assert _raised(CHECKS["replay"], Trace.parse(_repeated_move_progress(trace))) is ValueError
-    assert not CHECKS["replay"](_forged_config(trace)).passed
+    forged = Trace.parse(trace.dumps())
+    config_only(forged.lines)
+    assert not CHECKS["replay"](forged).passed
 
 
 def test_workloads_leave_no_cyclic_garbage():

@@ -34,7 +34,6 @@ deleted changing Config line, an inserted repeated one and one after End.
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
 """
 
-import copy
 import functools
 import hashlib
 import random
@@ -56,6 +55,8 @@ from lumigather.configuration import canonical
 from lumigather.engine import Scenario, Trace, run
 from lumigather.fuzz import random_scenario
 from lumigather.rational import Rat
+
+import forgeries
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -136,27 +137,6 @@ def format1(text):
     tr = Trace.__new__(Trace)
     tr.lines = out
     return tr.dumps()
-
-
-def config_line(tr, t):
-    """Index of the Config line at instant t, inserted if the trace has none.
-
-    An inserted line repeats the latest Config line before t, with fresh
-    entries, and goes after the MoveProgress lines at t and before every
-    other line at t or later.
-    """
-    latest, i = None, 1
-    while i < len(tr.lines):
-        ln = tr.lines[i]
-        if ln["t"] > t or (ln["t"] == t and ln["kind"] != "MoveProgress"):
-            if ln["kind"] == "Config" and ln["t"] == t:
-                return i
-            break
-        if ln["kind"] == "Config":
-            latest = ln
-        i += 1
-    tr.lines.insert(i, {**copy.deepcopy(latest), "t": t})
-    return i
 
 
 def digests(scenario):
@@ -431,43 +411,38 @@ def _text(name):
     return run(dict(CORPUS)[name]).dumps()
 
 
-def _config_times(tr):
-    return [ln["t"] for ln in tr.lines if ln["kind"] == "Config"]
+def _lines(name):
+    return Trace.parse(_text(name)).lines
 
 
 @pytest.mark.parametrize("name", [n for n, _ in CORPUS])
 def test_replay_rejects_a_deleted_changing_line(name):
-    tr = Trace.parse(_text(name))
-    times = _config_times(tr)
-    t = times[len(times) // 2]
-    tr.lines = [ln for ln in tr.lines if not (ln["kind"] == "Config" and ln["t"] == t)]
-    assert validate_trace(tr).violations == [
+    forged = forgeries.config_deleted(_lines(name))
+    (t,) = set(forgeries.config_times(_lines(name))) - set(forgeries.config_times(forged))
+    assert validate_trace(forged).violations == [
         {"t": t, "detail": f"no Config line at t={t}, where the configuration changes"}
     ]
 
 
 @pytest.mark.parametrize("name", [n for n, _ in CORPUS])
 def test_replay_rejects_an_inserted_repeated_line(name):
-    tr = Trace.parse(_text(name))
-    gaps = sorted(set(range(tr.end_time + 1)) - set(_config_times(tr)))
-    if not gaps:
+    forged = forgeries.config_repeated(_lines(name))
+    added = set(forgeries.config_times(forged)) - set(forgeries.config_times(_lines(name)))
+    if not added:
         # every fsync round of these runs moves a robot
         assert dict(CORPUS)[name].scheduler == "fsync"
         return
-    t = gaps[len(gaps) // 2]
-    config_line(tr, t)
-    assert validate_trace(tr).violations == [
+    (t,) = added
+    assert validate_trace(forged).violations == [
         {"t": t, "detail": f"Config line at t={t}, where the configuration does not change"}
     ]
 
 
 @pytest.mark.parametrize("name", [n for n, _ in CORPUS])
 def test_replay_rejects_a_config_line_after_end(name):
-    tr = Trace.parse(_text(name))
-    t = tr.end_time
-    latest = [ln for ln in tr.lines if ln["kind"] == "Config"][-1]
-    tr.lines.append({**latest, "t": t + 1})
-    assert validate_trace(tr).violations == [
+    lines = _lines(name)
+    t = lines[-1]["t"]
+    assert validate_trace(forgeries.config_after_end(lines)).violations == [
         {"t": t, "detail": "1 line(s) after the End line"},
     ]
 
