@@ -1,11 +1,14 @@
 """Trace-level verification of the protocol guarantees.
 
-Every checker consumes only a trace: configurations are re-derived from the
-event log, and every check reads those replayed configurations.  Only the
-replay check reads the logged Config lines, comparing each with the replayed
-configuration of its instant, so an engine bug surfaces as a replay mismatch
-rather than a silent pass.  Every parameter of a check comes from the trace
-header, which ``Scenario.from_json`` reads.  Each check returns a Report.
+Every checker consumes only a trace, and a ``Trace`` is its lines, built
+with ``Trace(lines)``.  ``TraceData`` reads them once per trace, the End line
+included: a run's status, end time and colors are ``TraceData``'s.
+Configurations are re-derived from the event log, and every check reads
+those replayed configurations.  Only the replay check reads the logged
+Config lines, comparing each with the replayed configuration of its
+instant, so an engine bug surfaces as a replay mismatch rather than a
+silent pass.  Every parameter of a check comes from the trace header,
+which ``Scenario.from_json`` reads.  Each check returns a Report.
 
 The checks build no reference cycles, so every function behind ``CHECKS``
 and ``enumerate_unfair`` runs with the cyclic collector paused
@@ -54,6 +57,8 @@ class Report:
     # ``to_json`` so that report lines keep their format
     undecided: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    # the (t, position, light) snapshots reported outside the algorithm's domain
+    outside: set = field(default_factory=set, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -162,6 +167,9 @@ class TraceData:
     ``(Point, color)`` entry tuple of each line as logged; only the replay
     check reads them.
     ``last_t`` is the instant of the last line, End's in a valid trace.
+    ``status`` and ``end_time`` are the status and instant of the first End
+    line, and ``lines_after_end`` counts the lines after it (all three None:
+    the trace has no End line); no other code reads an End line.
     ``scenario`` is the header as ``Scenario.from_json`` reads it.  Malformed
     input raises ValueError, as do lines out of time order, colors outside
     the algorithm's alphabet, a second Config, RoundStart or MoveProgress
@@ -172,7 +180,7 @@ class TraceData:
 
     @classmethod
     def of(cls, trace):
-        """The TraceData shared by every check of ``trace``.
+        """The TraceData shared by every check of the Trace ``trace``.
 
         A TraceData passed in is returned as is; one built from a Trace is
         stored on it.  A Trace only ever appends lines, so the stored
@@ -183,33 +191,31 @@ class TraceData:
         """
         if isinstance(trace, TraceData):
             return trace
-        lines = getattr(trace, "lines", None)
-        if lines is None:
-            return cls(trace)
+        lines = trace.lines
         td = getattr(trace, "_trace_data", None)
         if td is None or td._lines is not lines or td._n_lines != len(lines):
-            td = cls(trace)
-            trace._trace_data = td
+            td = trace._trace_data = cls(trace)
         return td
 
     def __init__(self, trace):
-        lines = trace.lines if hasattr(trace, "lines") else list(trace)
-        self._lines = lines
+        self._lines = lines = trace.lines
         self._n_lines = len(lines)
         if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "Header":
             raise ValueError("trace does not start with a Header line")
+        header = lines[0]
         try:
             self.scenario = Scenario.from_json(
-                {k: v for k, v in lines[0].items() if k not in ("kind", "n")}
+                {k: v for k, v in header.items() if k not in ("kind", "n")}
             )
         except ValueError as exc:
             raise ValueError(f"trace header: {exc}") from exc
         self.n = n = len(self.scenario.robots)
-        if json_typed(lines[0].get("n"), int, "trace header: n") != n:
-            raise ValueError(f"trace header lists {n} robots, n={lines[0]['n']}")
+        json_object(header, ("n",), "trace header: scenario")
+        if json_typed(header["n"], int, "trace header: n") != n:
+            raise ValueError(f"trace header lists {n} robots, n={header['n']}")
         self.algorithm = get_algorithm(self.scenario.algorithm)
         # the header's raw pairs map to the Scenario's own Points
-        robots = zip(lines[0]["robots"], self.scenario.robots)
+        robots = zip(header["robots"], self.scenario.robots)
         self._points = {(r["x"], r["y"]): p for r, (p, _) in robots}
         self.status = None
         self.end_time = None
@@ -485,12 +491,15 @@ def _action(td, rep, t, cfg, pos, light):
     """``memo_action`` of ``td``'s algorithm, or None and a violation at t.
 
     The violation is a snapshot outside the algorithm's domain, where the
-    algorithm raises ValueError.
+    algorithm raises ValueError.  ``rep`` lists each such ``(t, pos, light)``
+    once, however many robots show it and however many rules evaluate it.
     """
     try:
         return memo_action(td.algorithm, cfg, pos, light)
     except ValueError as exc:
-        rep.violate(t, f"no action at robot on {pos}: {exc}")
+        if (t, pos, light) not in rep.outside:
+            rep.outside.add((t, pos, light))
+            rep.violate(t, f"no action at robot on {pos}: {exc}")
         return None
 
 
@@ -805,19 +814,16 @@ def annotate_potentials(trace):
     """
     td = TraceData.of(trace)
     which, potential = _potential(td.algorithm)
-    out = Trace.__new__(Trace)
-    out.lines = []
-    out.status = trace.status
-    out.end_time = trace.end_time
+    lines = []
     for ln in trace.lines:
-        out.lines.append(ln)
+        lines.append(ln)
         if ln.get("kind") == "Config":
             cfg = td.replayed(ln["t"])
             if which == "g" and not cfg.on_lds:
                 continue
             vec = serialize_potential(potential(cfg))
-            out.lines.append({"kind": "Potential", "t": ln["t"], which: vec})
-    return out
+            lines.append({"kind": "Potential", "t": ln["t"], which: vec})
+    return Trace(lines)
 
 
 def snapshot_has_convention_ties(snap):

@@ -70,14 +70,12 @@ def cmd_run(args):
             print(f"run: cannot write the trace: {exc}", file=sys.stderr)
             return 2
     td = TraceData.of(trace)
-    final = td.replayed(td.last_t)
-    colors = sorted({ln["color"] for ln in trace.lines if ln.get("kind") == "Compute"})
     summary = {
-        "status": trace.status,
-        "gathered": trace.status == "gathered",
-        "time": trace.end_time,
-        "colors_used": colors,
-        "final_cc": _final_cc(final),
+        "status": td.status,
+        "gathered": td.status == "gathered",
+        "time": td.end_time,
+        "colors_used": sorted({c for cs in td.computes for _, c, *_ in cs}),
+        "final_cc": _final_cc(td.changes[-1][1]),
     }
     print(json.dumps(summary, sort_keys=True))
     return code

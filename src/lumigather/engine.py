@@ -60,6 +60,10 @@ the movers, since no other robot can show anything new.  When none of them
 changes what it shows, the configuration is not interned again and the
 instant has no Config line.
 
+A ``Trace`` is its lines: a run starts from ``Trace([header])`` and appends
+to them, and ``checker.TraceData`` is their one reader, the End line's
+status and instant included.
+
 The engine and the trace format build no reference cycles, so ``run``,
 ``Trace.dumps`` and ``Trace.parse`` run with the cyclic collector paused
 (``configuration.collector_paused``).
@@ -99,9 +103,8 @@ class Starved(IllegalChoice):
 
 
 class BudgetExhausted(RuntimeError):
-    def __init__(self, final_config, trace):
+    def __init__(self, trace):
         super().__init__("step budget exhausted")
-        self.final_config = final_config
         self.trace = trace
 
 
@@ -276,22 +279,17 @@ def _line_no(text, i):
 
 
 class Trace:
-    """Ordered JSONL event log plus configuration snapshots.
+    """Ordered JSONL event log plus configuration snapshots: its ``lines``.
 
-    One line is one JSON object.  ``dumps`` encodes every line of a trace
-    with one encoder and ``parse`` decodes the whole text in one pass; the
-    bytes are those of ``json.dumps(line, sort_keys=True,
-    separators=(",", ":"))`` per line.
+    ``Trace(lines)`` is the one constructor.  One line is one JSON object.
+    ``dumps`` encodes every line of a trace with one encoder and ``parse``
+    decodes the whole text in one pass; the bytes are those of
+    ``json.dumps(line, sort_keys=True, separators=(",", ":"))`` per line.
     """
 
-    # Point -> its (x, y) strings; made on first use, so that traces built
-    # with ``Trace.__new__`` (parsed traces, checker copies) can log too
-    _formatted = None
-
-    def __init__(self, header):
-        self.lines = [dict(header, kind="Header")]
-        self.status = None
-        self.end_time = None
+    def __init__(self, lines):
+        self.lines = lines
+        self._formatted = {}  # Point -> its (x, y) strings
 
     def log(self, **kw):
         self.lines.append(kw)
@@ -303,8 +301,6 @@ class Trace:
         in place.
         """
         cache = self._formatted
-        if cache is None:
-            cache = self._formatted = {}
         xy = cache.get(p)
         if xy is None:
             xy = cache[p] = (format_rat(p.x), format_rat(p.y))
@@ -351,8 +347,6 @@ class Trace:
         self.lines.append({"kind": "MoveEnd", "t": t, "robot": robot, "pos": [*self._xy(pos)]})
 
     def end(self, t, status):
-        self.status = status
-        self.end_time = t
         self.log(kind="End", t=t, status=status)
 
     def __getstate__(self):
@@ -379,9 +373,7 @@ class Trace:
         Each line holds one JSON object; blank lines, whitespace around a
         value and CRLF line ends are accepted.  Raises ValueError on anything
         else: a line that is not an object, two values on one line, one
-        value spread over two lines, or a truncated value.  ``status`` and
-        ``end_time`` are read from the first End line, as ``TraceData`` and
-        ``replay`` read them.
+        value spread over two lines, or a truncated value.
         """
         scan = _DECODER.scan_once
         lines = []
@@ -409,16 +401,7 @@ class Trace:
             i = nl + 1
         if not lines or lines[0].get("kind") != "Header":
             raise ValueError("trace does not start with a Header line")
-        tr = Trace.__new__(Trace)
-        tr.lines = lines
-        tr.status = None
-        tr.end_time = None
-        for ln in lines:
-            if ln.get("kind") == "End":
-                tr.status = ln.get("status")
-                tr.end_time = ln.get("t")
-                break
-        return tr
+        return Trace(lines)
 
     @staticmethod
     def load(path):
@@ -428,6 +411,7 @@ class Trace:
 
 def _header(scenario):
     h = scenario.to_json()
+    h["kind"] = "Header"
     h["n"] = len(scenario.robots)
     h["fairness_bound"] = scenario.bound
     return h
@@ -572,7 +556,7 @@ def _run_sync(scenario, rng):
     """
     algorithm = get_algorithm(scenario.algorithm)
     world = SyncWorld([p for p, _ in scenario.robots], [c for _, c in scenario.robots])
-    trace = Trace(_header(scenario))
+    trace = Trace([_header(scenario)])
     n = len(scenario.robots)
     bound = scenario.bound
     unfair = scenario.scheduler == "ssync-unfair"
@@ -604,7 +588,7 @@ def _run_sync(scenario, rng):
             return trace
         if t >= scenario.step_budget:
             trace.end(t, "budget")
-            raise BudgetExhausted(world.config(), trace)
+            raise BudgetExhausted(trace)
         if unfair and not effective and ineffective_streak >= bound - 1:
             enab = enabled_ids(world, algorithm)
             activated = sorted({*activated, enab[rng.randrange(len(enab))]})
@@ -697,7 +681,7 @@ class AsyncWorld:
         self.stamps = dict.fromkeys(range(n), 0)
         self.shown = list(scenario.robots)
         self.cache = ConfigInterner()
-        self.trace = Trace(_header(scenario))
+        self.trace = Trace([_header(scenario)])
         self.visible = self.cache.get(tuple(self.shown))
         self.trace.config_line(0, self.visible)
 
@@ -743,7 +727,7 @@ class AsyncWorld:
             raise IllegalChoice(f"{kind}: choice {choice!r} has trailing elements")
         if self.steps >= self.scenario.step_budget:
             self.trace.end(self.t, "budget")
-            raise BudgetExhausted(self.visible, self.trace)
+            raise BudgetExhausted(self.trace)
         if kind == "advance":
             t = self.t
             for i in self.movers:
@@ -1006,7 +990,7 @@ def run(scenario):
     """Execute a scenario to a deterministic trace.
 
     Terminates at a fixpoint (gathered or otherwise) or raises
-    BudgetExhausted carrying the final configuration and partial trace, or
+    BudgetExhausted carrying the partial trace, or
     ScenarioError when the scenario's adversary policy cannot keep its
     asynchronous fairness bound.  Runs with the cyclic collector paused.
     """

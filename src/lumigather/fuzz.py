@@ -71,7 +71,6 @@ class RunOutcome:
     trace: object = None
     budget_exhausted: bool = False
     reports: list = field(default_factory=list)
-    alphabet: frozenset = frozenset()
 
     @property
     def ok(self):
@@ -87,9 +86,6 @@ def run_with_checks(scenario, checks=None):
         out.trace = exc.trace
         out.budget_exhausted = True
         return out
-    out.alphabet = frozenset(
-        ln["color"] for ln in out.trace.lines if ln.get("kind") == "Compute"
-    )
     if checks is None:
         checks = default_checks(scenario.algorithm, scenario.scheduler)
     for name in checks:

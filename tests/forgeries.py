@@ -4,8 +4,9 @@ A ``Row`` names a base input, an edit of its freshly parsed lines, the
 ``lumigather`` command lines that read the forged file, and what each of
 them must give: an exit code, a message on stdout or stderr, and, where a
 row pins them, the reports that fail and the exact violations of some of
-them.  No command may print a traceback, and a command that exits 2 prints
-nothing on stdout unless the row pins its reports.
+them.  No command may print a traceback, no printed report may list one
+``(t, detail)`` pair twice, and a command that exits 2 prints nothing on
+stdout unless the row pins its reports.
 
 ``run_row`` checks one row with any runner that maps an argument list to
 ``(exit code, stdout, stderr)``.  ``tests/test_forgeries.py`` passes
@@ -81,11 +82,7 @@ def synthetic(header_over, lines):
                 continue
             entries = ln["entries"]
         kept.append(ln)
-    tr = Trace.__new__(Trace)
-    tr.lines = [header] + kept
-    tr.status = None
-    tr.end_time = None
-    return tr
+    return Trace([header] + kept)
 
 
 def robot(x, y, color):
@@ -346,7 +343,7 @@ def end_at_begin(lines):
 
 
 def cap_below_longest_move(lines):
-    td = TraceData(lines)
+    td = TraceData(Trace(lines))
     longest = max(m.t_e - m.t_b for ms in td.moves for m in ms if m.t_e is not None)
     assert longest >= 2
     lines[0]["move_span_cap"] = longest - 1
@@ -416,7 +413,7 @@ def null_cycle(rounds):
     def edit(lines):
         end = lines.pop()
         t = end["t"]
-        pos, color = TraceData(lines + [end]).shown(t)[0]
+        pos, color = TraceData(Trace(lines + [end])).shown(t)[0]
         dest = [format_rat(pos.x), format_rat(pos.y)]
         if rounds:
             lines.append({"kind": "RoundStart", "t": t, "activated": [0]})
@@ -516,12 +513,9 @@ ROWS = [
       for kind, rid in (("MoveEnd", 9), ("Look", -1), ("Compute", "0"))),
     bad("exec-string", SQUARE, exec_flags("true", 7), "exec is not a JSON boolean"),
     bad("exec-integer", SQUARE, exec_flags(1, 7), "exec is not a JSON boolean"),
-    *(bad(f"header-without-{key}", SQUARE, put(key, value=GONE), f"trace header: {message}")
-      for key, message in (("algorithm", "scenario lacks algorithm"),
-                           ("scheduler", "scenario lacks scheduler"),
-                           ("delta", "scenario lacks delta"),
-                           ("n", "n is not a JSON integer: None"),
-                           ("robots", "scenario lacks robots"))),
+    *(bad(f"header-without-{key}", SQUARE, put(key, value=GONE),
+          f"trace header: scenario lacks {key}")
+      for key in ("algorithm", "scheduler", "delta", "n", "robots")),
     bad("first-line-not-header", THREE, lambda ls: ls[1:], "trace does not start with a Header line"),
     bad("config-without-t", SQUARE, put("t", value=GONE, kind="Config"), "trace line 2 lacks t"),
     bad("robot-without-x", SQUARE, put("robots", 1, "x", value=GONE), "trace header: robot 1 lacks x"),
@@ -779,6 +773,10 @@ def run_row(row, call, directory):
             problems.append(f"{said} and printed {out[:200]!r}")
         printed = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         reports = {r["check"]: r for r in printed if "violations" in r}
+        for name, r in reports.items():
+            pairs = [json.dumps([v["t"], v["detail"]], sort_keys=True) for v in r["violations"]]
+            if len(set(pairs)) != len(pairs):
+                problems.append(f"{said}, {name} repeats a (t, detail) pair")
         if row.failing is not None and cmd[0] in ("check", "enumerate"):
             failing = tuple(name for name, r in reports.items() if not r["pass"])
             if failing != row.failing:

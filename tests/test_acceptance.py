@@ -12,6 +12,7 @@ import pytest
 
 from lumigather.algorithms import get_algorithm
 from lumigather.checker import (
+    TraceData,
     check_gathered,
     check_shrink,
     enumerate_unfair,
@@ -53,11 +54,11 @@ def test_criterion_1_potential_f_monotone():
     ok = summary.ok
     lines_ok = True
     for out in summary.outcomes:
-        if out.trace.status != "fixpoint" or out.trace.end_time > 10000:
+        td = TraceData.of(out.trace)
+        if td.status != "fixpoint" or td.end_time > 10000:
             lines_ok = False
             break
-        final = out.trace.lines[-2]
-        points = [pt((Rat(e[0]), Rat(e[1]))) for e in final["entries"]]
+        points = [p for p, _ in td.changes[-1][1].entries]
         if not is_on_lds(points):
             lines_ok = False
             break
@@ -132,9 +133,10 @@ def test_criterion_3_async_gathering(async_campaign):
         if s.failures:
             ok = False
         for out in s.outcomes:
-            if out.budget_exhausted or out.trace.status != "gathered":
+            td = TraceData.of(out.trace)
+            if out.budget_exhausted or td.status != "gathered":
                 ok = False
-            if not out.alphabet <= alphabet:
+            if not {c for cs in td.computes for _, c, *_ in cs} <= alphabet:
                 ok = False
         for out, rep in _reports(s, "gathered"):
             if not rep.extras.get("gathered"):
@@ -225,8 +227,7 @@ def test_criterion_7_enumeration_agrees_with_randomized():
             out = run_with_checks(sc, ("monotone",))
             if not out.ok:
                 agree = False
-            goal = out.trace.lines[-2]
-            points = [pt((Rat(e[0]), Rat(e[1]))) for e in goal["entries"]]
+            points = [p for p, _ in TraceData.of(out.trace).changes[-1][1].entries]
             if alg == "elect-one-lds" and not is_on_lds(points):
                 agree = False
             if alg == "lu-gather" and len(set(points)) != 1:

@@ -428,4 +428,4 @@ def test_a_composition_with_no_registry_name_runs_and_checks(inner, monkeypatch)
             cycle = next(r for r in out.reports if r.check == "cycle-snapshot")
             changed = len(TraceData.of(out.trace).config_times) > 1
             assert (cycle.extras["cycles"] > 0) == changed
-            assert out.trace.status == ("gathered" if goal else "fixpoint")
+            assert TraceData.of(out.trace).status == ("gathered" if goal else "fixpoint")

@@ -306,11 +306,7 @@ class TestNegativeControls:
             if ln["kind"] == "Config" and ln["t"] > 0:
                 ln["entries"][0][0] = "99/1"
                 break
-        bad = Trace.__new__(Trace)
-        bad.lines = lines
-        bad.status = tr.status
-        bad.end_time = tr.end_time
-        rep = validate_trace(bad)
+        rep = validate_trace(Trace(lines))
         assert not rep.passed
 
     def test_replay_flags_wrong_compute(self):
@@ -320,11 +316,7 @@ class TestNegativeControls:
             if ln["kind"] == "Compute":
                 ln["color"] = "E" if ln["color"] != "E" else "M"
                 break
-        bad = Trace.__new__(Trace)
-        bad.lines = lines
-        bad.status = tr.status
-        bad.end_time = tr.end_time
-        assert not validate_trace(bad).passed
+        assert not validate_trace(Trace(lines)).passed
 
 
     @pytest.mark.parametrize("scheduler", ["async", "ssync"])
@@ -466,7 +458,7 @@ def test_replay_and_monotone_pass_on_round_runs(scheduler, policy, algorithm, ro
         scen(robots, scheduler=scheduler, algorithm=algorithm, policy=policy,
              delta=Rat(1, 2), seed=3)
     )
-    assert tr.status in ("gathered", "fixpoint")
+    assert TraceData.of(tr).status in ("gathered", "fixpoint")
     assert validate_trace(tr).passed
     rep = CHECKS["monotone"](tr)
     assert rep.passed and rep.extras["effective_rounds"] > 0
@@ -500,7 +492,7 @@ class TestSharedTraceData:
     def test_appended_line_forces_rebuild(self):
         tr = self._trace()
         td = TraceData.of(tr)
-        t = tr.end_time
+        t = td.end_time
         tr.log(kind="Look", t=t, robot=0)
         again = TraceData.of(tr)
         assert again is not td
@@ -527,8 +519,8 @@ class TestSharedTraceData:
         tr = Trace.parse(self._trace().dumps())
         entries = [l["entries"] for l in tr.lines if l["kind"] == "Config"]
         assert all(a != b for a, b in zip(entries, entries[1:]))
-        times = TraceData(tr).config_times
-        t = next(t for t in range(1, tr.end_time) if t not in times)
+        td = TraceData(tr)
+        t = next(t for t in range(1, td.end_time) if t not in td.config_times)
         config_line(tr.lines, t)
         rep = validate_trace(tr)
         assert rep.violations == [
@@ -537,8 +529,8 @@ class TestSharedTraceData:
 
     def test_forged_repeat_of_the_previous_line_fails_replay(self):
         tr = Trace.parse(self._trace().dumps())
-        times = TraceData(tr).config_times
-        t = next(t for t in range(1, tr.end_time) if t not in times)
+        td = TraceData(tr)
+        t = next(t for t in range(1, td.end_time) if t not in td.config_times)
         forged = tr.lines[config_line(tr.lines, t)]["entries"]
         forged[0][0] = "99/1"
         rep = validate_trace(tr)
@@ -648,7 +640,7 @@ class TestMalformedTraceData:
         else:
             lines.insert(3, [1, 2])
         with pytest.raises(ValueError):
-            TraceData(lines)
+            TraceData(Trace(lines))
         with pytest.raises(ValueError):
             TraceData(Trace.parse("".join(json.dumps(l) + "\n" for l in lines)))
 
@@ -664,13 +656,13 @@ class TestMalformedTraceData:
         i = next(k for k, l in enumerate(lines) if l["kind"] == "RoundStart")
         lines[i]["activated"] = [0, 3]
         with pytest.raises(ValueError, match="robot id 3"):
-            TraceData(lines)
+            TraceData(Trace(lines))
 
 
 def test_every_check_reports_on_a_trace_without_config_lines():
     tr = run(scen([((0, 0), "S"), ((5, 0), "S"), ((2, 3), "S")], seed=8))
     times = [l["t"] for l in tr.lines if l["kind"] == "Config"]
-    td = TraceData([l for l in tr.lines if l["kind"] != "Config"])
+    td = TraceData(Trace([l for l in tr.lines if l["kind"] != "Config"]))
     assert td.config_times == []
     for name, check in CHECKS.items():
         assert isinstance(check(td), Report), name
@@ -685,7 +677,7 @@ def test_every_check_reports_on_a_trace_without_config_lines():
 
 def test_gathered_flags_an_honest_trace_that_never_gathers():
     tr = _scenario_trace("rectangle-unfair.json")
-    assert tr.status == "fixpoint" and validate_trace(tr).passed
+    assert TraceData.of(tr).status == "fixpoint" and validate_trace(tr).passed
     rep = check_gathered(tr)
     assert not rep.passed
     assert rep.violations == [{"t": None, "detail": "no stable gathering in trace"}]

@@ -20,6 +20,34 @@ SVG_DIGESTS = {
     "triangle-enum": "31bc9a0f2270be592fd60ca77a8f85451e00a9ea135384a0db41025c6a4682f2",
 }
 
+# ``lumigather run``'s exit code and stdout summary, by its arguments
+RUN_SUMMARIES = {
+    "line-lu.json": (0, {
+        "colors_used": ["A", "B"], "final_cc": [["AB", "12", "0"]],
+        "gathered": True, "status": "gathered", "time": 24,
+    }),
+    "rectangle-unfair.json": (0, {
+        "colors_used": ["O"], "final_cc": [["O", "0", "2"], ["O", "6", "0"]],
+        "gathered": False, "status": "fixpoint", "time": 9,
+    }),
+    "segment100.json": (0, {
+        "colors_used": ["E", "M", "S"], "final_cc": [["E", "50", "0"]],
+        "gathered": True, "status": "gathered", "time": 398,
+    }),
+    "square.json": (0, {
+        "colors_used": ["E", "M", "S"], "final_cc": [["E", "105/32", "105/32"]],
+        "gathered": True, "status": "gathered", "time": 154,
+    }),
+    "triangle-enum.json": (0, {
+        "colors_used": ["O"], "final_cc": [["O", "0", "0"], ["O", "10", "0"]],
+        "gathered": False, "status": "fixpoint", "time": 5,
+    }),
+    "square.json --steps 60": (3, {
+        "colors_used": ["E", "M", "S"], "final_cc": None,
+        "gathered": False, "status": "budget", "time": 23,
+    }),
+}
+
 
 class TestRun:
     def test_bundled_square_gathers(self, tmp_path, capsys):
@@ -72,6 +100,13 @@ class TestRun:
         else:
             assert captured.out == ""
             assert f"adversary policy {policy} cannot keep fairness bound {bound}:" in captured.err
+
+    @pytest.mark.parametrize("args", sorted(RUN_SUMMARIES))
+    def test_summary_of_each_bundled_scenario_is_pinned(self, capsys, args):
+        scenario, *flags = args.split()
+        code, summary = RUN_SUMMARIES[args]
+        assert main(["run", "--scenario", str(SCENARIOS / scenario), *flags]) == code
+        assert json.loads(capsys.readouterr().out) == summary
 
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         short = tmp_path / "short.json"
@@ -357,8 +392,8 @@ class TestPlot:
         # End moved from t=154 to t=40000: replay fails the trace, and its plot
         # stops at the last instant at which a robot shows a change
         tr = run(Scenario.load(SCENARIOS / "square.json"))
-        assert tr.end_time == 154
-        forged = tr.lines[:-1] + [dict(tr.lines[-1], t=40000)]
+        assert TraceData.of(tr).end_time == 154
+        forged = Trace(tr.lines[:-1] + [dict(tr.lines[-1], t=40000)])
         assert render_svg(TraceData(forged)) == render_svg(TraceData(tr))
 
     @pytest.mark.parametrize("name", sorted(SVG_DIGESTS))

@@ -573,12 +573,12 @@ class TestShapes:
 class TestRun:
     def test_single_robot_immediately_gathered(self):
         tr = run(scen([((1, 1), "S")]))
-        assert tr.status == "gathered"
+        assert TraceData.of(tr).status == "gathered"
         assert not any(ln["kind"] == "MoveBegin" for ln in tr.lines)
 
     def test_two_robots_async_gathers(self):
         tr = run(scen([((0, 0), "S"), ((5, 3), "S")], seed=9))
-        assert tr.status == "gathered"
+        assert TraceData.of(tr).status == "gathered"
 
     def test_zero_delta_rejected(self):
         with pytest.raises(ScenarioError):
@@ -592,13 +592,13 @@ class TestRun:
         sc = scen([((0, 0), "S"), ((40, 0), "S"), ((17, 23), "S")], step_budget=10)
         with pytest.raises(BudgetExhausted) as exc:
             run(sc)
-        assert exc.value.final_config is not None
-        assert exc.value.trace.status == "budget"
+        assert TraceData.of(exc.value.trace).status == "budget"
+        assert validate_trace(exc.value.trace).passed
 
     def test_checks_skip_a_run_that_exhausts_its_budget(self):
         sc = dataclasses.replace(Scenario.load(SCENARIOS / "square.json"), step_budget=5)
         out = run_with_checks(sc)
-        assert out.budget_exhausted and out.trace.status == "budget"
+        assert out.budget_exhausted and TraceData.of(out.trace).status == "budget"
         assert out.reports == [] and not out.ok
 
     def test_zero_movement_cycles_omit_move_events(self):
@@ -611,7 +611,7 @@ class TestRun:
         tr = run(sc)
         computes = [ln for ln in tr.lines if ln["kind"] == "Compute"]
         assert computes[0]["color"] == "E"
-        assert tr.status == "gathered"
+        assert TraceData.of(tr).status == "gathered"
         # cycles whose Compute stays put must show no Move events at all
         per_robot = {}
         for ln in tr.lines:
@@ -635,7 +635,7 @@ class TestRun:
             seed=3,
         )
         tr = run(sc)
-        assert tr.status in ("fixpoint", "gathered")
+        assert TraceData.of(tr).status in ("fixpoint", "gathered")
         final = tr.lines[-2]
         assert final["kind"] == "Config"
         points = [pt((Rat(e[0]), Rat(e[1]))) for e in final["entries"]]
@@ -666,7 +666,7 @@ class TestRun:
             [((0, 0), "S"), ((4, 0), "S"), ((1, 3), "S")], policy=policy, seed=13
         )
         tr = run(sc)
-        assert tr.status == "gathered"
+        assert TraceData.of(tr).status == "gathered"
         assert validate_trace(tr).passed
 
 
@@ -677,7 +677,7 @@ def test_async_fairness_bound_n_is_the_least_one_the_random_policies_keep(policy
     with pytest.raises(ScenarioError, match=f"async fairness_bound {n - 1} is below n={n}"):
         dataclasses.replace(sc, fairness_bound=n - 1)
     tr = run(dataclasses.replace(sc, fairness_bound=n))
-    assert tr.status == "gathered" and validate_trace(tr).passed
+    assert TraceData.of(tr).status == "gathered" and validate_trace(tr).passed
 
 
 class TestTruncation:
@@ -783,7 +783,7 @@ class TestScenarioIO:
         tr.write(p)
         back = Trace.load(p)
         assert back.lines == [json.loads(json.dumps(l)) for l in tr.lines]
-        assert back.status == tr.status
+        assert TraceData.of(back).status == TraceData.of(tr).status
 
 
 # JSON values as ``json.loads`` returns them: unicode and escapes in strings
@@ -807,8 +807,7 @@ class TestTraceText:
 
     @given(st.lists(st.dictionaries(st.text(), _JSON, max_size=5), max_size=6))
     def test_any_lines_round_trip(self, lines):
-        tr = Trace({"algorithm": "three-color"})
-        tr.lines.extend(lines)
+        tr = Trace([{"algorithm": "three-color", "kind": "Header"}, *lines])
         text = tr.dumps()
         assert text == "".join(_compact(l) + "\n" for l in tr.lines)
         assert Trace.parse(text).lines == json.loads(json.dumps(tr.lines))
@@ -828,19 +827,19 @@ class TestTraceText:
         text = "\n" + "".join("\t" + json.dumps(l) + " \r\n\r\n" for l in tr.lines)
         back = Trace.parse(text)
         assert back.lines == tr.lines
-        assert (back.status, back.end_time) == (tr.status, tr.end_time)
+        back_td, td = TraceData.of(back), TraceData.of(tr)
+        assert (back_td.status, back_td.end_time) == (td.status, td.end_time)
         assert back.dumps() == tr.dumps()
 
     def test_first_end_line_decides_status_as_in_trace_data(self):
         tr = self._trace()
-        assert tr.status == "gathered"
+        end = TraceData.of(tr)
+        assert end.status == "gathered"
         rows = [_compact(l) for l in tr.lines]
         # before the last Config line, so that the lines stay in time order
-        rows.insert(-2, _compact({"kind": "End", "t": tr.end_time - 1, "status": "fixpoint"}))
-        back = Trace.parse("".join(r + "\n" for r in rows))
-        td = TraceData(back)
-        assert (back.status, back.end_time) == (td.status, td.end_time)
-        assert (back.status, back.end_time) == ("fixpoint", tr.end_time - 1)
+        rows.insert(-2, _compact({"kind": "End", "t": end.end_time - 1, "status": "fixpoint"}))
+        td = TraceData(Trace.parse("".join(r + "\n" for r in rows)))
+        assert (td.status, td.end_time) == ("fixpoint", end.end_time - 1)
 
     @pytest.mark.parametrize(
         "damage,message",

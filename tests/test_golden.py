@@ -134,9 +134,7 @@ def format1(text):
         else:
             fill(t if kind == "MoveProgress" else t + 1)
         out.append(ln)
-    tr = Trace.__new__(Trace)
-    tr.lines = out
-    return tr.dumps()
+    return Trace(out).dumps()
 
 
 def digests(scenario):
@@ -419,7 +417,7 @@ def _lines(name):
 def test_replay_rejects_a_deleted_changing_line(name):
     forged = forgeries.config_deleted(_lines(name))
     (t,) = set(forgeries.config_times(_lines(name))) - set(forgeries.config_times(forged))
-    assert validate_trace(forged).violations == [
+    assert validate_trace(Trace(forged)).violations == [
         {"t": t, "detail": f"no Config line at t={t}, where the configuration changes"}
     ]
 
@@ -433,7 +431,7 @@ def test_replay_rejects_an_inserted_repeated_line(name):
         assert dict(CORPUS)[name].scheduler == "fsync"
         return
     (t,) = added
-    assert validate_trace(forged).violations == [
+    assert validate_trace(Trace(forged)).violations == [
         {"t": t, "detail": f"Config line at t={t}, where the configuration does not change"}
     ]
 
@@ -442,7 +440,7 @@ def test_replay_rejects_an_inserted_repeated_line(name):
 def test_replay_rejects_a_config_line_after_end(name):
     lines = _lines(name)
     t = lines[-1]["t"]
-    assert validate_trace(forgeries.config_after_end(lines)).violations == [
+    assert validate_trace(Trace(forgeries.config_after_end(lines))).violations == [
         {"t": t, "detail": "1 line(s) after the End line"},
     ]
 
@@ -492,7 +490,7 @@ def test_progress_lines_moved_last_in_their_instant_show_the_same(name):
     tr = Trace.parse(_text(name))
     moved = tr.lines[:1] + sorted(tr.lines[1:], key=lambda l: (l["t"], l["kind"] == "MoveProgress"))
     assert moved != tr.lines
-    td, forged = TraceData(tr), TraceData(moved)
+    td, forged = TraceData(tr), TraceData(Trace(moved))
     assert [forged.shown(t) for t in range(td.end_time + 1)] == [
         td.shown(t) for t in range(td.end_time + 1)
     ]
