@@ -156,7 +156,7 @@ def cmd_plot(args):
     try:
         trace = Trace.load(args.trace)
         td = TraceData.of(trace)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     svg = render_svg(td)
@@ -170,12 +170,13 @@ def cmd_plot(args):
     return 0
 
 
-def render_svg(td, size=640):
+def render_svg(td):
     """Deterministic SVG of robot trajectories colored by light, one point per instant.
 
     The instants run from 0 to the last one at which a robot shows a change,
     or to End if that comes first: a later End adds no point.
     """
+    size = 640  # width and height in pixels
     last = td.shown_times[-1]
     times = range(1 + (last if td.end_time is None else min(last, td.end_time)))
     rows = [td.shown(t) for t in times]

@@ -307,16 +307,10 @@ class Trace:
         return xy
 
     def config_line(self, t, cfg):
-        """Log the Config line of the Configuration ``cfg`` at instant t.
-
-        Its rows are formatted once per distinct configuration and kept in
-        ``cfg.memo``; each line gets fresh lists of them.
-        """
-        rows = cfg.memo.get("rows")
-        if rows is None:
-            xy = self._xy
-            rows = cfg.memo["rows"] = tuple((*xy(p), c) for p, c in cfg.entries)
-        self.lines.append({"kind": "Config", "t": t, "entries": [[*r] for r in rows]})
+        """Log the Config line of the Configuration ``cfg`` at instant t."""
+        xy = self._xy
+        entries = [[*xy(p), c] for p, c in cfg.entries]
+        self.lines.append({"kind": "Config", "t": t, "entries": entries})
 
     def look(self, t, robot):
         self.lines.append({"kind": "Look", "t": t, "robot": robot})
@@ -940,10 +934,9 @@ class SsyncEmbeddedPolicy(_Policy):
                 return self.event(world, idle[0])
             if not observed:
                 return ("advance", None)
-        for phase in (OBSERVED, COMPUTED, MOVING):
-            if by_phase[phase]:
-                return self.event(world, by_phase[phase][0]) or ("advance", None)
-        return ("advance", None)
+        # with every robot idle the branch above returned: some robot is busy
+        busy = observed or by_phase[COMPUTED] or by_phase[MOVING]
+        return self.event(world, busy[0]) or ("advance", None)
 
 
 # adversary policy name -> (asynchronous adversary class, the truncation it

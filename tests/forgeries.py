@@ -1,12 +1,18 @@
-"""One table of forged inputs, each with the verdict ``lumigather`` must give.
+"""One table of ``lumigather`` command lines, each with the verdict it must give.
 
-A ``Row`` names a base input, an edit of its freshly parsed lines, the
-``lumigather`` command lines that read the forged file, and what each of
+The table holds honest verdicts and forged inputs alike.  A ``Row`` names a
+base input (or none), an edit of its freshly parsed lines, the
+``lumigather`` command lines that read the written file, and what each of
 them must give: an exit code, a message on stdout or stderr, and, where a
 row pins them, the reports that fail and the exact violations of some of
 them.  No command may print a traceback, no printed report may list one
 ``(t, detail)`` pair twice, and a command that exits 2 prints nothing on
 stdout unless the row pins its reports.
+
+The honest rows run every bundled scenario end to end (run, check,
+annotate, replay of the annotated copy, plot and enumerate), pin each
+scenario's ``run`` summary, and run one small ``fuzz`` campaign per
+algorithm and adversary policy or round-based scheduler.
 
 ``run_row`` checks one row with any runner that maps an argument list to
 ``(exit code, stdout, stderr)``.  ``tests/test_forgeries.py`` passes
@@ -14,7 +20,7 @@ stdout unless the row pins its reports.
 
     python tests/forgeries.py DIR
 
-writes every forged input under DIR and runs each row with the installed
+writes every input under DIR and runs each row with the installed
 ``lumigather`` console script, exiting 1 and naming each mismatch.
 
 A new oracle rule gets its negative control as one more row in ``ROWS``.
@@ -36,7 +42,7 @@ from pathlib import Path
 
 from lumigather import cli
 from lumigather.checker import TraceData
-from lumigather.engine import BudgetExhausted, Scenario, Trace, run
+from lumigather.engine import POLICIES, BudgetExhausted, Scenario, Trace, run
 from lumigather.fuzz import random_scenario
 from lumigather.rational import format_rat
 
@@ -397,6 +403,18 @@ def progress_moved(where):
     return edit
 
 
+def move_over_rounds(lines):
+    """The round trace's move ends at t=2, through (1, 0) at t=1 and (3/2, 0) at t=2."""
+    end = lines.pop(index(lines, "MoveEnd"))
+    del lines[-2:]  # its Config line at t=1 and its End line
+    for t, x in ((1, 1), (2, "3/2")):
+        lines += [{"kind": "MoveProgress", "t": t, "robot": 0, "pos": [fmt(x), "0/1"]},
+                  cfg_line(t, [(x, 0, "M"), (4, 0, "S")])]
+    lines += [dict(end, t=2), cfg_line(3, [(2, 0, "M"), (4, 0, "S")]),
+              {"kind": "End", "t": 3, "status": "budget"}]
+    lines[0]["step_budget"] = 3
+
+
 def cut(t, end_t):
     """Edit: the trace cut to its lines before instant ``end_t`` and its
     Config line at ``t``, and closed by a fixpoint End at ``end_t``."""
@@ -504,6 +522,51 @@ EXEC_OUTSIDE_ALL_S = lambda: synthetic(  # noqa: E731
         {"kind": "End", "t": 1, "status": "budget"},
     ],
 ).dumps()
+
+# ``lumigather run``'s exit code and stdout summary, by its arguments
+RUN_SUMMARIES = {
+    "line-lu.json": (0, {"colors_used": ["A", "B"], "final_cc": [["AB", "12", "0"]],
+                         "gathered": True, "status": "gathered", "time": 24}),
+    "rectangle-unfair.json": (0, {"colors_used": ["O"], "final_cc": [["O", "0", "2"], ["O", "6", "0"]],
+                                  "gathered": False, "status": "fixpoint", "time": 9}),
+    "segment100.json": (0, {"colors_used": ["E", "M", "S"], "final_cc": [["E", "50", "0"]],
+                            "gathered": True, "status": "gathered", "time": 398}),
+    "square.json": (0, {"colors_used": ["E", "M", "S"], "final_cc": [["E", "105/32", "105/32"]],
+                        "gathered": True, "status": "gathered", "time": 154}),
+    "triangle-enum.json": (0, {"colors_used": ["O"], "final_cc": [["O", "0", "0"], ["O", "10", "0"]],
+                               "gathered": False, "status": "fixpoint", "time": 5}),
+    "square.json --steps 60": (3, {"colors_used": ["E", "M", "S"], "final_cc": None,
+                                   "gathered": False, "status": "budget", "time": 23}),
+}
+
+BUNDLED = [p.stem for p in sorted(SCENARIOS.glob("*.json"))]
+# ``enumerate --depth 4``'s exit code and message, by bundled scenario: it
+# judges elect-one-lds and lu-gather and rejects any other algorithm
+NOT_JUDGED = "enumerate: enumeration judges elect-one-lds and lu-gather only, not "
+ENUMERATED_AT_4 = {
+    "line-lu": (0, '"edges": 67, "fixpoints": 5, "nodes": 22, "unfinished": 0}, "pass": true'),
+    "rectangle-unfair": (0, '"edges": 16, "fixpoints": 1, "nodes": 7, "unfinished": 0}, "pass": true'),
+    "segment100": (2, NOT_JUDGED + "'lu-gather-async'"),
+    "square": (2, NOT_JUDGED + "'three-color'"),
+    "triangle-enum": (0, '"edges": 1, "fixpoints": 1, "nodes": 2, "unfinished": 0}, "pass": true'),
+}
+
+# square.json's run under an async fairness bound (policy, bound, exit code):
+# a step serves one robot, so no adversary keeps a bound below n=4, and some
+# shipped policies need more
+FAIRNESS_CASES = [(policy, 3, 2) for policy in POLICIES] + [
+    ("round-robin", 4, 2), ("round-robin", 19, 2), ("round-robin", 20, 0),
+    ("ssync-embedded", 4, 2), ("ssync-embedded", 11, 2), ("ssync-embedded", 12, 0),
+]
+
+
+def fuzzing(name, algorithm, scheduler, runs, *flags):
+    """A row of one ``fuzz`` campaign whose ``runs`` runs all pass, its summary line pinned."""
+    summary = {"algorithm": algorithm, "failures": [], "pass": True, "runs": runs,
+               "scheduler": scheduler}
+    cmd = ("fuzz", "--algorithm", algorithm, "--scheduler", scheduler, "--runs", str(runs), *flags)
+    return Row(name, None, None, (cmd,), 0, json.dumps(summary, sort_keys=True), failing=())
+
 
 ROWS = [
     # -- malformed traces: check and plot exit 2 ---------------------------
@@ -629,6 +692,11 @@ ROWS = [
     # lifted off the line: lu-gather has no action on the snapshots after it
     violation("lifted-move", LINE_LU, lifted, '"detail": "no action at robot on (0,0): '
               'lu_gather requires a collinear snapshot", "t"', (REPLAY, CHECK)),
+    # a round move that goes on into rounds that do not activate its robot
+    replay_only("move-over-rounds", ONE_ROUND, move_over_rounds,
+                (0, "robot 0: round events LCB are not Look, Compute and move"),
+                (1, "robot 0: events in a round that does not activate it"),
+                (2, "robot 0: events in a round that does not activate it")),
     # -- Config lines: only where the configuration changes, and true ------
     replay_only("config-deleted", SQUARE, config_deleted,
                 (66, "no Config line at t=66, where the configuration changes"), cmd=CHECK),
@@ -691,6 +759,14 @@ ROWS = [
           message=f"fairness bound {bound}" * (bound <= peak))
       for seed, peak in ((4105, 24), (4106, 27), (4107, 24))
       for bound in (12, peak, peak + 1)),
+    # -- run under an async fairness bound: exit 2 if the adversary cannot keep it
+    *(Row(f"run-{policy}-fairness-bound-{bound}", partial(scenario_file, "square"),
+          put("adversary", "policy", value=policy), (RUN + ("--fairness-bound", str(bound)),),
+          code, '"gathered": true' if code == 0 else
+          f"adversary policy {policy} cannot keep fairness bound {bound}:" if bound >= 4 else
+          f"async fairness_bound {bound} is below n=4", failing=() if code == 0 else None)
+      for policy, bound, code in FAIRNESS_CASES
+      if (policy, bound) != ("random", 3)),  # that one is run-fairness-bound-below-n
     # -- bad scenario files and command lines: exit 2 ----------------------
     bad("delta-zero-denominator", partial(scenario_file, "square"), put("delta", value="1/0"),
         "scenario error: malformed rational '1/0'", (RUN,)),
@@ -716,6 +792,17 @@ ROWS = [
                                ("robot", ("robots", 1), "colour"))),
     bad("run-misspelled-key", partial(scenario_file, "square"), put("move_span_caps", value=4),
         "unknown scenario key move_span_caps", (RUN,)),
+    *(bad(f"{cmd}-{name}", partial(scenario_file, "triangle-enum"), put(*path, value=value),
+          f"scenario error: {message}", ((cmd, "--scenario", "{input}"),))
+      for cmd in ("run", "enumerate")
+      for name, path, value, message in (
+          ("step-budget-0", ("step_budget",), 0, "step_budget must be positive"),
+          ("scheduler-bogus", ("scheduler",), "bogus", "unknown scheduler 'bogus'"),
+          ("policy-bogus", ("adversary", "policy"), "bogus", "unknown adversary policy 'bogus'"),
+          ("move-span-cap-0", ("move_span_cap",), 0, "move_span_cap must be >= 1"),
+          ("fairness-bound-negative", ("fairness_bound",), -1,
+           "fairness_bound must be >= 1 (0 selects the default)"),
+      )),
     *(Row(f"{cmd}-into-a-missing-directory", SQUARE, None, (args,), 2,
           f"{cmd}: cannot write the {what}: "
           "[Errno 2] No such file or directory: '{dir}/missing/out'",
@@ -734,6 +821,32 @@ ROWS = [
       for flag, value in (("depth", "0"), ("depth", "-1"), ("node-ceiling", "0"))),
     Row("enumerate-node-ceiling-reached", None, None, (ENUMERATE + ("--node-ceiling", "1"),), 3,
         '"aborted": true', failing=()),
+    # -- honest verdicts: small campaigns pass --------------------------------
+    *(fuzzing(f"fuzz-{algorithm}-{policy}", algorithm, "async", 4, "--seed", "5",
+              "--n-min", "2", "--n-max", "4", "--coord-bound", "5", "--policy", policy)
+      for algorithm in ("three-color", "six-color", "lu-gather-async") for policy in POLICIES),
+    *(fuzzing(f"fuzz-{algorithm}-{scheduler}", algorithm, scheduler, 4, "--seed", "5",
+              "--n-min", "2", "--n-max", "5", "--coord-bound", "5")
+      for algorithm in ("elect-one-lds", "lu-gather") for scheduler in ("fsync", "ssync", "ssync-unfair")),
+    # -- honest verdicts: every bundled scenario end to end; a new scenario
+    # file without its entry in ENUMERATED_AT_4 is a KeyError here
+    *(Row(f"scenario-{name}", None, None, (
+        ("run", "--scenario", f"{{scenarios}}/{name}.json", "--out", "{input}"),
+        CHECK,
+        CHECK + ("--annotate", "{input}.annotated"),
+        ("check", "--trace", "{input}.annotated", "--check", "replay"),
+        PLOT,
+    ), 0, failing=()) for name in BUNDLED),
+    *(Row(f"enumerate-{name}", None, None,
+          (("enumerate", "--scenario", f"{{scenarios}}/{name}.json", "--depth", "4"),),
+          *ENUMERATED_AT_4[name], failing=() if ENUMERATED_AT_4[name][0] == 0 else None)
+      for name in BUNDLED),
+    *(Row("run-" + "-".join(args.replace(".json", "").replace("--", "").split()), None, None,
+          (("run", "--scenario", "{scenarios}/" + args.split()[0], *args.split()[1:]),),
+          code, json.dumps(summary, sort_keys=True), failing=())
+      for args, (code, summary) in RUN_SUMMARIES.items()),
+    # the trace of a run cut by its step budget passes replay
+    replay_only("run-square-steps-60-replay", partial(bundled, "square", 60), None),
 ]
 
 

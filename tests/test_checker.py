@@ -24,6 +24,7 @@ from lumigather.checker import (
 from lumigather.configuration import ConfigInterner, Frame, Snapshot
 from lumigather.engine import SCHEDULERS, BudgetExhausted, Scenario, Trace, run
 from lumigather.geometry import Point, hull_center, pt
+from lumigather.patterns import classify_line
 from lumigather.rational import Rat, parse_rat
 
 import test_golden
@@ -1025,6 +1026,25 @@ class TestCheckNegativeControls:
         assert detail["cmp"] == "EQUAL" and detail["before"] == detail["after"]
         assert detail["row"] == checker._cc_family(TraceData(tr).replayed(t).cc)
         assert detail["row"] in ("A", "AA", "AA+A", "B", "BB*B", "AB*B", "AB_mA", "AB+A", "mixed")
+
+    @pytest.mark.parametrize(
+        "stations,row",
+        [
+            ({0: "A"}, "A"),
+            ({0: "A", 1: "A"}, "AA"),
+            ({0: "A", 1: "A", 3: "A"}, "AA+A"),
+            ({0: "B"}, "B"),
+            ({0: "B", 1: "B", 3: "B"}, "BB*B"),
+            ({0: "A", 1: "B", 3: "B"}, "AB*B"),
+            ({0: "A", 1: "B", 2: "A"}, "AB_mA"),
+            ({0: "A", 1: "B", 3: "A"}, "AB+A"),
+            ({0: "A", 1: "B", 2: "A", 5: "A"}, "mixed"),
+        ],
+    )
+    def test_cc_family_names_each_station_pattern(self, stations, row):
+        # stations on the x axis: x -> the colors shown there
+        cc = classify_line({pt(x, 0): colors for x, colors in stations.items()})
+        assert checker._cc_family(cc) == row
 
 
 TRIANGLE = [(pt(0, 0), "O"), (pt(10, 0), "O"), (pt(9, 3), "O")]

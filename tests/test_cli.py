@@ -7,7 +7,9 @@ import pytest
 from lumigather import fuzz as fuzz_module
 from lumigather.checker import CHECKS, TraceData, validate_trace
 from lumigather.cli import main, render_svg
-from lumigather.engine import POLICIES, Scenario, Trace, run
+from lumigather.engine import Scenario, Trace, run
+
+from forgeries import FAIRNESS_CASES, RUN_SUMMARIES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -20,72 +22,11 @@ SVG_DIGESTS = {
     "triangle-enum": "31bc9a0f2270be592fd60ca77a8f85451e00a9ea135384a0db41025c6a4682f2",
 }
 
-# ``lumigather run``'s exit code and stdout summary, by its arguments
-RUN_SUMMARIES = {
-    "line-lu.json": (0, {
-        "colors_used": ["A", "B"], "final_cc": [["AB", "12", "0"]],
-        "gathered": True, "status": "gathered", "time": 24,
-    }),
-    "rectangle-unfair.json": (0, {
-        "colors_used": ["O"], "final_cc": [["O", "0", "2"], ["O", "6", "0"]],
-        "gathered": False, "status": "fixpoint", "time": 9,
-    }),
-    "segment100.json": (0, {
-        "colors_used": ["E", "M", "S"], "final_cc": [["E", "50", "0"]],
-        "gathered": True, "status": "gathered", "time": 398,
-    }),
-    "square.json": (0, {
-        "colors_used": ["E", "M", "S"], "final_cc": [["E", "105/32", "105/32"]],
-        "gathered": True, "status": "gathered", "time": 154,
-    }),
-    "triangle-enum.json": (0, {
-        "colors_used": ["O"], "final_cc": [["O", "0", "0"], ["O", "10", "0"]],
-        "gathered": False, "status": "fixpoint", "time": 5,
-    }),
-    "square.json --steps 60": (3, {
-        "colors_used": ["E", "M", "S"], "final_cc": None,
-        "gathered": False, "status": "budget", "time": 23,
-    }),
-}
-
-
 class TestRun:
-    def test_bundled_square_gathers(self, tmp_path, capsys):
-        out = tmp_path / "t.jsonl"
-        code = main(["run", "--scenario", str(SCENARIOS / "square.json"), "--out", str(out)])
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["gathered"] is True
-        assert set("".join(summary["colors_used"])) <= {"S", "M", "E"}
-        assert out.exists()
-
-    def test_unfair_elect_reaches_line(self, tmp_path, capsys):
-        out = tmp_path / "t.jsonl"
-        code = main(
-            ["run", "--scenario", str(SCENARIOS / "rectangle-unfair.json"), "--out", str(out)]
-        )
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["status"] == "fixpoint"
-        assert summary["final_cc"] is not None  # collinear at the end
-
-    @pytest.mark.parametrize(
-        "policy,bound,code",
-        [(policy, 3, 2) for policy in POLICIES]
-        + [
-            ("round-robin", 4, 2),
-            ("round-robin", 19, 2),
-            ("round-robin", 20, 0),
-            ("ssync-embedded", 4, 2),
-            ("ssync-embedded", 11, 2),
-            ("ssync-embedded", 12, 0),
-        ],
-    )
+    @pytest.mark.parametrize("policy,bound,code", FAIRNESS_CASES)
     def test_async_fairness_bound_the_adversary_cannot_keep_exits_2(
         self, tmp_path, capsys, policy, bound, code
     ):
-        # square.json has four robots; an asynchronous step serves one, so no
-        # adversary keeps a bound below 4, and some shipped policies need more
         data = json.loads((SCENARIOS / "square.json").read_text())
         data["adversary"]["policy"] = policy
         path = tmp_path / "s.json"
@@ -107,6 +48,15 @@ class TestRun:
         code, summary = RUN_SUMMARIES[args]
         assert main(["run", "--scenario", str(SCENARIOS / scenario), *flags]) == code
         assert json.loads(capsys.readouterr().out) == summary
+
+    @pytest.mark.parametrize("cmd", ["run", "enumerate"])
+    def test_scenario_that_is_not_json_exits_2(self, tmp_path, capsys, cmd):
+        path = tmp_path / "s.json"
+        path.write_text("{")
+        assert main([cmd, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scenario error: invalid scenario JSON: ")
 
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         short = tmp_path / "short.json"
@@ -161,18 +111,6 @@ class TestRun:
 
 
 class TestFuzz:
-    def test_small_fuzz_clean(self, capsys):
-        code = main(
-            [
-                "fuzz", "--algorithm", "three-color", "--scheduler", "async",
-                "--runs", "3", "--seed", "5", "--n-min", "2", "--n-max", "3",
-                "--coord-bound", "5",
-            ]
-        )
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["pass"] is True and summary["runs"] == 3
-
     def test_zero_runs_usage_error(self):
         assert main(["fuzz", "--algorithm", "three-color", "--runs", "0"]) == 2
 

@@ -847,6 +847,7 @@ class TestTraceText:
             ("two-values-on-a-line", "more than one value"),
             ("value-over-two-lines", "spans two lines"),
             ("non-object-line", "not a JSON object"),
+            ("non-json-line", "Expecting value"),
             ("truncated", "Expecting"),
         ],
     )
@@ -858,6 +859,8 @@ class TestTraceText:
             rows[2] = rows[2].replace(",", ",\n", 1)
         elif damage == "non-object-line":
             rows.insert(2, "[1, 2]")
+        elif damage == "non-json-line":
+            rows.insert(2, "x")
         text = "".join(r + "\n" for r in rows)
         if damage == "truncated":
             text = text[:-4]
@@ -870,7 +873,7 @@ class TestTraceText:
         if parsed:
             tr = Trace.parse(tr.dumps())
         configs = [l for l in tr.lines if l["kind"] == "Config"]
-        # the engine logs a configuration that recurs from one set of formatted rows
+        # a configuration that recurs gets lists of its own in each of its Config lines
         entries = [c["entries"] for c in configs]
         i = next(k for k in range(len(entries)) if entries[k] in entries[k + 1:])
         before = copy.deepcopy(tr.lines)

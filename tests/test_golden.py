@@ -448,7 +448,9 @@ def test_replay_rejects_a_config_line_after_end(name):
 @pytest.mark.parametrize("name", [n for n, _ in CORPUS])
 def test_parse_then_dumps_is_byte_identical(name):
     text = _text(name)
-    assert Trace.parse(text).dumps() == text
+    annotated = annotate_potentials(Trace.parse(text)).dumps()
+    for written in (text, annotated):
+        assert Trace.parse(written).dumps() == written
 
 
 def shown_by_robot(td, rid, t):
