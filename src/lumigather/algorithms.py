@@ -33,11 +33,19 @@ class Action:
     """A new light color and a destination in the snapshot's frame.
 
     ``inner_exec`` marks a wrapper action that ran its inner algorithm.
+    The ``__init__`` sets the slots through their descriptors, bypassing the
+    frozen ``__setattr__`` as ``Point.__new__`` does; fields, equality, hash
+    and ``dataclasses.replace`` stay the dataclass's.
     """
 
     color: str
     dest: object
     inner_exec: bool = False
+
+    def __init__(self, color, dest, inner_exec=False):
+        _set_color(self, color)
+        _set_dest(self, dest)
+        _set_inner_exec(self, inner_exec)
 
     def changes(self, pos, light):
         """Whether this action changes ``light`` or leaves ``pos``.
@@ -46,6 +54,11 @@ class Action:
         is a null cycle, and a robot whose action is one is not enabled.
         """
         return self.color != light or self.dest != pos
+
+
+_set_color = Action.color.__set__
+_set_dest = Action.dest.__set__
+_set_inner_exec = Action.inner_exec.__set__
 
 
 def phase_of(c):

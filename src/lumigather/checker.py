@@ -12,8 +12,9 @@ which ``Scenario.from_json`` reads.  Each check returns a Report.
 
 The checks build no reference cycles, so every function behind ``CHECKS``
 and ``enumerate_unfair`` runs with the cyclic collector paused
-(``configuration.collector_paused``); a check called from another keeps it
-off until the outermost returns.
+(``configuration.collector_paused``); a check called from another, or from
+``fuzz.run_with_checks``, which pauses a run and its checks as one unit,
+keeps it off until the outermost returns.
 """
 
 import functools
@@ -153,10 +154,13 @@ class TraceData:
     exactly one MoveProgress line at each instant after its begin up to its
     end (or the last instant), and a round one RoundStart line.  One forward
     sweep then applies the changes in time order, line order within an
-    instant, and keeps the robot-order row of each instant in
-    ``shown_times``: ``shown(t)`` is the row of the latest one at or before
-    t and ``replayed(t)`` its configuration, derived from the events alone
-    and interned as the sweep builds the row.  ``changes`` lists ``(t,
+    instant, and keeps the robot-order row of each instant at which an entry
+    changes in ``shown_times``: ``shown(t)`` is the row of the latest one at
+    or before t and ``replayed(t)`` its configuration, derived from the
+    events alone and interned as the sweep builds the row; ``observed(t)``
+    is both, found by one bisection.  ``last_show`` is the latest instant
+    that any event shows at, whether or not it changes an entry.
+    ``changes`` lists ``(t,
     cfg)`` for instant 0 and for each instant up to ``last_t`` whose
     configuration is not the previous instant's; it is the one sequence of
     configurations that every check reads.
@@ -377,16 +381,27 @@ class TraceData:
                         f"line at some instant up to t={stop}"
                     )
         # the forward pass: the row of every instant at which an entry
-        # changes, interned as it is built
+        # changes, interned as it is built; an instant whose shows change no
+        # entry, such as a Compute that keeps its color, gets no row
         row = list(self.scenario.robots)
         self.shown_times = [0]
+        self.last_show = max(shows, default=0)
         self._rows = [tuple(row)]
         self._replayed = [self.cache.get(self._rows[0])]
         self.changes = [(0, self._replayed[0])]
         for s in sorted(shows):
+            changed = False
             for rid, p, c in shows[s]:
                 old_p, old_c = row[rid]
-                row[rid] = (old_p if p is None else p, old_c if c is None else c)
+                if p is None:
+                    p = old_p
+                if c is None:
+                    c = old_c
+                if p != old_p or c != old_c:
+                    row[rid] = (p, c)
+                    changed = True
+            if not changed:
+                continue
             self.shown_times.append(s)
             self._rows.append(tuple(row))
             cfg = self.cache.get(self._rows[-1])
@@ -454,6 +469,11 @@ class TraceData:
         rules.
         """
         return self._replayed[bisect_right(self.shown_times, t) - 1]
+
+    def observed(self, t):
+        """``(replayed(t), shown(t))``, found by one bisection."""
+        k = bisect_right(self.shown_times, t) - 1
+        return self._replayed[k], self._rows[k]
 
     def pending_state(self, rid, t):
         """Leftover asynchronous state of the robot just after instant t.
@@ -674,7 +694,8 @@ def _validate_computes(td, rid, rep):
         if tl is None:
             rep.violate(tc, f"robot {rid}: Compute without Look")
             continue
-        act = _action(td, rep, tl, td.replayed(tl), *td.shown(tl)[rid])
+        cfg, row = td.observed(tl)
+        act = _action(td, rep, tl, cfg, *row[rid])
         if act is not None and (
             act.color != color or act.dest != dest or bool(act.inner_exec) != ex
         ):
@@ -772,12 +793,11 @@ def check_monotone(trace, which=None):
     for t in td.rounds:  # in time order, as the lines are
         if t >= td.last_t:
             break
-        cfg = td.replayed(t)
+        cfg, row = td.observed(t)
         nxt = td.replayed(t + 1)
         if which == "g" and not cfg.on_lds:
             rep.violate(t, _OFF_LINE)
             continue
-        row = td.shown(t)
         seen = (row[r] for r in td.rounds[t])
         if _any_acts(td, rep, t, cfg, seen):
             rounds += 1

@@ -173,11 +173,12 @@ def cmd_plot(args):
 def render_svg(td):
     """Deterministic SVG of robot trajectories colored by light, one point per instant.
 
-    The instants run from 0 to the last one at which a robot shows a change,
-    or to End if that comes first: a later End adds no point.
+    The instants run from 0 to the last one that an event shows at
+    (``TraceData.last_show``), or to End if that comes first: a later End
+    adds no point.
     """
     size = 640  # width and height in pixels
-    last = td.shown_times[-1]
+    last = td.last_show
     times = range(1 + (last if td.end_time is None else min(last, td.end_time)))
     rows = [td.shown(t) for t in times]
     paths = []

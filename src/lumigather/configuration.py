@@ -48,8 +48,8 @@ def collector_paused(fn):
     which costs time and changes no result.
 
     Applied where each entry point is defined: ``engine.run``,
-    ``Trace.dumps``, ``Trace.parse``, every check behind ``checker.CHECKS``
-    and ``checker.enumerate_unfair``.
+    ``Trace.dumps``, ``Trace.parse``, every check behind ``checker.CHECKS``,
+    ``checker.enumerate_unfair`` and ``fuzz.run_with_checks``.
     """
 
     @functools.wraps(fn)
@@ -279,12 +279,18 @@ class Snapshot:
     """What one robot sees: a configuration plus its own position and light.
 
     The engine executes algorithms on global-frame snapshots; per-robot frames
-    exist for the equivariance harness.
+    exist for the equivariance harness.  The ``__init__`` sets the slots
+    through their descriptors, as ``algorithms.Action``'s does.
     """
 
     config: Configuration
     own_pos: Point
     own_light: str
+
+    def __init__(self, config, own_pos, own_light):
+        _set_config(self, config)
+        _set_own_pos(self, own_pos)
+        _set_own_light(self, own_light)
 
     @property
     def on_lds(self):
@@ -297,6 +303,11 @@ class Snapshot:
     @property
     def colors_present(self):
         return self.config.colors_present
+
+
+_set_config = Snapshot.config.__set__
+_set_own_pos = Snapshot.own_pos.__set__
+_set_own_light = Snapshot.own_light.__set__
 
 
 @dataclass(frozen=True, slots=True)

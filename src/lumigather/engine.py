@@ -21,10 +21,14 @@ MoveEnd) per instant: each event's timing guard fails at the instant of the
 robot's own previous event and holds at every later one.  So a robot that has
 not acted at the current instant has exactly one legal event, the one its
 phase allows next, and one that has acted has none: ``AsyncWorld.next_event``
-returns it, and ``async_step`` checks every choice against it.  The adversary
-policies share one base, ``_Policy``: each only picks a robot or advances the
-clock, and ``_Policy.event`` builds the robot's choice, with the truncation of
-a MoveBegin.
+returns it.  ``async_step`` decides a robot event's legality from the same
+two facts, the robot's ``event_t`` and ``NEXT[phase]``, and decides fairness
+inline from ``stamps``: the choice is starving only if the first entry that
+is not the robot it serves is at the bound.  The adversary policies share
+one base, ``_Policy``: each only picks a robot or advances the clock, and
+``_Policy.event`` builds the robot's choice, with the truncation of a
+MoveBegin.  The random policy serves only ready robots, so it reads each
+one's event off ``NEXT`` without asking the world.
 
 A Look keeps the ``(configuration, position, light)`` triple it observed,
 and its Compute evaluates that triple through ``memo_action``, which builds
@@ -691,18 +695,6 @@ class AsyncWorld:
         r = self.robots[rid]
         return None if r.event_t == self.t else NEXT[r.phase]
 
-    def _check_fairness(self, serving):
-        """Raise Starved if a ready robot other than ``serving`` is at the bound.
-
-        Only the most starved such robot can be: ``stamps`` lists the ready
-        robots most starved first, so it is one of the first two entries.
-        """
-        for i, stamp in self.stamps.items():
-            if i != serving:
-                if self.steps - stamp >= self.bound:
-                    raise Starved(f"fairness: robot {i} starved beyond bound")
-                return
-
     # -- the single-step transition ---------------------------------------
 
     def async_step(self, choice):
@@ -710,7 +702,10 @@ class AsyncWorld:
 
         Every condition that can reject the choice is checked before anything
         changes, so a rejected choice leaves the clock, the step count, the
-        robots, the bookkeeping and the trace as they were.
+        robots, the bookkeeping and the trace as they were.  A choice starves
+        a robot only if the most starved ready robot it does not serve is at
+        the bound, and ``stamps`` lists that one first or, behind the robot
+        served, second: each fairness scan stops at it.
         """
         if type(choice) is not tuple or not choice:
             raise IllegalChoice(f"choice {choice!r} is not a non-empty tuple")
@@ -719,17 +714,22 @@ class AsyncWorld:
         # other choice has more than a kind and a robot
         if len(choice) > (3 if kind == "move_begin" else 2):
             raise IllegalChoice(f"{kind}: choice {choice!r} has trailing elements")
-        if self.steps >= self.scenario.step_budget:
+        steps = self.steps
+        if steps >= self.scenario.step_budget:
             self.trace.end(self.t, "budget")
             raise BudgetExhausted(self.trace)
+        t = self.t
+        stamps = self.stamps
         if kind == "advance":
-            t = self.t
             for i in self.movers:
                 if t - self.robots[i].event_t >= self.cap:
                     raise IllegalChoice("move span cap reached; move must end before advancing")
-            self._check_fairness(None)
+            for i, stamp in stamps.items():
+                if steps - stamp >= self.bound:
+                    raise Starved(f"fairness: robot {i} starved beyond bound")
+                break
             progress = self._progress(choice[1] if len(choice) > 1 else None)
-            self.steps += 1
+            self.steps = steps + 1
             self._advance(progress)
             return
         if len(choice) < 2:
@@ -738,25 +738,21 @@ class AsyncWorld:
         if type(rid) is not int or not 0 <= rid < len(self.robots):
             raise IllegalChoice(f"{kind}: robot id {rid!r} outside 0..{len(self.robots) - 1}")
         r = self.robots[rid]
-        t = self.t
-        event = self.next_event(rid)
-        if event is None or kind != event:
+        if r.event_t == t or kind != NEXT[r.phase]:  # next_event(rid), read off r
             raise IllegalChoice(f"{kind} not legal for robot {rid} (phase {r.phase})")
-        self._check_fairness(rid)
-        if kind == "compute":
-            act = memo_action(self.algorithm, *r.seen)
-        elif kind == "move_begin":
-            frac = choice[2] if len(choice) > 2 else _WHOLE
-            if not isinstance(frac, Rat) or not 0 < frac <= 1:
-                raise IllegalChoice(f"move_begin: truncation {frac!r} is not a rational in (0,1]")
-            reach = apply_move(r.pos, r.dest, frac, self.delta)
-        self.steps += 1
+        for i, stamp in stamps.items():
+            if i != rid:
+                if steps - stamp >= self.bound:
+                    raise Starved(f"fairness: robot {i} starved beyond bound")
+                break
+        # each branch checks what is left of its choice, then applies it
         if kind == "look":
             r.seen = (self.visible, *self.shown[rid])
             r.phase = OBSERVED
             self.busy += 1
             self.trace.look(t, rid)
         elif kind == "compute":
+            act = memo_action(self.algorithm, *r.seen)
             r.light = act.color
             r.seen = None
             self.trace.compute(t, rid, act)
@@ -767,7 +763,10 @@ class AsyncWorld:
                 r.dest = act.dest
                 r.phase = COMPUTED
         elif kind == "move_begin":
-            r.dest = reach
+            frac = choice[2] if len(choice) > 2 else _WHOLE
+            if not isinstance(frac, Rat) or not 0 < frac <= 1:
+                raise IllegalChoice(f"move_begin: truncation {frac!r} is not a rational in (0,1]")
+            r.dest = apply_move(r.pos, r.dest, frac, self.delta)
             r.mu = Rat(0)
             r.phase = MOVING
             insort(self.movers, rid)
@@ -778,9 +777,10 @@ class AsyncWorld:
             self.busy -= 1
             self.movers.remove(rid)
             self.trace.move_end(t, rid, r.pos)
+        self.steps = steps + 1
         r.event_t = t
         self.ready.remove(rid)
-        del self.stamps[rid]
+        del stamps[rid]
 
     def _progress(self, mus):
         """Checked progress fraction of every moving robot at the next instant.
@@ -810,22 +810,26 @@ class AsyncWorld:
         """Start the next instant; ``progress`` is ``_progress``'s checked result.
 
         Only a robot that acted in the closing instant or is moving can show
-        something new, so only those are visited.  Each robot that acted gets
-        the stamp of the advance, the step counted last, which puts it behind
-        every robot that did not.
+        something new, so only those are visited, and the robots are scanned
+        for the ones that acted only when some did.  Each robot that acted
+        gets the stamp of the advance, the step counted last, which puts it
+        behind every robot that did not.
         """
         self.t += 1
-        stamp = self.steps - 1
         robots, shown, stamps = self.robots, self.shown, self.stamps
+        n = len(robots)
         changed = False
-        for i in [i for i in range(len(robots)) if i not in stamps]:
-            stamps[i] = stamp
-            r = robots[i]
-            if r.phase != MOVING:  # a mover's light was shown before its MoveBegin
-                entry = (r.pos, r.light)
-                if entry != shown[i]:
-                    shown[i] = entry
-                    changed = True
+        if len(stamps) < n:
+            stamp = self.steps - 1
+            for i in [i for i in range(n) if i not in stamps]:
+                stamps[i] = stamp
+                r = robots[i]
+                if r.phase != MOVING:  # a mover's light was shown before its MoveBegin
+                    entry = (r.pos, r.light)
+                    if entry != shown[i]:
+                        shown[i] = entry
+                        changed = True
+            self.ready = list(range(n))
         # a mover's progress point advances strictly, so it always shows anew
         for i in self.movers:
             r = robots[i]
@@ -834,7 +838,6 @@ class AsyncWorld:
             shown[i] = (pos, r.light)
             changed = True
             self.trace.move_progress(self.t, i, pos)
-        self.ready = list(range(len(robots)))
         if changed:
             visible = self.cache.get(tuple(shown))
             if visible is not self.visible:
@@ -869,13 +872,21 @@ class _Policy:
     def event(self, world, i):
         """Robot ``i``'s choice for its one legal event, or None if it has none."""
         kind = world.next_event(i)
+        return None if kind is None else self._choice(kind, i)
+
+    def _choice(self, kind, i):
+        """Robot ``i``'s choice of the event ``kind``, a MoveBegin with its truncation."""
         if kind == "move_begin":
             return (kind, i, _pick_fraction(self.policy, self.rng))
-        return None if kind is None else (kind, i)
+        return (kind, i)
 
 
 class RandomAsyncPolicy(_Policy):
-    """Seeded uniform adversary over legal choices with forced fairness."""
+    """Seeded uniform adversary over legal choices with forced fairness.
+
+    Every robot it serves is ready, so its event is the one ``NEXT`` allows
+    the robot's phase.
+    """
 
     MUS = tuple(Rat(j, 8) for j in (1, 2, 3, 5, 7))
 
@@ -884,21 +895,26 @@ class RandomAsyncPolicy(_Policy):
         # serve the most starved ready robot, the first in ``stamps``, once it
         # nears the fairness bound; the margin covers a full drain of
         # simultaneously starved ones
-        oldest = next(iter(world.stamps), None)
-        if oldest is not None and world.starve(oldest) >= world.bound - 2 * len(rs) - 2:
-            return self.event(world, oldest)
+        for oldest, stamp in world.stamps.items():
+            if world.steps - stamp >= world.bound - 2 * len(rs) - 2:
+                return self._choice(NEXT[rs[oldest].phase], oldest)
+            break
         # movers at the span cap must end before the clock advances again
         t = world.t
-        for i in world.movers:
+        movers = world.movers
+        for i in movers:
             r = rs[i]
             if r.event_t != t and t - r.event_t >= world.cap - 1:
-                return self.event(world, i)
+                return ("move_end", i)
         rng = self.rng
         if not world.ready or rng.random() < 0.3:
+            if not movers:
+                return ("advance", None)
             # every mover goes a random share of the rest of its way
-            mus = {i: rs[i].mu + (1 - rs[i].mu) * rng.choice(self.MUS) for i in world.movers}
+            mus = {i: rs[i].mu + (1 - rs[i].mu) * rng.choice(self.MUS) for i in movers}
             return ("advance", mus)
-        return self.event(world, rng.choice(world.ready))
+        i = rng.choice(world.ready)
+        return self._choice(NEXT[rs[i].phase], i)
 
 
 class RoundRobinAsyncPolicy(_Policy):

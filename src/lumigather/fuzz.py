@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .algorithms import get_algorithm
 from .checker import CHECKS, check_names, default_checks
+from .configuration import collector_paused
 from .engine import POLICIES, BudgetExhausted, Scenario, run
 from .geometry import Point
 from .rational import Rat
@@ -77,8 +78,14 @@ class RunOutcome:
         return not self.budget_exhausted and all(r.passed for r in self.reports)
 
 
+@collector_paused
 def run_with_checks(scenario, checks=None):
-    """Run the scenario and apply the named checks (``default_checks`` if None)."""
+    """Run the scenario and apply the named checks (``default_checks`` if None).
+
+    The run and its checks are one paused unit: the collector stays off
+    from the run to the last check, rather than waking between them to walk
+    the trace they share.
+    """
     out = RunOutcome(scenario)
     try:
         out.trace = run(scenario)

@@ -487,6 +487,7 @@ class Row:
     message: str = ""  # in each command's output; "{dir}" is the output directory
     failing: tuple = None  # the names of the failing reports, in print order
     violations: dict = None  # report name -> its exact (t, detail) pairs
+    whole: bool = False  # the message is each command's whole stdout, one line
 
 
 def bad(name, base, edit, message, cmds=(CHECK, PLOT)):
@@ -558,6 +559,13 @@ FAIRNESS_CASES = [(policy, 3, 2) for policy in POLICIES] + [
     ("round-robin", 4, 2), ("round-robin", 19, 2), ("round-robin", 20, 0),
     ("ssync-embedded", 4, 2), ("ssync-embedded", 11, 2), ("ssync-embedded", 12, 0),
 ]
+# the stdout summary of each of those runs that exits 0
+FAIRNESS_SUMMARIES = {
+    ("round-robin", 20): {"colors_used": ["E", "M", "S"], "final_cc": [["E", "2", "2"]],
+                          "gathered": True, "status": "gathered", "time": 61},
+    ("ssync-embedded", 12): {"colors_used": ["E", "M", "S"], "final_cc": [["E", "137/64", "137/64"]],
+                             "gathered": True, "status": "gathered", "time": 34},
+}
 
 
 def fuzzing(name, algorithm, scheduler, runs, *flags):
@@ -762,9 +770,10 @@ ROWS = [
     # -- run under an async fairness bound: exit 2 if the adversary cannot keep it
     *(Row(f"run-{policy}-fairness-bound-{bound}", partial(scenario_file, "square"),
           put("adversary", "policy", value=policy), (RUN + ("--fairness-bound", str(bound)),),
-          code, '"gathered": true' if code == 0 else
+          code, json.dumps(FAIRNESS_SUMMARIES[policy, bound], sort_keys=True) if code == 0 else
           f"adversary policy {policy} cannot keep fairness bound {bound}:" if bound >= 4 else
-          f"async fairness_bound {bound} is below n=4", failing=() if code == 0 else None)
+          f"async fairness_bound {bound} is below n=4", failing=() if code == 0 else None,
+          whole=code == 0)
       for policy, bound, code in FAIRNESS_CASES
       if (policy, bound) != ("random", 3)),  # that one is run-fairness-bound-below-n
     # -- bad scenario files and command lines: exit 2 ----------------------
@@ -843,7 +852,7 @@ ROWS = [
       for name in BUNDLED),
     *(Row("run-" + "-".join(args.replace(".json", "").replace("--", "").split()), None, None,
           (("run", "--scenario", "{scenarios}/" + args.split()[0], *args.split()[1:]),),
-          code, json.dumps(summary, sort_keys=True), failing=())
+          code, json.dumps(summary, sort_keys=True), failing=(), whole=True)
       for args, (code, summary) in RUN_SUMMARIES.items()),
     # the trace of a run cut by its step budget passes replay
     replay_only("run-square-steps-60-replay", partial(bundled, "square", 60), None),
@@ -882,6 +891,8 @@ def run_row(row, call, directory):
             problems.append(f"{said} with a traceback")
         if message not in out + err:
             problems.append(f"{said} without {message!r}")
+        if row.whole and out != message + "\n":
+            problems.append(f"{said} and printed {out[:200]!r}, not just {message!r}")
         if code == 2 and out and row.failing is None:
             problems.append(f"{said} and printed {out[:200]!r}")
         printed = [json.loads(l) for l in out.splitlines() if l.startswith("{")]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import zlib
 
@@ -429,3 +430,40 @@ def test_a_composition_with_no_registry_name_runs_and_checks(inner, monkeypatch)
             changed = len(TraceData.of(out.trace).config_times) > 1
             assert (cycle.extras["cycles"] > 0) == changed
             assert TraceData.of(out.trace).status == ("gathered" if goal else "fixpoint")
+
+
+def _records():
+    """(record, its field values, other values for each field) for Action and Snapshot."""
+    cfg = make_config([((0, 0), "S"), ((2, 0), "M")])
+    other = make_config([((0, 0), "S"), ((4, 0), "M")])
+    yield Action, ("M", pt(1, 0), True), {"color": "E", "dest": pt(2, 0), "inner_exec": False}
+    yield Snapshot, (cfg, pt(0, 0), "S"), {"config": other, "own_pos": pt(2, 0), "own_light": "M"}
+
+
+@pytest.mark.parametrize("cls,values,others", _records(), ids=["Action", "Snapshot"])
+def test_records_stay_frozen_dataclasses(cls, values, others):
+    """``Action`` and ``Snapshot`` set their slots in a hand-written
+    ``__init__``; they stay immutable, compare and hash by their fields and
+    support ``dataclasses.replace``."""
+    rec = cls(*values)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == list(others)
+    assert [getattr(rec, name) for name in names] == list(values)
+    assert rec == cls(**dict(zip(names, values)))
+    assert hash(rec) == hash(cls(*values))
+    for name, value in others.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rec, name)
+        changed = dataclasses.replace(rec, **{name: value})
+        assert getattr(changed, name) == value and changed != rec
+        assert dataclasses.replace(changed, **{name: getattr(rec, name)}) == rec
+    assert [getattr(rec, name) for name in names] == list(values)
+    with pytest.raises((AttributeError, TypeError)):
+        rec.label = "a"
+
+
+def test_action_defaults_to_no_inner_execution():
+    assert Action("S", pt(0, 0)) == Action("S", pt(0, 0), False)
+    assert Action("S", pt(0, 0)).inner_exec is False

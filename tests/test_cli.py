@@ -9,8 +9,6 @@ from lumigather.checker import CHECKS, TraceData, validate_trace
 from lumigather.cli import main, render_svg
 from lumigather.engine import Scenario, Trace, run
 
-from forgeries import FAIRNESS_CASES, RUN_SUMMARIES
-
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # sha256 of ``render_svg`` on the trace of each bundled scenario
@@ -23,32 +21,6 @@ SVG_DIGESTS = {
 }
 
 class TestRun:
-    @pytest.mark.parametrize("policy,bound,code", FAIRNESS_CASES)
-    def test_async_fairness_bound_the_adversary_cannot_keep_exits_2(
-        self, tmp_path, capsys, policy, bound, code
-    ):
-        data = json.loads((SCENARIOS / "square.json").read_text())
-        data["adversary"]["policy"] = policy
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(data))
-        assert main(["run", "--scenario", str(path), "--fairness-bound", str(bound)]) == code
-        captured = capsys.readouterr()
-        if code == 0:
-            assert json.loads(captured.out)["gathered"] is True
-        elif bound < 4:
-            assert captured.out == ""
-            assert f"async fairness_bound {bound} is below n=4" in captured.err
-        else:
-            assert captured.out == ""
-            assert f"adversary policy {policy} cannot keep fairness bound {bound}:" in captured.err
-
-    @pytest.mark.parametrize("args", sorted(RUN_SUMMARIES))
-    def test_summary_of_each_bundled_scenario_is_pinned(self, capsys, args):
-        scenario, *flags = args.split()
-        code, summary = RUN_SUMMARIES[args]
-        assert main(["run", "--scenario", str(SCENARIOS / scenario), *flags]) == code
-        assert json.loads(capsys.readouterr().out) == summary
-
     @pytest.mark.parametrize("cmd", ["run", "enumerate"])
     def test_scenario_that_is_not_json_exits_2(self, tmp_path, capsys, cmd):
         path = tmp_path / "s.json"

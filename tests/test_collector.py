@@ -2,10 +2,11 @@
 
 ``configuration.collector_paused`` turns CPython's cyclic garbage collector
 off for the length of ``engine.run``, ``Trace.dumps``, ``Trace.parse``, every
-check behind ``checker.CHECKS`` and ``checker.enumerate_unfair``.  That frees
-nothing late only while reference counting frees everything those calls
-allocate: ``test_workloads_leave_no_cyclic_garbage`` runs every algorithm under
-every scheduler and policy, and each failure path, with the collector off and
+check behind ``checker.CHECKS``, ``checker.enumerate_unfair`` and
+``fuzz.run_with_checks``.  That frees nothing late only while reference
+counting frees everything those calls allocate:
+``test_workloads_leave_no_cyclic_garbage`` runs every algorithm under every
+scheduler and policy, and each failure path, with the collector off and
 asserts that ``gc.collect()`` then finds nothing.  If it ever fails, the fix
 is to break the new cycle, not to loosen the test.
 
@@ -19,7 +20,7 @@ import random
 
 import pytest
 
-from lumigather import checker, engine
+from lumigather import checker, engine, fuzz
 from lumigather.algorithms import ALGORITHMS
 from lumigather.checker import CHECKS, enumerate_unfair
 from lumigather.configuration import collector_paused
@@ -43,6 +44,7 @@ ENTRY_POINTS = {
     "Trace.dumps": Trace.dumps,
     "Trace.parse": Trace.parse,
     "checker.enumerate_unfair": checker.enumerate_unfair,
+    "fuzz.run_with_checks": fuzz.run_with_checks,
     **{f"checker.{fn.__name__}": fn for fn in {getattr(c, "func", c) for c in CHECKS.values()}},
 }
 
@@ -97,6 +99,7 @@ def _workloads():
         sc = random_scenario(rng, alg, "ssync-unfair", 3, bound=6)
         enumerate_unfair(sc.robots, alg, 3, (Rat(1), Rat(1, 2)))
     CHECKS["equivariance"](run(_scenario(seed=3)))
+    assert fuzz.run_with_checks(_scenario(seed=3)).ok
     # the failure paths: a run out of step budget, a fairness bound its
     # policy cannot keep, a spec enumeration cannot judge, a malformed trace
     # and a forged one
@@ -149,6 +152,8 @@ def _calls():
         ((pt(0, 0), "O"), (pt(2, 0), "O"), (pt(1, 1), "O")), "elect-one-lds", 2
     ), None
     yield "checker.enumerate_unfair", lambda: enumerate_unfair(SQUARE, "three-color", 2), ValueError
+    yield "fuzz.run_with_checks", lambda: fuzz.run_with_checks(_scenario(seed=5)), None
+    yield "fuzz.run_with_checks", lambda: fuzz.run_with_checks(unkept), ScenarioError
 
 
 def test_collector_on_after_every_entry_point():
