@@ -1,7 +1,7 @@
 """Deterministic simulator and trace checker for luminous-robot gathering."""
 
 from .algorithms import ALGORITHMS, Action, get_algorithm
-from .configuration import Configuration, Frame, Snapshot
+from .configuration import Configuration, Frame
 from .engine import (
     BudgetExhausted,
     EmptyActivation,

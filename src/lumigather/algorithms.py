@@ -1,9 +1,10 @@
-"""Gathering algorithms as pure functions of (snapshot, own light).
+"""Gathering algorithms as pure functions of what a robot's Look observes.
 
-Each algorithm maps a Snapshot to an Action (new light color plus a
-destination in the snapshot's frame; destination equal to the current
-position means stay).  All are stateless and equivariant under
-orientation-preserving rational similarities.
+Each algorithm maps the Look's ``(cfg, pos, light)`` (the configuration, the
+robot's own position and its own light) to an Action: a new light color plus
+a destination in the configuration's frame; a destination equal to ``pos``
+means stay.  All are stateless and equivariant under orientation-preserving
+rational similarities.
 
 Two combinators compose specs: ``sim_for_unfair(X)`` ("sim") runs an
 unfair-SSYNC algorithm X under ASYNC with 3k colors for X's k, and
@@ -19,7 +20,6 @@ checker's cycle check verifies its rotation.
 
 from dataclasses import dataclass
 
-from .configuration import Snapshot
 from .geometry import (
     Classification,
     hull_center,
@@ -30,7 +30,7 @@ from .geometry import (
 
 @dataclass(frozen=True, slots=True)
 class Action:
-    """A new light color and a destination in the snapshot's frame.
+    """A new light color and a destination in the configuration's frame.
 
     ``inner_exec`` marks a wrapper action that ran its inner algorithm.
     The ``__init__`` sets the slots through their descriptors, bypassing the
@@ -77,27 +77,25 @@ def phase_class(cfg):
     return cls
 
 
-def _endpoints_near_far(snap):
+def _endpoints_near_far(cfg, me):
     """Nearest and furthest endpoint; exact-midpoint ties go to the left one."""
-    me = snap.own_pos
-    cc = snap.cc
+    cc = cfg.cc
     left, right = cc.endpoint_left, cc.endpoint_right
-    lat = snap.config.lattice.with_point(me)
+    lat = cfg.lattice.with_point(me)
     if lat.norm(me, left) <= lat.norm(me, right):
         return left, right
     return right, left
 
 
-def elect_one_lds(snap):
+def elect_one_lds(cfg, me, light):
     """Line-formation step: contract the hull by the configuration's class.
 
-    Colorless; a collinear snapshot is the target condition and yields stay.
+    Colorless; a collinear configuration is the target condition and yields stay.
     """
-    me, light = snap.own_pos, snap.own_light
     stay = Action(light, me)
-    if snap.on_lds:
+    if cfg.on_lds:
         return stay
-    hull = snap.config.hull
+    hull = cfg.hull
     cls = hull.classification
     if cls is Classification.SYM_NONCONTRACTIBLE:
         center = hull_center(hull)
@@ -116,7 +114,7 @@ def elect_one_lds(snap):
         if me != center:
             return Action(light, center)
         return stay
-    for src, dst in snap.config.contraction_targets():
+    for src, dst in cfg.contraction_targets():
         if src == me:
             return Action(light, dst)
     return stay
@@ -139,23 +137,22 @@ def _ab_star_b(cc):
     return None
 
 
-def lu_gather(snap):
+def lu_gather(cfg, me, light):
     """Two-color gathering from a collinear configuration."""
-    if not snap.on_lds:
+    if not cfg.on_lds:
         raise ValueError("lu_gather requires a collinear snapshot")
-    me, light = snap.own_pos, snap.own_light
-    cc = snap.cc
+    cc = cfg.cc
     k = len(cc.stations)
     stay = Action(light, me)
     mid = cc.midpoint
-    present = snap.colors_present
+    present = cfg.colors_present
 
     if present == {"A"}:
         if k == 1:
             return stay
         if k == 2:
             return Action("B", mid)
-        pn, _ = _endpoints_near_far(snap)
+        pn, _ = _endpoints_near_far(cfg, me)
         if me != pn:
             return Action("A", pn)
         return stay
@@ -181,23 +178,22 @@ def lu_gather(snap):
     return Action("B", mid)
 
 
-def lu_gather_in_async(snap):
+def lu_gather_in_async(cfg, me, light):
     """Three-color gathering from a collinear configuration, ASYNC-safe.
 
     Case split on the set of colors present; within each family the guards
     follow the color-class grammar top to bottom, first match wins.
     """
-    if not snap.on_lds:
+    if not cfg.on_lds:
         raise ValueError("lu_gather_in_async requires a collinear snapshot")
-    me, light = snap.own_pos, snap.own_light
-    cc = snap.cc
+    cc = cfg.cc
     stations = cc.stations
     k = len(stations)
     stay = Action(light, me)
     left, right = cc.endpoint_left, cc.endpoint_right
     mid = cc.midpoint
-    pn, _ = _endpoints_near_far(snap)
-    present = snap.colors_present
+    pn, _ = _endpoints_near_far(cfg, me)
+    present = cfg.colors_present
 
     if present == {"S"}:
         if k == 2:
@@ -282,18 +278,18 @@ def lu_gather_in_async(snap):
     return stay
 
 
-def _inner_view(snap):
-    """Snapshot the inner algorithm sees: phase components stripped.
+def _inner_view(cfg):
+    """The configuration the inner algorithm sees: phase components stripped.
 
-    The recolored configuration is kept in the outer configuration's memo, so
-    every robot evaluated on one configuration shares it; it has the outer
-    configuration's Shape, so the hull and targets are those of its points.
+    It is kept in the outer configuration's memo, so every robot evaluated
+    on one configuration shares it; it has the outer configuration's Shape,
+    so the hull and targets are those of its points.
     """
-    memo = snap.config.memo
-    cfg = memo.get("inner_view")
-    if cfg is None:
-        cfg = memo["inner_view"] = snap.config.recolor(inner_of)
-    return Snapshot(cfg, snap.own_pos, inner_of(snap.own_light))
+    memo = cfg.memo
+    inner = memo.get("inner_view")
+    if inner is None:
+        inner = memo["inner_view"] = cfg.recolor(inner_of)
+    return inner
 
 
 _ALL_S = frozenset("S")
@@ -329,8 +325,8 @@ class AlgorithmSpec:
     goal: str = "gather"
     checks: tuple = ()
 
-    def __call__(self, snap):
-        act = self.fn(snap)
+    def __call__(self, cfg, pos, light):
+        act = self.fn(cfg, pos, light)
         if act.color not in self.colors:
             raise AssertionError(f"{self.id} emitted color {act.color!r} outside alphabet")
         return act
@@ -346,13 +342,12 @@ def sim_for_unfair(inner, name=None):
     """
     inner_fn = inner.fn
 
-    def wrapped(snap):
-        me, light = snap.own_pos, snap.own_light
-        phases = phase_class(snap.config)
+    def wrapped(cfg, me, light):
+        phases = phase_class(cfg)
         if phases == _ALL_S:
-            iv = _inner_view(snap)
-            act = inner_fn(iv)
-            if act.changes(me, iv.own_light):
+            inner_light = inner_of(light)
+            act = inner_fn(_inner_view(cfg), me, inner_light)
+            if act.changes(me, inner_light):
                 color = f"M.{act.color}" if "." in light else "M"
                 return Action(color, act.dest, inner_exec=True)
         else:
@@ -385,8 +380,8 @@ def then(first, second, name=None):
     """
     first_fn, second_fn = first.fn, second.fn
 
-    def composed(snap):
-        return second_fn(snap) if snap.on_lds else first_fn(snap)
+    def composed(cfg, pos, light):
+        return (second_fn if cfg.on_lds else first_fn)(cfg, pos, light)
 
     colored = [spec for spec in (first, second) if len(spec.colors) > 1] or [first]
     return AlgorithmSpec(

@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .algorithms import ALGORITHMS, get_algorithm, phase_class, phase_of
-from .configuration import ConfigInterner, Frame, Snapshot, collector_paused
+from .configuration import ConfigInterner, Frame, collector_paused
 from .engine import (
     Scenario,
     SyncWorld,
@@ -846,14 +846,13 @@ def annotate_potentials(trace):
     return Trace(lines)
 
 
-def snapshot_has_convention_ties(snap):
-    """True when the action depends on a global tie-break convention.
+def snapshot_has_convention_ties(cfg):
+    """True when an action on ``cfg`` may depend on a global tie-break convention.
 
     A robot exactly at the hull centroid, or a collinear interior robot
     exactly at the endpoint midpoint, is resolved by fixed conventions that
     are deliberately not frame-equivariant (measure-zero situations).
     """
-    cfg = snap.config
     if cfg.on_lds:
         cc = cfg.cc
         mid = cc.midpoint
@@ -865,11 +864,11 @@ def snapshot_has_convention_ties(snap):
 
 @collector_paused
 def check_equivariance_trace(trace):
-    """Equivariance of the trace's algorithm over snapshots drawn from it.
+    """Equivariance of the trace's algorithm over the Looks drawn from it.
 
     Five random frames per robot on the configuration of each instant from
-    0 to 9 that the trace reaches; snapshots whose action rests on a
-    tie-break convention are skipped.
+    0 to 9 that the trace reaches; a configuration whose actions may rest on
+    a tie-break convention is skipped, with all its robots.
     """
     td = TraceData.of(trace)
     rng = random.Random(td.scenario.seed ^ 0xE9)
@@ -879,11 +878,10 @@ def check_equivariance_trace(trace):
     skipped = 0
     for t in range(min(10, td.last_t + 1)):
         cfg = td.replayed(t)
+        if snapshot_has_convention_ties(cfg):
+            skipped += len(cfg.entries)
+            continue
         for p, c in cfg.entries:
-            snap = Snapshot(cfg, p, c)
-            if snapshot_has_convention_ties(snap):
-                skipped += 1
-                continue
             frames = []
             for _ in range(5):
                 a, b, cc_ = triples[rng.randrange(len(triples))]
@@ -901,8 +899,8 @@ def check_equivariance_trace(trace):
                 )
             checked += len(frames)
             try:
-                found = check_equivariance(td.algorithm, snap, frames).violations
-            except ValueError as exc:  # a snapshot outside the algorithm's domain
+                found = check_equivariance(td.algorithm, cfg, p, c, frames).violations
+            except ValueError as exc:  # a Look outside the algorithm's domain
                 rep.violate(t, f"no action at robot on {p}: {exc}")
                 continue
             for _ in found:
@@ -1147,14 +1145,13 @@ def check_gathered(trace):
 # --------------------------------------------------------------------------
 
 
-def check_equivariance(algorithm, snapshot, frames):
-    """Algorithm output commutes with orientation-preserving similarities."""
+def check_equivariance(algorithm, cfg, pos, light, frames):
+    """Algorithm output on a Look commutes with orientation-preserving similarities."""
     spec = get_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     rep = Report("equivariance")
-    base = spec(snapshot)
+    base = spec(cfg, pos, light)
     for i, frame in enumerate(frames):
-        moved = frame.apply_snapshot(snapshot)
-        act = spec(moved)
+        act = spec(frame.apply_config(cfg), frame.apply(pos), light)
         if act.color != base.color or frame.inverse_apply(act.dest) != base.dest:
             rep.violate(i, "transformed output does not map back to the original")
     rep.extras["frames"] = len(frames)

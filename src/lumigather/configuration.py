@@ -1,4 +1,4 @@
-"""Configurations, snapshots and observation frames.
+"""Configurations and observation frames.
 
 A Configuration is the multiset of (position, color) pairs at an instant.
 Derived analyses are computed lazily and cached, so the many per-robot
@@ -275,42 +275,6 @@ class ConfigInterner:
 
 
 @dataclass(frozen=True, slots=True)
-class Snapshot:
-    """What one robot sees: a configuration plus its own position and light.
-
-    The engine executes algorithms on global-frame snapshots; per-robot frames
-    exist for the equivariance harness.  The ``__init__`` sets the slots
-    through their descriptors, as ``algorithms.Action``'s does.
-    """
-
-    config: Configuration
-    own_pos: Point
-    own_light: str
-
-    def __init__(self, config, own_pos, own_light):
-        _set_config(self, config)
-        _set_own_pos(self, own_pos)
-        _set_own_light(self, own_light)
-
-    @property
-    def on_lds(self):
-        return self.config.on_lds
-
-    @property
-    def cc(self):
-        return self.config.cc
-
-    @property
-    def colors_present(self):
-        return self.config.colors_present
-
-
-_set_config = Snapshot.config.__set__
-_set_own_pos = Snapshot.own_pos.__set__
-_set_own_light = Snapshot.own_light.__set__
-
-
-@dataclass(frozen=True, slots=True)
 class Frame:
     """Orientation-preserving rational similarity of the plane.
 
@@ -344,6 +308,5 @@ class Frame:
         uy = (p.y - self.translation.y) / self.scale
         return Point(self.cos_r * ux + self.sin_r * uy, -self.sin_r * ux + self.cos_r * uy)
 
-    def apply_snapshot(self, snap):
-        cfg = Configuration(canonical((self.apply(p), c) for p, c in snap.config.entries))
-        return Snapshot(cfg, self.apply(snap.own_pos), snap.own_light)
+    def apply_config(self, cfg):
+        return Configuration(canonical((self.apply(p), c) for p, c in cfg.entries))

@@ -31,8 +31,8 @@ MoveBegin.  The random policy serves only ready robots, so it reads each
 one's event off ``NEXT`` without asking the world.
 
 A Look keeps the ``(configuration, position, light)`` triple it observed,
-and its Compute evaluates that triple through ``memo_action``, which builds
-the robot's ``Snapshot`` only when the action is not memoized yet.
+and its Compute evaluates that triple through ``memo_action``, which calls
+the algorithm on it only when the action is not memoized yet.
 
 ``AsyncWorld`` updates its bookkeeping at the event that changes it, and
 after every step these hold:
@@ -81,7 +81,7 @@ from json.decoder import WHITESPACE
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .algorithms import get_algorithm
-from .configuration import ConfigInterner, Snapshot, collector_paused
+from .configuration import ConfigInterner, collector_paused
 from .geometry import Point, dist_sq_ints, is_on_lds, toward
 from .rational import Rat, format_rat, min_rat_ge_sqrt, parse_rat
 
@@ -250,8 +250,12 @@ class Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(f"scenario is not UTF-8: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
+            except RecursionError:
+                raise ScenarioError("invalid scenario JSON: nested too deeply") from None
         return Scenario.from_json(data)
 
 
@@ -371,7 +375,8 @@ class Trace:
         Each line holds one JSON object; blank lines, whitespace around a
         value and CRLF line ends are accepted.  Raises ValueError on anything
         else: a line that is not an object, two values on one line, one
-        value spread over two lines, or a truncated value.
+        value spread over two lines, a truncated value, or one nested too
+        deeply for the decoder.
         """
         scan = _DECODER.scan_once
         lines = []
@@ -379,6 +384,8 @@ class Trace:
         while i < n:
             try:
                 line, end = scan(text, i)
+            except RecursionError:
+                raise ValueError(f"trace line {_line_no(text, i)}: nested too deeply") from None
             except StopIteration:
                 # a blank line or leading whitespace: skip to the next value
                 j = WHITESPACE.match(text, i).end()
@@ -457,7 +464,7 @@ def memo_action(algorithm, cfg, pos, light):
     key = ("act", algorithm.id, pos, light)
     act = cfg.memo.get(key)
     if act is None:
-        act = cfg.memo[key] = algorithm(Snapshot(cfg, pos, light))
+        act = cfg.memo[key] = algorithm(cfg, pos, light)
     return act
 
 
@@ -682,11 +689,6 @@ class AsyncWorld:
         self.trace = Trace([_header(scenario)])
         self.visible = self.cache.get(tuple(self.shown))
         self.trace.config_line(0, self.visible)
-
-    def starve(self, rid):
-        """Robot events and advances since ``rid`` was last served; 0 once it acted now."""
-        stamp = self.stamps.get(rid)
-        return 0 if stamp is None else self.steps - stamp
 
     # -- legality ----------------------------------------------------------
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lumigather.configuration import Configuration, Frame, Snapshot, canonical
+from lumigather.configuration import Configuration, Frame, canonical
 from lumigather.geometry import Point, pt
 from lumigather.rational import Rat
 
@@ -14,14 +14,15 @@ settings.load_profile("ci")
 
 
 def make_snap(entries, own, light):
-    """Snapshot from ((x, y), color) pairs; (num, den) tuples are rationals."""
-    cfg = Configuration(canonical((pt(*p), c) for p, c in entries))
-    return Snapshot(cfg, pt(*own), light)
+    """A Look's (configuration, position, light) from ((x, y), color) pairs;
+    (num, den) tuples are rationals."""
+    return make_config(entries), pt(*own), light
 
 
 def observe(world, rid):
-    """Snapshot robot ``rid`` of the AsyncWorld ``world`` would take now."""
-    return Snapshot(world.visible, *world.shown[rid])
+    """The (configuration, position, light) a Look of robot ``rid`` of the
+    AsyncWorld ``world`` would observe now."""
+    return (world.visible, *world.shown[rid])
 
 
 def make_config(entries):

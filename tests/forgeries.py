@@ -1,7 +1,8 @@
 """One table of ``lumigather`` command lines, each with the verdict it must give.
 
 The table holds honest verdicts and forged inputs alike.  A ``Row`` names a
-base input (or none), an edit of its freshly parsed lines, the
+base input (or none), an edit of its freshly parsed lines (a base that
+returns bytes is written as it is, unparsed and unedited), the
 ``lumigather`` command lines that read the written file, and what each of
 them must give: an exit code, a message on stdout or stderr, and, where a
 row pins them, the reports that fail and the exact violations of some of
@@ -475,12 +476,13 @@ REPLAY = CHECK + ("--check", "replay")
 PLOT = ("plot", "--trace", "{input}", "--out", "{input}.svg")
 RUN = ("run", "--scenario", "{input}")
 ENUMERATE = ("enumerate", "--scenario", "{scenarios}/triangle-enum.json")
+SCENARIO_ENUMERATE = ("enumerate", "--scenario", "{input}")
 
 
 @dataclasses.dataclass(frozen=True)
 class Row:
     name: str
-    base: object  # None, or a function of no argument that returns the honest text
+    base: object  # None, or a function of no argument that returns the honest text or bytes
     edit: object = None  # changes the parsed lines in place or returns new ones
     cmds: tuple = (CHECK,)
     code: int = 1
@@ -507,6 +509,7 @@ def replay_only(name, base, edit, *violations, cmd=REPLAY):
 
 
 THREE = partial(literal, (0, 0, "S"), (5, 0, "S"), (2, 3, "S"), seed=8)  # gathered at t=89
+DEEP = lambda: b"[" * 200_000 + b"\n"  # noqa: E731
 FIXPOINT_ENABLED = "End status fixpoint while a robot is enabled"
 CHANGED = "replayed configuration differs from logged Config"
 COMPUTE_DIFFERS = "Compute differs from algorithm output"
@@ -801,6 +804,16 @@ ROWS = [
                                ("robot", ("robots", 1), "colour"))),
     bad("run-misspelled-key", partial(scenario_file, "square"), put("move_span_caps", value=4),
         "unknown scenario key move_span_caps", (RUN,)),
+    # -- bytes no JSON decoder reads: a UTF-16 byte order mark, and a line of
+    # 200,000 nested arrays, deeper than the decoder's recursion limit
+    bad("scenario-not-utf-8", lambda: b"\xff\xfe" + scenario_file("square").encode("utf-8"),
+        None, "scenario error: scenario is not UTF-8: 'utf-8' codec can't decode byte 0xff",
+        (RUN, SCENARIO_ENUMERATE)),
+    bad("scenario-nested-too-deeply", DEEP, None,
+        "scenario error: invalid scenario JSON: nested too deeply", (RUN, SCENARIO_ENUMERATE)),
+    bad("trace-nested-too-deeply", DEEP, None, "trace line 1: nested too deeply"),
+    bad("trace-not-utf-8", lambda: b"\xff\xfe" + SQUARE().encode("utf-8"), None,
+        "'utf-8' codec can't decode byte 0xff in position 0"),
     *(bad(f"{cmd}-{name}", partial(scenario_file, "triangle-enum"), put(*path, value=value),
           f"scenario error: {message}", ((cmd, "--scenario", "{input}"),))
       for cmd in ("run", "enumerate")
@@ -865,8 +878,12 @@ ROWS = [
 
 
 def forged_text(row):
-    """The text of ``row``'s input: its base with the edit applied to a fresh parse."""
-    lines = [json.loads(l) for l in row.base().splitlines()]
+    """The text of ``row``'s input: its base with the edit applied to a fresh
+    parse, or the base's bytes as they are."""
+    base = row.base()
+    if isinstance(base, bytes):
+        return base
+    lines = [json.loads(l) for l in base.splitlines()]
     if row.edit is not None:
         out = row.edit(lines)  # a new list, or else the lines were changed in place
         lines = out if isinstance(out, list) else lines
@@ -877,7 +894,8 @@ def run_row(row, call, directory):
     """Mismatches of ``row`` when ``call(argv) -> (code, stdout, stderr)`` runs its commands."""
     path = Path(directory) / f"{row.name}.jsonl"
     if row.base is not None:
-        path.write_text(forged_text(row), encoding="utf-8")
+        text = forged_text(row)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     where = {"input": str(path), "dir": str(directory), "scenarios": str(SCENARIOS)}
     message = row.message.replace("{dir}", str(directory))
     problems = []

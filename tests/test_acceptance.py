@@ -13,9 +13,11 @@ import pytest
 from lumigather.algorithms import get_algorithm
 from lumigather.checker import (
     TraceData,
+    check_equivariance,
     check_gathered,
     check_shrink,
     enumerate_unfair,
+    snapshot_has_convention_ties,
 )
 from lumigather.cli import main as cli_main
 from lumigather.engine import Scenario, SyncWorld, enabled_ids, run, ssync_round
@@ -25,7 +27,7 @@ from lumigather.potentials import Cmp, compare_values, lex_less, potential_f, po
 from lumigather.rational import Rat
 
 from conftest import random_frame
-from test_algorithms import _random_snap, snapshot_has_convention_ties
+from test_algorithms import _random_view
 
 
 def report(criterion, ok, detail=""):
@@ -491,17 +493,14 @@ def test_criterion_9_equivariance():
         rng = random.Random(0x5EED ^ zlib.crc32(alg.encode()) % 65536)
         done = 0
         while done < 50:
-            snap = _random_snap(rng, alg)
-            if snapshot_has_convention_ties(snap):
+            cfg, pos, light = _random_view(rng, alg)
+            if snapshot_has_convention_ties(cfg):
                 continue
             done += 1
-            base = spec(snap)
-            for _ in range(20):
-                frame = random_frame(rng)
-                act = spec(frame.apply_snapshot(snap))
-                total += 1
-                if act.color != base.color or frame.inverse_apply(act.dest) != base.dest:
-                    mismatches += 1
+            frames = [random_frame(rng) for _ in range(20)]
+            rep = check_equivariance(spec, cfg, pos, light, frames)
+            total += rep.extras["frames"]
+            mismatches += len(rep.violations)
     report(9, mismatches == 0, f"{total} frame checks, 0 mismatches")
 
 

@@ -17,108 +17,108 @@ from lumigather.algorithms import (
     then,
 )
 from lumigather.checker import TraceData, default_checks
-from lumigather.configuration import Configuration, Snapshot
+from lumigather.configuration import Configuration
 from lumigather.engine import POLICIES
 from lumigather.fuzz import fuzz
 from lumigather.geometry import pt
 
-from conftest import make_config, make_snap, random_frame
+from conftest import make_config, make_snap
 
 
 class TestElectOneLds:
     def test_sym_noncontractible_edge_robot_to_center(self):
         pts = [((0, 0), "O"), ((2, 0), "O"), ((2, 2), "O"), ((0, 2), "O"), ((1, 0), "O")]
-        act = elect_one_lds(make_snap(pts, (1, 0), "O"))
+        act = elect_one_lds(*make_snap(pts, (1, 0), "O"))
         assert act.dest == pt(1, 1)
         assert act.color == "O"
 
     def test_sym_noncontractible_vertex_stays(self):
         pts = [((0, 0), "O"), ((2, 0), "O"), ((2, 2), "O"), ((0, 2), "O"), ((1, 0), "O")]
-        act = elect_one_lds(make_snap(pts, (0, 0), "O"))
+        act = elect_one_lds(*make_snap(pts, (0, 0), "O"))
         assert act.dest == pt(0, 0)
 
     def test_asym_noncontractible_interior_to_nearest_vertex(self):
         pts = [((0, 0), "O"), ((4, 0), "O"), ((4, 2), "O"), ((0, 2), "O"), ((1, 1), "O")]
-        act = elect_one_lds(make_snap(pts, (1, 1), "O"))
+        act = elect_one_lds(*make_snap(pts, (1, 1), "O"))
         assert act.dest == pt(0, 0)  # tie broken clockwise from the center ray
 
     def test_sym_contractible_vertex_to_center(self):
         pts = [((0, 0), "O"), ((2, 0), "O"), ((2, 2), "O"), ((0, 2), "O")]
-        act = elect_one_lds(make_snap(pts, (0, 0), "O"))
+        act = elect_one_lds(*make_snap(pts, (0, 0), "O"))
         assert act.dest == pt(1, 1)
 
     def test_asym_contractible_min_edge_contraction(self):
         pts = [((0, 0), "O"), ((4, 0), "O"), ((4, 1), "O"), ((0, 1), "O")]
-        assert elect_one_lds(make_snap(pts, (4, 1), "O")).dest == pt(4, 0)
-        assert elect_one_lds(make_snap(pts, (0, 0), "O")).dest == pt(0, 1)
+        assert elect_one_lds(*make_snap(pts, (4, 1), "O")).dest == pt(4, 0)
+        assert elect_one_lds(*make_snap(pts, (0, 0), "O")).dest == pt(0, 1)
         # right vertices of the two minimum edges stay
-        assert elect_one_lds(make_snap(pts, (4, 0), "O")).dest == pt(4, 0)
-        assert elect_one_lds(make_snap(pts, (0, 1), "O")).dest == pt(0, 1)
+        assert elect_one_lds(*make_snap(pts, (4, 0), "O")).dest == pt(4, 0)
+        assert elect_one_lds(*make_snap(pts, (0, 1), "O")).dest == pt(0, 1)
 
     def test_collinear_snapshot_stays(self):
         pts = [((0, 0), "O"), ((3, 0), "O"), ((7, 0), "O")]
-        act = elect_one_lds(make_snap(pts, (3, 0), "O"))
+        act = elect_one_lds(*make_snap(pts, (3, 0), "O"))
         assert act.dest == pt(3, 0)
 
     def test_never_changes_color(self):
         pts = [((0, 0), "O"), ((4, 0), "O"), ((4, 1), "O"), ((0, 1), "O"), ((2, 1), "O")]
         for own in [(0, 0), (2, 1)]:
-            assert elect_one_lds(make_snap(pts, own, "O")).color == "O"
+            assert elect_one_lds(*make_snap(pts, own, "O")).color == "O"
 
 
 class TestLuGather:
     def test_aa_endpoint_to_midpoint_as_b(self):
-        act = lu_gather(make_snap([((0, 0), "A"), ((2, 0), "A")], (0, 0), "A"))
+        act = lu_gather(*make_snap([((0, 0), "A"), ((2, 0), "A")], (0, 0), "A"))
         assert (act.color, act.dest) == ("B", pt(1, 0))
 
     def test_bbstarb_endpoint_flips_a(self):
         pts = [((0, 0), "B"), ((2, 0), "B"), ((5, 0), "B")]
-        act = lu_gather(make_snap(pts, (0, 0), "B"))
+        act = lu_gather(*make_snap(pts, (0, 0), "B"))
         assert (act.color, act.dest) == ("A", pt(0, 0))
-        mid = lu_gather(make_snap(pts, (2, 0), "B"))
+        mid = lu_gather(*make_snap(pts, (2, 0), "B"))
         assert (mid.color, mid.dest) == ("B", pt(2, 0))
 
     def test_abstarb_b_moves_to_a_point(self):
         pts = [((0, 0), "A"), ((2, 0), "B"), ((4, 0), "B")]
-        act = lu_gather(make_snap(pts, (2, 0), "B"))
+        act = lu_gather(*make_snap(pts, (2, 0), "B"))
         assert (act.color, act.dest) == ("B", pt(0, 0))
 
     def test_abstarb_a_stays(self):
         pts = [((0, 0), "A"), ((2, 0), "B"), ((4, 0), "B")]
-        act = lu_gather(make_snap(pts, (0, 0), "A"))
+        act = lu_gather(*make_snap(pts, (0, 0), "A"))
         assert (act.color, act.dest) == ("A", pt(0, 0))
 
     def test_aaplusa_interior_to_nearest_endpoint(self):
         pts = [((0, 0), "A"), ((1, 0), "A"), ((5, 0), "A")]
-        act = lu_gather(make_snap(pts, (1, 0), "A"))
+        act = lu_gather(*make_snap(pts, (1, 0), "A"))
         assert act.dest == pt(0, 0)
-        end = lu_gather(make_snap(pts, (0, 0), "A"))
+        end = lu_gather(*make_snap(pts, (0, 0), "A"))
         assert end.dest == pt(0, 0)
 
     def test_abma_endpoint_to_midpoint(self):
         pts = [((0, 0), "A"), ((2, 0), "B"), ((4, 0), "A")]
-        act = lu_gather(make_snap(pts, (4, 0), "A"))
+        act = lu_gather(*make_snap(pts, (4, 0), "A"))
         assert (act.color, act.dest) == ("B", pt(2, 0))
 
     def test_abplusa_interior_b_to_midpoint(self):
         pts = [((0, 0), "A"), ((3, 0), "B"), ((4, 0), "A")]
-        act = lu_gather(make_snap(pts, (3, 0), "B"))
+        act = lu_gather(*make_snap(pts, (3, 0), "B"))
         assert (act.color, act.dest) == ("B", pt(2, 0))
         # endpoint A robots stay in this shape
-        a = lu_gather(make_snap(pts, (0, 0), "A"))
+        a = lu_gather(*make_snap(pts, (0, 0), "A"))
         assert a.dest == pt(0, 0) and a.color == "A"
 
     def test_mixed_station_at_a_point_keeps_gathering(self):
         # a B robot standing on the A endpoint must not run away
         pts = [((0, 0), "A"), ((0, 0), "B"), ((4, 0), "B")]
-        act = lu_gather(make_snap(pts, (0, 0), "B"))
+        act = lu_gather(*make_snap(pts, (0, 0), "B"))
         assert act.dest == pt(0, 0)
-        far = lu_gather(make_snap(pts, (4, 0), "B"))
+        far = lu_gather(*make_snap(pts, (4, 0), "B"))
         assert far.dest == pt(0, 0)
 
     def test_gathered_single_point_fixpoint(self):
         for color in ("A", "B"):
-            act = lu_gather(make_snap([((1, 1), "A"), ((1, 1), color)], (1, 1), color))
+            act = lu_gather(*make_snap([((1, 1), "A"), ((1, 1), color)], (1, 1), color))
             assert act.dest == pt(1, 1) and act.color == color
 
 
@@ -126,98 +126,98 @@ class TestLuGather:
 def test_collinear_gatherers_reject_a_non_collinear_snapshot(algorithm, color):
     pts = [((0, 0), color), ((4, 0), color), ((0, 3), color)]
     with pytest.raises(ValueError, match="collinear"):
-        algorithm(make_snap(pts, (0, 0), color))
+        algorithm(*make_snap(pts, (0, 0), color))
 
 
 class TestLuGatherInAsync:
     def test_ss_to_midpoint(self):
-        act = lu_gather_in_async(make_snap([((0, 0), "S"), ((2, 0), "S")], (0, 0), "S"))
+        act = lu_gather_in_async(*make_snap([((0, 0), "S"), ((2, 0), "S")], (0, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(1, 0))
 
     def test_ssplus_interior_contracts(self):
         pts = [((0, 0), "S"), ((1, 0), "S"), ((5, 0), "S")]
-        act = lu_gather_in_async(make_snap(pts, (1, 0), "S"))
+        act = lu_gather_in_async(*make_snap(pts, (1, 0), "S"))
         assert (act.color, act.dest) == ("S", pt(0, 0))
 
     def test_single_s_point_flips_e(self):
         pts = [((0, 0), "S"), ((2, 0), "M"), ((4, 0), "M")]
-        act = lu_gather_in_async(make_snap(pts, (0, 0), "S"))
+        act = lu_gather_in_async(*make_snap(pts, (0, 0), "S"))
         assert (act.color, act.dest) == ("E", pt(0, 0))
 
     def test_sm_endpoints_move(self):
         pts = [((0, 0), "S"), ((2, 0), "M"), ((4, 0), "S")]
-        act = lu_gather_in_async(make_snap(pts, (0, 0), "S"))
+        act = lu_gather_in_async(*make_snap(pts, (0, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(2, 0))
 
     def test_sm_scattered_s_flips_m_in_place(self):
         pts = [((0, 0), "S"), ((2, 0), "S"), ((4, 0), "M"), ((6, 0), "S")]
-        act = lu_gather_in_async(make_snap(pts, (2, 0), "S"))
+        act = lu_gather_in_async(*make_snap(pts, (2, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(2, 0))
 
     def test_all_m_flips_e(self):
         pts = [((0, 0), "M"), ((4, 0), "M")]
-        act = lu_gather_in_async(make_snap(pts, (0, 0), "M"))
+        act = lu_gather_in_async(*make_snap(pts, (0, 0), "M"))
         assert (act.color, act.dest) == ("E", pt(0, 0))
 
     def test_unique_e_attracts_m(self):
         pts = [((0, 0), "M"), ((2, 0), "E"), ((4, 0), "M")]
-        act = lu_gather_in_async(make_snap(pts, (0, 0), "M"))
+        act = lu_gather_in_async(*make_snap(pts, (0, 0), "M"))
         assert (act.color, act.dest) == ("M", pt(2, 0))
-        at_e = lu_gather_in_async(make_snap(pts + [((2, 0), "M")], (2, 0), "M"))
+        at_e = lu_gather_in_async(*make_snap(pts + [((2, 0), "M")], (2, 0), "M"))
         assert at_e.dest == pt(2, 0)
 
     def test_two_e_points_flip_everyone(self):
         pts = [((0, 0), "E"), ((2, 0), "M"), ((4, 0), "E")]
-        act = lu_gather_in_async(make_snap(pts, (2, 0), "M"))
+        act = lu_gather_in_async(*make_snap(pts, (2, 0), "M"))
         assert (act.color, act.dest) == ("E", pt(2, 0))
 
     def test_ee_flips_s(self):
-        act = lu_gather_in_async(make_snap([((0, 0), "E"), ((4, 0), "E")], (0, 0), "E"))
+        act = lu_gather_in_async(*make_snap([((0, 0), "E"), ((4, 0), "E")], (0, 0), "E"))
         assert (act.color, act.dest) == ("S", pt(0, 0))
 
     def test_three_e_midpoint_sandwich_endpoints_flip_s(self):
         pts = [((0, 0), "E"), ((2, 0), "E"), ((4, 0), "E")]
-        act = lu_gather_in_async(make_snap(pts, (0, 0), "E"))
+        act = lu_gather_in_async(*make_snap(pts, (0, 0), "E"))
         assert (act.color, act.dest) == ("S", pt(0, 0))
-        mid = lu_gather_in_async(make_snap(pts, (2, 0), "E"))
+        mid = lu_gather_in_async(*make_snap(pts, (2, 0), "E"))
         assert mid.dest == pt(2, 0) and mid.color == "E"
 
     def test_three_e_off_midpoint_keeps_contracting(self):
         # the interior station is not the exact midpoint (a mover in flight
         # can look like this): endpoints hold, the interior keeps heading in
         pts = [((0, 0), "E"), ((1, 0), "E"), ((4, 0), "E")]
-        act = lu_gather_in_async(make_snap(pts, (1, 0), "E"))
+        act = lu_gather_in_async(*make_snap(pts, (1, 0), "E"))
         assert (act.color, act.dest) == ("E", pt(2, 0))
-        end = lu_gather_in_async(make_snap(pts, (0, 0), "E"))
+        end = lu_gather_in_async(*make_snap(pts, (0, 0), "E"))
         assert end.dest == pt(0, 0) and end.color == "E"
 
     def test_four_e_interior_to_midpoint(self):
         pts = [((0, 0), "E"), ((1, 0), "E"), ((3, 0), "E"), ((4, 0), "E")]
-        act = lu_gather_in_async(make_snap(pts, (1, 0), "E"))
+        act = lu_gather_in_async(*make_snap(pts, (1, 0), "E"))
         assert (act.color, act.dest) == ("E", pt(2, 0))
 
     def test_ses_endpoints_flip_m(self):
         pts = [((0, 0), "S"), ((2, 0), "E"), ((4, 0), "S")]
-        act = lu_gather_in_async(make_snap(pts, (0, 0), "S"))
+        act = lu_gather_in_async(*make_snap(pts, (0, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(0, 0))
 
     def test_se_pair_flips_back_to_s(self):
         pts = [((0, 0), "S"), ((4, 0), "E")]
-        act = lu_gather_in_async(make_snap(pts, (4, 0), "E"))
+        act = lu_gather_in_async(*make_snap(pts, (4, 0), "E"))
         assert (act.color, act.dest) == ("S", pt(4, 0))
 
     def test_sme_lone_s_with_e_flips_e(self):
         pts = [((0, 0), "M"), ((2, 0), "S"), ((2, 0), "E"), ((4, 0), "M")]
-        act = lu_gather_in_async(make_snap(pts, (2, 0), "S"))
+        act = lu_gather_in_async(*make_snap(pts, (2, 0), "S"))
         assert (act.color, act.dest) == ("E", pt(2, 0))
 
     def test_sme_smesm_endpoint_s_flips_m(self):
         pts = [((0, 0), "S"), ((2, 0), "E"), ((4, 0), "M")]
-        act = lu_gather_in_async(make_snap(pts, (0, 0), "S"))
+        act = lu_gather_in_async(*make_snap(pts, (0, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(0, 0))
 
     def test_gathered_all_e_does_nothing(self):
-        act = lu_gather_in_async(make_snap([((3, 0), "E"), ((3, 0), "E")], (3, 0), "E"))
+        act = lu_gather_in_async(*make_snap([((3, 0), "E"), ((3, 0), "E")], (3, 0), "E"))
         assert (act.color, act.dest) == ("E", pt(3, 0))
 
 
@@ -228,52 +228,52 @@ SIX_COLOR = get_algorithm("six-color")
 class TestSimWrapper:
     def test_all_s_enabled_runs_inner(self):
         pts = [((0, 0), "S"), ((2, 0), "S"), ((2, 2), "S"), ((0, 2), "S")]
-        act = THREE_COLOR(make_snap(pts, (0, 0), "S"))
+        act = THREE_COLOR(*make_snap(pts, (0, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(1, 1))
         assert act.inner_exec
 
     def test_all_s_not_enabled_does_nothing(self):
         pts = [((0, 0), "S"), ((2, 0), "S"), ((2, 2), "S"), ((0, 2), "S"), ((1, 1), "S")]
-        act = THREE_COLOR(make_snap(pts, (1, 1), "S"))
+        act = THREE_COLOR(*make_snap(pts, (1, 1), "S"))
         assert (act.color, act.dest) == ("S", pt(1, 1))
         assert not act.inner_exec
 
     def test_s_m_mix_flips_m_in_place(self):
         pts = [((0, 0), "S"), ((2, 0), "M"), ((2, 2), "S"), ((0, 2), "S")]
-        act = THREE_COLOR(make_snap(pts, (0, 0), "S"))
+        act = THREE_COLOR(*make_snap(pts, (0, 0), "S"))
         assert (act.color, act.dest) == ("M", pt(0, 0))
 
     def test_m_e_mix_flips_e_in_place(self):
         pts = [((0, 0), "M"), ((2, 0), "E"), ((2, 2), "M"), ((0, 2), "M")]
-        act = THREE_COLOR(make_snap(pts, (0, 0), "M"))
+        act = THREE_COLOR(*make_snap(pts, (0, 0), "M"))
         assert (act.color, act.dest) == ("E", pt(0, 0))
-        stay = THREE_COLOR(make_snap(pts, (2, 0), "E"))
+        stay = THREE_COLOR(*make_snap(pts, (2, 0), "E"))
         assert (stay.color, stay.dest) == ("E", pt(2, 0))
 
     def test_e_s_mix_flips_s(self):
         pts = [((0, 0), "E"), ((2, 0), "S"), ((2, 2), "E"), ((0, 2), "E")]
-        act = THREE_COLOR(make_snap(pts, (0, 0), "E"))
+        act = THREE_COLOR(*make_snap(pts, (0, 0), "E"))
         assert (act.color, act.dest) == ("S", pt(0, 0))
 
     def test_wrapper_preserves_inner_color_through_phases(self):
         pts = [((0, 0), "S.B"), ((2, 0), "M.A"), ((2, 2), "S.A"), ((0, 2), "S.A")]
-        act = SIX_COLOR(make_snap(pts, (0, 0), "S.B"))
+        act = SIX_COLOR(*make_snap(pts, (0, 0), "S.B"))
         assert act.color == "M.B"
 
     def test_six_color_runs_inner_gatherer_once_collinear(self):
         pts = [((0, 0), "S.A"), ((2, 0), "S.A")]
-        act = SIX_COLOR(make_snap(pts, (0, 0), "S.A"))
+        act = SIX_COLOR(*make_snap(pts, (0, 0), "S.A"))
         assert (act.color, act.dest) == ("M.B", pt(1, 0))
         assert act.inner_exec
 
     def test_six_color_wraps_line_election(self):
         pts = [((0, 0), "S.A"), ((2, 0), "S.A"), ((2, 2), "S.A"), ((0, 2), "S.A")]
-        act = SIX_COLOR(make_snap(pts, (0, 0), "S.A"))
+        act = SIX_COLOR(*make_snap(pts, (0, 0), "S.A"))
         assert (act.color, act.dest) == ("M.A", pt(1, 1))
 
     def test_gathered_fixpoint(self):
         pts = [((1, 1), "S"), ((1, 1), "S")]
-        act = THREE_COLOR(make_snap(pts, (1, 1), "S"))
+        act = THREE_COLOR(*make_snap(pts, (1, 1), "S"))
         assert (act.color, act.dest) == ("S", pt(1, 1))
 
     @pytest.mark.parametrize("alg", ["three-color", "six-color"])
@@ -290,18 +290,19 @@ class TestSimWrapper:
 
         monkeypatch.setattr(Configuration, "recolor", counting)
         spec = get_algorithm(alg)
-        acts = [spec(Snapshot(cfg, p, c)) for p, c in cfg.entries]
+        acts = [spec(cfg, p, c) for p, c in cfg.entries]
         assert len(built) == 1
-        assert all(_inner_view(Snapshot(cfg, p, c)).config is built[0] for p, c in cfg.entries)
+        assert _inner_view(cfg) is built[0]
         monkeypatch.undo()
-        fresh = [spec(Snapshot(make_config(pts), p, c)) for p, c in cfg.entries]
+        fresh = [spec(make_config(pts), p, c) for p, c in cfg.entries]
         assert acts == fresh and any(a.inner_exec for a in acts)
 
 
 # -- properties ---------------------------------------------------------------
 
 
-def _random_snap(rng, alg):
+def _random_view(rng, alg):
+    """A random Look's (configuration, position, light) in ``alg``'s domain."""
     spec = get_algorithm(alg)
     n = rng.randint(2, 6)
     if spec.needs_onlds_start or rng.random() < 0.5:
@@ -319,9 +320,9 @@ def test_alphabet_discipline_and_statelessness(alg):
     rng = random.Random(zlib.crc32(alg.encode()) & 0xFFFF)
     spec = get_algorithm(alg)
     for _ in range(120):
-        snap = _random_snap(rng, alg)
-        a1 = spec(snap)
-        a2 = spec(snap)
+        view = _random_view(rng, alg)
+        a1 = spec(*view)
+        a2 = spec(*view)
         assert a1 == a2
         assert a1.color in spec.colors
 
@@ -341,47 +342,23 @@ def test_alg5_total_on_switch_shapes(alg):
             colors[rng.randrange(n)] = c if n >= len(palette) else colors[0]
         entries = [((x, 0), c) for x, c in zip(xs, colors)]
         k = rng.randrange(n)
-        act = spec(make_snap(entries, entries[k][0], entries[k][1]))
+        act = spec(*make_snap(entries, entries[k][0], entries[k][1]))
         assert act.color in spec.colors
 
 
 def test_sim_wrapper_inner_enabled_test_matches_inner():
     inner_calls = []
 
-    def fake_inner(snap):
-        inner_calls.append(snap)
-        return Action(snap.own_light, snap.own_pos)  # never enabled
+    def fake_inner(cfg, pos, light):
+        inner_calls.append((cfg, pos, light))
+        return Action(light, pos)  # never enabled
 
     wrapped = sim_for_unfair(AlgorithmSpec("fake", ("O",), "O", fake_inner))
     pts = [((0, 0), "S"), ((2, 0), "S"), ((1, 5), "S")]
-    act = wrapped(make_snap(pts, (0, 0), "S"))
+    act = wrapped(*make_snap(pts, (0, 0), "S"))
     assert (act.color, act.dest) == ("S", pt(0, 0))
     assert len(inner_calls) == 1
-    assert inner_calls[0].own_light == "O"  # phase stripped for the inner view
-
-
-from lumigather.checker import snapshot_has_convention_ties  # noqa: E402
-
-
-@pytest.mark.parametrize(
-    "alg", ["elect-one-lds", "lu-gather", "lu-gather-async", "three-color", "six-color"]
-)
-def test_equivariance_random_frames(alg):
-    rng = random.Random(0xBEEF ^ zlib.crc32(alg.encode()) & 0xFFFF)
-    spec = get_algorithm(alg)
-    done = 0
-    while done < 25:
-        snap = _random_snap(rng, alg)
-        if snapshot_has_convention_ties(snap):
-            continue
-        done += 1
-        base = spec(snap)
-        for _ in range(4):
-            frame = random_frame(rng)
-            moved = frame.apply_snapshot(snap)
-            act = spec(moved)
-            assert act.color == base.color
-            assert frame.inverse_apply(act.dest) == base.dest
+    assert inner_calls[0][2] == "O"  # phase stripped for the inner view
 
 
 # -- compositions ---------------------------------------------------------------
@@ -433,18 +410,15 @@ def test_a_composition_with_no_registry_name_runs_and_checks(inner, monkeypatch)
 
 
 def _records():
-    """(record, its field values, other values for each field) for Action and Snapshot."""
-    cfg = make_config([((0, 0), "S"), ((2, 0), "M")])
-    other = make_config([((0, 0), "S"), ((4, 0), "M")])
+    """(record, its field values, other values for each field) for Action."""
     yield Action, ("M", pt(1, 0), True), {"color": "E", "dest": pt(2, 0), "inner_exec": False}
-    yield Snapshot, (cfg, pt(0, 0), "S"), {"config": other, "own_pos": pt(2, 0), "own_light": "M"}
 
 
-@pytest.mark.parametrize("cls,values,others", _records(), ids=["Action", "Snapshot"])
+@pytest.mark.parametrize("cls,values,others", _records(), ids=["Action"])
 def test_records_stay_frozen_dataclasses(cls, values, others):
-    """``Action`` and ``Snapshot`` set their slots in a hand-written
-    ``__init__``; they stay immutable, compare and hash by their fields and
-    support ``dataclasses.replace``."""
+    """``Action`` sets its slots in a hand-written ``__init__``; it stays
+    immutable, compares and hashes by its fields and supports
+    ``dataclasses.replace``."""
     rec = cls(*values)
     names = [f.name for f in dataclasses.fields(cls)]
     assert names == list(others)

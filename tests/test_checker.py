@@ -21,14 +21,14 @@ from lumigather.checker import (
     snapshot_has_convention_ties,
     validate_trace,
 )
-from lumigather.configuration import ConfigInterner, Frame, Snapshot
+from lumigather.configuration import ConfigInterner, Frame
 from lumigather.engine import SCHEDULERS, BudgetExhausted, Scenario, Trace, run
 from lumigather.geometry import Point, hull_center, pt
 from lumigather.patterns import classify_line
 from lumigather.rational import Rat, parse_rat
 
 import test_golden
-from conftest import identity_frame, make_snap
+from conftest import identity_frame, make_config, make_snap
 from forgeries import (
     SIX_COLOR,
     cfg_line,
@@ -552,9 +552,9 @@ def test_checks_evaluate_each_action_once_on_their_own_configurations(monkeypatc
     seen = []
     evaluate = algorithms.AlgorithmSpec.__call__
 
-    def counting(self, snap):
-        seen.append((snap.config, snap.own_pos, snap.own_light))
-        return evaluate(self, snap)
+    def counting(self, cfg, pos, light):
+        seen.append((cfg, pos, light))
+        return evaluate(self, cfg, pos, light)
 
     monkeypatch.setattr(algorithms.AlgorithmSpec, "__call__", counting)
     td = TraceData(Trace.parse(tr.dumps()))
@@ -565,9 +565,7 @@ def test_checks_evaluate_each_action_once_on_their_own_configurations(monkeypatc
     # TraceData's own interner, never taken from the engine
     assert all(td.cache.get(c.entries) is c for c, _, _ in memoized)
     seen.clear()
-    monkeypatch.setattr(
-        checker, "memo_action", lambda alg, cfg, pos, light: alg(Snapshot(cfg, pos, light))
-    )
+    monkeypatch.setattr(checker, "memo_action", lambda alg, cfg, pos, light: alg(cfg, pos, light))
     td = TraceData(Trace.parse(tr.dumps()))
     assert [str(CHECKS[name](td)) for name in names] == reports
     assert len(seen) > len(memoized)
@@ -726,18 +724,18 @@ def test_default_checks_sort_each_distinct_configuration_once(monkeypatch):
 
 class TestEquivariance:
     def test_identity_frame_trivial(self):
-        snap = make_snap([((0, 0), "S"), ((4, 0), "S")], (0, 0), "S")
-        rep = check_equivariance("lu-gather-async", snap, [identity_frame()])
+        view = make_snap([((0, 0), "S"), ((4, 0), "S")], (0, 0), "S")
+        rep = check_equivariance("lu-gather-async", *view, [identity_frame()])
         assert rep.passed
 
     def test_pythagorean_frame_exact(self):
-        snap = make_snap(
+        view = make_snap(
             [((0, 0), "O"), ((4, 0), "O"), ((4, 2), "O"), ((0, 2), "O"), ((1, (1, 2)), "O")],
             (1, (1, 2)),
             "O",
         )
         frame = Frame.from_triple(3, 4, 5, scale=Rat(7, 3), tx=Rat(5, 2), ty=-3)
-        rep = check_equivariance("elect-one-lds", snap, [frame])
+        rep = check_equivariance("elect-one-lds", *view, [frame])
         assert rep.passed
 
     def test_trace_check_flags_a_non_equivariant_algorithm(self):
@@ -746,8 +744,8 @@ class TestEquivariance:
         assert honest.passed and honest.extras["checked"] > 0
         spec = td.algorithm
 
-        def skewed(snap):  # a fixed global offset does not commute with rotations
-            act = spec(snap)
+        def skewed(cfg, pos, light):  # a fixed global offset does not commute with rotations
+            act = spec(cfg, pos, light)
             return dataclasses.replace(act, dest=Point(act.dest.x + 1, act.dest.y))
 
         td.algorithm = skewed
@@ -764,12 +762,10 @@ class TestEquivariance:
             return hull_center(hull)
 
         monkeypatch.setattr(checker, "hull_center", counted)
-        snap = make_snap(
-            [((0, 0), "O"), ((6, 0), "O"), ((6, 2), "O"), ((0, 2), "O"), ((1, 1), "O")],
-            (1, 1),
-            "O",
+        cfg = make_config(
+            [((0, 0), "O"), ((6, 0), "O"), ((6, 2), "O"), ((0, 2), "O"), ((1, 1), "O")]
         )
-        assert not snapshot_has_convention_ties(snap)
+        assert not snapshot_has_convention_ties(cfg)
         assert len(calls) == 1
 
     def test_orientation_reversing_frame_rejected(self):
@@ -809,9 +805,9 @@ class TestEnumerate:
         seen = []
         evaluate = algorithms.AlgorithmSpec.__call__
 
-        def counting(self, snap):
-            seen.append((snap.config.entries, snap.own_pos, snap.own_light))
-            return evaluate(self, snap)
+        def counting(self, cfg, pos, light):
+            seen.append((cfg.entries, pos, light))
+            return evaluate(self, cfg, pos, light)
 
         monkeypatch.setattr(algorithms.AlgorithmSpec, "__call__", counting)
         sc = Scenario.load(SCENARIOS / "line-lu.json")
@@ -1056,7 +1052,7 @@ def _elect_mutant(fn):
 
 class TestEnumerateNegativeControls:
     def test_fixpoint_that_misses_the_goal(self):
-        never = _elect_mutant(lambda snap: algorithms.Action(snap.own_light, snap.own_pos))
+        never = _elect_mutant(lambda cfg, pos, light: algorithms.Action(light, pos))
         rep = enumerate_unfair(TRIANGLE, never, 4)
         state = [["0", "0", "O"], ["9", "3", "O"], ["10", "0", "O"]]
         assert rep.violations == [
@@ -1064,11 +1060,10 @@ class TestEnumerateNegativeControls:
         ]
 
     def test_potential_that_does_not_decrease(self):
-        def outward(snap):  # every vertex away from the origin: the area grows
-            me = snap.own_pos
-            if snap.on_lds:
-                return algorithms.Action(snap.own_light, me)
-            return algorithms.Action(snap.own_light, Point(2 * me.x, 2 * me.y))
+        def outward(cfg, me, light):  # every vertex away from the origin: the area grows
+            if cfg.on_lds:
+                return algorithms.Action(light, me)
+            return algorithms.Action(light, Point(2 * me.x, 2 * me.y))
 
         rep = enumerate_unfair(TRIANGLE, _elect_mutant(outward), 1)
         assert not rep.passed

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lumigather import algorithms, configuration, engine
 from lumigather.algorithms import get_algorithm
 from lumigather.checker import CHECKS, TraceData, default_checks, validate_trace
-from lumigather.configuration import ConfigInterner, Configuration, Frame, Snapshot, canonical
+from lumigather.configuration import ConfigInterner, Configuration, Frame, canonical
 from lumigather.engine import (
     AsyncWorld,
     BudgetExhausted,
@@ -190,9 +190,11 @@ class TestObserveTiming:
         w.async_step(("look", 1))
         w.async_step(("advance",))
         w.async_step(("compute", 0))  # t_C = 1: S -> M
-        assert observe(w, 1).config.points[pt(0, 0)] == frozenset({"S"})
+        cfg, _, _ = observe(w, 1)
+        assert cfg.points[pt(0, 0)] == frozenset({"S"})
         w.async_step(("advance",))
-        assert observe(w, 1).config.points[pt(0, 0)] == frozenset({"M"})
+        cfg, _, _ = observe(w, 1)
+        assert cfg.points[pt(0, 0)] == frozenset({"M"})
 
     def test_mover_positions(self):
         w = self._world()
@@ -201,18 +203,19 @@ class TestObserveTiming:
         w.async_step(("compute", 0))  # dest (4, 0)
         w.async_step(("advance",))
         w.async_step(("move_begin", 0, Rat(1)))  # t_B = 2, reach (4, 0)
-        assert observe(w, 1).own_pos == pt(8, 0)
-        assert pt(0, 0) in observe(w, 1).config.points  # origin at t_B
+        cfg, pos, _ = observe(w, 1)
+        assert pos == pt(8, 0)
+        assert pt(0, 0) in cfg.points  # origin at t_B
         w.async_step(("advance",))  # t = 3
-        p3 = observe(w, 0).own_pos
+        _, p3, _ = observe(w, 0)
         assert 0 < dist_sq(pt(0, 0), p3) < dist_sq(pt(0, 0), pt(4, 0))
         w.async_step(("advance",))  # t = 4
-        p4 = observe(w, 0).own_pos
+        _, p4, _ = observe(w, 0)
         assert dist_sq(pt(0, 0), p3) < dist_sq(pt(0, 0), p4) < 16
         w.async_step(("move_end", 0))  # t_E = 4: still seen short of reach
-        assert observe(w, 0).own_pos == p4
+        assert observe(w, 0)[1] == p4
         w.async_step(("advance",))  # t = 5 = t_E + 1: destination visible
-        assert observe(w, 0).own_pos == pt(4, 0)
+        assert observe(w, 0)[1] == pt(4, 0)
 
     def test_move_end_before_tb_plus_one_illegal(self):
         w = self._world()
@@ -403,7 +406,7 @@ def test_shown_state_matches_the_checker_replay(policy):
     seen = []
     while not w.is_terminal():
         w.async_step(adversary.step(w))
-        own = [(observe(w, i).own_pos, observe(w, i).own_light) for i in range(n)]
+        own = [observe(w, i)[1:] for i in range(n)]
         seen.append((w.t, w.visible.entries, own))
     td = TraceData(w.trace)
     for t, entries, own in seen:
@@ -447,7 +450,7 @@ def test_legality_and_starvation_match_the_guard_reference(policy):
         for i, r in enumerate(w.robots):
             event = w.next_event(i)
             assert ([] if event is None else [event]) == reference_legal(r.phase, w.t, last[i])
-            assert w.starve(i) == starve[i]
+            assert w.steps - w.stamps.get(i, w.steps) == starve[i]  # 0 once it acted now
         rs = w.robots
         assert w.ready == [i for i in range(n) if reference_legal(rs[i].phase, w.t, last[i])]
         assert w.movers == [i for i in range(n) if rs[i].phase == engine.MOVING]
@@ -552,7 +555,7 @@ class TestShapes:
     def test_recolor_shares_the_shape_and_equality_reads_entries_alone(self):
         entries = ((pt(0, 0), "S.M"), (pt(4, 0), "S.O"), (pt(2, 5), "S.M"))
         outer = ConfigInterner().get(entries)
-        view = algorithms._inner_view(Snapshot(outer, pt(0, 0), "S.M")).config
+        view = algorithms._inner_view(outer)
         assert view.shape is outer.shape
         assert view.entries == canonical((p, algorithms.inner_of(c)) for p, c in entries)
         assert view.hull is outer.hull and view.on_lds is outer.on_lds
@@ -565,7 +568,7 @@ class TestShapes:
         assert direct == outer and hash(direct) == hash(outer)
         assert view != outer
         frame = Frame.from_triple(3, 4, 5, scale=2, tx=1, ty=-1)
-        moved = frame.apply_snapshot(Snapshot(outer, pt(0, 0), "S.M")).config
+        moved = frame.apply_config(outer)
         assert moved.classification is outer.classification
         assert moved.occupied == tuple(sorted(map(frame.apply, outer.occupied), key=Point.order_key))
 
@@ -718,9 +721,9 @@ def test_action_memo_saves_engine_evaluations_only(monkeypatch):
     calls = [0]
     evaluate = algorithms.AlgorithmSpec.__call__
 
-    def counting(self, snap):
+    def counting(self, cfg, pos, light):
         calls[0] += 1
-        return evaluate(self, snap)
+        return evaluate(self, cfg, pos, light)
 
     monkeypatch.setattr(algorithms.AlgorithmSpec, "__call__", counting)
     sc = random_scenario(random.Random(17), "three-color", "async", 5, bound=8)
@@ -733,9 +736,7 @@ def test_action_memo_saves_engine_evaluations_only(monkeypatch):
         return trace.dumps(), engine_evals, calls[0], reports
 
     memoized = measure()
-    monkeypatch.setattr(
-        engine, "memo_action", lambda alg, cfg, pos, light: alg(Snapshot(cfg, pos, light))
-    )
+    monkeypatch.setattr(engine, "memo_action", lambda alg, cfg, pos, light: alg(cfg, pos, light))
     plain = measure()
     assert memoized[0] == plain[0]
     assert memoized[1] < plain[1]
@@ -755,6 +756,20 @@ class TestScenarioIO:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(data))
         with pytest.raises(ScenarioError):
+            Scenario.load(p)
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (b"\xff\xfe{}", "scenario is not UTF-8"),
+            (b"[" * 200_000, "invalid scenario JSON: nested too deeply"),
+        ],
+        ids=["not-utf-8", "nested-too-deeply"],
+    )
+    def test_undecodable_file_rejected(self, tmp_path, raw, message):
+        p = tmp_path / "bad.json"
+        p.write_bytes(raw)
+        with pytest.raises(ScenarioError, match=message):
             Scenario.load(p)
 
     def test_color_outside_alphabet(self):
@@ -849,6 +864,7 @@ class TestTraceText:
             ("non-object-line", "not a JSON object"),
             ("non-json-line", "Expecting value"),
             ("truncated", "Expecting"),
+            ("nested-too-deeply", "trace line 3: nested too deeply"),
         ],
     )
     def test_malformed_text_rejected(self, damage, message):
@@ -861,6 +877,8 @@ class TestTraceText:
             rows.insert(2, "[1, 2]")
         elif damage == "non-json-line":
             rows.insert(2, "x")
+        elif damage == "nested-too-deeply":  # deeper than the decoder's recursion limit
+            rows.insert(2, "[" * 200_000)
         text = "".join(r + "\n" for r in rows)
         if damage == "truncated":
             text = text[:-4]
