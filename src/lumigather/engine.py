@@ -78,7 +78,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from json.decoder import WHITESPACE
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 from .algorithms import get_algorithm
 from .configuration import ConfigInterner, collector_paused
@@ -264,22 +264,113 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
 
 
-def _line_encoder():
-    """``_ENCODER.encode`` for many lines, as a function of a line.
+_esc = encode_basestring_ascii
 
-    ``JSONEncoder.encode`` builds a new C encoder for every call; this builds
-    the one ``encode`` would build and reuses it, with fresh circular
-    reference markers per trace.  Without the C accelerator it is
-    ``_ENCODER.encode`` itself, as in ``json``.
+
+def _pair(v):
+    """A list of two strings as JSON text, or None for anything else."""
+    if type(v) is list and len(v) == 2:
+        x, y = v
+        if type(x) is str and type(y) is str:
+            return f"[{_esc(x)},{_esc(y)}]"
+    return None
+
+
+def _look(line):
+    robot, t = line.get("robot"), line.get("t")
+    if len(line) == 3 and type(robot) is int and type(t) is int:
+        return f'{{"kind":"Look","robot":{robot},"t":{t}}}\n'
+    return None
+
+
+def _compute(line):
+    color, dest, ex = line.get("color"), _pair(line.get("dest")), line.get("exec")
+    robot, t = line.get("robot"), line.get("t")
+    if (
+        len(line) == 6
+        and type(color) is str
+        and dest is not None
+        and type(ex) is bool
+        and type(robot) is int
+        and type(t) is int
+    ):
+        ex = "true" if ex else "false"
+        return (
+            f'{{"color":{_esc(color)},"dest":{dest},"exec":{ex},'
+            f'"kind":"Compute","robot":{robot},"t":{t}}}\n'
+        )
+    return None
+
+
+def _move(kind, key):
+    """The formatter of a move line: ``kind`` with the point ``key``."""
+    head = f'{{"kind":"{kind}","{key}":'
+
+    def move(line):
+        xy, robot, t = _pair(line.get(key)), line.get("robot"), line.get("t")
+        if len(line) == 4 and xy is not None and type(robot) is int and type(t) is int:
+            return f'{head}{xy},"robot":{robot},"t":{t}}}\n'
+        return None
+
+    return move
+
+
+def _config(line):
+    entries, t = line.get("entries"), line.get("t")
+    if len(line) != 3 or type(entries) is not list or type(t) is not int:
+        return None
+    rows = []
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 3:
+            return None
+        x, y, color = entry
+        if type(x) is not str or type(y) is not str or type(color) is not str:
+            return None
+        rows.append(f"[{_esc(x)},{_esc(y)},{_esc(color)}]")
+    rows = ",".join(rows)
+    return f'{{"entries":[{rows}],"kind":"Config","t":{t}}}\n'
+
+
+def _round_start(line):
+    activated, t = line.get("activated"), line.get("t")
+    if len(line) != 3 or type(activated) is not list or type(t) is not int:
+        return None
+    for i in activated:
+        if type(i) is not int:
+            return None
+    activated = ",".join(map(str, activated))
+    return f'{{"activated":[{activated}],"kind":"RoundStart","t":{t}}}\n'
+
+
+# the lines the engine writes, by kind: each formatter returns the line's
+# text, or None when the line's keys or value types are not the engine's
+_FORMATS = {
+    "Look": _look,
+    "Compute": _compute,
+    "MoveBegin": _move("MoveBegin", "reach"),
+    "MoveProgress": _move("MoveProgress", "pos"),
+    "MoveEnd": _move("MoveEnd", "pos"),
+    "Config": _config,
+    "RoundStart": _round_start,
+}
+
+
+def _line_text(line):
+    """``line`` as one line of trace text, its newline included.
+
+    A line of a kind the engine writes, with the engine's keys and value
+    types, is formatted directly; any other goes through ``_ENCODER``.  The
+    text is the same either way.
     """
-    if c_make_encoder is None:
-        return _ENCODER.encode
-    # markers, default, string encoder, indent, key and item separators,
-    # sort_keys, skipkeys, allow_nan: what ``_ENCODER.iterencode`` passes
-    encode = c_make_encoder(
-        {}, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, True
-    )
-    return lambda line: "".join(encode(line, 0))
+    if type(line) is dict:
+        kind = line.get("kind")
+        if type(kind) is str:
+            fmt = _FORMATS.get(kind)
+            if fmt is not None:
+                text = fmt(line)
+                if text is not None:
+                    return text
+    return _ENCODER.encode(line) + "\n"
 
 
 def _line_no(text, i):
@@ -290,8 +381,9 @@ class Trace:
     """Ordered JSONL event log plus configuration snapshots: its ``lines``.
 
     ``Trace(lines)`` is the one constructor.  One line is one JSON object.
-    ``dumps`` encodes every line of a trace with one encoder and ``parse``
-    decodes the whole text in one pass; the bytes are those of
+    ``dumps`` formats a line of the seven kinds the engine writes directly
+    and sends any other line through ``json``, and ``parse`` decodes the
+    whole text in one pass; either way the bytes are those of
     ``json.dumps(line, sort_keys=True, separators=(",", ":"))`` per line.
     """
 
@@ -360,8 +452,7 @@ class Trace:
 
     @collector_paused
     def dumps(self):
-        encode = _line_encoder()
-        return "".join([encode(line) + "\n" for line in self.lines])
+        return "".join([_line_text(line) for line in self.lines])
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -411,7 +502,11 @@ class Trace:
     @staticmethod
     def load(path):
         with open(path, "r", encoding="utf-8") as fh:
-            return Trace.parse(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"trace is not UTF-8: {exc}") from exc
+        return Trace.parse(text)
 
 
 def _header(scenario):

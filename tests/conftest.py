@@ -7,8 +7,13 @@ from lumigather.configuration import Configuration, Frame, canonical
 from lumigather.geometry import Point, pt
 from lumigather.rational import Rat
 
+# derandomized: every run draws the same examples, whatever the process
 settings.register_profile(
-    "ci", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    "ci",
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
 

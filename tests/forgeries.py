@@ -813,7 +813,7 @@ ROWS = [
         "scenario error: invalid scenario JSON: nested too deeply", (RUN, SCENARIO_ENUMERATE)),
     bad("trace-nested-too-deeply", DEEP, None, "trace line 1: nested too deeply"),
     bad("trace-not-utf-8", lambda: b"\xff\xfe" + SQUARE().encode("utf-8"), None,
-        "'utf-8' codec can't decode byte 0xff in position 0"),
+        "trace is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"),
     *(bad(f"{cmd}-{name}", partial(scenario_file, "triangle-enum"), put(*path, value=value),
           f"scenario error: {message}", ((cmd, "--scenario", "{input}"),))
       for cmd in ("run", "enumerate")
@@ -825,6 +825,8 @@ ROWS = [
           ("fairness-bound-negative", ("fairness_bound",), -1,
            "fairness_bound must be >= 1 (0 selects the default)"),
       )),
+    # -- a missing input file, and an output into a missing directory
+    bad("trace-missing", None, None, "No such file or directory"),
     *(Row(f"{cmd}-into-a-missing-directory", SQUARE, None, (args,), 2,
           f"{cmd}: cannot write the {what}: "
           "[Errno 2] No such file or directory: '{dir}/missing/out'",
@@ -835,6 +837,8 @@ ROWS = [
           ("check", "annotated trace", REPLAY + ("--annotate", "{dir}/missing/out")),
           ("plot", "SVG", ("plot", "--trace", "{input}", "--out", "{dir}/missing/out")),
       )),
+    bad("fuzz-zero-runs", None, None, "fuzz: runs must be >= 1",
+        (("fuzz", "--algorithm", "three-color", "--runs", "0"),)),
     bad("run-fairness-bound-below-n", None, None, "async fairness_bound 3 is below n=4",
         (("run", "--scenario", "{scenarios}/square.json", "--fairness-bound", "3"),)),
     *(bad(f"enumerate-{flag}-{value}", None, None,
@@ -867,6 +871,11 @@ ROWS = [
           (("run", "--scenario", "{scenarios}/" + args.split()[0], *args.split()[1:]),),
           code, json.dumps(summary, sort_keys=True), failing=(), whole=True)
       for args, (code, summary) in RUN_SUMMARIES.items()),
+    # the round trace of rectangle-unfair passes monotone-f
+    Row("rectangle-unfair-monotone-f", partial(bundled, "rectangle-unfair"), None,
+        (CHECK + ("--check", "monotone-f"),), 0,
+        '{"check": "monotone-f", "extras": {"effective_rounds": 7}, "pass": true, '
+        '"undecided": [], "violations": []}', failing=(), whole=True),
     # the trace of a run cut by its step budget passes replay
     replay_only("run-square-steps-60-replay", partial(bundled, "square", 60), None),
 ]

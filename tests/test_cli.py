@@ -83,9 +83,6 @@ class TestRun:
 
 
 class TestFuzz:
-    def test_zero_runs_usage_error(self):
-        assert main(["fuzz", "--algorithm", "three-color", "--runs", "0"]) == 2
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -144,9 +141,6 @@ class TestFuzz:
 
 
 class TestCheck:
-    def test_unreadable_trace_exits_2(self, tmp_path):
-        assert main(["check", "--trace", str(tmp_path / "nope.jsonl")]) == 2
-
     def test_unknown_check_exits_2_before_any_report(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         main(["run", "--scenario", str(SCENARIOS / "square.json"), "--out", str(out)])
@@ -154,14 +148,6 @@ class TestCheck:
         assert main(["check", "--trace", str(out), "--check", "replay,bogus"]) == 2
         captured = capsys.readouterr()
         assert "bogus" in captured.err and captured.out == ""
-
-    def test_monotone_f_accepted(self, tmp_path, capsys):
-        out = tmp_path / "t.jsonl"
-        main(["run", "--scenario", str(SCENARIOS / "rectangle-unfair.json"), "--out", str(out)])
-        capsys.readouterr()
-        assert main(["check", "--trace", str(out), "--check", "monotone-f"]) == 0
-        (line,) = capsys.readouterr().out.splitlines()
-        assert json.loads(line)["check"] == "monotone-f"
 
     def _trace_lines(self, tmp_path, capsys, scenario="square.json"):
         out = tmp_path / "t.jsonl"
@@ -272,9 +258,6 @@ class TestPlot:
         svg = tmp_path / "one.svg"
         assert main(["plot", "--trace", str(trace), "--out", str(svg)]) == 0
         assert "<circle" in svg.read_text()
-
-    def test_unreadable_exits_2(self, tmp_path):
-        assert main(["plot", "--trace", str(tmp_path / "x"), "--out", str(tmp_path / "y")]) == 2
 
     def test_a_later_end_adds_no_point(self):
         # End moved from t=154 to t=40000: replay fails the trace, and its plot

@@ -4,6 +4,7 @@ import itertools
 import json
 import json.scanner
 import random
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -814,6 +815,59 @@ def _compact(line):
     return json.dumps(line, sort_keys=True, separators=(",", ":"))
 
 
+# the lines the engine writes: each kind's keys besides "kind", and values of
+# the types the engine writes; a string may hold any text
+_TEXT = st.text() | st.text(st.sampled_from('SME"\\/\x00\x1f\x7f\xe9\u2603\U0001f916'))
+_COORD = st.builds("{}/{}".format, st.integers(), st.integers(1)) | _TEXT
+_PAIR = st.lists(_COORD, min_size=2, max_size=2)
+_ENGINE_KEYS = {
+    "Look": ("robot", "t"),
+    "Compute": ("color", "dest", "exec", "robot", "t"),
+    "MoveBegin": ("reach", "robot", "t"),
+    "MoveProgress": ("pos", "robot", "t"),
+    "MoveEnd": ("pos", "robot", "t"),
+    "Config": ("entries", "t"),
+    "RoundStart": ("activated", "t"),
+}
+_ENGINE_VALUES = {
+    "robot": st.integers(0, 9),
+    "t": st.integers(0),
+    "color": _TEXT,
+    "exec": st.booleans(),
+    "dest": _PAIR,
+    "reach": _PAIR,
+    "pos": _PAIR,
+    "entries": st.lists(st.tuples(_COORD, _COORD, _TEXT).map(list), max_size=4),
+    "activated": st.lists(st.integers(0, 9), max_size=4),
+}
+# what a hand-built line may hold instead: any JSON value, a float, a bool or
+# string for an int, an int for a string, a list of the wrong length or with
+# items of the wrong type
+_OFF_VALUES = (
+    _JSON
+    | st.floats()
+    | st.lists(_COORD | st.integers() | st.booleans(), max_size=4)
+    | st.lists(st.lists(_COORD | st.integers(), max_size=4), max_size=3)
+)
+
+
+@st.composite
+def _engine_like_lines(draw):
+    """A line of a kind the engine writes: the engine's own, or with some
+    values of another type, or with a key added or dropped."""
+    kind = draw(st.sampled_from(sorted(_ENGINE_KEYS)))
+    off = draw(st.booleans())
+    line = {"kind": kind}
+    for key in _ENGINE_KEYS[kind]:
+        line[key] = draw(_ENGINE_VALUES[key] | _OFF_VALUES if off else _ENGINE_VALUES[key])
+    change = draw(st.sampled_from((None, None, "add", "drop")))
+    if change == "add":
+        line[draw(st.text())] = draw(_JSON)
+    elif change == "drop":
+        del line[draw(st.sampled_from(sorted(line)))]
+    return line
+
+
 class TestTraceText:
     """``Trace.dumps`` and ``Trace.parse``: one JSON object per line."""
 
@@ -827,12 +881,44 @@ class TestTraceText:
         assert text == "".join(_compact(l) + "\n" for l in tr.lines)
         assert Trace.parse(text).lines == json.loads(json.dumps(tr.lines))
 
+    @given(st.lists(_engine_like_lines(), max_size=6))
+    @example([{"kind": "Look", "robot": True, "t": 3}])
+    @example([{"kind": "Compute", "t": 1, "robot": 0, "color": "S", "dest": ["0/1", "1/1"],
+               "exec": 0}])
+    @example([{"kind": "Compute", "t": 1, "robot": 0, "color": "\xe9\u2603", "dest": ["0/1", "1/1"],
+               "exec": False}])
+    @example([{"kind": "Compute", "t": 1, "robot": 0, "color": "S",
+               "dest": ["0/1", "1/1", "2/1"], "exec": True}])
+    @example([{"kind": "Look", "robot": 0, "t": 3, "x": 1}])
+    @example([{"kind": "RoundStart", "t": 0, "activated": [0, True]}])
+    @example([{"kind": "Config", "t": 0, "entries": [['1"/2', "\\", "\n"]]}])
+    def test_engine_kinds_give_the_json_text(self, lines):
+        assert Trace(lines).dumps() == "".join(_compact(l) + "\n" for l in lines)
+
+    @pytest.mark.parametrize("name", ["square", "rectangle-unfair"])
+    def test_only_the_header_and_end_go_through_json(self, monkeypatch, name):
+        # every other line is one the engine wrote: a writer that gains a key
+        # would send its lines through json too, and fail here
+        tr = run(Scenario.load(SCENARIOS / f"{name}.json"))
+        encode = engine._ENCODER.encode
+        kinds = []
+
+        def counted(line):
+            kinds.append(line["kind"])
+            return encode(line)
+
+        monkeypatch.setattr(engine, "_ENCODER", types.SimpleNamespace(encode=counted))
+        text = tr.dumps()
+        assert kinds == ["Header", "End"]
+        assert text == "".join(_compact(l) + "\n" for l in tr.lines)
+
     def test_pure_python_json_gives_the_same_text_and_lines(self, monkeypatch):
         tr = self._trace()
         text = tr.dumps()
         decoder = json.JSONDecoder()
         decoder.scan_once = json.scanner.py_make_scanner(decoder)
-        monkeypatch.setattr(engine, "c_make_encoder", None)
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(engine, "_esc", json.encoder.py_encode_basestring_ascii)
         monkeypatch.setattr(engine, "_DECODER", decoder)
         assert tr.dumps() == text
         assert Trace.parse(text).lines == tr.lines
