@@ -34,6 +34,7 @@ deleted changing Config line, an inserted repeated one and one after End.
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the current digests.
 """
 
+import dataclasses
 import functools
 import hashlib
 import random
@@ -84,6 +85,12 @@ _SCHEDULE_CASES = [
         for policy in ("random", "ssync-embedded")
     ),
 ]
+# the fair round scheduler's n=5 cases again at fairness bound 2, where robots
+# fall overdue and are activated without a draw; at the default bound of 8n
+# none ever does
+_OVERDUE_CASES = [
+    (f"fuzz-{alg}-ssync-bound2-n5", alg, 53, 5) for alg in ("elect-one-lds", "lu-gather")
+]
 
 
 def corpus():
@@ -95,6 +102,9 @@ def corpus():
     for name, alg, sched, policy, seed, n in _SCHEDULE_CASES:
         sc = random_scenario(random.Random(seed * 100 + n), alg, sched, n, bound=8, policy=policy)
         cases.append((name, sc))
+    for name, alg, seed, n in _OVERDUE_CASES:
+        sc = random_scenario(random.Random(seed * 100 + n), alg, "ssync", n, bound=8)
+        cases.append((name, dataclasses.replace(sc, fairness_bound=2)))
     return cases
 
 
@@ -317,6 +327,19 @@ GOLDEN = {
         "gather": "7f2074db26f0e1ffbe70f4e0dbd9959f600f24335ec0667a0793dd3e42589003",
         "equivariance": "234c0db617f60c4eb287d88b0fe0ea5d31afdca25b16be0fe2eeb23014a9cdd6",
     },
+    "fuzz-elect-one-lds-ssync-bound2-n5": {
+        "trace": "95ee17535d93190ce08eea242f48f52a9f051de34e75b6d17a486b1ceea45eab",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "72a98a40edb42108424b48488600139acb2efa44b0e1a7d86348448dc81eed45",
+        "equivariance": "0993185457704fd9a62120ff4453283bc71af3710743282986eb11ff4d1ff1c9",
+    },
+    "fuzz-lu-gather-ssync-bound2-n5": {
+        "trace": "cccc3e269cb716405ddac9e18640dd52ef4832d789530cb0d0e83d25ad15a5c8",
+        "replay": "0c453badd2661407868af77883c9b4f4a4e74a346cfe1728471ebb301213f888",
+        "monotone": "717df020c26005fdb8337549dcd55652a9e93c762a9fda4019264c4c6e2ae2f8",
+        "gather": "8e645533daa74a3583eda4c977ed31f544e8a474552ec220cc046306d181db59",
+        "equivariance": "b61f7540ddc3c961573ee2922e85b923b2e586e889c537ab75eee2be951227a9",
+    },
 }
 
 
@@ -328,6 +351,8 @@ ANNOTATED = {
     "fuzz-elect-one-lds-ssync-n5": "0d0bdb1ad90a6af6413f7d25d76fe1f19e45c8bb8512adfc9652fb7909735aaf",
     "fuzz-lu-gather-fsync-n5": "e656a0d6989816e908168d4012e8afd33e588bdce6664ba034d40bcd8731c97a",
     "fuzz-lu-gather-ssync-n5": "ba4837be3cbdf80111fcd3c151e1a1c2aa9766cc4442543a611adb2e341b801a",
+    "fuzz-elect-one-lds-ssync-bound2-n5": "563de41ab68bb0e09e6e3b79e2d6791c343c98ea0ac46aea0c2f2a997559fb19",
+    "fuzz-lu-gather-ssync-bound2-n5": "d458db3be50e62420266ae30c5ab062f76b751392386caed96f2561209bd5361",
 }
 
 ENUMERATED = {
@@ -360,6 +385,8 @@ FORMAT1_TRACES = {
     "fuzz-lu-gather-ssync-n5": "1c4e7cf7d2715733548bd09a32e0dbbc1a649f78fd8a64b854db650603a9b4f0",
     "fuzz-three-color-random-n10": "84475173491c6166c9e50c93f963b23a920709496d5998418fe62b2a848441ff",
     "fuzz-three-color-ssync-embedded-n10": "81ec38a1592a99abf6767665faf494143ef016fe0bfb95c9ea8f5dbf02398c28",
+    "fuzz-elect-one-lds-ssync-bound2-n5": "167e71fda81cc2e981cf0a9aa16d8d2fd602bdcdb880982497d57b37994729b4",
+    "fuzz-lu-gather-ssync-bound2-n5": "1073e7ae535f157446e34fe4b29c7f6a13861e7d58197b2ce4d5cdf421479156",
 }
 
 FORMAT1_ANNOTATED = {
@@ -370,6 +397,8 @@ FORMAT1_ANNOTATED = {
     "fuzz-elect-one-lds-ssync-n5": "5a27f40cef3b6fded2d589b30104d62acfcce97ccecc8fd1fc6780f36c69a75f",
     "fuzz-lu-gather-fsync-n5": "e656a0d6989816e908168d4012e8afd33e588bdce6664ba034d40bcd8731c97a",
     "fuzz-lu-gather-ssync-n5": "c3e75126d271ec85bbc492ce07259797e87c298a169bb42037b661a16092dfee",
+    "fuzz-elect-one-lds-ssync-bound2-n5": "b74b159c4831ea8a56ce73a2749059a9af908a10f52edd5a05d252909b716dbd",
+    "fuzz-lu-gather-ssync-bound2-n5": "18c569017ae95432ad2d7befd189f1b8be5c7d36b5292ee0adf2a8790f9866c5",
 }
 
 
