@@ -29,7 +29,6 @@ from .algorithms import ALGORITHMS, get_algorithm, phase_class, phase_of
 from .configuration import ConfigInterner, Frame, collector_paused
 from .engine import (
     Scenario,
-    SyncWorld,
     Trace,
     enabled_ids,
     json_object,
@@ -1227,10 +1226,11 @@ def enumerate_unfair(
     fraction from the set applies to all movers of a round.  Aborts with a
     partial report above the node ceiling.
 
-    A node is a SyncWorld over its canonical entries and an edge is the
-    engine's ``ssync_round``, so the enumeration runs the engine's round
-    semantics.  Its configurations come from its own interner, and each
-    distinct (configuration, position, light) is evaluated once.
+    A node is a configuration, whose canonical entries serve as its row of
+    robots, and an edge is the engine's ``ssync_round`` on that row, so the
+    enumeration runs the engine's round semantics.  Its configurations come
+    from its own interner, and each distinct (configuration, position,
+    light) is evaluated once.
 
     Raises ValueError for a spec with no potential: none of them has one
     that every effective round decreases (f is zero on every collinear
@@ -1257,13 +1257,12 @@ def enumerate_unfair(
         if rep.extras["nodes"] > node_ceiling:
             rep.extras["aborted"] = True
             break
-        ents = cfg.entries
-        world = SyncWorld([p for p, _ in ents], [c for _, c in ents], cache)
-        enab = enabled_ids(world, spec)
+        row = cfg.entries
+        enab = enabled_ids(spec, cfg, row)
         if not enab:
             rep.extras["fixpoints"] += 1
             if not goal(cfg):
-                rep.violate(d, {"detail": "fixpoint misses the goal", "state": _fmt(ents)})
+                rep.violate(d, {"detail": "fixpoint misses the goal", "state": _fmt(row)})
             continue
         if d >= depth:
             rep.extras["unfinished"] += 1
@@ -1272,8 +1271,8 @@ def enumerate_unfair(
         for mask in range(1, 1 << len(enab)):
             subset = [enab[i] for i in range(len(enab)) if mask >> i & 1]
             for frac in fractions:
-                nxt = ssync_round(world, spec, subset, dict.fromkeys(subset, frac), delta)
-                child = nxt.config()
+                nxt = ssync_round(spec, cfg, row, subset, dict.fromkeys(subset, frac), delta)
+                child = cache.get(nxt)
                 rep.extras["edges"] += 1
                 c = lex_less(potential(child), before)
                 if c is not Cmp.LESS:
@@ -1281,7 +1280,7 @@ def enumerate_unfair(
                         d,
                         {
                             "detail": f"potential not decreasing ({c.name})",
-                            "state": _fmt(ents),
+                            "state": _fmt(row),
                             "subset": subset,
                         },
                     )

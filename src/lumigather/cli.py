@@ -92,7 +92,9 @@ def _final_cc(config):
 def cmd_fuzz(args):
     # fuzz() rejects every bad argument before its first run
     try:
-        deltas = tuple(parse_rat(d) for d in args.delta.split(",")) if args.delta else (Rat(1),)
+        deltas = (Rat(1),)
+        if args.delta is not None:
+            deltas = tuple(parse_rat(d) for d in args.delta.split(","))
         checks = None if args.check == "all" else check_names(args.check)
         summary = fuzz(
             args.algorithm,

@@ -56,13 +56,18 @@ at every step to group them by phase.
 A trace has a Config line at instant 0 and at each instant whose observed
 configuration differs from the previous instant's, and at no other instant.
 Configurations are interned, so two are equal exactly when they are one
-object, and both writers compare objects: a round run logs the round's
-result when it is not the configuration the round started from, and an
-advance logs ``visible`` when it is a new object.  An advance re-reads only
-the robots that acted in the closing instant, the ones without a stamp, and
-the movers, since no other robot can show anything new.  When none of them
-changes what it shows, the configuration is not interned again and the
-instant has no Config line.
+object, and both writers compare objects: a round run logs the configuration
+interned from the round's new row when it is not the one the round started
+from, and an advance logs ``visible`` when it is a new object.  An advance
+re-reads only the robots that acted in the closing instant, the ones without
+a stamp, and the movers, since no other robot can show anything new.  When
+none of them changes what it shows, the configuration is not interned again
+and the instant has no Config line.
+
+A round acts on a row, like ``AsyncWorld.shown`` each robot's ``(position,
+light)`` entry in robot order, and on the configuration interned from it.
+``is_enabled`` is the one test of whether an entry would act, for the round
+engine, ``enabled_ids`` and ``AsyncWorld.is_terminal``.
 
 A ``Trace`` is its lines: a run starts from ``Trace([header])`` and appends
 to them, and ``checker.TraceData`` is their one reader, the End line's
@@ -568,85 +573,60 @@ def memo_action(algorithm, cfg, pos, light):
 # --------------------------------------------------------------------------
 
 
-class SyncWorld:
-    """Round-based world: per-robot positions and lights, atomic rounds.
+def is_enabled(algorithm, cfg, entry):
+    """Whether the robot with ``entry``, its (position, light) in ``cfg``, would act now.
 
-    A round that changes some robot's light or position builds a new world
-    and one that changes none returns the world it was given, so a world is
-    never changed after it is built and its configuration is computed once.
+    A robot is enabled when its action on ``cfg`` changes its light or its
+    position (``Action.changes``); activating only robots that are not
+    enabled leaves the configuration as it is.
     """
-
-    def __init__(self, positions, lights, cache=None):
-        self.positions = list(positions)
-        self.lights = list(lights)
-        self.cache = cache or ConfigInterner()
-        self._config = None
-
-    def config(self):
-        if self._config is None:
-            self._config = self.cache.get(tuple(zip(self.positions, self.lights)))
-        return self._config
+    p, c = entry
+    return memo_action(algorithm, cfg, p, c).changes(p, c)
 
 
-def is_enabled(world, algorithm, i):
-    """Whether robot ``i`` of ``world`` would act if activated now.
-
-    A robot is enabled when its action on the world's configuration changes
-    its light or its position (``Action.changes``); activating only robots
-    that are not enabled leaves the world as it is.
-    """
-    p, c = world.positions[i], world.lights[i]
-    return memo_action(algorithm, world.config(), p, c).changes(p, c)
-
-
-def enabled_ids(world, algorithm):
-    """The robots of ``world`` that would act if activated now, in index order."""
-    return [i for i in range(len(world.positions)) if is_enabled(world, algorithm, i)]
+def enabled_ids(algorithm, cfg, row):
+    """The robots of ``row`` that are enabled on its configuration ``cfg``, in index order."""
+    return [i for i, entry in enumerate(row) if is_enabled(algorithm, cfg, entry)]
 
 
 # the truncation of a move the adversary does not cut short
 _WHOLE = Rat(1)
 
 
-def ssync_round(world, algorithm, activated, fractions, delta, trace=None, t=0):
+def ssync_round(algorithm, cfg, row, activated, fractions, delta, trace=None, t=0):
     """One atomic synchronous round over the activated set.
 
-    All activated robots look at the same configuration, compute, and move
-    together; ``fractions`` maps robot index to the adversary truncation,
-    a whole move for a robot it leaves out.  Returns the new SyncWorld, or
-    ``world`` itself when no activated robot changes its light or position.
+    ``row`` lists each robot's (position, light) entry in robot order and
+    ``cfg`` is its configuration: all activated robots look at it, compute,
+    and move together.  ``fractions`` maps robot index to the adversary
+    truncation, a whole move for a robot it leaves out.  Returns the new
+    row, or ``row`` itself when no activated robot changes its light or
+    position.
     """
     activated = sorted(set(activated))
     if not activated:
         raise EmptyActivation("a round must activate at least one robot")
-    cfg = world.config()
-    acts = {i: memo_action(algorithm, cfg, world.positions[i], world.lights[i]) for i in activated}
-    positions = list(world.positions)
-    lights = list(world.lights)
-    changed = False
+    new = list(row)
     if trace is not None:
-        trace.log(kind="RoundStart", t=t, activated=list(activated))
+        trace.log(kind="RoundStart", t=t, activated=activated)
     for i in activated:
-        act = acts[i]
-        origin = world.positions[i]
+        pos, light = row[i]
+        act = memo_action(algorithm, cfg, pos, light)
         if trace is not None:
             trace.look(t, i)
             trace.compute(t, i, act)
-        if act.color != lights[i]:
-            lights[i] = act.color
-            changed = True
-        if act.dest != origin:
-            reached = apply_move(origin, act.dest, fractions.get(i, _WHOLE), delta)
-            positions[i] = reached
-            changed = True
+        if act.dest != pos:
+            pos = apply_move(pos, act.dest, fractions.get(i, _WHOLE), delta)
             if trace is not None:
-                trace.move_begin(t, i, reached)
-                trace.move_end(t, i, reached)
-    return SyncWorld(positions, lights, world.cache) if changed else world
+                trace.move_begin(t, i, pos)
+                trace.move_end(t, i, pos)
+        new[i] = (pos, act.color)
+    new = tuple(new)
+    return row if new == row else new
 
 
 def _run_sync(scenario, rng):
-    """Round loop: a run ends at the first world where no robot is enabled.
+    """Round loop: a run ends at the first row where no robot is enabled.
 
     Each round draws its activated set first and evaluates only those
     robots; the others are scanned, up to the first enabled one, only when
@@ -655,53 +635,51 @@ def _run_sync(scenario, rng):
     change no trace, since nothing follows the End.
     """
     algorithm = get_algorithm(scenario.algorithm)
-    world = SyncWorld([p for p, _ in scenario.robots], [c for _, c in scenario.robots])
+    cache = ConfigInterner()
+    row = scenario.robots
+    cfg = cache.get(row)
     trace = Trace([_header(scenario)])
-    n = len(scenario.robots)
+    n = len(row)
     bound = scenario.bound
+    fair = scenario.scheduler == "ssync"
     unfair = scenario.scheduler == "ssync-unfair"
     last_act = [0] * n
     ineffective_streak = 0
     t = 0
-    trace.config_line(0, world.config())
+    trace.config_line(0, cfg)
     while True:
         if scenario.scheduler == "fsync":
             activated = list(range(n))
-        elif scenario.scheduler == "ssync":
-            activated = [i for i in range(n) if rng.random() < 0.5]
-            for i in range(n):
-                if t - last_act[i] >= bound and i not in activated:
-                    activated.append(i)
+        else:
+            # one draw per robot, in index order; a fair round adds the overdue
+            activated = [
+                i for i in range(n) if rng.random() < 0.5 or (fair and t - last_act[i] >= bound)
+            ]
             if not activated:
                 activated = [rng.randrange(n)]
-        else:  # ssync-unfair
-            activated = [i for i in range(n) if rng.random() < 0.5]
-            if not activated:
-                activated = [rng.randrange(n)]
-        activated = sorted(set(activated))
-        effective = any(is_enabled(world, algorithm, i) for i in activated)
+        effective = any(is_enabled(algorithm, cfg, row[i]) for i in activated)
         if not effective and not any(
-            is_enabled(world, algorithm, i) for i in range(n) if i not in activated
+            is_enabled(algorithm, cfg, row[i]) for i in range(n) if i not in activated
         ):
-            status = "gathered" if world.config().gathered() else "fixpoint"
+            status = "gathered" if cfg.gathered() else "fixpoint"
             trace.end(t, status)
             return trace
         if t >= scenario.step_budget:
             trace.end(t, "budget")
             raise BudgetExhausted(trace)
         if unfair and not effective and ineffective_streak >= bound - 1:
-            enab = enabled_ids(world, algorithm)
+            enab = enabled_ids(algorithm, cfg, row)
             activated = sorted({*activated, enab[rng.randrange(len(enab))]})
             effective = True
         fractions = {i: _pick_fraction(scenario.policy, rng) for i in activated}
-        before = world.config()
-        world = ssync_round(world, algorithm, activated, fractions, scenario.delta, trace, t)
+        row = ssync_round(algorithm, cfg, row, activated, fractions, scenario.delta, trace, t)
         ineffective_streak = 0 if effective else ineffective_streak + 1
         for i in activated:
             last_act[i] = t
         t += 1
-        if world.config() is not before:
-            trace.config_line(t, world.config())
+        before, cfg = cfg, cache.get(row)
+        if cfg is not before:
+            trace.config_line(t, cfg)
 
 
 _FRACTIONS = (_WHOLE, Rat(3, 4), Rat(1, 2), Rat(1, 4))
@@ -947,11 +925,9 @@ class AsyncWorld:
         """All robots idle and none enabled on the settled configuration."""
         if self.busy:
             return False
-        cfg = self.cache.get(tuple((r.pos, r.light) for r in self.robots))
-        alg = self.algorithm
-        return not any(
-            memo_action(alg, cfg, r.pos, r.light).changes(r.pos, r.light) for r in self.robots
-        )
+        row = tuple((r.pos, r.light) for r in self.robots)
+        cfg = self.cache.get(row)
+        return not any(is_enabled(self.algorithm, cfg, entry) for entry in row)
 
 
 class _Policy:

@@ -839,6 +839,8 @@ ROWS = [
       )),
     bad("fuzz-zero-runs", None, None, "fuzz: runs must be >= 1",
         (("fuzz", "--algorithm", "three-color", "--runs", "0"),)),
+    bad("check-unknown-name", SQUARE, None, "unknown check 'bogus'",
+        (CHECK + ("--check", "replay,bogus"),)),
     bad("run-fairness-bound-below-n", None, None, "async fairness_bound 3 is below n=4",
         (("run", "--scenario", "{scenarios}/square.json", "--fairness-bound", "3"),)),
     *(bad(f"enumerate-{flag}-{value}", None, None,
@@ -854,6 +856,10 @@ ROWS = [
     *(fuzzing(f"fuzz-{algorithm}-{scheduler}", algorithm, scheduler, 4, "--seed", "5",
               "--n-min", "2", "--n-max", "5", "--coord-bound", "5")
       for algorithm in ("elect-one-lds", "lu-gather") for scheduler in ("fsync", "ssync", "ssync-unfair")),
+    # the round algorithms under async: round-based monotonicity is not a
+    # default check there
+    *(fuzzing(f"fuzz-{algorithm}-async", algorithm, "async", 3, "--seed", "1")
+      for algorithm in ("elect-one-lds", "lu-gather")),
     # -- honest verdicts: every bundled scenario end to end; a new scenario
     # file without its entry in ENUMERATED_AT_4 is a KeyError here
     *(Row(f"scenario-{name}", None, None, (

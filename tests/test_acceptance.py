@@ -20,7 +20,8 @@ from lumigather.checker import (
     snapshot_has_convention_ties,
 )
 from lumigather.cli import main as cli_main
-from lumigather.engine import Scenario, SyncWorld, enabled_ids, run, ssync_round
+from lumigather.configuration import ConfigInterner
+from lumigather.engine import Scenario, enabled_ids, run, ssync_round
 from lumigather.fuzz import fuzz, run_with_checks
 from lumigather.geometry import is_on_lds, pt
 from lumigather.potentials import Cmp, compare_values, lex_less, potential_f, potential_g
@@ -256,12 +257,13 @@ def test_criterion_7_enumeration_agrees_with_randomized():
 
 def _transition(algorithm, entries, activated, fractions, delta):
     spec = get_algorithm(algorithm)
-    w = SyncWorld([pt(*p) for p, _ in entries], [c for _, c in entries])
-    before = w.config()
-    enab = enabled_ids(w, spec)
+    cache = ConfigInterner()
+    row = tuple((pt(*p), c) for p, c in entries)
+    before = cache.get(row)
+    enab = enabled_ids(spec, before, row)
     assert set(activated) <= set(enab), f"activated {activated} not all enabled {enab}"
-    w2 = ssync_round(w, spec, activated, {i: Rat(*f) if isinstance(f, tuple) else Rat(f) for i, f in fractions.items()}, delta)
-    return before, w2.config()
+    fracs = {i: Rat(*f) if isinstance(f, tuple) else Rat(f) for i, f in fractions.items()}
+    return before, cache.get(ssync_round(spec, before, row, activated, fracs, delta))
 
 
 def _assert_row(name, potential, before, after, dec, inc):

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import json
@@ -1096,3 +1097,31 @@ def _reparse(lines):
 
 def _violations(tr):
     return [(v["t"], v["detail"]) for v in validate_trace(tr).violations]
+
+
+# the engine names the checker imports; moving the enumeration out of the
+# checker empties this set, and a new coupling shows up as an edit here
+CHECKER_ENGINE_IMPORTS = {
+    "Scenario",
+    "Trace",
+    "enabled_ids",
+    "json_object",
+    "json_typed",
+    "memo_action",
+    "ssync_round",
+}
+
+
+def test_checker_imports_only_the_listed_engine_names():
+    source = Path(checker.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".engine", "lumigather.engine"):
+                imported.update(a.name for a in node.names)
+            elif module in (".", "lumigather"):
+                imported.update(a.name for a in node.names if a.name == "engine")
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name == "lumigather.engine")
+    assert imported == CHECKER_ENGINE_IMPORTS

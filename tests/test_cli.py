@@ -92,6 +92,7 @@ class TestFuzz:
             ["--coord-bound", "-1"],
             ["--steps", "0"],
             ["--delta", "0"],
+            ["--delta", ""],
         ],
     )
     def test_bad_argument_exits_2_before_any_run(self, monkeypatch, capsys, bad):
@@ -102,18 +103,6 @@ class TestFuzz:
         assert main(["fuzz", "--algorithm", "three-color", "--runs", "2", *bad]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("fuzz: ")
-
-    @pytest.mark.parametrize("algorithm", ["elect-one-lds", "lu-gather"])
-    def test_default_checks_pass_under_async(self, capsys, algorithm):
-        # round-based monotonicity is not a default check of an async run
-        code = main(
-            [
-                "fuzz", "--algorithm", algorithm, "--scheduler", "async",
-                "--runs", "3", "--seed", "1",
-            ]
-        )
-        summary = json.loads(capsys.readouterr().out)
-        assert code == 0 and summary["pass"] is True
 
     @pytest.mark.parametrize("name", sorted(CHECKS))
     def test_every_check_name_accepted(self, capsys, name):
@@ -141,14 +130,6 @@ class TestFuzz:
 
 
 class TestCheck:
-    def test_unknown_check_exits_2_before_any_report(self, tmp_path, capsys):
-        out = tmp_path / "t.jsonl"
-        main(["run", "--scenario", str(SCENARIOS / "square.json"), "--out", str(out)])
-        capsys.readouterr()
-        assert main(["check", "--trace", str(out), "--check", "replay,bogus"]) == 2
-        captured = capsys.readouterr()
-        assert "bogus" in captured.err and captured.out == ""
-
     def _trace_lines(self, tmp_path, capsys, scenario="square.json"):
         out = tmp_path / "t.jsonl"
         main(["run", "--scenario", str(SCENARIOS / scenario), "--out", str(out)])

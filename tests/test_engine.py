@@ -24,7 +24,6 @@ from lumigather.engine import (
     RandomAsyncPolicy,
     Scenario,
     ScenarioError,
-    SyncWorld,
     Trace,
     _pick_fraction,
     apply_move,
@@ -136,40 +135,46 @@ def test_apply_move_is_the_fraction_formula(ends, fraction, delta):
     assert apply_move(*ends, fraction, delta) == ref_apply_move(*ends, fraction, delta)
 
 
+def round_state(points, lights):
+    """A robot-order row of (position, light) entries and its configuration."""
+    row = tuple(zip(points, lights))
+    return ConfigInterner().get(row), row
+
+
 class TestSsyncRound:
     def test_rectangle_reaches_line_in_one_round(self):
         alg = get_algorithm("elect-one-lds")
-        w = SyncWorld([pt(0, 0), pt(4, 0), pt(4, 1), pt(0, 1)], ["O"] * 4)
-        movers = enabled_ids(w, alg)
-        w2 = ssync_round(w, alg, movers, {i: Rat(1) for i in movers}, Rat(1))
-        assert is_on_lds(w2.positions)
+        cfg, row = round_state([pt(0, 0), pt(4, 0), pt(4, 1), pt(0, 1)], ["O"] * 4)
+        movers = enabled_ids(alg, cfg, row)
+        row2 = ssync_round(alg, cfg, row, movers, {i: Rat(1) for i in movers}, Rat(1))
+        assert is_on_lds([p for p, _ in row2])
 
     def test_no_enabled_fixpoint(self):
         alg = get_algorithm("elect-one-lds")
-        w = SyncWorld([pt(0, 0), pt(4, 0)], ["O", "O"])
-        assert enabled_ids(w, alg) == []
-        assert ssync_round(w, alg, [0, 1], {}, Rat(1)) is w
+        cfg, row = round_state([pt(0, 0), pt(4, 0)], ["O", "O"])
+        assert enabled_ids(alg, cfg, row) == []
+        assert ssync_round(alg, cfg, row, [0, 1], {}, Rat(1)) is row
 
     def test_empty_activation(self):
         alg = get_algorithm("elect-one-lds")
-        w = SyncWorld([pt(0, 0), pt(4, 0)], ["O", "O"])
+        cfg, row = round_state([pt(0, 0), pt(4, 0)], ["O", "O"])
         with pytest.raises(EmptyActivation):
-            ssync_round(w, alg, [], {}, Rat(1))
+            ssync_round(alg, cfg, row, [], {}, Rat(1))
 
 
 class TestEnabled:
     def test_lu_gather_aa_endpoint(self):
-        w = SyncWorld([pt(0, 0), pt(2, 0)], ["A", "A"])
-        assert 0 in enabled_ids(w, get_algorithm("lu-gather"))
+        cfg, row = round_state([pt(0, 0), pt(2, 0)], ["A", "A"])
+        assert 0 in enabled_ids(get_algorithm("lu-gather"), cfg, row)
 
     def test_lu_gather_abstarb_a_robot(self):
-        w = SyncWorld([pt(0, 0), pt(1, 0), pt(3, 0)], ["A", "B", "B"])
-        assert 0 not in enabled_ids(w, get_algorithm("lu-gather"))
-        assert 2 in enabled_ids(w, get_algorithm("lu-gather"))
+        cfg, row = round_state([pt(0, 0), pt(1, 0), pt(3, 0)], ["A", "B", "B"])
+        assert 0 not in enabled_ids(get_algorithm("lu-gather"), cfg, row)
+        assert 2 in enabled_ids(get_algorithm("lu-gather"), cfg, row)
 
     def test_gathered_point(self):
-        w = SyncWorld([pt(1, 1), pt(1, 1)], ["A", "A"])
-        assert enabled_ids(w, get_algorithm("lu-gather")) == []
+        cfg, row = round_state([pt(1, 1), pt(1, 1)], ["A", "A"])
+        assert enabled_ids(get_algorithm("lu-gather"), cfg, row) == []
 
 
 class TestObserveTiming:

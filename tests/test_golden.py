@@ -7,7 +7,8 @@ arguments).  The report digests were recorded before the trace parse and
 the engine views were cached, those of the n=5 ``_SCHEDULE_CASES`` before
 the asynchronous engine read its legality from one field per robot, and
 those of the n=10 cases before it kept its ready, mover and starvation state
-incrementally; any change to them means a report changed.  The trace
+incrementally, and those of ``_OVERDUE_CASES`` before the round engine
+worked on rows of entries; any change to them means a report changed.  The trace
 digests were re-pinned once when traces stopped repeating an unchanged
 configuration (format 2); ``FORMAT1_TRACES`` keeps the earlier ones.
 
