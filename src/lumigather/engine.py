@@ -601,8 +601,15 @@ def ssync_round(algorithm, cfg, row, activated, fractions, delta, trace=None, t=
     and move together.  ``fractions`` maps robot index to the adversary
     truncation, a whole move for a robot it leaves out.  Returns the new
     row, or ``row`` itself when no activated robot changes its light or
-    position.
+    position.  An activated id that is not an int in 0..n-1 raises
+    IllegalChoice, as in ``AsyncWorld.async_step``, before anything is
+    logged or evaluated.
     """
+    activated = list(activated)
+    n = len(row)
+    for i in activated:
+        if type(i) is not int or not 0 <= i < n:
+            raise IllegalChoice(f"round: robot id {i!r} outside 0..{n - 1}")
     activated = sorted(set(activated))
     if not activated:
         raise EmptyActivation("a round must activate at least one robot")

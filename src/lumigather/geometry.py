@@ -19,11 +19,13 @@ integer kernels chosen by what it reads.
 * Isolated points -- a truncated move, a move's reach in a replayed trace,
   the span of a line -- go through ``orientation``, ``on_segment``,
   ``dist_sq``, ``midpoint`` and ``toward``.  They read each coordinate as
-  its integer ``numerator`` and ``denominator``, and a ``Fraction`` keeps
-  its denominator positive.  A coordinate difference is then an unreduced
-  integer pair ``(N, D)`` with ``D > 0``, and comparing two such quotients
-  cross-multiplies by positive integers, so the sign of ``N1 * D2 - N2 * D1``
-  is the sign of ``N1 / D1 - N2 / D2`` exactly.
+  the integer parts a ``Point`` keeps, ``xn/xd`` and ``yn/yd``: the
+  ``numerator`` and ``denominator`` of a ``Fraction``, read once when the
+  point is built, in lowest terms and with the denominator positive.  A
+  coordinate difference is then an unreduced integer pair ``(N, D)`` with
+  ``D > 0``, and comparing two such quotients cross-multiplies by positive
+  integers, so the sign of ``N1 * D2 - N2 * D1`` is the sign of
+  ``N1 / D1 - N2 / D2`` exactly.
 
 Either way the invariant is the same: integers inside, one normalisation
 out, identical rationals.  A kernel builds a rational only for its result,
@@ -42,26 +44,39 @@ from .rational import Rat
 class Point:
     """Immutable exact point of the plane.
 
-    Points are hashed and sorted far more often than they are built, so each
-    one computes ``hash((x, y))`` at construction and keeps it; equality is
-    identity first, then the stored hashes, then the exact coordinates.
+    ``x`` and ``y`` are rationals.  Each point reads their integer parts once,
+    at construction, into ``xn, xd`` and ``yn, yd`` (``x == xn / xd`` with
+    ``xd > 0``): every integer kernel of this module reads those ints, never
+    the ``Fraction`` properties.
+
+    Points are hashed and compared far more often than they are built, so
+    each one computes ``hash((xn, xd, yn, yd))`` at construction and keeps
+    it.  A ``Fraction`` is always in lowest terms, so equal points have equal
+    parts and equal hashes.  Equality is identity first, then the stored
+    hashes, then the four ints.
 
     The order is the exact lexicographic order of ``(x, y)``.  It is decided
-    on ``order_key() == (float(x), x, float(y), y)``, computed on first use:
-    ``float`` of a ``Fraction`` is correctly rounded, hence monotone, so
-    ``float(a) < float(b)`` implies ``a < b``, and the exact value breaks
+    on ``order_key() == (xn / xd, x, yn / yd, y)``, computed on first use:
+    the true division of two ints is correctly rounded, hence monotone, so
+    ``xn / xd < xn' / xd'`` implies ``x < x'``, and the exact value breaks
     every tie between equal floats.  Sorting with ``key=Point.order_key``
     therefore gives the same sequence as sorting on ``(x, y)``, with most
     comparisons made on floats.
     """
 
-    __slots__ = ("x", "y", "_hash", "_key")
+    __slots__ = ("x", "y", "xn", "xd", "yn", "yd", "_hash", "_key")
 
     def __new__(cls, x, y):
         self = object.__new__(cls)
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
         _set_x(self, x)
         _set_y(self, y)
-        _set_hash(self, hash((x, y)))
+        _set_xn(self, xn)
+        _set_xd(self, xd)
+        _set_yn(self, yn)
+        _set_yd(self, yd)
+        _set_hash(self, hash((xn, xd, yn, yd)))
         return self
 
     def __setattr__(self, name, value):
@@ -81,14 +96,20 @@ class Point:
             return True
         if other.__class__ is not Point:
             return NotImplemented
-        return self._hash == other._hash and self.x == other.x and self.y == other.y
+        return (
+            self._hash == other._hash
+            and self.xn == other.xn
+            and self.yn == other.yn
+            and self.xd == other.xd
+            and self.yd == other.yd
+        )
 
     def order_key(self):
-        """``(float(x), x, float(y), y)``: sorts exactly as ``(x, y)`` does."""
+        """``(xn / xd, x, yn / yd, y)``: sorts exactly as ``(x, y)`` does."""
         try:
             return self._key
         except AttributeError:
-            key = (float(self.x), self.x, float(self.y), self.y)
+            key = (self.xn / self.xd, self.x, self.yn / self.yd, self.y)
             _set_key(self, key)
             return key
 
@@ -102,6 +123,10 @@ class Point:
 # the slot setters bypass the __setattr__ that makes a Point immutable
 _set_x = Point.x.__set__
 _set_y = Point.y.__set__
+_set_xn = Point.xn.__set__
+_set_xd = Point.xd.__set__
+_set_yn = Point.yn.__set__
+_set_yd = Point.yd.__set__
 _set_hash = Point._hash.__set__
 _set_key = Point._key.__set__
 
@@ -117,10 +142,8 @@ def pt(x, y=None):
     return Point(r(x), r(y))
 
 
-def _diff(a, b):
-    """``a - b`` as an unreduced integer pair ``(N, D)`` with ``D > 0``."""
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
+def _diff(an, ad, bn, bd):
+    """``an/ad - bn/bd`` as an unreduced integer pair ``(N, D)`` with ``D > 0``."""
     if ad == bd:
         return an - bn, ad
     return an * bd - bn * ad, ad * bd
@@ -132,10 +155,10 @@ def orientation(o, a, b):
     This is the sign of the cross product ``(a - o) x (b - o)``, decided on
     integers.
     """
-    n1, d1 = _diff(a.x, o.x)
-    n2, d2 = _diff(b.y, o.y)
-    n3, d3 = _diff(a.y, o.y)
-    n4, d4 = _diff(b.x, o.x)
+    n1, d1 = _diff(a.xn, a.xd, o.xn, o.xd)
+    n2, d2 = _diff(b.yn, b.yd, o.yn, o.yd)
+    n3, d3 = _diff(a.yn, a.yd, o.yn, o.yd)
+    n4, d4 = _diff(b.xn, b.xd, o.xn, o.xd)
     left, dl = n1 * n2, d1 * d2
     right, dr = n3 * n4, d3 * d4
     if dl != dr:
@@ -145,8 +168,8 @@ def orientation(o, a, b):
 
 def dist_sq_ints(a, b):
     """Squared distance as an unreduced integer pair ``(N, D)`` with ``D > 0``."""
-    nx, dx = _diff(a.x, b.x)
-    ny, dy = _diff(a.y, b.y)
+    nx, dx = _diff(a.xn, a.xd, b.xn, b.xd)
+    ny, dy = _diff(a.yn, a.yd, b.yn, b.yd)
     if dx == dy:
         return nx * nx + ny * ny, dx * dx
     nx, ny = nx * dy, ny * dx
@@ -159,10 +182,8 @@ def dist_sq(a, b):
     return Rat(*dist_sq_ints(a, b))
 
 
-def _toward(a, b, f, g):
-    """``a + (f/g) * (b - a)`` for rationals a, b and ints f and g > 0, normalised once."""
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
+def _toward(an, ad, bn, bd, f, g):
+    """``a + (f/g) * (b - a)`` for ``a = an/ad``, ``b = bn/bd`` and g > 0, normalised once."""
     if ad == bd:
         return Rat(an * g + f * (bn - an), ad * g)
     return Rat(an * bd * g + f * (bn * ad - an * bd), ad * bd * g)
@@ -170,8 +191,8 @@ def _toward(a, b, f, g):
 
 def toward(o, d, lam):
     """The point ``o + lam * (d - o)`` for a rational ``lam``: one rational per coordinate."""
-    f, g = lam.numerator, lam.denominator
-    return Point(_toward(o.x, d.x, f, g), _toward(o.y, d.y, f, g))
+    f, g = lam.as_integer_ratio()
+    return Point(_toward(o.xn, o.xd, d.xn, d.xd, f, g), _toward(o.yn, o.yd, d.yn, d.yd, f, g))
 
 
 _HALF = Rat(1, 2)
@@ -181,31 +202,30 @@ def midpoint(a, b):
     return toward(a, b, _HALF)
 
 
-def _between(v, a, b):
-    """``v`` lies in the closed interval spanned by ``a`` and ``b``.
-
-    The denominators of both differences are positive, so their numerators
-    carry their signs.
-    """
-    return _diff(v, a)[0] * _diff(v, b)[0] <= 0
-
-
 def on_segment(p, a, b):
     """True when p lies on the closed segment ab (only ``a`` itself when a == b).
 
-    p is collinear with a and b and inside the segment's bounding box.
+    p is collinear with a and b and inside the segment's bounding box: each
+    coordinate of p lies between those of a and b.  The denominators of the
+    differences are positive, so their numerators carry their signs.
     """
-    return orientation(a, b, p) == 0 and _between(p.x, a.x, b.x) and _between(p.y, a.y, b.y)
+    if orientation(a, b, p) != 0:
+        return False
+    vn, vd = p.xn, p.xd
+    if (vn * a.xd - a.xn * vd) * (vn * b.xd - b.xn * vd) > 0:
+        return False
+    vn, vd = p.yn, p.yd
+    return (vn * a.yd - a.yn * vd) * (vn * b.yd - b.yn * vd) <= 0
 
 
 class Lattice:
     """Points as integers over their least common denominator.
 
     ``den`` is the least common multiple L of the points' coordinate
-    denominators and ``xy`` maps each distinct point p to
-    ``(L * p.x, L * p.y)``, a pair of ints, in the order the points came.
-    A Shape builds its lattice once, on first use, and all of its analyses
-    share it.
+    denominators ``xd`` and ``yd``, and ``xy`` maps each distinct point p to
+    ``(L * p.x, L * p.y)``, a pair of ints read off its integer parts, in the
+    order the points came.  A Shape builds its lattice once, on first use,
+    and all of its analyses share it.
     """
 
     __slots__ = ("den", "xy")
@@ -213,19 +233,13 @@ class Lattice:
     def __init__(self, points):
         """``points``: any iterable of points; duplicates are dropped."""
         points = tuple(points)
-        dens = {p.x.denominator for p in points}
-        dens.update(p.y.denominator for p in points)
+        dens = {p.xd for p in points}
+        dens.update(p.yd for p in points)
         den = self.den = math.lcm(*dens)
         if den == 1:
-            self.xy = {p: (p.x.numerator, p.y.numerator) for p in points}
+            self.xy = {p: (p.xn, p.yn) for p in points}
         else:
-            self.xy = {
-                p: (
-                    p.x.numerator * (den // p.x.denominator),
-                    p.y.numerator * (den // p.y.denominator),
-                )
-                for p in points
-            }
+            self.xy = {p: (p.xn * (den // p.xd), p.yn * (den // p.yd)) for p in points}
 
     def with_point(self, p):
         """This lattice, or the lattice of its points and ``p`` when p is off it."""
@@ -478,8 +492,8 @@ def nearest_vertex(p, hull):
     # r = c - p scaled by k * L, the denominator every center coordinate divides
     k = len(verts)
     kl = k * lat.den
-    rx = c.x.numerator * (kl // c.x.denominator) - k * px
-    ry = c.y.numerator * (kl // c.y.denominator) - k * py
+    rx = c.xn * (kl // c.xd) - k * px
+    ry = c.yn * (kl // c.yd) - k * py
     if rx == 0 and ry == 0:
         return verts[cands[0]]
 

@@ -262,8 +262,8 @@ def potential_f(config):
         # coordinates (sums over k vertices of the lattice) divide
         k = len(verts)
         kl = k * lat.den
-        cx = center.x.numerator * (kl // center.x.denominator)
-        cy = center.y.numerator * (kl // center.y.denominator)
+        cx = center.xn * (kl // center.xd)
+        cy = center.yn * (kl // center.yd)
         norm = {p: (k * x - cx) ** 2 + (k * y - cy) ** 2 for p, (x, y) in xy.items()}
         vec = (area, _root_sum([norm[p] for p in robots], kl), 0, R0, R0)
     else:

@@ -161,6 +161,15 @@ class TestSsyncRound:
         with pytest.raises(EmptyActivation):
             ssync_round(alg, cfg, row, [], {}, Rat(1))
 
+    @pytest.mark.parametrize("rid", [-1, True, 7])
+    def test_robot_id_outside_the_row_is_illegal(self, rid):
+        alg = get_algorithm("elect-one-lds")
+        cfg, row = round_state([pt(0, 0), pt(4, 0), pt(4, 1), pt(0, 1)], ["O"] * 4)
+        trace = Trace([])
+        with pytest.raises(IllegalChoice, match="robot id"):
+            ssync_round(alg, cfg, row, [0, rid], {}, Rat(1), trace, 0)
+        assert trace.lines == []
+
 
 class TestEnabled:
     def test_lu_gather_aa_endpoint(self):

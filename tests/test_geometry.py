@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lumigather.configuration import Configuration, canonical
+from lumigather.configuration import ConfigInterner, Configuration, Frame, canonical
 from lumigather.geometry import (
     Classification,
     CollinearSignal,
@@ -25,7 +25,7 @@ from lumigather.geometry import (
     pt,
     toward,
 )
-from lumigather.rational import Rat
+from lumigather.rational import Rat, parse_rat
 
 from conftest import edge_lengths_sq, random_frame
 
@@ -192,7 +192,7 @@ class TestPoint:
         b = Point(Rat(2, 6), Rat(-4, 14))
         assert a is not b
         assert a == b and not a != b
-        assert hash(a) == hash(b) == hash((Rat(1, 3), Rat(-2, 7)))
+        assert hash(a) == hash(b) == hash((1, 3, -2, 7))
         assert len({a, b}) == 1 and {a: 1}[b] == 1
 
     def test_unequal_points(self):
@@ -226,7 +226,7 @@ class TestPoint:
             p.label = "a"
         with pytest.raises(AttributeError):
             del p.y
-        assert p == pt(1, 2) and hash(p) == hash((Rat(1), Rat(2)))
+        assert p == pt(1, 2) and hash(p) == hash((1, 1, 2, 1))
 
     def test_pickle_and_deepcopy_round_trip(self):
         p = pt((1, 3), (-5, 7))
@@ -234,6 +234,27 @@ class TestPoint:
         for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
             assert q == p and hash(q) == hash(p)
             assert (q.x, q.y) == (p.x, p.y) and q.order_key() == p.order_key()
+
+    def test_equal_points_built_by_every_path_intern_once(self):
+        square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+        centers = [
+            Point(parse_rat("2/4"), parse_rat(" 1/2")),
+            toward(pt(0, 0), pt(2, 2), Rat(1, 4)),
+            midpoint(pt(1, 0), pt(0, 1)),
+            hull_center(convex_hull(square)),
+            Frame.from_triple(3, 4, 5).apply(pt((7, 10), (-1, 10))),
+        ]
+        assert len(set(map(id, centers))) == len(centers)
+        assert all(c == centers[0] and hash(c) == hash(centers[0]) for c in centers)
+        interner = ConfigInterner()
+        # robot order differs between the two colorings, so both sort
+        blue = [interner.get((*((p, "A") for p in square), (c, "B"))) for c in centers]
+        red = [interner.get(((c, "A"), *((p, "B") for p in reversed(square)))) for c in centers]
+        for cfgs in (blue, red):
+            assert all(cfg is cfgs[0] for cfg in cfgs)
+        assert blue[0] is not red[0]
+        assert blue[0].shape is red[0].shape
+        assert len(interner._shapes) == 1
 
 
 # -- property tests ---------------------------------------------------------
@@ -356,6 +377,60 @@ def test_point_order_is_exact_coordinate_order(pts):
     # each point also gets neighbours whose coordinates round to the same float
     eps = Rat(1, 10**30)
     pts = pts + [Point(p.x + eps, p.y) for p in pts] + [Point(p.x, p.y - eps) for p in pts]
+    exact = sorted(pts, key=lambda p: (p.x, p.y))
+    assert sorted(pts, key=Point.order_key) == exact
+    assert sorted(pts) == exact
+
+
+# small, zero, negative and huge numerators and denominators
+rat_parts = st.one_of(st.integers(-12, 12), st.integers(-(10**40), 10**40))
+
+
+@st.composite
+def rationals(draw):
+    """A rational built from a pair that is not reduced and may have a negative denominator."""
+    k = draw(st.integers(-5, 5).filter(bool))
+    return Rat(k * draw(rat_parts), k * draw(rat_parts.filter(bool)))
+
+
+@st.composite
+def coordinate_pairs(draw):
+    """Two coordinate pairs; each coordinate of the second often rebuilds the first's."""
+    first = (draw(rationals()), draw(rationals()))
+    k = draw(st.integers(-5, 5).filter(bool))
+    second = tuple(
+        Rat(k * v.numerator, k * v.denominator) if draw(st.booleans()) else draw(rationals())
+        for v in first
+    )
+    return first, second
+
+
+@given(coordinate_pairs())
+def test_point_equality_hash_and_parts_follow_the_coordinates(pairs):
+    (a, b), (c, d) = pairs
+    p, q = Point(a, b), Point(c, d)
+    assert (p == q) == ((a, b) == (c, d)) and (p != q) == ((a, b) != (c, d))
+    if p == q:
+        assert hash(p) == hash(q)
+    for r in (p, q):
+        assert (r.xn, r.xd) == (r.x.numerator, r.x.denominator)
+        assert (r.yn, r.yd) == (r.y.numerator, r.y.denominator)
+        for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert copied == r and hash(copied) == hash(r)
+            assert (copied == q) == (r == q)
+
+
+@given(st.lists(rationals(), min_size=2, max_size=10))
+def test_point_order_key_is_the_coordinate_order_for_any_rationals(values):
+    pts = [Point(x, y) for x, y in zip(values, reversed(values))]
+    # neighbours whose nonzero coordinates round to the same floats
+    eps = Rat(1, 10**60)
+    right = [Point(p.x + eps, p.y) for p in pts]
+    below = [Point(p.x, p.y - eps) for p in pts]
+    for p, q, r in zip(pts, right, below):
+        assert not p.x or q.order_key()[0] == p.order_key()[0]
+        assert not p.y or r.order_key()[2] == p.order_key()[2]
+    pts += right + below
     exact = sorted(pts, key=lambda p: (p.x, p.y))
     assert sorted(pts, key=Point.order_key) == exact
     assert sorted(pts) == exact
